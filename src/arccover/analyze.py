@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .lengths import LogOverN
-from .simulate import TrialConfig, _run_trial_impl
+from .simulate import ConfigError, TrialConfig, _run_trial_impl
 from .targets import TargetSet, make_circle
 from .torus import IntervalUnion, measure
 
@@ -218,9 +218,10 @@ def _scan_cell(args):
     c = float(cfg.lengths.c)
     try:
         trace, tail_union = _run_trial_impl(cfg, collect_tail=tail)
-    except ValueError as exc:
-        # e.g. the pre-fractal scale guard, which depends on c through
-        # ell(n_max): report per cell so the scan can emit partial results
+    except ConfigError as exc:
+        # the pre-fractal scale guard, which depends on c through ell(n_max):
+        # report per cell so the scan can emit partial results; any other
+        # error is a fault and propagates
         return (c, cfg.seed, "error", str(exc), None, None)
     return (c, cfg.seed, "ok", trace.eventually_covered,
             trace.last_failure_n, measure(tail_union))

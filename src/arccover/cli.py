@@ -162,7 +162,6 @@ def _scan_svg(scan) -> str:
 _COMMON_DEFAULTS = {
     "checkpoint_ratio": 1.1,
     "first_checkpoint": 64,
-    "jobs": None,
 }
 
 _DEFAULTS = {
@@ -170,10 +169,10 @@ _DEFAULTS = {
               "seed": 0, "out": "arccover_trial", **_COMMON_DEFAULTS},
     "scan": {"target": "circle", "c": "0.25:3.0:0.25", "trials": 20,
              "n_max": 10 ** 5, "seed0": 0, "tail_checkpoints": 5,
-             "out": "arccover_scan", **_COMMON_DEFAULTS},
+             "out": "arccover_scan", **_COMMON_DEFAULTS, "jobs": None},
     "dims": {"target": "circle", "c": 0.5, "n_max": 10 ** 6, "seeds": 20,
              "seed0": 0, "tail_checkpoints": 1, "out": "arccover_dims",
-             **_COMMON_DEFAULTS},
+             **_COMMON_DEFAULTS, "jobs": None},
     "series": {"lengths": "logn:1", "beta": 0.0, "d": 0.5, "n": 10 ** 6,
                "out": "arccover_series"},
     "schedule": {"lengths": "logn:1", "alpha": 0.9, "k": 6,
@@ -448,7 +447,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--checkpoint-ratio", type=float)
     p.add_argument("--first-checkpoint", type=int)
-    p.add_argument("--jobs", type=int)
 
     p = sub.add_parser("scan", help="coverage-fraction scan over c, with SVG plot")
     common(p)

@@ -18,6 +18,15 @@ consecutive centers leaves the middle piece of length g - ell uncovered
 iff g > ell.  This equals complement(arcs_to_union(...)) piece for piece
 (same float arithmetic), but costs O(n) per checkpoint.
 
+The kernel keeps the sorted prefix in the centers array itself: at each
+checkpoint it sorts the fresh slice centers[prev:n] in place and re-sorts
+centers[:n] with numpy's stable sort (timsort), which finds the two sorted
+runs and merges them in linear time, so the prefix is the view centers[:n]
+and no checkpoint reallocates it.  Gap extraction first picks candidate
+gaps with a cheap test on np.diff that is provably a superset of the exact
+predicate, then runs the exact predicate on the candidates only (see
+uncovered_at).
+
 Randomness comes from numpy's counter-based Philox generator, one stream
 per 64-bit seed, so trials are reproducible, prefix-stable (the first m
 draws do not depend on how many are requested) and embarrassingly
@@ -80,12 +89,21 @@ def max_circular_gap(centers: np.ndarray) -> float:
     return float(max(np.max(np.diff(cs)), wrap))
 
 
+# Prefilter margin of uncovered_at; see the proof there.
+SLACK = 1e-12
+
+
 def uncovered_at(centers_sorted, ell: float) -> IntervalUnion:
     """Complement of the union of arcs of length `ell` at the given centers.
 
     Centers must be sorted ascending.  Exactly mirrors the arithmetic of
     complement(arcs_to_union(...)) so the two routes agree bitwise away
     from merge-tolerance ties.
+
+    The inner gap (a, b) = (cs[i], cs[i+1]) is uncovered iff the exact
+    predicate fl(b - r) > fl(fl(a + r) + MERGE_EPS) holds.  Few gaps pass
+    it, so it runs only on the candidates of the cheap test
+    fl(b - a) > fl(ell - SLACK) instead of on all n - 1 gaps.
     """
     cs = np.asarray(centers_sorted, dtype=np.float64)
     if cs.size < 1:
@@ -93,8 +111,17 @@ def uncovered_at(centers_sorted, ell: float) -> IntervalUnion:
     if not (0.0 < ell < 1.0):
         raise ValueError(f"arc length must be in (0, 1), got {ell}")
     r = 0.5 * ell
-    ends = cs[:-1] + r
-    starts = cs[1:] - r
+    # The candidate test is a superset of the exact predicate.  Every value
+    # involved has magnitude at most 1.5, so each float operation is off by
+    # at most u = 2.2e-16, and r = ell / 2 is exact.  If the exact predicate
+    # holds, then b - r + u > a + r + MERGE_EPS - 2u, so b - a > ell +
+    # MERGE_EPS - 3u and fl(b - a) > ell + MERGE_EPS - 4u > ell - SLACK + u
+    # >= fl(ell - SLACK), because SLACK + MERGE_EPS far exceeds 5u.  So a
+    # skipped gap fails the exact predicate, and a kept one gets the same
+    # arithmetic as when the predicate ran on every gap.
+    cand = np.flatnonzero(np.diff(cs) > ell - SLACK)
+    ends = cs[cand] + r
+    starts = cs[cand + 1] - r
     keep = starts > ends + MERGE_EPS
     los = [ends[keep]]
     his = [starts[keep]]
@@ -231,16 +258,17 @@ def _run_trial_impl(cfg: TrialConfig, collect_tail: int):
     pieces = np.zeros(grid.size, dtype=np.int64)
     tail_residues = []
 
-    sorted_prefix = np.sort(centers[:grid[0]])
+    # sample_centers returns a fresh array, so it becomes the sorted prefix
     prev = int(grid[0])
+    centers[:prev].sort()
     for i, n in enumerate(grid):
         n = int(n)
         if n > prev:
-            fresh = np.sort(centers[prev:n])
-            at = np.searchsorted(sorted_prefix, fresh)
-            sorted_prefix = np.insert(sorted_prefix, at, fresh)
+            centers[prev:n].sort()
+            # timsort merges the two sorted runs in linear time
+            centers[:n].sort(kind="stable")
             prev = n
-        gaps = uncovered_at(sorted_prefix, float(ells[i]))
+        gaps = uncovered_at(centers[:n], float(ells[i]))
         # intersect keeps target points only when strictly inside a gap,
         # so an empty residue is exactly "target inside the closed E_n"
         resid = gaps if is_circle else intersect(t_approx, gaps)

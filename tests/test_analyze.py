@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from arccover import (DimensionEstimate, EMPTY, FULL_CIRCLE, IntervalUnion,
-                      LogOverN, TrialConfig, box_dimension, make_cantor,
+                      LogOverN, TrialConfig, analyze, box_dimension, make_cantor,
                       make_circle, nested_scales, occupied_cell_count,
                       phase_scan, run_trial, run_trial_with_tail,
                       uncovered_dimension_experiment, wilson_interval)
@@ -142,6 +142,14 @@ class TestPhaseScan:
         t = make_cantor(1 / 3, 8)
         with pytest.raises(ValueError, match="every scan cell failed"):
             phase_scan([0.2, 0.3], small_base(target=t, n_max=3000), 1)
+
+    def test_internal_fault_is_not_a_failed_cell(self, monkeypatch):
+        def broken(cfg, collect_tail):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(analyze, "_run_trial_impl", broken)
+        with pytest.raises(ValueError, match="^internal fault$"):
+            phase_scan([0.5, 2.5], small_base(), 1)
 
 
 class TestDimensionExperiment:

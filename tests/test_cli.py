@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from arccover.cli import main
 
 
@@ -34,6 +36,12 @@ class TestTrial:
                        "--n-max", "20000", "--seed", "7", "--out", "x") == 0
         assert (a / "x.csv").read_bytes() == (b / "x.csv").read_bytes()
         assert (a / "x.json").read_bytes() == (b / "x.json").read_bytes()
+
+    def test_jobs_flag_refused(self, tmp_path):
+        # one trial runs in one process, so trial takes no --jobs
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "trial", "--jobs", "2")
+        assert exc.value.code == 2
 
     def test_validation_exit_2(self, tmp_path):
         assert run(tmp_path, "trial", "--target", "nope") == 2

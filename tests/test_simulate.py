@@ -1,11 +1,17 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from arccover import (Arc, ConfigError, Harmonic, LogOverN, TrialConfig,
                       arcs_to_union, checkpoint_grid, complement, intersect,
                       make_cantor, make_circle, make_finite, max_circular_gap,
-                      measure, run_trial, sample_centers, tail_uncovered,
-                      uncovered_at)
+                      measure, run_trial, sample_centers, simulate,
+                      tail_uncovered, uncovered_at)
+from arccover.simulate import SLACK
+from arccover.torus import MERGE_EPS
 
 
 class TestSampleCenters:
@@ -102,6 +108,103 @@ class TestUncoveredAt:
             uncovered_at(np.array([0.5]), 1.5)
 
 
+def _nudge(x: float, ulps: int) -> float:
+    """x moved by `ulps` units in the last place."""
+    toward = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, toward)
+    return x
+
+
+def _assert_bitwise(u, v):
+    assert np.array_equal(u.los, v.los)
+    assert np.array_equal(u.his, v.his)
+
+
+def _check_against_oracles(centers, ell):
+    cs = np.sort(np.asarray(centers, dtype=np.float64))
+    got = uncovered_at(cs, ell)
+    # with an infinite SLACK every gap is a candidate, so the exact
+    # predicate runs on all of them, as it did before the prefilter
+    with mock.patch.object(simulate, "SLACK", math.inf):
+        _assert_bitwise(got, uncovered_at(cs, ell))
+    # the arc union breaks seam ties with different arithmetic; see
+    # test_seam_tie_disagrees_with_arc_union
+    if abs((cs[0] + 1.0 - cs[-1]) - ell) > 4 * MERGE_EPS:
+        arcs = complement(arcs_to_union([Arc(float(c), 0.5 * ell) for c in cs]))
+        _assert_bitwise(got, arcs)
+
+
+_unit = st.floats(0.0, 1.0, exclude_max=True)
+_ells = st.floats(1e-9, 0.9)
+_ulps = st.integers(-4, 4)
+
+
+@st.composite
+def _merge_eps_clusters(draw):
+    """Runs of centers one MERGE_EPS apart, or ell + MERGE_EPS apart."""
+    ell = draw(_ells)
+    centers = []
+    for base in draw(st.lists(_unit, min_size=1, max_size=12)):
+        step = _nudge(draw(st.sampled_from([MERGE_EPS, ell + MERGE_EPS])), draw(_ulps))
+        centers += [base + j * step for j in range(draw(st.integers(1, 4)))]
+    return [c for c in centers if c < 1.0], ell
+
+
+@st.composite
+def _seam_touching(draw):
+    """Arcs whose ends land on the 0/1 seam, or a few ulps from it."""
+    ell = draw(_ells)
+    r = 0.5 * ell
+    anchors = draw(st.lists(st.sampled_from([0.0, r, 1.0 - r, 1.0]), min_size=1, max_size=3))
+    top = math.nextafter(1.0, 0.0)
+    centers = [min(max(_nudge(a, draw(_ulps)), 0.0), top) for a in anchors]
+    return centers + draw(st.lists(_unit, max_size=8)), ell
+
+
+@st.composite
+def _ell_near_gap(draw):
+    """ell within a few ulps of one gap, or of that gap minus MERGE_EPS."""
+    cs = sorted(draw(st.lists(_unit, min_size=2, max_size=20)))
+    gaps = [b - a for a, b in zip(cs, cs[1:])] + [cs[0] + 1.0 - cs[-1]]
+    gap = draw(st.sampled_from(gaps))
+    ell = _nudge(draw(st.sampled_from([gap, gap - MERGE_EPS])), draw(_ulps))
+    return cs, min(max(ell, 1e-12), 0.9)
+
+
+class TestPrefilterExact:
+    @given(_merge_eps_clusters())
+    def test_centers_one_merge_eps_apart(self, case):
+        _check_against_oracles(*case)
+
+    @given(_seam_touching())
+    def test_arcs_touching_the_seam(self, case):
+        _check_against_oracles(*case)
+
+    @given(_ell_near_gap())
+    def test_ell_within_ulps_of_a_gap(self, case):
+        _check_against_oracles(*case)
+
+    @pytest.mark.parametrize("ell", [1e-6, 0.3, 0.75])
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_gap_on_the_slack_boundary(self, ell, ulps):
+        # a gap exactly on fl(ell - SLACK) is skipped, one ulp above is a
+        # candidate; neither is uncovered
+        gap = _nudge(ell - SLACK, ulps)
+        cs = np.array([0.0, gap])
+        assert (np.diff(cs) > ell - SLACK)[0] == (ulps > 0)
+        _check_against_oracles(cs, ell)
+        assert 0.5 * ell not in uncovered_at(cs, ell).los
+
+    @pytest.mark.xfail(strict=True, reason="a wrap gap within MERGE_EPS of ell merges "
+                       "on the gap route but leaves seam dust in the arc union")
+    def test_seam_tie_disagrees_with_arc_union(self):
+        ell = 0.2
+        cs = np.array([0.1 + 1e-16, 0.5, 0.9 - 1e-16])
+        arcs = complement(arcs_to_union([Arc(float(c), 0.5 * ell) for c in cs]))
+        _assert_bitwise(uncovered_at(cs, ell), arcs)
+
+
 class TestRunTrial:
     def test_circle_covered_iff_max_gap_below_ell(self):
         cfg = TrialConfig(seed=3, lengths=LogOverN(1.5), target=make_circle(), n_max=4000)
@@ -171,6 +274,25 @@ class TestRunTrial:
         with pytest.raises(ConfigError, match="checkpoint_ratio"):
             TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=100,
                         checkpoint_ratio=1.0)
+
+
+class TestMergeUpkeep:
+    @pytest.mark.parametrize("target", [make_circle(), make_finite([0.05, 0.37, 0.9])],
+                             ids=["circle", "finite"])
+    def test_single_center_steps_match_fresh_sort(self, target):
+        cfg = TrialConfig(seed=13, lengths=LogOverN(1.5), target=target, n_max=400,
+                          n_first_checkpoint=1, checkpoint_ratio=1.0001)
+        grid = cfg.checkpoints()
+        assert np.array_equal(grid, np.arange(1, 401))  # one new center per step
+        ells = cfg.lengths.ell(grid.astype(np.float64))
+        trace = run_trial(cfg)
+        assert np.array_equal(trace.ells, ells)
+        for i, n in enumerate(grid):
+            gaps = uncovered_at(np.sort(sample_centers(cfg.seed, int(n))), float(ells[i]))
+            resid = gaps if target.kind == "circle" else intersect(target.approx, gaps)
+            assert trace.covered[i] == resid.is_empty()
+            assert trace.uncovered_measure[i] == measure(resid)
+            assert trace.piece_count[i] == resid.component_count()
 
 
 class TestTailUncovered:
