@@ -13,13 +13,13 @@ Library layout:
 
 from .analyze import (DimensionEstimate, DimensionScan, ScanResult, ScanRow,
                       box_dimension, nested_scales, occupied_cell_count,
-                      phase_scan, run_trial_with_tail,
-                      uncovered_dimension_experiment, wilson_interval)
+                      phase_scan, uncovered_dimension_experiment,
+                      wilson_interval)
 from .lengths import (BlockSequence, Harmonic, LengthSequence,
                       LengthSequenceError, LogOverN, PowerLaw, Schedule,
                       ScheduleError, SeriesResult, TableSequence,
                       block_sequence, choose_schedule, covering_series,
-                      estimate_covering_exponent, estimate_delta, eval_length,
+                      estimate_covering_exponent, estimate_delta,
                       parse_lengths, rare_block_sum, shepp_series)
 from .simulate import (ConfigError, CoverageTrace, TrialConfig,
                        checkpoint_grid, max_circular_gap, run_trial,

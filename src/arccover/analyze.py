@@ -5,7 +5,10 @@ the empirical probability that the target is eventually covered, next to
 the two analytic thresholds: no covering below the target's Hausdorff
 dimension, covering above its upper box dimension plus one.  The band in
 between is reported as "theorem-silent": the scan still shows fractions
-there but asserts nothing.
+there but asserts nothing.  Every c uses the same seeds, so the unit of
+work is one seed swept over the whole c grid (simulate's kernel samples
+and sorts its centers once for all c), and pool workers receive the target
+once each, through the pool initializer.
 
 Box-counting dimension is used as a numerical proxy for Hausdorff
 dimension.  Box >= Hausdorff always, so an estimate clearly BELOW the
@@ -25,18 +28,11 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .lengths import LogOverN
-from .simulate import ConfigError, TrialConfig, _run_trial_impl
+from .simulate import ConfigError, TrialConfig, _run_trial_impl, _sweep
 from .targets import TargetSet, make_circle
 from .torus import IntervalUnion, measure
 
 _SNAP = 1e-9  # cell-index snap, in units of one cell
-
-
-def run_trial_with_tail(cfg: TrialConfig, tail_checkpoints: int):
-    """One pass returning both the trace and the tail uncovered union."""
-    n_cp = cfg.checkpoints().size
-    tail = max(1, min(int(tail_checkpoints), n_cp))
-    return _run_trial_impl(cfg, collect_tail=tail)
 
 
 def occupied_cell_count(u: IntervalUnion, eps: float) -> int:
@@ -213,18 +209,34 @@ def classify_regime(c: float, target: TargetSet) -> str:
     return "theorem-silent"
 
 
-def _scan_cell(args):
-    cfg, tail = args
-    c = float(cfg.lengths.c)
-    try:
-        trace, tail_union = _run_trial_impl(cfg, collect_tail=tail)
-    except ConfigError as exc:
-        # the pre-fractal scale guard, which depends on c through ell(n_max):
-        # report per cell so the scan can emit partial results; any other
-        # error is a fault and propagates
-        return (c, cfg.seed, "error", str(exc), None, None)
-    return (c, cfg.seed, "ok", trace.eventually_covered,
-            trace.last_failure_n, measure(tail_union))
+# The scan's shared inputs in a pool worker, set once by _init_scan_worker
+# so that each message carries only a seed.
+_scan_context = None
+
+
+def _init_scan_worker(context):
+    global _scan_context
+    _scan_context = context
+
+
+def _scan_cell(seed, context=None):
+    """One seed's trials for every c of the scan: a list of records
+    (c, seed, "ok", covered, last_failure_n, tail measure) or
+    (c, seed, "error", message, None, None)."""
+    base_cfg, cs, tail = _scan_context if context is None else context
+    cfgs = [replace(base_cfg, seed=seed, lengths=LogOverN(c)) for c in cs]
+    records = []
+    for c, result in zip(cs, _sweep(cfgs, collect_tail=tail)):
+        if isinstance(result, ConfigError):
+            # the pre-fractal scale guard, which depends on c through
+            # ell(n_max): reported per c so the scan can emit partial
+            # results; any other error is a fault and propagates
+            records.append((c, seed, "error", str(result), None, None))
+        else:
+            trace, tail_union = result
+            records.append((c, seed, "ok", trace.eventually_covered,
+                            trace.last_failure_n, measure(tail_union)))
+    return records
 
 
 def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
@@ -233,8 +245,10 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
 
     Runs trials_per_c trials per c with seeds base_cfg.seed + 0, 1, ...;
     base_cfg supplies the target, horizon and checkpoint grid (its
-    `lengths` is replaced per cell).  Cells are independent, so they can
-    run in any number of worker processes; results are reduced by key and
+    `lengths` is replaced per c).  Every c uses the same seeds, so the unit
+    of work is one seed, swept over the whole c grid.  Seeds are
+    independent, so they can run in any number of worker processes, which
+    receive the target once each; records are reduced by (c, seed) key and
     sorted, which makes the output independent of `jobs`.
     """
     cs = [float(c) for c in c_grid]
@@ -246,13 +260,15 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
     tail = max(1, min(int(tail_checkpoints), n_cp))
     seed0 = int(base_cfg.seed)
 
-    cells = [(replace(base_cfg, seed=seed0 + t, lengths=LogOverN(c)), tail)
-             for c in cs for t in range(trials_per_c)]
+    seeds = range(seed0, seed0 + trials_per_c)
+    context = (base_cfg, cs, tail)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_scan_cell, cells, chunksize=8))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_scan_worker,
+                                 initargs=(context,)) as pool:
+            per_seed = list(pool.map(_scan_cell, seeds))
     else:
-        raw = [_scan_cell(cell) for cell in cells]
+        per_seed = [_scan_cell(seed, context) for seed in seeds]
+    raw = [rec for records in per_seed for rec in records]
     raw.sort(key=lambda rec: (rec[0], rec[1]))
 
     target = base_cfg.target

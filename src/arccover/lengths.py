@@ -273,11 +273,6 @@ def block_sequence(base: LengthSequence, schedule: Schedule) -> BlockSequence:
     return BlockSequence(base, schedule)
 
 
-def eval_length(rule: LengthSequence, n):
-    """ell(n) for one index or an array of indices."""
-    return rule.ell(n)
-
-
 def _log_sample(n_lo: int, n_hi: int, count: int) -> np.ndarray:
     grid = np.geomspace(n_lo, n_hi, num=count)
     grid = np.unique(np.round(grid).astype(np.int64))

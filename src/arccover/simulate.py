@@ -27,6 +27,16 @@ gaps with a cheap test on np.diff that is provably a superset of the exact
 predicate, then runs the exact predicate on the candidates only (see
 uncovered_at).
 
+The kernel is a sweep over length rules that share one seed, target and
+checkpoint grid, as the rules of a phase scan do: the prefix is sampled
+and merged once, and one np.diff pass per checkpoint picks the candidate
+gaps for the shortest length, on which each rule runs its exact predicate,
+so a scan pays the O(n) work once per seed, not once per (c, seed).  A
+single trial is the one-rule sweep.  The target is intersected with the
+gaps, not the other way round: intersect binary-searches each piece of
+its first operand in the second, and the gaps are few while a deep
+pre-fractal has thousands of pieces.  The result is the same bit for bit.
+
 Randomness comes from numpy's counter-based Philox generator, one stream
 per 64-bit seed, so trials are reproducible, prefix-stable (the first m
 draws do not depend on how many are requested) and embarrassingly
@@ -36,7 +46,7 @@ parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,6 +64,12 @@ class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field = field_name
+        self.message = message
+
+    def __reduce__(self):
+        # rebuilt from both arguments, so it survives the trip back from a
+        # pool worker
+        return type(self), (self.field, self.message)
 
 
 def sample_centers(seed: int, n: int) -> np.ndarray:
@@ -93,7 +109,7 @@ def max_circular_gap(centers: np.ndarray) -> float:
 SLACK = 1e-12
 
 
-def uncovered_at(centers_sorted, ell: float) -> IntervalUnion:
+def uncovered_at(centers_sorted, ell: float, candidates=None) -> IntervalUnion:
     """Complement of the union of arcs of length `ell` at the given centers.
 
     Centers must be sorted ascending.  Exactly mirrors the arithmetic of
@@ -104,6 +120,11 @@ def uncovered_at(centers_sorted, ell: float) -> IntervalUnion:
     predicate fl(b - r) > fl(fl(a + r) + MERGE_EPS) holds.  Few gaps pass
     it, so it runs only on the candidates of the cheap test
     fl(b - a) > fl(ell - SLACK) instead of on all n - 1 gaps.
+
+    `candidates`, if given, replaces the cheap test: the indices i of all
+    gaps that pass it for some length up to `ell`.  Rounding is monotone,
+    so they include every gap that passes it at `ell`, and the exact
+    predicate picks the same gaps from them.
     """
     cs = np.asarray(centers_sorted, dtype=np.float64)
     if cs.size < 1:
@@ -119,9 +140,10 @@ def uncovered_at(centers_sorted, ell: float) -> IntervalUnion:
     # >= fl(ell - SLACK), because SLACK + MERGE_EPS far exceeds 5u.  So a
     # skipped gap fails the exact predicate, and a kept one gets the same
     # arithmetic as when the predicate ran on every gap.
-    cand = np.flatnonzero(np.diff(cs) > ell - SLACK)
-    ends = cs[cand] + r
-    starts = cs[cand + 1] - r
+    if candidates is None:
+        candidates = np.flatnonzero(np.diff(cs) > ell - SLACK)
+    ends = cs[candidates] + r
+    starts = cs[candidates + 1] - r
     keep = starts > ends + MERGE_EPS
     los = [ends[keep]]
     his = [starts[keep]]
@@ -243,20 +265,50 @@ def tail_uncovered(cfg: TrialConfig, tail_checkpoints: int) -> IntervalUnion:
 
 
 def _run_trial_impl(cfg: TrialConfig, collect_tail: int):
-    cfg.validate_scales()
-    grid = cfg.checkpoints()
-    ells = cfg.lengths.ell(grid.astype(np.float64))
-    ells = np.atleast_1d(ells)
-    centers = sample_centers(cfg.seed, cfg.n_max)
+    (result,) = _sweep([cfg], collect_tail)
+    if isinstance(result, ConfigError):
+        raise result
+    return result
 
-    target = cfg.target
-    t_approx = target.approx
-    is_circle = target.kind == "circle"
 
-    covered = np.zeros(grid.size, dtype=bool)
-    unc_measure = np.zeros(grid.size, dtype=np.float64)
-    pieces = np.zeros(grid.size, dtype=np.int64)
-    tail_residues = []
+def _sweep(cfgs, collect_tail: int) -> list:
+    """The trials of one seed under several length rules, in one pass.
+
+    The configs differ only in `lengths`: they share the seed, the target
+    and the checkpoint grid, so the centers are sampled and the sorted
+    prefix is merged once, and every checkpoint decides coverage for each
+    rule.  Returns, per config, its (trace, tail_union), where tail_union
+    unites the residues of the last `collect_tail` checkpoints, or the
+    ConfigError its scale guard raised.
+    """
+    cfg0 = cfgs[0]
+    shared = replace(cfg0, lengths=None)
+    if any(replace(cfg, lengths=None) != shared for cfg in cfgs):
+        raise ValueError("swept configs may differ only in lengths")
+    results = [None] * len(cfgs)
+    live = []
+    for k, cfg in enumerate(cfgs):
+        try:
+            cfg.validate_scales()
+        except ConfigError as exc:
+            results[k] = exc
+        else:
+            live.append(k)
+    if not live:
+        return results
+
+    grid = cfg0.checkpoints()
+    ells = [np.atleast_1d(cfgs[k].lengths.ell(grid.astype(np.float64))) for k in live]
+    shortest = np.min(ells, axis=0)
+    centers = sample_centers(cfg0.seed, cfg0.n_max)
+
+    t_approx = cfg0.target.approx
+    is_circle = cfg0.target.kind == "circle"
+
+    covered = [np.zeros(grid.size, dtype=bool) for _ in live]
+    unc_measure = [np.zeros(grid.size, dtype=np.float64) for _ in live]
+    pieces = [np.zeros(grid.size, dtype=np.int64) for _ in live]
+    tail_residues = [[] for _ in live]
 
     # sample_centers returns a fresh array, so it becomes the sorted prefix
     prev = int(grid[0])
@@ -268,35 +320,42 @@ def _run_trial_impl(cfg: TrialConfig, collect_tail: int):
             # timsort merges the two sorted runs in linear time
             centers[:n].sort(kind="stable")
             prev = n
-        gaps = uncovered_at(centers[:n], float(ells[i]))
-        # intersect keeps target points only when strictly inside a gap,
-        # so an empty residue is exactly "target inside the closed E_n"
-        resid = gaps if is_circle else intersect(t_approx, gaps)
-        covered[i] = resid.los.size == 0 and resid.points.size == 0
-        unc_measure[i] = measure(resid)
-        pieces[i] = resid.component_count()
-        if collect_tail and i >= grid.size - collect_tail:
-            tail_residues.append(resid)
+        # one pass over the prefix finds the gap candidates of every rule
+        cs = centers[:n]
+        cand = np.flatnonzero(np.diff(cs) > shortest[i] - SLACK)
+        for j in range(len(live)):
+            gaps = uncovered_at(cs, float(ells[j][i]), cand)
+            # the gaps go first: intersect costs O(|gaps| log |target|).
+            # It keeps target points only when strictly inside a gap, so
+            # an empty residue is exactly "target inside the closed E_n"
+            resid = gaps if is_circle else intersect(gaps, t_approx)
+            covered[j][i] = resid.los.size == 0 and resid.points.size == 0
+            unc_measure[j][i] = measure(resid)
+            pieces[j][i] = resid.component_count()
+            if collect_tail and i >= grid.size - collect_tail:
+                tail_residues[j].append(resid)
 
-    if cfg.n_tail_start is None:
-        tail_target = math.sqrt(cfg.n_max)
+    if cfg0.n_tail_start is None:
+        tail_target = math.sqrt(cfg0.n_max)
     else:
-        tail_target = float(cfg.n_tail_start)
+        tail_target = float(cfg0.n_tail_start)
     tail_idx = int(np.argmin(np.abs(grid.astype(np.float64) - tail_target)))
-    failures = grid[~covered]
-    trace = CoverageTrace(
-        seed=int(cfg.seed),
-        n_max=int(cfg.n_max),
-        checkpoints=grid,
-        ells=ells,
-        covered=covered,
-        uncovered_measure=unc_measure,
-        piece_count=pieces,
-        n_tail_start=int(grid[tail_idx]),
-        last_failure_n=int(failures[-1]) if failures.size else None,
-        eventually_covered=bool(np.all(covered[tail_idx:])),
-    )
-    tail_union = EMPTY
-    for resid in tail_residues:
-        tail_union = union(tail_union, resid)
-    return trace, tail_union
+    for j, k in enumerate(live):
+        failures = grid[~covered[j]]
+        trace = CoverageTrace(
+            seed=int(cfg0.seed),
+            n_max=int(cfg0.n_max),
+            checkpoints=grid,
+            ells=ells[j],
+            covered=covered[j],
+            uncovered_measure=unc_measure[j],
+            piece_count=pieces[j],
+            n_tail_start=int(grid[tail_idx]),
+            last_failure_n=int(failures[-1]) if failures.size else None,
+            eventually_covered=bool(np.all(covered[j][tail_idx:])),
+        )
+        tail_union = EMPTY
+        for resid in tail_residues[j]:
+            tail_union = union(tail_union, resid)
+        results[k] = (trace, tail_union)
+    return results

@@ -242,6 +242,11 @@ def intersect(u: IntervalUnion, v: IntervalUnion) -> IntervalUnion:
     inside an interval of the other operand or coincides with one of its
     points, so that `covers(u, a)` is exactly "intersect(a, complement(u))
     is empty" even for point-bearing targets.
+
+    On canonical operands the result does not depend on their order, bit
+    for bit, but the cost does: it is O(|u| log |v| + output), because each
+    piece of `u` is located in `v` by binary search.  Pass the smaller
+    operand first.
     """
     lo, hi = _intersect_arrays(u.los, u.his, v.los, v.his)
     pts = []

@@ -1,11 +1,16 @@
+import multiprocessing
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from arccover import (DimensionEstimate, EMPTY, FULL_CIRCLE, IntervalUnion,
-                      LogOverN, TrialConfig, analyze, box_dimension, make_cantor,
-                      make_circle, nested_scales, occupied_cell_count,
-                      phase_scan, run_trial, run_trial_with_tail,
-                      uncovered_dimension_experiment, wilson_interval)
+from arccover import (ConfigError, DimensionEstimate, EMPTY, FULL_CIRCLE,
+                      IntervalUnion, LogOverN, ScanRow, TrialConfig, analyze,
+                      box_dimension, make_cantor, make_circle, make_finite,
+                      measure, nested_scales, occupied_cell_count, phase_scan,
+                      run_trial, tail_uncovered, uncovered_dimension_experiment,
+                      wilson_interval)
+from arccover.simulate import _run_trial_impl
 
 
 class TestOccupiedCells:
@@ -144,12 +149,78 @@ class TestPhaseScan:
             phase_scan([0.2, 0.3], small_base(target=t, n_max=3000), 1)
 
     def test_internal_fault_is_not_a_failed_cell(self, monkeypatch):
-        def broken(cfg, collect_tail):
+        def broken(cfgs, collect_tail):
             raise ValueError("internal fault")
 
-        monkeypatch.setattr(analyze, "_run_trial_impl", broken)
+        monkeypatch.setattr(analyze, "_sweep", broken)
         with pytest.raises(ValueError, match="^internal fault$"):
             phase_scan([0.5, 2.5], small_base(), 1)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="pool workers must inherit the patched kernel")
+    def test_internal_fault_in_a_worker_propagates(self, monkeypatch):
+        def broken(cfgs, collect_tail):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(analyze, "_sweep", broken)
+        with pytest.raises(ValueError, match="^internal fault$"):
+            phase_scan([0.5, 2.5], small_base(), 2, jobs=2)
+
+
+def _rows_one_trial_at_a_time(c_grid, base, trials, tail=5):
+    """phase_scan's rows and failures, rebuilt from one independent trial
+    per (c, seed)."""
+    tail = min(tail, base.checkpoints().size)
+    rows, failed = [], {}
+    for c in c_grid:
+        runs = []
+        for t in range(trials):
+            cfg = replace(base, seed=base.seed + t, lengths=LogOverN(c))
+            try:
+                runs.append(_run_trial_impl(cfg, collect_tail=tail))
+            except ConfigError as exc:
+                failed.setdefault(c, str(exc))
+        if c in failed:
+            continue
+        cov = [trace.eventually_covered for trace, _ in runs]
+        fails = [trace.last_failure_n for trace, _ in runs
+                 if trace.last_failure_n is not None]
+        lo, hi = wilson_interval(sum(cov), trials)
+        rows.append(ScanRow(
+            c=c, trials=trials, eventually_covered_fraction=sum(cov) / trials,
+            wilson_low=lo, wilson_high=hi,
+            mean_last_failure_n=float(np.mean(fails)) if fails else None,
+            mean_tail_uncovered_measure=float(np.mean([measure(u) for _, u in runs])),
+            regime=analyze.classify_regime(c, base.target)))
+    return tuple(rows), failed
+
+
+class TestSeedMajorScan:
+    """The scan sweeps each seed over the whole c grid; its rows must equal
+    those of independent per-(c, seed) trials."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("case", [
+        ("circle", make_circle(), 3000, [0.5, 1.0, 1.5, 2.5], 4),
+        # at n_max = 3000 the depth-8 guard fails c = 0.3 only
+        ("cantor", make_cantor(1 / 3, 8), 3000, [0.3, 0.6, 1.0, 2.0], 3),
+        ("finite", make_finite([0.05, 0.3, 0.61, 0.99]), 2000, [0.2, 0.6, 1.2], 4),
+    ], ids=lambda case: case[0])
+    def test_matches_independent_trials(self, case, jobs):
+        _, target, n_max, c_grid, trials = case
+        base = replace(small_base(target=target, n_max=n_max), seed=11)
+        scan = phase_scan(c_grid, base, trials, jobs=jobs)
+        rows, failed = _rows_one_trial_at_a_time(c_grid, base, trials)
+        assert scan.rows == rows
+        assert scan.failed == failed
+        if case[0] == "cantor":
+            assert list(failed) == [0.3]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_seed_overflow_is_a_config_error(self, jobs):
+        base = replace(small_base(), seed=2 ** 64 - 2)
+        with pytest.raises(ConfigError, match="^seed: "):
+            phase_scan([0.5], base, 3, jobs=jobs)
 
 
 class TestDimensionExperiment:
@@ -168,9 +239,15 @@ class TestDimensionExperiment:
         for est in scan.estimates:
             assert np.all(np.diff(est.counts) >= 0)
 
-    def test_run_trial_with_tail_matches_run_trial(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_scale_guard_is_a_config_error(self, jobs):
+        with pytest.raises(ConfigError, match="^target: pre-fractal"):
+            uncovered_dimension_experiment(0.3, 100_000, range(2), jobs=jobs,
+                                           target=make_cantor(1 / 3, 8))
+
+    def test_trial_kernel_tail_matches_run_trial(self):
         cfg = TrialConfig(seed=6, lengths=LogOverN(0.7), target=make_circle(), n_max=2000)
-        trace_a, tail = run_trial_with_tail(cfg, 3)
-        trace_b = run_trial(cfg)
-        assert trace_a == trace_b
+        trace, tail = _run_trial_impl(cfg, collect_tail=3)
+        assert trace == run_trial(cfg)
+        assert tail == tail_uncovered(cfg, 3)
         assert not tail.is_empty()

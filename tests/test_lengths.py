@@ -6,7 +6,7 @@ import pytest
 from arccover import (Harmonic, LengthSequenceError, LogOverN,
                       PowerLaw, Schedule, ScheduleError, TableSequence,
                       block_sequence, choose_schedule, covering_series,
-                      estimate_covering_exponent, estimate_delta, eval_length,
+                      estimate_covering_exponent, estimate_delta,
                       parse_lengths, rare_block_sum, shepp_series)
 
 EULER_GAMMA = 0.5772156649015329
@@ -14,18 +14,18 @@ EULER_GAMMA = 0.5772156649015329
 
 class TestEval:
     def test_log_over_n_formula(self):
-        assert eval_length(LogOverN(2.0), 7) == pytest.approx(2 * math.log(7) / 7, rel=1e-15)
-        assert eval_length(LogOverN(2.0), 7) == pytest.approx(0.5559, abs=1e-4)
+        assert LogOverN(2.0).ell(7) == pytest.approx(2 * math.log(7) / 7, rel=1e-15)
+        assert LogOverN(2.0).ell(7) == pytest.approx(0.5559, abs=1e-4)
 
     def test_log_over_n_first_value(self):
         L = LogOverN(1.0)
         assert L.ell(1) == L.ell(2) == math.log(2) / 2
 
     def test_harmonic(self):
-        assert eval_length(Harmonic(1.0), 4) == 0.25
+        assert Harmonic(1.0).ell(4) == 0.25
 
     def test_power(self):
-        assert eval_length(PowerLaw(1.0, 0.5), 16) == pytest.approx(0.25)
+        assert PowerLaw(1.0, 0.5).ell(16) == pytest.approx(0.25)
 
     def test_vectorized(self):
         L = Harmonic(1.0)

@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -128,6 +130,11 @@ def _check_against_oracles(centers, ell):
     # predicate runs on all of them, as it did before the prefilter
     with mock.patch.object(simulate, "SLACK", math.inf):
         _assert_bitwise(got, uncovered_at(cs, ell))
+    # candidates found at a length up to ell, as the sweep passes them,
+    # select the same gaps
+    for shorter in (ell, _nudge(ell, -1), 0.5 * ell):
+        cand = np.flatnonzero(np.diff(cs) > shorter - SLACK)
+        _assert_bitwise(got, uncovered_at(cs, ell, cand))
     # the arc union breaks seam ties with different arithmetic; see
     # test_seam_tie_disagrees_with_arc_union
     if abs((cs[0] + 1.0 - cs[-1]) - ell) > 4 * MERGE_EPS:
@@ -267,6 +274,13 @@ class TestRunTrial:
         # coarser horizon passes the guard
         run_trial(TrialConfig(seed=0, lengths=LogOverN(2.0), target=t, n_max=2000))
 
+    def test_config_error_pickles(self):
+        # pool workers send it back to the parent
+        err = pickle.loads(pickle.dumps(ConfigError("target", "too coarse")))
+        assert type(err) is ConfigError
+        assert (err.field, err.message, str(err)) == ("target", "too coarse",
+                                                      "target: too coarse")
+
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="n_max"):
             TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=10,
@@ -277,8 +291,10 @@ class TestRunTrial:
 
 
 class TestMergeUpkeep:
-    @pytest.mark.parametrize("target", [make_circle(), make_finite([0.05, 0.37, 0.9])],
-                             ids=["circle", "finite"])
+    # the reference intersects in the target-first order, the kernel gaps-first
+    @pytest.mark.parametrize("target", [make_circle(), make_finite([0.05, 0.37, 0.9]),
+                                        make_cantor(1 / 3, 6)],
+                             ids=["circle", "finite", "cantor"])
     def test_single_center_steps_match_fresh_sort(self, target):
         cfg = TrialConfig(seed=13, lengths=LogOverN(1.5), target=target, n_max=400,
                           n_first_checkpoint=1, checkpoint_ratio=1.0001)
@@ -293,6 +309,31 @@ class TestMergeUpkeep:
             assert trace.covered[i] == resid.is_empty()
             assert trace.uncovered_measure[i] == measure(resid)
             assert trace.piece_count[i] == resid.component_count()
+
+
+class TestSweep:
+    @pytest.mark.parametrize("target", [make_circle(), make_cantor(1 / 3, 8),
+                                        make_finite([0.05, 0.37, 0.9])],
+                             ids=["circle", "cantor", "finite"])
+    def test_matches_one_rule_at_a_time(self, target):
+        # at n_max = 3000 the depth-8 guard refuses c = 0.3 only
+        base = TrialConfig(seed=5, lengths=None, target=target, n_max=3000)
+        cfgs = [replace(base, lengths=LogOverN(c)) for c in (0.3, 0.6, 1.0, 2.5)]
+        swept = simulate._sweep(cfgs, collect_tail=3)
+        for cfg, got in zip(cfgs, swept):
+            try:
+                want = simulate._run_trial_impl(cfg, collect_tail=3)
+            except ConfigError as exc:
+                assert isinstance(got, ConfigError) and str(got) == str(exc)
+                continue
+            assert got[0] == want[0]
+            assert got[1] == want[1]
+        assert sum(isinstance(r, ConfigError) for r in swept) == (target.kind == "cantor")
+
+    def test_configs_must_share_all_but_lengths(self):
+        base = TrialConfig(seed=5, lengths=LogOverN(1.0), target=make_circle(), n_max=1000)
+        with pytest.raises(ValueError, match="differ only in lengths"):
+            simulate._sweep([base, replace(base, seed=6)], collect_tail=0)
 
 
 class TestTailUncovered:

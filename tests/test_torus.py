@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from arccover import (Arc, EMPTY, FULL_CIRCLE, IntervalUnion, arcs_to_union,
-                      complement, contains_points, covers, intersect, measure,
-                      union)
+                      complement, contains_points, covers, intersect,
+                      make_cantor, measure, union)
 
 
 def iu(*pieces):
@@ -101,6 +102,63 @@ class TestIntersect:
         # 0.4 touches the boundary only: dropped, consistent with closed covers()
         assert got.points.tolist() == [0.5]
         assert len(got) == 0
+
+
+# Shared values make endpoints and points of the two operands coincide.
+_SHARED = [0.0, 0.125, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0]
+_positions = st.one_of(st.sampled_from(_SHARED), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _touching(draw):
+    """Canonical union built on sorted breakpoints: every consecutive pair is
+    a piece or not, so chosen neighbours touch, 0 and 1 give seam pieces,
+    and breakpoints that end no piece may become isolated points."""
+    xs = sorted(set(draw(st.lists(_positions, max_size=10))))
+    chosen = [draw(st.booleans()) for _ in xs[1:]]
+    los = [a for a, keep in zip(xs, chosen) if keep]
+    his = [b for b, keep in zip(xs[1:], chosen) if keep]
+    free = [x for x in xs if x < 1.0 and x not in los and x not in his]
+    points = [x for x in free if draw(st.booleans())]
+    return IntervalUnion._from_sorted(np.array(los), np.array(his), np.array(points))
+
+
+@st.composite
+def _merged(draw):
+    """Union canonicalized by the public constructor."""
+    pieces = [tuple(sorted(p)) for p in draw(st.lists(st.tuples(_positions, _positions),
+                                                      max_size=6))]
+    points = draw(st.lists(_positions.filter(lambda x: x < 1.0), max_size=4))
+    return IntervalUnion(pieces, points)
+
+
+@st.composite
+def _cantor_slice(draw):
+    """A run of consecutive pieces of a deep Cantor pre-fractal."""
+    approx = make_cantor(draw(st.sampled_from([1 / 3, 0.25])), draw(st.integers(8, 14))).approx
+    a = draw(st.integers(0, approx.los.size - 1))
+    b = draw(st.integers(a, approx.los.size))
+    return IntervalUnion._from_sorted(approx.los[a:b], approx.his[a:b])
+
+
+_unions = st.one_of(_touching(), _merged(), _cantor_slice())
+
+
+class TestIntersectOrder:
+    @given(_unions, _unions)
+    def test_operand_order_is_bitwise_irrelevant(self, u, v):
+        a, b = intersect(u, v), intersect(v, u)
+        assert a.los.tobytes() == b.los.tobytes()
+        assert a.his.tobytes() == b.his.tobytes()
+        assert a.points.tobytes() == b.points.tobytes()
+
+    def test_seam_pieces_against_points(self):
+        u = iu((0.0, 0.25), (0.75, 1.0))
+        v = IntervalUnion([(0.5, 0.8)], points=[0.0, 0.1, 0.25, 0.9])
+        assert intersect(u, v) == intersect(v, u)
+        assert intersect(u, v).pieces == [(0.75, 0.8)]
+        # 0.0 and 0.25 only touch pieces of u, so they are dropped
+        assert intersect(u, v).points.tolist() == [0.1, 0.9]
 
 
 class TestMeasure:
