@@ -10,7 +10,7 @@ point of tracking coverage along a geometric checkpoint grid.
 import numpy as np
 
 from arccover import (LogOverN, TrialConfig, make_circle, make_finite,
-                      run_trial, tail_uncovered, measure)
+                      run_trial, measure)
 
 cfg = TrialConfig(seed=12, lengths=LogOverN(1.05), target=make_circle(),
                   n_max=30_000, n_first_checkpoint=8)
@@ -31,10 +31,10 @@ print(f"eventually covered (all checkpoints from {trace.n_tail_start}): "
 
 print()
 print("== the residue at the horizon ==")
-resid = tail_uncovered(cfg, 1)
+resid = run_trial(cfg, 1).tail_uncovered
 print(f"uncovered measure at n_max: {measure(resid):.3e} in "
       f"{resid.component_count()} pieces")
-resid5 = tail_uncovered(cfg, 5)
+resid5 = run_trial(cfg, 5).tail_uncovered
 print(f"union over the last 5 checkpoints: {measure(resid5):.3e} "
       f"(windows only ever grow)")
 

@@ -23,9 +23,9 @@ from .lengths import (BlockSequence, Harmonic, LengthSequence,
                       parse_lengths, rare_block_sum, shepp_series)
 from .simulate import (ConfigError, CoverageTrace, TrialConfig,
                        checkpoint_grid, max_circular_gap, run_trial,
-                       sample_centers, tail_uncovered, uncovered_at)
-from .targets import (TargetSet, greedy_covering_number, make_cantor,
-                      make_circle, make_custom, make_finite, parse_target)
+                       sample_centers, uncovered_at)
+from .targets import (TargetSet, make_cantor, make_circle, make_custom,
+                      make_finite, parse_target)
 from .torus import (Arc, EMPTY, FULL_CIRCLE, IntervalUnion, arcs_to_union,
                     complement, contains_points, covers, intersect, measure,
                     union)

@@ -28,7 +28,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .lengths import LogOverN
-from .simulate import ConfigError, TrialConfig, _run_trial_impl, _sweep
+from .simulate import (ConfigError, TrialConfig, _sweep, checkpoint_grid,
+                       run_trial)
 from .targets import TargetSet, make_circle
 from .torus import IntervalUnion, measure
 
@@ -175,29 +176,14 @@ class ScanResult:
         return np.array([r.eventually_covered_fraction for r in self.rows])
 
     def checkpoints(self) -> np.ndarray:
-        from .simulate import checkpoint_grid
         return checkpoint_grid(self.n_first_checkpoint, self.checkpoint_ratio,
                                self.n_max)
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [asdict(r) for r in self.rows],
-            "failed": dict(self.failed),
-            "checkpoints": self.checkpoints().tolist(),
-            "target": self.target_description,
-            "dim_H": self.dim_H,
-            "dim_B_upper": self.dim_B_upper,
-            "cover_threshold": self.cover_threshold,
-            "n_max": self.n_max,
-            "seed0": self.seed0,
-            "trials_per_c": self.trials_per_c,
-            "checkpoint_ratio": self.checkpoint_ratio,
-            "n_first_checkpoint": self.n_first_checkpoint,
-            "tail_checkpoints": self.tail_checkpoints,
-            "c_star": self.c_star,
-            "c_star_uncertainty": self.c_star_uncertainty,
-            "monotone_fractions": self.monotone_fractions,
-        }
+        out = asdict(self)
+        out["target"] = out.pop("target_description")
+        out["checkpoints"] = self.checkpoints().tolist()
+        return out
 
 
 def classify_regime(c: float, target: TargetSet) -> str:
@@ -226,16 +212,15 @@ def _scan_cell(seed, context=None):
     base_cfg, cs, tail = _scan_context if context is None else context
     cfgs = [replace(base_cfg, seed=seed, lengths=LogOverN(c)) for c in cs]
     records = []
-    for c, result in zip(cs, _sweep(cfgs, collect_tail=tail)):
+    for c, result in zip(cs, _sweep(cfgs, tail)):
         if isinstance(result, ConfigError):
             # the pre-fractal scale guard, which depends on c through
             # ell(n_max): reported per c so the scan can emit partial
             # results; any other error is a fault and propagates
             records.append((c, seed, "error", str(result), None, None))
         else:
-            trace, tail_union = result
-            records.append((c, seed, "ok", trace.eventually_covered,
-                            trace.last_failure_n, measure(tail_union)))
+            records.append((c, seed, "ok", result.eventually_covered,
+                            result.last_failure_n, measure(result.tail_uncovered)))
     return records
 
 
@@ -343,8 +328,7 @@ class DimensionScan:
 
 def _dims_cell(args):
     cfg, tail, scales = args
-    _, tail_union = _run_trial_impl(cfg, collect_tail=tail)
-    return cfg.seed, box_dimension(tail_union, scales)
+    return cfg.seed, box_dimension(run_trial(cfg, tail).tail_uncovered, scales)
 
 
 def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
@@ -360,8 +344,12 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
     the square root the counts saturate.  The analytic floor dim_H - c is
     reported for comparison; when it is <= 0 the bound is vacuous and the
     experiment is exploratory only.  Seeds with nothing uncovered in the
-    tail window produce degenerate slope-0 estimates, not errors.
+    tail window produce degenerate slope-0 estimates, not errors.  The
+    window must hold between 1 and all of the checkpoints.
     """
+    if tail_checkpoints < 1:
+        # an empty window leaves nothing to measure
+        raise ConfigError("tail_checkpoints", f"must be >= 1, got {tail_checkpoints}")
     if target is None:
         target = make_circle()
     rule = LogOverN(c)

@@ -164,19 +164,31 @@ _COMMON_DEFAULTS = {
     "first_checkpoint": 64,
 }
 
+# One table per command: each key is a config field and, with dashes, a
+# flag of that command whose type is the type of its default (`None`, for
+# jobs, stands for an int that falls back to ARCCOVER_JOBS).  `out` comes
+# first, so every command's help lists it right after --config.
 _DEFAULTS = {
-    "trial": {"target": "circle", "lengths": "logn:1", "n_max": 10 ** 5,
-              "seed": 0, "out": "arccover_trial", **_COMMON_DEFAULTS},
-    "scan": {"target": "circle", "c": "0.25:3.0:0.25", "trials": 20,
-             "n_max": 10 ** 5, "seed0": 0, "tail_checkpoints": 5,
-             "out": "arccover_scan", **_COMMON_DEFAULTS, "jobs": None},
-    "dims": {"target": "circle", "c": 0.5, "n_max": 10 ** 6, "seeds": 20,
-             "seed0": 0, "tail_checkpoints": 1, "out": "arccover_dims",
+    "trial": {"out": "arccover_trial", "target": "circle", "lengths": "logn:1",
+              "n_max": 10 ** 5, "seed": 0, **_COMMON_DEFAULTS},
+    "scan": {"out": "arccover_scan", "target": "circle", "c": "0.25:3.0:0.25",
+             "trials": 20, "n_max": 10 ** 5, "seed0": 0, "tail_checkpoints": 5,
              **_COMMON_DEFAULTS, "jobs": None},
-    "series": {"lengths": "logn:1", "beta": 0.0, "d": 0.5, "n": 10 ** 6,
-               "out": "arccover_series"},
-    "schedule": {"lengths": "logn:1", "alpha": 0.9, "k": 6,
-                 "out": "arccover_schedule"},
+    "dims": {"out": "arccover_dims", "target": "circle", "c": 0.5,
+             "n_max": 10 ** 6, "seeds": 20, "seed0": 0, "tail_checkpoints": 1,
+             **_COMMON_DEFAULTS, "jobs": None},
+    "series": {"out": "arccover_series", "lengths": "logn:1", "beta": 0.0,
+               "d": 0.5, "n": 10 ** 6},
+    "schedule": {"out": "arccover_schedule", "lengths": "logn:1", "alpha": 0.9,
+                 "k": 6},
+}
+
+# help for the flags whose name does not say enough; a (command, key) entry
+# applies to that command only
+_FLAG_HELP = {
+    "out": "output path prefix",
+    "seeds": "number of seeds (seed0, seed0+1, ...)",
+    ("scan", "c"): "grid lo:hi:step or comma list",
 }
 
 
@@ -256,6 +268,7 @@ def _positive_int(resolved: dict, key: str) -> int:
 
 
 def _cmd_trial(resolved: dict) -> int:
+    """run one seeded trial, write trace CSV + summary JSON"""
     target = parse_target(str(resolved["target"]))
     lengths = parse_lengths(str(resolved["lengths"]))
     cfg = TrialConfig(
@@ -266,7 +279,6 @@ def _cmd_trial(resolved: dict) -> int:
         checkpoint_ratio=float(resolved["checkpoint_ratio"]),
         n_first_checkpoint=int(resolved["first_checkpoint"]),
     )
-    cfg.validate_scales()
     trace = run_trial(cfg)
     banner = _tool_banner(resolved)
     banner["seed"] = trace.seed
@@ -291,6 +303,7 @@ def _cmd_trial(resolved: dict) -> int:
 
 
 def _cmd_scan(resolved: dict) -> int:
+    """coverage-fraction scan over c, with SVG plot"""
     target = parse_target(str(resolved["target"]))
     c_grid = _parse_c_grid(resolved["c"])
     base = TrialConfig(
@@ -327,6 +340,7 @@ def _cmd_scan(resolved: dict) -> int:
 
 
 def _cmd_dims(resolved: dict) -> int:
+    """box-dimension estimates of the tail uncovered set"""
     target = parse_target(str(resolved["target"]))
     n_seeds = _positive_int(resolved, "seeds")
     seed0 = int(resolved["seed0"])
@@ -364,6 +378,7 @@ def _cmd_dims(resolved: dict) -> int:
 
 
 def _cmd_series(resolved: dict) -> int:
+    """covering-series and Shepp-series diagnostics"""
     lengths = parse_lengths(str(resolved["lengths"]))
     n = _positive_int(resolved, "n")
     cov = covering_series(lengths, float(resolved["beta"]), float(resolved["d"]), n)
@@ -396,6 +411,7 @@ def _cmd_series(resolved: dict) -> int:
 
 
 def _cmd_schedule(resolved: dict) -> int:
+    """greedy block schedule construction + check"""
     lengths = parse_lengths(str(resolved["lengths"]))
     alpha = float(resolved["alpha"])
     k = _positive_int(resolved, "k")
@@ -434,56 +450,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Random covering of the circle by arcs of shrinking length")
     top.add_argument("--version", action="version", version=f"arccover {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, run in _COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__)
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--out", help="output path prefix")
-
-    p = sub.add_parser("trial", help="run one seeded trial, write trace CSV + summary JSON")
-    common(p)
-    p.add_argument("--target")
-    p.add_argument("--lengths")
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--checkpoint-ratio", type=float)
-    p.add_argument("--first-checkpoint", type=int)
-
-    p = sub.add_parser("scan", help="coverage-fraction scan over c, with SVG plot")
-    common(p)
-    p.add_argument("--target")
-    p.add_argument("--c", help="grid lo:hi:step or comma list")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--seed0", type=int)
-    p.add_argument("--tail-checkpoints", type=int)
-    p.add_argument("--checkpoint-ratio", type=float)
-    p.add_argument("--first-checkpoint", type=int)
-    p.add_argument("--jobs", type=int)
-
-    p = sub.add_parser("dims", help="box-dimension estimates of the tail uncovered set")
-    common(p)
-    p.add_argument("--target")
-    p.add_argument("--c", type=float)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--seeds", type=int, help="number of seeds (seed0, seed0+1, ...)")
-    p.add_argument("--seed0", type=int)
-    p.add_argument("--tail-checkpoints", type=int)
-    p.add_argument("--checkpoint-ratio", type=float)
-    p.add_argument("--first-checkpoint", type=int)
-    p.add_argument("--jobs", type=int)
-
-    p = sub.add_parser("series", help="covering-series and Shepp-series diagnostics")
-    common(p)
-    p.add_argument("--lengths")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--d", type=float)
-    p.add_argument("--n", type=int)
-
-    p = sub.add_parser("schedule", help="greedy block schedule construction + check")
-    common(p)
-    p.add_argument("--lengths")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--k", type=int)
+        for key, default in _DEFAULTS[command].items():
+            p.add_argument("--" + key.replace("_", "-"),
+                           type=int if default is None else type(default),
+                           help=_FLAG_HELP.get((command, key), _FLAG_HELP.get(key)))
     return top
 
 

@@ -27,15 +27,18 @@ gaps with a cheap test on np.diff that is provably a superset of the exact
 predicate, then runs the exact predicate on the candidates only (see
 uncovered_at).
 
-The kernel is a sweep over length rules that share one seed, target and
-checkpoint grid, as the rules of a phase scan do: the prefix is sampled
-and merged once, and one np.diff pass per checkpoint picks the candidate
-gaps for the shortest length, on which each rule runs its exact predicate,
-so a scan pays the O(n) work once per seed, not once per (c, seed).  A
-single trial is the one-rule sweep.  The target is intersected with the
-gaps, not the other way round: intersect binary-searches each piece of
-its first operand in the second, and the gaps are few while a deep
-pre-fractal has thousands of pieces.  The result is the same bit for bit.
+run_trial is the one entry point for a trial: it returns the
+per-checkpoint trace and, on request, the union of the residues over the
+last few checkpoints.  Behind it the kernel is a sweep over length rules
+that share one seed, target and checkpoint grid, as the rules of a phase
+scan do: the prefix is sampled and merged once, and one np.diff pass per
+checkpoint picks the candidate gaps for the shortest length, on which each
+rule runs its exact predicate, so a scan pays the O(n) work once per seed,
+not once per (c, seed).  A single trial is the one-rule sweep.  The target
+is intersected with the gaps, not the other way round: intersect
+binary-searches each piece of its first operand in the second, and the
+gaps are few while a deep pre-fractal has thousands of pieces.  The result
+is the same bit for bit.
 
 Randomness comes from numpy's counter-based Philox generator, one stream
 per 64-bit seed, so trials are reproducible, prefix-stable (the first m
@@ -216,7 +219,15 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class CoverageTrace:
-    """Per-checkpoint record of one trial plus tail summary."""
+    """Per-checkpoint record of one trial plus tail summary.
+
+    `tail_uncovered` unites the target's uncovered residues over the last
+    checkpoints of the window run_trial was asked for, EMPTY for none.
+    With a window of 1 it is exactly (target minus E_{n_max}).  The union
+    grows with the window, and is a one-sided finite-horizon approximation
+    (from below) of the never-eventually-covered set, which the process
+    only defines through all n at once.
+    """
 
     seed: int
     n_max: int
@@ -228,6 +239,7 @@ class CoverageTrace:
     n_tail_start: int
     last_failure_n: int | None
     eventually_covered: bool
+    tail_uncovered: IntervalUnion
 
     def __eq__(self, other):
         if not isinstance(other, CoverageTrace):
@@ -240,46 +252,32 @@ class CoverageTrace:
                 and np.array_equal(self.piece_count, other.piece_count)
                 and self.n_tail_start == other.n_tail_start
                 and self.last_failure_n == other.last_failure_n
-                and self.eventually_covered == other.eventually_covered)
+                and self.eventually_covered == other.eventually_covered
+                and self.tail_uncovered == other.tail_uncovered)
 
 
-def run_trial(cfg: TrialConfig) -> CoverageTrace:
-    trace, _ = _run_trial_impl(cfg, collect_tail=0)
-    return trace
-
-
-def tail_uncovered(cfg: TrialConfig, tail_checkpoints: int) -> IntervalUnion:
-    """Union of the target's uncovered residues over the last checkpoints.
-
-    With tail_checkpoints = 1 this is exactly (target minus E_{n_max}).
-    The union grows with the window, and is a one-sided finite-horizon
-    approximation (from below) of the never-eventually-covered set, which
-    the process only defines through all n at once.
-    """
+def run_trial(cfg: TrialConfig, tail_checkpoints: int = 0) -> CoverageTrace:
+    """Run one trial; the trace's tail_uncovered unites the residues of the
+    last `tail_checkpoints` checkpoints (0 for none)."""
     n_checkpoints = cfg.checkpoints().size
-    if not (1 <= tail_checkpoints <= n_checkpoints):
+    if not (0 <= tail_checkpoints <= n_checkpoints):
         raise ConfigError("tail_checkpoints",
-                          f"must be in [1, {n_checkpoints}], got {tail_checkpoints}")
-    _, tail = _run_trial_impl(cfg, collect_tail=tail_checkpoints)
-    return tail
-
-
-def _run_trial_impl(cfg: TrialConfig, collect_tail: int):
-    (result,) = _sweep([cfg], collect_tail)
+                          f"must be in [0, {n_checkpoints}], got {tail_checkpoints}")
+    (result,) = _sweep([cfg], tail_checkpoints)
     if isinstance(result, ConfigError):
         raise result
     return result
 
 
-def _sweep(cfgs, collect_tail: int) -> list:
+def _sweep(cfgs, tail_checkpoints: int) -> list:
     """The trials of one seed under several length rules, in one pass.
 
     The configs differ only in `lengths`: they share the seed, the target
     and the checkpoint grid, so the centers are sampled and the sorted
     prefix is merged once, and every checkpoint decides coverage for each
-    rule.  Returns, per config, its (trace, tail_union), where tail_union
-    unites the residues of the last `collect_tail` checkpoints, or the
-    ConfigError its scale guard raised.
+    rule.  Returns, per config, its trace, whose tail_uncovered unites the
+    residues of the last `tail_checkpoints` checkpoints, or the ConfigError
+    its scale guard raised.
     """
     cfg0 = cfgs[0]
     shared = replace(cfg0, lengths=None)
@@ -332,7 +330,7 @@ def _sweep(cfgs, collect_tail: int) -> list:
             covered[j][i] = resid.los.size == 0 and resid.points.size == 0
             unc_measure[j][i] = measure(resid)
             pieces[j][i] = resid.component_count()
-            if collect_tail and i >= grid.size - collect_tail:
+            if tail_checkpoints and i >= grid.size - tail_checkpoints:
                 tail_residues[j].append(resid)
 
     if cfg0.n_tail_start is None:
@@ -342,7 +340,10 @@ def _sweep(cfgs, collect_tail: int) -> list:
     tail_idx = int(np.argmin(np.abs(grid.astype(np.float64) - tail_target)))
     for j, k in enumerate(live):
         failures = grid[~covered[j]]
-        trace = CoverageTrace(
+        tail_union = EMPTY
+        for resid in tail_residues[j]:
+            tail_union = union(tail_union, resid)
+        results[k] = CoverageTrace(
             seed=int(cfg0.seed),
             n_max=int(cfg0.n_max),
             checkpoints=grid,
@@ -353,9 +354,6 @@ def _sweep(cfgs, collect_tail: int) -> list:
             n_tail_start=int(grid[tail_idx]),
             last_failure_n=int(failures[-1]) if failures.size else None,
             eventually_covered=bool(np.all(covered[j][tail_idx:])),
+            tail_uncovered=tail_union,
         )
-        tail_union = EMPTY
-        for resid in tail_residues[j]:
-            tail_union = union(tail_union, resid)
-        results[k] = (trace, tail_union)
     return results

@@ -1,11 +1,9 @@
-"""Target sets on the circle with known dimensions and covering numbers.
+"""Target sets on the circle with known dimensions.
 
 A target couples an interval-union approximation with the analytic data
-the covering experiments need: its Hausdorff dimension when known, an
-upper bound beta on its box dimension, and a covering-number function
-N(eps) = number of length-eps intervals needed to cover it ("size" of a
-covering ball is read as its length/diameter; the radius reading only
-shifts constants).
+the covering experiments need: its Hausdorff dimension when known and an
+upper bound beta on its box dimension, which place the two thresholds of
+the phase scan.
 
 A depth-k pre-fractal stands in for a true Cantor set.  That is valid
 only while the simulation never probes scales near the pre-fractal's
@@ -25,8 +23,6 @@ import numpy as np
 
 from .torus import FULL_CIRCLE, IntervalUnion
 
-_COVERING_CHECK_EPS = (0.5, 0.2, 0.1, 0.03, 0.01, 0.003, 0.001)
-
 
 @dataclass(frozen=True)
 class TargetSet:
@@ -40,56 +36,10 @@ class TargetSet:
     # cantor pre-fractal resolution ratio**depth; 0.0 when no scale guard applies
     finest_scale: float = 0.0
     params: dict = field(default_factory=dict)
-    box_constant: float = 1.0
-
-    def covering_number(self, eps: float) -> int:
-        """Minimal-ish number of length-eps intervals covering the target."""
-        if eps <= 0.0:
-            raise ValueError("eps must be positive")
-        if eps >= 1.0:
-            return 1
-        if self.kind == "circle":
-            return math.ceil(1.0 / eps)
-        if self.kind == "cantor":
-            ratio = self.params["ratio"]
-            depth = self.params["depth"]
-            j = max(0, math.ceil(math.log(eps) / math.log(ratio) - 1e-9))
-            if j <= depth:
-                return 2 ** j
-            # below pre-fractal resolution: chop each level-depth interval
-            return 2 ** depth * math.ceil(ratio ** depth / eps)
-        return greedy_covering_number(self.approx, eps)
 
     def __post_init__(self):
         if self.dim_H is not None and self.dim_H > self.dim_B_upper + 1e-12:
             raise ValueError("dim_H must not exceed dim_B_upper")
-        beta = self.dim_B_upper
-        worst = 1.0
-        for eps in _COVERING_CHECK_EPS:
-            worst = max(worst, self.covering_number(eps) * eps ** beta)
-        object.__setattr__(self, "box_constant", worst)
-
-
-def greedy_covering_number(u: IntervalUnion, eps: float) -> int:
-    """Left-to-right greedy covering by length-eps intervals.
-
-    Within a factor 2 of the minimal covering on the torus, which only
-    shifts constants in any exponent estimate.
-    """
-    count = 0
-    pos = -math.inf
-    events = sorted(
-        [(lo, hi) for lo, hi in zip(u.los, u.his)]
-        + [(p, p) for p in u.points]
-    )
-    for lo, hi in events:
-        if lo >= pos:
-            count += 1
-            pos = lo + eps
-        while hi > pos:
-            count += 1
-            pos += eps
-    return count
 
 
 def make_circle() -> TargetSet:

@@ -8,9 +8,8 @@ from arccover import (ConfigError, DimensionEstimate, EMPTY, FULL_CIRCLE,
                       IntervalUnion, LogOverN, ScanRow, TrialConfig, analyze,
                       box_dimension, make_cantor, make_circle, make_finite,
                       measure, nested_scales, occupied_cell_count, phase_scan,
-                      run_trial, tail_uncovered, uncovered_dimension_experiment,
-                      wilson_interval)
-from arccover.simulate import _run_trial_impl
+                      run_trial, sample_centers, uncovered_at,
+                      uncovered_dimension_experiment, union, wilson_interval)
 
 
 class TestOccupiedCells:
@@ -149,7 +148,7 @@ class TestPhaseScan:
             phase_scan([0.2, 0.3], small_base(target=t, n_max=3000), 1)
 
     def test_internal_fault_is_not_a_failed_cell(self, monkeypatch):
-        def broken(cfgs, collect_tail):
+        def broken(cfgs, tail_checkpoints):
             raise ValueError("internal fault")
 
         monkeypatch.setattr(analyze, "_sweep", broken)
@@ -159,7 +158,7 @@ class TestPhaseScan:
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="pool workers must inherit the patched kernel")
     def test_internal_fault_in_a_worker_propagates(self, monkeypatch):
-        def broken(cfgs, collect_tail):
+        def broken(cfgs, tail_checkpoints):
             raise ValueError("internal fault")
 
         monkeypatch.setattr(analyze, "_sweep", broken)
@@ -177,20 +176,21 @@ def _rows_one_trial_at_a_time(c_grid, base, trials, tail=5):
         for t in range(trials):
             cfg = replace(base, seed=base.seed + t, lengths=LogOverN(c))
             try:
-                runs.append(_run_trial_impl(cfg, collect_tail=tail))
+                runs.append(run_trial(cfg, tail))
             except ConfigError as exc:
                 failed.setdefault(c, str(exc))
         if c in failed:
             continue
-        cov = [trace.eventually_covered for trace, _ in runs]
-        fails = [trace.last_failure_n for trace, _ in runs
+        cov = [trace.eventually_covered for trace in runs]
+        fails = [trace.last_failure_n for trace in runs
                  if trace.last_failure_n is not None]
         lo, hi = wilson_interval(sum(cov), trials)
         rows.append(ScanRow(
             c=c, trials=trials, eventually_covered_fraction=sum(cov) / trials,
             wilson_low=lo, wilson_high=hi,
             mean_last_failure_n=float(np.mean(fails)) if fails else None,
-            mean_tail_uncovered_measure=float(np.mean([measure(u) for _, u in runs])),
+            mean_tail_uncovered_measure=float(np.mean([measure(trace.tail_uncovered)
+                                                       for trace in runs])),
             regime=analyze.classify_regime(c, base.target)))
     return tuple(rows), failed
 
@@ -247,7 +247,12 @@ class TestDimensionExperiment:
 
     def test_trial_kernel_tail_matches_run_trial(self):
         cfg = TrialConfig(seed=6, lengths=LogOverN(0.7), target=make_circle(), n_max=2000)
-        trace, tail = _run_trial_impl(cfg, collect_tail=3)
-        assert trace == run_trial(cfg)
-        assert tail == tail_uncovered(cfg, 3)
-        assert not tail.is_empty()
+        trace = run_trial(cfg, 3)
+        assert replace(trace, tail_uncovered=EMPTY) == run_trial(cfg)
+        # the union of the last three residues, each from a fresh sort
+        centers = sample_centers(6, 2000)
+        want = EMPTY
+        for n, ell in zip(trace.checkpoints[-3:], trace.ells[-3:]):
+            want = union(want, uncovered_at(np.sort(centers[:n]), float(ell)))
+        assert trace.tail_uncovered == want
+        assert not trace.tail_uncovered.is_empty()

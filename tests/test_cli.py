@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from arccover.cli import main
+from arccover.cli import _DEFAULTS, _build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -81,6 +81,26 @@ class TestScan:
         monkeypatch.setenv("ARCCOVER_JOBS", "zzz")
         assert run(tmp_path, "scan", "--target", "circle", "--c", "0.5,2.5",
                    "--trials", "2", "--n-max", "1000", "--out", "s2") == 2
+
+
+class TestDims:
+    @pytest.mark.parametrize("tail", ["-3", "0", "1000"])
+    def test_tail_window_outside_grid_exit_2(self, tmp_path, capsys, tail):
+        # n_max 20000 gives a grid of 62 checkpoints
+        assert run(tmp_path, "dims", "--c", "0.5", "--n-max", "20000", "--seeds", "3",
+                   "--tail-checkpoints", tail, "--out", "d") == 2
+        assert "tail_checkpoints" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
+
+class TestParser:
+    def test_flags_are_the_defaults_table(self):
+        subparsers = _build_parser()._subparsers._group_actions[0].choices
+        assert set(subparsers) == set(_DEFAULTS)
+        for command, table in _DEFAULTS.items():
+            flags = {opt for action in subparsers[command]._actions
+                     for opt in action.option_strings if opt not in ("-h", "--help")}
+            assert flags == {"--" + key.replace("_", "-") for key in table} | {"--config"}
 
 
 class TestConfigFile:

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from arccover import (Arc, ConfigError, Harmonic, LogOverN, TrialConfig,
+from arccover import (EMPTY, Arc, ConfigError, Harmonic, LogOverN, TrialConfig,
                       arcs_to_union, checkpoint_grid, complement, intersect,
                       make_cantor, make_circle, make_finite, max_circular_gap,
-                      measure, run_trial, sample_centers, simulate,
-                      tail_uncovered, uncovered_at)
+                      measure, run_trial, sample_centers, simulate, uncovered_at)
 from arccover.simulate import SLACK
 from arccover.torus import MERGE_EPS
 
@@ -319,34 +318,33 @@ class TestSweep:
         # at n_max = 3000 the depth-8 guard refuses c = 0.3 only
         base = TrialConfig(seed=5, lengths=None, target=target, n_max=3000)
         cfgs = [replace(base, lengths=LogOverN(c)) for c in (0.3, 0.6, 1.0, 2.5)]
-        swept = simulate._sweep(cfgs, collect_tail=3)
+        swept = simulate._sweep(cfgs, 3)
         for cfg, got in zip(cfgs, swept):
             try:
-                want = simulate._run_trial_impl(cfg, collect_tail=3)
+                want = run_trial(cfg, 3)
             except ConfigError as exc:
                 assert isinstance(got, ConfigError) and str(got) == str(exc)
                 continue
-            assert got[0] == want[0]
-            assert got[1] == want[1]
+            assert got == want  # tail_uncovered included
         assert sum(isinstance(r, ConfigError) for r in swept) == (target.kind == "cantor")
 
     def test_configs_must_share_all_but_lengths(self):
         base = TrialConfig(seed=5, lengths=LogOverN(1.0), target=make_circle(), n_max=1000)
         with pytest.raises(ValueError, match="differ only in lengths"):
-            simulate._sweep([base, replace(base, seed=6)], collect_tail=0)
+            simulate._sweep([base, replace(base, seed=6)], 0)
 
 
 class TestTailUncovered:
     def test_window_one_is_final_residue(self):
         cfg = TrialConfig(seed=2, lengths=LogOverN(0.5), target=make_circle(), n_max=20_000)
-        got = tail_uncovered(cfg, 1)
+        got = run_trial(cfg, 1).tail_uncovered
         centers = np.sort(sample_centers(2, 20_000))
         want = uncovered_at(centers, float(LogOverN(0.5).ell(20_000)))
         assert got == want
 
     def test_monotone_in_window(self):
         cfg = TrialConfig(seed=2, lengths=LogOverN(0.5), target=make_circle(), n_max=20_000)
-        m = [measure(tail_uncovered(cfg, t)) for t in (1, 3, 5)]
+        m = [measure(run_trial(cfg, t).tail_uncovered) for t in (1, 3, 5)]
         assert m[0] <= m[1] <= m[2]
 
     def test_subcritical_residue_scale_at_large_horizon(self):
@@ -355,20 +353,25 @@ class TestTailUncovered:
         # a small factor of 1e-3
         cfg = TrialConfig(seed=0, lengths=LogOverN(0.5), target=make_circle(),
                           n_max=10 ** 6)
-        got = measure(tail_uncovered(cfg, 5))
+        got = measure(run_trial(cfg, 5).tail_uncovered)
         want = (10 ** 6) ** -0.5
-        assert not tail_uncovered(cfg, 1).is_empty()
+        assert not run_trial(cfg, 1).tail_uncovered.is_empty()
         assert want / 5 <= got <= want * 5
 
     def test_intersected_with_target(self):
         t = make_cantor(1 / 3, 8)
         cfg = TrialConfig(seed=4, lengths=LogOverN(1.0), target=t, n_max=1000)
-        got = tail_uncovered(cfg, 2)
+        got = run_trial(cfg, 2).tail_uncovered
         assert measure(intersect(got, t.approx)) == pytest.approx(measure(got), abs=1e-12)
 
     def test_window_validation(self):
         cfg = TrialConfig(seed=2, lengths=LogOverN(0.5), target=make_circle(), n_max=1000)
         with pytest.raises(ConfigError, match="tail_checkpoints"):
-            tail_uncovered(cfg, 0)
+            run_trial(cfg, -1)
         with pytest.raises(ConfigError, match="tail_checkpoints"):
-            tail_uncovered(cfg, 10_000)
+            run_trial(cfg, cfg.checkpoints().size + 1)
+        run_trial(cfg, cfg.checkpoints().size)  # the whole grid is a window
+        assert run_trial(cfg, 0).tail_uncovered == EMPTY
+        assert run_trial(cfg).tail_uncovered == EMPTY
+        # c < 1 leaves the horizon uncovered, and trace equality sees the tail
+        assert run_trial(cfg, 1) != run_trial(cfg)
