@@ -347,19 +347,22 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
     tail window produce degenerate slope-0 estimates, not errors.  The
     window must hold between 1 and all of the checkpoints.
     """
-    if tail_checkpoints < 1:
-        # an empty window leaves nothing to measure
-        raise ConfigError("tail_checkpoints", f"must be >= 1, got {tail_checkpoints}")
     if target is None:
         target = make_circle()
     rule = LogOverN(c)
+    base = TrialConfig(seed=0, lengths=rule, target=target, n_max=int(n_max),
+                       checkpoint_ratio=checkpoint_ratio,
+                       n_first_checkpoint=n_first_checkpoint)
+    # checked here, before any cell runs: an empty window leaves nothing to
+    # measure, and run_trial would only name its own bounds, in a worker
+    n_checkpoints = base.checkpoints().size
+    if not (1 <= tail_checkpoints <= n_checkpoints):
+        raise ConfigError("tail_checkpoints",
+                          f"must be in [1, {n_checkpoints}], got {tail_checkpoints}")
     eps_fine = float(rule.ell(n_max))
     scales = nested_scales(eps_fine, math.sqrt(eps_fine))
     seeds = [int(s) for s in seeds]
-    cells = [(TrialConfig(seed=s, lengths=rule, target=target, n_max=int(n_max),
-                          checkpoint_ratio=checkpoint_ratio,
-                          n_first_checkpoint=n_first_checkpoint), tail_checkpoints, scales)
-             for s in seeds]
+    cells = [(replace(base, seed=s), tail_checkpoints, scales) for s in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             raw = list(pool.map(_dims_cell, cells))

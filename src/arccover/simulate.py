@@ -23,15 +23,17 @@ checkpoint it sorts the fresh slice centers[prev:n] in place and re-sorts
 centers[:n] with numpy's stable sort (timsort), which finds the two sorted
 runs and merges them in linear time, so the prefix is the view centers[:n]
 and no checkpoint reallocates it.  Gap extraction first picks candidate
-gaps with a cheap test on np.diff that is provably a superset of the exact
-predicate, then runs the exact predicate on the candidates only (see
-uncovered_at).
+gaps with a cheap test on the spacings that is provably a superset of the
+exact predicate, then runs the exact predicate on the candidates only (see
+uncovered_at).  The cheap test walks the prefix in blocks of _BLOCK gaps
+through a spacing buffer and a mask that are allocated once per trial, so
+no checkpoint allocates a temporary as long as the prefix.
 
 run_trial is the one entry point for a trial: it returns the
 per-checkpoint trace and, on request, the union of the residues over the
 last few checkpoints.  Behind it the kernel is a sweep over length rules
 that share one seed, target and checkpoint grid, as the rules of a phase
-scan do: the prefix is sampled and merged once, and one np.diff pass per
+scan do: the prefix is sampled and merged once, and one blocked pass per
 checkpoint picks the candidate gaps for the shortest length, on which each
 rule runs its exact predicate, so a scan pays the O(n) work once per seed,
 not once per (c, seed).  A single trial is the one-rule sweep.  The target
@@ -111,6 +113,34 @@ def max_circular_gap(centers: np.ndarray) -> float:
 # Prefilter margin of uncovered_at; see the proof there.
 SLACK = 1e-12
 
+# Gaps per block of the prefilter: its spacing buffer and mask stay small
+# however long the prefix grows.
+_BLOCK = 1 << 16
+
+
+def _gap_candidates(cs, thr, buf, mask) -> np.ndarray:
+    """Indices i with fl(cs[i+1] - cs[i]) > thr, ascending.
+
+    The same indices, from the same float64 subtraction and comparison, as
+    a one-shot flatnonzero over all spacings, but found in blocks of
+    buf.size gaps through the scratch arrays `buf` (float64) and `mask`
+    (bool, at least as long), so no temporary grows with cs.
+    """
+    n_gaps = cs.size - 1
+    step = buf.size
+    hits = []
+    for s in range(0, n_gaps, step):
+        e = min(s + step, n_gaps)
+        k = e - s
+        np.subtract(cs[s + 1:e + 1], cs[s:e], out=buf[:k])
+        np.greater(buf[:k], thr, out=mask[:k])
+        idx = np.flatnonzero(mask[:k])
+        if idx.size:
+            hits.append(idx + s)
+    if not hits:
+        return np.empty(0, dtype=np.intp)
+    return np.concatenate(hits)
+
 
 def uncovered_at(centers_sorted, ell: float, candidates=None) -> IntervalUnion:
     """Complement of the union of arcs of length `ell` at the given centers.
@@ -122,7 +152,9 @@ def uncovered_at(centers_sorted, ell: float, candidates=None) -> IntervalUnion:
     The inner gap (a, b) = (cs[i], cs[i+1]) is uncovered iff the exact
     predicate fl(b - r) > fl(fl(a + r) + MERGE_EPS) holds.  Few gaps pass
     it, so it runs only on the candidates of the cheap test
-    fl(b - a) > fl(ell - SLACK) instead of on all n - 1 gaps.
+    fl(b - a) > fl(ell - SLACK) instead of on all n - 1 gaps.  The cheap
+    test runs in blocks of _BLOCK gaps through buffers allocated per call
+    here, and once per trial in the kernel.
 
     `candidates`, if given, replaces the cheap test: the indices i of all
     gaps that pass it for some length up to `ell`.  Rounding is monotone,
@@ -144,7 +176,9 @@ def uncovered_at(centers_sorted, ell: float, candidates=None) -> IntervalUnion:
     # skipped gap fails the exact predicate, and a kept one gets the same
     # arithmetic as when the predicate ran on every gap.
     if candidates is None:
-        candidates = np.flatnonzero(np.diff(cs) > ell - SLACK)
+        k = min(_BLOCK, cs.size)
+        candidates = _gap_candidates(cs, ell - SLACK, np.empty(k),
+                                     np.empty(k, dtype=bool))
     ends = cs[candidates] + r
     starts = cs[candidates + 1] - r
     keep = starts > ends + MERGE_EPS
@@ -308,6 +342,9 @@ def _sweep(cfgs, tail_checkpoints: int) -> list:
     pieces = [np.zeros(grid.size, dtype=np.int64) for _ in live]
     tail_residues = [[] for _ in live]
 
+    # scratch of the blocked prefilter, shared by every checkpoint
+    buf = np.empty(min(_BLOCK, cfg0.n_max))
+    mask = np.empty(buf.size, dtype=bool)
     # sample_centers returns a fresh array, so it becomes the sorted prefix
     prev = int(grid[0])
     centers[:prev].sort()
@@ -320,7 +357,7 @@ def _sweep(cfgs, tail_checkpoints: int) -> list:
             prev = n
         # one pass over the prefix finds the gap candidates of every rule
         cs = centers[:n]
-        cand = np.flatnonzero(np.diff(cs) > shortest[i] - SLACK)
+        cand = _gap_candidates(cs, shortest[i] - SLACK, buf, mask)
         for j in range(len(live)):
             gaps = uncovered_at(cs, float(ells[j][i]), cand)
             # the gaps go first: intersect costs O(|gaps| log |target|).

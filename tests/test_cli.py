@@ -1,8 +1,10 @@
 import json
 import os
+from unittest import mock
 
 import pytest
 
+from arccover import analyze
 from arccover.cli import _DEFAULTS, _build_parser, main
 
 
@@ -91,6 +93,16 @@ class TestDims:
                    "--tail-checkpoints", tail, "--out", "d") == 2
         assert "tail_checkpoints" in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_tail_window_names_the_grid_before_any_pool(self, tmp_path, capsys, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the pool started")
+
+        with mock.patch.object(analyze, "ProcessPoolExecutor", no_pool):
+            assert run(tmp_path, "dims", "--c", "0.5", "--n-max", "20000", "--seeds", "3",
+                       "--tail-checkpoints", "1000", "--jobs", jobs, "--out", "d") == 2
+        assert "tail_checkpoints: must be in [1, 62], got 1000" in capsys.readouterr().err
 
 
 class TestParser:

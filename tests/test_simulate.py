@@ -1,16 +1,18 @@
 import math
 import pickle
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from arccover import (EMPTY, Arc, ConfigError, Harmonic, LogOverN, TrialConfig,
-                      arcs_to_union, checkpoint_grid, complement, intersect,
-                      make_cantor, make_circle, make_finite, max_circular_gap,
-                      measure, run_trial, sample_centers, simulate, uncovered_at)
+from arccover import (EMPTY, Arc, ConfigError, Harmonic, LogOverN, TableSequence,
+                      TrialConfig, arcs_to_union, checkpoint_grid, complement,
+                      intersect, make_cantor, make_circle, make_finite,
+                      max_circular_gap, measure, run_trial, sample_centers, simulate,
+                      uncovered_at)
 from arccover.simulate import SLACK
 from arccover.torus import MERGE_EPS
 
@@ -332,6 +334,92 @@ class TestSweep:
         base = TrialConfig(seed=5, lengths=LogOverN(1.0), target=make_circle(), n_max=1000)
         with pytest.raises(ValueError, match="differ only in lengths"):
             simulate._sweep([base, replace(base, seed=6)], 0)
+
+
+_SMALL_BLOCK = 7
+
+
+@pytest.fixture(scope="class")
+def small_block():
+    """The prefilter in blocks of 7 gaps, so short prefixes cross blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_BLOCK", _SMALL_BLOCK)
+        yield
+
+
+class TestBlockedPrefilter:
+    B = _SMALL_BLOCK
+
+    @pytest.mark.parametrize("size", [1, 2, B - 1, B, B + 1, 2 * B, 2 * B + 1])
+    def test_matches_one_shot_diff(self, size):
+        cs = np.sort(sample_centers(size, size))
+        spacings = np.diff(cs)
+        # buffers sized as the kernel sizes them at block B for a horizon of `size`
+        k = min(self.B, size)
+        buf, mask = np.empty(k), np.empty(k, dtype=bool)
+        # thresholds on every spacing and one ulp either side of it
+        thresholds = [-math.inf, math.inf] + [_nudge(float(g), u) for g in spacings
+                                              for u in (-1, 0, 1)]
+        for thr in thresholds:
+            got = simulate._gap_candidates(cs, thr, buf, mask)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, np.flatnonzero(spacings > thr))
+
+    @pytest.mark.parametrize("target", [make_circle(), make_cantor(1 / 3, 8),
+                                        make_finite([0.05, 0.37, 0.9])],
+                             ids=["circle", "cantor", "finite"])
+    def test_block_size_leaves_traces_unchanged(self, monkeypatch, target):
+        base = TrialConfig(seed=5, lengths=None, target=target, n_max=3000)
+        cfgs = [replace(base, lengths=LogOverN(c)) for c in (0.6, 1.0, 2.5)]
+        want = simulate._sweep(cfgs, 3)
+        monkeypatch.setattr(simulate, "_BLOCK", self.B)
+        assert simulate._sweep(cfgs, 3) == want
+
+
+@pytest.mark.usefixtures("small_block")
+class TestPrefilterExactSmallBlock:
+    # TestPrefilterExact's properties, with up to 48 centers per case, so
+    # the candidates span several blocks; a class cannot inherit Hypothesis
+    # tests, so they are drawn here again
+    @settings(max_examples=300)
+    @given(st.one_of(_merge_eps_clusters(), _seam_touching(), _ell_near_gap()))
+    def test_properties_across_blocks(self, case):
+        _check_against_oracles(*case)
+
+
+@pytest.mark.usefixtures("small_block")
+class TestSweepSmallBlock(TestSweep):
+    pass
+
+
+def _stevens(n: int, a: Fraction) -> Fraction:
+    """Probability that n i.i.d. uniform arcs of length a cover the circle
+    (Stevens 1939): sum over k of (-1)^k C(n, k) (1 - k a)_+^(n - 1)."""
+    return sum((-1) ** k * math.comb(n, k) * (1 - k * a) ** (n - 1)
+               for k in range(n + 1) if k * a < 1)
+
+
+class TestStevensOracle:
+    def test_formula_small_case(self):
+        # two arcs of length 3/4 cover iff their centers are 1/4 to 3/4 apart
+        assert _stevens(2, Fraction(3, 4)) == Fraction(1, 2)
+        assert _stevens(2, Fraction(1, 2)) == 0
+
+    @pytest.mark.parametrize("a", [Fraction(1, 16), Fraction(3, 40), Fraction(1, 10)],
+                             ids=["1/16", "3/40", "1/10"])
+    def test_cover_probability_at_one_checkpoint(self, a):
+        # A single checkpoint at n = 64 with constant length a is Stevens'
+        # problem, and the formula shares no arithmetic with the gap route.
+        # Bound fixed in advance: |z| <= 4 over seeds 0-3999, a two-sided
+        # false-alarm rate of about 6e-5 per case.
+        n, trials = 64, 4000
+        base = TrialConfig(seed=0, lengths=TableSequence((float(a),) * n),
+                           target=make_circle(), n_max=n)
+        hits = sum(bool(run_trial(replace(base, seed=s)).covered[-1])
+                   for s in range(trials))
+        p = float(_stevens(n, a))
+        z = (hits - trials * p) / math.sqrt(trials * p * (1.0 - p))
+        assert abs(z) <= 4.0
 
 
 class TestTailUncovered:

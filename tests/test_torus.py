@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from arccover import (Arc, EMPTY, FULL_CIRCLE, IntervalUnion, arcs_to_union,
                       complement, contains_points, covers, intersect,
@@ -159,6 +159,63 @@ class TestIntersectOrder:
         assert intersect(u, v).pieces == [(0.75, 0.8)]
         # 0.0 and 0.25 only touch pieces of u, so they are dropped
         assert intersect(u, v).points.tolist() == [0.1, 0.9]
+
+
+def _assert_bitwise(u, v):
+    assert u.los.tobytes() == v.los.tobytes()
+    assert u.his.tobytes() == v.his.tobytes()
+    assert u.points.tobytes() == v.points.tobytes()
+
+
+class TestAlgebraLaws:
+    @given(_unions, _unions)
+    def test_union_commutes(self, u, v):
+        _assert_bitwise(union(u, v), union(v, u))
+
+    @given(_unions, _unions, _unions)
+    def test_union_associates(self, u, v, w):
+        _assert_bitwise(union(union(u, v), w), union(u, union(v, w)))
+
+    @given(_unions)
+    def test_canonical_form_is_idempotent(self, u):
+        once = union(u, EMPTY)
+        _assert_bitwise(union(once, EMPTY), once)
+        _assert_bitwise(IntervalUnion(once.pieces, once.points), once)
+
+    @given(_unions, _unions)
+    def test_inclusion_exclusion(self, u, v):
+        both = measure(union(u, v)) + measure(intersect(u, v))
+        assert both == pytest.approx(measure(u) + measure(v), abs=1e-12)
+
+    @given(_unions, _unions)
+    def test_covers_iff_nothing_outside(self, u, a):
+        # complement drops the points of u, so the law is about its pieces
+        u = IntervalUnion._from_sorted(u.los, u.his)
+        outside = complement(u)
+        # two known failures are pinned below: a point at 0 inside the seam
+        # pair, and a piece of `a` across pieces of u within MERGE_EPS of
+        # each other, which only the trusted constructor leaves unmerged
+        assume(not (0.0 in a.points and outside.los.size
+                    and outside.los[0] == 0.0 and outside.his[-1] == 1.0))
+        assume(covers(u, a) == covers(union(u, EMPTY), a))
+        assert covers(u, a) == intersect(a, outside).is_empty()
+
+    @pytest.mark.xfail(strict=True, reason="intersect keeps a point only strictly "
+                       "inside a piece, and 0 is an end of both seam pieces")
+    def test_seam_point_is_lost_by_intersect(self):
+        # 0 lies inside the torus arc (0.75, 1.25) that complement(u) splits
+        # into (0, 0.25) and (0.75, 1)
+        u, a = iu((0.25, 0.75)), IntervalUnion(points=[0.0])
+        assert not covers(u, a)
+        assert not intersect(a, complement(u)).is_empty()
+
+    @pytest.mark.xfail(strict=True, reason="covers wants each piece inside one piece "
+                       "of u, but touching pieces of u leave no gap in its complement")
+    def test_touching_pieces_cover_what_spans_them(self):
+        u = IntervalUnion._from_sorted(np.array([0.125, 0.25]), np.array([0.25, 1 / 3]))
+        a = iu((0.125, 1 / 3))
+        assert intersect(a, complement(u)).is_empty()
+        assert covers(u, a)
 
 
 class TestMeasure:
