@@ -15,6 +15,11 @@ it was sampled on:
   with three-valued convergence verdicts (convergent / divergent /
   inconclusive) so we never overclaim near a boundary.
 
+Term-by-term sums run over chunks of _CHUNK consecutive indices, so their
+memory does not grow with N; this includes the Shepp length prefix, which
+is carried from chunk to chunk.  Each refuses N > MAX_TERMS before it
+allocates anything.
+
 Block sequences freeze the length on blocks (n_k, n_{k+1}] at the value
 taken at the block end; their partial sums are evaluated in closed form
 so schedules reaching 1e15 stay cheap and exact.
@@ -29,7 +34,8 @@ import numpy as np
 
 CLAMP_MAX = 1.0 - 1e-9
 MAX_EXACT_N = 2 ** 53  # beyond this, integer indices are not float-exact
-_CHUNK = 1_000_000
+MAX_TERMS = 100_000_000  # largest N summed term by term (prefix sums, series)
+_CHUNK = 1_000_000  # the series' logaddexp sums depend on it; keep it fixed
 
 
 class LengthSequenceError(ValueError):
@@ -63,17 +69,15 @@ class LengthSequence:
 
     def _partial_sums(self, ns: np.ndarray) -> np.ndarray:
         top = int(ns[-1])
-        if top > 100_000_000:
+        if top > MAX_TERMS:
             raise LengthSequenceError(
                 f"term-by-term prefix sum to N={top} is too large; "
                 "use a block sequence (closed form) or a smaller range")
         sums = np.empty(ns.size, dtype=np.float64)
         total = 0.0
         filled = 0
-        for start in range(1, top + 1, _CHUNK):
-            stop = min(start + _CHUNK - 1, top)
-            chunk = self._ell(np.arange(start, stop + 1, dtype=np.float64))
-            csum = np.cumsum(chunk)
+        for start, stop, chunk_ns in _index_chunks(top):
+            csum = np.cumsum(self._ell(chunk_ns))
             while filled < ns.size and ns[filled] <= stop:
                 sums[filled] = total + csum[int(ns[filled]) - start]
                 filled += 1
@@ -85,6 +89,13 @@ class LengthSequence:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.describe()})"
+
+
+def _index_chunks(top: int):
+    """Yield (start, stop, ns) over 1..top in runs of at most _CHUNK indices."""
+    for start in range(1, top + 1, _CHUNK):
+        stop = min(start + _CHUNK - 1, top)
+        yield start, stop, np.arange(start, stop + 1, dtype=np.float64)
 
 
 def _as_index_array(n):
@@ -434,31 +445,41 @@ def _series_verdict(tail_fraction: float, term_slope: float) -> str:
     return "inconclusive"
 
 
-def _scan_series(log_term_at, N: int, checkpoints: int = 80) -> SeriesResult:
-    """Accumulate every term 1..N in log space; judge the tail."""
+def _scan_series(log_terms, N: int, checkpoints: int = 80) -> SeriesResult:
+    """Accumulate every term 1..N in log space; judge the tail.
+
+    `log_terms(ns)` returns the log of the terms at ns, a float64 run of
+    consecutive indices.  It is called exactly once per chunk of at most
+    _CHUNK indices, in increasing order and never again afterwards, so it
+    may carry state from one chunk to the next.  The partial sums at the
+    checkpoints and the 40 tail-fit terms are read off that single pass.
+    """
     if N < 10:
         raise LengthSequenceError(f"series scan needs N >= 10, got {N}")
+    if N > MAX_TERMS:
+        raise LengthSequenceError(
+            f"series scan to N={N} is too large; at most {MAX_TERMS} terms")
     marks = _log_sample(1, N, checkpoints)
+    n_tail_lo = max(2, N // 10)
+    fit_ns = _log_sample(n_tail_lo, N, 40)
+    fit_logs = np.empty(fit_ns.size, dtype=np.float64)
     log_sums = np.empty(marks.size, dtype=np.float64)
     running = -math.inf
     filled = 0
-    for start in range(1, N + 1, _CHUNK):
-        stop = min(start + _CHUNK - 1, N)
-        ns = np.arange(start, stop + 1, dtype=np.float64)
-        logs = log_term_at(ns)
+    for start, stop, ns in _index_chunks(N):
+        logs = log_terms(ns)
         csum = np.logaddexp.accumulate(logs)
         while filled < marks.size and marks[filled] <= stop:
             log_sums[filled] = np.logaddexp(running, csum[int(marks[filled]) - start])
             filled += 1
+        here = (fit_ns >= start) & (fit_ns <= stop)
+        fit_logs[here] = logs[fit_ns[here] - start]
         running = float(np.logaddexp(running, csum[-1]))
 
     # tail diagnostics over the last decade [N/10, N]
-    n_tail_lo = max(2, N // 10)
     i_lo = int(np.searchsorted(marks, n_tail_lo))
     i_lo = min(i_lo, marks.size - 2)
     tail_fraction = float(-np.expm1(log_sums[i_lo] - log_sums[-1]))
-    fit_ns = _log_sample(n_tail_lo, N, 40).astype(np.float64)
-    fit_logs = log_term_at(fit_ns)
     good = np.isfinite(fit_logs)
     if good.sum() >= 2:
         slope = float(np.polyfit(np.log(fit_ns[good]), fit_logs[good], 1)[0])
@@ -506,19 +527,20 @@ def shepp_series(rule: LengthSequence, N: int) -> SeriesResult:
     the classical (fixed-radius-per-arc) model: harmonic c > 1 diverges
     (covering), c < 1 converges (non-covering), c = 1 diverges.
     Terms are handled in log space since exp(prefix) overflows quickly.
+    The prefix ell_1 + ... + ell_n is built one chunk at a time, each chunk
+    a cumulative sum started from the previous chunk's last value, so
+    memory stays flat in N and the sums are bitwise those of one cumsum
+    over 1..N.
     """
-    N = int(N)
-    if N < 2:
-        raise LengthSequenceError(f"shepp series needs N >= 2, got {N}")
-    if N > 10_000_000:
-        raise LengthSequenceError(f"shepp series materializes the length prefix; "
-                                  f"N={N} is too large")
-    prefix = np.cumsum(rule._ell(np.arange(1, N + 1, dtype=np.float64)))
+    carry = 0.0  # ell_1 + ... + ell_{start-1} before each chunk
 
-    def log_term(ns):
-        return prefix[ns.astype(np.int64) - 1] - 2.0 * np.log(ns)
+    def log_terms(ns):
+        nonlocal carry
+        prefix = np.cumsum(np.concatenate(([carry], rule._ell(ns))))[1:]
+        carry = float(prefix[-1])
+        return prefix - 2.0 * np.log(ns)
 
-    return _scan_series(log_term, N)
+    return _scan_series(log_terms, int(N))
 
 
 def parse_lengths(spec: str) -> LengthSequence:

@@ -158,6 +158,13 @@ class TestSeries:
         body = (tmp_path / "se.csv").read_text()
         assert "covering," in body and "shepp," in body
 
+    def test_term_cap_exit_2(self, tmp_path, capsys):
+        code = run(tmp_path, "series", "--lengths", "logn:1", "--n", "100000001",
+                   "--out", "s")
+        assert code == 2
+        assert "too large" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestSchedule:
     def test_prints_verified_sum(self, tmp_path, capsys):

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from arccover import lengths
 from arccover import (Harmonic, LengthSequenceError, LogOverN,
                       PowerLaw, Schedule, ScheduleError, TableSequence,
                       block_sequence, choose_schedule, covering_series,
@@ -258,6 +260,94 @@ class TestSheppSeries:
         res = shepp_series(LogOverN(2.5), 10 ** 5)
         assert res.verdict == "divergent"
         assert np.isfinite(res.log_partial_sums).all()
+
+
+class TestSeriesStreaming:
+    """The series are accumulated chunk by chunk; chunking must not show."""
+
+    @pytest.mark.parametrize("N", [10, 13, 14, 15, 49, 50])
+    def test_shepp_prefix_matches_one_shot_cumsum(self, monkeypatch, N):
+        # with chunks of 7, N = 14 and 49 end on a chunk break, 13, 15, 50 next to one
+        monkeypatch.setattr(lengths, "_CHUNK", 7)
+        rule = LogOverN(1.0)
+        prefix = np.cumsum(rule._ell(np.arange(1, N + 1, dtype=np.float64)))
+
+        def one_shot(ns):
+            return prefix[ns.astype(np.int64) - 1] - 2.0 * np.log(ns)
+
+        ref = lengths._scan_series(one_shot, N)
+        got = shepp_series(rule, N)
+        assert got.log_partial_sums.tobytes() == ref.log_partial_sums.tobytes()
+        assert np.float64(got.tail_fraction).tobytes() == \
+            np.float64(ref.tail_fraction).tobytes()
+        assert np.float64(got.term_slope).tobytes() == \
+            np.float64(ref.term_slope).tobytes()
+
+    def test_covering_slope_fits_terms_at_the_fit_points(self):
+        # the 40 fit points span three chunks of the default size
+        N, beta, d = 2_500_001, 1.0, 0.5
+        rule = LogOverN(1.5)
+        fit_ns = lengths._log_sample(N // 10, N, 40).astype(np.float64)
+        ell = rule._ell(fit_ns)
+        direct = -beta * np.log(ell) - fit_ns * d * ell
+        slope = float(np.polyfit(np.log(fit_ns), direct, 1)[0])
+        assert covering_series(rule, beta, d, N).term_slope == slope
+
+    def test_log_terms_called_once_per_chunk_in_order(self, monkeypatch):
+        monkeypatch.setattr(lengths, "_CHUNK", 7)
+        seen = []
+
+        def log_terms(ns):
+            seen.append((ns[0], ns[-1]))
+            return -2.0 * np.log(ns)
+
+        lengths._scan_series(log_terms, 20)
+        assert seen == [(1, 7), (8, 14), (15, 20)]
+
+    def test_shepp_memory_is_flat_in_n(self, monkeypatch):
+        monkeypatch.setattr(lengths, "_CHUNK", 10_000)
+        rule = LogOverN(1.0)
+        shepp_series(rule, 50_000)  # warm-up: first-call allocations
+        peaks = []
+        for N in (50_000, 200_000):
+            tracemalloc.start()
+            try:
+                shepp_series(rule, N)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+
+class _CountingRule(LogOverN):
+    calls = 0
+
+    def _ell(self, ns):
+        type(self).calls += 1
+        return super()._ell(ns)
+
+
+class TestTermCap:
+    """One cap on N for every term-by-term sum, checked before any work."""
+
+    @pytest.mark.parametrize("N", [lengths.MAX_TERMS + 1, 10 ** 13])
+    def test_series_refuse_before_any_term(self, N):
+        rule = _CountingRule(1.0)
+        with pytest.raises(LengthSequenceError, match="too large"):
+            covering_series(rule, 0.0, 0.5, N)
+        with pytest.raises(LengthSequenceError, match="too large"):
+            shepp_series(rule, N)
+        assert _CountingRule.calls == 0
+
+    def test_prefix_sums_share_the_cap(self):
+        rule = _CountingRule(1.0)
+        with pytest.raises(LengthSequenceError, match="too large"):
+            rule.partial_sums(lengths.MAX_TERMS + 1)
+        assert _CountingRule.calls == 0
+
+    def test_shepp_lower_bound_is_the_scan_bound(self):
+        with pytest.raises(LengthSequenceError, match="needs N >= 10"):
+            shepp_series(Harmonic(1.0), 5)
 
 
 class TestParse:
