@@ -7,8 +7,12 @@ dimension, covering above its upper box dimension plus one.  The band in
 between is reported as "theorem-silent": the scan still shows fractions
 there but asserts nothing.  Every c uses the same seeds, so the unit of
 work is one seed swept over the whole c grid (simulate's kernel samples
-and sorts its centers once for all c), and pool workers receive the target
-once each, through the pool initializer.
+and sorts its centers once for all c, and decides coverage for all c in
+one batched pass per checkpoint), and pool workers receive the target
+once each, through the pool initializer.  The scan reads only the
+verdicts and the tail union of each trial, and a dimension estimate only
+the tail union, so for both the kernel builds residues in the tail window
+alone.
 
 Box-counting dimension is used as a numerical proxy for Hausdorff
 dimension.  Box >= Hausdorff always, so an estimate clearly BELOW the
@@ -28,8 +32,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .lengths import LogOverN
-from .simulate import (ConfigError, TrialConfig, _sweep, checkpoint_grid,
-                       run_trial)
+from .simulate import ConfigError, TrialConfig, _sweep, checkpoint_grid
 from .targets import TargetSet, make_circle
 from .torus import IntervalUnion, measure
 
@@ -212,7 +215,7 @@ def _scan_cell(seed, context=None):
     base_cfg, cs, tail = _scan_context if context is None else context
     cfgs = [replace(base_cfg, seed=seed, lengths=LogOverN(c)) for c in cs]
     records = []
-    for c, result in zip(cs, _sweep(cfgs, tail)):
+    for c, result in zip(cs, _sweep(cfgs, tail, trace=False)):
         if isinstance(result, ConfigError):
             # the pre-fractal scale guard, which depends on c through
             # ell(n_max): reported per c so the scan can emit partial
@@ -238,9 +241,9 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
     """
     cs = [float(c) for c in c_grid]
     if len(cs) == 0 or any(b <= a for a, b in zip(cs, cs[1:])) or cs[0] <= 0:
-        raise ValueError("c_grid must be positive and strictly increasing")
+        raise ConfigError("c", f"grid must be positive and strictly increasing, got {cs}")
     if trials_per_c < 1:
-        raise ValueError("trials_per_c must be >= 1")
+        raise ConfigError("trials", f"must be >= 1, got {trials_per_c}")
     n_cp = base_cfg.checkpoints().size
     tail = max(1, min(int(tail_checkpoints), n_cp))
     seed0 = int(base_cfg.seed)
@@ -281,8 +284,8 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
             regime=classify_regime(c, target),
         ))
     if not rows:
-        raise ValueError(f"every scan cell failed; first error: "
-                         f"{next(iter(failed.values()))}")
+        raise ConfigError("c", f"every scan cell failed; first error: "
+                          f"{next(iter(failed.values()))}")
 
     ok_cs = [r.c for r in rows]
     fracs = np.array([r.eventually_covered_fraction for r in rows])
@@ -327,8 +330,13 @@ class DimensionScan:
 
 
 def _dims_cell(args):
+    """One seed's box counts; it reads only the tail union, so the kernel
+    builds residues in the tail window alone."""
     cfg, tail, scales = args
-    return cfg.seed, box_dimension(run_trial(cfg, tail).tail_uncovered, scales)
+    (result,) = _sweep([cfg], tail, trace=False)
+    if isinstance(result, ConfigError):
+        raise result
+    return cfg.seed, box_dimension(result.tail_uncovered, scales)
 
 
 def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
@@ -354,7 +362,7 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
                        checkpoint_ratio=checkpoint_ratio,
                        n_first_checkpoint=n_first_checkpoint)
     # checked here, before any cell runs: an empty window leaves nothing to
-    # measure, and run_trial would only name its own bounds, in a worker
+    # measure, and the cells' kernel does not check the window
     n_checkpoints = base.checkpoints().size
     if not (1 <= tail_checkpoints <= n_checkpoints):
         raise ConfigError("tail_checkpoints",

@@ -10,7 +10,9 @@ index (default: the checkpoint nearest sqrt(n_max)) up to the horizon,
 and is an irreducible finite-horizon proxy for the almost-sure event,
 which quantifies over all n beyond some N.  The checkpoint grid is part
 of the trace so results are interpretable on the grid they were checked
-on; checking every n would cost Theta(n_max^2).
+on.  Checking every n of the tail window instead is open work: it need
+not cost Theta(n_max^2), because every uncovered moment between two
+checkpoints shows in a few candidate gaps of the earlier one.
 
 Coverage at a checkpoint is decided exactly through the sorted-gap
 characterization: with the n centers sorted, a circular gap g between
@@ -34,10 +36,21 @@ per-checkpoint trace and, on request, the union of the residues over the
 last few checkpoints.  Behind it the kernel is a sweep over length rules
 that share one seed, target and checkpoint grid, as the rules of a phase
 scan do: the prefix is sampled and merged once, and one blocked pass per
-checkpoint picks the candidate gaps for the shortest length, on which each
-rule runs its exact predicate, so a scan pays the O(n) work once per seed,
-not once per (c, seed).  A single trial is the one-rule sweep.  The target
-is intersected with the gaps, not the other way round: intersect
+checkpoint picks the candidate gaps for the shortest length, so a scan
+pays the O(n) work once per seed, not once per (c, seed).  A single trial
+is the one-rule sweep.
+
+Each checkpoint then does two separate things.  It decides coverage for
+all rules in one batched pass over the shared candidates (_uncovered):
+the uncovered pieces of every rule, one row per rule, are tested against
+the target by binary search, and no interval union is built.  And it
+builds residues, target minus E_n as an IntervalUnion, only where an
+output reads them: at every checkpoint for run_trial, whose trace has the
+uncovered measure and piece count of each, and in the tail window alone
+for the cells of a phase scan or a dimension estimate, which read only the
+verdicts or the tail union.  The decision equals the emptiness of the
+residue bit for bit.  The target is
+intersected with the gaps, not the other way round: intersect
 binary-searches each piece of its first operand in the second, and the
 gaps are few while a deep pre-fractal has thousands of pieces.  The result
 is the same bit for bit.
@@ -182,28 +195,75 @@ def uncovered_at(centers_sorted, ell: float, candidates=None) -> IntervalUnion:
     ends = cs[candidates] + r
     starts = cs[candidates + 1] - r
     keep = starts > ends + MERGE_EPS
-    los = [ends[keep]]
-    his = [starts[keep]]
-    pre_lo = pre_hi = post_lo = post_hi = None
+    pre = post = ()
     if (cs[0] + 1.0 - cs[-1]) - ell > MERGE_EPS:
-        l = cs[0] - r
-        h = cs[-1] + r
-        if l < 0.0:
-            post_lo, post_hi = h, l + 1.0
-        elif h > 1.0:
-            pre_lo, pre_hi = h - 1.0, l
-        else:
-            if l > 0.0:
-                pre_lo, pre_hi = 0.0, l
-            if h < 1.0:
-                post_lo, post_hi = h, 1.0
-    if pre_lo is not None:
-        los.insert(0, np.array([pre_lo]))
-        his.insert(0, np.array([pre_hi]))
-    if post_lo is not None:
-        los.append(np.array([post_lo]))
-        his.append(np.array([post_hi]))
-    return IntervalUnion._from_sorted(np.concatenate(los), np.concatenate(his))
+        pre, post = _seam_pieces(cs[0], cs[-1], r)
+    return IntervalUnion._from_sorted(np.concatenate([pre[:1], ends[keep], post[:1]]),
+                                      np.concatenate([pre[1:], starts[keep], post[1:]]))
+
+
+def _seam_pieces(first, last, r) -> tuple:
+    """The uncovered pieces (lo, hi) of an open wrap gap from center `last`
+    to center `first` under arcs of half-length r, split at the seam: the
+    piece at 0 and the piece at 1 of [0, 1], each () when there is none.
+    """
+    l = first - r
+    h = last + r
+    if l < 0.0:
+        return (), (h, l + 1.0)
+    if h > 1.0:
+        return (h - 1.0, l), ()
+    return (0.0, l) if l > 0.0 else (), (h, 1.0) if h < 1.0 else ()
+
+
+def _meets(target, lo, hi) -> np.ndarray:
+    """Which pieces (lo, hi) meet the canonical target, as intersect sees
+    it: some target interval ends after the piece starts and starts
+    before it ends, or a target point lies strictly inside the piece.
+    Every piece meets the whole circle (`target` None)."""
+    if target is None:
+        return np.ones(lo.size, dtype=bool)
+    hit = (np.searchsorted(target.his, lo, side="right")
+           < np.searchsorted(target.los, hi, side="left"))
+    if target.points.size:
+        hit |= (np.searchsorted(target.points, lo, side="right")
+                < np.searchsorted(target.points, hi, side="left"))
+    return hit
+
+
+def _uncovered(cs, ells, cand, target) -> np.ndarray:
+    """Per length in `ells`: do the arcs of that length at the sorted
+    centers `cs` leave part of `target` uncovered?
+
+    Entry j is `not intersect(uncovered_at(cs, ells[j], cand), target)
+    .is_empty()` bit for bit, and `not uncovered_at(...).is_empty()` when
+    `target` is None (the whole circle), but neither union is built: the
+    pieces come from the float64 operations of uncovered_at and go
+    straight to _meets.  The inner pieces go a row per length, in chunks
+    of about _BLOCK, so memory stays flat however many lengths there are.
+    """
+    out = np.zeros(ells.size, dtype=bool)
+    first, last = float(cs[0]), float(cs[-1])
+    seam = [(j, piece) for j, ell in enumerate(ells.tolist())
+            if (first + 1.0 - last) - ell > MERGE_EPS
+            for piece in _seam_pieces(first, last, 0.5 * ell) if piece]
+    if seam:
+        rule, pieces = zip(*seam)
+        out[np.array(rule)[_meets(target, *np.array(pieces).T)]] = True
+    if cand.size:
+        a, b = cs[cand], cs[cand + 1]
+        rows = max(1, _BLOCK // cand.size)
+        for s in range(0, ells.size, rows):
+            r = 0.5 * ells[s:s + rows, None]
+            lo, hi = a + r, b - r
+            keep = hi > lo + MERGE_EPS
+            if target is None:
+                out[s:s + rows] |= keep.any(axis=1)
+                continue
+            flat = np.flatnonzero(keep)
+            rule = s + flat // cand.size
+            out[rule[_meets(target, lo.ravel()[flat], hi.ravel()[flat])]] = True
+    return out
 
 
 @dataclass(frozen=True)
@@ -290,6 +350,18 @@ class CoverageTrace:
                 and self.tail_uncovered == other.tail_uncovered)
 
 
+@dataclass(frozen=True)
+class TailOutcome:
+    """The verdicts of a trial without its per-checkpoint columns: what a
+    phase scan or a dimension estimate reads, so the sweep builds residues
+    for the tail window only.  The fields mean what they mean in
+    CoverageTrace."""
+
+    last_failure_n: int | None
+    eventually_covered: bool
+    tail_uncovered: IntervalUnion
+
+
 def run_trial(cfg: TrialConfig, tail_checkpoints: int = 0) -> CoverageTrace:
     """Run one trial; the trace's tail_uncovered unites the residues of the
     last `tail_checkpoints` checkpoints (0 for none)."""
@@ -303,15 +375,16 @@ def run_trial(cfg: TrialConfig, tail_checkpoints: int = 0) -> CoverageTrace:
     return result
 
 
-def _sweep(cfgs, tail_checkpoints: int) -> list:
+def _sweep(cfgs, tail_checkpoints: int, trace: bool = True) -> list:
     """The trials of one seed under several length rules, in one pass.
 
     The configs differ only in `lengths`: they share the seed, the target
     and the checkpoint grid, so the centers are sampled and the sorted
-    prefix is merged once, and every checkpoint decides coverage for each
-    rule.  Returns, per config, its trace, whose tail_uncovered unites the
-    residues of the last `tail_checkpoints` checkpoints, or the ConfigError
-    its scale guard raised.
+    prefix is merged once, and every checkpoint decides coverage for all
+    rules at once.  Returns, per config, the ConfigError its scale guard
+    raised or, if it ran, its trace; with `trace` false, a TailOutcome
+    instead, which needs the residues of the last `tail_checkpoints`
+    checkpoints only.  Either way tail_uncovered unites those residues.
     """
     cfg0 = cfgs[0]
     shared = replace(cfg0, lengths=None)
@@ -330,17 +403,20 @@ def _sweep(cfgs, tail_checkpoints: int) -> list:
         return results
 
     grid = cfg0.checkpoints()
-    ells = [np.atleast_1d(cfgs[k].lengths.ell(grid.astype(np.float64))) for k in live]
-    shortest = np.min(ells, axis=0)
+    ells = np.array([np.atleast_1d(cfgs[k].lengths.ell(grid.astype(np.float64)))
+                     for k in live])
+    shortest = ells.min(axis=0)
     centers = sample_centers(cfg0.seed, cfg0.n_max)
 
-    t_approx = cfg0.target.approx
-    is_circle = cfg0.target.kind == "circle"
-
-    covered = [np.zeros(grid.size, dtype=bool) for _ in live]
-    unc_measure = [np.zeros(grid.size, dtype=np.float64) for _ in live]
-    pieces = [np.zeros(grid.size, dtype=np.int64) for _ in live]
+    t_approx = None if cfg0.target.kind == "circle" else cfg0.target.approx
+    covered = np.empty(ells.shape, dtype=bool)
+    unc_measure = np.zeros(ells.shape, dtype=np.float64)
+    pieces = np.zeros(ells.shape, dtype=np.int64)
     tail_residues = [[] for _ in live]
+    # residues only where an output reads them: the trace's per-checkpoint
+    # columns, or else the tail window alone
+    tail_start = grid.size - tail_checkpoints
+    first_residue = 0 if trace else tail_start
 
     # scratch of the blocked prefilter, shared by every checkpoint
     buf = np.empty(min(_BLOCK, cfg0.n_max))
@@ -358,17 +434,17 @@ def _sweep(cfgs, tail_checkpoints: int) -> list:
         # one pass over the prefix finds the gap candidates of every rule
         cs = centers[:n]
         cand = _gap_candidates(cs, shortest[i] - SLACK, buf, mask)
-        for j in range(len(live)):
-            gaps = uncovered_at(cs, float(ells[j][i]), cand)
-            # the gaps go first: intersect costs O(|gaps| log |target|).
-            # It keeps target points only when strictly inside a gap, so
-            # an empty residue is exactly "target inside the closed E_n"
-            resid = gaps if is_circle else intersect(gaps, t_approx)
-            covered[j][i] = resid.los.size == 0 and resid.points.size == 0
-            unc_measure[j][i] = measure(resid)
-            pieces[j][i] = resid.component_count()
-            if tail_checkpoints and i >= grid.size - tail_checkpoints:
-                tail_residues[j].append(resid)
+        covered[:, i] = ~_uncovered(cs, ells[:, i], cand, t_approx)
+        if i >= first_residue:
+            for j in range(len(live)):
+                gaps = uncovered_at(cs, float(ells[j, i]), cand)
+                # the gaps go first: intersect costs O(|gaps| log |target|)
+                resid = gaps if t_approx is None else intersect(gaps, t_approx)
+                if trace:
+                    unc_measure[j, i] = measure(resid)
+                    pieces[j, i] = resid.component_count()
+                if i >= tail_start:
+                    tail_residues[j].append(resid)
 
     if cfg0.n_tail_start is None:
         tail_target = math.sqrt(cfg0.n_max)
@@ -380,6 +456,14 @@ def _sweep(cfgs, tail_checkpoints: int) -> list:
         tail_union = EMPTY
         for resid in tail_residues[j]:
             tail_union = union(tail_union, resid)
+        outcome = dict(
+            last_failure_n=int(failures[-1]) if failures.size else None,
+            eventually_covered=bool(np.all(covered[j, tail_idx:])),
+            tail_uncovered=tail_union,
+        )
+        if not trace:
+            results[k] = TailOutcome(**outcome)
+            continue
         results[k] = CoverageTrace(
             seed=int(cfg0.seed),
             n_max=int(cfg0.n_max),
@@ -389,8 +473,6 @@ def _sweep(cfgs, tail_checkpoints: int) -> list:
             uncovered_measure=unc_measure[j],
             piece_count=pieces[j],
             n_tail_start=int(grid[tail_idx]),
-            last_failure_n=int(failures[-1]) if failures.size else None,
-            eventually_covered=bool(np.all(covered[j][tail_idx:])),
-            tail_uncovered=tail_union,
+            **outcome,
         )
     return results

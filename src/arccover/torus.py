@@ -324,18 +324,23 @@ def contains_points(u: IntervalUnion, xs) -> np.ndarray:
 def covers(u: IntervalUnion, a: IntervalUnion) -> bool:
     """True iff a is a subset of u under the closed convention.
 
-    Every interval piece of `a` must sit inside a single closed piece of
-    `u` (both canonical, so neither crosses the seam), and every isolated
+    Every interval piece of `a` must sit inside a single closed run of
+    touching pieces of `u` (neither crosses the seam), and every isolated
     point of `a` must pass closed membership, so point targets cannot
-    escape through a piece boundary.
+    escape through a piece boundary.  Pieces of `u` touch when no gap of
+    positive length separates them, so complement(u) has no piece there;
+    canonical form merges them anyway, but the trusted constructor may not.
     """
     if a.los.size:
         if u.los.size == 0:
             return False
-        idx = np.searchsorted(u.los, a.los, side="right") - 1
+        starts = np.flatnonzero(np.concatenate(([True], u.los[1:] > u.his[:-1])))
+        los = u.los[starts]
+        his = u.his[np.append(starts[1:], u.los.size) - 1]
+        idx = np.searchsorted(los, a.los, side="right") - 1
         if np.any(idx < 0):
             return False
-        if np.any(a.his > u.his[idx]):
+        if np.any(a.his > his[idx]):
             return False
     if a.points.size and not np.all(contains_points(u, a.points)):
         return False

@@ -6,7 +6,7 @@ import pytest
 
 from arccover import (ConfigError, DimensionEstimate, EMPTY, FULL_CIRCLE,
                       IntervalUnion, LogOverN, ScanRow, TrialConfig, analyze,
-                      box_dimension, make_cantor, make_circle, make_finite,
+                      box_dimension, make_cantor, make_circle, make_custom, make_finite,
                       measure, nested_scales, occupied_cell_count, phase_scan,
                       run_trial, sample_centers, uncovered_at,
                       uncovered_dimension_experiment, union, wilson_interval)
@@ -128,10 +128,12 @@ class TestPhaseScan:
             assert scan.c_star_uncertainty == pytest.approx(2.0)
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            phase_scan([2.5, 0.5], small_base(), 1)
-        with pytest.raises(ValueError):
-            phase_scan([0.5], small_base(), 0)
+        # a ConfigError, which is a ValueError, naming the field
+        for c_grid, trials, field in (([2.5, 0.5], 1, "c"), ([], 1, "c"),
+                                      ([0.0, 1.0], 1, "c"), ([0.5], 0, "trials")):
+            with pytest.raises(ConfigError, match=f"^{field}: ") as exc:
+                phase_scan(c_grid, small_base(), trials)
+            assert exc.value.field == field
 
     def test_partial_results_when_some_c_fail(self):
         # at n_max = 3000 the depth-8 guard needs ell(n_max) > 1.5e-3:
@@ -144,11 +146,11 @@ class TestPhaseScan:
 
     def test_all_cells_failing_raises(self):
         t = make_cantor(1 / 3, 8)
-        with pytest.raises(ValueError, match="every scan cell failed"):
+        with pytest.raises(ConfigError, match="^c: every scan cell failed"):
             phase_scan([0.2, 0.3], small_base(target=t, n_max=3000), 1)
 
     def test_internal_fault_is_not_a_failed_cell(self, monkeypatch):
-        def broken(cfgs, tail_checkpoints):
+        def broken(*args, **kwargs):
             raise ValueError("internal fault")
 
         monkeypatch.setattr(analyze, "_sweep", broken)
@@ -158,7 +160,7 @@ class TestPhaseScan:
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="pool workers must inherit the patched kernel")
     def test_internal_fault_in_a_worker_propagates(self, monkeypatch):
-        def broken(cfgs, tail_checkpoints):
+        def broken(*args, **kwargs):
             raise ValueError("internal fault")
 
         monkeypatch.setattr(analyze, "_sweep", broken)
@@ -205,6 +207,9 @@ class TestSeedMajorScan:
         # at n_max = 3000 the depth-8 guard fails c = 0.3 only
         ("cantor", make_cantor(1 / 3, 8), 3000, [0.3, 0.6, 1.0, 2.0], 3),
         ("finite", make_finite([0.05, 0.3, 0.61, 0.99]), 2000, [0.2, 0.6, 1.2], 4),
+        ("points0", make_finite([0.0, 0.25, 0.5, 0.999]), 2000, [0.2, 0.6, 1.2], 4),
+        ("custom", make_custom(IntervalUnion([(0.0, 0.1), (0.45, 0.55), (0.9, 1.0)]), 1.0),
+         2000, [0.3, 1.0, 2.0], 4),
     ], ids=lambda case: case[0])
     def test_matches_independent_trials(self, case, jobs):
         _, target, n_max, c_grid, trials = case

@@ -84,6 +84,17 @@ class TestScan:
         assert run(tmp_path, "scan", "--target", "circle", "--c", "0.5,2.5",
                    "--trials", "2", "--n-max", "1000", "--out", "s2") == 2
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--c", "2.5,0.5"], "c"),
+        (["--c", "0.2,0.3", "--target", "cantor:0.3333333333:8", "--n-max", "3000"], "c"),
+        (["--trials", "0"], "trials"),
+    ], ids=["grid", "every-cell-failed", "trials"])
+    def test_bad_scan_input_exit_2(self, tmp_path, capsys, argv, field):
+        assert run(tmp_path, "scan", "--target", "circle", "--c", "0.5,2.5",
+                   "--trials", "1", "--n-max", "1000", *argv, "--out", "s") == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestDims:
     @pytest.mark.parametrize("tail", ["-3", "0", "1000"])

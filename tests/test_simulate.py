@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arccover import (EMPTY, Arc, ConfigError, Harmonic, LogOverN, TableSequence,
-                      TrialConfig, arcs_to_union, checkpoint_grid, complement,
-                      intersect, make_cantor, make_circle, make_finite,
-                      max_circular_gap, measure, run_trial, sample_centers, simulate,
-                      uncovered_at)
+from arccover import (EMPTY, Arc, ConfigError, Harmonic, IntervalUnion, LogOverN,
+                      TableSequence, TrialConfig, arcs_to_union, checkpoint_grid,
+                      complement, intersect, make_cantor, make_circle, make_custom,
+                      make_finite, max_circular_gap, measure, run_trial,
+                      sample_centers, simulate, uncovered_at)
 from arccover.simulate import SLACK
 from arccover.torus import MERGE_EPS
 
@@ -390,6 +390,94 @@ class TestPrefilterExactSmallBlock:
 @pytest.mark.usefixtures("small_block")
 class TestSweepSmallBlock(TestSweep):
     pass
+
+
+def _gap_ends(cs, ells):
+    """Every end a +- ell/2 of an arc, taken mod 1 with the float operations
+    of uncovered_at: the positions where a gap piece starts or stops."""
+    ends = set()
+    for ell in ells:
+        r = 0.5 * ell
+        for c in cs:
+            for x in (c + r, c - r):
+                ends.add(x - 1.0 if x >= 1.0 else x + 1.0 if x < 0.0 else x)
+    return sorted(x for x in ends if 0.0 <= x < 1.0)
+
+
+@st.composite
+def _decision_case(draw):
+    """Sorted centers, a few lengths and a target, with target points and
+    piece ends on gap ends, at 0 and at 1, and wrap gaps across the seam."""
+    near_seam = st.sampled_from([0.0, 1e-3, 0.05, 0.95, 0.999, math.nextafter(1.0, 0.0)])
+    centers = draw(st.lists(st.one_of(_unit, near_seam), min_size=1, max_size=30))
+    cs = np.sort(np.array(centers))
+    spacings = np.append(np.diff(cs), cs[0] + 1.0 - cs[-1])
+    # lengths on a spacing or MERGE_EPS below it make ties
+    tied = [min(max(_nudge(float(g) - d, draw(_ulps)), 1e-12), 0.9)
+            for g in draw(st.lists(st.sampled_from(spacings.tolist()), max_size=2))
+            for d in (0.0, MERGE_EPS)]
+    ells = draw(st.lists(_ells, min_size=1, max_size=4)) + tied
+    ends = _gap_ends(cs.tolist(), ells)
+    kind = draw(st.sampled_from(["circle", "cantor", "finite", "custom"]))
+    if kind == "circle":
+        target = make_circle()
+    elif kind == "cantor":
+        target = make_cantor(draw(st.sampled_from([1 / 3, 0.25])), draw(st.integers(1, 8)))
+    elif kind == "finite":
+        picked = draw(st.lists(st.sampled_from(ends), max_size=6))
+        target = make_finite(sorted({0.0, *picked, *draw(st.lists(_unit, max_size=3))}))
+    else:
+        inner = sorted(set(draw(st.lists(st.one_of(st.sampled_from(ends), _unit),
+                                         min_size=2, max_size=8))) - {0.0}) or [0.5]
+        pieces = [(0.0, inner[0]), (inner[-1], 1.0)] + list(zip(inner[1:-1:2], inner[2:-1:2]))
+        target = make_custom(IntervalUnion([p for p in pieces if p[1] > p[0]]), 1.0)
+    return cs, np.array(ells), target
+
+
+def _check_decision(cs, ells, target):
+    k = min(simulate._BLOCK, cs.size)
+    # the sweep's candidates: those of the shortest length, shared by all
+    cand = simulate._gap_candidates(cs, ells.min() - SLACK, np.empty(k),
+                                    np.empty(k, dtype=bool))
+    circle = target.kind == "circle"
+    got = simulate._uncovered(cs, ells, cand, None if circle else target.approx)
+    for j, ell in enumerate(ells):
+        gaps = uncovered_at(cs, float(ell), cand)
+        resid = gaps if circle else intersect(gaps, target.approx)
+        assert got[j] == (not resid.is_empty())
+
+
+class TestBatchedDecision:
+    """The sweep decides coverage for every length at once without building
+    residues; each decision must equal the emptiness of the residue."""
+
+    @settings(max_examples=300)
+    @given(_decision_case())
+    def test_equals_residue_emptiness(self, case):
+        _check_decision(*case)
+
+    @pytest.mark.parametrize("cs, ells", [
+        # wrap gap 0.15: a piece across the seam, (0.96, 0.99), then one
+        # piece at each end, (0, 0.04) and (0.91, 1), then closed
+        ([0.05, 0.5, 0.9], [0.12, 0.02, 0.3]),
+        # wrap gap 0.12: a piece shifted past 1, (0.01, 0.07), then one piece
+        # at each end, (0, 0.09) and (0.99, 1), then closed
+        ([0.1, 0.5, 0.98], [0.06, 0.02, 0.3]),
+    ], ids=["across", "shifted"])
+    def test_each_kind_of_seam_piece(self, cs, ells):
+        # 0 is an end of a seam piece, so it never counts as uncovered
+        for target in (make_circle(), make_finite([0.0, 0.5]), make_cantor(1 / 3, 3),
+                       make_custom(IntervalUnion([(0.0, 0.01), (0.98, 1.0)]), 1.0)):
+            _check_decision(np.array(cs), np.array(ells), target)
+
+
+@pytest.mark.usefixtures("small_block")
+class TestBatchedDecisionSmallBlock:
+    # the rows then go in chunks of a single length or a few
+    @settings(max_examples=300)
+    @given(_decision_case())
+    def test_equals_residue_emptiness(self, case):
+        _check_decision(*case)
 
 
 def _stevens(n: int, a: Fraction) -> Fraction:

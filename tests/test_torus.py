@@ -5,6 +5,7 @@ from hypothesis import assume, given, strategies as st
 from arccover import (Arc, EMPTY, FULL_CIRCLE, IntervalUnion, arcs_to_union,
                       complement, contains_points, covers, intersect,
                       make_cantor, measure, union)
+from arccover.torus import MERGE_EPS
 
 
 def iu(*pieces):
@@ -144,6 +145,21 @@ def _cantor_slice(draw):
 _unions = st.one_of(_touching(), _merged(), _cantor_slice())
 
 
+@st.composite
+def _spaced(draw):
+    """Point-free canonical union whose pieces and gaps, the seam gap
+    included, all exceed MERGE_EPS: breakpoints closer than that to the
+    previous one, or to 1, are dropped, and each stretch between two kept
+    breakpoints is in or out."""
+    kept = [0.0]
+    for x in sorted(set(draw(st.lists(_positions, max_size=10)))):
+        if x - kept[-1] > MERGE_EPS and 1.0 - x > MERGE_EPS:
+            kept.append(x)
+    kept.append(1.0)
+    stretches = [(a, b) for a, b in zip(kept, kept[1:]) if draw(st.booleans())]
+    return IntervalUnion(stretches)
+
+
 class TestIntersectOrder:
     @given(_unions, _unions)
     def test_operand_order_is_bitwise_irrelevant(self, u, v):
@@ -192,13 +208,14 @@ class TestAlgebraLaws:
         # complement drops the points of u, so the law is about its pieces
         u = IntervalUnion._from_sorted(u.los, u.his)
         outside = complement(u)
-        # two known failures are pinned below: a point at 0 inside the seam
-        # pair, and a piece of `a` across pieces of u within MERGE_EPS of
-        # each other, which only the trusted constructor leaves unmerged
+        # a known failure is pinned below: a point at 0 inside the seam pair
         assume(not (0.0 in a.points and outside.los.size
                     and outside.los[0] == 0.0 and outside.his[-1] == 1.0))
-        assume(covers(u, a) == covers(union(u, EMPTY), a))
         assert covers(u, a) == intersect(a, outside).is_empty()
+
+    @given(_spaced())
+    def test_complement_is_an_involution(self, u):
+        _assert_bitwise(complement(complement(u)), u)
 
     @pytest.mark.xfail(strict=True, reason="intersect keeps a point only strictly "
                        "inside a piece, and 0 is an end of both seam pieces")
@@ -209,13 +226,19 @@ class TestAlgebraLaws:
         assert not covers(u, a)
         assert not intersect(a, complement(u)).is_empty()
 
-    @pytest.mark.xfail(strict=True, reason="covers wants each piece inside one piece "
-                       "of u, but touching pieces of u leave no gap in its complement")
     def test_touching_pieces_cover_what_spans_them(self):
         u = IntervalUnion._from_sorted(np.array([0.125, 0.25]), np.array([0.25, 1 / 3]))
         a = iu((0.125, 1 / 3))
         assert intersect(a, complement(u)).is_empty()
         assert covers(u, a)
+
+    def test_dust_gap_between_pieces_is_not_covered(self):
+        # a gap far below MERGE_EPS is still a piece of complement(u)
+        gap_end = np.nextafter(np.nextafter(0.25, 1.0), 1.0)
+        u = IntervalUnion._from_sorted(np.array([0.125, gap_end]), np.array([0.25, 1 / 3]))
+        a = iu((0.125, 1 / 3))
+        assert not intersect(a, complement(u)).is_empty()
+        assert not covers(u, a)
 
 
 class TestMeasure:
