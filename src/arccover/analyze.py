@@ -9,10 +9,12 @@ there but asserts nothing.  Every c uses the same seeds, so the unit of
 work is one seed swept over the whole c grid (simulate's kernel samples
 and sorts its centers once for all c, and decides coverage for all c in
 one batched pass per checkpoint), and pool workers receive the target
-once each, through the pool initializer.  The scan reads only the
-verdicts and the tail union of each trial, and a dimension estimate only
-the tail union, so for both the kernel builds residues in the tail window
-alone.
+once each, through the pool initializer.  The pool is taken to fill the
+cores, so in its workers the kernel keeps its sorted prefix as one run on
+one thread, not as two halves split at 1/2 on two threads as it does
+outside a pool.  The scan reads only the verdicts and the tail union of
+each trial, and a dimension estimate only the tail union, so for both the
+kernel builds residues in the tail window alone.
 
 Box-counting dimension is used as a numerical proxy for Hausdorff
 dimension.  Box >= Hausdorff always, so an estimate clearly BELOW the
@@ -32,7 +34,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .lengths import LogOverN
-from .simulate import ConfigError, TrialConfig, _sweep, checkpoint_grid
+from .errors import ConfigError
+from .simulate import TrialConfig, _sweep, checkpoint_grid
 from .targets import TargetSet, make_circle
 from .torus import IntervalUnion, measure
 
@@ -244,8 +247,12 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
         raise ConfigError("c", f"grid must be positive and strictly increasing, got {cs}")
     if trials_per_c < 1:
         raise ConfigError("trials", f"must be >= 1, got {trials_per_c}")
+    # checked here, before any cell runs or any pool starts
     n_cp = base_cfg.checkpoints().size
-    tail = max(1, min(int(tail_checkpoints), n_cp))
+    if not (1 <= tail_checkpoints <= n_cp):
+        raise ConfigError("tail_checkpoints",
+                          f"must be in [1, {n_cp}], got {tail_checkpoints}")
+    tail = int(tail_checkpoints)
     seed0 = int(base_cfg.seed)
 
     seeds = range(seed0, seed0 + trials_per_c)
@@ -368,7 +375,11 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
         raise ConfigError("tail_checkpoints",
                           f"must be in [1, {n_checkpoints}], got {tail_checkpoints}")
     eps_fine = float(rule.ell(n_max))
-    scales = nested_scales(eps_fine, math.sqrt(eps_fine))
+    try:
+        scales = nested_scales(eps_fine, math.sqrt(eps_fine))
+    except ValueError as exc:
+        raise ConfigError("n_max", f"{exc} between ell(n_max) = {eps_fine:.3g} and "
+                          "its square root; increase n_max") from exc
     seeds = [int(s) for s in seeds]
     cells = [(replace(base, seed=s), tail_checkpoints, scales) for s in seeds]
     if jobs > 1:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -27,8 +28,8 @@ from .analyze import phase_scan, uncovered_dimension_experiment
 from .lengths import (LengthSequenceError, ScheduleError, choose_schedule,
                       covering_series, parse_lengths, rare_block_sum,
                       shepp_series)
-from .simulate import (PRNG_NAME, PRNG_VERSION, ConfigError, TrialConfig,
-                       run_trial)
+from .errors import ConfigError
+from .simulate import PRNG_NAME, PRNG_VERSION, TrialConfig, run_trial
 from .targets import parse_target
 
 _FLOAT_FMT = "%.17g"
@@ -238,26 +239,41 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
 
 
 def _parse_c_grid(spec) -> list:
+    def number(p):
+        try:
+            x = float(p)
+        except (TypeError, ValueError):
+            x = math.nan
+        if not math.isfinite(x):
+            raise ConfigError("c", f"not a finite number: {p!r}")
+        return x
+
     if isinstance(spec, (list, tuple)):
-        return [float(c) for c in spec]
+        return [number(c) for c in spec]
     spec = str(spec)
     if "," in spec or ":" not in spec:
-        return [float(p) for p in spec.split(",") if p != ""]
+        return [number(p) for p in spec.split(",") if p != ""]
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError("c", f"expected lo:hi:step or comma list, got {spec!r}")
-    lo, hi, step = (float(p) for p in parts)
+    lo, hi, step = (number(p) for p in parts)
     if step <= 0 or hi < lo:
         raise ConfigError("c", f"bad grid {spec!r}")
     count = int(round((hi - lo) / step)) + 1
     return [lo + i * step for i in range(count)]
 
 
-def _positive_int(resolved: dict, key: str) -> int:
+def _number(resolved: dict, key: str, kind=int):
+    """resolved[key] as an int or a float: a config file may hold anything."""
     try:
-        value = int(resolved[key])
+        return kind(resolved[key])
     except (TypeError, ValueError):
-        raise ConfigError(key, f"must be an integer, got {resolved[key]!r}")
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(key, f"must be {noun}, got {resolved[key]!r}") from None
+
+
+def _positive_int(resolved: dict, key: str) -> int:
+    value = _number(resolved, key)
     if value < 1:
         raise ConfigError(key, f"must be >= 1, got {value}")
     return value
@@ -272,12 +288,12 @@ def _cmd_trial(resolved: dict) -> int:
     target = parse_target(str(resolved["target"]))
     lengths = parse_lengths(str(resolved["lengths"]))
     cfg = TrialConfig(
-        seed=int(resolved["seed"]),
+        seed=_number(resolved, "seed"),
         lengths=lengths,
         target=target,
         n_max=_positive_int(resolved, "n_max"),
-        checkpoint_ratio=float(resolved["checkpoint_ratio"]),
-        n_first_checkpoint=int(resolved["first_checkpoint"]),
+        checkpoint_ratio=_number(resolved, "checkpoint_ratio", float),
+        n_first_checkpoint=_number(resolved, "first_checkpoint"),
     )
     trace = run_trial(cfg)
     banner = _tool_banner(resolved)
@@ -307,16 +323,16 @@ def _cmd_scan(resolved: dict) -> int:
     target = parse_target(str(resolved["target"]))
     c_grid = _parse_c_grid(resolved["c"])
     base = TrialConfig(
-        seed=int(resolved["seed0"]),
+        seed=_number(resolved, "seed0"),
         lengths=None,
         target=target,
         n_max=_positive_int(resolved, "n_max"),
-        checkpoint_ratio=float(resolved["checkpoint_ratio"]),
-        n_first_checkpoint=int(resolved["first_checkpoint"]),
+        checkpoint_ratio=_number(resolved, "checkpoint_ratio", float),
+        n_first_checkpoint=_number(resolved, "first_checkpoint"),
     )
     scan = phase_scan(c_grid, base, _positive_int(resolved, "trials"),
-                      jobs=int(resolved["jobs"]),
-                      tail_checkpoints=int(resolved["tail_checkpoints"]))
+                      jobs=_number(resolved, "jobs"),
+                      tail_checkpoints=_number(resolved, "tail_checkpoints"))
     banner = _tool_banner(resolved)
     banner["seed"] = scan.seed0
     out = str(resolved["out"])
@@ -343,15 +359,15 @@ def _cmd_dims(resolved: dict) -> int:
     """box-dimension estimates of the tail uncovered set"""
     target = parse_target(str(resolved["target"]))
     n_seeds = _positive_int(resolved, "seeds")
-    seed0 = int(resolved["seed0"])
+    seed0 = _number(resolved, "seed0")
     scan = uncovered_dimension_experiment(
-        float(resolved["c"]), _positive_int(resolved, "n_max"),
+        _number(resolved, "c", float), _positive_int(resolved, "n_max"),
         range(seed0, seed0 + n_seeds),
         target=target,
-        tail_checkpoints=int(resolved["tail_checkpoints"]),
-        checkpoint_ratio=float(resolved["checkpoint_ratio"]),
-        n_first_checkpoint=int(resolved["first_checkpoint"]),
-        jobs=int(resolved["jobs"]))
+        tail_checkpoints=_number(resolved, "tail_checkpoints"),
+        checkpoint_ratio=_number(resolved, "checkpoint_ratio", float),
+        n_first_checkpoint=_number(resolved, "first_checkpoint"),
+        jobs=_number(resolved, "jobs"))
     banner = _tool_banner(resolved)
     banner["seed"] = seed0
     out = str(resolved["out"])
@@ -381,7 +397,8 @@ def _cmd_series(resolved: dict) -> int:
     """covering-series and Shepp-series diagnostics"""
     lengths = parse_lengths(str(resolved["lengths"]))
     n = _positive_int(resolved, "n")
-    cov = covering_series(lengths, float(resolved["beta"]), float(resolved["d"]), n)
+    cov = covering_series(lengths, _number(resolved, "beta", float),
+                          _number(resolved, "d", float), n)
     shepp = shepp_series(lengths, n)
     banner = _tool_banner(resolved)
     out = str(resolved["out"])
@@ -413,7 +430,7 @@ def _cmd_series(resolved: dict) -> int:
 def _cmd_schedule(resolved: dict) -> int:
     """greedy block schedule construction + check"""
     lengths = parse_lengths(str(resolved["lengths"]))
-    alpha = float(resolved["alpha"])
+    alpha = _number(resolved, "alpha", float)
     k = _positive_int(resolved, "k")
     sched = choose_schedule(lengths, alpha, k)
     total = rare_block_sum(lengths, sched, alpha)
@@ -467,9 +484,6 @@ def main(argv=None) -> int:
         resolved = _resolve(args, args.command)
         return _COMMANDS[args.command](resolved)
     except (ConfigError, LengthSequenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ScheduleError as exc:

@@ -20,16 +20,32 @@ consecutive centers leaves the middle piece of length g - ell uncovered
 iff g > ell.  This equals complement(arcs_to_union(...)) piece for piece
 (same float arithmetic), but costs O(n) per checkpoint.
 
-The kernel keeps the sorted prefix in the centers array itself: at each
-checkpoint it sorts the fresh slice centers[prev:n] in place and re-sorts
-centers[:n] with numpy's stable sort (timsort), which finds the two sorted
-runs and merges them in linear time, so the prefix is the view centers[:n]
-and no checkpoint reallocates it.  Gap extraction first picks candidate
-gaps with a cheap test on the spacings that is provably a superset of the
-exact predicate, then runs the exact predicate on the candidates only (see
-uncovered_at).  The cheap test walks the prefix in blocks of _BLOCK gaps
-through a spacing buffer and a mask that are allocated once per trial, so
-no checkpoint allocates a temporary as long as the prefix.
+The kernel keeps the sorted prefix in one array of n_max floats, split at
+1/2: the centers below 1/2 sorted from its left end, c[:n0], and those at
+or above 1/2 sorted up to its right end, c[n_max-n1:], with the free
+space between them.  At each checkpoint the fresh draws are sampled
+straight into the free middle, sorted there and split at 1/2: the low
+part is already in place, and the high part moves next to the high run.
+Each half is then re-sorted with numpy's stable sort (timsort), which
+finds its two sorted runs and merges them in linear time, and its
+candidate gaps are picked; the one gap between the halves is tested on
+its own.  So no checkpoint reallocates the prefix, and the candidates are
+those of the whole sorted prefix, in the same order and with the same
+values.  The halves share nothing, and numpy releases the GIL while it
+sorts and compares, so the low half runs on a second thread while the
+calling thread does the high one, from a prefix of _THREAD_MIN centers
+on, when the process may use two CPUs and is not a worker of a process
+pool.  Where no thread may run, the split is at 1 instead: the high run
+stays empty, the low run is the whole sorted prefix, and the centers,
+which then land in the free middle in stream order, are sampled all at
+once.  The result is the same bit for bit either way.
+
+Gap extraction first picks candidate gaps with a cheap test on the
+spacings that is provably a superset of the exact predicate, then runs
+the exact predicate on the candidates only (see uncovered_at).  The cheap
+test walks each half in blocks of _BLOCK gaps through a spacing buffer
+and a mask that are allocated once per trial, so no checkpoint allocates
+a temporary as long as the prefix.
 
 run_trial is the one entry point for a trial: it returns the
 per-checkpoint trace and, on request, the union of the residues over the
@@ -40,20 +56,23 @@ checkpoint picks the candidate gaps for the shortest length, so a scan
 pays the O(n) work once per seed, not once per (c, seed).  A single trial
 is the one-rule sweep.
 
-Each checkpoint then does two separate things.  It decides coverage for
-all rules in one batched pass over the shared candidates (_uncovered):
-the uncovered pieces of every rule, one row per rule, are tested against
-the target by binary search, and no interval union is built.  And it
-builds residues, target minus E_n as an IntervalUnion, only where an
-output reads them: at every checkpoint for run_trial, whose trace has the
-uncovered measure and piece count of each, and in the tail window alone
-for the cells of a phase scan or a dimension estimate, which read only the
-verdicts or the tail union.  The decision equals the emptiness of the
-residue bit for bit.  The target is
+Each checkpoint then decides coverage for every rule in one batched pass
+over the shared candidates (_uncovered): the uncovered pieces of every
+rule, one row per rule, are tested against the target by binary search,
+and no interval union is built.  The decision equals the emptiness of the
+residue, target minus E_n as an IntervalUnion, bit for bit.  Residues
+are built only where an output reads them: at every checkpoint for
+run_trial, whose trace has the uncovered measure and piece count of
+each, and in the tail window alone for the cells of a phase scan or a
+dimension estimate, which read only the verdicts or the tail union.
+Decisions and residues both come from the ends of the candidate gaps,
+gathered once per checkpoint, through the same piece arithmetic
+(_middles); a residue is built by uncovered_at on just those ends
+(_skeleton).  The target is
 intersected with the gaps, not the other way round: intersect
 binary-searches each piece of its first operand in the second, and the
-gaps are few while a deep pre-fractal has thousands of pieces.  The result
-is the same bit for bit.
+gaps are few while a deep pre-fractal has thousands of pieces.  The
+result is the same bit for bit.
 
 Randomness comes from numpy's counter-based Philox generator, one stream
 per 64-bit seed, so trials are reproducible, prefix-stable (the first m
@@ -63,11 +82,17 @@ parallel.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import ConfigError
 from .lengths import LengthSequence
 from .targets import TargetSet
 from .torus import EMPTY, MERGE_EPS, IntervalUnion, intersect, measure, union
@@ -76,32 +101,44 @@ PRNG_NAME = "numpy.random.Philox"
 PRNG_VERSION = np.__version__
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration; `field` names the offender."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(f"{field_name}: {message}")
-        self.field = field_name
-        self.message = message
-
-    def __reduce__(self):
-        # rebuilt from both arguments, so it survives the trip back from a
-        # pool worker
-        return type(self), (self.field, self.message)
+# Per thread, the generator of the last sample_centers call, keyed by the
+# (seed, start) that continues it.
+_streams = threading.local()
 
 
-def sample_centers(seed: int, n: int) -> np.ndarray:
-    """The first n uniform centers of the stream keyed by `seed`.
+def sample_centers(seed: int, n: int, start: int = 0, out=None) -> np.ndarray:
+    """n uniform centers of the stream keyed by `seed`, from its center
+    number `start` on (by default its first n).
 
     Deterministic, and prefix-stable: sample_centers(seed, m) is a prefix
-    of sample_centers(seed, n) for m <= n.
+    of sample_centers(seed, n) for m <= n, and sample_centers(seed, n,
+    start=s) is sample_centers(seed, s + n)[s:].  With `out`, a float64
+    array of n, the centers are written there and it is returned.
     """
     if not (0 <= int(seed) < 2 ** 64):
         raise ConfigError("seed", f"must be a 64-bit unsigned integer, got {seed}")
     if n < 1:
         raise ConfigError("n", f"must be >= 1, got {n}")
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    return gen.random(int(n))
+    if start < 0:
+        raise ConfigError("start", f"must be >= 0, got {start}")
+    seed, n, start = int(seed), int(n), int(start)
+    # A call that starts where this thread's last call for the same seed
+    # ended continues that call's generator: a new one costs about 20 us,
+    # which a sweep outside a process pool would pay at every checkpoint.
+    gen = getattr(_streams, "at", {}).get((seed, start))
+    if gen is None:
+        gen = _philox(seed)
+        # each center takes one 64-bit word of the stream, and a Philox
+        # counter step makes four words
+        gen.bit_generator.advance(start // 4)
+        gen.random(start % 4)
+    centers = gen.random(n, out=out)
+    _streams.at = {(seed, start + n): gen}
+    return centers
+
+
+def _philox(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
 def checkpoint_grid(n_first: int, ratio: float, n_max: int) -> np.ndarray:
@@ -130,6 +167,12 @@ SLACK = 1e-12
 # however long the prefix grows.
 _BLOCK = 1 << 16
 
+# Smallest prefix whose halves go to two threads.  Timed per checkpoint on
+# a 2-core VM with its second core free, the threaded halves took 2-3x the
+# time of the serial ones at 2^12-2^14 centers, broke even between 2^16
+# and 2^17, and saved 8-17% at 2^17 and 36-43% at 2^20.
+_THREAD_MIN = 1 << 17
+
 
 def _gap_candidates(cs, thr, buf, mask) -> np.ndarray:
     """Indices i with fl(cs[i+1] - cs[i]) > thr, ascending.
@@ -141,18 +184,93 @@ def _gap_candidates(cs, thr, buf, mask) -> np.ndarray:
     """
     n_gaps = cs.size - 1
     step = buf.size
-    hits = []
+    hits = [np.empty(0, dtype=np.intp)]
     for s in range(0, n_gaps, step):
         e = min(s + step, n_gaps)
         k = e - s
         np.subtract(cs[s + 1:e + 1], cs[s:e], out=buf[:k])
         np.greater(buf[:k], thr, out=mask[:k])
-        idx = np.flatnonzero(mask[:k])
-        if idx.size:
-            hits.append(idx + s)
-    if not hits:
-        return np.empty(0, dtype=np.intp)
-    return np.concatenate(hits)
+        idx = mask[:k].nonzero()[0]
+        idx += s
+        hits.append(idx)
+    # past the empty start, one block (the common case) needs no copy
+    return hits[1] if len(hits) == 2 else np.concatenate(hits)
+
+
+def _split(c, n0: int, n1: int, k: int, at: float) -> tuple:
+    """Sort the k fresh centers c[n0:n0+k] and split them at `at`.
+
+    `c` holds the low run c[:n0] (centers below `at`) and the high run
+    c[c.size-n1:] (centers at or above it), the fresh centers right after
+    the low run.  The fresh ones below `at` stay where they are, after the
+    low run, and the others move to just before the high run.  Returns the
+    new (n0, n1); each half is then two sorted runs.
+    """
+    fresh = c[n0:n0 + k]
+    fresh.sort()
+    m = int(fresh.searchsorted(at))
+    if m < k:
+        end = c.size - n1
+        # a 1-D copy to the right, which numpy does in place even where the
+        # two ranges overlap
+        c[end - (k - m):end] = fresh[m:]
+    return n0 + m, n1 + k - m
+
+
+def _half_gaps(half, thr, buf, mask) -> tuple:
+    """Merge the two sorted runs of one half in place, then gather the ends
+    (a, b) of its candidate gaps: those with fl(b - a) > thr, ascending."""
+    # timsort merges the two sorted runs in linear time
+    half.sort(kind="stable")
+    idx = _gap_candidates(half, thr, buf, mask)
+    return half[idx], half[idx + 1]
+
+
+def _prefix_gaps(c, n0: int, n1: int, thr, scratch, pool) -> tuple:
+    """The candidate gaps of the sorted prefix that `c` holds as a low run
+    c[:n0] and a high run c[c.size-n1:], each of two sorted runs.
+
+    Merges each half and returns (a, b, first, last): the ends of the gaps
+    with fl(b - a) > thr, in ascending order (the low half's, the gap
+    between the halves, the high half's), and the first and last center.
+    These are the gaps and values of the whole sorted prefix.  `scratch`
+    holds a (buf, mask) pair per half; with a `pool`, the low half runs on
+    its thread while the calling thread does the high half.
+    """
+    low, high = c[:n0], c[c.size - n1:]
+    # with one half empty, the other is the whole prefix
+    if not n1:
+        a, b = _half_gaps(low, thr, *scratch[0])
+        return a, b, float(low[0]), float(low[-1])
+    if not n0:
+        a, b = _half_gaps(high, thr, *scratch[1])
+        return a, b, float(high[0]), float(high[-1])
+    if pool is None:
+        a0, b0 = _half_gaps(low, thr, *scratch[0])
+        a1, b1 = _half_gaps(high, thr, *scratch[1])
+    else:
+        job = pool.submit(_half_gaps, low, thr, *scratch[0])
+        a1, b1 = _half_gaps(high, thr, *scratch[1])
+        a0, b0 = job.result()
+    a, b = [a0], [b0]
+    if high[0] - low[-1] > thr:
+        a.append(low[-1:])
+        b.append(high[:1])
+    return (np.concatenate(a + [a1]), np.concatenate(b + [b1]),
+            float(low[0]), float(high[-1]))
+
+
+def _threads_allowed() -> bool:
+    """Whether a sweep may run the low half on a second thread: the process
+    may use two CPUs and is not a worker of a process pool.  The pool is
+    taken to fill the cores: with 2 workers on 2 cores, threads in them
+    made a 20-cell dimension estimate at n_max 1e6 3% slower.  A pool of
+    fewer workers than cores was not measured."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return cpus >= 2 and multiprocessing.parent_process() is None
 
 
 def uncovered_at(centers_sorted, ell: float, candidates=None) -> IntervalUnion:
@@ -172,14 +290,15 @@ def uncovered_at(centers_sorted, ell: float, candidates=None) -> IntervalUnion:
     `candidates`, if given, replaces the cheap test: the indices i of all
     gaps that pass it for some length up to `ell`.  Rounding is monotone,
     so they include every gap that passes it at `ell`, and the exact
-    predicate picks the same gaps from them.
+    predicate picks the same gaps from them.  With `candidates`, the array
+    need only hold, in order, the first and the last center and both ends
+    of every candidate gap (see _skeleton): no other gap is read.
     """
     cs = np.asarray(centers_sorted, dtype=np.float64)
     if cs.size < 1:
         raise ValueError("uncovered_at needs at least one center")
     if not (0.0 < ell < 1.0):
         raise ValueError(f"arc length must be in (0, 1), got {ell}")
-    r = 0.5 * ell
     # The candidate test is a superset of the exact predicate.  Every value
     # involved has magnitude at most 1.5, so each float operation is off by
     # at most u = 2.2e-16, and r = ell / 2 is exact.  If the exact predicate
@@ -192,21 +311,49 @@ def uncovered_at(centers_sorted, ell: float, candidates=None) -> IntervalUnion:
         k = min(_BLOCK, cs.size)
         candidates = _gap_candidates(cs, ell - SLACK, np.empty(k),
                                      np.empty(k, dtype=bool))
-    ends = cs[candidates] + r
-    starts = cs[candidates + 1] - r
-    keep = starts > ends + MERGE_EPS
-    pre = post = ()
-    if (cs[0] + 1.0 - cs[-1]) - ell > MERGE_EPS:
-        pre, post = _seam_pieces(cs[0], cs[-1], r)
-    return IntervalUnion._from_sorted(np.concatenate([pre[:1], ends[keep], post[:1]]),
-                                      np.concatenate([pre[1:], starts[keep], post[1:]]))
+    lo, hi = _pieces(cs[candidates], cs[candidates + 1], cs[0], cs[-1], ell)
+    return IntervalUnion._from_sorted(lo, hi)
 
 
-def _seam_pieces(first, last, r) -> tuple:
-    """The uncovered pieces (lo, hi) of an open wrap gap from center `last`
-    to center `first` under arcs of half-length r, split at the seam: the
+def _skeleton(a, b, first, last) -> tuple:
+    """The centers uncovered_at needs, given the ends (a, b) of the
+    candidate gaps, ascending, and the first and last center: the sorted
+    array [first, a[0], b[0], a[1], ..., last] and the indices of the a's
+    in it, to pass as its candidates."""
+    ends = np.empty(2 * a.size + 2)
+    ends[0], ends[-1] = first, last
+    ends[1:-1:2] = a
+    ends[2:-1:2] = b
+    return ends, np.arange(1, 2 * a.size, 2)
+
+
+def _middles(a, b, r) -> tuple:
+    """The middles (lo, hi) of the gaps (a, b) under arcs of half-length
+    `r`, and which of them are open: the exact predicate of uncovered_at.
+    Broadcasts, so a column of r gives a row per length."""
+    lo, hi = a + r, b - r
+    return lo, hi, hi > lo + MERGE_EPS
+
+
+def _pieces(a, b, first, last, ell) -> tuple:
+    """The pieces (lo, hi), ascending, that arcs of length `ell` leave
+    uncovered: the middle of each candidate gap (a, b) that passes the
+    exact predicate of uncovered_at, and the piece or two of the wrap gap
+    from the last center `last` to the first center `first`."""
+    lo, hi, keep = _middles(a, b, 0.5 * ell)
+    pre, post = _seam_pieces(first, last, ell)
+    return (np.concatenate([pre[:1], lo[keep], post[:1]]),
+            np.concatenate([pre[1:], hi[keep], post[1:]]))
+
+
+def _seam_pieces(first, last, ell) -> tuple:
+    """The uncovered pieces (lo, hi) of the wrap gap from center `last` to
+    center `first` under arcs of length `ell`, split at the seam: the
     piece at 0 and the piece at 1 of [0, 1], each () when there is none.
-    """
+    The wrap gap is open iff it exceeds ell by more than MERGE_EPS."""
+    if not (first + 1.0 - last) - ell > MERGE_EPS:
+        return (), ()
+    r = 0.5 * ell
     l = first - r
     h = last + r
     if l < 0.0:
@@ -231,37 +378,31 @@ def _meets(target, lo, hi) -> np.ndarray:
     return hit
 
 
-def _uncovered(cs, ells, cand, target) -> np.ndarray:
-    """Per length in `ells`: do the arcs of that length at the sorted
-    centers `cs` leave part of `target` uncovered?
+def _uncovered(a, b, first, last, ells, target) -> np.ndarray:
+    """Per length in `ells`: do the arcs of that length leave part of
+    `target` uncovered, given the candidate gaps (a, b) and the first and
+    last of the sorted centers?
 
-    Entry j is `not intersect(uncovered_at(cs, ells[j], cand), target)
-    .is_empty()` bit for bit, and `not uncovered_at(...).is_empty()` when
-    `target` is None (the whole circle), but neither union is built: the
-    pieces come from the float64 operations of uncovered_at and go
-    straight to _meets.  The inner pieces go a row per length, in chunks
-    of about _BLOCK, so memory stays flat however many lengths there are.
+    Entry j is `_meets(target, *_pieces(a, b, first, last, ells[j])).any()`
+    bit for bit, which holds iff the residue is not empty, but the lengths
+    are done together: the inner pieces go a row per length, in chunks of
+    about _BLOCK, so memory stays flat however many lengths there are.
     """
     out = np.zeros(ells.size, dtype=bool)
-    first, last = float(cs[0]), float(cs[-1])
     seam = [(j, piece) for j, ell in enumerate(ells.tolist())
-            if (first + 1.0 - last) - ell > MERGE_EPS
-            for piece in _seam_pieces(first, last, 0.5 * ell) if piece]
+            for piece in _seam_pieces(first, last, ell) if piece]
     if seam:
         rule, pieces = zip(*seam)
         out[np.array(rule)[_meets(target, *np.array(pieces).T)]] = True
-    if cand.size:
-        a, b = cs[cand], cs[cand + 1]
-        rows = max(1, _BLOCK // cand.size)
+    if a.size:
+        rows = max(1, _BLOCK // a.size)
         for s in range(0, ells.size, rows):
-            r = 0.5 * ells[s:s + rows, None]
-            lo, hi = a + r, b - r
-            keep = hi > lo + MERGE_EPS
+            lo, hi, keep = _middles(a, b, 0.5 * ells[s:s + rows, None])
             if target is None:
                 out[s:s + rows] |= keep.any(axis=1)
                 continue
             flat = np.flatnonzero(keep)
-            rule = s + flat // cand.size
+            rule = s + flat // a.size
             out[rule[_meets(target, lo.ravel()[flat], hi.ravel()[flat])]] = True
     return out
 
@@ -406,7 +547,6 @@ def _sweep(cfgs, tail_checkpoints: int, trace: bool = True) -> list:
     ells = np.array([np.atleast_1d(cfgs[k].lengths.ell(grid.astype(np.float64)))
                      for k in live])
     shortest = ells.min(axis=0)
-    centers = sample_centers(cfg0.seed, cfg0.n_max)
 
     t_approx = None if cfg0.target.kind == "circle" else cfg0.target.approx
     covered = np.empty(ells.shape, dtype=bool)
@@ -418,26 +558,42 @@ def _sweep(cfgs, tail_checkpoints: int, trace: bool = True) -> list:
     tail_start = grid.size - tail_checkpoints
     first_residue = 0 if trace else tail_start
 
-    # scratch of the blocked prefilter, shared by every checkpoint
-    buf = np.empty(min(_BLOCK, cfg0.n_max))
-    mask = np.empty(buf.size, dtype=bool)
-    # sample_centers returns a fresh array, so it becomes the sorted prefix
-    prev = int(grid[0])
-    centers[:prev].sort()
-    for i, n in enumerate(grid):
-        n = int(n)
-        if n > prev:
-            centers[prev:n].sort()
-            # timsort merges the two sorted runs in linear time
-            centers[:n].sort(kind="stable")
+    threaded = _threads_allowed()
+    # split at 1/2 where the halves may go to two threads; elsewhere every
+    # center is below 1, so the high run stays empty, the low run is the
+    # whole sorted prefix and the free middle takes the centers in stream
+    # order: they are sampled all at once
+    at = 0.5 if threaded else 1.0
+    # the two-ended prefix, and a prefilter scratch per half that can fill,
+    # shared by every checkpoint
+    c = np.empty(cfg0.n_max)
+    block = min(_BLOCK, cfg0.n_max)
+    scratch = [(np.empty(block), np.empty(block, dtype=bool))
+               for _ in range(2 if threaded else 1)]
+    if not threaded:
+        sample_centers(cfg0.seed, cfg0.n_max, out=c)
+    n0 = n1 = prev = 0
+    # an executor per sweep, whose thread (started by the first submit)
+    # ends with it: a process pool forked later gets no thread, and no dead
+    # copy of an executor
+    with ThreadPoolExecutor(1) if threaded else contextlib.nullcontext() as pool:
+        for i, n in enumerate(grid):
+            n = int(n)
+            # centers prev..n-1 of the stream, straight into the free middle;
+            # the grid is strictly increasing
+            if threaded:
+                sample_centers(cfg0.seed, n - prev, start=prev, out=c[n0:n0 + n - prev])
+            n0, n1 = _split(c, n0, n1, n - prev, at)
             prev = n
-        # one pass over the prefix finds the gap candidates of every rule
-        cs = centers[:n]
-        cand = _gap_candidates(cs, shortest[i] - SLACK, buf, mask)
-        covered[:, i] = ~_uncovered(cs, ells[:, i], cand, t_approx)
-        if i >= first_residue:
+            # one pass over the prefix finds the gap candidates of every rule
+            a, b, first, last = _prefix_gaps(c, n0, n1, shortest[i] - SLACK, scratch,
+                                             pool if n >= _THREAD_MIN else None)
+            covered[:, i] = ~_uncovered(a, b, first, last, ells[:, i], t_approx)
+            if i < first_residue:
+                continue
+            ends, cand = _skeleton(a, b, first, last)
             for j in range(len(live)):
-                gaps = uncovered_at(cs, float(ells[j, i]), cand)
+                gaps = uncovered_at(ends, float(ells[j, i]), cand)
                 # the gaps go first: intersect costs O(|gaps| log |target|)
                 resid = gaps if t_approx is None else intersect(gaps, t_approx)
                 if trace:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .torus import FULL_CIRCLE, IntervalUnion
 
 
@@ -60,11 +61,12 @@ def make_cantor(ratio: float, depth: int) -> TargetSet:
     ratio**depth; both dimensions equal ln 2 / ln(1/ratio).
     """
     if not (0.0 < ratio < 0.5):
-        raise ValueError(f"cantor ratio must be in (0, 1/2), got {ratio}")
+        raise ConfigError("target", f"cantor ratio must be in (0, 1/2), got {ratio}")
     if not isinstance(depth, (int, np.integer)) or depth < 1:
-        raise ValueError(f"cantor depth must be an integer >= 1, got {depth}")
+        raise ConfigError("target", f"cantor depth must be an integer >= 1, got {depth}")
     if depth > 22:
-        raise ValueError(
+        raise ConfigError(
+            "target",
             "cantor depth > 22 would materialize more than 4M pieces; the "
             "horizon guard (ell(n_max) > 10 * ratio**depth) makes such depths "
             "unusable in any experiment this package can run")
@@ -94,11 +96,11 @@ def make_finite(points) -> TargetSet:
     """Finite point target; dimension 0, covered iff every point is hit."""
     pts = np.asarray(list(points), dtype=np.float64)
     if pts.size == 0:
-        raise ValueError("finite target needs at least one point")
+        raise ConfigError("target", "finite target needs at least one point")
     if np.unique(pts).size != pts.size:
-        raise ValueError("finite target points must be distinct")
+        raise ConfigError("target", "finite target points must be distinct")
     if np.any(pts < 0.0) or np.any(pts >= 1.0):
-        raise ValueError("points must lie in [0, 1)")
+        raise ConfigError("target", "points must lie in [0, 1)")
     return TargetSet(
         kind="finite",
         approx=IntervalUnion(points=pts),
@@ -112,9 +114,9 @@ def make_finite(points) -> TargetSet:
 def make_custom(u: IntervalUnion, beta: float, description: str = "custom") -> TargetSet:
     """Arbitrary interval-union target with a caller-supplied box bound beta."""
     if not (0.0 <= beta <= 1.0):
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
+        raise ConfigError("target", f"beta must be in [0, 1], got {beta}")
     if u.is_empty():
-        raise ValueError("custom target must be nonempty")
+        raise ConfigError("target", "custom target must be nonempty")
     return TargetSet(
         kind="custom",
         approx=u,
@@ -140,27 +142,33 @@ def parse_target(spec: str) -> TargetSet:
     if head == "cantor":
         parts = rest.split(":")
         if len(parts) != 2:
-            raise ValueError(f"target: expected cantor:<ratio>:<depth>, got {spec!r}")
+            raise ConfigError("target", f"expected cantor:<ratio>:<depth>, got {spec!r}")
         try:
             ratio = float(parts[0])
             depth = int(parts[1])
         except ValueError as exc:
-            raise ValueError(f"target: bad cantor parameters in {spec!r}") from exc
+            raise ConfigError("target", f"bad cantor parameters in {spec!r}") from exc
         return make_cantor(ratio, depth)
     if head == "points":
         try:
             pts = [float(p) for p in rest.split(",") if p != ""]
         except ValueError as exc:
-            raise ValueError(f"target: bad point list in {spec!r}") from exc
+            raise ConfigError("target", f"bad point list in {spec!r}") from exc
         return make_finite(pts)
     if head == "custom":
         try:
             with open(rest) as f:
                 data = json.load(f)
         except OSError as exc:
-            raise ValueError(f"target: cannot read custom target file {rest!r}: {exc}") from exc
-        if "intervals" not in data or "beta" not in data:
-            raise ValueError("target: custom file needs 'intervals' and 'beta'")
-        u = IntervalUnion(pieces=[tuple(p) for p in data["intervals"]])
-        return make_custom(u, float(data["beta"]), description=f"custom({rest})")
-    raise ValueError(f"target: unknown specification {spec!r}")
+            raise ConfigError("target", f"cannot read custom target file {rest!r}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError("target", f"invalid JSON in {rest!r}: {exc}") from exc
+        if not isinstance(data, dict) or "intervals" not in data or "beta" not in data:
+            raise ConfigError("target", "custom file needs 'intervals' and 'beta'")
+        try:
+            u = IntervalUnion(pieces=[tuple(p) for p in data["intervals"]])
+            beta = float(data["beta"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("target", f"bad custom target in {rest!r}: {exc}") from exc
+        return make_custom(u, beta, description=f"custom({rest})")
+    raise ConfigError("target", f"unknown specification {spec!r}")

@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from arccover import (ConfigError, DimensionEstimate, EMPTY, FULL_CIRCLE,
                       IntervalUnion, LogOverN, ScanRow, TrialConfig, analyze,
                       box_dimension, make_cantor, make_circle, make_custom, make_finite,
                       measure, nested_scales, occupied_cell_count, phase_scan,
-                      run_trial, sample_centers, uncovered_at,
+                      run_trial, sample_centers, simulate, uncovered_at,
                       uncovered_dimension_experiment, union, wilson_interval)
 
 
@@ -166,6 +167,24 @@ class TestPhaseScan:
         monkeypatch.setattr(analyze, "_sweep", broken)
         with pytest.raises(ValueError, match="^internal fault$"):
             phase_scan([0.5, 2.5], small_base(), 2, jobs=2)
+
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="pool workers must inherit the patched kernel")
+    def test_pool_workers_start_no_kernel_threads(self, monkeypatch):
+        # the scan's pool already fills the cores, so its workers run the
+        # two halves of the prefix one after the other
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a kernel thread started")
+
+        monkeypatch.setattr(simulate, "_THREAD_MIN", 14)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_threads)
+        # here, outside a pool, the kernel would start one
+        with pytest.raises(AssertionError, match="kernel thread"):
+            run_trial(replace(small_base(), lengths=LogOverN(1.0)))
+        scan = phase_scan([0.5, 2.5], small_base(), 2, jobs=2)
+        assert len(scan.rows) == 2 and not scan.failed
 
 
 def _rows_one_trial_at_a_time(c_grid, base, trials, tail=5):

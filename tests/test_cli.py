@@ -96,6 +96,21 @@ class TestScan:
         assert not (tmp_path / "s.csv").exists()
 
 
+    @pytest.mark.parametrize("tail", ["0", "-7", "1000"])
+    def test_tail_window_outside_grid_exit_2(self, tmp_path, capsys, tail):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the pool started")
+
+        # n_max 1000 gives a grid of 30 checkpoints
+        with mock.patch.object(analyze, "ProcessPoolExecutor", no_pool):
+            assert run(tmp_path, "scan", "--target", "circle", "--c", "0.5,2.5",
+                       "--trials", "1", "--n-max", "1000", "--jobs", "2",
+                       "--tail-checkpoints", tail, "--out", "s") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: tail_checkpoints: must be in [1, 30], got {tail}\n"
+        assert not (tmp_path / "s.csv").exists()
+
+
 class TestDims:
     @pytest.mark.parametrize("tail", ["-3", "0", "1000"])
     def test_tail_window_outside_grid_exit_2(self, tmp_path, capsys, tail):
@@ -114,6 +129,60 @@ class TestDims:
             assert run(tmp_path, "dims", "--c", "0.5", "--n-max", "20000", "--seeds", "3",
                        "--tail-checkpoints", "1000", "--jobs", jobs, "--out", "d") == 2
         assert "tail_checkpoints: must be in [1, 62], got 1000" in capsys.readouterr().err
+
+
+    def test_internal_fault_exits_1(self, tmp_path, capsys, monkeypatch):
+        # an invariant failing inside the program is not a bad configuration
+        def broken(*args, **kwargs):
+            raise ValueError("box counts must be non-decreasing as the scale shrinks")
+
+        monkeypatch.setattr(analyze, "box_dimension", broken)
+        assert run(tmp_path, "dims", "--c", "0.5", "--n-max", "2000", "--seeds", "1",
+                   "--out", "d") == 1
+        assert capsys.readouterr().err.startswith("runtime failure: ValueError: box counts")
+
+
+def _custom(tmp_path, text):
+    (tmp_path / "t.json").write_text(text)
+    return "custom:t.json"
+
+
+class TestConfigErrors:
+    """Every bad input exits 2 and names its field."""
+
+    @pytest.mark.parametrize("spec", [
+        "cantor:0.6:3", "cantor:0.3:0", "cantor:0.3:30", "cantor:0.3", "cantor:x:3",
+        "points:", "points:0.2,0.2", "points:1.5", "points:a", "nope",
+        "custom:missing.json", "custom:{not json", '{"intervals": [[0.1, 0.2]]}',
+        '{"intervals": [], "beta": 1}', '{"intervals": [[0.5, 0.2]], "beta": 1}',
+        '{"intervals": [[0.1, 0.2]], "beta": 2}', '{"intervals": 5, "beta": 1}',
+        '[1, 2]'])
+    def test_bad_target(self, tmp_path, capsys, spec):
+        if spec.startswith(("custom:{", "{", "[")):
+            spec = _custom(tmp_path, spec.removeprefix("custom:"))
+        assert run(tmp_path, "trial", "--target", spec, "--n-max", "1000") == 2
+        assert capsys.readouterr().err.startswith("error: target: ")
+
+    def test_target_message_kept(self, tmp_path, capsys):
+        assert run(tmp_path, "trial", "--target", "nope") == 2
+        assert capsys.readouterr().err == "error: target: unknown specification 'nope'\n"
+
+    @pytest.mark.parametrize("argv, field", [
+        (["scan", "--c", "0.5,abc"], "c"),
+        (["scan", "--c", "0:x:1"], "c"),
+        (["scan", "--c", "0.5,nan"], "c"),
+        (["dims", "--c", "0.5", "--n-max", "8", "--first-checkpoint", "1"], "n_max"),
+    ], ids=["c-list", "c-range", "c-nan", "dims-window"])
+    def test_bad_flag_value(self, tmp_path, capsys, argv, field):
+        assert run(tmp_path, *argv, "--out", "x") == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize("field, value", [("seed", "abc"), ("checkpoint_ratio", "x"),
+                                              ("first_checkpoint", [1])])
+    def test_bad_config_file_value(self, tmp_path, capsys, field, value):
+        (tmp_path / "cfg.json").write_text(json.dumps({"version": 1, field: value}))
+        assert run(tmp_path, "trial", "--config", "cfg.json", "--n-max", "1000") == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: must be ")
 
 
 class TestParser:

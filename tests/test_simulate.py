@@ -1,5 +1,7 @@
 import math
 import pickle
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -48,6 +50,31 @@ class TestSampleCenters:
             sample_centers(-1, 10)
         with pytest.raises(ConfigError, match="n"):
             sample_centers(1, 0)
+        with pytest.raises(ConfigError, match="start"):
+            sample_centers(1, 5, start=-1)
+        with pytest.raises(ValueError, match="size"):
+            sample_centers(1, 5, out=np.empty(4))
+
+    @pytest.mark.parametrize("seed", [0, 9, 2 ** 64 - 1])
+    def test_start_continues_the_stream(self, seed):
+        whole = sample_centers(seed, 5000)
+        # every phase of a Philox counter step, out of order, then a run of
+        # calls that each pick up where the last one ended
+        for start in [0, 1, 2, 3, 4, 5, 7, 1001, 63, 64, 65, 4095, 2]:
+            for n in (1, 3, 4, 17, 300):
+                assert np.array_equal(sample_centers(seed, n, start=start),
+                                      whole[start:start + n])
+        out = np.empty(5000)
+        start = 0
+        for n in (64, 6, 1, 7, 1000, 3922):
+            got = sample_centers(seed, n, start=start, out=out[start:start + n])
+            assert got.base is out
+            start += n
+        assert np.array_equal(out, whole)
+        # another seed's stream at the position this one reached
+        other = seed ^ 1
+        assert np.array_equal(sample_centers(other, 7, start=5000),
+                              sample_centers(other, 5007)[5000:])
 
 
 class TestCheckpointGrid:
@@ -440,7 +467,8 @@ def _check_decision(cs, ells, target):
     cand = simulate._gap_candidates(cs, ells.min() - SLACK, np.empty(k),
                                     np.empty(k, dtype=bool))
     circle = target.kind == "circle"
-    got = simulate._uncovered(cs, ells, cand, None if circle else target.approx)
+    got = simulate._uncovered(cs[cand], cs[cand + 1], cs[0], cs[-1], ells,
+                              None if circle else target.approx)
     for j, ell in enumerate(ells):
         gaps = uncovered_at(cs, float(ell), cand)
         resid = gaps if circle else intersect(gaps, target.approx)
@@ -478,6 +506,177 @@ class TestBatchedDecisionSmallBlock:
     @given(_decision_case())
     def test_equals_residue_emptiness(self, case):
         _check_decision(*case)
+
+
+def _two_ended(low, fresh, high, spare):
+    """A prefix array as the kernel holds it: the low run, the fresh draws
+    right after it, `spare` free slots, then the high run at the end."""
+    c = np.full(len(low) + len(fresh) + spare + len(high), np.nan)
+    c[:len(low)] = low
+    c[len(low):len(low) + len(fresh)] = fresh
+    c[c.size - len(high):] = high
+    return c
+
+
+_BELOW_HALF = math.nextafter(0.5, 0.0)
+
+
+class TestSplitPrefix:
+    """The two-ended prefix: centers below 1/2 sorted from the left end of
+    the array, those at or above 1/2 sorted up to its right end."""
+
+    @pytest.mark.parametrize("spare", [0, 1, 5])
+    @pytest.mark.parametrize("low, fresh, high", [
+        ([0.1, 0.3], [0.5, _BELOW_HALF, 0.7, 0.2, 0.95, 0.6], [0.55, 0.9]),
+        ([0.2], [0.4, 0.0, 0.1], [0.8]),            # all fresh ones low
+        ([0.2], [0.5, 0.99, 0.75], [0.6]),          # all fresh ones high
+        ([], [0.6, 0.1, 0.7], []),                  # the first checkpoint
+        ([], [_BELOW_HALF, 0.25], []),              # the high half stays empty
+        ([], [0.8, 0.7], [0.55]),                   # the low half stays empty
+        ([], [0.5], []),                            # a high half of size 1
+        ([0.3], [0.9, 0.8], []),                    # a low half of size 1
+    ], ids=["mixed", "all-low", "all-high", "first", "no-high", "no-low",
+            "one-high", "one-low"])
+    def test_split_then_merge(self, low, fresh, high, spare):
+        c = _two_ended(low, fresh, high, spare)
+        n0, n1 = simulate._split(c, len(low), len(high), len(fresh), 0.5)
+        want = np.sort(np.array(low + fresh + high))
+        # 0.5 itself goes high, the float just below it low
+        assert (n0, n1) == (int(np.sum(want < 0.5)), int(np.sum(want >= 0.5)))
+        # each half is its two sorted runs, the fresh part next to the free slots
+        fresh_low = sorted(x for x in fresh if x < 0.5)
+        fresh_high = sorted(x for x in fresh if x >= 0.5)
+        assert c[:n0].tolist() == low + fresh_low
+        assert c[c.size - n1:].tolist() == fresh_high + high
+        spacings = np.diff(want)
+        k = min(simulate._BLOCK, c.size)
+        scratch = [(np.empty(k), np.empty(k, dtype=bool)) for _ in range(2)]
+        # thresholds on every spacing, the one across 1/2 included, and one
+        # ulp either side of it
+        for thr in [-math.inf] + [_nudge(float(g), u) for g in spacings for u in (-1, 0, 1)]:
+            a, b, first, last = simulate._prefix_gaps(c, n0, n1, thr, scratch, None)
+            idx = np.flatnonzero(spacings > thr)
+            assert np.array_equal(a, want[idx]) and np.array_equal(b, want[idx + 1])
+            assert (first, last) == (want[0], want[-1])
+        # merged in place: the halves hold the sorted prefix
+        assert np.array_equal(np.concatenate([c[:n0], c[c.size - n1:]]), want)
+
+    @pytest.mark.parametrize("spare", [0, 3])
+    def test_split_at_one_keeps_every_center_low(self, spare):
+        # where no thread may run, the kernel splits at 1: the high run stays
+        # empty and the low run is the whole sorted prefix
+        c = _two_ended([0.1, 0.6], [0.99, 0.5, 0.0, _BELOW_HALF], [], spare)
+        before = c.copy()
+        assert simulate._split(c, 2, 0, 4, 1.0) == (6, 0)
+        assert c[:6].tolist() == [0.1, 0.6, 0.0, _BELOW_HALF, 0.5, 0.99]
+        assert np.array_equal(c[6:], before[6:], equal_nan=True)
+
+
+def _spy_threads(monkeypatch):
+    """The set of threads that merge a half, filled as the kernel runs."""
+    seen = set()
+    merge = simulate._half_gaps
+
+    def spy(*args):
+        seen.add(threading.get_ident())
+        return merge(*args)
+
+    monkeypatch.setattr(simulate, "_half_gaps", spy)
+    return seen
+
+
+_KERNEL_TARGETS = [
+    make_circle(), make_cantor(1 / 3, 12), make_finite([0.0, 0.37, 0.5, 0.9]),
+    make_custom(IntervalUnion([(0.0, 0.1), (0.45, 0.55), (0.9, 1.0)]), 1.0)]
+_KERNEL_IDS = ["circle", "cantor", "points", "custom"]
+
+
+@pytest.fixture
+def small_thread_min(monkeypatch):
+    """Halves go to two threads from a prefix of 14 centers on, so a short
+    trial runs both ways."""
+    monkeypatch.setattr(simulate, "_THREAD_MIN", 2 * _SMALL_BLOCK)
+
+
+@pytest.mark.usefixtures("small_block", "small_thread_min")
+class TestThreadedHalves:
+    """The prefilter in blocks of 7 gaps and the halves on two threads from
+    a prefix of 14 centers on, so a short trial runs every way."""
+
+    @pytest.mark.parametrize("target", _KERNEL_TARGETS, ids=_KERNEL_IDS)
+    def test_threaded_equals_serial(self, monkeypatch, target):
+        base = TrialConfig(seed=5, lengths=None, target=target, n_max=3000,
+                           n_first_checkpoint=2)
+        cfgs = [replace(base, lengths=LogOverN(c)) for c in (0.6, 1.0, 2.5)]
+        seen = _spy_threads(monkeypatch)
+        got = {}
+        # switch threads as often as possible, so the halves interleave
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (False, True):
+                monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
+                seen.clear()
+                # traces decide at every checkpoint through the residue's
+                # pieces, tail outcomes through the batched pass outside the
+                # window
+                got[threads] = (simulate._sweep(cfgs, 3),
+                                simulate._sweep(cfgs, 3, trace=False))
+                assert (seen != {threading.get_ident()}) == threads
+        finally:
+            sys.setswitchinterval(interval)
+        assert got[True] == got[False]
+
+    @pytest.mark.parametrize("threads", [False, True], ids=["serial", "threaded"])
+    def test_kernel_calls_the_public_sampler_and_residue(self, monkeypatch, threads):
+        # what wraps the module's public functions (a profiler, a tracer)
+        # sees every center sampled and every residue built
+        monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
+        sampled, residues = [], []
+        sample, residue = simulate.sample_centers, simulate.uncovered_at
+
+        def sample_spy(*args, **kwargs):
+            centers = sample(*args, **kwargs)
+            sampled.append(centers.size)
+            return centers
+
+        def residue_spy(*args):
+            residues.append(args[1])
+            return residue(*args)
+
+        monkeypatch.setattr(simulate, "sample_centers", sample_spy)
+        monkeypatch.setattr(simulate, "uncovered_at", residue_spy)
+        base = TrialConfig(seed=2, lengths=None, target=make_cantor(1 / 3, 8), n_max=2000)
+        cfgs = [replace(base, lengths=LogOverN(c)) for c in (0.6, 1.0, 2.5)]
+        n_cp = base.checkpoints().size
+        traces = simulate._sweep(cfgs, 2)
+        assert sum(sampled) == base.n_max
+        assert len(residues) == 3 * n_cp
+        assert residues[:3] == [float(t.ells[0]) for t in traces]
+        sampled.clear()
+        residues.clear()
+        simulate._sweep(cfgs, 2, trace=False)
+        assert sum(sampled) == base.n_max and len(residues) == 3 * 2
+
+    @pytest.mark.parametrize("threads", [False, True], ids=["serial", "threaded"])
+    @pytest.mark.parametrize("n_first", [1, 2, 3])
+    def test_each_checkpoint_matches_fresh_sort(self, monkeypatch, n_first, threads):
+        monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
+        target = make_finite([0.0, 0.37, 0.5, 0.9])
+        one_sided = False
+        for seed in range(8):
+            cfg = TrialConfig(seed=seed, lengths=LogOverN(1.2), target=target, n_max=300,
+                              n_first_checkpoint=n_first)
+            trace = run_trial(cfg)
+            for i, n in enumerate(trace.checkpoints):
+                cs = np.sort(sample_centers(seed, int(n)))
+                one_sided |= n > 1 and (cs[-1] < 0.5 or cs[0] >= 0.5)
+                resid = intersect(uncovered_at(cs, float(trace.ells[i])), target.approx)
+                assert trace.covered[i] == resid.is_empty()
+                assert trace.uncovered_measure[i] == measure(resid)
+                assert trace.piece_count[i] == resid.component_count()
+        # some checkpoint past the first had every center on one side of 1/2
+        assert one_sided
 
 
 def _stevens(n: int, a: Fraction) -> Fraction:
