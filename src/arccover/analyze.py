@@ -13,8 +13,10 @@ once each, through the pool initializer.  The pool is taken to fill the
 cores, so in its workers the kernel keeps its sorted prefix as one run on
 one thread, not as two halves split at 1/2 on two threads as it does
 outside a pool.  The scan reads only the verdicts and the tail union of
-each trial, and a dimension estimate only the tail union, so for both the
-kernel builds residues in the tail window alone.
+each trial, so the kernel builds residues in the tail window alone.  A
+dimension estimate reads only the tail union, which depends only on the
+centers up to each checkpoint of the window, so its kernel starts at the
+window: no earlier checkpoint is sampled, merged or decided.
 
 Box-counting dimension is used as a numerical proxy for Hausdorff
 dimension.  Box >= Hausdorff always, so an estimate clearly BELOW the
@@ -218,7 +220,7 @@ def _scan_cell(seed, context=None):
     base_cfg, cs, tail = _scan_context if context is None else context
     cfgs = [replace(base_cfg, seed=seed, lengths=LogOverN(c)) for c in cs]
     records = []
-    for c, result in zip(cs, _sweep(cfgs, tail, trace=False)):
+    for c, result in zip(cs, _sweep(cfgs, tail, reads="verdicts")):
         if isinstance(result, ConfigError):
             # the pre-fractal scale guard, which depends on c through
             # ell(n_max): reported per c so the scan can emit partial
@@ -337,13 +339,14 @@ class DimensionScan:
 
 
 def _dims_cell(args):
-    """One seed's box counts; it reads only the tail union, so the kernel
-    builds residues in the tail window alone."""
+    """One seed's box counts.  It reads only the tail union, so the kernel
+    starts at the tail window: it samples and sorts that checkpoint's whole
+    prefix in one step, and decides coverage nowhere."""
     cfg, tail, scales = args
-    (result,) = _sweep([cfg], tail, trace=False)
+    (result,) = _sweep([cfg], tail, reads="tail")
     if isinstance(result, ConfigError):
         raise result
-    return cfg.seed, box_dimension(result.tail_uncovered, scales)
+    return cfg.seed, box_dimension(result, scales)
 
 
 def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,

@@ -63,12 +63,15 @@ and no interval union is built.  The decision equals the emptiness of the
 residue, target minus E_n as an IntervalUnion, bit for bit.  Residues
 are built only where an output reads them: at every checkpoint for
 run_trial, whose trace has the uncovered measure and piece count of
-each, and in the tail window alone for the cells of a phase scan or a
-dimension estimate, which read only the verdicts or the tail union.
-Decisions and residues both come from the ends of the candidate gaps,
-gathered once per checkpoint, through the same piece arithmetic
-(_middles); a residue is built by uncovered_at on just those ends
-(_skeleton).  The target is
+each, and in the tail window alone for the cells of a phase scan, which
+read only the verdicts and the tail union.  A dimension estimate reads
+only the tail union, and that depends only on the prefixes of the
+window's checkpoints, not on anything before them: its sweep starts at
+the window, samples, sorts and splits the first checkpoint's whole
+prefix in one step, and decides coverage nowhere.  Decisions and
+residues both come from the ends of the candidate gaps, gathered once
+per checkpoint, through the same piece arithmetic (_middles); a residue
+is built by uncovered_at on just those ends (_skeleton).  The target is
 intersected with the gaps, not the other way round: intersect
 binary-searches each piece of its first operand in the second, and the
 gaps are few while a deep pre-fractal has thousands of pieces.  The
@@ -149,6 +152,27 @@ def checkpoint_grid(n_first: int, ratio: float, n_max: int) -> np.ndarray:
         cur = min(max(cur + 1, int(round(cur * ratio))), n_max)
         grid.append(cur)
     return np.asarray(grid, dtype=np.int64)
+
+
+# Most checkpoints a trial may have.  Every checkpoint costs O(n) work, so a
+# ratio near 1, which makes the grid about n_max long, makes the run
+# quadratic.  The default ratio 1.1 gives at most a few hundred.
+MAX_CHECKPOINTS = 10_000
+
+
+def _grid_length_bound(n_first: int, ratio: float, n_max: int) -> float:
+    """An upper bound on len(checkpoint_grid(n_first, ratio, n_max)), in
+    closed form.  Each step adds at least 1.  From cur >= 4 / (ratio - 1)
+    on, rounding cur * ratio loses less than 1 <= cur (ratio - 1) / 4, so a
+    step multiplies cur by at least 1 + 3 (ratio - 1) / 4, until n_max."""
+    steps = float(n_max - n_first)
+    knee = 4.0 / (ratio - 1.0)
+    if knee < n_max:
+        linear = max(0.0, knee - n_first) + 1.0
+        geometric = (math.log(n_max / max(knee, n_first))
+                     / math.log1p(0.75 * (ratio - 1.0)) + 1.0)
+        steps = min(steps, linear + geometric)
+    return 1.0 + steps
 
 
 def max_circular_gap(centers: np.ndarray) -> float:
@@ -367,7 +391,9 @@ def _meets(target, lo, hi) -> np.ndarray:
     """Which pieces (lo, hi) meet the canonical target, as intersect sees
     it: some target interval ends after the piece starts and starts
     before it ends, or a target point lies strictly inside the piece.
-    Every piece meets the whole circle (`target` None)."""
+    Every piece meets the whole circle (`target` None).  A target point
+    at 0 inside a seam pair, which two pieces make together, is left to
+    the caller (see _uncovered)."""
     if target is None:
         return np.ones(lo.size, dtype=bool)
     hit = (np.searchsorted(target.his, lo, side="right")
@@ -383,9 +409,10 @@ def _uncovered(a, b, first, last, ells, target) -> np.ndarray:
     `target` uncovered, given the candidate gaps (a, b) and the first and
     last of the sorted centers?
 
-    Entry j is `_meets(target, *_pieces(a, b, first, last, ells[j])).any()`
-    bit for bit, which holds iff the residue is not empty, but the lengths
-    are done together: the inner pieces go a row per length, in chunks of
+    Entry j holds iff the residue is not empty, bit for bit: some piece of
+    `_pieces(a, b, first, last, ells[j])` meets the target by `_meets`, or
+    the target holds 0 and length j leaves a seam pair.  The lengths are
+    done together: the inner pieces go a row per length, in chunks of
     about _BLOCK, so memory stays flat however many lengths there are.
     """
     out = np.zeros(ells.size, dtype=bool)
@@ -394,6 +421,10 @@ def _uncovered(a, b, first, last, ells, target) -> np.ndarray:
     if seam:
         rule, pieces = zip(*seam)
         out[np.array(rule)[_meets(target, *np.array(pieces).T)]] = True
+        if target is not None and target.points.size and target.points[0] == 0.0:
+            # two seam pieces of one length are (0, l) and (h, 1), one arc
+            # across the seam: 0 lies strictly inside it, as intersect has it
+            out[[j for j, k in zip(rule, rule[1:]) if j == k]] = True
     if a.size:
         rows = max(1, _BLOCK // a.size)
         for s in range(0, ells.size, rows):
@@ -409,7 +440,12 @@ def _uncovered(a, b, first, last, ells, target) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Everything one trial needs; identical configs give identical traces."""
+    """Everything one trial needs; identical configs give identical traces.
+
+    A checkpoint grid that may hold more than MAX_CHECKPOINTS (10 000)
+    checkpoints, by a closed-form bound on its length, is refused as a
+    bad `checkpoint_ratio` before the grid or any array is built.
+    """
 
     seed: int
     lengths: LengthSequence | None
@@ -429,6 +465,11 @@ class TrialConfig:
                               f"{self.n_max} < {self.n_first_checkpoint}")
         if not self.checkpoint_ratio > 1.0:
             raise ConfigError("checkpoint_ratio", f"must be > 1, got {self.checkpoint_ratio}")
+        bound = _grid_length_bound(self.n_first_checkpoint, self.checkpoint_ratio, self.n_max)
+        if bound > MAX_CHECKPOINTS:
+            raise ConfigError("checkpoint_ratio", f"{self.checkpoint_ratio} may give up to "
+                              f"{bound:.3g} checkpoints up to n_max {self.n_max}, more "
+                              f"than {MAX_CHECKPOINTS}; raise it")
         if self.n_tail_start is not None and not (
                 self.n_first_checkpoint <= self.n_tail_start <= self.n_max):
             raise ConfigError("n_tail_start", "must lie between n_first_checkpoint and n_max")
@@ -516,17 +557,27 @@ def run_trial(cfg: TrialConfig, tail_checkpoints: int = 0) -> CoverageTrace:
     return result
 
 
-def _sweep(cfgs, tail_checkpoints: int, trace: bool = True) -> list:
+def _sweep(cfgs, tail_checkpoints: int, reads: str = "trace") -> list:
     """The trials of one seed under several length rules, in one pass.
 
     The configs differ only in `lengths`: they share the seed, the target
     and the checkpoint grid, so the centers are sampled and the sorted
     prefix is merged once, and every checkpoint decides coverage for all
     rules at once.  Returns, per config, the ConfigError its scale guard
-    raised or, if it ran, its trace; with `trace` false, a TailOutcome
-    instead, which needs the residues of the last `tail_checkpoints`
-    checkpoints only.  Either way tail_uncovered unites those residues.
+    raised or, if it ran, what `reads` names; tail_uncovered always unites
+    the residues of the last `tail_checkpoints` checkpoints.
+
+    - "trace": its CoverageTrace, with a residue at every checkpoint.
+    - "verdicts": a TailOutcome, with residues in the tail window only.
+    - "tail": the tail union itself, an IntervalUnion.  The residues of
+      the window depend only on the prefixes of its checkpoints, so the
+      sweep starts at its first one: that checkpoint samples, sorts and
+      splits its whole prefix in one step, and no checkpoint decides
+      coverage.  The checkpoints before the window are neither sampled nor
+      merged, so no verdict exists to return.
     """
+    if reads not in ("trace", "verdicts", "tail"):
+        raise ValueError(f"reads must be 'trace', 'verdicts' or 'tail', got {reads!r}")
     cfg0 = cfgs[0]
     shared = replace(cfg0, lengths=None)
     if any(replace(cfg, lengths=None) != shared for cfg in cfgs):
@@ -553,10 +604,11 @@ def _sweep(cfgs, tail_checkpoints: int, trace: bool = True) -> list:
     unc_measure = np.zeros(ells.shape, dtype=np.float64)
     pieces = np.zeros(ells.shape, dtype=np.int64)
     tail_residues = [[] for _ in live]
-    # residues only where an output reads them: the trace's per-checkpoint
-    # columns, or else the tail window alone
     tail_start = grid.size - tail_checkpoints
-    first_residue = 0 if trace else tail_start
+    # verdicts need every checkpoint; residues only where an output reads
+    # them: the trace's per-checkpoint columns, or else the tail window alone
+    start = tail_start if reads == "tail" else 0
+    first_residue = 0 if reads == "trace" else tail_start
 
     threaded = _threads_allowed()
     # split at 1/2 where the halves may go to two threads; elsewhere every
@@ -577,8 +629,8 @@ def _sweep(cfgs, tail_checkpoints: int, trace: bool = True) -> list:
     # ends with it: a process pool forked later gets no thread, and no dead
     # copy of an executor
     with ThreadPoolExecutor(1) if threaded else contextlib.nullcontext() as pool:
-        for i, n in enumerate(grid):
-            n = int(n)
+        for i in range(start, grid.size):
+            n = int(grid[i])
             # centers prev..n-1 of the stream, straight into the free middle;
             # the grid is strictly increasing
             if threaded:
@@ -588,7 +640,8 @@ def _sweep(cfgs, tail_checkpoints: int, trace: bool = True) -> list:
             # one pass over the prefix finds the gap candidates of every rule
             a, b, first, last = _prefix_gaps(c, n0, n1, shortest[i] - SLACK, scratch,
                                              pool if n >= _THREAD_MIN else None)
-            covered[:, i] = ~_uncovered(a, b, first, last, ells[:, i], t_approx)
+            if reads != "tail":
+                covered[:, i] = ~_uncovered(a, b, first, last, ells[:, i], t_approx)
             if i < first_residue:
                 continue
             ends, cand = _skeleton(a, b, first, last)
@@ -596,7 +649,7 @@ def _sweep(cfgs, tail_checkpoints: int, trace: bool = True) -> list:
                 gaps = uncovered_at(ends, float(ells[j, i]), cand)
                 # the gaps go first: intersect costs O(|gaps| log |target|)
                 resid = gaps if t_approx is None else intersect(gaps, t_approx)
-                if trace:
+                if reads == "trace":
                     unc_measure[j, i] = measure(resid)
                     pieces[j, i] = resid.component_count()
                 if i >= tail_start:
@@ -608,16 +661,19 @@ def _sweep(cfgs, tail_checkpoints: int, trace: bool = True) -> list:
         tail_target = float(cfg0.n_tail_start)
     tail_idx = int(np.argmin(np.abs(grid.astype(np.float64) - tail_target)))
     for j, k in enumerate(live):
-        failures = grid[~covered[j]]
         tail_union = EMPTY
         for resid in tail_residues[j]:
             tail_union = union(tail_union, resid)
+        if reads == "tail":
+            results[k] = tail_union
+            continue
+        failures = grid[~covered[j]]
         outcome = dict(
             last_failure_n=int(failures[-1]) if failures.size else None,
             eventually_covered=bool(np.all(covered[j, tail_idx:])),
             tail_uncovered=tail_union,
         )
-        if not trace:
+        if reads == "verdicts":
             results[k] = TailOutcome(**outcome)
             continue
         results[k] = CoverageTrace(

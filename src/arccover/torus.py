@@ -13,7 +13,9 @@ Conventions used throughout the package:
 * An IntervalUnion may additionally carry isolated points (used for
   finite target sets).  Points have measure zero, vanish under
   complement, and survive an intersection only when they fall strictly
-  inside the other operand (or coincide with one of its points).
+  inside the other operand (or coincide with one of its points).  A point
+  at 0 is strictly inside a seam pair, a piece from 0 and one up to 1,
+  because the two are one arc of the torus.
 """
 
 from __future__ import annotations
@@ -239,9 +241,10 @@ def intersect(u: IntervalUnion, v: IntervalUnion) -> IntervalUnion:
     Interval parts intersect in the usual way, keeping only overlaps of
     positive length (a shared endpoint between touching pieces is dropped
     as measure-zero dust).  A point survives only when it lies strictly
-    inside an interval of the other operand or coincides with one of its
-    points, so that `covers(u, a)` is exactly "intersect(a, complement(u))
-    is empty" even for point-bearing targets.
+    inside an interval of the other operand, 0 inside a seam pair
+    included, or coincides with one of its points, so that `covers(u, a)`
+    is exactly "intersect(a, complement(u)) is empty" even for
+    point-bearing targets.
 
     On canonical operands the result does not depend on their order, bit
     for bit, but the cost does: it is O(|u| log |v| + output), because each
@@ -285,12 +288,18 @@ def _intersect_arrays(alo, ahi, blo, bhi) -> tuple:
 
 
 def _strictly_inside(los, his, xs) -> np.ndarray:
+    """Which of xs lie inside a piece and on no end of it.  On the torus 0
+    also does when a piece starts at 0 and one ends at 1: they are the two
+    halves of one arc across the seam (or the full circle)."""
     if los.size == 0:
         return np.zeros(xs.size, dtype=bool)
     idx = np.searchsorted(los, xs, side="right") - 1
     ok = idx >= 0
     safe = np.maximum(idx, 0)
-    return ok & (los[safe] < xs) & (xs < his[safe])
+    inside = ok & (los[safe] < xs) & (xs < his[safe])
+    if los[0] == 0.0 and his[-1] == 1.0:
+        inside |= xs == 0.0
+    return inside
 
 
 def union(u: IntervalUnion, v: IntervalUnion) -> IntervalUnion:

@@ -269,6 +269,32 @@ class TestDimensionExperiment:
             uncovered_dimension_experiment(0.3, 100_000, range(2), jobs=jobs,
                                            target=make_cantor(1 / 3, 8))
 
+    @pytest.mark.parametrize("window", [1, 3])
+    def test_cell_starts_at_the_tail_window(self, monkeypatch, window):
+        # the dims cell merges and prefilters only the window's checkpoints,
+        # and decides coverage at none of them
+        calls = {"_prefix_gaps": 0, "_uncovered": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(simulate, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(simulate, name, counted)
+        cfg = TrialConfig(seed=3, lengths=LogOverN(0.5), target=make_circle(), n_max=20_000)
+        scales = nested_scales(float(LogOverN(0.5).ell(20_000)), 0.05)
+        seed, est = analyze._dims_cell((cfg, window, scales))
+        assert calls == {"_prefix_gaps": window, "_uncovered": 0}
+        want = box_dimension(run_trial(cfg, window).tail_uncovered, scales)
+        assert seed == 3 and np.array_equal(est.counts, want.counts)
+
+    def test_estimates_do_not_depend_on_jobs(self):
+        scans = [uncovered_dimension_experiment(0.5, 50_000, range(4), tail_checkpoints=3,
+                                                jobs=jobs) for jobs in (1, 2)]
+        one, two = ([(e.scales.tobytes(), e.counts.tobytes(), e.slope, e.r_squared,
+                      e.degenerate) for e in scan.estimates] for scan in scans)
+        assert one == two
+        assert scans[0].seeds == scans[1].seeds == (0, 1, 2, 3)
+        assert scans[0].mean_slope == scans[1].mean_slope
+
     def test_trial_kernel_tail_matches_run_trial(self):
         cfg = TrialConfig(seed=6, lengths=LogOverN(0.7), target=make_circle(), n_max=2000)
         trace = run_trial(cfg, 3)

@@ -262,6 +262,22 @@ class TestRunTrial:
             circ = np.minimum(d, 1.0 - d).min()
             assert trace.covered[i] == (circ <= trace.ells[i] / 2 + 1e-15)
 
+    def test_point_at_zero_rule(self):
+        # the seam: 0 is uncovered iff both the first center and 1 minus the
+        # last lie more than ell(n)/2 from it, so the wrap gap's middle
+        # straddles 0 as the pieces (0, l) and (h, 1)
+        cfg = TrialConfig(seed=0, lengths=LogOverN(0.3), target=make_finite([0.0]),
+                          n_max=200, n_first_checkpoint=4)
+        uncovered = 0
+        for seed in range(20):
+            trace = run_trial(replace(cfg, seed=seed))
+            centers = sample_centers(seed, 200)
+            for i, n in enumerate(trace.checkpoints):
+                circ = np.minimum(centers[:n], 1.0 - centers[:n]).min()
+                assert trace.covered[i] == (circ <= trace.ells[i] / 2 + 1e-15)
+            uncovered += int(np.sum(~trace.covered))
+        assert uncovered > 0
+
     def test_deterministic_trace(self):
         cfg = TrialConfig(seed=9, lengths=LogOverN(2.0), target=make_circle(), n_max=3000)
         assert run_trial(cfg) == run_trial(cfg)
@@ -316,6 +332,25 @@ class TestRunTrial:
         with pytest.raises(ConfigError, match="checkpoint_ratio"):
             TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=100,
                         checkpoint_ratio=1.0)
+
+    def test_checkpoint_count_is_refused_before_the_grid(self, monkeypatch):
+        # about 1e9 checkpoints: refused by the closed-form bound, with no
+        # grid built
+        def no_grid(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(simulate, "checkpoint_grid", no_grid)
+        with pytest.raises(ConfigError, match="^checkpoint_ratio: .* more than 10000"):
+            TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=10 ** 9,
+                        checkpoint_ratio=1 + 1e-9)
+
+    @pytest.mark.parametrize("ratio", [1.0001, 1.001, 1.01, 1.1, 1.5, 3.0, 1e6])
+    @pytest.mark.parametrize("n_first", [1, 2, 64, 1000])
+    def test_grid_length_bound_holds(self, ratio, n_first):
+        for n_max in (n_first, 1234, 10 ** 5):
+            if n_max >= n_first:
+                length = checkpoint_grid(n_first, ratio, n_max).size
+                assert simulate._grid_length_bound(n_first, ratio, n_max) >= length
 
 
 class TestMergeUpkeep:
@@ -493,7 +528,7 @@ class TestBatchedDecision:
         ([0.1, 0.5, 0.98], [0.06, 0.02, 0.3]),
     ], ids=["across", "shifted"])
     def test_each_kind_of_seam_piece(self, cs, ells):
-        # 0 is an end of a seam piece, so it never counts as uncovered
+        # 0 lies inside the pieces at both ends, one arc across the seam
         for target in (make_circle(), make_finite([0.0, 0.5]), make_cantor(1 / 3, 3),
                        make_custom(IntervalUnion([(0.0, 0.01), (0.98, 1.0)]), 1.0)):
             _check_decision(np.array(cs), np.array(ells), target)
@@ -617,11 +652,11 @@ class TestThreadedHalves:
             for threads in (False, True):
                 monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
                 seen.clear()
-                # traces decide at every checkpoint through the residue's
-                # pieces, tail outcomes through the batched pass outside the
-                # window
+                # traces build a residue at every checkpoint, tail outcomes
+                # in the window only, and the tail alone starts there
                 got[threads] = (simulate._sweep(cfgs, 3),
-                                simulate._sweep(cfgs, 3, trace=False))
+                                simulate._sweep(cfgs, 3, reads="verdicts"),
+                                simulate._sweep(cfgs, 3, reads="tail"))
                 assert (seen != {threading.get_ident()}) == threads
         finally:
             sys.setswitchinterval(interval)
@@ -655,7 +690,11 @@ class TestThreadedHalves:
         assert residues[:3] == [float(t.ells[0]) for t in traces]
         sampled.clear()
         residues.clear()
-        simulate._sweep(cfgs, 2, trace=False)
+        simulate._sweep(cfgs, 2, reads="verdicts")
+        assert sum(sampled) == base.n_max and len(residues) == 3 * 2
+        sampled.clear()
+        residues.clear()
+        simulate._sweep(cfgs, 2, reads="tail")
         assert sum(sampled) == base.n_max and len(residues) == 3 * 2
 
     @pytest.mark.parametrize("threads", [False, True], ids=["serial", "threaded"])
@@ -677,6 +716,52 @@ class TestThreadedHalves:
                 assert trace.piece_count[i] == resid.component_count()
         # some checkpoint past the first had every center on one side of 1/2
         assert one_sided
+
+
+@pytest.fixture
+def thread_min_2048(monkeypatch):
+    """Halves go to two threads from a prefix of 2048 centers on."""
+    monkeypatch.setattr(simulate, "_THREAD_MIN", 1 << 11)
+
+
+@pytest.mark.usefixtures("thread_min_2048")
+class TestTailOnlySweep:
+    """The tail-only sweep starts at the tail window, so its first step
+    samples, sorts and splits a whole prefix; its tail union must be bit
+    for bit the one run_trial builds over the whole grid."""
+
+    @pytest.mark.parametrize("threads", [False, True], ids=["one-run", "two-thread"])
+    @pytest.mark.parametrize("n_max", [1500, 5000], ids=["below", "above"])
+    @pytest.mark.parametrize("target, c", [
+        (make_circle(), 0.5), (make_cantor(1 / 3, 8), 1.2),
+        (make_finite([0.05, 0.37, 0.9]), 0.5)], ids=["circle", "cantor", "points"])
+    def test_equals_run_trial(self, monkeypatch, target, c, n_max, threads):
+        monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
+        base = TrialConfig(seed=0, lengths=LogOverN(c), target=target, n_max=n_max)
+        n_cp = base.checkpoints().size
+        found = False
+        for seed in range(5):
+            cfg = replace(base, seed=seed)
+            for w in (1, 3, n_cp):
+                (got,) = simulate._sweep([cfg], w, reads="tail")
+                want = run_trial(cfg, w).tail_uncovered
+                _assert_bitwise(got, want)
+                found |= not want.is_empty()
+        assert found
+
+    def test_result_has_no_verdicts(self):
+        # the checkpoints before the window are never decided, so the result
+        # is the union alone
+        cfg = TrialConfig(seed=1, lengths=LogOverN(0.5), target=make_circle(), n_max=3000)
+        (got,) = simulate._sweep([cfg], 2, reads="tail")
+        assert type(got) is IntervalUnion
+        assert not hasattr(got, "last_failure_n")
+        assert not hasattr(got, "eventually_covered")
+
+    def test_unknown_reads_is_refused(self):
+        cfg = TrialConfig(seed=1, lengths=LogOverN(0.5), target=make_circle(), n_max=3000)
+        with pytest.raises(ValueError, match="reads"):
+            simulate._sweep([cfg], 2, reads="verdict")
 
 
 def _stevens(n: int, a: Fraction) -> Fraction:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from arccover import (Arc, EMPTY, FULL_CIRCLE, IntervalUnion, arcs_to_union,
                       complement, contains_points, covers, intersect,
@@ -173,8 +173,11 @@ class TestIntersectOrder:
         v = IntervalUnion([(0.5, 0.8)], points=[0.0, 0.1, 0.25, 0.9])
         assert intersect(u, v) == intersect(v, u)
         assert intersect(u, v).pieces == [(0.75, 0.8)]
-        # 0.0 and 0.25 only touch pieces of u, so they are dropped
-        assert intersect(u, v).points.tolist() == [0.1, 0.9]
+        # 0.0 lies inside the torus arc (0.75, 1.25) that the seam pair of u
+        # makes; 0.25 only touches a piece of u, so it is dropped
+        assert intersect(u, v).points.tolist() == [0.0, 0.1, 0.9]
+        # without the piece from 0 no arc crosses the seam
+        assert intersect(iu((0.75, 1.0)), v).points.tolist() == [0.9]
 
 
 def _assert_bitwise(u, v):
@@ -207,24 +210,21 @@ class TestAlgebraLaws:
     def test_covers_iff_nothing_outside(self, u, a):
         # complement drops the points of u, so the law is about its pieces
         u = IntervalUnion._from_sorted(u.los, u.his)
-        outside = complement(u)
-        # a known failure is pinned below: a point at 0 inside the seam pair
-        assume(not (0.0 in a.points and outside.los.size
-                    and outside.los[0] == 0.0 and outside.his[-1] == 1.0))
-        assert covers(u, a) == intersect(a, outside).is_empty()
+        assert covers(u, a) == intersect(a, complement(u)).is_empty()
 
     @given(_spaced())
     def test_complement_is_an_involution(self, u):
         _assert_bitwise(complement(complement(u)), u)
 
-    @pytest.mark.xfail(strict=True, reason="intersect keeps a point only strictly "
-                       "inside a piece, and 0 is an end of both seam pieces")
-    def test_seam_point_is_lost_by_intersect(self):
+    def test_seam_point_is_kept_by_intersect(self):
         # 0 lies inside the torus arc (0.75, 1.25) that complement(u) splits
         # into (0, 0.25) and (0.75, 1)
         u, a = iu((0.25, 0.75)), IntervalUnion(points=[0.0])
         assert not covers(u, a)
         assert not intersect(a, complement(u)).is_empty()
+        # and inside the full circle, the complement of nothing
+        assert not covers(EMPTY, a)
+        assert intersect(a, complement(EMPTY)) == a
 
     def test_touching_pieces_cover_what_spans_them(self):
         u = IntervalUnion._from_sorted(np.array([0.125, 0.25]), np.array([0.25, 1 / 3]))
