@@ -20,14 +20,15 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from .analyze import phase_scan, uncovered_dimension_experiment
-from .lengths import (LengthSequenceError, ScheduleError, choose_schedule,
-                      covering_series, parse_lengths, rare_block_sum,
-                      shepp_series)
+from .lengths import (LengthSequenceError, ScheduleError, check_covering_params,
+                      check_series_terms, choose_schedule, covering_series,
+                      parse_lengths, rare_block_sum, shepp_series)
 from .errors import ConfigError
 from .simulate import PRNG_NAME, PRNG_VERSION, TrialConfig, run_trial
 from .targets import parse_target
@@ -397,9 +398,15 @@ def _cmd_series(resolved: dict) -> int:
     """covering-series and Shepp-series diagnostics"""
     lengths = parse_lengths(str(resolved["lengths"]))
     n = _positive_int(resolved, "n")
-    cov = covering_series(lengths, _number(resolved, "beta", float),
-                          _number(resolved, "d", float), n)
-    shepp = shepp_series(lengths, n)
+    beta, d = _number(resolved, "beta", float), _number(resolved, "d", float)
+    # refuse here, before the second thread starts a long Shepp sum
+    check_covering_params(beta, d)
+    check_series_terms(n)
+    # both sums spend their time in numpy calls that release the GIL
+    with ThreadPoolExecutor(1) as pool:
+        job = pool.submit(shepp_series, lengths, n)
+        cov = covering_series(lengths, beta, d, n)
+        shepp = job.result()
     banner = _tool_banner(resolved)
     out = str(resolved["out"])
     rows = []

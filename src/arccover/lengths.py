@@ -16,9 +16,10 @@ it was sampled on:
   inconclusive) so we never overclaim near a boundary.
 
 Term-by-term sums run over chunks of _CHUNK consecutive indices, so their
-memory does not grow with N; this includes the Shepp length prefix, which
-is carried from chunk to chunk.  Each refuses N > MAX_TERMS before it
-allocates anything.
+memory does not grow with N.  The series walk each chunk in cache-sized
+sub-blocks of _SUB indices, calling their `log_terms` once per sub-block,
+in order; the Shepp length prefix is carried from one sub-block to the
+next.  Each sum refuses N > MAX_TERMS before it allocates anything.
 
 Block sequences freeze the length on blocks (n_k, n_{k+1}] at the value
 taken at the block end; their partial sums are evaluated in closed form
@@ -36,6 +37,7 @@ CLAMP_MAX = 1.0 - 1e-9
 MAX_EXACT_N = 2 ** 53  # beyond this, integer indices are not float-exact
 MAX_TERMS = 100_000_000  # largest N summed term by term (prefix sums, series)
 _CHUNK = 1_000_000  # the series' logaddexp sums depend on it; keep it fixed
+_SUB = _CHUNK // 16  # a series sub-block: the same sums, in cache-sized pieces
 
 
 class LengthSequenceError(ValueError):
@@ -76,7 +78,7 @@ class LengthSequence:
         sums = np.empty(ns.size, dtype=np.float64)
         total = 0.0
         filled = 0
-        for start, stop, chunk_ns in _index_chunks(top):
+        for start, stop, chunk_ns in _index_chunks(top, _CHUNK):
             csum = np.cumsum(self._ell(chunk_ns))
             while filled < ns.size and ns[filled] <= stop:
                 sums[filled] = total + csum[int(ns[filled]) - start]
@@ -91,10 +93,10 @@ class LengthSequence:
         return f"{type(self).__name__}({self.describe()})"
 
 
-def _index_chunks(top: int):
-    """Yield (start, stop, ns) over 1..top in runs of at most _CHUNK indices."""
-    for start in range(1, top + 1, _CHUNK):
-        stop = min(start + _CHUNK - 1, top)
+def _index_chunks(top: int, size: int):
+    """Yield (start, stop, ns) over 1..top in runs of at most `size` indices."""
+    for start in range(1, top + 1, size):
+        stop = min(start + size - 1, top)
         yield start, stop, np.arange(start, stop + 1, dtype=np.float64)
 
 
@@ -445,36 +447,65 @@ def _series_verdict(tail_fraction: float, term_slope: float) -> str:
     return "inconclusive"
 
 
-def _scan_series(log_terms, N: int, checkpoints: int = 80) -> SeriesResult:
-    """Accumulate every term 1..N in log space; judge the tail.
-
-    `log_terms(ns)` returns the log of the terms at ns, a float64 run of
-    consecutive indices.  It is called exactly once per chunk of at most
-    _CHUNK indices, in increasing order and never again afterwards, so it
-    may carry state from one chunk to the next.  The partial sums at the
-    checkpoints and the 40 tail-fit terms are read off that single pass.
-    """
+def check_series_terms(N: int) -> None:
+    """Refuse a term-by-term series scan unless 10 <= N <= MAX_TERMS."""
     if N < 10:
         raise LengthSequenceError(f"series scan needs N >= 10, got {N}")
     if N > MAX_TERMS:
         raise LengthSequenceError(
             f"series scan to N={N} is too large; at most {MAX_TERMS} terms")
+
+
+def check_covering_params(beta: float, d: float) -> None:
+    """Refuse covering-series parameters unless 0 < d < 1 and beta >= 0."""
+    if not (0.0 < d < 1.0):
+        raise LengthSequenceError(f"d must be in (0, 1), got {d}")
+    if beta < 0.0:
+        raise LengthSequenceError(f"beta must be >= 0, got {beta}")
+
+
+def _scan_series(log_terms, N: int, checkpoints: int = 80) -> SeriesResult:
+    """Accumulate every term 1..N in log space; judge the tail.
+
+    `log_terms(ns)` returns the log of the terms at ns, a float64 run of
+    consecutive indices, as a new array that it does not keep.  It is
+    called exactly once per sub-block of min(_SUB, _CHUNK) indices (the
+    last may be shorter), in increasing order and never again afterwards,
+    so it may carry state from one sub-block to the next.  The partial
+    sums at the checkpoints and the 40 tail-fit terms are read off that
+    single pass.
+
+    The sums are those of one `logaddexp.accumulate` per _CHUNK run,
+    folded into the total at each chunk end.  A sub-block never straddles
+    a chunk break, and one that does not start a chunk has its first term
+    seeded with the chunk's running value: that is the very operation the
+    chunk-long accumulate performs there, so the sub-blocks change the
+    memory held, not the bytes.
+    """
+    check_series_terms(N)
+    step = min(_SUB, _CHUNK)
+    assert _CHUNK % step == 0, "a sub-block must not straddle a chunk break"
     marks = _log_sample(1, N, checkpoints)
     n_tail_lo = max(2, N // 10)
     fit_ns = _log_sample(n_tail_lo, N, 40)
     fit_logs = np.empty(fit_ns.size, dtype=np.float64)
     log_sums = np.empty(marks.size, dtype=np.float64)
-    running = -math.inf
+    running = -math.inf  # log of the sum over the finished chunks
+    acc = -math.inf  # log of the sum so far within the current chunk
     filled = 0
-    for start, stop, ns in _index_chunks(N):
+    for start, stop, ns in _index_chunks(N, step):
         logs = log_terms(ns)
+        here = (fit_ns >= start) & (fit_ns <= stop)
+        fit_logs[here] = logs[fit_ns[here] - start]
+        if (start - 1) % _CHUNK:
+            logs[0] = np.logaddexp(acc, logs[0])
         csum = np.logaddexp.accumulate(logs)
         while filled < marks.size and marks[filled] <= stop:
             log_sums[filled] = np.logaddexp(running, csum[int(marks[filled]) - start])
             filled += 1
-        here = (fit_ns >= start) & (fit_ns <= stop)
-        fit_logs[here] = logs[fit_ns[here] - start]
-        running = float(np.logaddexp(running, csum[-1]))
+        acc = float(csum[-1])
+        if stop % _CHUNK == 0 or stop == N:
+            running = float(np.logaddexp(running, acc))
 
     # tail diagnostics over the last decade [N/10, N]
     i_lo = int(np.searchsorted(marks, n_tail_lo))
@@ -508,10 +539,7 @@ def covering_series(rule: LengthSequence, beta: float, d: float, N: int) -> Seri
     are ~ n**(beta - c d) / (c ln n)**beta, so the series converges
     exactly when c d - beta > 1.
     """
-    if not (0.0 < d < 1.0):
-        raise LengthSequenceError(f"d must be in (0, 1), got {d}")
-    if beta < 0.0:
-        raise LengthSequenceError(f"beta must be >= 0, got {beta}")
+    check_covering_params(beta, d)
 
     def log_term(ns):
         ell = rule._ell(ns)
@@ -527,12 +555,12 @@ def shepp_series(rule: LengthSequence, N: int) -> SeriesResult:
     the classical (fixed-radius-per-arc) model: harmonic c > 1 diverges
     (covering), c < 1 converges (non-covering), c = 1 diverges.
     Terms are handled in log space since exp(prefix) overflows quickly.
-    The prefix ell_1 + ... + ell_n is built one chunk at a time, each chunk
-    a cumulative sum started from the previous chunk's last value, so
+    The prefix ell_1 + ... + ell_n is built one sub-block at a time, each
+    a cumulative sum started from the previous sub-block's last value, so
     memory stays flat in N and the sums are bitwise those of one cumsum
     over 1..N.
     """
-    carry = 0.0  # ell_1 + ... + ell_{start-1} before each chunk
+    carry = 0.0  # ell_1 + ... + ell_{start-1} before each sub-block
 
     def log_terms(ns):
         nonlocal carry

@@ -1,10 +1,12 @@
 import json
 import os
+import threading
+from concurrent.futures import Future
 from unittest import mock
 
 import pytest
 
-from arccover import analyze
+from arccover import LengthSequenceError, analyze, cli
 from arccover.cli import _DEFAULTS, _build_parser, main
 
 
@@ -244,6 +246,70 @@ class TestSeries:
         assert code == 2
         assert "too large" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--d", "1.5", "--n", "100000000"], "d must be in"),
+        (["--beta", "-1", "--n", "100000000"], "beta must be"),
+        (["--n", "9"], "N >= 10"),
+    ])
+    def test_refuses_before_either_series_starts(self, tmp_path, capsys, argv, message):
+        # a refused run must not first sum 1e8 Shepp terms on the second thread
+        with mock.patch.object(cli, "shepp_series", side_effect=AssertionError) as shepp, \
+                mock.patch.object(cli, "covering_series", side_effect=AssertionError) as cov:
+            code = run(tmp_path, "series", "--lengths", "logn:1", *argv, "--out", "s")
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not shepp.called and not cov.called
+
+    @pytest.mark.parametrize("rule, n", [("logn:1", "1062500"), ("harmonic:0.5", "1000001")])
+    def test_threads_do_not_show_in_the_bytes(self, tmp_path, capsys, rule, n):
+        outputs = []
+        for pool in (cli.ThreadPoolExecutor, _InlinePool):
+            folder = tmp_path / pool.__name__
+            folder.mkdir()
+            with mock.patch.object(cli, "ThreadPoolExecutor", pool):
+                assert run(folder, "series", "--lengths", rule, "--n", n, "--out", "s") == 0
+            outputs.append(((folder / "s.csv").read_bytes(), (folder / "s.json").read_bytes(),
+                            capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("exc, code", [(ValueError("boom"), 1),
+                                           (LengthSequenceError("bad rule"), 2)])
+    def test_shepp_thread_errors_keep_their_exit_code(self, tmp_path, capsys, exc, code):
+        threads = []
+
+        def failing_shepp(*args):
+            threads.append(threading.get_ident())
+            raise exc
+
+        with mock.patch.object(cli, "shepp_series", failing_shepp):
+            assert run(tmp_path, "series", "--lengths", "logn:1", "--n", "1000",
+                       "--out", "s") == code
+        assert threads and threads[0] != threading.get_ident()
+        assert str(exc) in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+
+class _InlinePool:
+    """Stands in for cli.ThreadPoolExecutor: runs each submitted call at
+    once, on the calling thread, so the two series run one after another."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        job = Future()
+        try:
+            job.set_result(fn(*args))
+        except Exception as exc:
+            job.set_exception(exc)
+        return job
 
 
 class TestSchedule:

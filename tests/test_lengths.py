@@ -319,6 +319,116 @@ class TestSeriesStreaming:
         assert peaks[1] <= 1.1 * peaks[0]
 
 
+def _per_chunk_scan(log_terms, N, chunk):
+    """One logaddexp.accumulate per chunk of `chunk` indices: the loop that
+    the sub-blocks of _scan_series must reproduce bit for bit."""
+    marks = lengths._log_sample(1, N, 80)
+    n_tail_lo = max(2, N // 10)
+    fit_ns = lengths._log_sample(n_tail_lo, N, 40)
+    fit_logs = np.empty(fit_ns.size, dtype=np.float64)
+    log_sums = np.empty(marks.size, dtype=np.float64)
+    running = -math.inf
+    filled = 0
+    for start in range(1, N + 1, chunk):
+        stop = min(start + chunk - 1, N)
+        logs = log_terms(np.arange(start, stop + 1, dtype=np.float64))
+        csum = np.logaddexp.accumulate(logs)
+        while filled < marks.size and marks[filled] <= stop:
+            log_sums[filled] = np.logaddexp(running, csum[int(marks[filled]) - start])
+            filled += 1
+        here = (fit_ns >= start) & (fit_ns <= stop)
+        fit_logs[here] = logs[fit_ns[here] - start]
+        running = float(np.logaddexp(running, csum[-1]))
+    i_lo = min(int(np.searchsorted(marks, n_tail_lo)), marks.size - 2)
+    tail_fraction = float(-np.expm1(log_sums[i_lo] - log_sums[-1]))
+    good = np.isfinite(fit_logs)
+    slope = float(np.polyfit(np.log(fit_ns[good]), fit_logs[good], 1)[0])
+    return log_sums, tail_fraction, slope
+
+
+def _covering_terms(rule, beta, d):
+    def log_terms(ns):
+        ell = rule._ell(ns)
+        return -beta * np.log(ell) - ns * d * ell
+    return log_terms
+
+
+def _shepp_terms(rule):
+    carry = 0.0
+
+    def log_terms(ns):
+        nonlocal carry
+        prefix = np.cumsum(np.concatenate(([carry], rule._ell(ns))))[1:]
+        carry = float(prefix[-1])
+        return prefix - 2.0 * np.log(ns)
+    return log_terms
+
+
+class TestSeriesSubBlocks:
+    """A series walks each chunk in sub-blocks, each seeded with the chunk's
+    running value; the bytes must be those of one accumulate per chunk."""
+
+    @staticmethod
+    def _assert_same(got, ref):
+        log_sums, tail_fraction, slope = ref
+        assert got.log_partial_sums.tobytes() == log_sums.tobytes()
+        assert np.float64(got.tail_fraction).tobytes() == np.float64(tail_fraction).tobytes()
+        assert np.float64(got.term_slope).tobytes() == np.float64(slope).tobytes()
+
+    @pytest.mark.parametrize("sub, chunk", [(3, 21), (7, 7)])
+    @pytest.mark.parametrize("N", [10, 20, 21, 22, 49, 63, 64])
+    @pytest.mark.parametrize("rule", [LogOverN(1.0), Harmonic(0.5)], ids=repr)
+    def test_sub_blocks_match_per_chunk_accumulate(self, monkeypatch, sub, chunk, N, rule):
+        monkeypatch.setattr(lengths, "_SUB", sub)
+        monkeypatch.setattr(lengths, "_CHUNK", chunk)
+        self._assert_same(covering_series(rule, 0.5, 0.6, N),
+                          _per_chunk_scan(_covering_terms(rule, 0.5, 0.6), N, chunk))
+        self._assert_same(shepp_series(rule, N),
+                          _per_chunk_scan(_shepp_terms(rule), N, chunk))
+
+    def test_default_sizes_match_per_chunk_accumulate(self):
+        # two chunk breaks and a ragged last sub-block at the default sizes
+        N, rule = 2_062_501, LogOverN(1.0)
+        assert lengths._CHUNK % lengths._SUB == 0 and lengths._SUB < lengths._CHUNK
+        self._assert_same(covering_series(rule, 0.0, 0.5, N),
+                          _per_chunk_scan(_covering_terms(rule, 0.0, 0.5), N, lengths._CHUNK))
+        self._assert_same(shepp_series(rule, N),
+                          _per_chunk_scan(_shepp_terms(rule), N, lengths._CHUNK))
+
+    def test_log_terms_called_once_per_sub_block_in_order(self, monkeypatch):
+        monkeypatch.setattr(lengths, "_SUB", 3)
+        monkeypatch.setattr(lengths, "_CHUNK", 6)
+        seen = []
+
+        def log_terms(ns):
+            seen.append((ns[0], ns[-1]))
+            return -2.0 * np.log(ns)
+
+        lengths._scan_series(log_terms, 14)
+        assert seen == [(1, 3), (4, 6), (7, 9), (10, 12), (13, 14)]
+
+    def test_sub_block_must_divide_the_chunk(self, monkeypatch):
+        monkeypatch.setattr(lengths, "_SUB", 4)
+        monkeypatch.setattr(lengths, "_CHUNK", 10)
+        with pytest.raises(AssertionError, match="straddle"):
+            shepp_series(LogOverN(1.0), 20)
+
+    @pytest.mark.parametrize("series", ["covering", "shepp"])
+    def test_peak_memory_is_a_few_sub_blocks(self, series):
+        # one accumulate per 1e6-term chunk held about 48 MB of temporaries
+        rule = LogOverN(1.0)
+        run = {"covering": lambda N: covering_series(rule, 0.0, 0.5, N),
+               "shepp": lambda N: shepp_series(rule, N)}[series]
+        run(1000)  # warm-up: first-call allocations
+        tracemalloc.start()
+        try:
+            run(2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
+
+
 class _CountingRule(LogOverN):
     calls = 0
 
