@@ -7,16 +7,18 @@ dimension, covering above its upper box dimension plus one.  The band in
 between is reported as "theorem-silent": the scan still shows fractions
 there but asserts nothing.  Every c uses the same seeds, so the unit of
 work is one seed swept over the whole c grid (simulate's kernel samples
-and sorts its centers once for all c, and decides coverage for all c in
-one batched pass per checkpoint), and pool workers receive the target
-once each, through the pool initializer.  The pool is taken to fill the
-cores, so in its workers the kernel keeps its sorted prefix as one run on
-one thread, not as two halves split at 1/2 on two threads as it does
-outside a pool.  The scan reads only the verdicts and the tail union of
-each trial, so the kernel builds residues in the tail window alone.  A
-dimension estimate reads only the tail union, which depends only on the
-centers up to each checkpoint of the window, so its kernel starts at the
-window: no earlier checkpoint is sampled, merged or decided.
+and sorts its centers once for all c, and at each checkpoint finds the c
+that leave the target uncovered by one binary search over the c grid),
+and pool workers receive the target once each, through the pool
+initializer.  The pool is taken to fill the cores, so in its workers the
+kernel keeps its sorted prefix as one run on one thread, not as two
+halves split at 1/2 on two threads as it does outside a pool.  The scan
+reads only the verdicts and the tail union of each trial, so the kernel
+builds residues in the tail window alone, for the c that leave the
+target uncovered.  A dimension estimate reads only the tail union, which
+depends only on the centers up to each checkpoint of the window, so its
+kernel starts at the window: no earlier checkpoint is sampled, merged or
+decided.
 
 Box-counting dimension is used as a numerical proxy for Hausdorff
 dimension.  Box >= Hausdorff always, so an estimate clearly BELOW the

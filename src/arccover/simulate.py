@@ -18,34 +18,21 @@ Coverage at a checkpoint is decided exactly through the sorted-gap
 characterization: with the n centers sorted, a circular gap g between
 consecutive centers leaves the middle piece of length g - ell uncovered
 iff g > ell.  This equals complement(arcs_to_union(...)) piece for piece
-(same float arithmetic), but costs O(n) per checkpoint.
+(same float arithmetic), but costs O(n) per checkpoint; a cheap test on
+the spacings, provably a superset of the exact predicate, picks the
+candidate gaps that the exact one runs on (see uncovered_at).
 
 The kernel keeps the sorted prefix in one array of n_max floats, split at
-1/2: the centers below 1/2 sorted from its left end, c[:n0], and those at
-or above 1/2 sorted up to its right end, c[n_max-n1:], with the free
-space between them.  At each checkpoint the fresh draws are sampled
-straight into the free middle, sorted there and split at 1/2: the low
-part is already in place, and the high part moves next to the high run.
-Each half is then re-sorted with numpy's stable sort (timsort), which
-finds its two sorted runs and merges them in linear time, and its
-candidate gaps are picked; the one gap between the halves is tested on
-its own.  So no checkpoint reallocates the prefix, and the candidates are
+1/2: the centers below 1/2 sorted from its left end and those at or above
+it sorted up to its right end, with the free space between them.  Each
+checkpoint's fresh draws land in the free middle, so no checkpoint
+reallocates the prefix, and each half is then two sorted runs that
+timsort merges in linear time (_split, _prefix_gaps).  The candidates are
 those of the whole sorted prefix, in the same order and with the same
-values.  The halves share nothing, and numpy releases the GIL while it
-sorts and compares, so the low half runs on a second thread while the
-calling thread does the high one, from a prefix of _THREAD_MIN centers
-on, when the process may use two CPUs and is not a worker of a process
-pool.  Where no thread may run, the split is at 1 instead: the high run
-stays empty, the low run is the whole sorted prefix, and the centers,
-which then land in the free middle in stream order, are sampled all at
-once.  The result is the same bit for bit either way.
-
-Gap extraction first picks candidate gaps with a cheap test on the
-spacings that is provably a superset of the exact predicate, then runs
-the exact predicate on the candidates only (see uncovered_at).  The cheap
-test walks each half in blocks of _BLOCK gaps through a spacing buffer
-and a mask that are allocated once per trial, so no checkpoint allocates
-a temporary as long as the prefix.
+values.  The halves share nothing, so the low half runs on a second
+thread from a prefix of _THREAD_MIN centers on, where _threads_allowed
+says so; elsewhere the split is at 1 and the low run is the whole
+prefix.  The result is the same bit for bit either way.
 
 run_trial is the one entry point for a trial: it returns the
 per-checkpoint trace and, on request, the union of the residues over the
@@ -56,26 +43,19 @@ checkpoint picks the candidate gaps for the shortest length, so a scan
 pays the O(n) work once per seed, not once per (c, seed).  A single trial
 is the one-rule sweep.
 
-Each checkpoint then decides coverage for every rule in one batched pass
-over the shared candidates (_uncovered): the uncovered pieces of every
-rule, one row per rule, are tested against the target by binary search,
-and no interval union is built.  The decision equals the emptiness of the
-residue, target minus E_n as an IntervalUnion, bit for bit.  Residues
-are built only where an output reads them: at every checkpoint for
-run_trial, whose trace has the uncovered measure and piece count of
-each, and in the tail window alone for the cells of a phase scan, which
-read only the verdicts and the tail union.  A dimension estimate reads
-only the tail union, and that depends only on the prefixes of the
-window's checkpoints, not on anything before them: its sweep starts at
-the window, samples, sorts and splits the first checkpoint's whole
-prefix in one step, and decides coverage nowhere.  Decisions and
-residues both come from the ends of the candidate gaps, gathered once
-per checkpoint, through the same piece arithmetic (_middles); a residue
-is built by uncovered_at on just those ends (_skeleton).  The target is
-intersected with the gaps, not the other way round: intersect
-binary-searches each piece of its first operand in the second, and the
-gaps are few while a deep pre-fractal has thousands of pieces.  The
-result is the same bit for bit.
+Each checkpoint then decides coverage by a threshold search (_uncovered).
+With the same centers a longer arc covers all that a shorter one covers,
+so the rules that leave the target uncovered are those of the shortest
+lengths, and a binary search over the rules sorted by length finds them
+in ceil(log2(J + 1)) evaluations for J rules.  An evaluation tests the
+uncovered pieces of one length against the target by binary search and
+builds no interval union; it equals the emptiness of the residue, target
+minus E_n, bit for bit.  So a residue is built only where the decision
+says "uncovered" and an output reads it (see _sweep): a covered rule's
+residue is empty, and adds 0 to the trace and nothing to the tail union.
+The target is intersected with the gaps, not the other way round:
+intersect binary-searches each piece of its first operand in the second,
+and the gaps are few while a deep pre-fractal has thousands of pieces.
 
 Randomness comes from numpy's counter-based Philox generator, one stream
 per 64-bit seed, so trials are reproducible, prefix-stable (the first m
@@ -86,6 +66,8 @@ parallel.
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 import math
 import multiprocessing
 import os
@@ -144,14 +126,19 @@ def _philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
-def checkpoint_grid(n_first: int, ratio: float, n_max: int) -> np.ndarray:
-    """Geometric checkpoint grid from n_first to n_max inclusive."""
-    grid = [n_first]
+def _grid(n_first: int, ratio: float, n_max: int):
+    """The geometric checkpoint grid from n_first to n_max inclusive, one
+    checkpoint at a time."""
     cur = n_first
+    yield cur
     while cur < n_max:
         cur = min(max(cur + 1, int(round(cur * ratio))), n_max)
-        grid.append(cur)
-    return np.asarray(grid, dtype=np.int64)
+        yield cur
+
+
+def checkpoint_grid(n_first: int, ratio: float, n_max: int) -> np.ndarray:
+    """Geometric checkpoint grid from n_first to n_max inclusive."""
+    return np.fromiter(_grid(n_first, ratio, n_max), dtype=np.int64)
 
 
 # Most checkpoints a trial may have.  Every checkpoint costs O(n) work, so a
@@ -160,19 +147,12 @@ def checkpoint_grid(n_first: int, ratio: float, n_max: int) -> np.ndarray:
 MAX_CHECKPOINTS = 10_000
 
 
-def _grid_length_bound(n_first: int, ratio: float, n_max: int) -> float:
-    """An upper bound on len(checkpoint_grid(n_first, ratio, n_max)), in
-    closed form.  Each step adds at least 1.  From cur >= 4 / (ratio - 1)
-    on, rounding cur * ratio loses less than 1 <= cur (ratio - 1) / 4, so a
-    step multiplies cur by at least 1 + 3 (ratio - 1) / 4, until n_max."""
-    steps = float(n_max - n_first)
-    knee = 4.0 / (ratio - 1.0)
-    if knee < n_max:
-        linear = max(0.0, knee - n_first) + 1.0
-        geometric = (math.log(n_max / max(knee, n_first))
-                     / math.log1p(0.75 * (ratio - 1.0)) + 1.0)
-        steps = min(steps, linear + geometric)
-    return 1.0 + steps
+# every config of a scan, and every copy a sweep makes, asks for the same grid
+@functools.lru_cache(maxsize=64)
+def _grid_size(n_first: int, ratio: float, n_max: int) -> int:
+    """len(checkpoint_grid(n_first, ratio, n_max)), counted no further than
+    MAX_CHECKPOINTS + 1."""
+    return sum(1 for _ in itertools.islice(_grid(n_first, ratio, n_max), MAX_CHECKPOINTS + 1))
 
 
 def max_circular_gap(centers: np.ndarray) -> float:
@@ -351,20 +331,15 @@ def _skeleton(a, b, first, last) -> tuple:
     return ends, np.arange(1, 2 * a.size, 2)
 
 
-def _middles(a, b, r) -> tuple:
-    """The middles (lo, hi) of the gaps (a, b) under arcs of half-length
-    `r`, and which of them are open: the exact predicate of uncovered_at.
-    Broadcasts, so a column of r gives a row per length."""
-    lo, hi = a + r, b - r
-    return lo, hi, hi > lo + MERGE_EPS
-
-
 def _pieces(a, b, first, last, ell) -> tuple:
     """The pieces (lo, hi), ascending, that arcs of length `ell` leave
-    uncovered: the middle of each candidate gap (a, b) that passes the
-    exact predicate of uncovered_at, and the piece or two of the wrap gap
-    from the last center `last` to the first center `first`."""
-    lo, hi, keep = _middles(a, b, 0.5 * ell)
+    uncovered: the middle (a + r, b - r) of each candidate gap (a, b) that
+    passes the exact predicate of uncovered_at, r = ell / 2, and the piece
+    or two of the wrap gap from the last center `last` to the first center
+    `first`."""
+    r = 0.5 * ell
+    lo, hi = a + r, b - r
+    keep = hi > lo + MERGE_EPS
     pre, post = _seam_pieces(first, last, ell)
     return (np.concatenate([pre[:1], lo[keep], post[:1]]),
             np.concatenate([pre[1:], hi[keep], post[1:]]))
@@ -390,12 +365,7 @@ def _seam_pieces(first, last, ell) -> tuple:
 def _meets(target, lo, hi) -> np.ndarray:
     """Which pieces (lo, hi) meet the canonical target, as intersect sees
     it: some target interval ends after the piece starts and starts
-    before it ends, or a target point lies strictly inside the piece.
-    Every piece meets the whole circle (`target` None).  A target point
-    at 0 inside a seam pair, which two pieces make together, is left to
-    the caller (see _uncovered)."""
-    if target is None:
-        return np.ones(lo.size, dtype=bool)
+    before it ends, or a target point lies strictly inside the piece."""
     hit = (np.searchsorted(target.his, lo, side="right")
            < np.searchsorted(target.los, hi, side="left"))
     if target.points.size:
@@ -404,37 +374,62 @@ def _meets(target, lo, hi) -> np.ndarray:
     return hit
 
 
-def _uncovered(a, b, first, last, ells, target) -> np.ndarray:
-    """Per length in `ells`: do the arcs of that length leave part of
-    `target` uncovered, given the candidate gaps (a, b) and the first and
-    last of the sorted centers?
+def _leaves_uncovered(a, b, first, last, ell, target) -> bool:
+    """Whether the residue of arcs of length `ell` is not empty, bit for
+    bit, given the candidate gaps (a, b), the first and last center and
+    the target (None for the circle): a piece of _pieces meets the target,
+    or the target holds 0 and the pieces start at 0 and end at 1, the
+    halves of one arc across the seam, as intersect has it."""
+    lo, hi = _pieces(a, b, first, last, ell)
+    if target is None or not lo.size:
+        return bool(lo.size)
+    if target.points.size and target.points[0] == 0.0 and lo[0] == 0.0 and hi[-1] == 1.0:
+        return True
+    return bool(_meets(target, lo, hi).any())
 
-    Entry j holds iff the residue is not empty, bit for bit: some piece of
-    `_pieces(a, b, first, last, ells[j])` meets the target by `_meets`, or
-    the target holds 0 and length j leaves a seam pair.  The lengths are
-    done together: the inner pieces go a row per length, in chunks of
-    about _BLOCK, so memory stays flat however many lengths there are.
+
+def _uncovered(a, b, first, last, ells, target) -> np.ndarray:
+    """Per length in `ells`: does it leave part of `target` uncovered
+    (_leaves_uncovered), given the candidate gaps (a, b) of the shortest
+    length and the first and last of the sorted centers?
+
+    That predicate is non-increasing in ell, rounding included, so the
+    lengths that leave the target uncovered are the shortest few, and a
+    binary search over the sorted lengths finds them in ceil(log2(J + 1))
+    evaluations for J lengths.  Take half-lengths r' < r (r = ell / 2 is
+    exact); if r leaves part of the target uncovered, so does r':
+    - Inner gaps.  fl(a + r) and fl(b - r) are monotone in r, so the middle
+      (lo', hi') of a gap at r' contains its middle (lo, hi) at r, and the
+      keep test fl(b - r) > fl(fl(a + r) + MERGE_EPS) holds at r' where it
+      holds at r.
+    - The target.  _meets compares two searchsorted counts, the first
+      non-decreasing in lo and the second in hi, so a piece that contains
+      one meeting the target meets it too.
+    - The seam.  The wrap gap is open at r' where it is at r, and then
+      exceeds ell, so l = fl(first - r) < 0 and h = fl(last + r) > 1
+      exclude each other.  As r shrinks, l grows and h shrinks: a piece
+      (h, fl(l + 1)) stays one or turns into (h, 1) and maybe (0, l), a
+      piece (fl(h - 1), l) into (0, l) and maybe (h, 1), and (0, l) and
+      (h, 1) stay.  Each piece at r lies in a piece at r'.
+    - The point at 0.  It needs both (0, l) and (h, 1), which stay.
+    The width filter fl(b - a) > fl(ell - SLACK) drops only gaps that fail
+    the keep test (see uncovered_at), so it changes no evaluation.
     """
+    order = np.argsort(ells, kind="stable")
+    shortest = ells[order[0]]
+    # the first `lo` lengths in order leave the target uncovered, and the
+    # lengths from `hi` on cover it
+    lo, hi = 0, ells.size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        ell = float(ells[order[mid]])
+        wide = slice(None) if ell == shortest else b - a > ell - SLACK
+        if _leaves_uncovered(a[wide], b[wide], first, last, ell, target):
+            lo = mid + 1
+        else:
+            hi = mid
     out = np.zeros(ells.size, dtype=bool)
-    seam = [(j, piece) for j, ell in enumerate(ells.tolist())
-            for piece in _seam_pieces(first, last, ell) if piece]
-    if seam:
-        rule, pieces = zip(*seam)
-        out[np.array(rule)[_meets(target, *np.array(pieces).T)]] = True
-        if target is not None and target.points.size and target.points[0] == 0.0:
-            # two seam pieces of one length are (0, l) and (h, 1), one arc
-            # across the seam: 0 lies strictly inside it, as intersect has it
-            out[[j for j, k in zip(rule, rule[1:]) if j == k]] = True
-    if a.size:
-        rows = max(1, _BLOCK // a.size)
-        for s in range(0, ells.size, rows):
-            lo, hi, keep = _middles(a, b, 0.5 * ells[s:s + rows, None])
-            if target is None:
-                out[s:s + rows] |= keep.any(axis=1)
-                continue
-            flat = np.flatnonzero(keep)
-            rule = s + flat // a.size
-            out[rule[_meets(target, lo.ravel()[flat], hi.ravel()[flat])]] = True
+    out[order[:lo]] = True
     return out
 
 
@@ -442,9 +437,9 @@ def _uncovered(a, b, first, last, ells, target) -> np.ndarray:
 class TrialConfig:
     """Everything one trial needs; identical configs give identical traces.
 
-    A checkpoint grid that may hold more than MAX_CHECKPOINTS (10 000)
-    checkpoints, by a closed-form bound on its length, is refused as a
-    bad `checkpoint_ratio` before the grid or any array is built.
+    A checkpoint grid of more than MAX_CHECKPOINTS (10 000) checkpoints
+    is refused as a bad `checkpoint_ratio` before the grid or any array
+    is built.
     """
 
     seed: int
@@ -465,11 +460,10 @@ class TrialConfig:
                               f"{self.n_max} < {self.n_first_checkpoint}")
         if not self.checkpoint_ratio > 1.0:
             raise ConfigError("checkpoint_ratio", f"must be > 1, got {self.checkpoint_ratio}")
-        bound = _grid_length_bound(self.n_first_checkpoint, self.checkpoint_ratio, self.n_max)
-        if bound > MAX_CHECKPOINTS:
-            raise ConfigError("checkpoint_ratio", f"{self.checkpoint_ratio} may give up to "
-                              f"{bound:.3g} checkpoints up to n_max {self.n_max}, more "
-                              f"than {MAX_CHECKPOINTS}; raise it")
+        if _grid_size(self.n_first_checkpoint, self.checkpoint_ratio,
+                      self.n_max) > MAX_CHECKPOINTS:
+            raise ConfigError("checkpoint_ratio", f"{self.checkpoint_ratio} gives more than "
+                              f"{MAX_CHECKPOINTS} checkpoints up to n_max {self.n_max}; raise it")
         if self.n_tail_start is not None and not (
                 self.n_first_checkpoint <= self.n_tail_start <= self.n_max):
             raise ConfigError("n_tail_start", "must lie between n_first_checkpoint and n_max")
@@ -600,7 +594,8 @@ def _sweep(cfgs, tail_checkpoints: int, reads: str = "trace") -> list:
     shortest = ells.min(axis=0)
 
     t_approx = None if cfg0.target.kind == "circle" else cfg0.target.approx
-    covered = np.empty(ells.shape, dtype=bool)
+    # the tail sweep decides nothing, so every rule counts as uncovered there
+    covered = np.zeros(ells.shape, dtype=bool)
     unc_measure = np.zeros(ells.shape, dtype=np.float64)
     pieces = np.zeros(ells.shape, dtype=np.int64)
     tail_residues = [[] for _ in live]
@@ -642,10 +637,13 @@ def _sweep(cfgs, tail_checkpoints: int, reads: str = "trace") -> list:
                                              pool if n >= _THREAD_MIN else None)
             if reads != "tail":
                 covered[:, i] = ~_uncovered(a, b, first, last, ells[:, i], t_approx)
-            if i < first_residue:
+            # a covered rule's residue is empty, bit for bit: its measure and
+            # piece count stay 0 and the tail union is the same without it
+            todo = np.flatnonzero(~covered[:, i])
+            if i < first_residue or not todo.size:
                 continue
             ends, cand = _skeleton(a, b, first, last)
-            for j in range(len(live)):
+            for j in todo:
                 gaps = uncovered_at(ends, float(ells[j, i]), cand)
                 # the gaps go first: intersect costs O(|gaps| log |target|)
                 resid = gaps if t_approx is None else intersect(gaps, t_approx)

@@ -15,6 +15,7 @@ from arccover import (EMPTY, Arc, ConfigError, Harmonic, IntervalUnion, LogOverN
                       complement, intersect, make_cantor, make_circle, make_custom,
                       make_finite, max_circular_gap, measure, run_trial,
                       sample_centers, simulate, uncovered_at)
+from arccover.lengths import CLAMP_MAX
 from arccover.simulate import SLACK
 from arccover.torus import MERGE_EPS
 
@@ -334,7 +335,7 @@ class TestRunTrial:
                         checkpoint_ratio=1.0)
 
     def test_checkpoint_count_is_refused_before_the_grid(self, monkeypatch):
-        # about 1e9 checkpoints: refused by the closed-form bound, with no
+        # about 1e9 checkpoints: refused after counting 10001 of them, with no
         # grid built
         def no_grid(*args):
             raise AssertionError("the grid was built")
@@ -344,13 +345,23 @@ class TestRunTrial:
             TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=10 ** 9,
                         checkpoint_ratio=1 + 1e-9)
 
+    @pytest.mark.parametrize("ratio, n_max, size", [(1.001, 10 ** 6, 7926),
+                                                    (1.0005, 10 ** 5, 9918)])
+    def test_grids_just_below_the_cap_are_accepted(self, ratio, n_max, size):
+        cfg = TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=n_max,
+                          checkpoint_ratio=ratio)
+        assert cfg.checkpoints().size == size
+
     @pytest.mark.parametrize("ratio", [1.0001, 1.001, 1.01, 1.1, 1.5, 3.0, 1e6])
     @pytest.mark.parametrize("n_first", [1, 2, 64, 1000])
-    def test_grid_length_bound_holds(self, ratio, n_first):
+    def test_grid_size_counts_the_grid(self, ratio, n_first):
         for n_max in (n_first, 1234, 10 ** 5):
             if n_max >= n_first:
-                length = checkpoint_grid(n_first, ratio, n_max).size
-                assert simulate._grid_length_bound(n_first, ratio, n_max) >= length
+                size = checkpoint_grid(n_first, ratio, n_max).size
+                want = min(size, simulate.MAX_CHECKPOINTS + 1)
+                assert simulate._grid_size(n_first, ratio, n_max) == want
+        # one step past the cap is as far as the count goes
+        assert simulate._grid_size(n_first, 1 + 1e-9, 10 ** 9) == simulate.MAX_CHECKPOINTS + 1
 
 
 class TestMergeUpkeep:
@@ -374,6 +385,12 @@ class TestMergeUpkeep:
             assert trace.piece_count[i] == resid.component_count()
 
 
+_KERNEL_TARGETS = [
+    make_circle(), make_cantor(1 / 3, 12), make_finite([0.0, 0.37, 0.5, 0.9]),
+    make_custom(IntervalUnion([(0.0, 0.1), (0.45, 0.55), (0.9, 1.0)]), 1.0)]
+_KERNEL_IDS = ["circle", "cantor", "points", "custom"]
+
+
 class TestSweep:
     @pytest.mark.parametrize("target", [make_circle(), make_cantor(1 / 3, 8),
                                         make_finite([0.05, 0.37, 0.9])],
@@ -391,6 +408,37 @@ class TestSweep:
                 continue
             assert got == want  # tail_uncovered included
         assert sum(isinstance(r, ConfigError) for r in swept) == (target.kind == "cantor")
+
+    @pytest.mark.parametrize("target", _KERNEL_TARGETS, ids=_KERNEL_IDS)
+    def test_skipped_residues_are_empty(self, monkeypatch, target):
+        # the sweep builds no residue where the decision says covered: built
+        # the old way from the same gaps, each would be EMPTY
+        seen = []
+        decide = simulate._uncovered
+
+        def spy(a, b, first, last, ells, t):
+            out = decide(a, b, first, last, ells, t)
+            seen.append((a, b, first, last, ells.copy(), t, out))
+            return out
+
+        monkeypatch.setattr(simulate, "_uncovered", spy)
+        base = TrialConfig(seed=5, lengths=None, target=target, n_max=3000,
+                           n_first_checkpoint=4)
+        cfgs = [replace(base, lengths=LogOverN(c)) for c in (0.6, 1.0, 1.5, 2.5)]
+        traces = simulate._sweep(cfgs, 3)
+        skipped = 0
+        for a, b, first, last, ells, t, out in seen:
+            ends, cand = simulate._skeleton(a, b, first, last)
+            for ell in ells[~out]:
+                gaps = uncovered_at(ends, float(ell), cand)
+                resid = gaps if t is None else intersect(gaps, t)
+                assert resid == EMPTY
+                assert measure(resid) == 0.0 and resid.component_count() == 0
+                skipped += 1
+        assert skipped == sum(int(np.sum(tr.covered)) for tr in traces) > 0
+        for tr in traces:
+            assert not np.any(tr.uncovered_measure[tr.covered])
+            assert not np.any(tr.piece_count[tr.covered])
 
     def test_configs_must_share_all_but_lengths(self):
         base = TrialConfig(seed=5, lengths=LogOverN(1.0), target=make_circle(), n_max=1000)
@@ -468,8 +516,9 @@ def _gap_ends(cs, ells):
 
 @st.composite
 def _decision_case(draw):
-    """Sorted centers, a few lengths and a target, with target points and
-    piece ends on gap ends, at 0 and at 1, and wrap gaps across the seam."""
+    """Sorted centers, 1 to 12 lengths in any order and a target, with
+    target points and piece ends on gap ends, at 0 and at 1, and wrap gaps
+    across the seam."""
     near_seam = st.sampled_from([0.0, 1e-3, 0.05, 0.95, 0.999, math.nextafter(1.0, 0.0)])
     centers = draw(st.lists(st.one_of(_unit, near_seam), min_size=1, max_size=30))
     cs = np.sort(np.array(centers))
@@ -478,7 +527,9 @@ def _decision_case(draw):
     tied = [min(max(_nudge(float(g) - d, draw(_ulps)), 1e-12), 0.9)
             for g in draw(st.lists(st.sampled_from(spacings.tolist()), max_size=2))
             for d in (0.0, MERGE_EPS)]
-    ells = draw(st.lists(_ells, min_size=1, max_size=4)) + tied
+    # the longest length a rule gives is CLAMP_MAX
+    ells = draw(st.lists(st.one_of(_ells, st.just(CLAMP_MAX)), min_size=1, max_size=6)) + tied
+    ells = draw(st.permutations(ells + draw(st.lists(st.sampled_from(ells), max_size=2))))
     ends = _gap_ends(cs.tolist(), ells)
     kind = draw(st.sampled_from(["circle", "cantor", "finite", "custom"]))
     if kind == "circle":
@@ -511,13 +562,26 @@ def _check_decision(cs, ells, target):
 
 
 class TestBatchedDecision:
-    """The sweep decides coverage for every length at once without building
-    residues; each decision must equal the emptiness of the residue."""
+    """The sweep decides coverage for every length by a threshold search
+    over the sorted lengths, without building residues; each decision must
+    equal the emptiness of the residue."""
 
     @settings(max_examples=300)
     @given(_decision_case())
     def test_equals_residue_emptiness(self, case):
         _check_decision(*case)
+
+    @settings(max_examples=300)
+    @given(_decision_case())
+    def test_residue_emptiness_is_monotone_in_ell(self, case):
+        # the search is exact because a length covers wherever a shorter one does
+        cs, ells, target = case
+        empty = []
+        for ell in np.sort(ells):
+            gaps = uncovered_at(cs, float(ell))
+            empty.append((gaps if target.kind == "circle"
+                          else intersect(gaps, target.approx)).is_empty())
+        assert empty == sorted(empty)
 
     @pytest.mark.parametrize("cs, ells", [
         # wrap gap 0.15: a piece across the seam, (0.96, 0.99), then one
@@ -526,21 +590,15 @@ class TestBatchedDecision:
         # wrap gap 0.12: a piece shifted past 1, (0.01, 0.07), then one piece
         # at each end, (0, 0.09) and (0.99, 1), then closed
         ([0.1, 0.5, 0.98], [0.06, 0.02, 0.3]),
-    ], ids=["across", "shifted"])
+        # one search over lengths in any order, tied, clamped or alone
+        ([0.05, 0.5, 0.9], [CLAMP_MAX, 0.3, 0.02, 0.12, 0.02, 0.3]),
+        ([0.1, 0.5, 0.98], [0.02]),
+    ], ids=["across", "shifted", "shuffled", "single"])
     def test_each_kind_of_seam_piece(self, cs, ells):
         # 0 lies inside the pieces at both ends, one arc across the seam
         for target in (make_circle(), make_finite([0.0, 0.5]), make_cantor(1 / 3, 3),
                        make_custom(IntervalUnion([(0.0, 0.01), (0.98, 1.0)]), 1.0)):
             _check_decision(np.array(cs), np.array(ells), target)
-
-
-@pytest.mark.usefixtures("small_block")
-class TestBatchedDecisionSmallBlock:
-    # the rows then go in chunks of a single length or a few
-    @settings(max_examples=300)
-    @given(_decision_case())
-    def test_equals_residue_emptiness(self, case):
-        _check_decision(*case)
 
 
 def _two_ended(low, fresh, high, spare):
@@ -620,12 +678,6 @@ def _spy_threads(monkeypatch):
     return seen
 
 
-_KERNEL_TARGETS = [
-    make_circle(), make_cantor(1 / 3, 12), make_finite([0.0, 0.37, 0.5, 0.9]),
-    make_custom(IntervalUnion([(0.0, 0.1), (0.45, 0.55), (0.9, 1.0)]), 1.0)]
-_KERNEL_IDS = ["circle", "cantor", "points", "custom"]
-
-
 @pytest.fixture
 def small_thread_min(monkeypatch):
     """Halves go to two threads from a prefix of 14 centers on, so a short
@@ -665,7 +717,8 @@ class TestThreadedHalves:
     @pytest.mark.parametrize("threads", [False, True], ids=["serial", "threaded"])
     def test_kernel_calls_the_public_sampler_and_residue(self, monkeypatch, threads):
         # what wraps the module's public functions (a profiler, a tracer)
-        # sees every center sampled and every residue built
+        # sees every center sampled and every residue built, and a residue
+        # is built for each uncovered (rule, checkpoint) pair alone
         monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
         sampled, residues = [], []
         sample, residue = simulate.sample_centers, simulate.uncovered_at
@@ -685,13 +738,20 @@ class TestThreadedHalves:
         cfgs = [replace(base, lengths=LogOverN(c)) for c in (0.6, 1.0, 2.5)]
         n_cp = base.checkpoints().size
         traces = simulate._sweep(cfgs, 2)
+
+        def uncovered(checkpoints):
+            return [float(t.ells[i]) for i in checkpoints for t in traces if not t.covered[i]]
+
         assert sum(sampled) == base.n_max
-        assert len(residues) == 3 * n_cp
-        assert residues[:3] == [float(t.ells[0]) for t in traces]
+        assert residues == uncovered(range(n_cp))
+        # some pairs are covered and some not, in the window too
+        assert 0 < len(residues) < 3 * n_cp
+        assert 0 < len(uncovered(range(n_cp - 2, n_cp))) < 3 * 2
         sampled.clear()
         residues.clear()
         simulate._sweep(cfgs, 2, reads="verdicts")
-        assert sum(sampled) == base.n_max and len(residues) == 3 * 2
+        assert sum(sampled) == base.n_max
+        assert residues == uncovered(range(n_cp - 2, n_cp))
         sampled.clear()
         residues.clear()
         simulate._sweep(cfgs, 2, reads="tail")

@@ -198,7 +198,11 @@ class TestAlgebraLaws:
     @given(_unions)
     def test_canonical_form_is_idempotent(self, u):
         once = union(u, EMPTY)
-        _assert_bitwise(union(once, EMPTY), once)
+        # an empty operand on either side, EMPTY or an empty intersection,
+        # leaves it as it is: a tail union may skip the empty residues
+        for empty in (EMPTY, intersect(iu((0.1, 0.2)), iu((0.5, 0.6)))):
+            _assert_bitwise(union(once, empty), once)
+            _assert_bitwise(union(empty, once), once)
         _assert_bitwise(IntervalUnion(once.pieces, once.points), once)
 
     @given(_unions, _unions)
