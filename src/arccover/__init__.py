@@ -22,9 +22,8 @@ from .lengths import (BlockSequence, Harmonic, LengthSequence,
                       block_sequence, choose_schedule, covering_series,
                       estimate_covering_exponent, estimate_delta,
                       parse_lengths, rare_block_sum, shepp_series)
-from .simulate import (CoverageTrace, TrialConfig, checkpoint_grid,
-                       max_circular_gap, run_trial, sample_centers,
-                       uncovered_at)
+from .simulate import (CoverageTrace, TrialConfig, checkpoint_grid, run_trial,
+                       sample_centers, uncovered_at)
 from .targets import (TargetSet, make_cantor, make_circle, make_custom,
                       make_finite, parse_target)
 from .torus import (Arc, EMPTY, FULL_CIRCLE, IntervalUnion, arcs_to_union,

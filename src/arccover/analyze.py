@@ -8,17 +8,21 @@ between is reported as "theorem-silent": the scan still shows fractions
 there but asserts nothing.  Every c uses the same seeds, so the unit of
 work is one seed swept over the whole c grid (simulate's kernel samples
 and sorts its centers once for all c, and at each checkpoint finds the c
-that leave the target uncovered by one binary search over the c grid),
-and pool workers receive the target once each, through the pool
-initializer.  The pool is taken to fill the cores, so in its workers the
-kernel keeps its sorted prefix as one run on one thread, not as two
-halves split at 1/2 on two threads as it does outside a pool.  The scan
-reads only the verdicts and the tail union of each trial, so the kernel
-builds residues in the tail window alone, for the c that leave the
+that leave the target uncovered by one binary search over the c grid).
+The scan reads only the verdicts and the tail union of each trial, so the
+kernel builds residues in the tail window alone, for the c that leave the
 target uncovered.  A dimension estimate reads only the tail union, which
 depends only on the centers up to each checkpoint of the window, so its
 kernel starts at the window: no earlier checkpoint is sampled, merged or
 decided.
+
+Both experiments run independent seeds over one shared configuration
+(_map_seeds): inline, or in a process pool whose workers receive the
+shared inputs, target included, once each through the pool initializer,
+so each message carries only a seed.  The pool is taken to fill the
+cores, so in its workers the kernel keeps its sorted prefix as one run on
+one thread, not as two halves split at 1/2 on two threads as it does
+outside a pool.
 
 Box-counting dimension is used as a numerical proxy for Hausdorff
 dimension.  Box >= Hausdorff always, so an estimate clearly BELOW the
@@ -205,21 +209,31 @@ def classify_regime(c: float, target: TargetSet) -> str:
     return "theorem-silent"
 
 
-# The scan's shared inputs in a pool worker, set once by _init_scan_worker
+# An experiment's shared inputs in a pool worker, set once by _init_worker
 # so that each message carries only a seed.
-_scan_context = None
+_context = None
 
 
-def _init_scan_worker(context):
-    global _scan_context
-    _scan_context = context
+def _init_worker(context):
+    global _context
+    _context = context
+
+
+def _map_seeds(cell, seeds, context, jobs: int) -> list:
+    """[cell(seed, context) for seed in seeds]: inline, or in a pool of
+    `jobs` worker processes, which receive `context` once each."""
+    if jobs <= 1:
+        return [cell(seed, context) for seed in seeds]
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                             initargs=(context,)) as pool:
+        return list(pool.map(cell, seeds))
 
 
 def _scan_cell(seed, context=None):
     """One seed's trials for every c of the scan: a list of records
     (c, seed, "ok", covered, last_failure_n, tail measure) or
     (c, seed, "error", message, None, None)."""
-    base_cfg, cs, tail = _scan_context if context is None else context
+    base_cfg, cs, tail = _context if context is None else context
     cfgs = [replace(base_cfg, seed=seed, lengths=LogOverN(c)) for c in cs]
     records = []
     for c, result in zip(cs, _sweep(cfgs, tail, reads="verdicts")):
@@ -252,21 +266,12 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
     if trials_per_c < 1:
         raise ConfigError("trials", f"must be >= 1, got {trials_per_c}")
     # checked here, before any cell runs or any pool starts
-    n_cp = base_cfg.checkpoints().size
-    if not (1 <= tail_checkpoints <= n_cp):
-        raise ConfigError("tail_checkpoints",
-                          f"must be in [1, {n_cp}], got {tail_checkpoints}")
+    base_cfg.check_window(tail_checkpoints, 1)
     tail = int(tail_checkpoints)
     seed0 = int(base_cfg.seed)
 
-    seeds = range(seed0, seed0 + trials_per_c)
-    context = (base_cfg, cs, tail)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_scan_worker,
-                                 initargs=(context,)) as pool:
-            per_seed = list(pool.map(_scan_cell, seeds))
-    else:
-        per_seed = [_scan_cell(seed, context) for seed in seeds]
+    per_seed = _map_seeds(_scan_cell, range(seed0, seed0 + trials_per_c),
+                          (base_cfg, cs, tail), jobs)
     raw = [rec for records in per_seed for rec in records]
     raw.sort(key=lambda rec: (rec[0], rec[1]))
 
@@ -340,15 +345,15 @@ class DimensionScan:
     n_degenerate: int
 
 
-def _dims_cell(args):
+def _dims_cell(seed, context=None):
     """One seed's box counts.  It reads only the tail union, so the kernel
     starts at the tail window: it samples and sorts that checkpoint's whole
     prefix in one step, and decides coverage nowhere."""
-    cfg, tail, scales = args
-    (result,) = _sweep([cfg], tail, reads="tail")
+    base_cfg, tail, scales = _context if context is None else context
+    (result,) = _sweep([replace(base_cfg, seed=seed)], tail, reads="tail")
     if isinstance(result, ConfigError):
         raise result
-    return cfg.seed, box_dimension(result, scales)
+    return seed, box_dimension(result, scales)
 
 
 def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
@@ -375,23 +380,15 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
                        n_first_checkpoint=n_first_checkpoint)
     # checked here, before any cell runs: an empty window leaves nothing to
     # measure, and the cells' kernel does not check the window
-    n_checkpoints = base.checkpoints().size
-    if not (1 <= tail_checkpoints <= n_checkpoints):
-        raise ConfigError("tail_checkpoints",
-                          f"must be in [1, {n_checkpoints}], got {tail_checkpoints}")
+    base.check_window(tail_checkpoints, 1)
     eps_fine = float(rule.ell(n_max))
     try:
         scales = nested_scales(eps_fine, math.sqrt(eps_fine))
     except ValueError as exc:
         raise ConfigError("n_max", f"{exc} between ell(n_max) = {eps_fine:.3g} and "
                           "its square root; increase n_max") from exc
-    seeds = [int(s) for s in seeds]
-    cells = [(replace(base, seed=s), tail_checkpoints, scales) for s in seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_dims_cell, cells))
-    else:
-        raw = [_dims_cell(cell) for cell in cells]
+    raw = _map_seeds(_dims_cell, [int(s) for s in seeds],
+                     (base, tail_checkpoints, scales), jobs)
     raw.sort(key=lambda rec: rec[0])
     estimates = tuple(est for _, est in raw)
     floor = None if target.dim_H is None else target.dim_H - c

@@ -239,6 +239,10 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     return resolved
 
 
+# Most values a lo:hi:step c grid may hold; checked before the grid is built.
+MAX_C_VALUES = 10_000
+
+
 def _parse_c_grid(spec) -> list:
     def number(p):
         try:
@@ -260,7 +264,10 @@ def _parse_c_grid(spec) -> list:
     lo, hi, step = (number(p) for p in parts)
     if step <= 0 or hi < lo:
         raise ConfigError("c", f"bad grid {spec!r}")
-    count = int(round((hi - lo) / step)) + 1
+    steps = (hi - lo) / step
+    count = int(round(steps)) + 1 if math.isfinite(steps) else math.inf
+    if count > MAX_C_VALUES:
+        raise ConfigError("c", f"grid {spec!r} gives more than {MAX_C_VALUES} values")
     return [lo + i * step for i in range(count)]
 
 
@@ -280,6 +287,15 @@ def _positive_int(resolved: dict, key: str) -> int:
     return value
 
 
+def _trial_config(resolved: dict, seed_key: str, target, lengths) -> TrialConfig:
+    """The trial and scan settings; callers parse the target and then the
+    lengths or the c grid first, so errors are reported in that order."""
+    return TrialConfig(seed=_number(resolved, seed_key), lengths=lengths, target=target,
+                       n_max=_positive_int(resolved, "n_max"),
+                       checkpoint_ratio=_number(resolved, "checkpoint_ratio", float),
+                       n_first_checkpoint=_number(resolved, "first_checkpoint"))
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -288,15 +304,7 @@ def _cmd_trial(resolved: dict) -> int:
     """run one seeded trial, write trace CSV + summary JSON"""
     target = parse_target(str(resolved["target"]))
     lengths = parse_lengths(str(resolved["lengths"]))
-    cfg = TrialConfig(
-        seed=_number(resolved, "seed"),
-        lengths=lengths,
-        target=target,
-        n_max=_positive_int(resolved, "n_max"),
-        checkpoint_ratio=_number(resolved, "checkpoint_ratio", float),
-        n_first_checkpoint=_number(resolved, "first_checkpoint"),
-    )
-    trace = run_trial(cfg)
+    trace = run_trial(_trial_config(resolved, "seed", target, lengths))
     banner = _tool_banner(resolved)
     banner["seed"] = trace.seed
     out = str(resolved["out"])
@@ -323,14 +331,7 @@ def _cmd_scan(resolved: dict) -> int:
     """coverage-fraction scan over c, with SVG plot"""
     target = parse_target(str(resolved["target"]))
     c_grid = _parse_c_grid(resolved["c"])
-    base = TrialConfig(
-        seed=_number(resolved, "seed0"),
-        lengths=None,
-        target=target,
-        n_max=_positive_int(resolved, "n_max"),
-        checkpoint_ratio=_number(resolved, "checkpoint_ratio", float),
-        n_first_checkpoint=_number(resolved, "first_checkpoint"),
-    )
+    base = _trial_config(resolved, "seed0", target, None)
     scan = phase_scan(c_grid, base, _positive_int(resolved, "trials"),
                       jobs=_number(resolved, "jobs"),
                       tail_checkpoints=_number(resolved, "tail_checkpoints"))

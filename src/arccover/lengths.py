@@ -51,8 +51,6 @@ class ScheduleError(RuntimeError):
 class LengthSequence:
     """Base class: a rule n -> ell(n), vectorized over integer arrays."""
 
-    clamped = False
-
     def ell(self, n):
         ns, scalar = _as_index_array(n)
         out = self._ell(ns)
@@ -118,9 +116,9 @@ def _as_index_array(n):
 class LogOverN(LengthSequence):
     """ell(n) = c * ln(n) / n for n >= 2, with ell(1) = ell(2).
 
-    Values are clamped below 1 (flagged via `clamped`) so large c stays
-    admissible.  Note ln(n)/n rises from n=2 to n=3 before decaying; the
-    sequence is non-increasing from n=3 on.
+    Values are clamped below 1 so large c stays admissible.  Note ln(n)/n
+    rises from n=2 to n=3 before decaying; the sequence is non-increasing
+    from n=3 on.
     """
 
     c: float
@@ -128,10 +126,6 @@ class LogOverN(LengthSequence):
     def __post_init__(self):
         if self.c <= 0:
             raise LengthSequenceError(f"logn rule needs c > 0, got {self.c}")
-
-    @property
-    def clamped(self) -> bool:
-        return self.c * math.log(3.0) / 3.0 >= CLAMP_MAX
 
     def _ell(self, ns):
         m = np.maximum(ns, 2.0)
@@ -150,10 +144,6 @@ class Harmonic(LengthSequence):
     def __post_init__(self):
         if self.c <= 0:
             raise LengthSequenceError(f"harmonic rule needs c > 0, got {self.c}")
-
-    @property
-    def clamped(self) -> bool:
-        return self.c >= CLAMP_MAX
 
     def _ell(self, ns):
         return np.minimum(self.c / ns, CLAMP_MAX)
@@ -175,10 +165,6 @@ class PowerLaw(LengthSequence):
         if self.gamma <= 0:
             raise LengthSequenceError(
                 f"power rule needs gamma > 0 to be non-increasing, got {self.gamma}")
-
-    @property
-    def clamped(self) -> bool:
-        return self.c >= CLAMP_MAX
 
     def _ell(self, ns):
         return np.minimum(self.c * ns ** (-self.gamma), CLAMP_MAX)

@@ -5,62 +5,28 @@ at geometrically spaced checkpoints n, asks whether the target is inside
 E_n = union of the n arcs of CURRENT half-width ell(n)/2 centered at
 w_1..w_n.  Because the radius shrinks with n, E_n is not nested in n: a
 point covered at one checkpoint can be exposed later.  "Eventually
-covered" therefore means covered at every checkpoint from a tail-start
-index (default: the checkpoint nearest sqrt(n_max)) up to the horizon,
-and is an irreducible finite-horizon proxy for the almost-sure event,
-which quantifies over all n beyond some N.  The checkpoint grid is part
-of the trace so results are interpretable on the grid they were checked
-on.  Checking every n of the tail window instead is open work: it need
-not cost Theta(n_max^2), because every uncovered moment between two
-checkpoints shows in a few candidate gaps of the earlier one.
+covered" therefore means covered at every checkpoint from the one nearest
+sqrt(n_max) up to the horizon, a finite-horizon proxy for the almost-sure
+event, which quantifies over all n beyond some N.  The checkpoint grid is
+part of the trace, so results are read on the grid they were checked on.
 
-Coverage at a checkpoint is decided exactly through the sorted-gap
-characterization: with the n centers sorted, a circular gap g between
-consecutive centers leaves the middle piece of length g - ell uncovered
-iff g > ell.  This equals complement(arcs_to_union(...)) piece for piece
-(same float arithmetic), but costs O(n) per checkpoint; a cheap test on
-the spacings, provably a superset of the exact predicate, picks the
-candidate gaps that the exact one runs on (see uncovered_at).
+Coverage at a checkpoint is decided exactly: with the n centers sorted, a
+circular gap g between consecutive centers leaves the middle piece of
+length g - ell uncovered iff g > ell.  This equals
+complement(arcs_to_union(...)) piece for piece, in the same float
+arithmetic, at O(n) per checkpoint (uncovered_at).
 
-The kernel keeps the sorted prefix in one array of n_max floats, split at
-1/2: the centers below 1/2 sorted from its left end and those at or above
-it sorted up to its right end, with the free space between them.  Each
-checkpoint's fresh draws land in the free middle, so no checkpoint
-reallocates the prefix, and each half is then two sorted runs that
-timsort merges in linear time (_split, _prefix_gaps).  The candidates are
-those of the whole sorted prefix, in the same order and with the same
-values.  The halves share nothing, so the low half runs on a second
-thread from a prefix of _THREAD_MIN centers on, where _threads_allowed
-says so; elsewhere the split is at 1 and the low run is the whole
-prefix.  The result is the same bit for bit either way.
-
-run_trial is the one entry point for a trial: it returns the
-per-checkpoint trace and, on request, the union of the residues over the
-last few checkpoints.  Behind it the kernel is a sweep over length rules
-that share one seed, target and checkpoint grid, as the rules of a phase
-scan do: the prefix is sampled and merged once, and one blocked pass per
-checkpoint picks the candidate gaps for the shortest length, so a scan
-pays the O(n) work once per seed, not once per (c, seed).  A single trial
-is the one-rule sweep.
-
-Each checkpoint then decides coverage by a threshold search (_uncovered).
-With the same centers a longer arc covers all that a shorter one covers,
-so the rules that leave the target uncovered are those of the shortest
-lengths, and a binary search over the rules sorted by length finds them
-in ceil(log2(J + 1)) evaluations for J rules.  An evaluation tests the
-uncovered pieces of one length against the target by binary search and
-builds no interval union; it equals the emptiness of the residue, target
-minus E_n, bit for bit.  So a residue is built only where the decision
-says "uncovered" and an output reads it (see _sweep): a covered rule's
-residue is empty, and adds 0 to the trace and nothing to the tail union.
-The target is intersected with the gaps, not the other way round:
-intersect binary-searches each piece of its first operand in the second,
-and the gaps are few while a deep pre-fractal has thousands of pieces.
-
-Randomness comes from numpy's counter-based Philox generator, one stream
-per 64-bit seed, so trials are reproducible, prefix-stable (the first m
-draws do not depend on how many are requested) and embarrassingly
-parallel.
+The kernel:
+- run_trial is the one entry point for a trial.  Behind it, _sweep runs
+  the trials of one seed under several length rules in one pass, as the
+  rules of a phase scan share the seed, target and checkpoint grid.
+- sample_centers reads the seed's Philox stream: counter-based, so trials
+  are reproducible, prefix-stable and embarrassingly parallel.
+- _split and _prefix_gaps keep the sorted prefix of centers in one array
+  and merge it once per checkpoint, on two threads where _threads_allowed
+  says so; _gap_candidates picks the gaps the exact predicate runs on.
+- _uncovered decides coverage for every rule at a checkpoint by one
+  threshold search; residues are built only where an output reads them.
 """
 
 from __future__ import annotations
@@ -71,7 +37,6 @@ import itertools
 import math
 import multiprocessing
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -84,11 +49,6 @@ from .torus import EMPTY, MERGE_EPS, IntervalUnion, intersect, measure, union
 
 PRNG_NAME = "numpy.random.Philox"
 PRNG_VERSION = np.__version__
-
-
-# Per thread, the generator of the last sample_centers call, keyed by the
-# (seed, start) that continues it.
-_streams = threading.local()
 
 
 def sample_centers(seed: int, n: int, start: int = 0, out=None) -> np.ndarray:
@@ -107,23 +67,12 @@ def sample_centers(seed: int, n: int, start: int = 0, out=None) -> np.ndarray:
     if start < 0:
         raise ConfigError("start", f"must be >= 0, got {start}")
     seed, n, start = int(seed), int(n), int(start)
-    # A call that starts where this thread's last call for the same seed
-    # ended continues that call's generator: a new one costs about 20 us,
-    # which a sweep outside a process pool would pay at every checkpoint.
-    gen = getattr(_streams, "at", {}).get((seed, start))
-    if gen is None:
-        gen = _philox(seed)
-        # each center takes one 64-bit word of the stream, and a Philox
-        # counter step makes four words
-        gen.bit_generator.advance(start // 4)
-        gen.random(start % 4)
-    centers = gen.random(n, out=out)
-    _streams.at = {(seed, start + n): gen}
-    return centers
-
-
-def _philox(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    # each center takes one 64-bit word of the stream, and a Philox counter
+    # step makes four words
+    gen.bit_generator.advance(start // 4)
+    gen.random(start % 4)
+    return gen.random(n, out=out)
 
 
 def _grid(n_first: int, ratio: float, n_max: int):
@@ -153,15 +102,6 @@ def _grid_size(n_first: int, ratio: float, n_max: int) -> int:
     """len(checkpoint_grid(n_first, ratio, n_max)), counted no further than
     MAX_CHECKPOINTS + 1."""
     return sum(1 for _ in itertools.islice(_grid(n_first, ratio, n_max), MAX_CHECKPOINTS + 1))
-
-
-def max_circular_gap(centers: np.ndarray) -> float:
-    """Largest spacing between circularly consecutive centers."""
-    cs = np.sort(np.asarray(centers, dtype=np.float64))
-    wrap = cs[0] + 1.0 - cs[-1]
-    if cs.size == 1:
-        return float(wrap)
-    return float(max(np.max(np.diff(cs)), wrap))
 
 
 # Prefilter margin of uncovered_at; see the proof there.
@@ -448,7 +388,6 @@ class TrialConfig:
     n_max: int
     checkpoint_ratio: float = 1.1
     n_first_checkpoint: int = 64
-    n_tail_start: int | None = None  # default: nearest checkpoint to sqrt(n_max)
 
     def __post_init__(self):
         if not (0 <= int(self.seed) < 2 ** 64):
@@ -458,18 +397,23 @@ class TrialConfig:
         if self.n_max < self.n_first_checkpoint:
             raise ConfigError("n_max", f"must be >= n_first_checkpoint, got "
                               f"{self.n_max} < {self.n_first_checkpoint}")
-        if not self.checkpoint_ratio > 1.0:
-            raise ConfigError("checkpoint_ratio", f"must be > 1, got {self.checkpoint_ratio}")
+        if not 1.0 < self.checkpoint_ratio < math.inf:
+            raise ConfigError("checkpoint_ratio",
+                              f"must be finite and > 1, got {self.checkpoint_ratio}")
         if _grid_size(self.n_first_checkpoint, self.checkpoint_ratio,
                       self.n_max) > MAX_CHECKPOINTS:
             raise ConfigError("checkpoint_ratio", f"{self.checkpoint_ratio} gives more than "
                               f"{MAX_CHECKPOINTS} checkpoints up to n_max {self.n_max}; raise it")
-        if self.n_tail_start is not None and not (
-                self.n_first_checkpoint <= self.n_tail_start <= self.n_max):
-            raise ConfigError("n_tail_start", "must lie between n_first_checkpoint and n_max")
 
     def checkpoints(self) -> np.ndarray:
         return checkpoint_grid(self.n_first_checkpoint, self.checkpoint_ratio, self.n_max)
+
+    def check_window(self, tail_checkpoints: int, least: int) -> None:
+        """Refuse a tail window outside [least, number of checkpoints]."""
+        n_checkpoints = self.checkpoints().size
+        if not (least <= tail_checkpoints <= n_checkpoints):
+            raise ConfigError("tail_checkpoints", f"must be in [{least}, {n_checkpoints}], "
+                              f"got {tail_checkpoints}")
 
     def validate_scales(self) -> None:
         """Pre-fractal guard: the horizon arc length must stay well above
@@ -541,10 +485,7 @@ class TailOutcome:
 def run_trial(cfg: TrialConfig, tail_checkpoints: int = 0) -> CoverageTrace:
     """Run one trial; the trace's tail_uncovered unites the residues of the
     last `tail_checkpoints` checkpoints (0 for none)."""
-    n_checkpoints = cfg.checkpoints().size
-    if not (0 <= tail_checkpoints <= n_checkpoints):
-        raise ConfigError("tail_checkpoints",
-                          f"must be in [0, {n_checkpoints}], got {tail_checkpoints}")
+    cfg.check_window(tail_checkpoints, 0)
     (result,) = _sweep([cfg], tail_checkpoints)
     if isinstance(result, ConfigError):
         raise result
@@ -653,11 +594,7 @@ def _sweep(cfgs, tail_checkpoints: int, reads: str = "trace") -> list:
                 if i >= tail_start:
                     tail_residues[j].append(resid)
 
-    if cfg0.n_tail_start is None:
-        tail_target = math.sqrt(cfg0.n_max)
-    else:
-        tail_target = float(cfg0.n_tail_start)
-    tail_idx = int(np.argmin(np.abs(grid.astype(np.float64) - tail_target)))
+    tail_idx = int(np.argmin(np.abs(grid.astype(np.float64) - math.sqrt(cfg0.n_max))))
     for j, k in enumerate(live):
         tail_union = EMPTY
         for resid in tail_residues[j]:

@@ -281,7 +281,7 @@ class TestDimensionExperiment:
             monkeypatch.setattr(simulate, name, counted)
         cfg = TrialConfig(seed=3, lengths=LogOverN(0.5), target=make_circle(), n_max=20_000)
         scales = nested_scales(float(LogOverN(0.5).ell(20_000)), 0.05)
-        seed, est = analyze._dims_cell((cfg, window, scales))
+        seed, est = analyze._dims_cell(3, (replace(cfg, seed=0), window, scales))
         assert calls == {"_prefix_gaps": window, "_uncovered": 0}
         want = box_dimension(run_trial(cfg, window).tail_uncovered, scales)
         assert seed == 3 and np.array_equal(est.counts, want.counts)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import threading
@@ -6,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from arccover import LengthSequenceError, analyze, cli
+from arccover import ConfigError, LengthSequenceError, analyze, cli
 from arccover.cli import _DEFAULTS, _build_parser, main
 
 
@@ -46,6 +47,13 @@ class TestTrial:
         with pytest.raises(SystemExit) as exc:
             run(tmp_path, "trial", "--jobs", "2")
         assert exc.value.code == 2
+
+    def test_infinite_checkpoint_ratio_exit_2(self, tmp_path, capsys):
+        assert run(tmp_path, "trial", "--target", "circle", "--lengths", "logn:0.5",
+                   "--n-max", "1000", "--checkpoint-ratio", "inf", "--out", "t") == 2
+        assert capsys.readouterr().err == ("error: checkpoint_ratio: must be finite "
+                                           "and > 1, got inf\n")
+        assert not (tmp_path / "t.csv").exists()
 
     def test_validation_exit_2(self, tmp_path):
         assert run(tmp_path, "trial", "--target", "nope") == 2
@@ -133,6 +141,13 @@ class TestDims:
         assert "tail_checkpoints: must be in [1, 62], got 1000" in capsys.readouterr().err
 
 
+    def test_infinite_checkpoint_ratio_exit_2(self, tmp_path, capsys):
+        assert run(tmp_path, "dims", "--c", "0.5", "--n-max", "2000", "--seeds", "1",
+                   "--checkpoint-ratio", "inf", "--out", "d") == 2
+        assert capsys.readouterr().err == ("error: checkpoint_ratio: must be finite "
+                                           "and > 1, got inf\n")
+        assert not (tmp_path / "d.csv").exists()
+
     def test_internal_fault_exits_1(self, tmp_path, capsys, monkeypatch):
         # an invariant failing inside the program is not a bad configuration
         def broken(*args, **kwargs):
@@ -185,6 +200,19 @@ class TestConfigErrors:
         (tmp_path / "cfg.json").write_text(json.dumps({"version": 1, field: value}))
         assert run(tmp_path, "trial", "--config", "cfg.json", "--n-max", "1000") == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: must be ")
+
+
+class TestCGrid:
+    def test_grid_at_the_cap_is_built(self):
+        grid = cli._parse_c_grid(f"0:{cli.MAX_C_VALUES - 1}:1")
+        assert len(grid) == cli.MAX_C_VALUES
+        assert grid[-1] == cli.MAX_C_VALUES - 1
+
+    @pytest.mark.parametrize("spec", [f"0:{cli.MAX_C_VALUES}:1", "-1e308:1e308:1"])
+    def test_grid_past_the_cap_is_refused(self, spec):
+        # the second one's value count overflows to inf
+        with pytest.raises(ConfigError, match=r"^c: grid .* more than 10000 values$"):
+            cli._parse_c_grid(spec)
 
 
 class TestParser:
@@ -337,3 +365,52 @@ class TestCsvFormat:
         ell = rows[0].split(",")[1]
         # round-trip exactness of float64
         assert float(ell) == 2.5 * __import__("math").log(64) / 64
+
+
+def _digest(path) -> str:
+    """sha256 of an output file without its prng_version line, which names
+    the numpy release and so would tie the pin to one numpy version."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    kept = b"".join(ln for ln in lines if b"prng_version" not in ln)
+    return hashlib.sha256(kept).hexdigest()
+
+
+# Small runs of every command at seed 0 and the sha256 of each output file
+# (see _digest).  A change that moves any output byte fails here.  The scan
+# includes a c that the pre-fractal guard skips, and every run is small
+# enough to finish in well under a second yet changes its bytes when one
+# center of the stream moves.
+_GOLDEN_RUNS = {
+    "trial": ["--target", "circle", "--lengths", "logn:0.5", "--n-max", "200000"],
+    "scan": ["--target", "cantor:0.3333333333:10", "--c", "0.05:2.05:0.25", "--trials", "4",
+             "--n-max", "5000"],
+    "dims": ["--c", "0.3", "--n-max", "20000", "--seeds", "3", "--tail-checkpoints", "2"],
+    "series": ["--lengths", "logn:1", "--n", "200000"],
+    "schedule": ["--lengths", "logn:0.5", "--alpha", "0.9", "--k", "4"],
+}
+
+_GOLDEN = {
+    "trial": {"g.csv": "95bb9d10b3cbe2019c154afb3721c3b2126a404670065841385114ea84fa0c2c",
+              "g.json": "713e7ed2c8bc6c3da60420de932ac4358cc9c2f48dadfb5a257dbd38ed7d26a4"},
+    "scan": {"g.csv": "babc90794a438c9b26645736232c679006d8a2947b2af5eb5dc631761d5f257b",
+             "g.json": "f0c75796cf01fe0a33d96e66cdabfb3220630db527babde2e110127e9998c50a",
+             "g.svg": "5dad2fb3af17565107df0057175269ee02389c56a96729b102bfcead14df31cc"},
+    "dims": {"g.csv": "631ae29f9bbda2c9da9d25f4f495d83f6df6c71f5ac797e101a27758f63f14eb",
+             "g.json": "4c0db6b6ce872e7878425e2486ffa87dd3a01101879ff5f325fd417ae1789d64"},
+    "series": {"g.csv": "859ce2895757e79e197cc65cbd978fae011aa5eb9b527265fc7c743465936aa6",
+               "g.json": "bb1e500a7d2729c9e1445364c8f36f7238f1899fe443de2ec23e73236c96efbf"},
+    "schedule": {"g.json": "40fba342e46ea98723ba93c37cb4e361a00d1646f24694119ce5d5c46869ba4e"},
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("command, jobs", [
+        ("trial", None), ("scan", "1"), ("scan", "2"), ("dims", "1"), ("dims", "2"),
+        ("series", None), ("schedule", None)])
+    def test_outputs_match_pinned_digests(self, tmp_path, command, jobs):
+        argv = [command, *_GOLDEN_RUNS[command], "--out", "g"]
+        if jobs is not None:
+            argv += ["--jobs", jobs]
+        assert run(tmp_path, *argv) == 0
+        got = {p.name: _digest(p) for p in sorted(tmp_path.glob("g.*"))}
+        assert got == _GOLDEN[command]

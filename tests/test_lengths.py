@@ -36,8 +36,6 @@ class TestEval:
 
     def test_clamp_keeps_below_one(self):
         assert Harmonic(1.5).ell(1) < 1.0
-        assert Harmonic(1.5).clamped
-        assert not Harmonic(0.5).clamped
         assert LogOverN(12.0).ell(3) < 1.0
 
     def test_non_increasing(self):

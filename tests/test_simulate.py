@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from arccover import (EMPTY, Arc, ConfigError, Harmonic, IntervalUnion, LogOverN,
                       TableSequence, TrialConfig, arcs_to_union, checkpoint_grid,
                       complement, intersect, make_cantor, make_circle, make_custom,
-                      make_finite, max_circular_gap, measure, run_trial,
-                      sample_centers, simulate, uncovered_at)
+                      make_finite, measure, run_trial, sample_centers, simulate,
+                      uncovered_at)
 from arccover.lengths import CLAMP_MAX
 from arccover.simulate import SLACK
 from arccover.torus import MERGE_EPS
@@ -241,6 +241,15 @@ class TestPrefilterExact:
         _assert_bitwise(uncovered_at(cs, ell), arcs)
 
 
+def max_circular_gap(centers: np.ndarray) -> float:
+    """Largest spacing between circularly consecutive centers."""
+    cs = np.sort(np.asarray(centers, dtype=np.float64))
+    wrap = cs[0] + 1.0 - cs[-1]
+    if cs.size == 1:
+        return float(wrap)
+    return float(max(np.max(np.diff(cs)), wrap))
+
+
 class TestRunTrial:
     def test_circle_covered_iff_max_gap_below_ell(self):
         cfg = TrialConfig(seed=3, lengths=LogOverN(1.5), target=make_circle(), n_max=4000)
@@ -333,6 +342,14 @@ class TestRunTrial:
         with pytest.raises(ConfigError, match="checkpoint_ratio"):
             TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=100,
                         checkpoint_ratio=1.0)
+
+    @pytest.mark.parametrize("ratio", [math.inf, -math.inf, math.nan])
+    def test_non_finite_checkpoint_ratio_is_a_config_error(self, ratio):
+        # refused before the grid count, where inf would overflow
+        with pytest.raises(ConfigError, match=f"^checkpoint_ratio: must be finite and > 1, "
+                                              f"got {ratio}$"):
+            TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=1000,
+                        checkpoint_ratio=ratio)
 
     def test_checkpoint_count_is_refused_before_the_grid(self, monkeypatch):
         # about 1e9 checkpoints: refused after counting 10001 of them, with no
