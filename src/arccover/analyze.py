@@ -19,10 +19,14 @@ decided.
 Both experiments run independent seeds over one shared configuration
 (_map_seeds): inline, or in a process pool whose workers receive the
 shared inputs, target included, once each through the pool initializer,
-so each message carries only a seed.  The pool is taken to fill the
-cores, so in its workers the kernel keeps its sorted prefix as one run on
-one thread, not as two halves split at 1/2 on two threads as it does
-outside a pool.
+so each message carries only a seed.  Each experiment checks its
+configuration once, in the parent, before any cell runs or any pool
+starts: the scale guard, which depends on c but not on the seed, and its
+lowest and highest seed.  The cells' results come back in seed order,
+inline and from the pool alike.  The pool is taken to fill the cores, so
+in its workers the kernel keeps its sorted prefix as one run on one
+thread, not as two halves split at 1/2 on two threads as it does outside
+a pool.
 
 Box-counting dimension is used as a numerical proxy for Hausdorff
 dimension.  Box >= Hausdorff always, so an estimate clearly BELOW the
@@ -48,6 +52,7 @@ from .targets import TargetSet, make_circle
 from .torus import IntervalUnion, measure
 
 _SNAP = 1e-9  # cell-index snap, in units of one cell
+_Z = 1.96  # the normal quantile of the 95% Wilson interval
 
 
 def occupied_cell_count(u: IntervalUnion, eps: float) -> int:
@@ -121,31 +126,29 @@ def box_dimension(u: IntervalUnion, scales) -> DimensionEstimate:
     return DimensionEstimate(scales=eps, counts=counts, slope=slope, r_squared=r2)
 
 
-def nested_scales(eps_fine: float, eps_coarse: float, factor: int = 2) -> np.ndarray:
-    """Decreasing ladder eps_fine * factor**k staying <= eps_coarse.
+def nested_scales(eps_fine: float, eps_coarse: float) -> np.ndarray:
+    """Decreasing ladder eps_fine * 2**k staying <= eps_coarse.
 
     Anchored at the fine end, which is the informative resolution of the
-    window.  Integer subdivision keeps the grids nested, so box counts
-    cannot wobble downward between consecutive scales.
+    window.  Halving keeps the grids nested, so box counts cannot wobble
+    downward between consecutive scales.
     """
     if not (0.0 < eps_fine < eps_coarse < 1.0):
         raise ValueError("need 0 < eps_fine < eps_coarse < 1")
-    if factor < 2:
-        raise ValueError("factor must be >= 2")
-    k_max = int(math.floor(math.log(eps_coarse / eps_fine) / math.log(factor)))
+    k_max = int(math.floor(math.log(eps_coarse / eps_fine) / math.log(2)))
     if k_max < 2:
         raise ValueError("scale window too narrow for 3 nested scales")
-    return eps_fine * np.power(float(factor), np.arange(k_max, -1, -1))
+    return eps_fine * np.power(2.0, np.arange(k_max, -1, -1))
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple:
-    """Wilson score interval for a binomial fraction."""
+def wilson_interval(successes: int, trials: int) -> tuple:
+    """95% Wilson score interval for a binomial fraction."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     p = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
+    denom = 1.0 + _Z * _Z / trials
+    center = (p + _Z * _Z / (2 * trials)) / denom
+    half = _Z * math.sqrt(p * (1 - p) / trials + _Z * _Z / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -185,9 +188,6 @@ class ScanResult:
     c_star: float | None
     c_star_uncertainty: float | None
     monotone_fractions: bool
-
-    def fractions(self) -> np.ndarray:
-        return np.array([r.eventually_covered_fraction for r in self.rows])
 
     def checkpoints(self) -> np.ndarray:
         return checkpoint_grid(self.n_first_checkpoint, self.checkpoint_ratio,
@@ -230,22 +230,12 @@ def _map_seeds(cell, seeds, context, jobs: int) -> list:
 
 
 def _scan_cell(seed, context=None):
-    """One seed's trials for every c of the scan: a list of records
-    (c, seed, "ok", covered, last_failure_n, tail measure) or
-    (c, seed, "error", message, None, None)."""
+    """One seed's trials for every c of the scan: per c, in grid order,
+    (covered, last_failure_n, tail measure)."""
     base_cfg, cs, tail = _context if context is None else context
     cfgs = [replace(base_cfg, seed=seed, lengths=LogOverN(c)) for c in cs]
-    records = []
-    for c, result in zip(cs, _sweep(cfgs, tail, reads="verdicts")):
-        if isinstance(result, ConfigError):
-            # the pre-fractal scale guard, which depends on c through
-            # ell(n_max): reported per c so the scan can emit partial
-            # results; any other error is a fault and propagates
-            records.append((c, seed, "error", str(result), None, None))
-        else:
-            records.append((c, seed, "ok", result.eventually_covered,
-                            result.last_failure_n, measure(result.tail_uncovered)))
-    return records
+    return [(r.eventually_covered, r.last_failure_n, measure(r.tail_uncovered))
+            for r in _sweep(cfgs, tail, reads="verdicts")]
 
 
 def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
@@ -255,10 +245,12 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
     Runs trials_per_c trials per c with seeds base_cfg.seed + 0, 1, ...;
     base_cfg supplies the target, horizon and checkpoint grid (its
     `lengths` is replaced per c).  Every c uses the same seeds, so the unit
-    of work is one seed, swept over the whole c grid.  Seeds are
+    of work is one seed, swept over the whole c grid.  The scale guard and
+    the seed range are checked here, once, before any cell runs: a c the
+    guard refuses goes into `failed` and is not swept.  Seeds are
     independent, so they can run in any number of worker processes, which
-    receive the target once each; records are reduced by (c, seed) key and
-    sorted, which makes the output independent of `jobs`.
+    receive the target once each; their results come back in seed order,
+    which makes the output independent of `jobs`.
     """
     cs = [float(c) for c in c_grid]
     if len(cs) == 0 or any(b <= a for a, b in zip(cs, cs[1:])) or cs[0] <= 0:
@@ -269,41 +261,39 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
     base_cfg.check_window(tail_checkpoints, 1)
     tail = int(tail_checkpoints)
     seed0 = int(base_cfg.seed)
+    replace(base_cfg, seed=seed0 + trials_per_c - 1)  # refuses a seed past 2**64 - 1
+    failed = {}
+    for c in cs:
+        try:
+            # the pre-fractal scale guard, which depends on c through
+            # ell(n_max): reported per c so the scan can emit partial results
+            replace(base_cfg, lengths=LogOverN(c)).validate_scales()
+        except ConfigError as exc:
+            failed[c] = str(exc)
+    ok_cs = [c for c in cs if c not in failed]
+    if not ok_cs:
+        raise ConfigError("c", f"every scan cell failed; first error: "
+                          f"{next(iter(failed.values()))}")
 
     per_seed = _map_seeds(_scan_cell, range(seed0, seed0 + trials_per_c),
-                          (base_cfg, cs, tail), jobs)
-    raw = [rec for records in per_seed for rec in records]
-    raw.sort(key=lambda rec: (rec[0], rec[1]))
-
+                          (base_cfg, ok_cs, tail), jobs)
     target = base_cfg.target
     rows = []
-    failed = {}
-    for i, c in enumerate(cs):
-        recs = raw[i * trials_per_c:(i + 1) * trials_per_c]
-        errors = [r for r in recs if r[2] == "error"]
-        if errors:
-            failed[c] = errors[0][3]
-            continue
-        cov = [r[3] for r in recs]
-        fails = [r[4] for r in recs if r[4] is not None]
-        tails = [r[5] for r in recs]
-        frac = sum(cov) / len(cov)
-        lo, hi = wilson_interval(sum(cov), len(cov))
+    for i, c in enumerate(ok_cs):
+        cov, fails, tails = zip(*(cell[i] for cell in per_seed))
+        fails = [n for n in fails if n is not None]
+        lo, hi = wilson_interval(sum(cov), trials_per_c)
         rows.append(ScanRow(
             c=c,
-            trials=len(recs),
-            eventually_covered_fraction=frac,
+            trials=trials_per_c,
+            eventually_covered_fraction=sum(cov) / trials_per_c,
             wilson_low=lo,
             wilson_high=hi,
             mean_last_failure_n=float(np.mean(fails)) if fails else None,
             mean_tail_uncovered_measure=float(np.mean(tails)),
             regime=classify_regime(c, target),
         ))
-    if not rows:
-        raise ConfigError("c", f"every scan cell failed; first error: "
-                          f"{next(iter(failed.values()))}")
 
-    ok_cs = [r.c for r in rows]
     fracs = np.array([r.eventually_covered_fraction for r in rows])
     c_star = c_star_unc = None
     if len(ok_cs) >= 2:
@@ -351,9 +341,7 @@ def _dims_cell(seed, context=None):
     prefix in one step, and decides coverage nowhere."""
     base_cfg, tail, scales = _context if context is None else context
     (result,) = _sweep([replace(base_cfg, seed=seed)], tail, reads="tail")
-    if isinstance(result, ConfigError):
-        raise result
-    return seed, box_dimension(result, scales)
+    return box_dimension(result, scales)
 
 
 def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
@@ -370,7 +358,9 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
     reported for comparison; when it is <= 0 the bound is vacuous and the
     experiment is exploratory only.  Seeds with nothing uncovered in the
     tail window produce degenerate slope-0 estimates, not errors.  The
-    window must hold between 1 and all of the checkpoints.
+    window must hold between 1 and all of the checkpoints.  The window,
+    the scale guard and the seed range are checked here, once, before any
+    cell runs; the estimates come back in the order of the sorted seeds.
     """
     if target is None:
         target = make_circle()
@@ -381,21 +371,23 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
     # checked here, before any cell runs: an empty window leaves nothing to
     # measure, and the cells' kernel does not check the window
     base.check_window(tail_checkpoints, 1)
+    base.validate_scales()
+    seeds = sorted(int(s) for s in seeds)
+    for seed in seeds[:1] + seeds[-1:]:
+        replace(base, seed=seed)  # refuses a seed outside [0, 2**64)
     eps_fine = float(rule.ell(n_max))
     try:
         scales = nested_scales(eps_fine, math.sqrt(eps_fine))
     except ValueError as exc:
         raise ConfigError("n_max", f"{exc} between ell(n_max) = {eps_fine:.3g} and "
                           "its square root; increase n_max") from exc
-    raw = _map_seeds(_dims_cell, [int(s) for s in seeds],
-                     (base, tail_checkpoints, scales), jobs)
-    raw.sort(key=lambda rec: rec[0])
-    estimates = tuple(est for _, est in raw)
+    estimates = tuple(_map_seeds(_dims_cell, seeds, (base, tail_checkpoints, scales),
+                                 jobs))
     floor = None if target.dim_H is None else target.dim_H - c
     return DimensionScan(
         c=float(c),
         n_max=int(n_max),
-        seeds=tuple(s for s, _ in raw),
+        seeds=tuple(seeds),
         estimates=estimates,
         analytic_floor=floor,
         floor_vacuous=(floor is None or floor <= 0.0),

@@ -28,7 +28,7 @@ from . import __version__
 from .analyze import phase_scan, uncovered_dimension_experiment
 from .lengths import (LengthSequenceError, ScheduleError, check_covering_params,
                       check_series_terms, choose_schedule, covering_series,
-                      parse_lengths, rare_block_sum, shepp_series)
+                      parse_lengths, shepp_series)
 from .errors import ConfigError
 from .simulate import PRNG_NAME, PRNG_VERSION, TrialConfig, run_trial
 from .targets import parse_target
@@ -441,12 +441,12 @@ def _cmd_schedule(resolved: dict) -> int:
     alpha = _number(resolved, "alpha", float)
     k = _positive_int(resolved, "k")
     sched = choose_schedule(lengths, alpha, k)
-    total = rare_block_sum(lengths, sched, alpha)
     banner = _tool_banner(resolved)
     out = str(resolved["out"])
     idx = np.asarray(sched.indices, dtype=np.float64)
     prev = np.concatenate(([0.0], idx[:-1]))
     terms = prev * lengths._ell(idx) ** alpha
+    total = float(np.sum(terms))
     payload = dict(banner)
     payload["schedule"] = {
         "indices": list(sched.indices),

@@ -283,8 +283,8 @@ def _log_sample(n_lo: int, n_hi: int, count: int) -> np.ndarray:
     return grid
 
 
-def estimate_delta(rule: LengthSequence, n_range: tuple, samples: int = 512) -> float:
-    """Minimum of n * ell(n) / ln n over a log-spaced sample of [n_lo, n_hi].
+def estimate_delta(rule: LengthSequence, n_range: tuple) -> float:
+    """Minimum of n * ell(n) / ln n over 512 log-spaced samples of [n_lo, n_hi].
 
     A finite proxy for the liminf; exact for rules whose ratio is
     eventually monotone, since both endpoints are always sampled.
@@ -292,15 +292,14 @@ def estimate_delta(rule: LengthSequence, n_range: tuple, samples: int = 512) -> 
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if not (2 <= n_lo < n_hi):
         raise LengthSequenceError(f"need 2 <= n_lo < n_hi, got {n_range}")
-    grid = _log_sample(n_lo, n_hi, samples)
+    grid = _log_sample(n_lo, n_hi, 512)
     ns = grid.astype(np.float64)
     ratios = ns * rule._ell(ns) / np.log(ns)
     return float(ratios.min())
 
 
-def estimate_covering_exponent(rule: LengthSequence, n_range: tuple,
-                               samples: int = 64) -> float:
-    """Maximum of (sum_{s<=N} ell(s)) / ln N over a log-spaced sample.
+def estimate_covering_exponent(rule: LengthSequence, n_range: tuple) -> float:
+    """Maximum of (sum_{s<=N} ell(s)) / ln N over 64 log-spaced samples.
 
     A finite proxy for the limsup; the prefix sums are accumulated term by
     term (closed form for block sequences).  For block sequences the block
@@ -310,7 +309,7 @@ def estimate_covering_exponent(rule: LengthSequence, n_range: tuple,
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if not (2 <= n_lo < n_hi):
         raise LengthSequenceError(f"need 2 <= n_lo < n_hi, got {n_range}")
-    grid = _log_sample(n_lo, n_hi, samples)
+    grid = _log_sample(n_lo, n_hi, 64)
     if isinstance(rule, BlockSequence):
         ends = np.asarray(rule.schedule.indices, dtype=np.int64)
         ends = ends[(ends >= n_lo) & (ends <= n_hi)]
@@ -450,7 +449,7 @@ def check_covering_params(beta: float, d: float) -> None:
         raise LengthSequenceError(f"beta must be >= 0, got {beta}")
 
 
-def _scan_series(log_terms, N: int, checkpoints: int = 80) -> SeriesResult:
+def _scan_series(log_terms, N: int) -> SeriesResult:
     """Accumulate every term 1..N in log space; judge the tail.
 
     `log_terms(ns)` returns the log of the terms at ns, a float64 run of
@@ -458,8 +457,8 @@ def _scan_series(log_terms, N: int, checkpoints: int = 80) -> SeriesResult:
     called exactly once per sub-block of min(_SUB, _CHUNK) indices (the
     last may be shorter), in increasing order and never again afterwards,
     so it may carry state from one sub-block to the next.  The partial
-    sums at the checkpoints and the 40 tail-fit terms are read off that
-    single pass.
+    sums at up to 80 log-spaced checkpoints of [1, N] and the 40 tail-fit
+    terms are read off that single pass.
 
     The sums are those of one `logaddexp.accumulate` per _CHUNK run,
     folded into the total at each chunk end.  A sub-block never straddles
@@ -471,7 +470,7 @@ def _scan_series(log_terms, N: int, checkpoints: int = 80) -> SeriesResult:
     check_series_terms(N)
     step = min(_SUB, _CHUNK)
     assert _CHUNK % step == 0, "a sub-block must not straddle a chunk break"
-    marks = _log_sample(1, N, checkpoints)
+    marks = _log_sample(1, N, 80)
     n_tail_lo = max(2, N // 10)
     fit_ns = _log_sample(n_tail_lo, N, 40)
     fit_logs = np.empty(fit_ns.size, dtype=np.float64)
@@ -578,8 +577,8 @@ def parse_lengths(spec: str) -> LengthSequence:
         if head == "table":
             values = np.loadtxt(rest, delimiter=",", ndmin=1)
             return TableSequence(tuple(np.atleast_1d(values).ravel()))
+    except LengthSequenceError as exc:
+        raise LengthSequenceError(f"lengths: {exc}") from exc
     except (OSError, ValueError) as exc:
-        if isinstance(exc, LengthSequenceError):
-            raise
         raise LengthSequenceError(f"lengths: cannot parse {spec!r}: {exc}") from exc
     raise LengthSequenceError(f"lengths: unknown rule {spec!r}")

@@ -486,10 +486,7 @@ def run_trial(cfg: TrialConfig, tail_checkpoints: int = 0) -> CoverageTrace:
     """Run one trial; the trace's tail_uncovered unites the residues of the
     last `tail_checkpoints` checkpoints (0 for none)."""
     cfg.check_window(tail_checkpoints, 0)
-    (result,) = _sweep([cfg], tail_checkpoints)
-    if isinstance(result, ConfigError):
-        raise result
-    return result
+    return _sweep([cfg], tail_checkpoints)[0]
 
 
 def _sweep(cfgs, tail_checkpoints: int, reads: str = "trace") -> list:
@@ -498,9 +495,9 @@ def _sweep(cfgs, tail_checkpoints: int, reads: str = "trace") -> list:
     The configs differ only in `lengths`: they share the seed, the target
     and the checkpoint grid, so the centers are sampled and the sorted
     prefix is merged once, and every checkpoint decides coverage for all
-    rules at once.  Returns, per config, the ConfigError its scale guard
-    raised or, if it ran, what `reads` names; tail_uncovered always unites
-    the residues of the last `tail_checkpoints` checkpoints.
+    rules at once.  Every config must pass its scale guard.  Returns, per
+    config, what `reads` names; tail_uncovered always unites the residues
+    of the last `tail_checkpoints` checkpoints.
 
     - "trace": its CoverageTrace, with a residue at every checkpoint.
     - "verdicts": a TailOutcome, with residues in the tail window only.
@@ -517,21 +514,12 @@ def _sweep(cfgs, tail_checkpoints: int, reads: str = "trace") -> list:
     shared = replace(cfg0, lengths=None)
     if any(replace(cfg, lengths=None) != shared for cfg in cfgs):
         raise ValueError("swept configs may differ only in lengths")
-    results = [None] * len(cfgs)
-    live = []
-    for k, cfg in enumerate(cfgs):
-        try:
-            cfg.validate_scales()
-        except ConfigError as exc:
-            results[k] = exc
-        else:
-            live.append(k)
-    if not live:
-        return results
+    for cfg in cfgs:
+        cfg.validate_scales()
 
     grid = cfg0.checkpoints()
-    ells = np.array([np.atleast_1d(cfgs[k].lengths.ell(grid.astype(np.float64)))
-                     for k in live])
+    ells = np.array([np.atleast_1d(cfg.lengths.ell(grid.astype(np.float64)))
+                     for cfg in cfgs])
     shortest = ells.min(axis=0)
 
     t_approx = None if cfg0.target.kind == "circle" else cfg0.target.approx
@@ -539,7 +527,7 @@ def _sweep(cfgs, tail_checkpoints: int, reads: str = "trace") -> list:
     covered = np.zeros(ells.shape, dtype=bool)
     unc_measure = np.zeros(ells.shape, dtype=np.float64)
     pieces = np.zeros(ells.shape, dtype=np.int64)
-    tail_residues = [[] for _ in live]
+    tail_residues = [[] for _ in cfgs]
     tail_start = grid.size - tail_checkpoints
     # verdicts need every checkpoint; residues only where an output reads
     # them: the trace's per-checkpoint columns, or else the tail window alone
@@ -595,12 +583,13 @@ def _sweep(cfgs, tail_checkpoints: int, reads: str = "trace") -> list:
                     tail_residues[j].append(resid)
 
     tail_idx = int(np.argmin(np.abs(grid.astype(np.float64) - math.sqrt(cfg0.n_max))))
-    for j, k in enumerate(live):
+    results = []
+    for j, residues in enumerate(tail_residues):
         tail_union = EMPTY
-        for resid in tail_residues[j]:
+        for resid in residues:
             tail_union = union(tail_union, resid)
         if reads == "tail":
-            results[k] = tail_union
+            results.append(tail_union)
             continue
         failures = grid[~covered[j]]
         outcome = dict(
@@ -609,9 +598,9 @@ def _sweep(cfgs, tail_checkpoints: int, reads: str = "trace") -> list:
             tail_uncovered=tail_union,
         )
         if reads == "verdicts":
-            results[k] = TailOutcome(**outcome)
+            results.append(TailOutcome(**outcome))
             continue
-        results[k] = CoverageTrace(
+        results.append(CoverageTrace(
             seed=int(cfg0.seed),
             n_max=int(cfg0.n_max),
             checkpoints=grid,
@@ -621,5 +610,5 @@ def _sweep(cfgs, tail_checkpoints: int, reads: str = "trace") -> list:
             piece_count=pieces[j],
             n_tail_start=int(grid[tail_idx]),
             **outcome,
-        )
+        ))
     return results

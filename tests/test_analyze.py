@@ -92,6 +92,16 @@ class TestWilson:
         assert hi == pytest.approx(0.596, abs=0.005)
 
 
+@pytest.fixture
+def no_pool(monkeypatch):
+    """A process pool that cannot start: the experiment must refuse its
+    configuration in the parent."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pool started")
+
+    monkeypatch.setattr(analyze, "ProcessPoolExecutor", refuse)
+
+
 def small_base(target=None, n_max=3000):
     return TrialConfig(seed=0, lengths=None, target=target or make_circle(),
                        n_max=n_max)
@@ -123,8 +133,8 @@ class TestPhaseScan:
 
     def test_threshold_midpoint(self):
         scan = phase_scan([0.5, 2.5], small_base(), 6)
-        fr = scan.fractions()
-        if fr[1] > fr[0]:
+        low, high = (r.eventually_covered_fraction for r in scan.rows)
+        if high > low:
             assert scan.c_star == pytest.approx(1.5)
             assert scan.c_star_uncertainty == pytest.approx(2.0)
 
@@ -145,10 +155,26 @@ class TestPhaseScan:
         assert list(scan.failed) == [0.3]
         assert "pre-fractal" in scan.failed[0.3]
 
-    def test_all_cells_failing_raises(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_all_cells_failing_raises(self, no_pool, jobs):
         t = make_cantor(1 / 3, 8)
-        with pytest.raises(ConfigError, match="^c: every scan cell failed"):
-            phase_scan([0.2, 0.3], small_base(target=t, n_max=3000), 1)
+        with pytest.raises(ConfigError, match="^c: every scan cell failed; "
+                                              "first error: target: pre-fractal"):
+            phase_scan([0.2, 0.3], small_base(target=t, n_max=3000), 2, jobs=jobs)
+
+    def test_cells_get_only_the_c_the_guard_passes(self, monkeypatch):
+        contexts = []
+        map_seeds = analyze._map_seeds
+
+        def spy(cell, seeds, context, jobs):
+            contexts.append(context)
+            return map_seeds(cell, seeds, context, jobs)
+
+        monkeypatch.setattr(analyze, "_map_seeds", spy)
+        t = make_cantor(1 / 3, 8)
+        scan = phase_scan([0.3, 0.6, 2.0], small_base(target=t, n_max=3000), 2)
+        assert [ctx[1] for ctx in contexts] == [[0.6, 2.0]]
+        assert list(scan.failed) == [0.3]
 
     def test_internal_fault_is_not_a_failed_cell(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -241,9 +267,9 @@ class TestSeedMajorScan:
             assert list(failed) == [0.3]
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_seed_overflow_is_a_config_error(self, jobs):
+    def test_seed_overflow_is_a_config_error(self, no_pool, jobs):
         base = replace(small_base(), seed=2 ** 64 - 2)
-        with pytest.raises(ConfigError, match="^seed: "):
+        with pytest.raises(ConfigError, match=f"^seed: .* got {2 ** 64}$"):
             phase_scan([0.5], base, 3, jobs=jobs)
 
 
@@ -264,10 +290,15 @@ class TestDimensionExperiment:
             assert np.all(np.diff(est.counts) >= 0)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_scale_guard_is_a_config_error(self, jobs):
+    def test_scale_guard_is_a_config_error(self, no_pool, jobs):
         with pytest.raises(ConfigError, match="^target: pre-fractal"):
             uncovered_dimension_experiment(0.3, 100_000, range(2), jobs=jobs,
                                            target=make_cantor(1 / 3, 8))
+
+    @pytest.mark.parametrize("seeds", [[2 ** 64, 0], [3, -1]])
+    def test_seed_outside_the_range_is_a_config_error(self, no_pool, seeds):
+        with pytest.raises(ConfigError, match="^seed: "):
+            uncovered_dimension_experiment(0.5, 20_000, seeds, jobs=2)
 
     @pytest.mark.parametrize("window", [1, 3])
     def test_cell_starts_at_the_tail_window(self, monkeypatch, window):
@@ -281,10 +312,10 @@ class TestDimensionExperiment:
             monkeypatch.setattr(simulate, name, counted)
         cfg = TrialConfig(seed=3, lengths=LogOverN(0.5), target=make_circle(), n_max=20_000)
         scales = nested_scales(float(LogOverN(0.5).ell(20_000)), 0.05)
-        seed, est = analyze._dims_cell(3, (replace(cfg, seed=0), window, scales))
+        est = analyze._dims_cell(3, (replace(cfg, seed=0), window, scales))
         assert calls == {"_prefix_gaps": window, "_uncovered": 0}
         want = box_dimension(run_trial(cfg, window).tail_uncovered, scales)
-        assert seed == 3 and np.array_equal(est.counts, want.counts)
+        assert np.array_equal(est.counts, want.counts)
 
     def test_estimates_do_not_depend_on_jobs(self):
         scans = [uncovered_dimension_experiment(0.5, 50_000, range(4), tail_checkpoints=3,
@@ -294,6 +325,13 @@ class TestDimensionExperiment:
         assert one == two
         assert scans[0].seeds == scans[1].seeds == (0, 1, 2, 3)
         assert scans[0].mean_slope == scans[1].mean_slope
+
+    def test_seeds_are_sorted(self):
+        shuffled = uncovered_dimension_experiment(0.5, 20_000, [2, 0, 1])
+        ordered = uncovered_dimension_experiment(0.5, 20_000, range(3))
+        assert shuffled.seeds == ordered.seeds == (0, 1, 2)
+        assert ([e.counts.tobytes() for e in shuffled.estimates]
+                == [e.counts.tobytes() for e in ordered.estimates])
 
     def test_trial_kernel_tail_matches_run_trial(self):
         cfg = TrialConfig(seed=6, lengths=LogOverN(0.7), target=make_circle(), n_max=2000)

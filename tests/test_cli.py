@@ -184,6 +184,13 @@ class TestConfigErrors:
         assert run(tmp_path, "trial", "--target", "nope") == 2
         assert capsys.readouterr().err == "error: target: unknown specification 'nope'\n"
 
+    @pytest.mark.parametrize("spec", ["logn:-1", "harmonic:0", "power:1:0", "power:1",
+                                      "table:big.csv", "nope"])
+    def test_bad_lengths(self, tmp_path, capsys, spec):
+        (tmp_path / "big.csv").write_text("0.5\n1.0\n")
+        assert run(tmp_path, "trial", "--lengths", spec, "--n-max", "1000") == 2
+        assert capsys.readouterr().err.startswith("error: lengths: ")
+
     @pytest.mark.parametrize("argv, field", [
         (["scan", "--c", "0.5,abc"], "c"),
         (["scan", "--c", "0:x:1"], "c"),

@@ -413,18 +413,21 @@ class TestSweep:
                                         make_finite([0.05, 0.37, 0.9])],
                              ids=["circle", "cantor", "finite"])
     def test_matches_one_rule_at_a_time(self, target):
-        # at n_max = 3000 the depth-8 guard refuses c = 0.3 only
         base = TrialConfig(seed=5, lengths=None, target=target, n_max=3000)
         cfgs = [replace(base, lengths=LogOverN(c)) for c in (0.3, 0.6, 1.0, 2.5)]
+        if target.kind == "cantor":
+            # at n_max = 3000 the depth-8 guard refuses c = 0.3 only, and a
+            # sweep that holds it raises what run_trial raises
+            with pytest.raises(ConfigError) as want:
+                run_trial(cfgs[0], 3)
+            with pytest.raises(ConfigError) as got:
+                simulate._sweep(cfgs, 3)
+            assert str(got.value) == str(want.value)
+            cfgs = cfgs[1:]
         swept = simulate._sweep(cfgs, 3)
+        assert len(swept) == len(cfgs)
         for cfg, got in zip(cfgs, swept):
-            try:
-                want = run_trial(cfg, 3)
-            except ConfigError as exc:
-                assert isinstance(got, ConfigError) and str(got) == str(exc)
-                continue
-            assert got == want  # tail_uncovered included
-        assert sum(isinstance(r, ConfigError) for r in swept) == (target.kind == "cantor")
+            assert got == run_trial(cfg, 3)  # tail_uncovered included
 
     @pytest.mark.parametrize("target", _KERNEL_TARGETS, ids=_KERNEL_IDS)
     def test_skipped_residues_are_empty(self, monkeypatch, target):
