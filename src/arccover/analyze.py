@@ -17,9 +17,10 @@ kernel starts at the window: no earlier checkpoint is sampled, merged or
 decided.
 
 Both experiments run independent seeds over one shared configuration
-(_map_seeds): inline, or in a process pool whose workers receive the
-shared inputs, target included, once each through the pool initializer,
-so each message carries only a seed.  Each experiment checks its
+(_map_seeds): inline, or in a process pool of at most one worker per
+seed and per usable CPU, whose workers receive the shared inputs, target
+and length rules included, once each through the pool initializer, so
+each message carries only a seed.  Each experiment checks its
 configuration once, in the parent, before any cell runs or any pool
 starts: the scale guard, which depends on c but not on the seed, and its
 lowest and highest seed.  The cells' results come back in seed order,
@@ -47,7 +48,7 @@ import numpy as np
 
 from .lengths import LogOverN
 from .errors import ConfigError
-from .simulate import TrialConfig, _sweep, checkpoint_grid
+from .simulate import TrialConfig, _sweep, _usable_cpus, checkpoint_grid
 from .targets import TargetSet, make_circle
 from .torus import IntervalUnion, measure
 
@@ -221,21 +222,26 @@ def _init_worker(context):
 
 def _map_seeds(cell, seeds, context, jobs: int) -> list:
     """[cell(seed, context) for seed in seeds]: inline, or in a pool of
-    `jobs` worker processes, which receive `context` once each."""
-    if jobs <= 1:
+    worker processes, which receive `context` once each.  The pool starts
+    at most `jobs` workers, one per seed and one per usable CPU; where
+    that is one worker, the cells run inline."""
+    if jobs < 1:
+        raise ConfigError("jobs", f"must be >= 1, got {jobs}")
+    workers = min(jobs, len(seeds), _usable_cpus())
+    if workers <= 1:
         return [cell(seed, context) for seed in seeds]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(context,)) as pool:
         return list(pool.map(cell, seeds))
 
 
 def _scan_cell(seed, context=None):
-    """One seed's trials for every c of the scan: per c, in grid order,
-    (covered, last_failure_n, tail measure)."""
-    base_cfg, cs, tail = _context if context is None else context
-    cfgs = [replace(base_cfg, seed=seed, lengths=LogOverN(c)) for c in cs]
-    return [(r.eventually_covered, r.last_failure_n, measure(r.tail_uncovered))
-            for r in _sweep(cfgs, tail, reads="verdicts")]
+    """One seed's trials for every rule of the scan: per rule, in grid
+    order, (covered, last_failure_n, tail measure)."""
+    base_cfg, rules, tail = _context if context is None else context
+    return [(covered, last_failure, measure(tail_union))
+            for covered, last_failure, tail_union
+            in _sweep(replace(base_cfg, seed=seed), rules, tail, reads="verdicts")]
 
 
 def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
@@ -244,7 +250,7 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
 
     Runs trials_per_c trials per c with seeds base_cfg.seed + 0, 1, ...;
     base_cfg supplies the target, horizon and checkpoint grid (its
-    `lengths` is replaced per c).  Every c uses the same seeds, so the unit
+    `lengths` is not read).  Every c uses the same seeds, so the unit
     of work is one seed, swept over the whole c grid.  The scale guard and
     the seed range are checked here, once, before any cell runs: a c the
     guard refuses goes into `failed` and is not swept.  Seeds are
@@ -263,20 +269,24 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
     seed0 = int(base_cfg.seed)
     replace(base_cfg, seed=seed0 + trials_per_c - 1)  # refuses a seed past 2**64 - 1
     failed = {}
+    rules = []
     for c in cs:
+        rule = LogOverN(c)
         try:
             # the pre-fractal scale guard, which depends on c through
             # ell(n_max): reported per c so the scan can emit partial results
-            replace(base_cfg, lengths=LogOverN(c)).validate_scales()
+            replace(base_cfg, lengths=rule).validate_scales()
         except ConfigError as exc:
             failed[c] = str(exc)
-    ok_cs = [c for c in cs if c not in failed]
-    if not ok_cs:
+        else:
+            rules.append(rule)
+    if not rules:
         raise ConfigError("c", f"every scan cell failed; first error: "
                           f"{next(iter(failed.values()))}")
+    ok_cs = [rule.c for rule in rules]
 
     per_seed = _map_seeds(_scan_cell, range(seed0, seed0 + trials_per_c),
-                          (base_cfg, ok_cs, tail), jobs)
+                          (base_cfg, rules, tail), jobs)
     target = base_cfg.target
     rows = []
     for i, c in enumerate(ok_cs):
@@ -340,7 +350,7 @@ def _dims_cell(seed, context=None):
     starts at the tail window: it samples and sorts that checkpoint's whole
     prefix in one step, and decides coverage nowhere."""
     base_cfg, tail, scales = _context if context is None else context
-    (result,) = _sweep([replace(base_cfg, seed=seed)], tail, reads="tail")
+    (result,) = _sweep(replace(base_cfg, seed=seed), [base_cfg.lengths], tail, reads="tail")
     return box_dimension(result, scales)
 
 
@@ -373,6 +383,8 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
     base.check_window(tail_checkpoints, 1)
     base.validate_scales()
     seeds = sorted(int(s) for s in seeds)
+    if not seeds:
+        raise ConfigError("seeds", "must hold at least one seed, got none")
     for seed in seeds[:1] + seeds[-1:]:
         replace(base, seed=seed)  # refuses a seed outside [0, 2**64)
     eps_fine = float(rule.ell(n_max))

@@ -48,20 +48,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
+def _json_default(obj):
+    """json's fallback for numpy arrays and scalars: their Python values."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _tool_banner(config: dict) -> dict:
@@ -74,13 +65,13 @@ def _tool_banner(config: dict) -> dict:
         "version": __version__,
         "prng": PRNG_NAME,
         "prng_version": PRNG_VERSION,
-        "config": _jsonable(echo),
+        "config": echo,
     }
 
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as f:
-        json.dump(_jsonable(payload), f, indent=2, sort_keys=True)
+        json.dump(payload, f, indent=2, sort_keys=True, default=_json_default)
         f.write("\n")
 
 

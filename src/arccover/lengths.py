@@ -256,12 +256,11 @@ class BlockSequence(LengthSequence):
             prev_end = np.concatenate(([0.0], idx))[p]
             out[inside] = block_cum[p] + (ns[inside] - prev_end) * ends[p]
         if np.any(~inside):
-            # beyond the schedule: closed form up to n_K, then term-by-term
-            tail_ns = ns[~inside]
-            base_tail = LengthSequence._partial_sums(self.base, tail_ns)
-            base_at_end = LengthSequence._partial_sums(
-                self.base, np.asarray([idx[-1]]))[0]
-            out[~inside] = block_cum[-1] + (base_tail - base_at_end)
+            # beyond the schedule: closed form up to n_K, then term-by-term;
+            # one pass sums the base prefix to n_K and to every n past it
+            base = LengthSequence._partial_sums(
+                self.base, np.concatenate(([idx[-1]], ns[~inside])))
+            out[~inside] = block_cum[-1] + (base[1:] - base[0])
         return out
 
     def describe(self):

@@ -18,8 +18,10 @@ arithmetic, at O(n) per checkpoint (uncovered_at).
 
 The kernel:
 - run_trial is the one entry point for a trial.  Behind it, _sweep runs
-  the trials of one seed under several length rules in one pass, as the
-  rules of a phase scan share the seed, target and checkpoint grid.
+  one config under a list of length rules in one pass, as the rules of a
+  phase scan share the seed, target and checkpoint grid; per rule it
+  returns a trace, a (covered, last failure, tail union) verdict tuple or
+  the tail union alone.
 - sample_centers reads the seed's Philox stream: counter-based, so trials
   are reproducible, prefix-stable and embarrassingly parallel.
 - _split and _prefix_gaps keep the sorted prefix of centers in one array
@@ -204,17 +206,20 @@ def _prefix_gaps(c, n0: int, n1: int, thr, scratch, pool) -> tuple:
             float(low[0]), float(high[-1]))
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _threads_allowed() -> bool:
     """Whether a sweep may run the low half on a second thread: the process
     may use two CPUs and is not a worker of a process pool.  The pool is
     taken to fill the cores: with 2 workers on 2 cores, threads in them
     made a 20-cell dimension estimate at n_max 1e6 3% slower.  A pool of
     fewer workers than cores was not measured."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return cpus >= 2 and multiprocessing.parent_process() is None
+    return _usable_cpus() >= 2 and multiprocessing.parent_process() is None
 
 
 def uncovered_at(centers_sorted, ell: float, candidates=None) -> IntervalUnion:
@@ -470,37 +475,27 @@ class CoverageTrace:
                 and self.tail_uncovered == other.tail_uncovered)
 
 
-@dataclass(frozen=True)
-class TailOutcome:
-    """The verdicts of a trial without its per-checkpoint columns: what a
-    phase scan or a dimension estimate reads, so the sweep builds residues
-    for the tail window only.  The fields mean what they mean in
-    CoverageTrace."""
-
-    last_failure_n: int | None
-    eventually_covered: bool
-    tail_uncovered: IntervalUnion
-
-
 def run_trial(cfg: TrialConfig, tail_checkpoints: int = 0) -> CoverageTrace:
     """Run one trial; the trace's tail_uncovered unites the residues of the
     last `tail_checkpoints` checkpoints (0 for none)."""
     cfg.check_window(tail_checkpoints, 0)
-    return _sweep([cfg], tail_checkpoints)[0]
+    return _sweep(cfg, [cfg.lengths], tail_checkpoints)[0]
 
 
-def _sweep(cfgs, tail_checkpoints: int, reads: str = "trace") -> list:
-    """The trials of one seed under several length rules, in one pass.
+def _sweep(cfg: TrialConfig, rules, tail_checkpoints: int, reads: str = "trace") -> list:
+    """The trials of `cfg` under each length rule of `rules`, in one pass.
 
-    The configs differ only in `lengths`: they share the seed, the target
-    and the checkpoint grid, so the centers are sampled and the sorted
-    prefix is merged once, and every checkpoint decides coverage for all
-    rules at once.  Every config must pass its scale guard.  Returns, per
-    config, what `reads` names; tail_uncovered always unites the residues
-    of the last `tail_checkpoints` checkpoints.
+    `cfg` supplies the seed, the target, the horizon and the checkpoint
+    grid, and its `lengths` is not read: the centers are sampled and the
+    sorted prefix is merged once, and every checkpoint decides coverage for
+    all rules at once.  Every rule must pass the scale guard.  Returns, per
+    rule, what `reads` names; a tail union always unites the residues of
+    the last `tail_checkpoints` checkpoints.
 
     - "trace": its CoverageTrace, with a residue at every checkpoint.
-    - "verdicts": a TailOutcome, with residues in the tail window only.
+    - "verdicts": the tuple (eventually_covered, last_failure_n,
+      tail_uncovered), as in CoverageTrace, with residues in the tail
+      window only.
     - "tail": the tail union itself, an IntervalUnion.  The residues of
       the window depend only on the prefixes of its checkpoints, so the
       sweep starts at its first one: that checkpoint samples, sorts and
@@ -510,24 +505,19 @@ def _sweep(cfgs, tail_checkpoints: int, reads: str = "trace") -> list:
     """
     if reads not in ("trace", "verdicts", "tail"):
         raise ValueError(f"reads must be 'trace', 'verdicts' or 'tail', got {reads!r}")
-    cfg0 = cfgs[0]
-    shared = replace(cfg0, lengths=None)
-    if any(replace(cfg, lengths=None) != shared for cfg in cfgs):
-        raise ValueError("swept configs may differ only in lengths")
-    for cfg in cfgs:
-        cfg.validate_scales()
+    for rule in rules:
+        replace(cfg, lengths=rule).validate_scales()
 
-    grid = cfg0.checkpoints()
-    ells = np.array([np.atleast_1d(cfg.lengths.ell(grid.astype(np.float64)))
-                     for cfg in cfgs])
+    grid = cfg.checkpoints()
+    ells = np.array([rule.ell(grid.astype(np.float64)) for rule in rules])
     shortest = ells.min(axis=0)
 
-    t_approx = None if cfg0.target.kind == "circle" else cfg0.target.approx
+    t_approx = None if cfg.target.kind == "circle" else cfg.target.approx
     # the tail sweep decides nothing, so every rule counts as uncovered there
     covered = np.zeros(ells.shape, dtype=bool)
     unc_measure = np.zeros(ells.shape, dtype=np.float64)
     pieces = np.zeros(ells.shape, dtype=np.int64)
-    tail_residues = [[] for _ in cfgs]
+    tail_residues = [[] for _ in rules]
     tail_start = grid.size - tail_checkpoints
     # verdicts need every checkpoint; residues only where an output reads
     # them: the trace's per-checkpoint columns, or else the tail window alone
@@ -542,12 +532,12 @@ def _sweep(cfgs, tail_checkpoints: int, reads: str = "trace") -> list:
     at = 0.5 if threaded else 1.0
     # the two-ended prefix, and a prefilter scratch per half that can fill,
     # shared by every checkpoint
-    c = np.empty(cfg0.n_max)
-    block = min(_BLOCK, cfg0.n_max)
+    c = np.empty(cfg.n_max)
+    block = min(_BLOCK, cfg.n_max)
     scratch = [(np.empty(block), np.empty(block, dtype=bool))
                for _ in range(2 if threaded else 1)]
     if not threaded:
-        sample_centers(cfg0.seed, cfg0.n_max, out=c)
+        sample_centers(cfg.seed, cfg.n_max, out=c)
     n0 = n1 = prev = 0
     # an executor per sweep, whose thread (started by the first submit)
     # ends with it: a process pool forked later gets no thread, and no dead
@@ -558,7 +548,7 @@ def _sweep(cfgs, tail_checkpoints: int, reads: str = "trace") -> list:
             # centers prev..n-1 of the stream, straight into the free middle;
             # the grid is strictly increasing
             if threaded:
-                sample_centers(cfg0.seed, n - prev, start=prev, out=c[n0:n0 + n - prev])
+                sample_centers(cfg.seed, n - prev, start=prev, out=c[n0:n0 + n - prev])
             n0, n1 = _split(c, n0, n1, n - prev, at)
             prev = n
             # one pass over the prefix finds the gap candidates of every rule
@@ -582,7 +572,7 @@ def _sweep(cfgs, tail_checkpoints: int, reads: str = "trace") -> list:
                 if i >= tail_start:
                     tail_residues[j].append(resid)
 
-    tail_idx = int(np.argmin(np.abs(grid.astype(np.float64) - math.sqrt(cfg0.n_max))))
+    tail_idx = int(np.argmin(np.abs(grid.astype(np.float64) - math.sqrt(cfg.n_max))))
     results = []
     for j, residues in enumerate(tail_residues):
         tail_union = EMPTY
@@ -592,23 +582,22 @@ def _sweep(cfgs, tail_checkpoints: int, reads: str = "trace") -> list:
             results.append(tail_union)
             continue
         failures = grid[~covered[j]]
-        outcome = dict(
-            last_failure_n=int(failures[-1]) if failures.size else None,
-            eventually_covered=bool(np.all(covered[j, tail_idx:])),
-            tail_uncovered=tail_union,
-        )
+        last_failure = int(failures[-1]) if failures.size else None
+        eventually = bool(np.all(covered[j, tail_idx:]))
         if reads == "verdicts":
-            results.append(TailOutcome(**outcome))
+            results.append((eventually, last_failure, tail_union))
             continue
         results.append(CoverageTrace(
-            seed=int(cfg0.seed),
-            n_max=int(cfg0.n_max),
+            seed=int(cfg.seed),
+            n_max=int(cfg.n_max),
             checkpoints=grid,
             ells=ells[j],
             covered=covered[j],
             uncovered_measure=unc_measure[j],
             piece_count=pieces[j],
             n_tail_start=int(grid[tail_idx]),
-            **outcome,
+            last_failure_n=last_failure,
+            eventually_covered=eventually,
+            tail_uncovered=tail_union,
         ))
     return results

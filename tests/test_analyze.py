@@ -102,6 +102,31 @@ def no_pool(monkeypatch):
     monkeypatch.setattr(analyze, "ProcessPoolExecutor", refuse)
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """A process pool that records its max_workers and runs its cells
+    inline, in this process: the list of the pools built."""
+    built = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            built.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(analyze, "_context", None)
+    monkeypatch.setattr(analyze, "ProcessPoolExecutor", InlinePool)
+    return built
+
+
 def small_base(target=None, n_max=3000):
     return TrialConfig(seed=0, lengths=None, target=target or make_circle(),
                        n_max=n_max)
@@ -173,7 +198,7 @@ class TestPhaseScan:
         monkeypatch.setattr(analyze, "_map_seeds", spy)
         t = make_cantor(1 / 3, 8)
         scan = phase_scan([0.3, 0.6, 2.0], small_base(target=t, n_max=3000), 2)
-        assert [ctx[1] for ctx in contexts] == [[0.6, 2.0]]
+        assert [[r.c for r in ctx[1]] for ctx in contexts] == [[0.6, 2.0]]
         assert list(scan.failed) == [0.3]
 
     def test_internal_fault_is_not_a_failed_cell(self, monkeypatch):
@@ -242,6 +267,36 @@ def _rows_one_trial_at_a_time(c_grid, base, trials, tail=5):
     return tuple(rows), failed
 
 
+class TestWorkerCount:
+    """jobs caps the pool, which never has more workers than cells or
+    usable CPUs; the fake pool never starts a process."""
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_refused(self, no_pool, jobs):
+        with pytest.raises(ConfigError, match=f"^jobs: must be >= 1, got {jobs}$"):
+            phase_scan([0.5, 2.5], small_base(), 2, jobs=jobs)
+        with pytest.raises(ConfigError, match=f"^jobs: must be >= 1, got {jobs}$"):
+            uncovered_dimension_experiment(0.5, 20_000, range(2), jobs=jobs)
+
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 8], ids=["usable", "1", "2", "8"])
+    def test_workers_are_capped_by_cells_and_cpus(self, monkeypatch, inline_pool, cpus):
+        if cpus is not None:
+            monkeypatch.setattr(analyze, "_usable_cpus", lambda: cpus)
+        want = min(3, analyze._usable_cpus())
+        scan = phase_scan([0.5, 2.5], small_base(), 3, jobs=10_000)
+        dims = uncovered_dimension_experiment(0.5, 20_000, range(3), jobs=10_000)
+        assert inline_pool == ([] if want == 1 else [want, want])
+        assert scan.to_dict() == phase_scan([0.5, 2.5], small_base(), 3).to_dict()
+        inline = uncovered_dimension_experiment(0.5, 20_000, range(3))
+        assert ([e.counts.tobytes() for e in dims.estimates]
+                == [e.counts.tobytes() for e in inline.estimates])
+
+    def test_one_cell_runs_inline(self, inline_pool):
+        phase_scan([0.5, 2.5], small_base(), 1, jobs=2)
+        uncovered_dimension_experiment(0.5, 20_000, [4], jobs=2)
+        assert inline_pool == []
+
+
 class TestSeedMajorScan:
     """The scan sweeps each seed over the whole c grid; its rows must equal
     those of independent per-(c, seed) trials."""
@@ -294,6 +349,11 @@ class TestDimensionExperiment:
         with pytest.raises(ConfigError, match="^target: pre-fractal"):
             uncovered_dimension_experiment(0.3, 100_000, range(2), jobs=jobs,
                                            target=make_cantor(1 / 3, 8))
+
+    def test_empty_seed_list_is_a_config_error(self, no_pool):
+        with pytest.raises(ConfigError, match="^seeds: ") as exc:
+            uncovered_dimension_experiment(0.5, 20_000, [], jobs=2)
+        assert exc.value.field == "seeds"
 
     @pytest.mark.parametrize("seeds", [[2 ** 64, 0], [3, -1]])
     def test_seed_outside_the_range_is_a_config_error(self, no_pool, seeds):

@@ -201,6 +201,22 @@ class TestConfigErrors:
         assert run(tmp_path, *argv, "--out", "x") == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
+    @pytest.mark.parametrize("command", ["scan", "dims"])
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    def test_jobs_below_one(self, tmp_path, capsys, monkeypatch, command, how):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the pool started")
+
+        monkeypatch.setattr(analyze, "ProcessPoolExecutor", no_pool)
+        argv = [command, "--c", "0.5", "--n-max", "20000", "--out", "x"]
+        if how == "flag":
+            argv += ["--jobs", "0"]
+        else:
+            monkeypatch.setenv("ARCCOVER_JOBS", "0")
+        assert run(tmp_path, *argv) == 2
+        assert capsys.readouterr().err == "error: jobs: must be >= 1, got 0\n"
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("field, value", [("seed", "abc"), ("checkpoint_ratio", "x"),
                                               ("first_checkpoint", [1])])
     def test_bad_config_file_value(self, tmp_path, capsys, field, value):

@@ -164,6 +164,23 @@ class TestBlocks:
         want = 1.0 + 0.5 + L.ell(5) + L.ell(6)  # blocks (0,2],(2,4] then base
         assert got == pytest.approx(want, rel=1e-15)
 
+    @pytest.mark.parametrize("chunk", [7, 16, 1000])
+    def test_beyond_schedule_sums_bitwise_as_two_base_sums(self, monkeypatch, chunk):
+        # one base prefix sum to n_K and past it gives the floats of one sum
+        # to n_K plus one sum past it, across chunk breaks
+        monkeypatch.setattr(lengths, "_CHUNK", chunk)
+        base = LogOverN(0.7)
+        L2 = block_sequence(base, Schedule((5, 30, 200)))
+        ns = np.array([3.0, 30.0, 201.0, 207.0, 223.0, 224.0, 225.0, 480.0, 1001.0])
+        idx = np.array(L2.schedule.indices, dtype=float)
+        got = L2.partial_sums(ns)
+        past = ns > idx[-1]
+        two_sums = lengths.LengthSequence._partial_sums(base, ns[past])
+        at_end = lengths.LengthSequence._partial_sums(base, idx[-1:])[0]
+        # the closed form at n_K is the block total
+        want = L2.partial_sums(idx[-1]) + (two_sums - at_end)
+        assert past.sum() == 7 and got[past].tobytes() == want.tobytes()
+
     def test_schedule_validation(self):
         with pytest.raises(LengthSequenceError):
             Schedule((1, 5))

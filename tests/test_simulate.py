@@ -335,6 +335,12 @@ class TestRunTrial:
         assert (err.field, err.message, str(err)) == ("target", "too coarse",
                                                       "target: too coarse")
 
+    def test_missing_lengths_is_a_config_error(self):
+        cfg = TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=1000)
+        with pytest.raises(ConfigError, match="^lengths: no length sequence configured$") as exc:
+            run_trial(cfg)
+        assert exc.value.field == "lengths"
+
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="n_max"):
             TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=10,
@@ -414,20 +420,25 @@ class TestSweep:
                              ids=["circle", "cantor", "finite"])
     def test_matches_one_rule_at_a_time(self, target):
         base = TrialConfig(seed=5, lengths=None, target=target, n_max=3000)
-        cfgs = [replace(base, lengths=LogOverN(c)) for c in (0.3, 0.6, 1.0, 2.5)]
+        rules = [LogOverN(c) for c in (0.3, 0.6, 1.0, 2.5)]
         if target.kind == "cantor":
             # at n_max = 3000 the depth-8 guard refuses c = 0.3 only, and a
             # sweep that holds it raises what run_trial raises
             with pytest.raises(ConfigError) as want:
-                run_trial(cfgs[0], 3)
+                run_trial(replace(base, lengths=rules[0]), 3)
             with pytest.raises(ConfigError) as got:
-                simulate._sweep(cfgs, 3)
+                simulate._sweep(base, rules, 3)
             assert str(got.value) == str(want.value)
-            cfgs = cfgs[1:]
-        swept = simulate._sweep(cfgs, 3)
-        assert len(swept) == len(cfgs)
-        for cfg, got in zip(cfgs, swept):
-            assert got == run_trial(cfg, 3)  # tail_uncovered included
+            rules = rules[1:]
+        swept = simulate._sweep(base, rules, 3)
+        assert len(swept) == len(rules)
+        for rule, got in zip(rules, swept):
+            # tail_uncovered included
+            assert got == run_trial(replace(base, lengths=rule), 3)
+        # the verdicts are the trace's, as plain tuples
+        verdicts = simulate._sweep(base, rules, 3, reads="verdicts")
+        assert verdicts == [(t.eventually_covered, t.last_failure_n, t.tail_uncovered)
+                            for t in swept]
 
     @pytest.mark.parametrize("target", _KERNEL_TARGETS, ids=_KERNEL_IDS)
     def test_skipped_residues_are_empty(self, monkeypatch, target):
@@ -444,8 +455,8 @@ class TestSweep:
         monkeypatch.setattr(simulate, "_uncovered", spy)
         base = TrialConfig(seed=5, lengths=None, target=target, n_max=3000,
                            n_first_checkpoint=4)
-        cfgs = [replace(base, lengths=LogOverN(c)) for c in (0.6, 1.0, 1.5, 2.5)]
-        traces = simulate._sweep(cfgs, 3)
+        rules = [LogOverN(c) for c in (0.6, 1.0, 1.5, 2.5)]
+        traces = simulate._sweep(base, rules, 3)
         skipped = 0
         for a, b, first, last, ells, t, out in seen:
             ends, cand = simulate._skeleton(a, b, first, last)
@@ -459,11 +470,6 @@ class TestSweep:
         for tr in traces:
             assert not np.any(tr.uncovered_measure[tr.covered])
             assert not np.any(tr.piece_count[tr.covered])
-
-    def test_configs_must_share_all_but_lengths(self):
-        base = TrialConfig(seed=5, lengths=LogOverN(1.0), target=make_circle(), n_max=1000)
-        with pytest.raises(ValueError, match="differ only in lengths"):
-            simulate._sweep([base, replace(base, seed=6)], 0)
 
 
 _SMALL_BLOCK = 7
@@ -500,10 +506,10 @@ class TestBlockedPrefilter:
                              ids=["circle", "cantor", "finite"])
     def test_block_size_leaves_traces_unchanged(self, monkeypatch, target):
         base = TrialConfig(seed=5, lengths=None, target=target, n_max=3000)
-        cfgs = [replace(base, lengths=LogOverN(c)) for c in (0.6, 1.0, 2.5)]
-        want = simulate._sweep(cfgs, 3)
+        rules = [LogOverN(c) for c in (0.6, 1.0, 2.5)]
+        want = simulate._sweep(base, rules, 3)
         monkeypatch.setattr(simulate, "_BLOCK", self.B)
-        assert simulate._sweep(cfgs, 3) == want
+        assert simulate._sweep(base, rules, 3) == want
 
 
 @pytest.mark.usefixtures("small_block")
@@ -714,7 +720,7 @@ class TestThreadedHalves:
     def test_threaded_equals_serial(self, monkeypatch, target):
         base = TrialConfig(seed=5, lengths=None, target=target, n_max=3000,
                            n_first_checkpoint=2)
-        cfgs = [replace(base, lengths=LogOverN(c)) for c in (0.6, 1.0, 2.5)]
+        rules = [LogOverN(c) for c in (0.6, 1.0, 2.5)]
         seen = _spy_threads(monkeypatch)
         got = {}
         # switch threads as often as possible, so the halves interleave
@@ -726,9 +732,9 @@ class TestThreadedHalves:
                 seen.clear()
                 # traces build a residue at every checkpoint, tail outcomes
                 # in the window only, and the tail alone starts there
-                got[threads] = (simulate._sweep(cfgs, 3),
-                                simulate._sweep(cfgs, 3, reads="verdicts"),
-                                simulate._sweep(cfgs, 3, reads="tail"))
+                got[threads] = (simulate._sweep(base, rules, 3),
+                                simulate._sweep(base, rules, 3, reads="verdicts"),
+                                simulate._sweep(base, rules, 3, reads="tail"))
                 assert (seen != {threading.get_ident()}) == threads
         finally:
             sys.setswitchinterval(interval)
@@ -755,9 +761,9 @@ class TestThreadedHalves:
         monkeypatch.setattr(simulate, "sample_centers", sample_spy)
         monkeypatch.setattr(simulate, "uncovered_at", residue_spy)
         base = TrialConfig(seed=2, lengths=None, target=make_cantor(1 / 3, 8), n_max=2000)
-        cfgs = [replace(base, lengths=LogOverN(c)) for c in (0.6, 1.0, 2.5)]
+        rules = [LogOverN(c) for c in (0.6, 1.0, 2.5)]
         n_cp = base.checkpoints().size
-        traces = simulate._sweep(cfgs, 2)
+        traces = simulate._sweep(base, rules, 2)
 
         def uncovered(checkpoints):
             return [float(t.ells[i]) for i in checkpoints for t in traces if not t.covered[i]]
@@ -769,12 +775,12 @@ class TestThreadedHalves:
         assert 0 < len(uncovered(range(n_cp - 2, n_cp))) < 3 * 2
         sampled.clear()
         residues.clear()
-        simulate._sweep(cfgs, 2, reads="verdicts")
+        simulate._sweep(base, rules, 2, reads="verdicts")
         assert sum(sampled) == base.n_max
         assert residues == uncovered(range(n_cp - 2, n_cp))
         sampled.clear()
         residues.clear()
-        simulate._sweep(cfgs, 2, reads="tail")
+        simulate._sweep(base, rules, 2, reads="tail")
         assert sum(sampled) == base.n_max and len(residues) == 3 * 2
 
     @pytest.mark.parametrize("threads", [False, True], ids=["serial", "threaded"])
@@ -823,7 +829,7 @@ class TestTailOnlySweep:
         for seed in range(5):
             cfg = replace(base, seed=seed)
             for w in (1, 3, n_cp):
-                (got,) = simulate._sweep([cfg], w, reads="tail")
+                (got,) = simulate._sweep(cfg, [cfg.lengths], w, reads="tail")
                 want = run_trial(cfg, w).tail_uncovered
                 _assert_bitwise(got, want)
                 found |= not want.is_empty()
@@ -833,7 +839,7 @@ class TestTailOnlySweep:
         # the checkpoints before the window are never decided, so the result
         # is the union alone
         cfg = TrialConfig(seed=1, lengths=LogOverN(0.5), target=make_circle(), n_max=3000)
-        (got,) = simulate._sweep([cfg], 2, reads="tail")
+        (got,) = simulate._sweep(cfg, [cfg.lengths], 2, reads="tail")
         assert type(got) is IntervalUnion
         assert not hasattr(got, "last_failure_n")
         assert not hasattr(got, "eventually_covered")
@@ -841,7 +847,7 @@ class TestTailOnlySweep:
     def test_unknown_reads_is_refused(self):
         cfg = TrialConfig(seed=1, lengths=LogOverN(0.5), target=make_circle(), n_max=3000)
         with pytest.raises(ValueError, match="reads"):
-            simulate._sweep([cfg], 2, reads="verdict")
+            simulate._sweep(cfg, [cfg.lengths], 2, reads="verdict")
 
 
 def _stevens(n: int, a: Fraction) -> Fraction:
