@@ -357,8 +357,8 @@ def _dims_cell(seed, context=None):
 def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
                                    target: TargetSet | None = None,
                                    tail_checkpoints: int = 1,
-                                   checkpoint_ratio: float = 1.1,
-                                   n_first_checkpoint: int = 64,
+                                   checkpoint_ratio: float = TrialConfig.checkpoint_ratio,
+                                   n_first_checkpoint: int = TrialConfig.n_first_checkpoint,
                                    jobs: int = 1) -> DimensionScan:
     """Box-dimension estimates of what stays uncovered at the horizon.
 
@@ -368,10 +368,12 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
     reported for comparison; when it is <= 0 the bound is vacuous and the
     experiment is exploratory only.  Seeds with nothing uncovered in the
     tail window produce degenerate slope-0 estimates, not errors.  The
-    window must hold between 1 and all of the checkpoints.  The window,
+    window must hold between 1 and all of the checkpoints.  c, the window,
     the scale guard and the seed range are checked here, once, before any
     cell runs; the estimates come back in the order of the sorted seeds.
     """
+    if not 0.0 < c < math.inf:
+        raise ConfigError("c", f"must be finite and > 0, got {c}")
     if target is None:
         target = make_circle()
     rule = LogOverN(c)

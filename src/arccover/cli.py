@@ -1,11 +1,11 @@
 """Command line front end.
 
-Commands: trial, scan, dims, series, schedule.  Configuration values
-resolve as CLI flags over config-file fields over defaults, and the fully
-resolved configuration is echoed into every output file together with the
-tool version and the PRNG identity, so any published number can be
-replayed bit-exactly.  Exit codes: 0 success, 1 runtime failure, 2
-configuration/validation failure (the message names the offending field).
+Commands: trial, scan, dims, series, schedule.  Values resolve as CLI
+flags over config-file fields over defaults; the defaults table types each
+field, flag text and config value alike.  The configuration as it ran is
+echoed into every output file with the tool version and the PRNG identity,
+so any published number replays bit-exactly.  Exit codes: 0 success, 1
+runtime failure, 2 configuration/validation failure (naming the field).
 
 Numeric CSV fields use 17 significant digits, which round-trips 64-bit
 floats exactly.  The scan command additionally writes a self-contained
@@ -153,14 +153,14 @@ def _scan_svg(scan) -> str:
 # configuration resolution
 
 _COMMON_DEFAULTS = {
-    "checkpoint_ratio": 1.1,
-    "first_checkpoint": 64,
+    "checkpoint_ratio": TrialConfig.checkpoint_ratio,
+    "first_checkpoint": TrialConfig.n_first_checkpoint,
 }
 
 # One table per command: each key is a config field and, with dashes, a
 # flag of that command whose type is the type of its default (`None`, for
-# jobs, stands for an int that falls back to ARCCOVER_JOBS).  `out` comes
-# first, so every command's help lists it right after --config.
+# jobs, stands for an int that falls back to ARCCOVER_JOBS), and of its
+# config-file value.  `out` comes first, so help lists it after --config.
 _DEFAULTS = {
     "trial": {"out": "arccover_trial", "target": "circle", "lengths": "logn:1",
               "n_max": 10 ** 5, "seed": 0, **_COMMON_DEFAULTS},
@@ -183,6 +183,27 @@ _FLAG_HELP = {
     "seeds": "number of seeds (seed0, seed0+1, ...)",
     ("scan", "c"): "grid lo:hi:step or comma list",
 }
+
+
+def _kind(default) -> type:
+    return int if default is None else type(default)
+
+
+def _read(key: str, value, default):
+    """A config-file or environment value read as its flag would read it: a
+    numeric string parses like flag text, and a number must keep its value
+    in the field's type, so 2000.0 fills an int field and 2000.9, true or
+    NaN do not."""
+    kind = _kind(default)
+    if kind is str:
+        return value
+    try:
+        if isinstance(value, str) or type(value) in (int, float) and kind(value) == value:
+            return kind(value)
+    except (ValueError, OverflowError):
+        pass
+    noun = "an integer" if kind is int else "a number"
+    raise ConfigError(key, f"must be {noun}, got {value!r}")
 
 
 def _load_config(path: str | None, command: str) -> dict:
@@ -217,15 +238,14 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         if flag_val is not None:
             resolved[key] = flag_val
         elif key in file_cfg:
-            resolved[key] = file_cfg[key]
+            resolved[key] = _read(key, file_cfg[key], default)
         else:
             resolved[key] = default
+    for key in ("n_max", "trials", "seeds", "n", "k"):  # the fields that must be >= 1
+        if key in resolved and resolved[key] < 1:
+            raise ConfigError(key, f"must be >= 1, got {resolved[key]}")
     if "jobs" in resolved and resolved["jobs"] is None:
-        env = os.environ.get("ARCCOVER_JOBS")
-        try:
-            resolved["jobs"] = int(env) if env else 1
-        except ValueError:
-            raise ConfigError("jobs", f"ARCCOVER_JOBS={env!r} is not an integer")
+        resolved["jobs"] = _read("ARCCOVER_JOBS", os.environ.get("ARCCOVER_JOBS") or "1", None)
     resolved["command"] = command
     return resolved
 
@@ -262,29 +282,12 @@ def _parse_c_grid(spec) -> list:
     return [lo + i * step for i in range(count)]
 
 
-def _number(resolved: dict, key: str, kind=int):
-    """resolved[key] as an int or a float: a config file may hold anything."""
-    try:
-        return kind(resolved[key])
-    except (TypeError, ValueError):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(key, f"must be {noun}, got {resolved[key]!r}") from None
-
-
-def _positive_int(resolved: dict, key: str) -> int:
-    value = _number(resolved, key)
-    if value < 1:
-        raise ConfigError(key, f"must be >= 1, got {value}")
-    return value
-
-
 def _trial_config(resolved: dict, seed_key: str, target, lengths) -> TrialConfig:
     """The trial and scan settings; callers parse the target and then the
     lengths or the c grid first, so errors are reported in that order."""
-    return TrialConfig(seed=_number(resolved, seed_key), lengths=lengths, target=target,
-                       n_max=_positive_int(resolved, "n_max"),
-                       checkpoint_ratio=_number(resolved, "checkpoint_ratio", float),
-                       n_first_checkpoint=_number(resolved, "first_checkpoint"))
+    return TrialConfig(seed=resolved[seed_key], lengths=lengths, target=target,
+                       n_max=resolved["n_max"], checkpoint_ratio=resolved["checkpoint_ratio"],
+                       n_first_checkpoint=resolved["first_checkpoint"])
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +326,8 @@ def _cmd_scan(resolved: dict) -> int:
     target = parse_target(str(resolved["target"]))
     c_grid = _parse_c_grid(resolved["c"])
     base = _trial_config(resolved, "seed0", target, None)
-    scan = phase_scan(c_grid, base, _positive_int(resolved, "trials"),
-                      jobs=_number(resolved, "jobs"),
-                      tail_checkpoints=_number(resolved, "tail_checkpoints"))
+    scan = phase_scan(c_grid, base, resolved["trials"], jobs=resolved["jobs"],
+                      tail_checkpoints=resolved["tail_checkpoints"])
     banner = _tool_banner(resolved)
     banner["seed"] = scan.seed0
     out = str(resolved["out"])
@@ -351,16 +353,14 @@ def _cmd_scan(resolved: dict) -> int:
 def _cmd_dims(resolved: dict) -> int:
     """box-dimension estimates of the tail uncovered set"""
     target = parse_target(str(resolved["target"]))
-    n_seeds = _positive_int(resolved, "seeds")
-    seed0 = _number(resolved, "seed0")
+    seed0 = resolved["seed0"]
     scan = uncovered_dimension_experiment(
-        _number(resolved, "c", float), _positive_int(resolved, "n_max"),
-        range(seed0, seed0 + n_seeds),
+        resolved["c"], resolved["n_max"], range(seed0, seed0 + resolved["seeds"]),
         target=target,
-        tail_checkpoints=_number(resolved, "tail_checkpoints"),
-        checkpoint_ratio=_number(resolved, "checkpoint_ratio", float),
-        n_first_checkpoint=_number(resolved, "first_checkpoint"),
-        jobs=_number(resolved, "jobs"))
+        tail_checkpoints=resolved["tail_checkpoints"],
+        checkpoint_ratio=resolved["checkpoint_ratio"],
+        n_first_checkpoint=resolved["first_checkpoint"],
+        jobs=resolved["jobs"])
     banner = _tool_banner(resolved)
     banner["seed"] = seed0
     out = str(resolved["out"])
@@ -389,8 +389,7 @@ def _cmd_dims(resolved: dict) -> int:
 def _cmd_series(resolved: dict) -> int:
     """covering-series and Shepp-series diagnostics"""
     lengths = parse_lengths(str(resolved["lengths"]))
-    n = _positive_int(resolved, "n")
-    beta, d = _number(resolved, "beta", float), _number(resolved, "d", float)
+    n, beta, d = resolved["n"], resolved["beta"], resolved["d"]
     # refuse here, before the second thread starts a long Shepp sum
     check_covering_params(beta, d)
     check_series_terms(n)
@@ -429,9 +428,8 @@ def _cmd_series(resolved: dict) -> int:
 def _cmd_schedule(resolved: dict) -> int:
     """greedy block schedule construction + check"""
     lengths = parse_lengths(str(resolved["lengths"]))
-    alpha = _number(resolved, "alpha", float)
-    k = _positive_int(resolved, "k")
-    sched = choose_schedule(lengths, alpha, k)
+    alpha = resolved["alpha"]
+    sched = choose_schedule(lengths, alpha, resolved["k"])
     banner = _tool_banner(resolved)
     out = str(resolved["out"])
     idx = np.asarray(sched.indices, dtype=np.float64)
@@ -471,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (flags override it)")
         for key, default in _DEFAULTS[command].items():
             p.add_argument("--" + key.replace("_", "-"),
-                           type=int if default is None else type(default),
+                           type=_kind(default),
                            help=_FLAG_HELP.get((command, key), _FLAG_HELP.get(key)))
     return top
 

@@ -38,6 +38,8 @@ MAX_EXACT_N = 2 ** 53  # beyond this, integer indices are not float-exact
 MAX_TERMS = 100_000_000  # largest N summed term by term (prefix sums, series)
 _CHUNK = 1_000_000  # the series' logaddexp sums depend on it; keep it fixed
 _SUB = _CHUNK // 16  # a series sub-block: the same sums, in cache-sized pieces
+SCHEDULE_CAP = 10 ** 15  # choose_schedule looks for block ends below this
+_DELTA_RANGE = (3, 10 ** 6)  # the range choose_schedule estimates delta over
 
 
 class LengthSequenceError(ValueError):
@@ -45,7 +47,7 @@ class LengthSequenceError(ValueError):
 
 
 class ScheduleError(RuntimeError):
-    """Raised when no admissible schedule index exists below the cap."""
+    """Raised when no admissible schedule index exists below SCHEDULE_CAP."""
 
 
 class LengthSequence:
@@ -124,8 +126,8 @@ class LogOverN(LengthSequence):
     c: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise LengthSequenceError(f"logn rule needs c > 0, got {self.c}")
+        if not 0 < self.c < math.inf:
+            raise LengthSequenceError(f"logn rule needs a finite c > 0, got {self.c}")
 
     def _ell(self, ns):
         m = np.maximum(ns, 2.0)
@@ -142,8 +144,8 @@ class Harmonic(LengthSequence):
     c: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise LengthSequenceError(f"harmonic rule needs c > 0, got {self.c}")
+        if not 0 < self.c < math.inf:
+            raise LengthSequenceError(f"harmonic rule needs a finite c > 0, got {self.c}")
 
     def _ell(self, ns):
         return np.minimum(self.c / ns, CLAMP_MAX)
@@ -160,11 +162,11 @@ class PowerLaw(LengthSequence):
     gamma: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise LengthSequenceError(f"power rule needs c > 0, got {self.c}")
-        if self.gamma <= 0:
+        if not 0 < self.c < math.inf:
+            raise LengthSequenceError(f"power rule needs a finite c > 0, got {self.c}")
+        if not 0 < self.gamma < math.inf:
             raise LengthSequenceError(
-                f"power rule needs gamma > 0 to be non-increasing, got {self.gamma}")
+                f"power rule needs a finite gamma > 0 to be non-increasing, got {self.gamma}")
 
     def _ell(self, ns):
         return np.minimum(self.c * ns ** (-self.gamma), CLAMP_MAX)
@@ -183,7 +185,7 @@ class TableSequence(LengthSequence):
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.size == 0:
             raise LengthSequenceError("table sequence needs at least one value")
-        if np.any(vals <= 0.0) or np.any(vals >= 1.0):
+        if not np.all((vals > 0.0) & (vals < 1.0)):
             raise LengthSequenceError("table values must lie in (0, 1)")
         if np.any(np.diff(vals) > 0.0):
             raise LengthSequenceError("table values must be non-increasing")
@@ -318,9 +320,7 @@ def estimate_covering_exponent(rule: LengthSequence, n_range: tuple) -> float:
     return float(np.max(ratios))
 
 
-def choose_schedule(rule: LengthSequence, alpha: float, K: int,
-                    delta_hat: float | None = None,
-                    cap: int = 10 ** 15) -> Schedule:
+def choose_schedule(rule: LengthSequence, alpha: float, K: int) -> Schedule:
     """Greedy block schedule n_1 < ... < n_K for the block decomposition.
 
     Each n_k is the smallest admissible index satisfying, with margin
@@ -332,15 +332,14 @@ def choose_schedule(rule: LengthSequence, alpha: float, K: int,
           (sum_{s<=n_{k-1}} ell'(s)) / ln n_k <= delta_hat + 2**-k,
           the dilution condition on the accumulated block mass.
 
-    Raises ScheduleError naming the failing k if no index below `cap`
-    works.  delta_hat defaults to estimate_delta over [3, 10**6].
+    Raises ScheduleError naming the failing k if no index below
+    SCHEDULE_CAP works.  delta_hat is estimate_delta over _DELTA_RANGE.
     """
     if not (0.0 < alpha < 1.0):
         raise LengthSequenceError(f"alpha must be in (0, 1), got {alpha}")
     if K < 1:
         raise LengthSequenceError(f"K must be >= 1, got {K}")
-    if delta_hat is None:
-        delta_hat = estimate_delta(rule, (3, 10 ** 6))
+    delta_hat = estimate_delta(rule, _DELTA_RANGE)
 
     indices = []
     n_prev = 0
@@ -361,11 +360,11 @@ def choose_schedule(rule: LengthSequence, alpha: float, K: int,
         else:
             # gallop out to a power-of-two bracket, then bisect
             hi = lo
-            while hi < cap and not admissible(hi, k):
-                hi = min(cap, hi * 2)
+            while hi < SCHEDULE_CAP and not admissible(hi, k):
+                hi = min(SCHEDULE_CAP, hi * 2)
             if not admissible(hi, k):
                 raise ScheduleError(
-                    f"no admissible n_{k} below cap {cap:.0e} for "
+                    f"no admissible n_{k} below cap {SCHEDULE_CAP:.0e} for "
                     f"{rule.describe()} (alpha={alpha:g}, margin 2^-{k}, "
                     f"accumulated block mass {accum:.3f})")
             bad, good = lo, hi
@@ -441,11 +440,11 @@ def check_series_terms(N: int) -> None:
 
 
 def check_covering_params(beta: float, d: float) -> None:
-    """Refuse covering-series parameters unless 0 < d < 1 and beta >= 0."""
+    """Refuse covering-series parameters unless 0 < d < 1 and 0 <= beta < inf."""
     if not (0.0 < d < 1.0):
         raise LengthSequenceError(f"d must be in (0, 1), got {d}")
-    if beta < 0.0:
-        raise LengthSequenceError(f"beta must be >= 0, got {beta}")
+    if not 0.0 <= beta < math.inf:
+        raise LengthSequenceError(f"beta must be finite and >= 0, got {beta}")
 
 
 def _scan_series(log_terms, N: int) -> SeriesResult:

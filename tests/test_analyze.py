@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 from dataclasses import replace
@@ -349,6 +350,12 @@ class TestDimensionExperiment:
         with pytest.raises(ConfigError, match="^target: pre-fractal"):
             uncovered_dimension_experiment(0.3, 100_000, range(2), jobs=jobs,
                                            target=make_cantor(1 / 3, 8))
+
+    @pytest.mark.parametrize("c", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_c_must_be_finite_and_positive(self, no_pool, c):
+        with pytest.raises(ConfigError, match=r"^c: must be finite and > 0, got ") as exc:
+            uncovered_dimension_experiment(c, 20_000, range(2), jobs=2)
+        assert exc.value.field == "c"
 
     def test_empty_seed_list_is_a_config_error(self, no_pool):
         with pytest.raises(ConfigError, match="^seeds: ") as exc:

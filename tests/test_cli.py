@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import threading
 from concurrent.futures import Future
@@ -185,18 +186,32 @@ class TestConfigErrors:
         assert capsys.readouterr().err == "error: target: unknown specification 'nope'\n"
 
     @pytest.mark.parametrize("spec", ["logn:-1", "harmonic:0", "power:1:0", "power:1",
-                                      "table:big.csv", "nope"])
+                                      "table:big.csv", "nope", "logn:nan", "logn:inf",
+                                      "harmonic:nan", "harmonic:inf", "power:nan:1",
+                                      "power:1:nan", "power:1:inf", "table:nan.csv"])
     def test_bad_lengths(self, tmp_path, capsys, spec):
         (tmp_path / "big.csv").write_text("0.5\n1.0\n")
+        (tmp_path / "nan.csv").write_text("0.5\nnan\n")
         assert run(tmp_path, "trial", "--lengths", spec, "--n-max", "1000") == 2
         assert capsys.readouterr().err.startswith("error: lengths: ")
+
+    @pytest.mark.parametrize("command", ["series", "schedule"])
+    def test_nan_lengths_refused_before_any_sum(self, tmp_path, capsys, command):
+        assert run(tmp_path, command, "--lengths", "logn:nan", "--out", "x") == 2
+        assert capsys.readouterr().err == ("error: lengths: logn rule needs a finite "
+                                           "c > 0, got nan\n")
+        assert not list(tmp_path.glob("x.*"))
 
     @pytest.mark.parametrize("argv, field", [
         (["scan", "--c", "0.5,abc"], "c"),
         (["scan", "--c", "0:x:1"], "c"),
         (["scan", "--c", "0.5,nan"], "c"),
         (["dims", "--c", "0.5", "--n-max", "8", "--first-checkpoint", "1"], "n_max"),
-    ], ids=["c-list", "c-range", "c-nan", "dims-window"])
+        (["dims", "--c", "-1"], "c"),
+        (["dims", "--c", "nan"], "c"),
+        (["dims", "--c", "inf"], "c"),
+    ], ids=["c-list", "c-range", "c-nan", "dims-window", "dims-c-negative", "dims-c-nan",
+            "dims-c-inf"])
     def test_bad_flag_value(self, tmp_path, capsys, argv, field):
         assert run(tmp_path, *argv, "--out", "x") == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
@@ -274,6 +289,91 @@ class TestConfigFile:
         assert run(tmp_path, "trial", "--config", "cfg.json") == 2
 
 
+# A small run of each command with every numeric field in the config file,
+# each given in its field's type.
+_SMALL_CONFIGS = {
+    "trial": {"lengths": "logn:2.5", "n_max": 2000, "seed": 3, "checkpoint_ratio": 2.0,
+              "first_checkpoint": 16},
+    "scan": {"c": "0.5,2.5", "trials": 2, "n_max": 1000, "seed0": 3, "tail_checkpoints": 2,
+             "checkpoint_ratio": 2.0, "first_checkpoint": 16, "jobs": 1},
+    "dims": {"c": 0.5, "n_max": 20000, "seeds": 2, "seed0": 3, "tail_checkpoints": 1,
+             "checkpoint_ratio": 2.0, "first_checkpoint": 16, "jobs": 1},
+    "series": {"lengths": "logn:1", "beta": 1.0, "d": 0.5, "n": 1000},
+    "schedule": {"lengths": "logn:0.5", "alpha": 0.9, "k": 3},
+}
+
+_NUMERIC_FIELDS = [(command, key) for command, table in _DEFAULTS.items()
+                   for key, default in table.items() if not isinstance(default, str)]
+
+
+def _run_config(tmp_path, command, *argv, **fields):
+    cfg = {"version": 1, **_SMALL_CONFIGS[command], **fields}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    return run(tmp_path, command, "--config", "cfg.json", "--out", "x", *argv)
+
+
+class TestConfigFileNumbers:
+    """A config-file number is read as its flag would be: it fits its
+    field's type or exits 2 naming the field, and the echo shows the value
+    that ran."""
+
+    def test_small_configs_give_every_numeric_field(self):
+        for command, key in _NUMERIC_FIELDS:
+            assert type(_SMALL_CONFIGS[command][key]) is cli._kind(_DEFAULTS[command][key])
+
+    @pytest.mark.parametrize("command, field", _NUMERIC_FIELDS)
+    def test_values_of_another_type_run_and_echo_in_the_field_type(self, tmp_path, command,
+                                                                  field):
+        value = _SMALL_CONFIGS[command][field]
+        forms = [str(value)]
+        if isinstance(value, int):
+            forms.append(float(value))
+        elif value.is_integer():
+            forms.append(int(value))
+        for i, form in enumerate(forms):
+            folder = tmp_path / str(i)
+            folder.mkdir()
+            assert _run_config(folder, command, **{field: form}) == 0
+            echo = json.loads((folder / "x.json").read_text())["config"]
+            # jobs is an execution detail, left out of the echo
+            if field != "jobs":
+                assert echo[field] == value and type(echo[field]) is type(value)
+
+    @pytest.mark.parametrize("command, field", _NUMERIC_FIELDS)
+    def test_value_of_the_wrong_kind_exit_2(self, tmp_path, capsys, command, field):
+        is_float = isinstance(_DEFAULTS[command][field], float)
+        noun = "a number" if is_float else "an integer"
+        bad = [True, [1], "abc", None, {"x": 1}, math.nan]
+        if not is_float:
+            bad += [2.5, math.inf, "2.0"]
+        for value in bad:
+            assert _run_config(tmp_path, command, **{field: value}) == 2
+            assert capsys.readouterr().err == f"error: {field}: must be {noun}, got {value!r}\n"
+            assert not list(tmp_path.glob("x.*"))
+
+    def test_non_integral_n_max_is_refused(self, tmp_path, capsys):
+        (tmp_path / "c.json").write_text('{"version": 1, "n_max": 2000.9, "seed": 1.5}')
+        assert run(tmp_path, "trial", "--config", "c.json", "--out", "t") == 2
+        assert capsys.readouterr().err == "error: n_max: must be an integer, got 2000.9\n"
+        assert not list(tmp_path.glob("t.*"))
+
+    @pytest.mark.parametrize("command, field", [
+        ("trial", "n_max"), ("scan", "n_max"), ("scan", "trials"), ("dims", "n_max"),
+        ("dims", "seeds"), ("series", "n"), ("schedule", "k")])
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_field_below_one_is_refused_first(self, tmp_path, capsys, command, field, how):
+        # reported before the bad target or length rule
+        bad_text = {"target": "nope"} if "target" in _DEFAULTS[command] else {"lengths": "nope"}
+        if how == "config":
+            code = _run_config(tmp_path, command, **bad_text, **{field: 0})
+        else:
+            code = _run_config(tmp_path, command, "--" + field.replace("_", "-"), "0",
+                               **bad_text)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {field}: must be >= 1, got 0\n"
+        assert not list(tmp_path.glob("x.*"))
+
+
 class TestSeries:
     def test_convergent_verdict(self, tmp_path, capsys):
         code = run(tmp_path, "series", "--lengths", "logn:5", "--beta", "1",
@@ -302,6 +402,8 @@ class TestSeries:
         (["--d", "1.5", "--n", "100000000"], "d must be in"),
         (["--beta", "-1", "--n", "100000000"], "beta must be"),
         (["--n", "9"], "N >= 10"),
+        (["--beta", "nan", "--n", "100000000"], "beta must be finite"),
+        (["--beta", "inf", "--n", "100000000"], "beta must be finite"),
     ])
     def test_refuses_before_either_series_starts(self, tmp_path, capsys, argv, message):
         # a refused run must not first sum 1e8 Shepp terms on the second thread
