@@ -16,12 +16,12 @@ from .analyze import (DimensionEstimate, DimensionScan, ScanResult, ScanRow,
                       phase_scan, uncovered_dimension_experiment,
                       wilson_interval)
 from .errors import ConfigError
-from .lengths import (BlockSequence, Harmonic, LengthSequence,
-                      LengthSequenceError, LogOverN, PowerLaw, Schedule,
-                      ScheduleError, SeriesResult, TableSequence,
-                      block_sequence, choose_schedule, covering_series,
-                      estimate_covering_exponent, estimate_delta,
-                      parse_lengths, rare_block_sum, shepp_series)
+from .lengths import (BlockSequence, Harmonic, LengthSequence, LogOverN,
+                      PowerLaw, Schedule, ScheduleError, SeriesResult,
+                      TableSequence, block_sequence, choose_schedule,
+                      covering_series, estimate_covering_exponent,
+                      estimate_delta, parse_lengths, rare_block_sum,
+                      shepp_series)
 from .simulate import (CoverageTrace, TrialConfig, checkpoint_grid, run_trial,
                        sample_centers, uncovered_at)
 from .targets import (TargetSet, make_cantor, make_circle, make_custom,

@@ -190,14 +190,11 @@ class ScanResult:
     c_star_uncertainty: float | None
     monotone_fractions: bool
 
-    def checkpoints(self) -> np.ndarray:
-        return checkpoint_grid(self.n_first_checkpoint, self.checkpoint_ratio,
-                               self.n_max)
-
     def to_dict(self) -> dict:
         out = asdict(self)
         out["target"] = out.pop("target_description")
-        out["checkpoints"] = self.checkpoints().tolist()
+        out["checkpoints"] = checkpoint_grid(self.n_first_checkpoint, self.checkpoint_ratio,
+                                             self.n_max).tolist()
         return out
 
 
@@ -259,8 +256,10 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
     which makes the output independent of `jobs`.
     """
     cs = [float(c) for c in c_grid]
-    if len(cs) == 0 or any(b <= a for a, b in zip(cs, cs[1:])) or cs[0] <= 0:
-        raise ConfigError("c", f"grid must be positive and strictly increasing, got {cs}")
+    if (len(cs) == 0 or any(b <= a for a, b in zip(cs, cs[1:]))
+            or not all(0 < c < math.inf for c in cs)):
+        raise ConfigError("c", f"grid must be finite, positive and strictly increasing, "
+                          f"got {cs}")
     if trials_per_c < 1:
         raise ConfigError("trials", f"must be >= 1, got {trials_per_c}")
     # checked here, before any cell runs or any pool starts

@@ -4,8 +4,9 @@ Commands: trial, scan, dims, series, schedule.  Values resolve as CLI
 flags over config-file fields over defaults; the defaults table types each
 field, flag text and config value alike.  The configuration as it ran is
 echoed into every output file with the tool version and the PRNG identity,
-so any published number replays bit-exactly.  Exit codes: 0 success, 1
-runtime failure, 2 configuration/validation failure (naming the field).
+so any published number replays bit-exactly.  Exit codes: 0 success, 2
+for a ConfigError (every refused input, printed as `error: <field>: ...`),
+1 for any other exception (printed with its type name).
 
 Numeric CSV fields use 17 significant digits, which round-trips 64-bit
 floats exactly.  The scan command additionally writes a self-contained
@@ -26,9 +27,8 @@ import numpy as np
 
 from . import __version__
 from .analyze import phase_scan, uncovered_dimension_experiment
-from .lengths import (LengthSequenceError, ScheduleError, check_covering_params,
-                      check_series_terms, choose_schedule, covering_series,
-                      parse_lengths, shepp_series)
+from .lengths import (check_covering_params, check_series_terms, choose_schedule,
+                      covering_series, parse_lengths, shepp_series)
 from .errors import ConfigError
 from .simulate import PRNG_NAME, PRNG_VERSION, TrialConfig, run_trial
 from .targets import parse_target
@@ -191,12 +191,15 @@ def _kind(default) -> type:
 
 def _read(key: str, value, default):
     """A config-file or environment value read as its flag would read it: a
-    numeric string parses like flag text, and a number must keep its value
-    in the field's type, so 2000.0 fills an int field and 2000.9, true or
-    NaN do not."""
+    text field takes a string, a numeric string parses like flag text, and
+    a number must keep its value in the field's type, so 2000.0 fills an
+    int field and 2000.9, true or NaN do not."""
     kind = _kind(default)
     if kind is str:
-        return value
+        # scan's c grid may also be a list or a number; _parse_c_grid reads it
+        if isinstance(value, str) or key == "c":
+            return value
+        raise ConfigError(key, f"must be a string, got {value!r}")
     try:
         if isinstance(value, str) or type(value) in (int, float) and kind(value) == value:
             return kind(value)
@@ -296,12 +299,12 @@ def _trial_config(resolved: dict, seed_key: str, target, lengths) -> TrialConfig
 
 def _cmd_trial(resolved: dict) -> int:
     """run one seeded trial, write trace CSV + summary JSON"""
-    target = parse_target(str(resolved["target"]))
-    lengths = parse_lengths(str(resolved["lengths"]))
+    target = parse_target(resolved["target"])
+    lengths = parse_lengths(resolved["lengths"])
     trace = run_trial(_trial_config(resolved, "seed", target, lengths))
     banner = _tool_banner(resolved)
     banner["seed"] = trace.seed
-    out = str(resolved["out"])
+    out = resolved["out"]
     _write_csv(out + ".csv", banner,
                ["n", "ell_n", "covered", "uncovered_measure", "piece_count"],
                zip(trace.checkpoints, trace.ells, trace.covered,
@@ -323,14 +326,14 @@ def _cmd_trial(resolved: dict) -> int:
 
 def _cmd_scan(resolved: dict) -> int:
     """coverage-fraction scan over c, with SVG plot"""
-    target = parse_target(str(resolved["target"]))
+    target = parse_target(resolved["target"])
     c_grid = _parse_c_grid(resolved["c"])
     base = _trial_config(resolved, "seed0", target, None)
     scan = phase_scan(c_grid, base, resolved["trials"], jobs=resolved["jobs"],
                       tail_checkpoints=resolved["tail_checkpoints"])
     banner = _tool_banner(resolved)
     banner["seed"] = scan.seed0
-    out = str(resolved["out"])
+    out = resolved["out"]
     _write_csv(out + ".csv", banner,
                ["c", "trials", "eventually_covered_fraction", "wilson_low",
                 "wilson_high", "mean_last_failure_n",
@@ -352,7 +355,7 @@ def _cmd_scan(resolved: dict) -> int:
 
 def _cmd_dims(resolved: dict) -> int:
     """box-dimension estimates of the tail uncovered set"""
-    target = parse_target(str(resolved["target"]))
+    target = parse_target(resolved["target"])
     seed0 = resolved["seed0"]
     scan = uncovered_dimension_experiment(
         resolved["c"], resolved["n_max"], range(seed0, seed0 + resolved["seeds"]),
@@ -363,7 +366,7 @@ def _cmd_dims(resolved: dict) -> int:
         jobs=resolved["jobs"])
     banner = _tool_banner(resolved)
     banner["seed"] = seed0
-    out = str(resolved["out"])
+    out = resolved["out"]
     _write_csv(out + ".csv", banner,
                ["seed", "slope", "r_squared", "degenerate"],
                [(s, e.slope, e.r_squared, e.degenerate)
@@ -388,7 +391,7 @@ def _cmd_dims(resolved: dict) -> int:
 
 def _cmd_series(resolved: dict) -> int:
     """covering-series and Shepp-series diagnostics"""
-    lengths = parse_lengths(str(resolved["lengths"]))
+    lengths = parse_lengths(resolved["lengths"])
     n, beta, d = resolved["n"], resolved["beta"], resolved["d"]
     # refuse here, before the second thread starts a long Shepp sum
     check_covering_params(beta, d)
@@ -399,7 +402,7 @@ def _cmd_series(resolved: dict) -> int:
         cov = covering_series(lengths, beta, d, n)
         shepp = job.result()
     banner = _tool_banner(resolved)
-    out = str(resolved["out"])
+    out = resolved["out"]
     rows = []
     for name, res in (("covering", cov), ("shepp", shepp)):
         for cp, ps, lps in zip(res.checkpoints, res.partial_sums, res.log_partial_sums):
@@ -427,11 +430,11 @@ def _cmd_series(resolved: dict) -> int:
 
 def _cmd_schedule(resolved: dict) -> int:
     """greedy block schedule construction + check"""
-    lengths = parse_lengths(str(resolved["lengths"]))
+    lengths = parse_lengths(resolved["lengths"])
     alpha = resolved["alpha"]
     sched = choose_schedule(lengths, alpha, resolved["k"])
     banner = _tool_banner(resolved)
-    out = str(resolved["out"])
+    out = resolved["out"]
     idx = np.asarray(sched.indices, dtype=np.float64)
     prev = np.concatenate(([0.0], idx[:-1]))
     terms = prev * lengths._ell(idx) ** alpha
@@ -480,12 +483,9 @@ def main(argv=None) -> int:
     try:
         resolved = _resolve(args, args.command)
         return _COMMANDS[args.command](resolved)
-    except (ConfigError, LengthSequenceError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ScheduleError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -24,6 +24,12 @@ next.  Each sum refuses N > MAX_TERMS before it allocates anything.
 Block sequences freeze the length on blocks (n_k, n_{k+1}] at the value
 taken at the block end; their partial sums are evaluated in closed form
 so schedules reaching 1e15 stay cheap and exact.
+
+Every refused input raises ConfigError naming its field: the CLI field
+that supplies it where there is one (`lengths` for rules and tables, `n`,
+`d` and `beta` for the series, `alpha` and `k` for the schedule), else the
+refused parameter (`ns`, `n_range`, `indices`).  ScheduleError is not a
+refusal: it reports that no schedule exists below SCHEDULE_CAP.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ConfigError
 
 CLAMP_MAX = 1.0 - 1e-9
 MAX_EXACT_N = 2 ** 53  # beyond this, integer indices are not float-exact
@@ -42,10 +50,6 @@ SCHEDULE_CAP = 10 ** 15  # choose_schedule looks for block ends below this
 _DELTA_RANGE = (3, 10 ** 6)  # the range choose_schedule estimates delta over
 
 
-class LengthSequenceError(ValueError):
-    pass
-
-
 class ScheduleError(RuntimeError):
     """Raised when no admissible schedule index exists below SCHEDULE_CAP."""
 
@@ -54,7 +58,7 @@ class LengthSequence:
     """Base class: a rule n -> ell(n), vectorized over integer arrays."""
 
     def ell(self, n):
-        ns, scalar = _as_index_array(n)
+        ns, scalar = _as_index_array(n, "n")
         out = self._ell(ns)
         return float(out[0]) if scalar else out
 
@@ -63,18 +67,17 @@ class LengthSequence:
 
     def partial_sums(self, ns) -> np.ndarray:
         """Exact prefix sums sum_{s<=n} ell(s) at the given sorted indices."""
-        ns, scalar = _as_index_array(ns)
+        ns, scalar = _as_index_array(ns, "ns")
         if np.any(np.diff(ns) <= 0):
-            raise LengthSequenceError("partial_sums wants strictly increasing indices")
+            raise ConfigError("ns", "partial_sums wants strictly increasing indices")
         out = self._partial_sums(ns)
         return float(out[0]) if scalar else out
 
     def _partial_sums(self, ns: np.ndarray) -> np.ndarray:
         top = int(ns[-1])
         if top > MAX_TERMS:
-            raise LengthSequenceError(
-                f"term-by-term prefix sum to N={top} is too large; "
-                "use a block sequence (closed form) or a smaller range")
+            raise ConfigError("ns", f"term-by-term prefix sum to N={top} is too large; "
+                              "use a block sequence (closed form) or a smaller range")
         sums = np.empty(ns.size, dtype=np.float64)
         total = 0.0
         filled = 0
@@ -100,17 +103,16 @@ def _index_chunks(top: int, size: int):
         yield start, stop, np.arange(start, stop + 1, dtype=np.float64)
 
 
-def _as_index_array(n):
+def _as_index_array(n, field_name: str):
     scalar = np.isscalar(n) or getattr(n, "ndim", 1) == 0
     ns = np.asarray(n, dtype=np.float64).reshape(-1)
     if ns.size == 0:
         return ns, False
     if np.any(ns < 1):
-        raise LengthSequenceError("length sequence index must be >= 1")
+        raise ConfigError(field_name, "length sequence index must be >= 1")
     if np.any(ns > MAX_EXACT_N):
-        raise LengthSequenceError(
-            "index exceeds the float-exact integer range (2**53); refusing to "
-            "evaluate silently")
+        raise ConfigError(field_name, "index exceeds the float-exact integer range "
+                          "(2**53); refusing to evaluate silently")
     return ns, scalar
 
 
@@ -127,7 +129,7 @@ class LogOverN(LengthSequence):
 
     def __post_init__(self):
         if not 0 < self.c < math.inf:
-            raise LengthSequenceError(f"logn rule needs a finite c > 0, got {self.c}")
+            raise ConfigError("lengths", f"logn rule needs a finite c > 0, got {self.c}")
 
     def _ell(self, ns):
         m = np.maximum(ns, 2.0)
@@ -145,7 +147,7 @@ class Harmonic(LengthSequence):
 
     def __post_init__(self):
         if not 0 < self.c < math.inf:
-            raise LengthSequenceError(f"harmonic rule needs a finite c > 0, got {self.c}")
+            raise ConfigError("lengths", f"harmonic rule needs a finite c > 0, got {self.c}")
 
     def _ell(self, ns):
         return np.minimum(self.c / ns, CLAMP_MAX)
@@ -163,10 +165,10 @@ class PowerLaw(LengthSequence):
 
     def __post_init__(self):
         if not 0 < self.c < math.inf:
-            raise LengthSequenceError(f"power rule needs a finite c > 0, got {self.c}")
+            raise ConfigError("lengths", f"power rule needs a finite c > 0, got {self.c}")
         if not 0 < self.gamma < math.inf:
-            raise LengthSequenceError(
-                f"power rule needs a finite gamma > 0 to be non-increasing, got {self.gamma}")
+            raise ConfigError("lengths", "power rule needs a finite gamma > 0 to be "
+                              f"non-increasing, got {self.gamma}")
 
     def _ell(self, ns):
         return np.minimum(self.c * ns ** (-self.gamma), CLAMP_MAX)
@@ -184,17 +186,17 @@ class TableSequence(LengthSequence):
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.size == 0:
-            raise LengthSequenceError("table sequence needs at least one value")
+            raise ConfigError("lengths", "table sequence needs at least one value")
         if not np.all((vals > 0.0) & (vals < 1.0)):
-            raise LengthSequenceError("table values must lie in (0, 1)")
+            raise ConfigError("lengths", "table values must lie in (0, 1)")
         if np.any(np.diff(vals) > 0.0):
-            raise LengthSequenceError("table values must be non-increasing")
+            raise ConfigError("lengths", "table values must be non-increasing")
         object.__setattr__(self, "values", tuple(float(v) for v in vals))
 
     def _ell(self, ns):
         if np.any(ns > len(self.values)):
-            raise LengthSequenceError(
-                f"table sequence defined only up to n={len(self.values)}")
+            raise ConfigError("lengths",
+                              f"table sequence defined only up to n={len(self.values)}")
         vals = np.asarray(self.values)
         return vals[ns.astype(np.int64) - 1]
 
@@ -211,11 +213,11 @@ class Schedule:
     def __post_init__(self):
         idx = tuple(int(i) for i in self.indices)
         if len(idx) == 0:
-            raise LengthSequenceError("schedule needs at least one index")
+            raise ConfigError("indices", "schedule needs at least one index")
         if idx[0] < 2:
-            raise LengthSequenceError("schedule must start at n_1 >= 2")
+            raise ConfigError("indices", "schedule must start at n_1 >= 2")
         if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise LengthSequenceError("schedule indices must be strictly increasing")
+            raise ConfigError("indices", "schedule indices must be strictly increasing")
         object.__setattr__(self, "indices", idx)
 
     def __len__(self):
@@ -292,7 +294,7 @@ def estimate_delta(rule: LengthSequence, n_range: tuple) -> float:
     """
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if not (2 <= n_lo < n_hi):
-        raise LengthSequenceError(f"need 2 <= n_lo < n_hi, got {n_range}")
+        raise ConfigError("n_range", f"need 2 <= n_lo < n_hi, got {n_range}")
     grid = _log_sample(n_lo, n_hi, 512)
     ns = grid.astype(np.float64)
     ratios = ns * rule._ell(ns) / np.log(ns)
@@ -309,7 +311,7 @@ def estimate_covering_exponent(rule: LengthSequence, n_range: tuple) -> float:
     """
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if not (2 <= n_lo < n_hi):
-        raise LengthSequenceError(f"need 2 <= n_lo < n_hi, got {n_range}")
+        raise ConfigError("n_range", f"need 2 <= n_lo < n_hi, got {n_range}")
     grid = _log_sample(n_lo, n_hi, 64)
     if isinstance(rule, BlockSequence):
         ends = np.asarray(rule.schedule.indices, dtype=np.int64)
@@ -336,9 +338,9 @@ def choose_schedule(rule: LengthSequence, alpha: float, K: int) -> Schedule:
     SCHEDULE_CAP works.  delta_hat is estimate_delta over _DELTA_RANGE.
     """
     if not (0.0 < alpha < 1.0):
-        raise LengthSequenceError(f"alpha must be in (0, 1), got {alpha}")
+        raise ConfigError("alpha", f"must be in (0, 1), got {alpha}")
     if K < 1:
-        raise LengthSequenceError(f"K must be >= 1, got {K}")
+        raise ConfigError("k", f"must be >= 1, got {K}")
     delta_hat = estimate_delta(rule, _DELTA_RANGE)
 
     indices = []
@@ -433,18 +435,17 @@ def _series_verdict(tail_fraction: float, term_slope: float) -> str:
 def check_series_terms(N: int) -> None:
     """Refuse a term-by-term series scan unless 10 <= N <= MAX_TERMS."""
     if N < 10:
-        raise LengthSequenceError(f"series scan needs N >= 10, got {N}")
+        raise ConfigError("n", f"series scan needs N >= 10, got {N}")
     if N > MAX_TERMS:
-        raise LengthSequenceError(
-            f"series scan to N={N} is too large; at most {MAX_TERMS} terms")
+        raise ConfigError("n", f"series scan to N={N} is too large; at most {MAX_TERMS} terms")
 
 
 def check_covering_params(beta: float, d: float) -> None:
     """Refuse covering-series parameters unless 0 < d < 1 and 0 <= beta < inf."""
     if not (0.0 < d < 1.0):
-        raise LengthSequenceError(f"d must be in (0, 1), got {d}")
+        raise ConfigError("d", f"must be in (0, 1), got {d}")
     if not 0.0 <= beta < math.inf:
-        raise LengthSequenceError(f"beta must be finite and >= 0, got {beta}")
+        raise ConfigError("beta", f"must be finite and >= 0, got {beta}")
 
 
 def _scan_series(log_terms, N: int) -> SeriesResult:
@@ -575,8 +576,8 @@ def parse_lengths(spec: str) -> LengthSequence:
         if head == "table":
             values = np.loadtxt(rest, delimiter=",", ndmin=1)
             return TableSequence(tuple(np.atleast_1d(values).ravel()))
-    except LengthSequenceError as exc:
-        raise LengthSequenceError(f"lengths: {exc}") from exc
+    except ConfigError:
+        raise
     except (OSError, ValueError) as exc:
-        raise LengthSequenceError(f"lengths: cannot parse {spec!r}: {exc}") from exc
-    raise LengthSequenceError(f"lengths: unknown rule {spec!r}")
+        raise ConfigError("lengths", f"cannot parse {spec!r}: {exc}") from exc
+    raise ConfigError("lengths", f"unknown rule {spec!r}")

@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .lengths import LengthSequence
+from .lengths import MAX_EXACT_N, LengthSequence
 from .targets import TargetSet
 from .torus import EMPTY, MERGE_EPS, IntervalUnion, intersect, measure, union
 
@@ -402,6 +402,8 @@ class TrialConfig:
         if self.n_max < self.n_first_checkpoint:
             raise ConfigError("n_max", f"must be >= n_first_checkpoint, got "
                               f"{self.n_max} < {self.n_first_checkpoint}")
+        if self.n_max > MAX_EXACT_N:
+            raise ConfigError("n_max", f"must be at most 2**53, got {self.n_max}")
         if not 1.0 < self.checkpoint_ratio < math.inf:
             raise ConfigError("checkpoint_ratio",
                               f"must be finite and > 1, got {self.checkpoint_ratio}")

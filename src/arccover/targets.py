@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .torus import FULL_CIRCLE, IntervalUnion
 
 @dataclass(frozen=True)
 class TargetSet:
-    """Immutable target: kind tag, parameters, approximation, dimensions."""
+    """Immutable target: kind tag, approximation, dimensions."""
 
     kind: str
     approx: IntervalUnion
@@ -36,7 +36,6 @@ class TargetSet:
     description: str
     # cantor pre-fractal resolution ratio**depth; 0.0 when no scale guard applies
     finest_scale: float = 0.0
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.dim_H is not None and self.dim_H > self.dim_B_upper + 1e-12:
@@ -88,7 +87,6 @@ def make_cantor(ratio: float, depth: int) -> TargetSet:
         dim_B_upper=dim,
         description=f"cantor(ratio={ratio:g}, depth={depth})",
         finest_scale=ratio ** depth,
-        params={"ratio": float(ratio), "depth": int(depth)},
     )
 
 
@@ -107,7 +105,6 @@ def make_finite(points) -> TargetSet:
         dim_H=0.0,
         dim_B_upper=0.0,
         description=f"points({pts.size})",
-        params={"points": [float(p) for p in np.sort(pts)]},
     )
 
 
@@ -123,7 +120,6 @@ def make_custom(u: IntervalUnion, beta: float, description: str = "custom") -> T
         dim_H=None,
         dim_B_upper=float(beta),
         description=description,
-        params={"beta": float(beta)},
     )
 
 

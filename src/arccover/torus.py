@@ -127,8 +127,6 @@ class IntervalUnion:
 
 
 def _split_pieces(pieces) -> tuple:
-    if isinstance(pieces, IntervalUnion):
-        return pieces.los.copy(), pieces.his.copy()
     pieces = list(pieces)
     if not pieces:
         return _EMPTY, _EMPTY
@@ -180,24 +178,17 @@ def arcs_to_union(arcs: Sequence[Arc]) -> IntervalUnion:
     radii = np.array([a.radius for a in arcs], dtype=np.float64)
     if np.any(radii <= 0.0) or np.any(radii > 0.5):
         raise ValueError("arc radius must be in (0, 1/2]")
-    return _arcs_to_union_arrays(centers, radii)
-
-
-def _arcs_to_union_arrays(centers: np.ndarray, radii: np.ndarray) -> IntervalUnion:
+    if np.any(2.0 * radii >= 1.0):
+        return FULL_CIRCLE
     lo = centers - radii
     hi = centers + radii
-    full = 2.0 * radii >= 1.0
-    wrap_lo = ~full & (lo < 0.0)
-    wrap_hi = ~full & (hi > 1.0)
-    plain = ~full & ~wrap_lo & ~wrap_hi
-    los = [lo[plain], lo[wrap_lo] + 1.0, np.zeros(wrap_lo.sum()),
-           lo[wrap_hi], np.zeros(wrap_hi.sum())]
-    his = [hi[plain], np.ones(wrap_lo.sum()), hi[wrap_lo],
-           np.ones(wrap_hi.sum()), hi[wrap_hi] - 1.0]
-    if np.any(full):
-        return FULL_CIRCLE
-    los = np.concatenate(los)
-    his = np.concatenate(his)
+    wrap_lo = lo < 0.0
+    wrap_hi = hi > 1.0
+    plain = ~wrap_lo & ~wrap_hi
+    los = np.concatenate((lo[plain], lo[wrap_lo] + 1.0, np.zeros(wrap_lo.sum()),
+                          lo[wrap_hi], np.zeros(wrap_hi.sum())))
+    his = np.concatenate((hi[plain], np.ones(wrap_lo.sum()), hi[wrap_lo],
+                          np.ones(wrap_hi.sum()), hi[wrap_hi] - 1.0))
     canon_los, canon_his, _ = _canonicalize(los, his, _EMPTY)
     return IntervalUnion._from_sorted(canon_los, canon_his)
 

@@ -188,6 +188,18 @@ class TestPhaseScan:
                                               "first error: target: pre-fractal"):
             phase_scan([0.2, 0.3], small_base(target=t, n_max=3000), 2, jobs=jobs)
 
+    @pytest.mark.parametrize("grid", [[math.nan], [math.inf], [-math.inf], [0.5, math.inf]],
+                             ids=["nan", "inf", "-inf", "finite-then-inf"])
+    def test_c_must_be_finite(self, no_pool, monkeypatch, grid):
+        def no_rule(c):
+            raise AssertionError("a rule was built")
+
+        monkeypatch.setattr(analyze, "LogOverN", no_rule)
+        base = TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=1000)
+        with pytest.raises(ConfigError, match=r"^c: grid must be finite, positive and "
+                                              r"strictly increasing, got \["):
+            phase_scan(grid, base, 1)
+
     def test_cells_get_only_the_c_the_guard_passes(self, monkeypatch):
         contexts = []
         map_seeds = analyze._map_seeds

@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from arccover import ConfigError, LengthSequenceError, analyze, cli
+from arccover import ConfigError, analyze, cli
 from arccover.cli import _DEFAULTS, _build_parser, main
 
 
@@ -288,6 +288,48 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"version": 1, "bogus": 3}))
         assert run(tmp_path, "trial", "--config", "cfg.json") == 2
 
+    def test_scan_c_may_be_a_list(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"version": 1, "c": [0.5, 2.5], "trials": 1, "n_max": 1000}))
+        assert run(tmp_path, "scan", "--config", "cfg.json", "--out", "s") == 0
+        rows = (tmp_path / "s.csv").read_text().splitlines()[-2:]
+        assert [row.split(",")[0] for row in rows] == ["0.5", "2.5"]
+
+
+class TestRefusals:
+    """Each refused input exits 2, prints exactly `error: <field>: ...` and
+    writes no file."""
+
+    @pytest.mark.parametrize("argv, err", [
+        (["series", "--d", "1.5"], "d: must be in (0, 1), got 1.5"),
+        (["series", "--beta", "nan"], "beta: must be finite and >= 0, got nan"),
+        (["series", "--n", "9"], "n: series scan needs N >= 10, got 9"),
+        (["series", "--n", "100000001"],
+         "n: series scan to N=100000001 is too large; at most 100000000 terms"),
+        (["schedule", "--alpha", "1.5"], "alpha: must be in (0, 1), got 1.5"),
+        (["schedule", "--alpha", "0"], "alpha: must be in (0, 1), got 0.0"),
+        (["trial", "--lengths", "table:three.csv", "--n-max", "100"],
+         "lengths: table sequence defined only up to n=3"),
+        (["trial", "--lengths", "power:1:nan"],
+         "lengths: power rule needs a finite gamma > 0 to be non-increasing, got nan"),
+        (["trial", "--n-max", str(2 ** 53 + 1)],
+         f"n_max: must be at most 2**53, got {2 ** 53 + 1}"),
+        (["scan", "--target", "cantor:0.3333:20", "--c", "0.5,2.5", "--n-max", str(2 ** 54)],
+         f"n_max: must be at most 2**53, got {2 ** 54}"),
+        (["trial", "--config", "out_null.json"], "out: must be a string, got None"),
+        (["trial", "--config", "out_list.json"], "out: must be a string, got ['a', 1]"),
+    ], ids=["series-d", "series-beta-nan", "series-n-9", "series-n-cap", "schedule-alpha-1.5",
+            "schedule-alpha-0", "trial-short-table", "trial-power-nan", "trial-n-max-past-2**53",
+            "scan-n-max-past-2**53", "config-out-null", "config-out-list"])
+    def test_refused(self, tmp_path, capsys, argv, err):
+        (tmp_path / "three.csv").write_text("0.5\n0.25\n0.125\n")
+        for name, out in (("out_null.json", None), ("out_list.json", ["a", 1])):
+            (tmp_path / name).write_text(json.dumps({"version": 1, "out": out, "n_max": 1000}))
+        before = sorted(tmp_path.iterdir())
+        assert run(tmp_path, *argv) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert sorted(tmp_path.iterdir()) == before
+
 
 # A small run of each command with every numeric field in the config file,
 # each given in its field's type.
@@ -399,11 +441,11 @@ class TestSeries:
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["--d", "1.5", "--n", "100000000"], "d must be in"),
-        (["--beta", "-1", "--n", "100000000"], "beta must be"),
-        (["--n", "9"], "N >= 10"),
-        (["--beta", "nan", "--n", "100000000"], "beta must be finite"),
-        (["--beta", "inf", "--n", "100000000"], "beta must be finite"),
+        (["--d", "1.5", "--n", "100000000"], "d: must be in"),
+        (["--beta", "-1", "--n", "100000000"], "beta: must be"),
+        (["--n", "9"], "n: series scan needs N >= 10"),
+        (["--beta", "nan", "--n", "100000000"], "beta: must be finite"),
+        (["--beta", "inf", "--n", "100000000"], "beta: must be finite"),
     ])
     def test_refuses_before_either_series_starts(self, tmp_path, capsys, argv, message):
         # a refused run must not first sum 1e8 Shepp terms on the second thread
@@ -427,7 +469,7 @@ class TestSeries:
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("exc, code", [(ValueError("boom"), 1),
-                                           (LengthSequenceError("bad rule"), 2)])
+                                           (ConfigError("lengths", "bad rule"), 2)])
     def test_shepp_thread_errors_keep_their_exit_code(self, tmp_path, capsys, exc, code):
         threads = []
 
@@ -476,9 +518,11 @@ class TestSchedule:
         assert payload["schedule"]["rare_block_sum"] < 1.0
         assert len(payload["schedule"]["indices"]) == 4
 
-    def test_infeasible_exit_1(self, tmp_path):
+    def test_infeasible_exit_1(self, tmp_path, capsys):
         assert run(tmp_path, "schedule", "--lengths", "logn:0.9",
                    "--alpha", "0.9", "--k", "6", "--out", "sch") == 1
+        assert capsys.readouterr().err.startswith(
+            "runtime failure: ScheduleError: no admissible n_6 below cap 1e+15")
 
 
 class TestCsvFormat:

@@ -103,11 +103,11 @@ class TestParse:
 
     def test_cantor(self):
         t = parse_target("cantor:0.333333:14")
-        assert t.kind == "cantor" and t.params["depth"] == 14
+        assert t.kind == "cantor" and t.finest_scale == 0.333333 ** 14
 
     def test_points(self):
         t = parse_target("points:0.1,0.2,0.9")
-        assert t.kind == "finite" and len(t.params["points"]) == 3
+        assert t.kind == "finite" and t.approx.points.tolist() == [0.1, 0.2, 0.9]
 
     def test_custom_file(self, tmp_path):
         path = tmp_path / "target.json"
