@@ -26,8 +26,9 @@ starts: the scale guard, which depends on c but not on the seed, and its
 lowest and highest seed.  The cells' results come back in seed order,
 inline and from the pool alike.  The pool is taken to fill the cores, so
 in its workers the kernel keeps its sorted prefix as one run on one
-thread, not as two halves split at 1/2 on two threads as it does outside
-a pool.
+thread.  Outside a pool it keeps two halves, split at simulate._SPLIT,
+and merges them on two threads while it draws the next checkpoint's
+centers.
 
 Box-counting dimension is used as a numerical proxy for Hausdorff
 dimension.  Box >= Hausdorff always, so an estimate clearly BELOW the

@@ -335,13 +335,23 @@ def choose_schedule(rule: LengthSequence, alpha: float, K: int) -> Schedule:
           the dilution condition on the accumulated block mass.
 
     Raises ScheduleError naming the failing k if no index below
-    SCHEDULE_CAP works.  delta_hat is estimate_delta over _DELTA_RANGE.
+    SCHEDULE_CAP works.  delta_hat is estimate_delta over _DELTA_RANGE,
+    which for a table ends at its last row if that comes first; a table
+    needs 4 rows for the range, and one that ends before a block index
+    the schedule needs is refused as `lengths`.
     """
     if not (0.0 < alpha < 1.0):
         raise ConfigError("alpha", f"must be in (0, 1), got {alpha}")
     if K < 1:
         raise ConfigError("k", f"must be >= 1, got {K}")
-    delta_hat = estimate_delta(rule, _DELTA_RANGE)
+    n_lo, n_hi = _DELTA_RANGE
+    if isinstance(rule, TableSequence):
+        rows = len(rule.values)
+        if rows <= n_lo:
+            raise ConfigError("lengths", f"a schedule needs a table of at least {n_lo + 1} "
+                              f"rows, got {rows}")
+        n_hi = min(n_hi, rows)
+    delta_hat = estimate_delta(rule, (n_lo, n_hi))
 
     indices = []
     n_prev = 0

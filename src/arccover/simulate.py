@@ -24,9 +24,14 @@ The kernel:
   the tail union alone.
 - sample_centers reads the seed's Philox stream: counter-based, so trials
   are reproducible, prefix-stable and embarrassingly parallel.
-- _split and _prefix_gaps keep the sorted prefix of centers in one array
-  and merge it once per checkpoint, on two threads where _threads_allowed
-  says so; _gap_candidates picks the gaps the exact predicate runs on.
+- _draw, _split and _prefix_gaps keep the sorted prefix of centers in one
+  array and merge it once per checkpoint.  Where _threads_allowed says so,
+  the prefix is two halves split at _SPLIT, the low one growing from the
+  left end and the high one into the right end.  The larger low half
+  merges on a second thread while the calling thread merges the high half
+  and then draws the next checkpoint's centers into the free middle
+  between them.  _gap_candidates picks the gaps the exact predicate runs
+  on.
 - _uncovered decides coverage for every rule at a checkpoint by one
   threshold search; residues are built only where an output reads them.
 """
@@ -114,10 +119,21 @@ SLACK = 1e-12
 _BLOCK = 1 << 16
 
 # Smallest prefix whose halves go to two threads.  Timed per checkpoint on
-# a 2-core VM with its second core free, the threaded halves took 2-3x the
-# time of the serial ones at 2^12-2^14 centers, broke even between 2^16
-# and 2^17, and saved 8-17% at 2^17 and 36-43% at 2^20.
+# a 2-core VM with its second core free, at a split of 1/2 and before the
+# draws overlapped the merge, the threaded halves took 2-3x the time of the
+# serial ones at 2^12-2^14 centers, broke even between 2^16 and 2^17, and
+# saved 8-17% at 2^17 and 36-43% at 2^20.  Re-timed on the same VM at
+# _SPLIT with the draws overlapped, every value from 2^11 to 2^17 gave a
+# trial to n_max 2^20 the same time within its run-to-run spread
+# (105-115 ms), so it stays.
 _THREAD_MIN = 1 << 17
+
+# Where a threaded sweep splits its prefix: the low half, below it, merges
+# on the second thread, while the calling thread merges the high half and
+# then draws the next checkpoint.  The draw costs about a third of a full
+# merge at 1e7, so the halves balance near 0.65; on a 2-core VM, splits
+# from 0.55 to 0.7 all beat 1/2 and 0.65-0.7 did best.
+_SPLIT = 0.65
 
 
 def _gap_candidates(cs, thr, buf, mask) -> np.ndarray:
@@ -143,8 +159,18 @@ def _gap_candidates(cs, thr, buf, mask) -> np.ndarray:
     return hits[1] if len(hits) == 2 else np.concatenate(hits)
 
 
+def _draw(fresh, seed: int, start: int, sample: bool) -> None:
+    """Put the next fresh centers in `fresh`, sorted: the centers start,
+    start+1, ... of the seed's stream, sampled into it when `sample` (else
+    they are there already), then sorted in place.  Between the two steps
+    they are in stream order."""
+    if sample:
+        sample_centers(seed, fresh.size, start=start, out=fresh)
+    fresh.sort()
+
+
 def _split(c, n0: int, n1: int, k: int, at: float) -> tuple:
-    """Sort the k fresh centers c[n0:n0+k] and split them at `at`.
+    """Split the k fresh centers c[n0:n0+k], sorted by _draw, at `at`.
 
     `c` holds the low run c[:n0] (centers below `at`) and the high run
     c[c.size-n1:] (centers at or above it), the fresh centers right after
@@ -153,7 +179,6 @@ def _split(c, n0: int, n1: int, k: int, at: float) -> tuple:
     new (n0, n1); each half is then two sorted runs.
     """
     fresh = c[n0:n0 + k]
-    fresh.sort()
     m = int(fresh.searchsorted(at))
     if m < k:
         end = c.size - n1
@@ -172,7 +197,7 @@ def _half_gaps(half, thr, buf, mask) -> tuple:
     return half[idx], half[idx + 1]
 
 
-def _prefix_gaps(c, n0: int, n1: int, thr, scratch, pool) -> tuple:
+def _prefix_gaps(c, n0: int, n1: int, thr, scratch, pool, meanwhile=None) -> tuple:
     """The candidate gaps of the sorted prefix that `c` holds as a low run
     c[:n0] and a high run c[c.size-n1:], each of two sorted runs.
 
@@ -181,23 +206,28 @@ def _prefix_gaps(c, n0: int, n1: int, thr, scratch, pool) -> tuple:
     between the halves, the high half's), and the first and last center.
     These are the gaps and values of the whole sorted prefix.  `scratch`
     holds a (buf, mask) pair per half; with a `pool`, the low half runs on
-    its thread while the calling thread does the high half.
+    its thread while the calling thread does the high half.  `meanwhile`,
+    if given, runs on the calling thread once its own merging is done and
+    before it waits for the pool's: it may write the free middle
+    c[n0:c.size-n1], which no merge and no returned value reads.
     """
     low, high = c[:n0], c[c.size - n1:]
+    job = None
+    if pool is not None and n0 and n1:
+        job = pool.submit(_half_gaps, low, thr, *scratch[0])
+    elif n0:
+        a0, b0 = _half_gaps(low, thr, *scratch[0])
+    if n1:
+        a1, b1 = _half_gaps(high, thr, *scratch[1])
+    if meanwhile is not None:
+        meanwhile()
+    if job is not None:
+        a0, b0 = job.result()
     # with one half empty, the other is the whole prefix
     if not n1:
-        a, b = _half_gaps(low, thr, *scratch[0])
-        return a, b, float(low[0]), float(low[-1])
+        return a0, b0, float(low[0]), float(low[-1])
     if not n0:
-        a, b = _half_gaps(high, thr, *scratch[1])
-        return a, b, float(high[0]), float(high[-1])
-    if pool is None:
-        a0, b0 = _half_gaps(low, thr, *scratch[0])
-        a1, b1 = _half_gaps(high, thr, *scratch[1])
-    else:
-        job = pool.submit(_half_gaps, low, thr, *scratch[0])
-        a1, b1 = _half_gaps(high, thr, *scratch[1])
-        a0, b0 = job.result()
+        return a1, b1, float(high[0]), float(high[-1])
     a, b = [a0], [b0]
     if high[0] - low[-1] > thr:
         a.append(low[-1:])
@@ -527,11 +557,11 @@ def _sweep(cfg: TrialConfig, rules, tail_checkpoints: int, reads: str = "trace")
     first_residue = 0 if reads == "trace" else tail_start
 
     threaded = _threads_allowed()
-    # split at 1/2 where the halves may go to two threads; elsewhere every
+    # split at _SPLIT where the halves may go to two threads; elsewhere every
     # center is below 1, so the high run stays empty, the low run is the
     # whole sorted prefix and the free middle takes the centers in stream
     # order: they are sampled all at once
-    at = 0.5 if threaded else 1.0
+    at = _SPLIT if threaded else 1.0
     # the two-ended prefix, and a prefilter scratch per half that can fill,
     # shared by every checkpoint
     c = np.empty(cfg.n_max)
@@ -541,21 +571,28 @@ def _sweep(cfg: TrialConfig, rules, tail_checkpoints: int, reads: str = "trace")
     if not threaded:
         sample_centers(cfg.seed, cfg.n_max, out=c)
     n0 = n1 = prev = 0
+    # the centers of the first checkpoint swept; each later checkpoint's are
+    # drawn into the free middle while the one before it merges
+    if start < grid.size:
+        _draw(c[:int(grid[start])], cfg.seed, 0, threaded)
     # an executor per sweep, whose thread (started by the first submit)
     # ends with it: a process pool forked later gets no thread, and no dead
     # copy of an executor
     with ThreadPoolExecutor(1) if threaded else contextlib.nullcontext() as pool:
         for i in range(start, grid.size):
             n = int(grid[i])
-            # centers prev..n-1 of the stream, straight into the free middle;
-            # the grid is strictly increasing
-            if threaded:
-                sample_centers(cfg.seed, n - prev, start=prev, out=c[n0:n0 + n - prev])
+            # centers prev..n-1 of the stream, drawn and sorted in the free
+            # middle, join the halves; the grid is strictly increasing
             n0, n1 = _split(c, n0, n1, n - prev, at)
             prev = n
+            # the next checkpoint's centers, drawn while the halves merge
+            draw = None
+            if i + 1 < grid.size:
+                draw = functools.partial(_draw, c[n0:n0 + int(grid[i + 1]) - n], cfg.seed,
+                                         n, threaded)
             # one pass over the prefix finds the gap candidates of every rule
             a, b, first, last = _prefix_gaps(c, n0, n1, shortest[i] - SLACK, scratch,
-                                             pool if n >= _THREAD_MIN else None)
+                                             pool if n >= _THREAD_MIN else None, draw)
             if reads != "tail":
                 covered[:, i] = ~_uncovered(a, b, first, last, ells[:, i], t_approx)
             # a covered rule's residue is empty, bit for bit: its measure and

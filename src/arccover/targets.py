@@ -10,7 +10,9 @@ only while the simulation never probes scales near the pre-fractal's
 finest resolution: experiment constructors must check that the smallest
 arc length used stays above 10 * ratio**depth (below that the
 pre-fractal, a finite union of intervals, behaves one-dimensionally and
-is strictly harder to cover than the fractal it approximates).
+is strictly harder to cover than the fractal it approximates).  A custom
+union that claims a box dimension beta < 1 is held to the same guard,
+with its shortest interval as the finest scale.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ class TargetSet:
     dim_H: float | None
     dim_B_upper: float
     description: str
-    # cantor pre-fractal resolution ratio**depth; 0.0 when no scale guard applies
+    # the finest constructed scale: ratio**depth for a cantor pre-fractal, the
+    # shortest interval of a custom union with beta < 1; 0.0 when no scale
+    # guard applies
     finest_scale: float = 0.0
 
     def __post_init__(self):
@@ -109,17 +113,25 @@ def make_finite(points) -> TargetSet:
 
 
 def make_custom(u: IntervalUnion, beta: float, description: str = "custom") -> TargetSet:
-    """Arbitrary interval-union target with a caller-supplied box bound beta."""
+    """Arbitrary interval-union target with a caller-supplied box bound beta.
+
+    A union that claims beta < 1 stands in for a fractal only above its
+    shortest interval, as a Cantor pre-fractal does above ratio**depth, so
+    that length is its finest scale and the scale guard applies; with
+    beta = 1 there is none.
+    """
     if not (0.0 <= beta <= 1.0):
         raise ConfigError("target", f"beta must be in [0, 1], got {beta}")
     if u.is_empty():
         raise ConfigError("target", "custom target must be nonempty")
+    finest = float(np.min(u.his - u.los)) if beta < 1.0 and len(u) else 0.0
     return TargetSet(
         kind="custom",
         approx=u,
         dim_H=None,
         dim_B_upper=float(beta),
         description=description,
+        finest_scale=finest,
     )
 
 

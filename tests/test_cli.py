@@ -181,6 +181,24 @@ class TestConfigErrors:
         assert run(tmp_path, "trial", "--target", spec, "--n-max", "1000") == 2
         assert capsys.readouterr().err.startswith("error: target: ")
 
+    @pytest.mark.parametrize("command", ["trial", "scan"])
+    def test_coarse_custom_target(self, tmp_path, capsys, command):
+        # a union that claims beta 0.7 stands in for a fractal only above its
+        # shortest interval, 0.1 here, and ell(1000) <= 10 * 0.1 at every c
+        pieces = '"intervals": [[0.1, 0.3], [0.5, 0.6]]'
+        spec = _custom(tmp_path, f'{{{pieces}, "beta": 0.7}}')
+        argv = [command, "--target", spec, "--n-max", "1000", "--out", "x"]
+        if command == "scan":
+            argv += ["--c", "0.5,2.5", "--trials", "2", "--jobs", "1"]
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        head = "error: " if command == "trial" else "error: c: every scan cell failed; first error: "
+        assert err.startswith(head + "target: pre-fractal too coarse for this horizon")
+        assert not list(tmp_path.glob("x.*"))
+        # with beta 1 the union has no finest scale, and the same run goes
+        _custom(tmp_path, f'{{{pieces}, "beta": 1}}')
+        assert run(tmp_path, *argv) == 0
+
     def test_target_message_kept(self, tmp_path, capsys):
         assert run(tmp_path, "trial", "--target", "nope") == 2
         assert capsys.readouterr().err == "error: target: unknown specification 'nope'\n"
@@ -310,6 +328,8 @@ class TestRefusals:
         (["schedule", "--alpha", "0"], "alpha: must be in (0, 1), got 0.0"),
         (["trial", "--lengths", "table:three.csv", "--n-max", "100"],
          "lengths: table sequence defined only up to n=3"),
+        (["schedule", "--lengths", "table:three.csv"],
+         "lengths: a schedule needs a table of at least 4 rows, got 3"),
         (["trial", "--lengths", "power:1:nan"],
          "lengths: power rule needs a finite gamma > 0 to be non-increasing, got nan"),
         (["trial", "--n-max", str(2 ** 53 + 1)],
@@ -319,8 +339,9 @@ class TestRefusals:
         (["trial", "--config", "out_null.json"], "out: must be a string, got None"),
         (["trial", "--config", "out_list.json"], "out: must be a string, got ['a', 1]"),
     ], ids=["series-d", "series-beta-nan", "series-n-9", "series-n-cap", "schedule-alpha-1.5",
-            "schedule-alpha-0", "trial-short-table", "trial-power-nan", "trial-n-max-past-2**53",
-            "scan-n-max-past-2**53", "config-out-null", "config-out-list"])
+            "schedule-alpha-0", "trial-short-table", "schedule-short-table", "trial-power-nan",
+            "trial-n-max-past-2**53", "scan-n-max-past-2**53", "config-out-null",
+            "config-out-list"])
     def test_refused(self, tmp_path, capsys, argv, err):
         (tmp_path / "three.csv").write_text("0.5\n0.25\n0.125\n")
         for name, out in (("out_null.json", None), ("out_list.json", ["a", 1])):
@@ -517,6 +538,16 @@ class TestSchedule:
         payload = json.loads((tmp_path / "sch.json").read_text())
         assert payload["schedule"]["rare_block_sum"] < 1.0
         assert len(payload["schedule"]["indices"]) == 4
+
+    def test_table_shorter_than_the_delta_range(self, tmp_path, capsys):
+        (tmp_path / "t.csv").write_text("".join(f"{0.9 * n ** -0.5!r}\n" for n in range(1, 2001)))
+        argv = ["schedule", "--lengths", "table:t.csv", "--alpha", "0.9", "--out", "sch"]
+        assert run(tmp_path, *argv, "--k", "2") == 0
+        assert json.loads((tmp_path / "sch.json").read_text())["schedule"]["indices"] == [2, 83]
+        # a block index past the last row is refused as the table's
+        assert run(tmp_path, *argv, "--k", "3") == 2
+        assert capsys.readouterr().err == (
+            "error: lengths: table sequence defined only up to n=2000\n")
 
     def test_infeasible_exit_1(self, tmp_path, capsys):
         assert run(tmp_path, "schedule", "--lengths", "logn:0.9",

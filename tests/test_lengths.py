@@ -225,6 +225,19 @@ class TestChooseSchedule:
         with refused("alpha"):
             choose_schedule(Harmonic(1.0), 1.5, 3)
 
+    def test_table_estimates_delta_up_to_its_last_row(self):
+        # 2000 rows of 0.9 / sqrt(n): delta is estimated over [3, 2000]
+        table = TableSequence(tuple(0.9 * np.arange(1, 2001) ** -0.5))
+        assert choose_schedule(table, 0.9, 2).indices == (2, 83)
+        # a third block would need an index past the table
+        with refused("lengths", "defined only up to n=2000"):
+            choose_schedule(table, 0.9, 3)
+
+    def test_table_needs_four_rows(self):
+        with refused("lengths", "at least 4 rows, got 3"):
+            choose_schedule(TableSequence((0.5, 0.25, 0.125)), 0.9, 1)
+        assert choose_schedule(TableSequence((0.5, 0.25, 0.125, 0.0625)), 0.9, 1).indices == (2,)
+
 
 class TestCoveringSeries:
     def test_fast_decay_convergent(self):

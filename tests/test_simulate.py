@@ -1,7 +1,10 @@
+import contextlib
+import functools
 import math
 import pickle
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -639,38 +642,75 @@ def _two_ended(low, fresh, high, spare):
 
 _BELOW_HALF = math.nextafter(0.5, 0.0)
 
+# split points: 1/2, the kernel's, the float just below it, and 1, where no
+# thread may run
+_SPLITS = [0.5, simulate._SPLIT, math.nextafter(simulate._SPLIT, 0.0), 1.0]
+_SPLIT_IDS = ["half", "split", "below-split", "one"]
+
+# prefix cases written for a split at 1/2: (low run, fresh draws, high run)
+_SPLIT_CASES = {
+    "mixed": ([0.1, 0.3], [0.5, _BELOW_HALF, 0.7, 0.2, 0.95, 0.6], [0.55, 0.9]),
+    "all-low": ([0.2], [0.4, 0.0, 0.1], [0.8]),
+    "all-high": ([0.2], [0.5, 0.99, 0.75], [0.6]),
+    "first": ([], [0.6, 0.1, 0.7], []),             # the first checkpoint
+    "no-high": ([], [_BELOW_HALF, 0.25], []),       # the high half stays empty
+    "low-only": ([0.1, 0.3], [0.45, 0.0, _BELOW_HALF, 0.2], []),
+    "no-low": ([], [0.8, 0.7], [0.55]),             # the low half stays empty
+    "one-high": ([], [0.5], []),                    # a high half of size 1
+    "one-low": ([0.3], [0.9, 0.8], []),             # a low half of size 1
+}
+
+
+def _moved(x: float, at: float) -> float:
+    """The point x of a case written for a split at 1/2, moved to a split at
+    `at`: 1/2 goes to `at`, the float just below 1/2 to the float just below
+    `at`, and the other points scale linearly on either side."""
+    if x == 0.5:
+        return at
+    if x == _BELOW_HALF:
+        return math.nextafter(at, 0.0)
+    return 2 * x * at if x < 0.5 else at + (2 * x - 1) * (1 - at)
+
+
+# every case at every split, but at 1 only those with no center at or above
+# it: a center is below 1
+_SPLIT_PARAMS = [
+    pytest.param([_moved(x, at) for x in low], [_moved(x, at) for x in fresh],
+                 [_moved(x, at) for x in high], at, id=f"{name}-{at_id}")
+    for at, at_id in zip(_SPLITS, _SPLIT_IDS)
+    for name, (low, fresh, high) in _SPLIT_CASES.items()
+    if at < 1.0 or max(low + fresh + high) < 0.5]
+
+
+def _scratch(size: int) -> list:
+    """A prefilter scratch per half, sized as the kernel sizes them."""
+    k = min(simulate._BLOCK, size)
+    return [(np.empty(k), np.empty(k, dtype=bool)) for _ in range(2)]
+
 
 class TestSplitPrefix:
-    """The two-ended prefix: centers below 1/2 sorted from the left end of
-    the array, those at or above 1/2 sorted up to its right end."""
+    """The two-ended prefix: centers below the split point `at` sorted from
+    the left end of the array, those at or above it sorted up to its right
+    end."""
 
     @pytest.mark.parametrize("spare", [0, 1, 5])
-    @pytest.mark.parametrize("low, fresh, high", [
-        ([0.1, 0.3], [0.5, _BELOW_HALF, 0.7, 0.2, 0.95, 0.6], [0.55, 0.9]),
-        ([0.2], [0.4, 0.0, 0.1], [0.8]),            # all fresh ones low
-        ([0.2], [0.5, 0.99, 0.75], [0.6]),          # all fresh ones high
-        ([], [0.6, 0.1, 0.7], []),                  # the first checkpoint
-        ([], [_BELOW_HALF, 0.25], []),              # the high half stays empty
-        ([], [0.8, 0.7], [0.55]),                   # the low half stays empty
-        ([], [0.5], []),                            # a high half of size 1
-        ([0.3], [0.9, 0.8], []),                    # a low half of size 1
-    ], ids=["mixed", "all-low", "all-high", "first", "no-high", "no-low",
-            "one-high", "one-low"])
-    def test_split_then_merge(self, low, fresh, high, spare):
+    @pytest.mark.parametrize("low, fresh, high, at", _SPLIT_PARAMS)
+    def test_split_then_merge(self, low, fresh, high, at, spare):
         c = _two_ended(low, fresh, high, spare)
-        n0, n1 = simulate._split(c, len(low), len(high), len(fresh), 0.5)
+        # the draw sorts the fresh centers where they are
+        simulate._draw(c[len(low):len(low) + len(fresh)], 0, 0, False)
+        n0, n1 = simulate._split(c, len(low), len(high), len(fresh), at)
         want = np.sort(np.array(low + fresh + high))
-        # 0.5 itself goes high, the float just below it low
-        assert (n0, n1) == (int(np.sum(want < 0.5)), int(np.sum(want >= 0.5)))
+        # `at` itself goes high, the float just below it low
+        assert (n0, n1) == (int(np.sum(want < at)), int(np.sum(want >= at)))
         # each half is its two sorted runs, the fresh part next to the free slots
-        fresh_low = sorted(x for x in fresh if x < 0.5)
-        fresh_high = sorted(x for x in fresh if x >= 0.5)
+        fresh_low = sorted(x for x in fresh if x < at)
+        fresh_high = sorted(x for x in fresh if x >= at)
         assert c[:n0].tolist() == low + fresh_low
         assert c[c.size - n1:].tolist() == fresh_high + high
         spacings = np.diff(want)
-        k = min(simulate._BLOCK, c.size)
-        scratch = [(np.empty(k), np.empty(k, dtype=bool)) for _ in range(2)]
-        # thresholds on every spacing, the one across 1/2 included, and one
+        scratch = _scratch(c.size)
+        # thresholds on every spacing, the one across `at` included, and one
         # ulp either side of it
         for thr in [-math.inf] + [_nudge(float(g), u) for g in spacings for u in (-1, 0, 1)]:
             a, b, first, last = simulate._prefix_gaps(c, n0, n1, thr, scratch, None)
@@ -686,9 +726,45 @@ class TestSplitPrefix:
         # empty and the low run is the whole sorted prefix
         c = _two_ended([0.1, 0.6], [0.99, 0.5, 0.0, _BELOW_HALF], [], spare)
         before = c.copy()
+        simulate._draw(c[2:6], 0, 0, False)
         assert simulate._split(c, 2, 0, 4, 1.0) == (6, 0)
         assert c[:6].tolist() == [0.1, 0.6, 0.0, _BELOW_HALF, 0.5, 0.99]
         assert np.array_equal(c[6:], before[6:], equal_nan=True)
+
+    @pytest.mark.parametrize("threads", [False, True], ids=["serial", "threaded"])
+    @pytest.mark.parametrize("at", _SPLITS, ids=_SPLIT_IDS)
+    def test_draw_into_free_middle_leaves_halves(self, at, threads):
+        # 3000 centers, split; 400 more, split, so each half is two runs;
+        # and room for the 400 after them
+        seed = 3
+        c = np.full(3800, np.nan)
+        simulate._draw(c[:3000], seed, 0, True)
+        n0, n1 = simulate._split(c, 0, 0, 3000, at)
+        simulate._draw(c[n0:n0 + 400], seed, 3000, True)
+        n0, n1 = simulate._split(c, n0, n1, 400, at)
+        assert c.size - n1 - n0 == 400
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # every gap a candidate, the gap between the halves included, and
+            # the few wide ones
+            for thr in (-math.inf, 1e-3):
+                # the merge and its result without a draw
+                ref = c.copy()
+                want = simulate._prefix_gaps(ref, n0, n1, thr, _scratch(c.size), None)
+                draw = functools.partial(simulate._draw, c[n0:n0 + 400], seed, 3400, True)
+                with ThreadPoolExecutor(1) if threads else contextlib.nullcontext() as pool:
+                    got = simulate._prefix_gaps(c, n0, n1, thr, _scratch(c.size), pool, draw)
+                # the halves, merged, are bit for bit those of the merge alone
+                assert c[:n0].tobytes() == ref[:n0].tobytes()
+                assert c[c.size - n1:].tobytes() == ref[c.size - n1:].tobytes()
+                for g, w in zip(got, want):
+                    assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+                # and the free middle holds the next 400 centers, sorted
+                assert np.array_equal(c[n0:n0 + 400],
+                                      np.sort(sample_centers(seed, 400, start=3400)))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def _spy_threads(monkeypatch):
@@ -716,8 +792,11 @@ class TestThreadedHalves:
     """The prefilter in blocks of 7 gaps and the halves on two threads from
     a prefix of 14 centers on, so a short trial runs every way."""
 
+    # the split points below 1, the kernel's included
+    @pytest.mark.parametrize("at", _SPLITS[:3], ids=_SPLIT_IDS[:3])
     @pytest.mark.parametrize("target", _KERNEL_TARGETS, ids=_KERNEL_IDS)
-    def test_threaded_equals_serial(self, monkeypatch, target):
+    def test_threaded_equals_serial(self, monkeypatch, target, at):
+        monkeypatch.setattr(simulate, "_SPLIT", at)
         base = TrialConfig(seed=5, lengths=None, target=target, n_max=3000,
                            n_first_checkpoint=2)
         rules = [LogOverN(c) for c in (0.6, 1.0, 2.5)]
@@ -795,12 +874,12 @@ class TestThreadedHalves:
             trace = run_trial(cfg)
             for i, n in enumerate(trace.checkpoints):
                 cs = np.sort(sample_centers(seed, int(n)))
-                one_sided |= n > 1 and (cs[-1] < 0.5 or cs[0] >= 0.5)
+                one_sided |= n > 1 and (cs[-1] < simulate._SPLIT or cs[0] >= simulate._SPLIT)
                 resid = intersect(uncovered_at(cs, float(trace.ells[i])), target.approx)
                 assert trace.covered[i] == resid.is_empty()
                 assert trace.uncovered_measure[i] == measure(resid)
                 assert trace.piece_count[i] == resid.component_count()
-        # some checkpoint past the first had every center on one side of 1/2
+        # some checkpoint past the first had every center on one side of the split
         assert one_sided
 
 

@@ -96,6 +96,13 @@ class TestCustom:
         assert t.dim_H is None
         assert t.dim_B_upper == 0.8
 
+    def test_finest_scale_is_the_shortest_interval_below_beta_1(self):
+        u = IntervalUnion([(0.0, 0.5), (0.625, 0.75), (0.875, 1.0)])
+        assert make_custom(u, beta=0.7).finest_scale == 0.125
+        assert make_custom(u, beta=0.0).finest_scale == 0.125
+        # a union with beta 1 needs no scale guard
+        assert make_custom(u, beta=1.0).finest_scale == 0.0
+
 
 class TestParse:
     def test_circle(self):
