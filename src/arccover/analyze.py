@@ -7,11 +7,14 @@ dimension, covering above its upper box dimension plus one.  The band in
 between is reported as "theorem-silent": the scan still shows fractions
 there but asserts nothing.  Every c uses the same seeds, so the unit of
 work is one seed swept over the whole c grid (simulate's kernel samples
-and sorts its centers once for all c, and at each checkpoint finds the c
-that leave the target uncovered by one binary search over the c grid).
-The scan reads only the verdicts and the tail union of each trial, so the
-kernel builds residues in the tail window alone, for the c that leave the
-target uncovered.  A dimension estimate reads only the tail union, which
+and sorts its centers once for all c).  The scan reads only the verdicts
+and the tail union of each trial.  So the kernel decides the tail window
+at every checkpoint, by one binary search over the c grid, and builds
+residues there alone, for the c that leave the target uncovered.  The
+verdicts depend only on each c's last uncovered checkpoint, so before
+the window it walks the checkpoints from the newest back and evaluates
+only the smallest c without a later failure, searching the grid only
+where that c fails.  A dimension estimate reads only the tail union, which
 depends only on the centers up to each checkpoint of the window, so its
 kernel starts at the window: no earlier checkpoint is sampled, merged or
 decided.

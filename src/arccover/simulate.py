@@ -34,6 +34,11 @@ The kernel:
   on.
 - _uncovered decides coverage for every rule at a checkpoint by one
   threshold search; residues are built only where an output reads them.
+- A verdict reads only each rule's last uncovered checkpoint, so the
+  verdicts sweep decides the checkpoints before the tail window last, from
+  the newest back (_last_failures): at each one a single evaluation of the
+  shortest rule still without a later failure settles every such rule
+  unless that rule is uncovered.
 """
 
 from __future__ import annotations
@@ -134,6 +139,11 @@ _THREAD_MIN = 1 << 17
 # merge at 1e7, so the halves balance near 0.65; on a 2-core VM, splits
 # from 0.55 to 0.7 all beat 1/2 and 0.65-0.7 did best.
 _SPLIT = 0.65
+
+# Candidate gaps the verdicts sweep holds for its backward walk, per center
+# of the horizon: 2 floats each, so at most 4 B per center beside the 8 B
+# of the prefix.  A batch that reaches it is decided on the spot.
+_HOLD = 0.25
 
 
 def _gap_candidates(cs, thr, buf, mask) -> np.ndarray:
@@ -365,8 +375,9 @@ def _leaves_uncovered(a, b, first, last, ell, target) -> bool:
 
 def _uncovered(a, b, first, last, ells, target) -> np.ndarray:
     """Per length in `ells`: does it leave part of `target` uncovered
-    (_leaves_uncovered), given the candidate gaps (a, b) of the shortest
-    length and the first and last of the sorted centers?
+    (_leaves_uncovered), given the candidate gaps (a, b) of any length no
+    longer than the shortest of `ells`, and the first and last of the
+    sorted centers?
 
     That predicate is non-increasing in ell, rounding included, so the
     lengths that leave the target uncovered are the shortest few, and a
@@ -388,7 +399,9 @@ def _uncovered(a, b, first, last, ells, target) -> np.ndarray:
       (h, 1) stay.  Each piece at r lies in a piece at r'.
     - The point at 0.  It needs both (0, l) and (h, 1), which stay.
     The width filter fl(b - a) > fl(ell - SLACK) drops only gaps that fail
-    the keep test (see uncovered_at), so it changes no evaluation.
+    the keep test (see uncovered_at), so it changes no evaluation; nor do
+    candidates of a shorter length, which are a superset (rounding is
+    monotone) whose extra gaps fail the keep test too.
     """
     order = np.argsort(ells, kind="stable")
     shortest = ells[order[0]]
@@ -406,6 +419,41 @@ def _uncovered(a, b, first, last, ells, target) -> np.ndarray:
     out = np.zeros(ells.size, dtype=bool)
     out[order[:lo]] = True
     return out
+
+
+def _last_failures(held, ells, target, last_fail) -> None:
+    """Record in `last_fail` each rule's last uncovered checkpoint among the
+    `held` ones, for the rules with no failure after them.
+
+    `held` lists (i, a, b, first, last) of consecutive checkpoints, oldest
+    first: the index i into the columns of `ells` (rules by checkpoints)
+    and the candidate gaps and end centers of its prefix, for the shortest
+    length of column i.  `last_fail` holds per rule the index of its last
+    failure found so far, -1 for none; a rule whose failure lies past the
+    held checkpoints is done, and every other rule is open.
+
+    The walk goes from the newest held checkpoint back.  At each one it
+    evaluates the shortest open rule alone; covered there, every open rule
+    is, since coverage is monotone in ell (see _uncovered).  Otherwise
+    _uncovered decides the open rules, and the uncovered ones fail here
+    and are done.  The walk stops once no rule is open.  A (rule,
+    checkpoint) pair it never decides lies before the rule's last failure.
+    """
+    todo = last_fail < held[0][0]
+    for i, a, b, first, last in reversed(held):
+        if not todo.any():
+            return
+        open_ = np.flatnonzero(todo)
+        lengths = ells[open_, i]
+        ell = float(lengths.min())
+        # the candidates of a shorter length; see _uncovered
+        wide = b - a > ell - SLACK
+        a, b = a[wide], b[wide]
+        if not _leaves_uncovered(a, b, first, last, ell, target):
+            continue
+        failed = open_[_uncovered(a, b, first, last, lengths, target)]
+        last_fail[failed] = i
+        todo[failed] = False
 
 
 @dataclass(frozen=True)
@@ -461,11 +509,14 @@ class TrialConfig:
             ell_end = float(self.lengths.ell(self.n_max))
             bound = 10.0 * self.target.finest_scale
             if ell_end <= bound:
+                # a custom union has no depth: its finest scale is its
+                # shortest interval, and beta = 1 drops the guard
+                fix = ("reduce n_max, shorten the shortest interval or set beta = 1"
+                       if self.target.kind == "custom" else "reduce n_max or increase depth")
                 raise ConfigError(
                     "target",
                     f"pre-fractal too coarse for this horizon: ell(n_max)="
-                    f"{ell_end:.3g} <= 10 * finest_scale = {bound:.3g}; "
-                    "reduce n_max or increase depth")
+                    f"{ell_end:.3g} <= 10 * finest_scale = {bound:.3g}; {fix}")
 
 
 @dataclass(frozen=True)
@@ -519,15 +570,20 @@ def _sweep(cfg: TrialConfig, rules, tail_checkpoints: int, reads: str = "trace")
 
     `cfg` supplies the seed, the target, the horizon and the checkpoint
     grid, and its `lengths` is not read: the centers are sampled and the
-    sorted prefix is merged once, and every checkpoint decides coverage for
-    all rules at once.  Every rule must pass the scale guard.  Returns, per
+    sorted prefix is merged once, and a checkpoint decides coverage for all
+    rules at once.  Every rule must pass the scale guard.  Returns, per
     rule, what `reads` names; a tail union always unites the residues of
     the last `tail_checkpoints` checkpoints.
 
     - "trace": its CoverageTrace, with a residue at every checkpoint.
     - "verdicts": the tuple (eventually_covered, last_failure_n,
       tail_uncovered), as in CoverageTrace, with residues in the tail
-      window only.
+      window only.  Both verdicts depend only on each rule's last
+      uncovered checkpoint.  So the tail window is decided in full, while
+      a checkpoint before it is held, as its candidate gaps, and decided
+      after the loop by _last_failures, from the newest back, for the
+      rules with no later failure.  Held gaps past _HOLD per center of the
+      horizon are decided on the spot, as one batch.
     - "tail": the tail union itself, an IntervalUnion.  The residues of
       the window depend only on the prefixes of its checkpoints, so the
       sweep starts at its first one: that checkpoint samples, sorts and
@@ -549,12 +605,16 @@ def _sweep(cfg: TrialConfig, rules, tail_checkpoints: int, reads: str = "trace")
     covered = np.zeros(ells.shape, dtype=bool)
     unc_measure = np.zeros(ells.shape, dtype=np.float64)
     pieces = np.zeros(ells.shape, dtype=np.int64)
+    # per rule, the index of its last uncovered checkpoint, -1 for none
+    last_fail = np.full(len(rules), -1)
     tail_residues = [[] for _ in rules]
     tail_start = grid.size - tail_checkpoints
-    # verdicts need every checkpoint; residues only where an output reads
-    # them: the trace's per-checkpoint columns, or else the tail window alone
+    # verdicts need the gaps of every checkpoint; residues only where an
+    # output reads them: the trace's per-checkpoint columns, or else the
+    # tail window alone
     start = tail_start if reads == "tail" else 0
-    first_residue = 0 if reads == "trace" else tail_start
+    # the verdicts sweep's checkpoints before the window, not yet decided
+    held, held_gaps = [], 0
 
     threaded = _threads_allowed()
     # split at _SPLIT where the halves may go to two threads; elsewhere every
@@ -593,12 +653,21 @@ def _sweep(cfg: TrialConfig, rules, tail_checkpoints: int, reads: str = "trace")
             # one pass over the prefix finds the gap candidates of every rule
             a, b, first, last = _prefix_gaps(c, n0, n1, shortest[i] - SLACK, scratch,
                                              pool if n >= _THREAD_MIN else None, draw)
+            if reads == "verdicts" and i < tail_start:
+                held.append((i, a, b, first, last))
+                held_gaps += a.size
+                if held_gaps >= _HOLD * cfg.n_max:
+                    _last_failures(held, ells, t_approx, last_fail)
+                    held, held_gaps = [], 0
+                continue
             if reads != "tail":
-                covered[:, i] = ~_uncovered(a, b, first, last, ells[:, i], t_approx)
+                uncovered = _uncovered(a, b, first, last, ells[:, i], t_approx)
+                covered[:, i] = ~uncovered
+                last_fail[uncovered] = i
             # a covered rule's residue is empty, bit for bit: its measure and
             # piece count stay 0 and the tail union is the same without it
             todo = np.flatnonzero(~covered[:, i])
-            if i < first_residue or not todo.size:
+            if not todo.size:
                 continue
             ends, cand = _skeleton(a, b, first, last)
             for j in todo:
@@ -611,6 +680,8 @@ def _sweep(cfg: TrialConfig, rules, tail_checkpoints: int, reads: str = "trace")
                 if i >= tail_start:
                     tail_residues[j].append(resid)
 
+    if held:
+        _last_failures(held, ells, t_approx, last_fail)
     tail_idx = int(np.argmin(np.abs(grid.astype(np.float64) - math.sqrt(cfg.n_max))))
     results = []
     for j, residues in enumerate(tail_residues):
@@ -620,9 +691,9 @@ def _sweep(cfg: TrialConfig, rules, tail_checkpoints: int, reads: str = "trace")
         if reads == "tail":
             results.append(tail_union)
             continue
-        failures = grid[~covered[j]]
-        last_failure = int(failures[-1]) if failures.size else None
-        eventually = bool(np.all(covered[j, tail_idx:]))
+        last_failure = int(grid[last_fail[j]]) if last_fail[j] >= 0 else None
+        # covered at every checkpoint from tail_idx on
+        eventually = bool(last_fail[j] < tail_idx)
         if reads == "verdicts":
             results.append((eventually, last_failure, tail_union))
             continue

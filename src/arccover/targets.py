@@ -112,8 +112,11 @@ def make_finite(points) -> TargetSet:
     )
 
 
-def make_custom(u: IntervalUnion, beta: float, description: str = "custom") -> TargetSet:
-    """Arbitrary interval-union target with a caller-supplied box bound beta.
+def make_custom(u: IntervalUnion, beta: float, description: str = "custom",
+                dim_H: float | None = None) -> TargetSet:
+    """Arbitrary interval-union target with a caller-supplied box bound beta
+    and, optionally, Hausdorff dimension dim_H, which places the scan's
+    no-cover threshold.
 
     A union that claims beta < 1 stands in for a fractal only above its
     shortest interval, as a Cantor pre-fractal does above ratio**depth, so
@@ -122,13 +125,15 @@ def make_custom(u: IntervalUnion, beta: float, description: str = "custom") -> T
     """
     if not (0.0 <= beta <= 1.0):
         raise ConfigError("target", f"beta must be in [0, 1], got {beta}")
+    if dim_H is not None and not (0.0 <= dim_H <= beta):
+        raise ConfigError("target", f"dim_H must be in [0, beta] = [0, {beta:g}], got {dim_H}")
     if u.is_empty():
         raise ConfigError("target", "custom target must be nonempty")
     finest = float(np.min(u.his - u.los)) if beta < 1.0 and len(u) else 0.0
     return TargetSet(
         kind="custom",
         approx=u,
-        dim_H=None,
+        dim_H=None if dim_H is None else float(dim_H),
         dim_B_upper=float(beta),
         description=description,
         finest_scale=finest,
@@ -142,7 +147,8 @@ def parse_target(spec: str) -> TargetSet:
       circle
       cantor:<ratio>:<depth>
       points:<p1,p2,...>
-      custom:<file.json>   (JSON with "intervals": [[lo, hi], ...] and "beta")
+      custom:<file.json>   (JSON with "intervals": [[lo, hi], ...], "beta"
+                            and optionally "dim_H")
     """
     if spec == "circle":
         return make_circle()
@@ -176,7 +182,8 @@ def parse_target(spec: str) -> TargetSet:
         try:
             u = IntervalUnion(pieces=[tuple(p) for p in data["intervals"]])
             beta = float(data["beta"])
+            dim_H = float(data["dim_H"]) if "dim_H" in data else None
         except (TypeError, ValueError) as exc:
             raise ConfigError("target", f"bad custom target in {rest!r}: {exc}") from exc
-        return make_custom(u, beta, description=f"custom({rest})")
+        return make_custom(u, beta, description=f"custom({rest})", dim_H=dim_H)
     raise ConfigError("target", f"unknown specification {spec!r}")

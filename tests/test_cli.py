@@ -107,6 +107,21 @@ class TestScan:
         assert not (tmp_path / "s.csv").exists()
 
 
+    @pytest.mark.parametrize("dim_H", [None, 1.0, 0.5])
+    def test_custom_dim_H_labels_no_cover(self, tmp_path, dim_H):
+        target = {"intervals": [[0.1, 0.3], [0.5, 0.6]], "beta": 1}
+        if dim_H is not None:
+            target["dim_H"] = dim_H
+        spec = _custom(tmp_path, json.dumps(target))
+        assert run(tmp_path, "scan", "--target", spec, "--c", "0.4,0.75,1.5,2.5",
+                   "--trials", "1", "--n-max", "1000", "--jobs", "1", "--out", "s") == 0
+        scan = json.loads((tmp_path / "s.json").read_text())["scan"]
+        assert scan["dim_H"] == dim_H
+        # c below dim_H cannot cover; c above beta + 1 = 2 does
+        want = {None: ["theorem-silent"] * 3, 1.0: ["no-cover"] * 2 + ["theorem-silent"],
+                0.5: ["no-cover"] + ["theorem-silent"] * 2}[dim_H] + ["cover"]
+        assert [row["regime"] for row in scan["rows"]] == want
+
     @pytest.mark.parametrize("tail", ["0", "-7", "1000"])
     def test_tail_window_outside_grid_exit_2(self, tmp_path, capsys, tail):
         def no_pool(*args, **kwargs):
@@ -174,7 +189,12 @@ class TestConfigErrors:
         "custom:missing.json", "custom:{not json", '{"intervals": [[0.1, 0.2]]}',
         '{"intervals": [], "beta": 1}', '{"intervals": [[0.5, 0.2]], "beta": 1}',
         '{"intervals": [[0.1, 0.2]], "beta": 2}', '{"intervals": 5, "beta": 1}',
-        '[1, 2]'])
+        '[1, 2]', '{"intervals": [[0.1, 0.2]], "beta": 0.7, "dim_H": 0.71}',
+        '{"intervals": [[0.1, 0.2]], "beta": 1, "dim_H": -0.1}',
+        '{"intervals": [[0.1, 0.2]], "beta": 1, "dim_H": NaN}',
+        '{"intervals": [[0.1, 0.2]], "beta": 1, "dim_H": Infinity}',
+        '{"intervals": [[0.1, 0.2]], "beta": 1, "dim_H": "x"}',
+        '{"intervals": [[0.1, 0.2]], "beta": 1, "dim_H": null}'])
     def test_bad_target(self, tmp_path, capsys, spec):
         if spec.startswith(("custom:{", "{", "[")):
             spec = _custom(tmp_path, spec.removeprefix("custom:"))
@@ -194,10 +214,27 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         head = "error: " if command == "trial" else "error: c: every scan cell failed; first error: "
         assert err.startswith(head + "target: pre-fractal too coarse for this horizon")
+        # a custom union has no depth to increase
+        assert err.endswith("; reduce n_max, shorten the shortest interval or set beta = 1\n")
         assert not list(tmp_path.glob("x.*"))
         # with beta 1 the union has no finest scale, and the same run goes
         _custom(tmp_path, f'{{{pieces}, "beta": 1}}')
         assert run(tmp_path, *argv) == 0
+
+    def test_coarse_cantor_target_message_kept(self, tmp_path, capsys):
+        # a scan's `failed` map holds this wording
+        assert run(tmp_path, "trial", "--target", "cantor:0.45:14", "--lengths", "logn:2",
+                   "--n-max", "1000000") == 2
+        assert capsys.readouterr().err == (
+            "error: target: pre-fractal too coarse for this horizon: ell(n_max)=2.76e-05 "
+            "<= 10 * finest_scale = 0.00014; reduce n_max or increase depth\n")
+
+    def test_custom_dim_H_above_beta(self, tmp_path, capsys):
+        # refused as a bad target, not by TargetSet's own check, which exits 1
+        spec = _custom(tmp_path, '{"intervals": [[0.1, 0.2]], "beta": 0.7, "dim_H": 0.9}')
+        assert run(tmp_path, "trial", "--target", spec, "--n-max", "1000") == 2
+        assert capsys.readouterr().err == ("error: target: dim_H must be in [0, beta] = "
+                                           "[0, 0.7], got 0.9\n")
 
     def test_target_message_kept(self, tmp_path, capsys):
         assert run(tmp_path, "trial", "--target", "nope") == 2

@@ -929,6 +929,137 @@ class TestTailOnlySweep:
             simulate._sweep(cfg, [cfg.lengths], 2, reads="verdict")
 
 
+# logn:0.5 and harmonic:3 cross at n = e^6, about 403, so which of them is
+# the shorter changes along the grid
+_CROSSING_RULES = [Harmonic(3.0), LogOverN(0.5), LogOverN(1.0), LogOverN(1.6),
+                   LogOverN(2.5)]
+
+
+@pytest.mark.usefixtures("small_thread_min")
+class TestBackwardVerdicts:
+    """The verdicts sweep decides the tail window at every checkpoint and
+    the checkpoints before it backwards, from the newest, one rule at a
+    time until each rule has a failure; its verdicts must be those of a
+    trace that decides every (rule, checkpoint) pair."""
+
+    @pytest.mark.parametrize("hold", [0.0, math.inf], ids=["flush-each", "hold-all"])
+    @pytest.mark.parametrize("tail", [1, 5])
+    @pytest.mark.parametrize("threads", [False, True], ids=["serial", "threaded"])
+    @pytest.mark.parametrize("target", _KERNEL_TARGETS, ids=_KERNEL_IDS)
+    def test_equals_run_trial(self, monkeypatch, target, threads, tail, hold):
+        monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
+        # a cap of 0 decides every held checkpoint on the spot, one of inf
+        # holds them all to the end
+        monkeypatch.setattr(simulate, "_HOLD", hold)
+        walks = []
+        walk = simulate._last_failures
+
+        def spy(held, *args):
+            walks.append(len(held))
+            return walk(held, *args)
+
+        monkeypatch.setattr(simulate, "_last_failures", spy)
+        seen = _spy_threads(monkeypatch)
+        base = TrialConfig(seed=0, lengths=None, target=target, n_max=3000,
+                           n_first_checkpoint=4)
+        grid = base.checkpoints()
+        before = grid.size - tail
+        walked = False
+        for seed in range(3):
+            cfg = replace(base, seed=seed)
+            walks.clear()
+            got = simulate._sweep(cfg, _CROSSING_RULES, tail, reads="verdicts")
+            # each checkpoint before the window is held once and walked once
+            assert walks == ([1] * before if hold == 0.0 else [before])
+            for rule, verdict in zip(_CROSSING_RULES, got):
+                want = run_trial(replace(cfg, lengths=rule), tail)
+                assert verdict == (want.eventually_covered, want.last_failure_n,
+                                   want.tail_uncovered)
+                walked |= verdict[1] is not None and verdict[1] < grid[before]
+        assert (seen != {threading.get_ident()}) == threads
+        # some rule's last failure was found by the backward walk
+        assert walked
+
+    @pytest.mark.parametrize("reads", ["trace", "verdicts"])
+    def test_last_failure_at_the_tail_start(self, reads):
+        # both rules last fail at the checkpoint nearest sqrt(n_max), where
+        # the eventual covering must start, so neither is eventually covered
+        cfg = TrialConfig(seed=23, lengths=None, target=make_circle(), n_max=20000,
+                          n_first_checkpoint=4)
+        grid = cfg.checkpoints()
+        tail_start = int(grid[np.argmin(np.abs(grid - math.sqrt(cfg.n_max)))])
+        for got in simulate._sweep(cfg, [LogOverN(1.6), LogOverN(2.0)], 1, reads=reads):
+            if reads == "trace":
+                assert got.n_tail_start == tail_start
+                assert got.checkpoints[~got.covered][-1] == tail_start
+                got = (got.eventually_covered, got.last_failure_n)
+            assert got[:2] == (False, tail_start)
+
+    def test_walk_searches_only_open_rules(self, monkeypatch):
+        # past the window, a search runs only where the shortest open rule
+        # fails, over the rules with no later failure
+        monkeypatch.setattr(simulate, "_threads_allowed", lambda: False)
+        monkeypatch.setattr(simulate, "_HOLD", math.inf)
+        cfg = TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=3000)
+        traces = [run_trial(replace(cfg, lengths=rule), 1) for rule in _CROSSING_RULES]
+        decided = []
+        decide = simulate._uncovered
+
+        def spy(a, b, first, last, ells, t):
+            decided.append(ells.size)
+            return decide(a, b, first, last, ells, t)
+
+        monkeypatch.setattr(simulate, "_uncovered", spy)
+        got = simulate._sweep(cfg, _CROSSING_RULES, 1, reads="verdicts")
+        assert got == [(t.eventually_covered, t.last_failure_n, t.tail_uncovered)
+                       for t in traces]
+        # the window's one checkpoint searches all rules, then the walk
+        # searches once per checkpoint that is some rule's last failure
+        n_max = int(cfg.n_max)
+        found = [t.last_failure_n for t in traces
+                 if t.last_failure_n is not None and t.last_failure_n < n_max]
+        assert decided[0] == len(_CROSSING_RULES)
+        assert len(decided) == 1 + len(set(found)) > 2
+        open_rules = sum(1 for t in traces if t.last_failure_n != n_max)
+        assert decided[1] == open_rules
+        assert all(x > y for x, y in zip(decided[1:], decided[2:]))
+
+
+class TestDecisionCount:
+    """How many times a scan evaluates _leaves_uncovered, counted and not
+    timed: the trace path searches the rules at every checkpoint, while the
+    verdicts path makes one evaluation per checkpoint before the window
+    and a search at each failure it finds and in the window."""
+
+    def test_verdicts_evaluate_fewer(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_threads_allowed", lambda: False)
+        # no batch is decided early
+        monkeypatch.setattr(simulate, "_HOLD", math.inf)
+        calls = []
+        leaves = simulate._leaves_uncovered
+
+        def count(*args):
+            calls.append(None)
+            return leaves(*args)
+
+        monkeypatch.setattr(simulate, "_leaves_uncovered", count)
+        rules = [LogOverN(c) for c in (0.3, 0.6, 0.9, 1.2, 1.5, 1.8, 2.1)]
+        n_rules, tail = len(rules), 5
+        per_search = math.ceil(math.log2(n_rules + 1))
+        base = TrialConfig(seed=0, lengths=None, target=make_cantor(1 / 3, 12), n_max=20000)
+        n_cp = base.checkpoints().size
+        for seed in range(4):
+            cfg = replace(base, seed=seed)
+            calls.clear()
+            simulate._sweep(cfg, rules, tail)
+            # 7 sorted rules take 3 evaluations to search, whatever the outcome
+            assert len(calls) == n_cp * per_search
+            calls.clear()
+            simulate._sweep(cfg, rules, tail, reads="verdicts")
+            assert len(calls) <= n_cp + (n_rules + tail) * per_search
+            assert len(calls) < n_cp * per_search
+
+
 def _stevens(n: int, a: Fraction) -> Fraction:
     """Probability that n i.i.d. uniform arcs of length a cover the circle
     (Stevens 1939): sum over k of (-1)^k C(n, k) (1 - k a)_+^(n - 1)."""

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from arccover import (IntervalUnion, box_dimension, covers, make_cantor,
+from arccover import (ConfigError, IntervalUnion, box_dimension, covers, make_cantor,
                       make_circle, make_custom, make_finite, measure,
                       parse_target)
 
@@ -95,6 +95,22 @@ class TestCustom:
         t = make_custom(u, beta=0.8)
         assert t.dim_H is None
         assert t.dim_B_upper == 0.8
+
+    def test_dim_H_recorded(self, tmp_path):
+        u = IntervalUnion([(0.1, 0.2), (0.6, 0.9)])
+        assert make_custom(u, beta=0.8, dim_H=0.5).dim_H == 0.5
+        assert make_custom(u, beta=0.8, dim_H=0.8).dim_H == 0.8
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps({"intervals": [[0.1, 0.3]], "beta": 0.7, "dim_H": 0.6}))
+        assert parse_target(f"custom:{path}").dim_H == 0.6
+
+    @pytest.mark.parametrize("dim_H", [math.nan, math.inf, -math.inf, -0.1, 0.81])
+    def test_dim_H_outside_0_beta_refused(self, dim_H):
+        u = IntervalUnion([(0.1, 0.2), (0.6, 0.9)])
+        with pytest.raises(ConfigError) as err:
+            make_custom(u, beta=0.8, dim_H=dim_H)
+        assert err.value.field == "target"
+        assert "dim_H must be in [0, beta]" in str(err.value)
 
     def test_finest_scale_is_the_shortest_interval_below_beta_1(self):
         u = IntervalUnion([(0.0, 0.5), (0.625, 0.75), (0.875, 1.0)])
