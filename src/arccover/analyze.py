@@ -6,18 +6,10 @@ the two analytic thresholds: no covering below the target's Hausdorff
 dimension, covering above its upper box dimension plus one.  The band in
 between is reported as "theorem-silent": the scan still shows fractions
 there but asserts nothing.  Every c uses the same seeds, so the unit of
-work is one seed swept over the whole c grid (simulate's kernel samples
-and sorts its centers once for all c).  The scan reads only the verdicts
-and the tail union of each trial.  So the kernel decides the tail window
-at every checkpoint, by one binary search over the c grid, and builds
-residues there alone, for the c that leave the target uncovered.  The
-verdicts depend only on each c's last uncovered checkpoint, so before
-the window it walks the checkpoints from the newest back and evaluates
-only the smallest c without a later failure, searching the grid only
-where that c fails.  A dimension estimate reads only the tail union, which
-depends only on the centers up to each checkpoint of the window, so its
-kernel starts at the window: no earlier checkpoint is sampled, merged or
-decided.
+work is one seed swept over the whole c grid: the scan reads only each
+trial's verdicts and tail union, which simulate._verdicts gives for all
+c from one pass over the seed's centers.  A dimension estimate reads
+only the tail union, from simulate._tail_union.
 
 Both experiments run independent seeds over one shared configuration
 (_map_seeds): inline, or in a process pool of at most one worker per
@@ -28,10 +20,7 @@ configuration once, in the parent, before any cell runs or any pool
 starts: the scale guard, which depends on c but not on the seed, and its
 lowest and highest seed.  The cells' results come back in seed order,
 inline and from the pool alike.  The pool is taken to fill the cores, so
-in its workers the kernel keeps its sorted prefix as one run on one
-thread.  Outside a pool it keeps two halves, split at simulate._SPLIT,
-and merges them on two threads while it draws the next checkpoint's
-centers.
+its workers run the kernel on one thread (simulate._threads_allowed).
 
 Box-counting dimension is used as a numerical proxy for Hausdorff
 dimension.  Box >= Hausdorff always, so an estimate clearly BELOW the
@@ -51,8 +40,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .lengths import LogOverN
-from .errors import ConfigError
-from .simulate import TrialConfig, _sweep, _usable_cpus, checkpoint_grid
+from .errors import ConfigError, check_integer
+from .simulate import TrialConfig, _tail_union, _usable_cpus, _verdicts, checkpoint_grid
 from .targets import TargetSet, make_circle
 from .torus import IntervalUnion, measure
 
@@ -242,7 +231,7 @@ def _scan_cell(seed, context=None):
     base_cfg, rules, tail = _context if context is None else context
     return [(covered, last_failure, measure(tail_union))
             for covered, last_failure, tail_union
-            in _sweep(replace(base_cfg, seed=seed), rules, tail, reads="verdicts")]
+            in _verdicts(replace(base_cfg, seed=seed), rules, tail)]
 
 
 def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
@@ -264,6 +253,7 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
             or not all(0 < c < math.inf for c in cs)):
         raise ConfigError("c", f"grid must be finite, positive and strictly increasing, "
                           f"got {cs}")
+    check_integer("trials", trials_per_c)
     if trials_per_c < 1:
         raise ConfigError("trials", f"must be >= 1, got {trials_per_c}")
     # checked here, before any cell runs or any pool starts
@@ -349,12 +339,10 @@ class DimensionScan:
 
 
 def _dims_cell(seed, context=None):
-    """One seed's box counts.  It reads only the tail union, so the kernel
-    starts at the tail window: it samples and sorts that checkpoint's whole
-    prefix in one step, and decides coverage nowhere."""
+    """One seed's box counts of its tail union, whose pass starts at the
+    tail window and decides coverage nowhere."""
     base_cfg, tail, scales = _context if context is None else context
-    (result,) = _sweep(replace(base_cfg, seed=seed), [base_cfg.lengths], tail, reads="tail")
-    return box_dimension(result, scales)
+    return box_dimension(_tail_union(replace(base_cfg, seed=seed), tail), scales)
 
 
 def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
@@ -377,6 +365,7 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
     """
     if not 0.0 < c < math.inf:
         raise ConfigError("c", f"must be finite and > 0, got {c}")
+    check_integer("n_max", n_max)
     if target is None:
         target = make_circle()
     rule = LogOverN(c)
@@ -387,6 +376,9 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
     # measure, and the cells' kernel does not check the window
     base.check_window(tail_checkpoints, 1)
     base.validate_scales()
+    seeds = list(seeds)
+    for seed in seeds:
+        check_integer("seeds", seed)
     seeds = sorted(int(s) for s in seeds)
     if not seeds:
         raise ConfigError("seeds", "must hold at least one seed, got none")

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .analyze import phase_scan, uncovered_dimension_experiment
-from .lengths import (check_covering_params, check_series_terms, choose_schedule,
-                      covering_series, parse_lengths, shepp_series)
+from .lengths import (_rare_block_terms, check_covering_params, check_series_terms,
+                      choose_schedule, covering_series, parse_lengths, shepp_series)
 from .errors import ConfigError
 from .simulate import PRNG_NAME, PRNG_VERSION, TrialConfig, run_trial
 from .targets import parse_target
@@ -435,9 +435,7 @@ def _cmd_schedule(resolved: dict) -> int:
     sched = choose_schedule(lengths, alpha, resolved["k"])
     banner = _tool_banner(resolved)
     out = resolved["out"]
-    idx = np.asarray(sched.indices, dtype=np.float64)
-    prev = np.concatenate(([0.0], idx[:-1]))
-    terms = prev * lengths._ell(idx) ** alpha
+    terms = _rare_block_terms(lengths, sched, alpha)
     total = float(np.sum(terms))
     payload = dict(banner)
     payload["schedule"] = {

@@ -393,11 +393,16 @@ def choose_schedule(rule: LengthSequence, alpha: float, K: int) -> Schedule:
     return Schedule(tuple(indices))
 
 
-def rare_block_sum(rule: LengthSequence, schedule: Schedule, alpha: float) -> float:
-    """Direct evaluation of sum_k n_{k-1} * ell(n_k)**alpha (n_0 = 0)."""
+def _rare_block_terms(rule: LengthSequence, schedule: Schedule, alpha: float) -> np.ndarray:
+    """The terms n_{k-1} * ell(n_k)**alpha (n_0 = 0) of rare_block_sum."""
     idx = np.asarray(schedule.indices, dtype=np.float64)
     prev = np.concatenate(([0.0], idx[:-1]))
-    return float(np.sum(prev * rule._ell(idx) ** alpha))
+    return prev * rule._ell(idx) ** alpha
+
+
+def rare_block_sum(rule: LengthSequence, schedule: Schedule, alpha: float) -> float:
+    """Direct evaluation of sum_k n_{k-1} * ell(n_k)**alpha (n_0 = 0)."""
+    return float(np.sum(_rare_block_terms(rule, schedule, alpha)))
 
 
 # ---------------------------------------------------------------------------

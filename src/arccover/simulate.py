@@ -17,28 +17,29 @@ complement(arcs_to_union(...)) piece for piece, in the same float
 arithmetic, at O(n) per checkpoint (uncovered_at).
 
 The kernel:
-- run_trial is the one entry point for a trial.  Behind it, _sweep runs
-  one config under a list of length rules in one pass, as the rules of a
-  phase scan share the seed, target and checkpoint grid; per rule it
-  returns a trace, a (covered, last failure, tail union) verdict tuple or
-  the tail union alone.
-- sample_centers reads the seed's Philox stream: counter-based, so trials
-  are reproducible, prefix-stable and embarrassingly parallel.
-- _draw, _split and _prefix_gaps keep the sorted prefix of centers in one
-  array and merge it once per checkpoint.  Where _threads_allowed says so,
-  the prefix is two halves split at _SPLIT, the low one growing from the
-  left end and the high one into the right end.  The larger low half
-  merges on a second thread while the calling thread merges the high half
-  and then draws the next checkpoint's centers into the free middle
+- _prefixes keeps the sorted prefix of centers over one pass of the grid
+  and yields, per checkpoint, the candidate gaps of its shortest length
+  and the first and last center.  sample_centers reads the seed's Philox
+  stream: counter-based, so trials are reproducible, prefix-stable and
+  embarrassingly parallel.  _draw, _split and _prefix_gaps keep the prefix
+  in one array and merge it once per checkpoint.  Where _threads_allowed
+  says so, the prefix is two halves split at _SPLIT, the low one growing
+  from the left end and the high one into the right end.  The larger low
+  half merges on a second thread while the calling thread merges the high
+  half and then draws the next checkpoint's centers into the free middle
   between them.  _gap_candidates picks the gaps the exact predicate runs
   on.
+- Three passes read it.  run_trial, the one entry point for a trial,
+  decides every checkpoint and builds a residue where one is uncovered.
+  _verdicts gives a phase scan's verdicts under a list of length rules,
+  which share the seed, target and grid.  _tail_union gives the tail
+  union alone and starts at the tail window.
 - _uncovered decides coverage for every rule at a checkpoint by one
-  threshold search; residues are built only where an output reads them.
-- A verdict reads only each rule's last uncovered checkpoint, so the
-  verdicts sweep decides the checkpoints before the tail window last, from
-  the newest back (_last_failures): at each one a single evaluation of the
-  shortest rule still without a later failure settles every such rule
-  unless that rule is uncovered.
+  threshold search.  A verdict reads only each rule's last uncovered
+  checkpoint, so _verdicts decides the checkpoints before the tail window
+  last, from the newest back (_last_failures): at each one a single
+  evaluation of the shortest rule still without a later failure settles
+  every such rule unless that rule is uncovered.
 """
 
 from __future__ import annotations
@@ -54,10 +55,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 from .lengths import MAX_EXACT_N, LengthSequence
 from .targets import TargetSet
-from .torus import EMPTY, MERGE_EPS, IntervalUnion, intersect, measure, union
+from .torus import (EMPTY, MERGE_EPS, IntervalUnion, _strictly_inside, intersect, measure,
+                    union)
 
 PRNG_NAME = "numpy.random.Philox"
 PRNG_VERSION = np.__version__
@@ -72,6 +74,8 @@ def sample_centers(seed: int, n: int, start: int = 0, out=None) -> np.ndarray:
     start=s) is sample_centers(seed, s + n)[s:].  With `out`, a float64
     array of n, the centers are written there and it is returned.
     """
+    for name, value in (("seed", seed), ("n", n), ("start", start)):
+        check_integer(name, value)
     if not (0 <= int(seed) < 2 ** 64):
         raise ConfigError("seed", f"must be a 64-bit unsigned integer, got {seed}")
     if n < 1:
@@ -108,7 +112,7 @@ def checkpoint_grid(n_first: int, ratio: float, n_max: int) -> np.ndarray:
 MAX_CHECKPOINTS = 10_000
 
 
-# every config of a scan, and every copy a sweep makes, asks for the same grid
+# every config of a scan, and every copy _setup makes, asks for the same grid
 @functools.lru_cache(maxsize=64)
 def _grid_size(n_first: int, ratio: float, n_max: int) -> int:
     """len(checkpoint_grid(n_first, ratio, n_max)), counted no further than
@@ -133,14 +137,14 @@ _BLOCK = 1 << 16
 # (105-115 ms), so it stays.
 _THREAD_MIN = 1 << 17
 
-# Where a threaded sweep splits its prefix: the low half, below it, merges
+# Where a threaded pass splits its prefix: the low half, below it, merges
 # on the second thread, while the calling thread merges the high half and
 # then draws the next checkpoint.  The draw costs about a third of a full
 # merge at 1e7, so the halves balance near 0.65; on a 2-core VM, splits
 # from 0.55 to 0.7 all beat 1/2 and 0.65-0.7 did best.
 _SPLIT = 0.65
 
-# Candidate gaps the verdicts sweep holds for its backward walk, per center
+# Candidate gaps _verdicts holds for its backward walk, per center
 # of the horizon: 2 floats each, so at most 4 B per center beside the 8 B
 # of the prefix.  A batch that reaches it is decided on the spot.
 _HOLD = 0.25
@@ -254,7 +258,7 @@ def _usable_cpus() -> int:
 
 
 def _threads_allowed() -> bool:
-    """Whether a sweep may run the low half on a second thread: the process
+    """Whether a pass may run the low half on a second thread: the process
     may use two CPUs and is not a worker of a process pool.  The pool is
     taken to fill the cores: with 2 workers on 2 cores, threads in them
     made a 20-cell dimension estimate at n_max 1e6 3% slower.  A pool of
@@ -348,29 +352,26 @@ def _seam_pieces(first, last, ell) -> tuple:
 
 
 def _meets(target, lo, hi) -> np.ndarray:
-    """Which pieces (lo, hi) meet the canonical target, as intersect sees
-    it: some target interval ends after the piece starts and starts
-    before it ends, or a target point lies strictly inside the piece."""
-    hit = (np.searchsorted(target.his, lo, side="right")
-           < np.searchsorted(target.los, hi, side="left"))
-    if target.points.size:
-        hit |= (np.searchsorted(target.points, lo, side="right")
-                < np.searchsorted(target.points, hi, side="left"))
-    return hit
+    """Which pieces (lo, hi) meet an interval of the canonical target, as
+    intersect sees it: one ends after the piece starts and starts before
+    it ends."""
+    return (np.searchsorted(target.his, lo, side="right")
+            < np.searchsorted(target.los, hi, side="left"))
 
 
 def _leaves_uncovered(a, b, first, last, ell, target) -> bool:
     """Whether the residue of arcs of length `ell` is not empty, bit for
     bit, given the candidate gaps (a, b), the first and last center and
-    the target (None for the circle): a piece of _pieces meets the target,
-    or the target holds 0 and the pieces start at 0 and end at 1, the
-    halves of one arc across the seam, as intersect has it."""
+    the target (None for the circle): a piece of _pieces meets a target
+    interval, or a target point lies inside a piece as intersect has it
+    (_strictly_inside, 0 included where the pieces start at 0 and end at
+    1, the halves of one arc across the seam)."""
     lo, hi = _pieces(a, b, first, last, ell)
     if target is None or not lo.size:
         return bool(lo.size)
-    if target.points.size and target.points[0] == 0.0 and lo[0] == 0.0 and hi[-1] == 1.0:
-        return True
-    return bool(_meets(target, lo, hi).any())
+    # a target without points, as every Cantor one, skips their test
+    return bool(_meets(target, lo, hi).any() or target.points.size
+                and _strictly_inside(lo, hi, target.points).any())
 
 
 def _uncovered(a, b, first, last, ells, target) -> np.ndarray:
@@ -390,7 +391,8 @@ def _uncovered(a, b, first, last, ells, target) -> np.ndarray:
       holds at r.
     - The target.  _meets compares two searchsorted counts, the first
       non-decreasing in lo and the second in hi, so a piece that contains
-      one meeting the target meets it too.
+      one meeting a target interval meets it too, and a point strictly
+      inside a piece is strictly inside any piece that contains it.
     - The seam.  The wrap gap is open at r' where it is at r, and then
       exceeds ell, so l = fl(first - r) < 0 and h = fl(last + r) > 1
       exclude each other.  As r shrinks, l grows and h shrinks: a piece
@@ -473,6 +475,8 @@ class TrialConfig:
     n_first_checkpoint: int = 64
 
     def __post_init__(self):
+        for name in ("seed", "n_max", "n_first_checkpoint"):
+            check_integer(name, getattr(self, name))
         if not (0 <= int(self.seed) < 2 ** 64):
             raise ConfigError("seed", f"must be a 64-bit unsigned integer, got {self.seed}")
         if self.n_first_checkpoint < 1:
@@ -495,6 +499,7 @@ class TrialConfig:
 
     def check_window(self, tail_checkpoints: int, least: int) -> None:
         """Refuse a tail window outside [least, number of checkpoints]."""
+        check_integer("tail_checkpoints", tail_checkpoints)
         n_checkpoints = self.checkpoints().size
         if not (least <= tail_checkpoints <= n_checkpoints):
             raise ConfigError("tail_checkpoints", f"must be in [{least}, {n_checkpoints}], "
@@ -558,64 +563,13 @@ class CoverageTrace:
                 and self.tail_uncovered == other.tail_uncovered)
 
 
-def run_trial(cfg: TrialConfig, tail_checkpoints: int = 0) -> CoverageTrace:
-    """Run one trial; the trace's tail_uncovered unites the residues of the
-    last `tail_checkpoints` checkpoints (0 for none)."""
-    cfg.check_window(tail_checkpoints, 0)
-    return _sweep(cfg, [cfg.lengths], tail_checkpoints)[0]
-
-
-def _sweep(cfg: TrialConfig, rules, tail_checkpoints: int, reads: str = "trace") -> list:
-    """The trials of `cfg` under each length rule of `rules`, in one pass.
-
-    `cfg` supplies the seed, the target, the horizon and the checkpoint
-    grid, and its `lengths` is not read: the centers are sampled and the
-    sorted prefix is merged once, and a checkpoint decides coverage for all
-    rules at once.  Every rule must pass the scale guard.  Returns, per
-    rule, what `reads` names; a tail union always unites the residues of
-    the last `tail_checkpoints` checkpoints.
-
-    - "trace": its CoverageTrace, with a residue at every checkpoint.
-    - "verdicts": the tuple (eventually_covered, last_failure_n,
-      tail_uncovered), as in CoverageTrace, with residues in the tail
-      window only.  Both verdicts depend only on each rule's last
-      uncovered checkpoint.  So the tail window is decided in full, while
-      a checkpoint before it is held, as its candidate gaps, and decided
-      after the loop by _last_failures, from the newest back, for the
-      rules with no later failure.  Held gaps past _HOLD per center of the
-      horizon are decided on the spot, as one batch.
-    - "tail": the tail union itself, an IntervalUnion.  The residues of
-      the window depend only on the prefixes of its checkpoints, so the
-      sweep starts at its first one: that checkpoint samples, sorts and
-      splits its whole prefix in one step, and no checkpoint decides
-      coverage.  The checkpoints before the window are neither sampled nor
-      merged, so no verdict exists to return.
-    """
-    if reads not in ("trace", "verdicts", "tail"):
-        raise ValueError(f"reads must be 'trace', 'verdicts' or 'tail', got {reads!r}")
-    for rule in rules:
-        replace(cfg, lengths=rule).validate_scales()
-
+def _prefixes(cfg: TrialConfig, shortest, start: int = 0):
+    """Per checkpoint of cfg's grid from index `start` on, (i, a, b, first,
+    last): its index, the ends (a, b) of the gaps of its sorted prefix with
+    fl(b - a) > fl(shortest[i] - SLACK), ascending, and the first and last
+    center, all copies.  The first checkpoint samples and sorts its whole
+    prefix in one step; no earlier one is sampled or merged."""
     grid = cfg.checkpoints()
-    ells = np.array([rule.ell(grid.astype(np.float64)) for rule in rules])
-    shortest = ells.min(axis=0)
-
-    t_approx = None if cfg.target.kind == "circle" else cfg.target.approx
-    # the tail sweep decides nothing, so every rule counts as uncovered there
-    covered = np.zeros(ells.shape, dtype=bool)
-    unc_measure = np.zeros(ells.shape, dtype=np.float64)
-    pieces = np.zeros(ells.shape, dtype=np.int64)
-    # per rule, the index of its last uncovered checkpoint, -1 for none
-    last_fail = np.full(len(rules), -1)
-    tail_residues = [[] for _ in rules]
-    tail_start = grid.size - tail_checkpoints
-    # verdicts need the gaps of every checkpoint; residues only where an
-    # output reads them: the trace's per-checkpoint columns, or else the
-    # tail window alone
-    start = tail_start if reads == "tail" else 0
-    # the verdicts sweep's checkpoints before the window, not yet decided
-    held, held_gaps = [], 0
-
     threaded = _threads_allowed()
     # split at _SPLIT where the halves may go to two threads; elsewhere every
     # center is below 1, so the high run stays empty, the low run is the
@@ -631,13 +585,13 @@ def _sweep(cfg: TrialConfig, rules, tail_checkpoints: int, reads: str = "trace")
     if not threaded:
         sample_centers(cfg.seed, cfg.n_max, out=c)
     n0 = n1 = prev = 0
-    # the centers of the first checkpoint swept; each later checkpoint's are
-    # drawn into the free middle while the one before it merges
+    # the centers of the first checkpoint; each later checkpoint's are drawn
+    # into the free middle while the one before it merges
     if start < grid.size:
         _draw(c[:int(grid[start])], cfg.seed, 0, threaded)
-    # an executor per sweep, whose thread (started by the first submit)
-    # ends with it: a process pool forked later gets no thread, and no dead
-    # copy of an executor
+    # an executor per pass, whose thread (started by the first submit) ends
+    # with it, also where the consumer stops early: a process pool forked
+    # later gets no thread, and no dead copy of an executor
     with ThreadPoolExecutor(1) if threaded else contextlib.nullcontext() as pool:
         for i in range(start, grid.size):
             n = int(grid[i])
@@ -650,64 +604,114 @@ def _sweep(cfg: TrialConfig, rules, tail_checkpoints: int, reads: str = "trace")
             if i + 1 < grid.size:
                 draw = functools.partial(_draw, c[n0:n0 + int(grid[i + 1]) - n], cfg.seed,
                                          n, threaded)
-            # one pass over the prefix finds the gap candidates of every rule
-            a, b, first, last = _prefix_gaps(c, n0, n1, shortest[i] - SLACK, scratch,
-                                             pool if n >= _THREAD_MIN else None, draw)
-            if reads == "verdicts" and i < tail_start:
-                held.append((i, a, b, first, last))
-                held_gaps += a.size
-                if held_gaps >= _HOLD * cfg.n_max:
-                    _last_failures(held, ells, t_approx, last_fail)
-                    held, held_gaps = [], 0
-                continue
-            if reads != "tail":
-                uncovered = _uncovered(a, b, first, last, ells[:, i], t_approx)
-                covered[:, i] = ~uncovered
-                last_fail[uncovered] = i
-            # a covered rule's residue is empty, bit for bit: its measure and
-            # piece count stay 0 and the tail union is the same without it
-            todo = np.flatnonzero(~covered[:, i])
-            if not todo.size:
-                continue
-            ends, cand = _skeleton(a, b, first, last)
-            for j in todo:
-                gaps = uncovered_at(ends, float(ells[j, i]), cand)
-                # the gaps go first: intersect costs O(|gaps| log |target|)
-                resid = gaps if t_approx is None else intersect(gaps, t_approx)
-                if reads == "trace":
-                    unc_measure[j, i] = measure(resid)
-                    pieces[j, i] = resid.component_count()
-                if i >= tail_start:
-                    tail_residues[j].append(resid)
+            yield (i, *_prefix_gaps(c, n0, n1, shortest[i] - SLACK, scratch,
+                                    pool if n >= _THREAD_MIN else None, draw))
 
+
+def _residue(a, b, first, last, ell, target) -> IntervalUnion:
+    """The part of `target` (None for the circle) that arcs of length `ell`
+    leave uncovered, given the candidate gaps (a, b) of a length up to ell
+    and the first and last center, built by the public uncovered_at."""
+    ends, cand = _skeleton(a, b, first, last)
+    gaps = uncovered_at(ends, ell, cand)
+    # the gaps go first: intersect costs O(|gaps| log |target|)
+    return gaps if target is None else intersect(gaps, target)
+
+
+def _setup(cfg: TrialConfig, rules) -> tuple:
+    """After the scale guard of every rule: cfg's grid, the rules' lengths
+    on it (rules by checkpoints), the target's intervals (None for the
+    circle) and the index of the checkpoint nearest sqrt(n_max)."""
+    for rule in rules:
+        replace(cfg, lengths=rule).validate_scales()
+    grid = cfg.checkpoints()
+    ells = np.array([rule.ell(grid.astype(np.float64)) for rule in rules])
+    t_approx = None if cfg.target.kind == "circle" else cfg.target.approx
+    tail_idx = int(np.argmin(np.abs(grid.astype(np.float64) - math.sqrt(cfg.n_max))))
+    return grid, ells, t_approx, tail_idx
+
+
+def run_trial(cfg: TrialConfig, tail_checkpoints: int = 0) -> CoverageTrace:
+    """Run one trial; the trace's tail_uncovered unites the residues of the
+    last `tail_checkpoints` checkpoints (0 for none).  Every checkpoint is
+    decided, and an uncovered one builds its residue."""
+    cfg.check_window(tail_checkpoints, 0)
+    grid, (ells,), t_approx, tail_idx = _setup(cfg, [cfg.lengths])
+    covered = np.zeros(grid.size, dtype=bool)
+    unc_measure = np.zeros(grid.size, dtype=np.float64)
+    pieces = np.zeros(grid.size, dtype=np.int64)
+    tail_union = EMPTY
+    for i, a, b, first, last in _prefixes(cfg, ells):
+        ell = float(ells[i])
+        # a covered checkpoint's residue is empty, bit for bit: its measure
+        # and piece count stay 0 and the tail union is the same without it
+        covered[i] = not _leaves_uncovered(a, b, first, last, ell, t_approx)
+        if covered[i]:
+            continue
+        resid = _residue(a, b, first, last, ell, t_approx)
+        unc_measure[i] = measure(resid)
+        pieces[i] = resid.component_count()
+        if i >= grid.size - tail_checkpoints:
+            tail_union = union(tail_union, resid)
+    k = np.flatnonzero(~covered).max(initial=-1)
+    return CoverageTrace(
+        seed=int(cfg.seed),
+        n_max=int(cfg.n_max),
+        checkpoints=grid,
+        ells=ells,
+        covered=covered,
+        uncovered_measure=unc_measure,
+        piece_count=pieces,
+        n_tail_start=int(grid[tail_idx]),
+        last_failure_n=int(grid[k]) if k >= 0 else None,
+        # covered at every checkpoint from tail_idx on
+        eventually_covered=bool(k < tail_idx),
+        tail_uncovered=tail_union,
+    )
+
+
+def _verdicts(cfg: TrialConfig, rules, tail_checkpoints: int) -> list:
+    """Per rule of `rules`, what run_trial's trace of cfg under it says of
+    eventual coverage: (eventually_covered, last_failure_n, tail_uncovered).
+
+    One pass serves every rule, and cfg's `lengths` is not read.  The
+    verdicts depend only on each rule's last uncovered checkpoint, so the
+    tail window is decided in full, while a checkpoint before it is held,
+    as its candidate gaps, and decided after the pass by _last_failures.
+    Held gaps past _HOLD per center of the horizon are decided at once.
+    """
+    grid, ells, t_approx, tail_idx = _setup(cfg, rules)
+    tail_start = grid.size - tail_checkpoints
+    # per rule, the index of its last uncovered checkpoint, -1 for none
+    last_fail = np.full(len(rules), -1)
+    tail_unions = [EMPTY] * len(rules)
+    held, held_gaps = [], 0
+    for i, a, b, first, last in _prefixes(cfg, ells.min(axis=0)):
+        if i < tail_start:
+            held.append((i, a, b, first, last))
+            held_gaps += a.size
+            if held_gaps >= _HOLD * cfg.n_max:
+                _last_failures(held, ells, t_approx, last_fail)
+                held, held_gaps = [], 0
+            continue
+        uncovered = np.flatnonzero(_uncovered(a, b, first, last, ells[:, i], t_approx))
+        last_fail[uncovered] = i
+        for j in uncovered:
+            resid = _residue(a, b, first, last, float(ells[j, i]), t_approx)
+            tail_unions[j] = union(tail_unions[j], resid)
     if held:
         _last_failures(held, ells, t_approx, last_fail)
-    tail_idx = int(np.argmin(np.abs(grid.astype(np.float64) - math.sqrt(cfg.n_max))))
-    results = []
-    for j, residues in enumerate(tail_residues):
-        tail_union = EMPTY
-        for resid in residues:
-            tail_union = union(tail_union, resid)
-        if reads == "tail":
-            results.append(tail_union)
-            continue
-        last_failure = int(grid[last_fail[j]]) if last_fail[j] >= 0 else None
-        # covered at every checkpoint from tail_idx on
-        eventually = bool(last_fail[j] < tail_idx)
-        if reads == "verdicts":
-            results.append((eventually, last_failure, tail_union))
-            continue
-        results.append(CoverageTrace(
-            seed=int(cfg.seed),
-            n_max=int(cfg.n_max),
-            checkpoints=grid,
-            ells=ells[j],
-            covered=covered[j],
-            uncovered_measure=unc_measure[j],
-            piece_count=pieces[j],
-            n_tail_start=int(grid[tail_idx]),
-            last_failure_n=last_failure,
-            eventually_covered=eventually,
-            tail_uncovered=tail_union,
-        ))
-    return results
+    return [(bool(k < tail_idx), int(grid[k]) if k >= 0 else None, tail_union)
+            for k, tail_union in zip(last_fail, tail_unions)]
+
+
+def _tail_union(cfg: TrialConfig, tail_checkpoints: int) -> IntervalUnion:
+    """run_trial(cfg, tail_checkpoints).tail_uncovered, bit for bit.  The
+    residues of the window depend only on the prefixes of its checkpoints,
+    so the pass starts at its first one, and no checkpoint decides
+    coverage: a covered one adds an empty residue."""
+    grid, (ells,), t_approx, _ = _setup(cfg, [cfg.lengths])
+    tail_union = EMPTY
+    for i, a, b, first, last in _prefixes(cfg, ells, grid.size - tail_checkpoints):
+        tail_union = union(tail_union, _residue(a, b, first, last, float(ells[i]), t_approx))
+    return tail_union

@@ -218,7 +218,7 @@ class TestPhaseScan:
         def broken(*args, **kwargs):
             raise ValueError("internal fault")
 
-        monkeypatch.setattr(analyze, "_sweep", broken)
+        monkeypatch.setattr(analyze, "_verdicts", broken)
         with pytest.raises(ValueError, match="^internal fault$"):
             phase_scan([0.5, 2.5], small_base(), 1)
 
@@ -228,7 +228,7 @@ class TestPhaseScan:
         def broken(*args, **kwargs):
             raise ValueError("internal fault")
 
-        monkeypatch.setattr(analyze, "_sweep", broken)
+        monkeypatch.setattr(analyze, "_verdicts", broken)
         with pytest.raises(ValueError, match="^internal fault$"):
             phase_scan([0.5, 2.5], small_base(), 2, jobs=2)
 
@@ -278,6 +278,41 @@ def _rows_one_trial_at_a_time(c_grid, base, trials, tail=5):
                                                        for trace in runs])),
             regime=analyze.classify_regime(c, base.target)))
     return tuple(rows), failed
+
+
+# values an integer field refuses: a fraction, a bool, an integral float
+NOT_INTEGERS = [1.5, True, 2.0, np.float64(3.0)]
+NOT_INTEGER_IDS = ["fraction", "bool", "integral-float", "numpy-float"]
+
+
+class TestIntegerFields:
+    """The experiments refuse a bool or a float where an integer goes,
+    naming the field, before any cell runs."""
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+    @pytest.mark.parametrize("field", ["trials", "tail_checkpoints"])
+    def test_phase_scan(self, no_pool, field, bad):
+        trials, tail = (bad, 1) if field == "trials" else (2, bad)
+        with pytest.raises(ConfigError, match=f"^{field}: must be an integer, got "):
+            phase_scan([0.5, 2.5], small_base(), trials, jobs=2, tail_checkpoints=tail)
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+    @pytest.mark.parametrize("field", ["n_max", "seeds", "tail_checkpoints"])
+    def test_dimension_experiment(self, no_pool, field, bad):
+        args = {"n_max": 20_000, "seeds": [0, 1], "tail_checkpoints": 1}
+        args[field] = [0, bad] if field == "seeds" else bad
+        with pytest.raises(ConfigError, match=f"^{field}: must be an integer, got "):
+            uncovered_dimension_experiment(0.5, args["n_max"], args["seeds"], jobs=2,
+                                           tail_checkpoints=args["tail_checkpoints"])
+
+    def test_numpy_integers_are_taken(self):
+        assert (phase_scan([0.5, 2.5], small_base(), np.int64(2), tail_checkpoints=np.int8(1))
+                == phase_scan([0.5, 2.5], small_base(), 2, tail_checkpoints=1))
+        got = uncovered_dimension_experiment(0.5, np.int64(20_000), np.arange(2))
+        want = uncovered_dimension_experiment(0.5, 20_000, [0, 1])
+        assert (got.n_max, got.seeds, got.mean_slope) == (want.n_max, want.seeds, want.mean_slope)
+        for g, w in zip(got.estimates, want.estimates):
+            assert np.array_equal(g.counts, w.counts)
 
 
 class TestWorkerCount:
@@ -383,7 +418,7 @@ class TestDimensionExperiment:
     def test_cell_starts_at_the_tail_window(self, monkeypatch, window):
         # the dims cell merges and prefilters only the window's checkpoints,
         # and decides coverage at none of them
-        calls = {"_prefix_gaps": 0, "_uncovered": 0}
+        calls = {"_prefix_gaps": 0, "_uncovered": 0, "_leaves_uncovered": 0}
         for name in calls:
             def counted(*args, _real=getattr(simulate, name), _name=name):
                 calls[_name] += 1
@@ -392,7 +427,7 @@ class TestDimensionExperiment:
         cfg = TrialConfig(seed=3, lengths=LogOverN(0.5), target=make_circle(), n_max=20_000)
         scales = nested_scales(float(LogOverN(0.5).ell(20_000)), 0.05)
         est = analyze._dims_cell(3, (replace(cfg, seed=0), window, scales))
-        assert calls == {"_prefix_gaps": window, "_uncovered": 0}
+        assert calls == {"_prefix_gaps": window, "_uncovered": 0, "_leaves_uncovered": 0}
         want = box_dimension(run_trial(cfg, window).tail_uncovered, scales)
         assert np.array_equal(est.counts, want.counts)
 

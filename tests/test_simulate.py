@@ -81,6 +81,48 @@ class TestSampleCenters:
                               sample_centers(other, 5007)[5000:])
 
 
+# values an integer field refuses: a fraction, a bool, an integral float
+NOT_INTEGERS = [1.5, True, 2.0, np.float64(3.0)]
+NOT_INTEGER_IDS = ["fraction", "bool", "integral-float", "numpy-float"]
+
+
+class TestIntegerFields:
+    """An integer input refuses a bool and any float, naming its field,
+    and takes a numpy integer as it takes a Python one."""
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+    @pytest.mark.parametrize("field", ["seed", "n_max", "n_first_checkpoint"])
+    def test_trial_config(self, field, bad):
+        kwargs = dict(seed=1, lengths=LogOverN(1.0), target=make_circle(), n_max=2000)
+        kwargs[field] = bad
+        with pytest.raises(ConfigError, match=f"^{field}: must be an integer, got ") as exc:
+            TrialConfig(**kwargs)
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+    def test_tail_window(self, bad):
+        cfg = TrialConfig(seed=1, lengths=LogOverN(1.0), target=make_circle(), n_max=2000)
+        for refuse in (lambda: cfg.check_window(bad, 0), lambda: run_trial(cfg, bad)):
+            with pytest.raises(ConfigError, match="^tail_checkpoints: must be an integer, got "):
+                refuse()
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+    @pytest.mark.parametrize("field", ["seed", "n", "start"])
+    def test_sample_centers(self, field, bad):
+        kwargs = dict(seed=1, n=10, start=0)
+        kwargs[field] = bad
+        with pytest.raises(ConfigError, match=f"^{field}: must be an integer, got "):
+            sample_centers(**kwargs)
+
+    def test_numpy_integers_are_taken(self):
+        cfg = TrialConfig(seed=1, lengths=LogOverN(1.0), target=make_circle(), n_max=2000)
+        np_cfg = TrialConfig(seed=np.uint64(1), lengths=LogOverN(1.0), target=make_circle(),
+                             n_max=np.int64(2000), n_first_checkpoint=np.int32(64))
+        assert run_trial(np_cfg, np.int64(2)) == run_trial(cfg, 2)
+        assert np.array_equal(sample_centers(np.uint64(1), np.int64(10), start=np.int8(3)),
+                              sample_centers(1, 10, start=3))
+
+
 class TestCheckpointGrid:
     def test_geometric_and_clipped(self):
         grid = checkpoint_grid(64, 1.1, 10 ** 5)
@@ -162,7 +204,7 @@ def _check_against_oracles(centers, ell):
     # predicate runs on all of them, as it did before the prefilter
     with mock.patch.object(simulate, "SLACK", math.inf):
         _assert_bitwise(got, uncovered_at(cs, ell))
-    # candidates found at a length up to ell, as the sweep passes them,
+    # candidates found at a length up to ell, as the kernel passes them,
     # select the same gaps
     for shorter in (ell, _nudge(ell, -1), 0.5 * ell):
         cand = np.flatnonzero(np.diff(cs) > shorter - SLACK)
@@ -417,6 +459,16 @@ _KERNEL_TARGETS = [
 _KERNEL_IDS = ["circle", "cantor", "points", "custom"]
 
 
+def _traces(base, rules, tail):
+    """run_trial's trace of `base` under each rule of `rules`."""
+    return [run_trial(replace(base, lengths=rule), tail) for rule in rules]
+
+
+def _as_verdicts(traces):
+    """What _verdicts gives for the rules of `traces`, read off them."""
+    return [(t.eventually_covered, t.last_failure_n, t.tail_uncovered) for t in traces]
+
+
 class TestSweep:
     @pytest.mark.parametrize("target", [make_circle(), make_cantor(1 / 3, 8),
                                         make_finite([0.05, 0.37, 0.9])],
@@ -426,49 +478,42 @@ class TestSweep:
         rules = [LogOverN(c) for c in (0.3, 0.6, 1.0, 2.5)]
         if target.kind == "cantor":
             # at n_max = 3000 the depth-8 guard refuses c = 0.3 only, and a
-            # sweep that holds it raises what run_trial raises
+            # pass that holds it raises what run_trial raises
             with pytest.raises(ConfigError) as want:
                 run_trial(replace(base, lengths=rules[0]), 3)
             with pytest.raises(ConfigError) as got:
-                simulate._sweep(base, rules, 3)
+                simulate._verdicts(base, rules, 3)
             assert str(got.value) == str(want.value)
             rules = rules[1:]
-        swept = simulate._sweep(base, rules, 3)
-        assert len(swept) == len(rules)
-        for rule, got in zip(rules, swept):
-            # tail_uncovered included
-            assert got == run_trial(replace(base, lengths=rule), 3)
-        # the verdicts are the trace's, as plain tuples
-        verdicts = simulate._sweep(base, rules, 3, reads="verdicts")
-        assert verdicts == [(t.eventually_covered, t.last_failure_n, t.tail_uncovered)
-                            for t in swept]
+        # the verdicts of one pass are each trace's, as plain tuples
+        assert simulate._verdicts(base, rules, 3) == _as_verdicts(_traces(base, rules, 3))
 
     @pytest.mark.parametrize("target", _KERNEL_TARGETS, ids=_KERNEL_IDS)
     def test_skipped_residues_are_empty(self, monkeypatch, target):
-        # the sweep builds no residue where the decision says covered: built
-        # the old way from the same gaps, each would be EMPTY
+        # a trial builds no residue where the decision says covered: built
+        # from the same gaps, each would be EMPTY
         seen = []
-        decide = simulate._uncovered
+        decide = simulate._leaves_uncovered
 
-        def spy(a, b, first, last, ells, t):
-            out = decide(a, b, first, last, ells, t)
-            seen.append((a, b, first, last, ells.copy(), t, out))
+        def spy(a, b, first, last, ell, t):
+            out = decide(a, b, first, last, ell, t)
+            seen.append((a, b, first, last, ell, t, out))
             return out
 
-        monkeypatch.setattr(simulate, "_uncovered", spy)
+        monkeypatch.setattr(simulate, "_leaves_uncovered", spy)
         base = TrialConfig(seed=5, lengths=None, target=target, n_max=3000,
                            n_first_checkpoint=4)
-        rules = [LogOverN(c) for c in (0.6, 1.0, 1.5, 2.5)]
-        traces = simulate._sweep(base, rules, 3)
+        traces = _traces(base, [LogOverN(c) for c in (0.6, 1.0, 1.5, 2.5)], 3)
         skipped = 0
-        for a, b, first, last, ells, t, out in seen:
+        for a, b, first, last, ell, t, out in seen:
+            if out:
+                continue
             ends, cand = simulate._skeleton(a, b, first, last)
-            for ell in ells[~out]:
-                gaps = uncovered_at(ends, float(ell), cand)
-                resid = gaps if t is None else intersect(gaps, t)
-                assert resid == EMPTY
-                assert measure(resid) == 0.0 and resid.component_count() == 0
-                skipped += 1
+            gaps = uncovered_at(ends, ell, cand)
+            resid = gaps if t is None else intersect(gaps, t)
+            assert resid == EMPTY
+            assert measure(resid) == 0.0 and resid.component_count() == 0
+            skipped += 1
         assert skipped == sum(int(np.sum(tr.covered)) for tr in traces) > 0
         for tr in traces:
             assert not np.any(tr.uncovered_measure[tr.covered])
@@ -510,9 +555,9 @@ class TestBlockedPrefilter:
     def test_block_size_leaves_traces_unchanged(self, monkeypatch, target):
         base = TrialConfig(seed=5, lengths=None, target=target, n_max=3000)
         rules = [LogOverN(c) for c in (0.6, 1.0, 2.5)]
-        want = simulate._sweep(base, rules, 3)
+        want = _traces(base, rules, 3), simulate._verdicts(base, rules, 3)
         monkeypatch.setattr(simulate, "_BLOCK", self.B)
-        assert simulate._sweep(base, rules, 3) == want
+        assert (_traces(base, rules, 3), simulate._verdicts(base, rules, 3)) == want
 
 
 @pytest.mark.usefixtures("small_block")
@@ -578,7 +623,7 @@ def _decision_case(draw):
 
 def _check_decision(cs, ells, target):
     k = min(simulate._BLOCK, cs.size)
-    # the sweep's candidates: those of the shortest length, shared by all
+    # the kernel's candidates: those of the shortest length, shared by all
     cand = simulate._gap_candidates(cs, ells.min() - SLACK, np.empty(k),
                                     np.empty(k, dtype=bool))
     circle = target.kind == "circle"
@@ -591,7 +636,7 @@ def _check_decision(cs, ells, target):
 
 
 class TestBatchedDecision:
-    """The sweep decides coverage for every length by a threshold search
+    """_verdicts decides coverage for every length by a threshold search
     over the sorted lengths, without building residues; each decision must
     equal the emptiness of the residue."""
 
@@ -809,11 +854,11 @@ class TestThreadedHalves:
             for threads in (False, True):
                 monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
                 seen.clear()
-                # traces build a residue at every checkpoint, tail outcomes
-                # in the window only, and the tail alone starts there
-                got[threads] = (simulate._sweep(base, rules, 3),
-                                simulate._sweep(base, rules, 3, reads="verdicts"),
-                                simulate._sweep(base, rules, 3, reads="tail"))
+                # traces build a residue at every uncovered checkpoint,
+                # verdicts in the window only, and the tail alone starts there
+                got[threads] = (_traces(base, rules, 3), simulate._verdicts(base, rules, 3),
+                                [simulate._tail_union(replace(base, lengths=rule), 3)
+                                 for rule in rules])
                 assert (seen != {threading.get_ident()}) == threads
         finally:
             sys.setswitchinterval(interval)
@@ -842,25 +887,29 @@ class TestThreadedHalves:
         base = TrialConfig(seed=2, lengths=None, target=make_cantor(1 / 3, 8), n_max=2000)
         rules = [LogOverN(c) for c in (0.6, 1.0, 2.5)]
         n_cp = base.checkpoints().size
-        traces = simulate._sweep(base, rules, 2)
+        traces = _traces(base, rules, 2)
 
         def uncovered(checkpoints):
             return [float(t.ells[i]) for i in checkpoints for t in traces if not t.covered[i]]
 
-        assert sum(sampled) == base.n_max
-        assert residues == uncovered(range(n_cp))
+        # each trace samples every center once, and builds its residues in
+        # checkpoint order
+        assert sum(sampled) == 3 * base.n_max
+        assert residues == [float(t.ells[i]) for t in traces
+                            for i in range(n_cp) if not t.covered[i]]
         # some pairs are covered and some not, in the window too
         assert 0 < len(residues) < 3 * n_cp
         assert 0 < len(uncovered(range(n_cp - 2, n_cp))) < 3 * 2
         sampled.clear()
         residues.clear()
-        simulate._sweep(base, rules, 2, reads="verdicts")
+        simulate._verdicts(base, rules, 2)
         assert sum(sampled) == base.n_max
         assert residues == uncovered(range(n_cp - 2, n_cp))
         sampled.clear()
         residues.clear()
-        simulate._sweep(base, rules, 2, reads="tail")
-        assert sum(sampled) == base.n_max and len(residues) == 3 * 2
+        for rule in rules:
+            simulate._tail_union(replace(base, lengths=rule), 2)
+        assert sum(sampled) == 3 * base.n_max and len(residues) == 3 * 2
 
     @pytest.mark.parametrize("threads", [False, True], ids=["serial", "threaded"])
     @pytest.mark.parametrize("n_first", [1, 2, 3])
@@ -883,6 +932,65 @@ class TestThreadedHalves:
         assert one_sided
 
 
+def _pass(cfg, shortest, start):
+    """Everything _prefixes yields for cfg, as bytes."""
+    return [tuple(np.asarray(x).tobytes() for x in step)
+            for step in simulate._prefixes(cfg, shortest, start)]
+
+
+@pytest.mark.usefixtures("small_thread_min")
+class TestPrefixes:
+    """The one pass that keeps the sorted prefix, read at the generator:
+    threaded, one-run and a fresh sort of each prefix agree bit for bit."""
+
+    CFG = TrialConfig(seed=5, lengths=LogOverN(1.0), target=make_circle(), n_max=3000,
+                      n_first_checkpoint=2)
+
+    @pytest.mark.parametrize("block", [_SMALL_BLOCK, simulate._BLOCK], ids=["block7", "default"])
+    @pytest.mark.parametrize("at", _SPLITS, ids=_SPLIT_IDS)
+    def test_threaded_equals_one_run(self, monkeypatch, at, block):
+        monkeypatch.setattr(simulate, "_SPLIT", at)
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        grid = self.CFG.checkpoints()
+        shortest = self.CFG.lengths.ell(grid.astype(np.float64))
+        seen = _spy_threads(monkeypatch)
+        for start in (0, grid.size // 2, grid.size - 1):
+            got = {}
+            for threads in (False, True):
+                monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
+                seen.clear()
+                got[threads] = _pass(self.CFG, shortest, start)
+                # below a split of 1 the halves of a prefix of 14 or more
+                # centers merge on the second thread
+                assert (seen != {threading.get_ident()}) == (threads and at < 1.0)
+            assert got[True] == got[False]
+            assert [step[0] for step in got[True]] == [
+                np.intp(i).tobytes() for i in range(start, grid.size)]
+            for (_, a, b, first, last), n, thr in zip(got[True], grid[start:],
+                                                      shortest[start:] - SLACK):
+                cs = np.sort(sample_centers(self.CFG.seed, int(n)))
+                idx = np.flatnonzero(np.diff(cs) > thr)
+                assert (a, b) == (cs[idx].tobytes(), cs[idx + 1].tobytes())
+                assert (first, last) == (cs[:1].tobytes(), cs[-1:].tobytes())
+
+    def test_stopped_pass_ends_its_thread(self, monkeypatch):
+        # a consumer that raises mid-pass closes the generator as it
+        # unwinds, and with it the executor, whose thread ends at once
+        monkeypatch.setattr(simulate, "_threads_allowed", lambda: True)
+        grid = self.CFG.checkpoints()
+        before = threading.active_count()
+
+        def consume():
+            for i, *_ in simulate._prefixes(self.CFG, np.full(grid.size, 0.01)):
+                if i == grid.size // 2:
+                    assert threading.active_count() == before + 1
+                    raise RuntimeError("consumer fault")
+
+        with pytest.raises(RuntimeError, match="consumer fault"):
+            consume()
+        assert threading.active_count() == before
+
+
 @pytest.fixture
 def thread_min_2048(monkeypatch):
     """Halves go to two threads from a prefix of 2048 centers on."""
@@ -891,7 +999,7 @@ def thread_min_2048(monkeypatch):
 
 @pytest.mark.usefixtures("thread_min_2048")
 class TestTailOnlySweep:
-    """The tail-only sweep starts at the tail window, so its first step
+    """_tail_union starts at the tail window, so its first step
     samples, sorts and splits a whole prefix; its tail union must be bit
     for bit the one run_trial builds over the whole grid."""
 
@@ -908,7 +1016,7 @@ class TestTailOnlySweep:
         for seed in range(5):
             cfg = replace(base, seed=seed)
             for w in (1, 3, n_cp):
-                (got,) = simulate._sweep(cfg, [cfg.lengths], w, reads="tail")
+                got = simulate._tail_union(cfg, w)
                 want = run_trial(cfg, w).tail_uncovered
                 _assert_bitwise(got, want)
                 found |= not want.is_empty()
@@ -918,15 +1026,10 @@ class TestTailOnlySweep:
         # the checkpoints before the window are never decided, so the result
         # is the union alone
         cfg = TrialConfig(seed=1, lengths=LogOverN(0.5), target=make_circle(), n_max=3000)
-        (got,) = simulate._sweep(cfg, [cfg.lengths], 2, reads="tail")
+        got = simulate._tail_union(cfg, 2)
         assert type(got) is IntervalUnion
         assert not hasattr(got, "last_failure_n")
         assert not hasattr(got, "eventually_covered")
-
-    def test_unknown_reads_is_refused(self):
-        cfg = TrialConfig(seed=1, lengths=LogOverN(0.5), target=make_circle(), n_max=3000)
-        with pytest.raises(ValueError, match="reads"):
-            simulate._sweep(cfg, [cfg.lengths], 2, reads="verdict")
 
 
 # logn:0.5 and harmonic:3 cross at n = e^6, about 403, so which of them is
@@ -937,7 +1040,7 @@ _CROSSING_RULES = [Harmonic(3.0), LogOverN(0.5), LogOverN(1.0), LogOverN(1.6),
 
 @pytest.mark.usefixtures("small_thread_min")
 class TestBackwardVerdicts:
-    """The verdicts sweep decides the tail window at every checkpoint and
+    """_verdicts decides the tail window at every checkpoint and
     the checkpoints before it backwards, from the newest, one rule at a
     time until each rule has a failure; its verdicts must be those of a
     trace that decides every (rule, checkpoint) pair."""
@@ -968,7 +1071,7 @@ class TestBackwardVerdicts:
         for seed in range(3):
             cfg = replace(base, seed=seed)
             walks.clear()
-            got = simulate._sweep(cfg, _CROSSING_RULES, tail, reads="verdicts")
+            got = simulate._verdicts(cfg, _CROSSING_RULES, tail)
             # each checkpoint before the window is held once and walked once
             assert walks == ([1] * before if hold == 0.0 else [before])
             for rule, verdict in zip(_CROSSING_RULES, got):
@@ -980,16 +1083,17 @@ class TestBackwardVerdicts:
         # some rule's last failure was found by the backward walk
         assert walked
 
-    @pytest.mark.parametrize("reads", ["trace", "verdicts"])
-    def test_last_failure_at_the_tail_start(self, reads):
+    @pytest.mark.parametrize("path", ["trace", "verdicts"])
+    def test_last_failure_at_the_tail_start(self, path):
         # both rules last fail at the checkpoint nearest sqrt(n_max), where
         # the eventual covering must start, so neither is eventually covered
         cfg = TrialConfig(seed=23, lengths=None, target=make_circle(), n_max=20000,
                           n_first_checkpoint=4)
         grid = cfg.checkpoints()
         tail_start = int(grid[np.argmin(np.abs(grid - math.sqrt(cfg.n_max)))])
-        for got in simulate._sweep(cfg, [LogOverN(1.6), LogOverN(2.0)], 1, reads=reads):
-            if reads == "trace":
+        rules = [LogOverN(1.6), LogOverN(2.0)]
+        for got in (_traces if path == "trace" else simulate._verdicts)(cfg, rules, 1):
+            if path == "trace":
                 assert got.n_tail_start == tail_start
                 assert got.checkpoints[~got.covered][-1] == tail_start
                 got = (got.eventually_covered, got.last_failure_n)
@@ -1001,7 +1105,7 @@ class TestBackwardVerdicts:
         monkeypatch.setattr(simulate, "_threads_allowed", lambda: False)
         monkeypatch.setattr(simulate, "_HOLD", math.inf)
         cfg = TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=3000)
-        traces = [run_trial(replace(cfg, lengths=rule), 1) for rule in _CROSSING_RULES]
+        traces = _traces(cfg, _CROSSING_RULES, 1)
         decided = []
         decide = simulate._uncovered
 
@@ -1010,9 +1114,7 @@ class TestBackwardVerdicts:
             return decide(a, b, first, last, ells, t)
 
         monkeypatch.setattr(simulate, "_uncovered", spy)
-        got = simulate._sweep(cfg, _CROSSING_RULES, 1, reads="verdicts")
-        assert got == [(t.eventually_covered, t.last_failure_n, t.tail_uncovered)
-                       for t in traces]
+        assert simulate._verdicts(cfg, _CROSSING_RULES, 1) == _as_verdicts(traces)
         # the window's one checkpoint searches all rules, then the walk
         # searches once per checkpoint that is some rule's last failure
         n_max = int(cfg.n_max)
@@ -1027,9 +1129,9 @@ class TestBackwardVerdicts:
 
 class TestDecisionCount:
     """How many times a scan evaluates _leaves_uncovered, counted and not
-    timed: the trace path searches the rules at every checkpoint, while the
-    verdicts path makes one evaluation per checkpoint before the window
-    and a search at each failure it finds and in the window."""
+    timed: a trace evaluates its rule at every checkpoint, while _verdicts
+    makes one evaluation per checkpoint before the window and a search over
+    the rules at each failure it finds and in the window."""
 
     def test_verdicts_evaluate_fewer(self, monkeypatch):
         monkeypatch.setattr(simulate, "_threads_allowed", lambda: False)
@@ -1051,12 +1153,13 @@ class TestDecisionCount:
         for seed in range(4):
             cfg = replace(base, seed=seed)
             calls.clear()
-            simulate._sweep(cfg, rules, tail)
-            # 7 sorted rules take 3 evaluations to search, whatever the outcome
-            assert len(calls) == n_cp * per_search
+            _traces(cfg, rules, tail)
+            assert len(calls) == n_rules * n_cp
             calls.clear()
-            simulate._sweep(cfg, rules, tail, reads="verdicts")
+            simulate._verdicts(cfg, rules, tail)
             assert len(calls) <= n_cp + (n_rules + tail) * per_search
+            # fewer than a search of the 7 sorted rules, 3 evaluations
+            # whatever the outcome, at every checkpoint
             assert len(calls) < n_cp * per_search
 
 
