@@ -40,10 +40,10 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .lengths import LogOverN
-from .errors import ConfigError, check_integer
+from .errors import ConfigError, check_integer, fields_equal
 from .simulate import TrialConfig, _tail_union, _usable_cpus, _verdicts, checkpoint_grid
 from .targets import TargetSet, make_circle
-from .torus import IntervalUnion, measure
+from .torus import IntervalUnion, _in_closed, measure
 
 _SNAP = 1e-9  # cell-index snap, in units of one cell
 _Z = 1.96  # the normal quantile of the 95% Wilson interval
@@ -58,22 +58,16 @@ def occupied_cell_count(u: IntervalUnion, eps: float) -> int:
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"scale must be in (0, 1), got {eps}")
-    total = 0
-    j0 = j1 = None
-    if u.los.size:
-        j0 = np.floor(u.los / eps + _SNAP).astype(np.int64)
-        j1 = np.floor(u.his / eps - _SNAP).astype(np.int64)
-        j1 = np.maximum(j1, j0)  # a piece always occupies at least one cell
-        prev = np.concatenate(([-1], j1[:-1]))
-        contrib = j1 - np.maximum(j0, prev + 1) + 1
-        total += int(np.clip(contrib, 0, None).sum())
+    j0 = np.floor(u.los / eps + _SNAP).astype(np.int64)
+    j1 = np.floor(u.his / eps - _SNAP).astype(np.int64)
+    j1 = np.maximum(j1, j0)  # a piece always occupies at least one cell
+    prev = np.concatenate(([-1], j1[:-1]))
+    contrib = j1 - np.maximum(j0, prev + 1) + 1
+    total = int(np.clip(contrib, 0, None).sum())
     if u.points.size:
+        # a point adds its cell unless a piece occupies it
         pc = np.unique(np.floor(u.points / eps + _SNAP).astype(np.int64))
-        if j0 is not None:
-            idx = np.searchsorted(j0, pc, side="right") - 1
-            inside = (idx >= 0) & (pc <= j1[np.maximum(idx, 0)])
-            pc = pc[~inside]
-        total += int(pc.size)
+        total += int(np.count_nonzero(~_in_closed(j0, j1, pc)))
     return total
 
 
@@ -86,6 +80,8 @@ class DimensionEstimate:
     slope: float
     r_squared: float
     degenerate: bool = False
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         if np.any(np.diff(self.scales) >= 0):
@@ -261,6 +257,7 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
     tail = int(tail_checkpoints)
     seed0 = int(base_cfg.seed)
     replace(base_cfg, seed=seed0 + trials_per_c - 1)  # refuses a seed past 2**64 - 1
+    target = base_cfg.target
     failed = {}
     rules = []
     for c in cs:
@@ -268,7 +265,7 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
         try:
             # the pre-fractal scale guard, which depends on c through
             # ell(n_max): reported per c so the scan can emit partial results
-            replace(base_cfg, lengths=rule).validate_scales()
+            target.check_horizon(rule.ell(base_cfg.n_max))
         except ConfigError as exc:
             failed[c] = str(exc)
         else:
@@ -280,7 +277,6 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
 
     per_seed = _map_seeds(_scan_cell, range(seed0, seed0 + trials_per_c),
                           (base_cfg, rules, tail), jobs)
-    target = base_cfg.target
     rows = []
     for i, c in enumerate(ok_cs):
         cov, fails, tails = zip(*(cell[i] for cell in per_seed))
@@ -375,7 +371,8 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
     # checked here, before any cell runs: an empty window leaves nothing to
     # measure, and the cells' kernel does not check the window
     base.check_window(tail_checkpoints, 1)
-    base.validate_scales()
+    eps_fine = float(rule.ell(n_max))
+    target.check_horizon(eps_fine)
     seeds = list(seeds)
     for seed in seeds:
         check_integer("seeds", seed)
@@ -384,7 +381,6 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
         raise ConfigError("seeds", "must hold at least one seed, got none")
     for seed in seeds[:1] + seeds[-1:]:
         replace(base, seed=seed)  # refuses a seed outside [0, 2**64)
-    eps_fine = float(rule.ell(n_max))
     try:
         scales = nested_scales(eps_fine, math.sqrt(eps_fine))
     except ValueError as exc:

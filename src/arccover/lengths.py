@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer, fields_equal
 
 CLAMP_MAX = 1.0 - 1e-9
 MAX_EXACT_N = 2 ** 53  # beyond this, integer indices are not float-exact
@@ -68,6 +68,8 @@ class LengthSequence:
     def partial_sums(self, ns) -> np.ndarray:
         """Exact prefix sums sum_{s<=n} ell(s) at the given sorted indices."""
         ns, scalar = _as_index_array(ns, "ns")
+        if np.any(ns != np.floor(ns)):
+            raise ConfigError("ns", "partial_sums wants integer indices")
         if np.any(np.diff(ns) <= 0):
             raise ConfigError("ns", "partial_sums wants strictly increasing indices")
         out = self._partial_sums(ns)
@@ -211,6 +213,8 @@ class Schedule:
     indices: tuple
 
     def __post_init__(self):
+        for i in self.indices:
+            check_integer("indices", i)
         idx = tuple(int(i) for i in self.indices)
         if len(idx) == 0:
             raise ConfigError("indices", "schedule needs at least one index")
@@ -241,10 +245,8 @@ class BlockSequence(LengthSequence):
         pos = np.searchsorted(idx, ns, side="left")
         out = np.empty(ns.size, dtype=np.float64)
         inside = pos < idx.size
-        if np.any(inside):
-            out[inside] = self.base._ell(idx[pos[inside]])
-        if np.any(~inside):
-            out[~inside] = self.base._ell(ns[~inside])
+        out[inside] = self.base._ell(idx[pos[inside]])
+        out[~inside] = self.base._ell(ns[~inside])
         return out
 
     def _partial_sums(self, ns):
@@ -255,10 +257,9 @@ class BlockSequence(LengthSequence):
         pos = np.searchsorted(idx, ns, side="left")
         out = np.empty(ns.size, dtype=np.float64)
         inside = pos < idx.size
-        if np.any(inside):
-            p = pos[inside]
-            prev_end = np.concatenate(([0.0], idx))[p]
-            out[inside] = block_cum[p] + (ns[inside] - prev_end) * ends[p]
+        p = pos[inside]
+        prev_end = np.concatenate(([0.0], idx))[p]
+        out[inside] = block_cum[p] + (ns[inside] - prev_end) * ends[p]
         if np.any(~inside):
             # beyond the schedule: closed form up to n_K, then term-by-term;
             # one pass sums the base prefix to n_K and to every n past it
@@ -342,6 +343,7 @@ def choose_schedule(rule: LengthSequence, alpha: float, K: int) -> Schedule:
     """
     if not (0.0 < alpha < 1.0):
         raise ConfigError("alpha", f"must be in (0, 1), got {alpha}")
+    check_integer("k", K)
     if K < 1:
         raise ConfigError("k", f"must be >= 1, got {K}")
     n_lo, n_hi = _DELTA_RANGE
@@ -428,6 +430,8 @@ class SeriesResult:
     term_slope: float
     n_terms: int
 
+    __eq__ = fields_equal
+
     def __repr__(self):
         return (f"SeriesResult(N={self.n_terms}, verdict={self.verdict!r}, "
                 f"tail_fraction={self.tail_fraction:.3g}, "
@@ -448,7 +452,8 @@ def _series_verdict(tail_fraction: float, term_slope: float) -> str:
 
 
 def check_series_terms(N: int) -> None:
-    """Refuse a term-by-term series scan unless 10 <= N <= MAX_TERMS."""
+    """Refuse a series scan unless N is an integer in [10, MAX_TERMS]."""
+    check_integer("n", N)
     if N < 10:
         raise ConfigError("n", f"series scan needs N >= 10, got {N}")
     if N > MAX_TERMS:
@@ -525,7 +530,7 @@ def _scan_series(log_terms, N: int) -> SeriesResult:
         verdict=verdict,
         tail_fraction=tail_fraction,
         term_slope=slope,
-        n_terms=N,
+        n_terms=int(N),
     )
 
 
@@ -544,7 +549,7 @@ def covering_series(rule: LengthSequence, beta: float, d: float, N: int) -> Seri
         ell = rule._ell(ns)
         return -beta * np.log(ell) - ns * d * ell
 
-    return _scan_series(log_term, int(N))
+    return _scan_series(log_term, N)
 
 
 def shepp_series(rule: LengthSequence, N: int) -> SeriesResult:
@@ -567,7 +572,7 @@ def shepp_series(rule: LengthSequence, N: int) -> SeriesResult:
         carry = float(prefix[-1])
         return prefix - 2.0 * np.log(ns)
 
-    return _scan_series(log_terms, int(N))
+    return _scan_series(log_terms, N)
 
 
 def parse_lengths(spec: str) -> LengthSequence:

@@ -33,7 +33,8 @@ The kernel:
   decides every checkpoint and builds a residue where one is uncovered.
   _verdicts gives a phase scan's verdicts under a list of length rules,
   which share the seed, target and grid.  _tail_union gives the tail
-  union alone and starts at the tail window.
+  union alone and starts at the tail window.  Both trust their caller to
+  have run each rule's scale guard (TargetSet.check_horizon).
 - _uncovered decides coverage for every rule at a checkpoint by one
   threshold search.  A verdict reads only each rule's last uncovered
   checkpoint, so _verdicts decides the checkpoints before the tail window
@@ -51,11 +52,11 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_integer
+from .errors import ConfigError, check_integer, fields_equal
 from .lengths import MAX_EXACT_N, LengthSequence
 from .targets import TargetSet
 from .torus import (EMPTY, MERGE_EPS, IntervalUnion, _strictly_inside, intersect, measure,
@@ -112,8 +113,6 @@ def checkpoint_grid(n_first: int, ratio: float, n_max: int) -> np.ndarray:
 MAX_CHECKPOINTS = 10_000
 
 
-# every config of a scan, and every copy _setup makes, asks for the same grid
-@functools.lru_cache(maxsize=64)
 def _grid_size(n_first: int, ratio: float, n_max: int) -> int:
     """len(checkpoint_grid(n_first, ratio, n_max)), counted no further than
     MAX_CHECKPOINTS + 1."""
@@ -505,24 +504,6 @@ class TrialConfig:
             raise ConfigError("tail_checkpoints", f"must be in [{least}, {n_checkpoints}], "
                               f"got {tail_checkpoints}")
 
-    def validate_scales(self) -> None:
-        """Pre-fractal guard: the horizon arc length must stay well above
-        the target's finest constructed scale."""
-        if self.lengths is None:
-            raise ConfigError("lengths", "no length sequence configured")
-        if self.target.finest_scale > 0.0:
-            ell_end = float(self.lengths.ell(self.n_max))
-            bound = 10.0 * self.target.finest_scale
-            if ell_end <= bound:
-                # a custom union has no depth: its finest scale is its
-                # shortest interval, and beta = 1 drops the guard
-                fix = ("reduce n_max, shorten the shortest interval or set beta = 1"
-                       if self.target.kind == "custom" else "reduce n_max or increase depth")
-                raise ConfigError(
-                    "target",
-                    f"pre-fractal too coarse for this horizon: ell(n_max)="
-                    f"{ell_end:.3g} <= 10 * finest_scale = {bound:.3g}; {fix}")
-
 
 @dataclass(frozen=True)
 class CoverageTrace:
@@ -548,19 +529,7 @@ class CoverageTrace:
     eventually_covered: bool
     tail_uncovered: IntervalUnion
 
-    def __eq__(self, other):
-        if not isinstance(other, CoverageTrace):
-            return NotImplemented
-        return (self.seed == other.seed and self.n_max == other.n_max
-                and np.array_equal(self.checkpoints, other.checkpoints)
-                and np.array_equal(self.ells, other.ells)
-                and np.array_equal(self.covered, other.covered)
-                and np.array_equal(self.uncovered_measure, other.uncovered_measure)
-                and np.array_equal(self.piece_count, other.piece_count)
-                and self.n_tail_start == other.n_tail_start
-                and self.last_failure_n == other.last_failure_n
-                and self.eventually_covered == other.eventually_covered
-                and self.tail_uncovered == other.tail_uncovered)
+    __eq__ = fields_equal
 
 
 def _prefixes(cfg: TrialConfig, shortest, start: int = 0):
@@ -619,11 +588,9 @@ def _residue(a, b, first, last, ell, target) -> IntervalUnion:
 
 
 def _setup(cfg: TrialConfig, rules) -> tuple:
-    """After the scale guard of every rule: cfg's grid, the rules' lengths
-    on it (rules by checkpoints), the target's intervals (None for the
-    circle) and the index of the checkpoint nearest sqrt(n_max)."""
-    for rule in rules:
-        replace(cfg, lengths=rule).validate_scales()
+    """cfg's grid, the rules' lengths on it (rules by checkpoints), the
+    target's intervals (None for the circle) and the index of the
+    checkpoint nearest sqrt(n_max)."""
     grid = cfg.checkpoints()
     ells = np.array([rule.ell(grid.astype(np.float64)) for rule in rules])
     t_approx = None if cfg.target.kind == "circle" else cfg.target.approx
@@ -636,6 +603,9 @@ def run_trial(cfg: TrialConfig, tail_checkpoints: int = 0) -> CoverageTrace:
     last `tail_checkpoints` checkpoints (0 for none).  Every checkpoint is
     decided, and an uncovered one builds its residue."""
     cfg.check_window(tail_checkpoints, 0)
+    if cfg.lengths is None:
+        raise ConfigError("lengths", "no length sequence configured")
+    cfg.target.check_horizon(cfg.lengths.ell(cfg.n_max))
     grid, (ells,), t_approx, tail_idx = _setup(cfg, [cfg.lengths])
     covered = np.zeros(grid.size, dtype=bool)
     unc_measure = np.zeros(grid.size, dtype=np.float64)

@@ -5,14 +5,14 @@ the covering experiments need: its Hausdorff dimension when known and an
 upper bound beta on its box dimension, which place the two thresholds of
 the phase scan.
 
-A depth-k pre-fractal stands in for a true Cantor set.  That is valid
-only while the simulation never probes scales near the pre-fractal's
-finest resolution: experiment constructors must check that the smallest
-arc length used stays above 10 * ratio**depth (below that the
-pre-fractal, a finite union of intervals, behaves one-dimensionally and
-is strictly harder to cover than the fractal it approximates).  A custom
-union that claims a box dimension beta < 1 is held to the same guard,
-with its shortest interval as the finest scale.
+A depth-k pre-fractal stands in for a true Cantor set only above its
+finest scale ratio**depth: TargetSet.check_horizon, run once per length
+rule by each experiment, refuses a horizon arc length at or below 10
+times that (below it the pre-fractal, a finite union of intervals,
+behaves one-dimensionally and is strictly harder to cover than the
+fractal it approximates).  A custom union that claims a box dimension
+beta < 1 is held to the same guard, with its shortest interval as the
+finest scale.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 from .torus import FULL_CIRCLE, IntervalUnion
 
 
@@ -45,6 +45,18 @@ class TargetSet:
         if self.dim_H is not None and self.dim_H > self.dim_B_upper + 1e-12:
             raise ValueError("dim_H must not exceed dim_B_upper")
 
+    def check_horizon(self, ell_end: float) -> None:
+        """Pre-fractal guard: refuse a horizon arc length `ell_end` at or
+        below 10 * finest_scale."""
+        bound = 10.0 * self.finest_scale
+        if self.finest_scale > 0.0 and ell_end <= bound:
+            # a custom union has no depth: its finest scale is its shortest
+            # interval, and beta = 1 drops the guard
+            fix = ("reduce n_max, shorten the shortest interval or set beta = 1"
+                   if self.kind == "custom" else "reduce n_max or increase depth")
+            raise ConfigError("target", f"pre-fractal too coarse for this horizon: ell(n_max)="
+                              f"{ell_end:.3g} <= 10 * finest_scale = {bound:.3g}; {fix}")
+
 
 def make_circle() -> TargetSet:
     return TargetSet(
@@ -65,7 +77,7 @@ def make_cantor(ratio: float, depth: int) -> TargetSet:
     """
     if not (0.0 < ratio < 0.5):
         raise ConfigError("target", f"cantor ratio must be in (0, 1/2), got {ratio}")
-    if not isinstance(depth, (int, np.integer)) or depth < 1:
+    if not is_integer(depth) or depth < 1:
         raise ConfigError("target", f"cantor depth must be an integer >= 1, got {depth}")
     if depth > 22:
         raise ConfigError(

@@ -159,10 +159,7 @@ def _canonicalize(los: np.ndarray, his: np.ndarray, points: np.ndarray) -> tuple
         if np.any(points < 0.0) or np.any(points >= 1.0):
             raise ValueError("points must lie in [0, 1)")
         points = np.unique(points)
-        if los.size:
-            idx = np.searchsorted(los, points, side="right") - 1
-            inside = (idx >= 0) & (points <= his[np.maximum(idx, 0)])
-            points = points[~inside]
+        points = points[~_in_closed(los, his, points)]
     return los, his, points
 
 
@@ -252,9 +249,7 @@ def intersect(u: IntervalUnion, v: IntervalUnion) -> IntervalUnion:
         pts.append(v.points[_strictly_inside(u.los, u.his, v.points)])
     points = np.unique(np.concatenate(pts)) if pts else _EMPTY
     if points.size and lo.size:
-        idx = np.searchsorted(lo, points, side="right") - 1
-        inside = (idx >= 0) & (points <= hi[np.maximum(idx, 0)])
-        points = points[~inside]
+        points = points[~_in_closed(lo, hi, points)]
     return IntervalUnion._from_sorted(lo, hi, points)
 
 
@@ -276,6 +271,16 @@ def _intersect_arrays(alo, ahi, blo, bhi) -> tuple:
     hi = np.minimum(ahi[ii], bhi[jj])
     keep = hi > lo
     return lo[keep], hi[keep]
+
+
+def _in_closed(los, his, xs) -> np.ndarray:
+    """Which of xs lie in the closed piece [los[i], his[i]] of the last
+    start los[i] at or below them: closed membership in sorted, disjoint
+    pieces."""
+    if los.size == 0:
+        return np.zeros(xs.size, dtype=bool)
+    idx = np.searchsorted(los, xs, side="right") - 1
+    return (idx >= 0) & (xs <= his[np.maximum(idx, 0)])
 
 
 def _strictly_inside(los, his, xs) -> np.ndarray:
@@ -308,14 +313,9 @@ def contains_points(u: IntervalUnion, xs) -> np.ndarray:
     Position 0 also counts as covered by a piece ending at 1 (0 == 1 mod 1).
     """
     xs = _as_array(xs)
-    inside = np.zeros(xs.size, dtype=bool)
-    if u.los.size:
-        idx = np.searchsorted(u.los, xs, side="right") - 1
-        ok = idx >= 0
-        safe = np.maximum(idx, 0)
-        inside = ok & (xs <= u.his[safe])
-        if u.his[-1] == 1.0:
-            inside |= xs == 0.0
+    inside = _in_closed(u.los, u.his, xs)
+    if u.los.size and u.his[-1] == 1.0:
+        inside |= xs == 0.0
     if u.points.size:
         inside |= np.isin(xs, u.points)
     return inside

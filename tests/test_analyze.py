@@ -9,7 +9,7 @@ import pytest
 from arccover import (ConfigError, DimensionEstimate, EMPTY, FULL_CIRCLE,
                       IntervalUnion, LogOverN, ScanRow, TrialConfig, analyze,
                       box_dimension, make_cantor, make_circle, make_custom, make_finite,
-                      measure, nested_scales, occupied_cell_count, phase_scan,
+                      TargetSet, measure, nested_scales, occupied_cell_count, phase_scan,
                       run_trial, sample_centers, simulate, uncovered_at,
                       uncovered_dimension_experiment, union, wilson_interval)
 
@@ -31,6 +31,11 @@ class TestOccupiedCells:
     def test_points_count_cells(self):
         u = IntervalUnion(points=[0.1, 0.6])
         assert occupied_cell_count(u, 0.5) == 2
+
+    def test_point_in_a_piece_cell_counts_once(self):
+        # 0.22 shares cell 0 with the piece; 0.6 has cell 2 to itself
+        u = IntervalUnion([(0.1, 0.2)], points=[0.22, 0.6])
+        assert occupied_cell_count(u, 0.25) == 2
 
 
 class TestBoxDimension:
@@ -64,6 +69,28 @@ class TestBoxDimension:
             box_dimension(FULL_CIRCLE, [0.1, 0.01])
         with pytest.raises(ValueError):
             box_dimension(FULL_CIRCLE, [1.5, 0.1, 0.01])
+
+
+class TestRecordEquality:
+    def test_estimates_compare_by_value(self):
+        scales = [3.0 ** -j for j in range(2, 11)]
+        est = box_dimension(make_cantor(1 / 3, 12).approx, scales)
+        assert est == box_dimension(make_cantor(1 / 3, 12).approx, scales)
+        counts = est.counts.copy()
+        counts[-1] += 1
+        assert est != replace(est, counts=counts)
+        assert est != replace(est, scales=est.scales * 0.5)
+        assert est != box_dimension(make_cantor(1 / 3, 12).approx, scales[:-1])
+
+    def test_dimension_scans_compare_by_value(self):
+        scan = uncovered_dimension_experiment(0.5, 20_000, [0, 1])
+        assert scan == uncovered_dimension_experiment(0.5, 20_000, [0, 1])
+        assert scan != uncovered_dimension_experiment(0.5, 20_000, [0, 2])
+        est = scan.estimates[0]
+        counts = est.counts.copy()
+        counts[-1] += 1
+        assert scan != replace(scan, estimates=(replace(est, counts=counts),
+                                                *scan.estimates[1:]))
 
 
 class TestNestedScales:
@@ -308,11 +335,8 @@ class TestIntegerFields:
     def test_numpy_integers_are_taken(self):
         assert (phase_scan([0.5, 2.5], small_base(), np.int64(2), tail_checkpoints=np.int8(1))
                 == phase_scan([0.5, 2.5], small_base(), 2, tail_checkpoints=1))
-        got = uncovered_dimension_experiment(0.5, np.int64(20_000), np.arange(2))
-        want = uncovered_dimension_experiment(0.5, 20_000, [0, 1])
-        assert (got.n_max, got.seeds, got.mean_slope) == (want.n_max, want.seeds, want.mean_slope)
-        for g, w in zip(got.estimates, want.estimates):
-            assert np.array_equal(g.counts, w.counts)
+        assert (uncovered_dimension_experiment(0.5, np.int64(20_000), np.arange(2))
+                == uncovered_dimension_experiment(0.5, 20_000, [0, 1]))
 
 
 class TestWorkerCount:
@@ -374,6 +398,44 @@ class TestSeedMajorScan:
         base = replace(small_base(), seed=2 ** 64 - 2)
         with pytest.raises(ConfigError, match=f"^seed: .* got {2 ** 64}$"):
             phase_scan([0.5], base, 3, jobs=jobs)
+
+
+class TestScaleGuardOnce:
+    """Each experiment runs the pre-fractal guard once per length rule, in
+    the parent, and no cell runs it."""
+
+    @pytest.fixture
+    def guard_calls(self, monkeypatch):
+        calls = []
+        guard = TargetSet.check_horizon
+
+        def counted(target, ell_end):
+            calls.append(ell_end)
+            guard(target, ell_end)
+
+        monkeypatch.setattr(TargetSet, "check_horizon", counted)
+        return calls
+
+    def test_scan_once_per_c(self, no_pool, guard_calls):
+        # at n_max = 3000 the depth-8 guard refuses c = 0.3 only
+        scan = phase_scan([0.3, 1.0, 2.5], small_base(target=make_cantor(1 / 3, 8)), 2,
+                          jobs=1)
+        assert len(guard_calls) == 3
+        assert list(scan.failed) == [0.3] and len(scan.rows) == 2
+
+    def test_dimension_experiment_once(self, no_pool, guard_calls):
+        uncovered_dimension_experiment(0.5, 20_000, range(3), jobs=1,
+                                       target=make_cantor(1 / 3, 10))
+        assert len(guard_calls) == 1
+
+    def test_run_trial_once(self, no_pool, guard_calls):
+        run_trial(replace(small_base(target=make_cantor(1 / 3, 8)), lengths=LogOverN(1.0)))
+        assert len(guard_calls) == 1
+
+    def test_run_trial_refuses_no_lengths_first(self, guard_calls):
+        with pytest.raises(ConfigError, match="^lengths: no length sequence configured$"):
+            run_trial(small_base(target=make_cantor(1 / 3, 8)))
+        assert guard_calls == []
 
 
 class TestDimensionExperiment:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,6 +70,23 @@ class TestEval:
             Harmonic(1.0).ell(2 ** 60)
         with refused("lengths"):
             TableSequence((0.5, 0.4)).ell(3)
+
+    @pytest.mark.parametrize("ns", [[10.5, 20.2], 5.5, [6.0, 20.2], float("nan")],
+                             ids=["list", "scalar", "second", "nan"])
+    def test_partial_sums_refuse_fractional_indices(self, ns):
+        # their fill loop never reaches a fractional index
+        with refused("ns", "integer indices"):
+            LogOverN(1.0).partial_sums(ns)
+        with refused("ns", "integer indices"):
+            block_sequence(LogOverN(1.0), Schedule((4, 16))).partial_sums(ns)
+
+    def test_partial_sums_take_integral_floats(self):
+        L = LogOverN(1.0)
+        want = float(np.sum(L.ell(np.arange(1, 7, dtype=float))))
+        assert L.partial_sums(6.0) == L.partial_sums(6) == pytest.approx(want, rel=1e-15)
+        assert L.partial_sums(np.array([6.0, 20.0]))[0] == L.partial_sums(6)
+        # the log-spaced grid of the estimates is integral
+        assert estimate_covering_exponent(L, (10, 10 ** 4)) > 0
 
 
 class TestDelta:
@@ -189,6 +207,11 @@ class TestBlocks:
     def test_schedule_validation(self):
         with refused("indices"):
             Schedule((1, 5))
+        with refused("indices", "must be an integer, got 2.5"):
+            Schedule((2.5, 10))
+        with refused("indices", "must be an integer, got True"):
+            Schedule((2, True))
+        assert Schedule(np.array([2, 10])).indices == (2, 10)
         with refused("indices"):
             Schedule((5, 5))
         with refused("indices"):
@@ -224,6 +247,15 @@ class TestChooseSchedule:
     def test_alpha_validation(self):
         with refused("alpha"):
             choose_schedule(Harmonic(1.0), 1.5, 3)
+
+    @pytest.mark.parametrize("K", [True, 2.5, 2.0])
+    def test_k_must_be_an_integer(self, K):
+        with refused("k", f"must be an integer, got {K}"):
+            choose_schedule(Harmonic(1.0), 0.5, K)
+
+    def test_numpy_k(self):
+        assert choose_schedule(Harmonic(1.0), 0.5, np.int64(2)) == choose_schedule(
+            Harmonic(1.0), 0.5, 2)
 
     def test_table_estimates_delta_up_to_its_last_row(self):
         # 2000 rows of 0.9 / sqrt(n): delta is estimated over [3, 2000]
@@ -271,6 +303,34 @@ class TestCoveringSeries:
             covering_series(Harmonic(1.0), beta=1.0, d=1.5, N=100)
         with refused("beta"):
             covering_series(Harmonic(1.0), beta=-1.0, d=0.5, N=100)
+
+    @pytest.mark.parametrize("N", [1000.7, 1000.0, True])
+    def test_terms_must_be_an_integer(self, N):
+        # checked before any cast, so 1000.7 is not summed to 1000
+        with refused("n", f"must be an integer, got {N}"):
+            covering_series(LogOverN(1.0), beta=0.0, d=0.5, N=N)
+        with refused("n", f"must be an integer, got {N}"):
+            shepp_series(LogOverN(1.0), N)
+
+    def test_numpy_terms(self):
+        res = covering_series(LogOverN(1.0), beta=0.0, d=0.5, N=np.int64(1000))
+        assert res == covering_series(LogOverN(1.0), beta=0.0, d=0.5, N=1000)
+        assert type(res.n_terms) is int
+
+
+class TestSeriesResultEquality:
+    def test_equal_runs_compare_equal(self):
+        a = shepp_series(Harmonic(1.5), 1000)
+        assert a == shepp_series(Harmonic(1.5), 1000)
+        assert not a != shepp_series(Harmonic(1.5), 1000)
+
+    def test_a_changed_partial_sum_compares_unequal(self):
+        a = shepp_series(Harmonic(1.5), 1000)
+        sums = a.partial_sums.copy()
+        sums[-1] += 1.0
+        assert a != replace(a, partial_sums=sums)
+        assert a != shepp_series(Harmonic(1.5), 1001)
+        assert a != covering_series(Harmonic(1.5), beta=0.0, d=0.5, N=1000)
 
 
 class TestSheppSeries:

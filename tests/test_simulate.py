@@ -337,6 +337,18 @@ class TestRunTrial:
         cfg = TrialConfig(seed=9, lengths=LogOverN(2.0), target=make_circle(), n_max=3000)
         assert run_trial(cfg) == run_trial(cfg)
 
+    def test_traces_compare_by_value(self):
+        cfg = TrialConfig(seed=1, lengths=LogOverN(0.6), target=make_cantor(1 / 3, 8),
+                          n_max=3000)
+        trace = run_trial(cfg, 2)
+        assert trace == run_trial(cfg, 2) and not trace != run_trial(cfg, 2)
+        pieces = trace.piece_count.copy()
+        pieces[-1] += 1
+        assert trace != replace(trace, piece_count=pieces)
+        assert trace != replace(trace, ells=trace.ells * 0.5)
+        assert trace != run_trial(cfg, 3)  # another tail union
+        assert trace != run_trial(replace(cfg, seed=2), 2)
+
     def test_coverage_not_monotone_in_n(self):
         # the radius shrinks with n, so coverage can be lost after being
         # attained; scan seeds until that non-monotonicity is exhibited
@@ -477,13 +489,10 @@ class TestSweep:
         base = TrialConfig(seed=5, lengths=None, target=target, n_max=3000)
         rules = [LogOverN(c) for c in (0.3, 0.6, 1.0, 2.5)]
         if target.kind == "cantor":
-            # at n_max = 3000 the depth-8 guard refuses c = 0.3 only, and a
-            # pass that holds it raises what run_trial raises
-            with pytest.raises(ConfigError) as want:
+            # at n_max = 3000 the depth-8 guard refuses c = 0.3 only; a
+            # pass trusts its caller to drop that rule, as phase_scan does
+            with pytest.raises(ConfigError, match="^target: pre-fractal"):
                 run_trial(replace(base, lengths=rules[0]), 3)
-            with pytest.raises(ConfigError) as got:
-                simulate._verdicts(base, rules, 3)
-            assert str(got.value) == str(want.value)
             rules = rules[1:]
         # the verdicts of one pass are each trace's, as plain tuples
         assert simulate._verdicts(base, rules, 3) == _as_verdicts(_traces(base, rules, 3))

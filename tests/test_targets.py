@@ -71,6 +71,16 @@ class TestCantor:
         with pytest.raises(ValueError):
             make_cantor(1 / 3, 23)
 
+    @pytest.mark.parametrize("depth", [True, 3.0, 2.5])
+    def test_depth_must_be_an_integer(self, depth):
+        with pytest.raises(ConfigError, match="^target: cantor depth must be an integer >= 1, "
+                                              f"got {depth}$") as exc:
+            make_cantor(1 / 3, depth)
+        assert exc.value.field == "target"
+
+    def test_numpy_depth(self):
+        assert make_cantor(1 / 3, np.int64(4)).approx == make_cantor(1 / 3, 4).approx
+
 
 class TestFinite:
     def test_dimension_zero(self):

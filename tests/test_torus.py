@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from arccover import (Arc, EMPTY, FULL_CIRCLE, IntervalUnion, arcs_to_union,
                       complement, contains_points, covers, intersect,
                       make_cantor, measure, union)
+from arccover import torus
 from arccover.torus import MERGE_EPS
 
 
@@ -295,6 +296,15 @@ class TestCovers:
             a = IntervalUnion(points=rng.random(5))
             resid = intersect(a, complement(u))
             assert covers(u, a) == resid.is_empty()
+
+
+class TestClosedMembership:
+    @given(_unions, st.lists(_positions, max_size=12))
+    def test_against_every_piece(self, u, xs):
+        # piece ends are probed too, where closed and open membership part
+        xs = np.concatenate([xs, u.los[:4], u.his[:4], u.los[-4:], u.his[-4:]])
+        want = ((u.los <= xs[:, None]) & (xs[:, None] <= u.his)).any(axis=1)
+        assert np.array_equal(torus._in_closed(u.los, u.his, xs), want)
 
 
 class TestMembershipOracle:
