@@ -211,6 +211,7 @@ def _map_seeds(cell, seeds, context, jobs: int) -> list:
     worker processes, which receive `context` once each.  The pool starts
     at most `jobs` workers, one per seed and one per usable CPU; where
     that is one worker, the cells run inline."""
+    check_integer("jobs", jobs)
     if jobs < 1:
         raise ConfigError("jobs", f"must be >= 1, got {jobs}")
     workers = min(jobs, len(seeds), _usable_cpus())

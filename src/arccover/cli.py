@@ -22,11 +22,12 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple, fields
 
 import numpy as np
 
 from . import __version__
-from .analyze import phase_scan, uncovered_dimension_experiment
+from .analyze import ScanRow, phase_scan, uncovered_dimension_experiment
 from .lengths import (_rare_block_terms, check_covering_params, check_series_terms,
                       choose_schedule, covering_series, parse_lengths, shepp_series)
 from .errors import ConfigError
@@ -55,38 +56,37 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _tool_banner(config: dict) -> dict:
+def _write(resolved: dict, key: str, payload: dict, columns=None, rows=None,
+           svg: str | None = None) -> str:
+    """Write a command's outputs and return their path prefix `out`: with
+    `columns`, `<out>.csv` (the banner as `#` lines over the table of
+    `rows`); then `<out>.json`, the banner with `payload` under `key`; then,
+    given its text, `<out>.svg`.  The banner echoes the configuration with
+    the tool version, the PRNG identity and the seed, if the command has one."""
     # `out` and `jobs` are execution details: results are independent of
     # them, and leaving them out keeps outputs byte-identical across
     # worker counts and output locations
-    echo = {k: v for k, v in config.items() if k not in ("out", "jobs")}
-    return {
-        "tool": "arccover",
-        "version": __version__,
-        "prng": PRNG_NAME,
-        "prng_version": PRNG_VERSION,
-        "config": echo,
-    }
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True, default=_json_default)
+    banner = {"tool": "arccover", "version": __version__, "prng": PRNG_NAME,
+              "prng_version": PRNG_VERSION,
+              "config": {k: v for k, v in resolved.items() if k not in ("out", "jobs")}}
+    seed = resolved.get("seed", resolved.get("seed0"))
+    if seed is not None:
+        banner["seed"] = seed
+    out = resolved["out"]
+    if columns is not None:
+        lines = [f"# {k}: " + (json.dumps(v, sort_keys=True) if k == "config" else str(v))
+                 for k, v in sorted(banner.items())]
+        lines.append(",".join(columns))
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        with open(out + ".csv", "w") as f:
+            f.write("\n".join(lines) + "\n")
+    with open(out + ".json", "w") as f:
+        json.dump({**banner, key: payload}, f, indent=2, sort_keys=True, default=_json_default)
         f.write("\n")
-
-
-def _write_csv(path: str, banner: dict, columns: list, rows) -> None:
-    lines = []
-    for key in sorted(banner):
-        if key == "config":
-            lines.append("# config: " + json.dumps(banner["config"], sort_keys=True))
-        else:
-            lines.append(f"# {key}: {banner[key]}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    if svg is not None:
+        with open(out + ".svg", "w") as f:
+            f.write(svg)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -96,16 +96,20 @@ _SVG_W, _SVG_H = 640, 440
 _ML, _MR, _MT, _MB = 62, 20, 34, 48
 
 
-def _svg_xy(c, frac, c_lo, c_hi):
-    x = _ML + (c - c_lo) / (c_hi - c_lo) * (_SVG_W - _ML - _MR)
-    y = _SVG_H - _MB - frac * (_SVG_H - _MT - _MB)
-    return x, y
-
-
 def _scan_svg(scan) -> str:
     cs = [r.c for r in scan.rows]
-    fr = [r.eventually_covered_fraction for r in scan.rows]
     c_lo, c_hi = min(cs), max(cs)
+    if c_lo == c_hi:
+        # one c: an axis of width 1 centred on it keeps the frame's width
+        # (two float steps past 2**52, where c +- 0.5 rounds back to c)
+        half = max(0.5, math.ulp(c_lo))
+        c_lo, c_hi = c_lo - half, c_hi + half
+
+    def xy(c, frac):
+        return (_ML + (c - c_lo) / (c_hi - c_lo) * (_SVG_W - _ML - _MR),
+                _SVG_H - _MB - frac * (_SVG_H - _MT - _MB))
+
+    points = [xy(r.c, r.eventually_covered_fraction) for r in scan.rows]
     rules = []
     if scan.dim_H is not None:
         rules.append((scan.dim_H, "dim_H", "#b40426"))
@@ -118,32 +122,30 @@ def _scan_svg(scan) -> str:
         f'[{scan.target_description}, n_max={scan.n_max}, {scan.trials_per_c} trials/c]</text>',
     ]
     # axes
-    x0, y0 = _svg_xy(c_lo, 0.0, c_lo, c_hi)
-    x1, y1 = _svg_xy(c_hi, 1.0, c_lo, c_hi)
+    x0, y0 = xy(c_lo, 0.0)
+    x1, y1 = xy(c_hi, 1.0)
     out.append(f'<rect x="{x0:.2f}" y="{y1:.2f}" width="{x1 - x0:.2f}" '
                f'height="{y0 - y1:.2f}" fill="none" stroke="#888"/>')
     for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
-        _, ty = _svg_xy(c_lo, tick, c_lo, c_hi)
+        _, ty = xy(c_lo, tick)
         out.append(f'<line x1="{x0 - 4:.2f}" y1="{ty:.2f}" x2="{x0:.2f}" y2="{ty:.2f}" stroke="#888"/>')
         out.append(f'<text x="{x0 - 8:.2f}" y="{ty + 4:.2f}" text-anchor="end">{tick:g}</text>')
     for c in cs:
-        tx, _ = _svg_xy(c, 0.0, c_lo, c_hi)
+        tx, _ = xy(c, 0.0)
         out.append(f'<line x1="{tx:.2f}" y1="{y0:.2f}" x2="{tx:.2f}" y2="{y0 + 4:.2f}" stroke="#888"/>')
         out.append(f'<text x="{tx:.2f}" y="{y0 + 18:.2f}" text-anchor="middle">{c:g}</text>')
     out.append(f'<text x="{(x0 + x1) / 2:.2f}" y="{_SVG_H - 10}" text-anchor="middle">c  '
                f'(arc length rule: c ln n / n)</text>')
     for value, label, color in rules:
         if c_lo <= value <= c_hi:
-            rx, _ = _svg_xy(value, 0.0, c_lo, c_hi)
+            rx, _ = xy(value, 0.0)
             out.append(f'<line x1="{rx:.2f}" y1="{y1:.2f}" x2="{rx:.2f}" y2="{y0:.2f}" '
                        f'stroke="{color}" stroke-dasharray="5,4"/>')
             out.append(f'<text x="{rx + 3:.2f}" y="{y1 + 14:.2f}" fill="{color}">{label}={value:.4g}</text>')
-    pts = " ".join(f"{_svg_xy(c, f, c_lo, c_hi)[0]:.2f},{_svg_xy(c, f, c_lo, c_hi)[1]:.2f}"
-                   for c, f in zip(cs, fr))
-    if len(cs) > 1:
+    if len(points) > 1:
+        pts = " ".join(f"{px:.2f},{py:.2f}" for px, py in points)
         out.append(f'<polyline points="{pts}" fill="none" stroke="#222" stroke-width="1.5"/>')
-    for c, f in zip(cs, fr):
-        px, py = _svg_xy(c, f, c_lo, c_hi)
+    for px, py in points:
         out.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" fill="#222"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -302,23 +304,16 @@ def _cmd_trial(resolved: dict) -> int:
     target = parse_target(resolved["target"])
     lengths = parse_lengths(resolved["lengths"])
     trace = run_trial(_trial_config(resolved, "seed", target, lengths))
-    banner = _tool_banner(resolved)
-    banner["seed"] = trace.seed
-    out = resolved["out"]
-    _write_csv(out + ".csv", banner,
-               ["n", "ell_n", "covered", "uncovered_measure", "piece_count"],
-               zip(trace.checkpoints, trace.ells, trace.covered,
-                   trace.uncovered_measure, trace.piece_count))
-    summary = dict(banner)
-    summary["summary"] = {
+    out = _write(resolved, "summary", {
         "eventually_covered": trace.eventually_covered,
         "last_failure_n": trace.last_failure_n,
         "n_tail_start": trace.n_tail_start,
         "n_checkpoints": int(trace.checkpoints.size),
         "final_uncovered_measure": float(trace.uncovered_measure[-1]),
         "final_piece_count": int(trace.piece_count[-1]),
-    }
-    _write_json(out + ".json", summary)
+    }, columns=["n", "ell_n", "covered", "uncovered_measure", "piece_count"],
+        rows=zip(trace.checkpoints, trace.ells, trace.covered, trace.uncovered_measure,
+                 trace.piece_count))
     print(f"trial seed={trace.seed}: eventually_covered={trace.eventually_covered} "
           f"last_failure_n={trace.last_failure_n} -> {out}.csv, {out}.json")
     return 0
@@ -331,21 +326,9 @@ def _cmd_scan(resolved: dict) -> int:
     base = _trial_config(resolved, "seed0", target, None)
     scan = phase_scan(c_grid, base, resolved["trials"], jobs=resolved["jobs"],
                       tail_checkpoints=resolved["tail_checkpoints"])
-    banner = _tool_banner(resolved)
-    banner["seed"] = scan.seed0
-    out = resolved["out"]
-    _write_csv(out + ".csv", banner,
-               ["c", "trials", "eventually_covered_fraction", "wilson_low",
-                "wilson_high", "mean_last_failure_n",
-                "mean_tail_uncovered_measure", "regime"],
-               [(r.c, r.trials, r.eventually_covered_fraction, r.wilson_low,
-                 r.wilson_high, r.mean_last_failure_n,
-                 r.mean_tail_uncovered_measure, r.regime) for r in scan.rows])
-    payload = dict(banner)
-    payload["scan"] = scan.to_dict()
-    _write_json(out + ".json", payload)
-    with open(out + ".svg", "w") as f:
-        f.write(_scan_svg(scan))
+    out = _write(resolved, "scan", scan.to_dict(),
+                 columns=[f.name for f in fields(ScanRow)], rows=map(astuple, scan.rows),
+                 svg=_scan_svg(scan))
     for c, msg in scan.failed.items():
         print(f"warning: c={c:g} skipped: {msg}", file=sys.stderr)
     print(f"scan {len(scan.rows)} c-values x {scan.trials_per_c} trials: "
@@ -364,15 +347,7 @@ def _cmd_dims(resolved: dict) -> int:
         checkpoint_ratio=resolved["checkpoint_ratio"],
         n_first_checkpoint=resolved["first_checkpoint"],
         jobs=resolved["jobs"])
-    banner = _tool_banner(resolved)
-    banner["seed"] = seed0
-    out = resolved["out"]
-    _write_csv(out + ".csv", banner,
-               ["seed", "slope", "r_squared", "degenerate"],
-               [(s, e.slope, e.r_squared, e.degenerate)
-                for s, e in zip(scan.seeds, scan.estimates)])
-    payload = dict(banner)
-    payload["dims"] = {
+    out = _write(resolved, "dims", {
         "c": scan.c,
         "n_max": scan.n_max,
         "analytic_floor": scan.analytic_floor,
@@ -381,8 +356,9 @@ def _cmd_dims(resolved: dict) -> int:
         "n_degenerate": scan.n_degenerate,
         "scales": scan.estimates[0].scales,
         "counts_per_seed": [e.counts for e in scan.estimates],
-    }
-    _write_json(out + ".json", payload)
+    }, columns=["seed", "slope", "r_squared", "degenerate"],
+        rows=[(s, e.slope, e.r_squared, e.degenerate)
+              for s, e in zip(scan.seeds, scan.estimates)])
     print(f"dims c={scan.c}: mean slope {scan.mean_slope:.4f} "
           f"(floor {scan.analytic_floor}, vacuous={scan.floor_vacuous}) "
           f"-> {out}.csv, {out}.json")
@@ -401,25 +377,18 @@ def _cmd_series(resolved: dict) -> int:
         job = pool.submit(shepp_series, lengths, n)
         cov = covering_series(lengths, beta, d, n)
         shepp = job.result()
-    banner = _tool_banner(resolved)
-    out = resolved["out"]
-    rows = []
-    for name, res in (("covering", cov), ("shepp", shepp)):
-        for cp, ps, lps in zip(res.checkpoints, res.partial_sums, res.log_partial_sums):
-            rows.append((name, cp, ps, lps))
-    _write_csv(out + ".csv", banner,
-               ["series", "n", "partial_sum", "log_partial_sum"], rows)
-    payload = dict(banner)
-    payload["series"] = {
+    results = {"covering": cov, "shepp": shepp}
+    out = _write(resolved, "series", {
         name: {
             "verdict": res.verdict,
             "tail_fraction": res.tail_fraction,
             "term_slope": res.term_slope,
             "n_terms": res.n_terms,
             "note": "verdict is a finite-sample heuristic, not a proof",
-        } for name, res in (("covering", cov), ("shepp", shepp))
-    }
-    _write_json(out + ".json", payload)
+        } for name, res in results.items()
+    }, columns=["series", "n", "partial_sum", "log_partial_sum"],
+        rows=[(name, *row) for name, res in results.items()
+              for row in zip(res.checkpoints, res.partial_sums, res.log_partial_sums)])
     print(f"covering series: {cov.verdict} (tail fraction {cov.tail_fraction:.3g}, "
           f"term slope {cov.term_slope:.3f})")
     print(f"shepp series:    {shepp.verdict} (tail fraction {shepp.tail_fraction:.3g}, "
@@ -433,18 +402,14 @@ def _cmd_schedule(resolved: dict) -> int:
     lengths = parse_lengths(resolved["lengths"])
     alpha = resolved["alpha"]
     sched = choose_schedule(lengths, alpha, resolved["k"])
-    banner = _tool_banner(resolved)
-    out = resolved["out"]
     terms = _rare_block_terms(lengths, sched, alpha)
     total = float(np.sum(terms))
-    payload = dict(banner)
-    payload["schedule"] = {
+    out = _write(resolved, "schedule", {
         "indices": list(sched.indices),
         "alpha": alpha,
         "rare_block_terms": terms,
         "rare_block_sum": total,
-    }
-    _write_json(out + ".json", payload)
+    })
     print(f"schedule: {sched.indices}")
     print(f"sum_k n_(k-1) * ell(n_k)^alpha = {total:.6g} (alpha={alpha:g}) -> {out}.json")
     return 0

@@ -287,15 +287,23 @@ def _log_sample(n_lo: int, n_hi: int, count: int) -> np.ndarray:
     return grid
 
 
+def _check_n_range(n_range: tuple) -> tuple:
+    """An estimator's (n_lo, n_hi) as Python ints: integers, 2 <= n_lo < n_hi."""
+    n_lo, n_hi = n_range[0], n_range[1]
+    check_integer("n_range", n_lo)
+    check_integer("n_range", n_hi)
+    if not (2 <= n_lo < n_hi):
+        raise ConfigError("n_range", f"need 2 <= n_lo < n_hi, got {n_range}")
+    return int(n_lo), int(n_hi)
+
+
 def estimate_delta(rule: LengthSequence, n_range: tuple) -> float:
     """Minimum of n * ell(n) / ln n over 512 log-spaced samples of [n_lo, n_hi].
 
     A finite proxy for the liminf; exact for rules whose ratio is
     eventually monotone, since both endpoints are always sampled.
     """
-    n_lo, n_hi = int(n_range[0]), int(n_range[1])
-    if not (2 <= n_lo < n_hi):
-        raise ConfigError("n_range", f"need 2 <= n_lo < n_hi, got {n_range}")
+    n_lo, n_hi = _check_n_range(n_range)
     grid = _log_sample(n_lo, n_hi, 512)
     ns = grid.astype(np.float64)
     ratios = ns * rule._ell(ns) / np.log(ns)
@@ -310,9 +318,7 @@ def estimate_covering_exponent(rule: LengthSequence, n_range: tuple) -> float:
     boundaries inside the range are always included in the sample, because
     the ratio peaks at block ends.
     """
-    n_lo, n_hi = int(n_range[0]), int(n_range[1])
-    if not (2 <= n_lo < n_hi):
-        raise ConfigError("n_range", f"need 2 <= n_lo < n_hi, got {n_range}")
+    n_lo, n_hi = _check_n_range(n_range)
     grid = _log_sample(n_lo, n_hi, 64)
     if isinstance(rule, BlockSequence):
         ends = np.asarray(rule.schedule.indices, dtype=np.int64)

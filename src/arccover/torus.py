@@ -201,24 +201,9 @@ def complement(u: IntervalUnion) -> IntervalUnion:
     Isolated points of `u` are dropped: the result differs from the true
     complement by a finite set, consistent with the closed convention.
     """
-    los, his = u.los, u.his
-    if los.size == 0:
-        return FULL_CIRCLE
-    out_lo = []
-    out_hi = []
-    if los[0] > 0.0:
-        out_lo.append(np.array([0.0]))
-        out_hi.append(los[:1])
-    if los.size > 1:
-        out_lo.append(his[:-1])
-        out_hi.append(los[1:])
-    if his[-1] < 1.0:
-        out_lo.append(his[-1:])
-        out_hi.append(np.array([1.0]))
-    if not out_lo:
-        return EMPTY
-    clo = np.concatenate(out_lo)
-    chi = np.concatenate(out_hi)
+    # the gaps before, between and after the pieces, kept where nonempty
+    clo = np.concatenate(([0.0], u.his))
+    chi = np.concatenate((u.los, [1.0]))
     keep = chi > clo
     return IntervalUnion._from_sorted(clo[keep], chi[keep])
 

@@ -14,6 +14,7 @@ the measured values rather than weakening the bound.  Details in the
 docstring of that test.
 """
 
+import json
 import math
 import os
 import time
@@ -24,8 +25,8 @@ import pytest
 from arccover import (Arc, LogOverN, Harmonic, ScheduleError, TrialConfig,
                       arcs_to_union, block_sequence, choose_schedule,
                       complement, contains_points, covering_series,
-                      estimate_delta, make_cantor,
-                      make_circle, phase_scan, rare_block_sum, shepp_series,
+                      estimate_delta, make_cantor, make_circle, parse_target,
+                      phase_scan, rare_block_sum, shepp_series,
                       uncovered_at, uncovered_dimension_experiment)
 from arccover.cli import main as cli_main
 
@@ -294,3 +295,33 @@ def test_output_determinism(tmp_path):
         assert all(o == outputs[0] for o in outputs), f"{name} outputs differ"
     report("8 output-determinism", True,
            "(trial/scan/dims/series/schedule byte-identical across repeats and --jobs)")
+
+
+# -------------------------------------------------------------------------
+# 9. general target with dim_H < dim_B
+
+
+def test_general_target_cover_side(tmp_path):
+    # A = {0.5/k : k >= 1} has dim_H 0 and dim_B 1/2, so the paper's two
+    # thresholds sit at 0 and 1.5: c = 2.0 is above dim_B + 1 and must
+    # cover, and c = 1.0 lies in the band where neither side applies.
+    # The proxy is 2000 intervals of length 5e-8 at 0.5/k; its finest
+    # scale passes the guard at n_max 1e5 (ell >= 1.1e-4 > 5e-7).
+    path = tmp_path / "harmonic_points.json"
+    path.write_text(json.dumps({
+        "intervals": [[0.5 / k, 0.5 / k + 5e-8] for k in range(1, 2001)],
+        "beta": 0.5, "dim_H": 0.0}))
+    base = TrialConfig(seed=0, lengths=None, target=parse_target(f"custom:{path}"),
+                       n_max=10 ** 5)
+    scan = phase_scan([1.0, 2.0], base, 100, jobs=JOBS)
+    mid, hi = scan.rows
+    ok = hi.eventually_covered_fraction >= 0.95 and hi.regime == "cover"
+    report("9 general-target", ok,
+           f"(frac(2.0)={hi.eventually_covered_fraction:.3f} >= 0.95, "
+           f"band {scan.dim_H:g}..{scan.cover_threshold:g}: "
+           f"frac(1.0)={mid.eventually_covered_fraction:.3f} labeled {mid.regime!r})")
+    assert not scan.failed
+    assert scan.dim_H == 0.0 and scan.cover_threshold == 1.5
+    assert hi.c == 2.0 and hi.regime == "cover"
+    assert hi.eventually_covered_fraction >= 0.95
+    # c = 1.0 is reported, never asserted on: fractions in the band are exploratory

@@ -317,26 +317,32 @@ class TestIntegerFields:
     naming the field, before any cell runs."""
 
     @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
-    @pytest.mark.parametrize("field", ["trials", "tail_checkpoints"])
+    @pytest.mark.parametrize("field", ["trials", "tail_checkpoints", "jobs"])
     def test_phase_scan(self, no_pool, field, bad):
-        trials, tail = (bad, 1) if field == "trials" else (2, bad)
+        args = {"trials": 2, "tail_checkpoints": 1, "jobs": 2}
+        args[field] = bad
         with pytest.raises(ConfigError, match=f"^{field}: must be an integer, got "):
-            phase_scan([0.5, 2.5], small_base(), trials, jobs=2, tail_checkpoints=tail)
+            phase_scan([0.5, 2.5], small_base(), args["trials"], jobs=args["jobs"],
+                       tail_checkpoints=args["tail_checkpoints"])
 
     @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
-    @pytest.mark.parametrize("field", ["n_max", "seeds", "tail_checkpoints"])
+    @pytest.mark.parametrize("field", ["n_max", "seeds", "tail_checkpoints", "jobs"])
     def test_dimension_experiment(self, no_pool, field, bad):
-        args = {"n_max": 20_000, "seeds": [0, 1], "tail_checkpoints": 1}
+        args = {"n_max": 20_000, "seeds": [0, 1], "tail_checkpoints": 1, "jobs": 2}
         args[field] = [0, bad] if field == "seeds" else bad
         with pytest.raises(ConfigError, match=f"^{field}: must be an integer, got "):
-            uncovered_dimension_experiment(0.5, args["n_max"], args["seeds"], jobs=2,
+            uncovered_dimension_experiment(0.5, args["n_max"], args["seeds"], jobs=args["jobs"],
                                            tail_checkpoints=args["tail_checkpoints"])
 
-    def test_numpy_integers_are_taken(self):
-        assert (phase_scan([0.5, 2.5], small_base(), np.int64(2), tail_checkpoints=np.int8(1))
+    def test_numpy_integers_are_taken(self, monkeypatch, inline_pool):
+        monkeypatch.setattr(analyze, "_usable_cpus", lambda: 2)
+        assert (phase_scan([0.5, 2.5], small_base(), np.int64(2), tail_checkpoints=np.int8(1),
+                           jobs=np.int64(2))
                 == phase_scan([0.5, 2.5], small_base(), 2, tail_checkpoints=1))
-        assert (uncovered_dimension_experiment(0.5, np.int64(20_000), np.arange(2))
+        assert (uncovered_dimension_experiment(0.5, np.int64(20_000), np.arange(2),
+                                               jobs=np.int64(2))
                 == uncovered_dimension_experiment(0.5, 20_000, [0, 1]))
+        assert inline_pool == [2, 2]
 
 
 class TestWorkerCount:

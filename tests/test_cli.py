@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import threading
 from concurrent.futures import Future
 from unittest import mock
@@ -121,6 +122,24 @@ class TestScan:
         want = {None: ["theorem-silent"] * 3, 1.0: ["no-cover"] * 2 + ["theorem-silent"],
                 0.5: ["no-cover"] + ["theorem-silent"] * 2}[dim_H] + ["cover"]
         assert [row["regime"] for row in scan["rows"]] == want
+
+    @pytest.mark.parametrize("argv, warning", [
+        (["--c", "1.0"], ""),
+        (["--target", "cantor:0.3333333333:8", "--c", "0.3,2.0"], "warning: c=0.3 skipped: "),
+        (["--c", "1e17"], ""),
+    ], ids=["one-c", "guard-keeps-one-c", "c-past-2**53"])
+    def test_scan_of_one_c(self, tmp_path, capsys, argv, warning):
+        assert run(tmp_path, "scan", "--n-max", "3000", "--trials", "3", *argv, "--out", "s") == 0
+        err = capsys.readouterr().err
+        assert err.startswith(warning) if warning else err == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.json", "s.svg"]
+        # the frame keeps a positive width, and the one dot lies inside it
+        svg = (tmp_path / "s.svg").read_text()
+        x, y, w, h = map(float, re.search(r'<rect x="(.+?)" y="(.+?)" width="(.+?)" '
+                                          r'height="(.+?)"', svg).groups())
+        [(cx, cy)] = re.findall(r'<circle cx="(.+?)" cy="(.+?)"', svg)
+        assert w > 0
+        assert x <= float(cx) <= x + w and y <= float(cy) <= y + h
 
     @pytest.mark.parametrize("tail", ["0", "-7", "1000"])
     def test_tail_window_outside_grid_exit_2(self, tmp_path, capsys, tail):

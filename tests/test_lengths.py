@@ -109,10 +109,16 @@ class TestDelta:
         assert got == pytest.approx(1.373, abs=1e-3)
 
     def test_range_validation(self):
-        with refused("n_range"):
-            estimate_delta(Harmonic(1.0), (1, 100))
-        with refused("n_range"):
-            estimate_delta(Harmonic(1.0), (50, 50))
+        for estimate in (estimate_delta, estimate_covering_exponent):
+            for bad in ((1, 100), (50, 50)):
+                with refused("n_range", "need 2 <= n_lo < n_hi, got "):
+                    estimate(Harmonic(1.0), bad)
+            # a float or bool bound is refused, not truncated; numpy integers pass
+            for bad in ((2.9, 100.9), (2.0, 100), (2, True)):
+                with refused("n_range", "must be an integer, got "):
+                    estimate(Harmonic(1.0), bad)
+            assert (estimate(Harmonic(1.0), (np.int64(3), np.int32(500)))
+                    == estimate(Harmonic(1.0), (3, 500)))
 
 
 class TestCoveringExponent:
