@@ -17,9 +17,10 @@ seed and per usable CPU, whose workers receive the shared inputs, target
 and length rules included, once each through the pool initializer, so
 each message carries only a seed.  Each experiment checks its
 configuration once, in the parent, before any cell runs or any pool
-starts: the scale guard, which depends on c but not on the seed, and its
-lowest and highest seed.  The cells' results come back in seed order,
-inline and from the pool alike.  The pool is taken to fill the cores, so
+starts: the scale guard, which depends on c but not on the seed, its
+lowest and highest seed, and the memory of the trials that run at once,
+one per worker (simulate._check_memory).  The cells' results come back
+in seed order, inline and from the pool alike.  The pool is taken to fill the cores, so
 its workers run the kernel on one thread (simulate._threads_allowed).
 
 Box-counting dimension is used as a numerical proxy for Hausdorff
@@ -41,7 +42,8 @@ import numpy as np
 
 from .lengths import LogOverN
 from .errors import ConfigError, check_integer, fields_equal
-from .simulate import TrialConfig, _tail_union, _usable_cpus, _verdicts, checkpoint_grid
+from .simulate import (TrialConfig, _check_memory, _tail_union, _usable_cpus, _verdicts,
+                       checkpoint_grid)
 from .targets import TargetSet, make_circle
 from .torus import IntervalUnion, _in_closed, measure
 
@@ -206,15 +208,19 @@ def _init_worker(context):
     _context = context
 
 
-def _map_seeds(cell, seeds, context, jobs: int) -> list:
-    """[cell(seed, context) for seed in seeds]: inline, or in a pool of
-    worker processes, which receive `context` once each.  The pool starts
-    at most `jobs` workers, one per seed and one per usable CPU; where
-    that is one worker, the cells run inline."""
+def _workers(jobs, cells: int) -> int:
+    """How many of `cells` seed cells run at once: at most `jobs`, one per
+    cell and one per usable CPU."""
     check_integer("jobs", jobs)
     if jobs < 1:
         raise ConfigError("jobs", f"must be >= 1, got {jobs}")
-    workers = min(jobs, len(seeds), _usable_cpus())
+    return min(jobs, cells, _usable_cpus())
+
+
+def _map_seeds(cell, seeds, context, workers: int) -> list:
+    """[cell(seed, context) for seed in seeds]: inline where `workers`
+    (from _workers) is 1, else in a pool of that many worker processes,
+    which receive `context` once each."""
     if workers <= 1:
         return [cell(seed, context) for seed in seeds]
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
@@ -238,12 +244,12 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
     Runs trials_per_c trials per c with seeds base_cfg.seed + 0, 1, ...;
     base_cfg supplies the target, horizon and checkpoint grid (its
     `lengths` is not read).  Every c uses the same seeds, so the unit
-    of work is one seed, swept over the whole c grid.  The scale guard and
-    the seed range are checked here, once, before any cell runs: a c the
-    guard refuses goes into `failed` and is not swept.  Seeds are
-    independent, so they can run in any number of worker processes, which
-    receive the target once each; their results come back in seed order,
-    which makes the output independent of `jobs`.
+    of work is one seed, swept over the whole c grid.  The scale guard,
+    the seed range and the memory are checked here, once, before any cell
+    runs: a c the guard refuses goes into `failed` and is not swept.
+    Seeds are independent, so they can run in any number of worker
+    processes, which receive the target once each; their results come
+    back in seed order, which makes the output independent of `jobs`.
     """
     cs = [float(c) for c in c_grid]
     if (len(cs) == 0 or any(b <= a for a, b in zip(cs, cs[1:]))
@@ -255,6 +261,8 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
         raise ConfigError("trials", f"must be >= 1, got {trials_per_c}")
     # checked here, before any cell runs or any pool starts
     base_cfg.check_window(tail_checkpoints, 1)
+    workers = _workers(jobs, trials_per_c)
+    _check_memory(base_cfg.n_max, workers)
     tail = int(tail_checkpoints)
     seed0 = int(base_cfg.seed)
     replace(base_cfg, seed=seed0 + trials_per_c - 1)  # refuses a seed past 2**64 - 1
@@ -277,7 +285,7 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
     ok_cs = [rule.c for rule in rules]
 
     per_seed = _map_seeds(_scan_cell, range(seed0, seed0 + trials_per_c),
-                          (base_cfg, rules, tail), jobs)
+                          (base_cfg, rules, tail), workers)
     rows = []
     for i, c in enumerate(ok_cs):
         cov, fails, tails = zip(*(cell[i] for cell in per_seed))
@@ -357,8 +365,9 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
     experiment is exploratory only.  Seeds with nothing uncovered in the
     tail window produce degenerate slope-0 estimates, not errors.  The
     window must hold between 1 and all of the checkpoints.  c, the window,
-    the scale guard and the seed range are checked here, once, before any
-    cell runs; the estimates come back in the order of the sorted seeds.
+    the scale guard, the seed range and the memory are checked here, once,
+    before any cell runs; the estimates come back in the order of the
+    sorted seeds.
     """
     if not 0.0 < c < math.inf:
         raise ConfigError("c", f"must be finite and > 0, got {c}")
@@ -382,13 +391,15 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
         raise ConfigError("seeds", "must hold at least one seed, got none")
     for seed in seeds[:1] + seeds[-1:]:
         replace(base, seed=seed)  # refuses a seed outside [0, 2**64)
+    workers = _workers(jobs, len(seeds))
+    _check_memory(n_max, workers)
     try:
         scales = nested_scales(eps_fine, math.sqrt(eps_fine))
     except ValueError as exc:
         raise ConfigError("n_max", f"{exc} between ell(n_max) = {eps_fine:.3g} and "
                           "its square root; increase n_max") from exc
     estimates = tuple(_map_seeds(_dims_cell, seeds, (base, tail_checkpoints, scales),
-                                 jobs))
+                                 workers))
     floor = None if target.dim_H is None else target.dim_H - c
     return DimensionScan(
         c=float(c),

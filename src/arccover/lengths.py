@@ -76,7 +76,7 @@ class LengthSequence:
         return float(out[0]) if scalar else out
 
     def _partial_sums(self, ns: np.ndarray) -> np.ndarray:
-        top = int(ns[-1])
+        top = int(ns[-1]) if ns.size else 0
         if top > MAX_TERMS:
             raise ConfigError("ns", f"term-by-term prefix sum to N={top} is too large; "
                               "use a block sequence (closed form) or a smaller range")

@@ -35,12 +35,15 @@ The kernel:
   which share the seed, target and grid.  _tail_union gives the tail
   union alone and starts at the tail window.  Both trust their caller to
   have run each rule's scale guard (TargetSet.check_horizon).
-- _uncovered decides coverage for every rule at a checkpoint by one
-  threshold search.  A verdict reads only each rule's last uncovered
-  checkpoint, so _verdicts decides the checkpoints before the tail window
-  last, from the newest back (_last_failures): at each one a single
-  evaluation of the shortest rule still without a later failure settles
-  every such rule unless that rule is uncovered.
+- _uncovered counts, by one threshold search, the rules that leave the
+  target uncovered at a checkpoint: coverage is monotone in the length
+  and _verdicts takes its rules in order of length, so they are the first
+  few, and a scan's fractions never decrease in c.  A verdict reads only
+  each rule's last uncovered checkpoint, so _verdicts decides the
+  checkpoints before the tail window last, from the newest back
+  (_last_failures), keeping the rules without a later failure as one
+  index: a single evaluation of the first of them settles them all unless
+  it is uncovered.
 """
 
 from __future__ import annotations
@@ -147,6 +150,33 @@ _SPLIT = 0.65
 # of the horizon: 2 floats each, so at most 4 B per center beside the 8 B
 # of the prefix.  A batch that reaches it is decided on the spot.
 _HOLD = 0.25
+
+# Most bytes a trial holds per center of its horizon: 8 for the prefix, up
+# to 4 for timsort's merge buffer and up to 4 for the gaps _verdicts holds
+# (_HOLD).  A trial to n_max 1e7 peaked at 124 MB of RSS on a 2-core VM,
+# under the 160 MB this gives.
+_BYTES_PER_CENTER = 16
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory of this machine, None where the system
+    does not say."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError):
+        return None
+    return pages * size if pages > 0 and size > 0 else None
+
+
+def _check_memory(n_max: int, trials: int) -> None:
+    """Refuse an n_max whose `trials` trials, run at once, would need more
+    than the machine's physical memory, before anything is allocated."""
+    need = _BYTES_PER_CENTER * int(n_max) * trials
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ConfigError("n_max", f"{n_max} centers need about {need / 2 ** 30:.3g} GiB "
+                          f"for {trials} trial(s) at once, more than the "
+                          f"{have / 2 ** 30:.3g} GiB of physical memory")
 
 
 def _gap_candidates(cs, thr, buf, mask) -> np.ndarray:
@@ -373,15 +403,14 @@ def _leaves_uncovered(a, b, first, last, ell, target) -> bool:
                 and _strictly_inside(lo, hi, target.points).any())
 
 
-def _uncovered(a, b, first, last, ells, target) -> np.ndarray:
-    """Per length in `ells`: does it leave part of `target` uncovered
-    (_leaves_uncovered), given the candidate gaps (a, b) of any length no
-    longer than the shortest of `ells`, and the first and last of the
-    sorted centers?
+def _uncovered(a, b, first, last, ells, target) -> int:
+    """How many of the non-decreasing lengths `ells` leave part of `target`
+    uncovered (_leaves_uncovered), the leading ones, given the candidate
+    gaps (a, b) of a length up to ells[0] and the first and last center.
 
     That predicate is non-increasing in ell, rounding included, so the
     lengths that leave the target uncovered are the shortest few, and a
-    binary search over the sorted lengths finds them in ceil(log2(J + 1))
+    binary search over the lengths counts them exactly in ceil(log2(J + 1))
     evaluations for J lengths.  Take half-lengths r' < r (r = ell / 2 is
     exact); if r leaves part of the target uncovered, so does r':
     - Inner gaps.  fl(a + r) and fl(b - r) are monotone in r, so the middle
@@ -404,22 +433,17 @@ def _uncovered(a, b, first, last, ells, target) -> np.ndarray:
     candidates of a shorter length, which are a superset (rounding is
     monotone) whose extra gaps fail the keep test too.
     """
-    order = np.argsort(ells, kind="stable")
-    shortest = ells[order[0]]
-    # the first `lo` lengths in order leave the target uncovered, and the
-    # lengths from `hi` on cover it
-    lo, hi = 0, ells.size
+    # the lengths before `lo` leave the target uncovered, those from `hi` cover it
+    lo, hi = 0, len(ells)
     while lo < hi:
         mid = (lo + hi) // 2
-        ell = float(ells[order[mid]])
-        wide = slice(None) if ell == shortest else b - a > ell - SLACK
+        ell = float(ells[mid])
+        wide = b - a > ell - SLACK
         if _leaves_uncovered(a[wide], b[wide], first, last, ell, target):
             lo = mid + 1
         else:
             hi = mid
-    out = np.zeros(ells.size, dtype=bool)
-    out[order[:lo]] = True
-    return out
+    return lo
 
 
 def _last_failures(held, ells, target, last_fail) -> None:
@@ -427,34 +451,31 @@ def _last_failures(held, ells, target, last_fail) -> None:
     `held` ones, for the rules with no failure after them.
 
     `held` lists (i, a, b, first, last) of consecutive checkpoints, oldest
-    first: the index i into the columns of `ells` (rules by checkpoints)
-    and the candidate gaps and end centers of its prefix, for the shortest
-    length of column i.  `last_fail` holds per rule the index of its last
-    failure found so far, -1 for none; a rule whose failure lies past the
-    held checkpoints is done, and every other rule is open.
+    first: the index i into the columns of `ells` (rules by checkpoints, in
+    order of length) and the candidate gaps and end centers of its prefix
+    for ells[0, i].  `last_fail` holds per rule the index of its last
+    failure found so far, -1 for none.  Those past the held checkpoints
+    belong to the first k rules, which are done; the rest are open.
 
     The walk goes from the newest held checkpoint back.  At each one it
-    evaluates the shortest open rule alone; covered there, every open rule
-    is, since coverage is monotone in ell (see _uncovered).  Otherwise
-    _uncovered decides the open rules, and the uncovered ones fail here
-    and are done.  The walk stops once no rule is open.  A (rule,
-    checkpoint) pair it never decides lies before the rule's last failure.
+    evaluates the shortest open rule, k, alone; covered there, every open
+    rule is (see _uncovered).  Otherwise _uncovered counts the open rules
+    that fail here, and k moves past them.  A (rule, checkpoint) pair it
+    never decides lies before the rule's last failure.
     """
-    todo = last_fail < held[0][0]
+    k = int(np.count_nonzero(last_fail >= held[0][0]))
     for i, a, b, first, last in reversed(held):
-        if not todo.any():
+        if k == len(last_fail):
             return
-        open_ = np.flatnonzero(todo)
-        lengths = ells[open_, i]
-        ell = float(lengths.min())
+        ell = float(ells[k, i])
         # the candidates of a shorter length; see _uncovered
         wide = b - a > ell - SLACK
         a, b = a[wide], b[wide]
         if not _leaves_uncovered(a, b, first, last, ell, target):
             continue
-        failed = open_[_uncovered(a, b, first, last, lengths, target)]
-        last_fail[failed] = i
-        todo[failed] = False
+        failed = _uncovered(a, b, first, last, ells[k:, i], target)
+        last_fail[k:k + failed] = i
+        k += failed
 
 
 @dataclass(frozen=True)
@@ -601,8 +622,10 @@ def _setup(cfg: TrialConfig, rules) -> tuple:
 def run_trial(cfg: TrialConfig, tail_checkpoints: int = 0) -> CoverageTrace:
     """Run one trial; the trace's tail_uncovered unites the residues of the
     last `tail_checkpoints` checkpoints (0 for none).  Every checkpoint is
-    decided, and an uncovered one builds its residue."""
+    decided, and an uncovered one builds its residue.  An n_max past the
+    physical memory is refused before anything is allocated."""
     cfg.check_window(tail_checkpoints, 0)
+    _check_memory(cfg.n_max, 1)
     if cfg.lengths is None:
         raise ConfigError("lengths", "no length sequence configured")
     cfg.target.check_horizon(cfg.lengths.ell(cfg.n_max))
@@ -644,19 +667,23 @@ def _verdicts(cfg: TrialConfig, rules, tail_checkpoints: int) -> list:
     """Per rule of `rules`, what run_trial's trace of cfg under it says of
     eventual coverage: (eventually_covered, last_failure_n, tail_uncovered).
 
-    One pass serves every rule, and cfg's `lengths` is not read.  The
-    verdicts depend only on each rule's last uncovered checkpoint, so the
-    tail window is decided in full, while a checkpoint before it is held,
-    as its candidate gaps, and decided after the pass by _last_failures.
-    Held gaps past _HOLD per center of the horizon are decided at once.
+    One pass serves every rule, and cfg's `lengths` is not read.  The rules
+    come in order of length at every checkpoint, as logn:c for increasing
+    c, else ValueError.  The verdicts depend only on each rule's last
+    uncovered checkpoint, so the tail window is decided in full, while a
+    checkpoint before it is held, as its candidate gaps, and decided after
+    the pass by _last_failures.  Held gaps past _HOLD per center of the
+    horizon are decided at once.
     """
     grid, ells, t_approx, tail_idx = _setup(cfg, rules)
+    if np.any(ells[1:] < ells[:-1]):
+        raise ValueError("rules must come in order of length at every checkpoint")
     tail_start = grid.size - tail_checkpoints
     # per rule, the index of its last uncovered checkpoint, -1 for none
     last_fail = np.full(len(rules), -1)
     tail_unions = [EMPTY] * len(rules)
     held, held_gaps = [], 0
-    for i, a, b, first, last in _prefixes(cfg, ells.min(axis=0)):
+    for i, a, b, first, last in _prefixes(cfg, ells[0]):
         if i < tail_start:
             held.append((i, a, b, first, last))
             held_gaps += a.size
@@ -664,9 +691,9 @@ def _verdicts(cfg: TrialConfig, rules, tail_checkpoints: int) -> list:
                 _last_failures(held, ells, t_approx, last_fail)
                 held, held_gaps = [], 0
             continue
-        uncovered = np.flatnonzero(_uncovered(a, b, first, last, ells[:, i], t_approx))
-        last_fail[uncovered] = i
-        for j in uncovered:
+        m = _uncovered(a, b, first, last, ells[:, i], t_approx)
+        last_fail[:m] = i
+        for j in range(m):
             resid = _residue(a, b, first, last, float(ells[j, i]), t_approx)
             tail_unions[j] = union(tail_unions[j], resid)
     if held:

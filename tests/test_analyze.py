@@ -375,6 +375,56 @@ class TestWorkerCount:
         assert inline_pool == []
 
 
+class TestMemoryGuard:
+    """An n_max whose trials, one per worker, need more than the physical
+    memory is refused as `n_max`, before a prefix array or a pool exists:
+    16 B per center of the horizon and per trial run at once."""
+
+    @pytest.fixture
+    def memory(self, monkeypatch):
+        """Sets the physical memory the guard reads, in bytes."""
+        monkeypatch.setattr(analyze, "_usable_cpus", lambda: 2)
+        return lambda size: monkeypatch.setattr(simulate, "_physical_memory", lambda: size)
+
+    @pytest.fixture
+    def no_prefix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a prefix array was allocated")
+
+        monkeypatch.setattr(simulate, "_prefixes", refuse)
+
+    def test_refused_before_any_allocation(self, memory, no_prefix, no_pool):
+        memory(16 * 3000 - 1)
+        need = r"^n_max: 3000 centers need about .* GiB for {} trial\(s\) at once"
+        with pytest.raises(ConfigError, match=need.format(1)):
+            run_trial(replace(small_base(), lengths=LogOverN(1.0)))
+        with pytest.raises(ConfigError, match=need.format(1)):
+            phase_scan([0.5, 2.5], small_base(), 2)
+        memory(16 * 20_000 * 2 - 1)
+        with pytest.raises(ConfigError, match=r"^n_max: 20000 centers .* 2 trial\(s\)"):
+            uncovered_dimension_experiment(0.5, 20_000, range(2), jobs=2)
+
+    def test_one_trial_per_worker(self, memory, inline_pool):
+        memory(16 * 3000)
+        run_trial(replace(small_base(), lengths=LogOverN(1.0)))
+        want = phase_scan([0.5, 2.5], small_base(), 2)
+        # one cell runs inline, whatever jobs says
+        phase_scan([0.5, 2.5], small_base(), 1, jobs=2)
+        with pytest.raises(ConfigError, match=r"^n_max: .* 2 trial\(s\) at once"):
+            phase_scan([0.5, 2.5], small_base(), 2, jobs=2)
+        assert inline_pool == []
+        memory(16 * 3000 * 2)
+        assert phase_scan([0.5, 2.5], small_base(), 2, jobs=2).to_dict() == want.to_dict()
+        assert inline_pool == [2]
+
+    def test_unknown_memory_refuses_nothing(self, memory):
+        memory(None)
+        phase_scan([0.5, 2.5], small_base(), 2)
+
+    def test_reads_this_machine(self):
+        assert simulate._physical_memory() > 16 * 10 ** 7
+
+
 class TestSeedMajorScan:
     """The scan sweeps each seed over the whole c grid; its rows must equal
     those of independent per-(c, seed) trials."""

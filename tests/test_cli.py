@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from arccover import ConfigError, analyze, cli
+from arccover import ConfigError, analyze, cli, simulate
 from arccover.cli import _DEFAULTS, _build_parser, main
 
 
@@ -406,6 +406,21 @@ class TestRefusals:
         assert run(tmp_path, *argv) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["trial", "scan", "dims"])
+    def test_n_max_past_the_memory(self, tmp_path, capsys, monkeypatch, command):
+        # 2**53 centers pass the float-exact cap but need 128 PiB; the
+        # refusal comes before the pass that would allocate them
+        def refuse(*args, **kwargs):
+            raise AssertionError("a prefix array was allocated")
+
+        monkeypatch.setattr(simulate, "_prefixes", refuse)
+        monkeypatch.setattr(analyze, "ProcessPoolExecutor", refuse)
+        assert run(tmp_path, command, "--n-max", str(2 ** 53)) == 2
+        assert re.fullmatch(rf"error: n_max: {2 ** 53} centers need about 1\.34e\+08 GiB for "
+                            r"\d+ trial\(s\) at once, more than the .* GiB of physical memory\n",
+                            capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
 
 # A small run of each command with every numeric field in the config file,

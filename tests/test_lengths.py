@@ -88,6 +88,16 @@ class TestEval:
         # the log-spaced grid of the estimates is integral
         assert estimate_covering_exponent(L, (10, 10 ** 4)) > 0
 
+    @pytest.mark.parametrize("rule", [LogOverN(1.0), TableSequence((0.5, 0.4)),
+                                      block_sequence(Harmonic(1.0), Schedule((2, 4)))],
+                             ids=["formula", "table", "block"])
+    def test_no_indices_give_no_sums(self, rule):
+        # as ell([]) does, for every kind of rule
+        for ns in ([], np.array([], dtype=np.int64)):
+            got = rule.partial_sums(ns)
+            assert isinstance(got, np.ndarray) and got.shape == (0,)
+        assert rule.ell([]).shape == (0,)
+
 
 class TestDelta:
     @pytest.mark.parametrize("c", [0.3, 0.5, 1.0, 2.5])

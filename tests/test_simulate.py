@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from arccover import (EMPTY, Arc, ConfigError, Harmonic, IntervalUnion, LogOverN,
                       TableSequence, TrialConfig, arcs_to_union, checkpoint_grid,
                       complement, intersect, make_cantor, make_circle, make_custom,
-                      make_finite, measure, run_trial, sample_centers, simulate,
+                      make_finite, measure, phase_scan, run_trial, sample_centers, simulate,
                       uncovered_at)
 from arccover.lengths import CLAMP_MAX
 from arccover.simulate import SLACK
@@ -599,9 +599,9 @@ def _gap_ends(cs, ells):
 
 @st.composite
 def _decision_case(draw):
-    """Sorted centers, 1 to 12 lengths in any order and a target, with
-    target points and piece ends on gap ends, at 0 and at 1, and wrap gaps
-    across the seam."""
+    """Sorted centers, 1 to 12 lengths in order, ties and CLAMP_MAX among
+    them, and a target, with target points and piece ends on gap ends, at 0
+    and at 1, and wrap gaps across the seam."""
     near_seam = st.sampled_from([0.0, 1e-3, 0.05, 0.95, 0.999, math.nextafter(1.0, 0.0)])
     centers = draw(st.lists(st.one_of(_unit, near_seam), min_size=1, max_size=30))
     cs = np.sort(np.array(centers))
@@ -612,7 +612,7 @@ def _decision_case(draw):
             for d in (0.0, MERGE_EPS)]
     # the longest length a rule gives is CLAMP_MAX
     ells = draw(st.lists(st.one_of(_ells, st.just(CLAMP_MAX)), min_size=1, max_size=6)) + tied
-    ells = draw(st.permutations(ells + draw(st.lists(st.sampled_from(ells), max_size=2))))
+    ells = sorted(ells + draw(st.lists(st.sampled_from(ells), max_size=2)))
     ends = _gap_ends(cs.tolist(), ells)
     kind = draw(st.sampled_from(["circle", "cantor", "finite", "custom"]))
     if kind == "circle":
@@ -633,21 +633,22 @@ def _decision_case(draw):
 def _check_decision(cs, ells, target):
     k = min(simulate._BLOCK, cs.size)
     # the kernel's candidates: those of the shortest length, shared by all
-    cand = simulate._gap_candidates(cs, ells.min() - SLACK, np.empty(k),
+    cand = simulate._gap_candidates(cs, ells[0] - SLACK, np.empty(k),
                                     np.empty(k, dtype=bool))
     circle = target.kind == "circle"
     got = simulate._uncovered(cs[cand], cs[cand + 1], cs[0], cs[-1], ells,
                               None if circle else target.approx)
+    # the count of the leading lengths that leave the target uncovered
     for j, ell in enumerate(ells):
         gaps = uncovered_at(cs, float(ell), cand)
         resid = gaps if circle else intersect(gaps, target.approx)
-        assert got[j] == (not resid.is_empty())
+        assert (j < got) == (not resid.is_empty())
 
 
 class TestBatchedDecision:
     """_verdicts decides coverage for every length by a threshold search
-    over the sorted lengths, without building residues; each decision must
-    equal the emptiness of the residue."""
+    over the lengths, in order, without building residues; the count it
+    gives must be that of the residues that are not empty."""
 
     @settings(max_examples=300)
     @given(_decision_case())
@@ -669,14 +670,14 @@ class TestBatchedDecision:
     @pytest.mark.parametrize("cs, ells", [
         # wrap gap 0.15: a piece across the seam, (0.96, 0.99), then one
         # piece at each end, (0, 0.04) and (0.91, 1), then closed
-        ([0.05, 0.5, 0.9], [0.12, 0.02, 0.3]),
+        ([0.05, 0.5, 0.9], [0.02, 0.12, 0.3]),
         # wrap gap 0.12: a piece shifted past 1, (0.01, 0.07), then one piece
         # at each end, (0, 0.09) and (0.99, 1), then closed
-        ([0.1, 0.5, 0.98], [0.06, 0.02, 0.3]),
-        # one search over lengths in any order, tied, clamped or alone
-        ([0.05, 0.5, 0.9], [CLAMP_MAX, 0.3, 0.02, 0.12, 0.02, 0.3]),
+        ([0.1, 0.5, 0.98], [0.02, 0.06, 0.3]),
+        # one search over lengths in order, tied, clamped or alone
+        ([0.05, 0.5, 0.9], [0.02, 0.02, 0.12, 0.3, 0.3, CLAMP_MAX]),
         ([0.1, 0.5, 0.98], [0.02]),
-    ], ids=["across", "shifted", "shuffled", "single"])
+    ], ids=["across", "shifted", "tied", "single"])
     def test_each_kind_of_seam_piece(self, cs, ells):
         # 0 lies inside the pieces at both ends, one arc across the seam
         for target in (make_circle(), make_finite([0.0, 0.5]), make_cantor(1 / 3, 3),
@@ -1041,10 +1042,9 @@ class TestTailOnlySweep:
         assert not hasattr(got, "eventually_covered")
 
 
-# logn:0.5 and harmonic:3 cross at n = e^6, about 403, so which of them is
-# the shorter changes along the grid
-_CROSSING_RULES = [Harmonic(3.0), LogOverN(0.5), LogOverN(1.0), LogOverN(1.6),
-                   LogOverN(2.5)]
+# a scan's rules, in order of length; logn:0.2 leaves the target uncovered
+# often enough before the window that the walk finds some last failures
+_NESTED_RULES = [LogOverN(c) for c in (0.2, 0.5, 1.0, 1.6, 2.5)]
 
 
 @pytest.mark.usefixtures("small_thread_min")
@@ -1080,10 +1080,10 @@ class TestBackwardVerdicts:
         for seed in range(3):
             cfg = replace(base, seed=seed)
             walks.clear()
-            got = simulate._verdicts(cfg, _CROSSING_RULES, tail)
+            got = simulate._verdicts(cfg, _NESTED_RULES, tail)
             # each checkpoint before the window is held once and walked once
             assert walks == ([1] * before if hold == 0.0 else [before])
-            for rule, verdict in zip(_CROSSING_RULES, got):
+            for rule, verdict in zip(_NESTED_RULES, got):
                 want = run_trial(replace(cfg, lengths=rule), tail)
                 assert verdict == (want.eventually_covered, want.last_failure_n,
                                    want.tail_uncovered)
@@ -1114,7 +1114,7 @@ class TestBackwardVerdicts:
         monkeypatch.setattr(simulate, "_threads_allowed", lambda: False)
         monkeypatch.setattr(simulate, "_HOLD", math.inf)
         cfg = TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=3000)
-        traces = _traces(cfg, _CROSSING_RULES, 1)
+        traces = _traces(cfg, _NESTED_RULES, 1)
         decided = []
         decide = simulate._uncovered
 
@@ -1123,17 +1123,66 @@ class TestBackwardVerdicts:
             return decide(a, b, first, last, ells, t)
 
         monkeypatch.setattr(simulate, "_uncovered", spy)
-        assert simulate._verdicts(cfg, _CROSSING_RULES, 1) == _as_verdicts(traces)
+        assert simulate._verdicts(cfg, _NESTED_RULES, 1) == _as_verdicts(traces)
         # the window's one checkpoint searches all rules, then the walk
         # searches once per checkpoint that is some rule's last failure
         n_max = int(cfg.n_max)
         found = [t.last_failure_n for t in traces
                  if t.last_failure_n is not None and t.last_failure_n < n_max]
-        assert decided[0] == len(_CROSSING_RULES)
+        assert decided[0] == len(_NESTED_RULES)
         assert len(decided) == 1 + len(set(found)) > 2
         open_rules = sum(1 for t in traces if t.last_failure_n != n_max)
         assert decided[1] == open_rules
         assert all(x > y for x, y in zip(decided[1:], decided[2:]))
+
+
+class TestNestedRules:
+    """_verdicts takes its rules in order of length, so at every checkpoint
+    the failing rules are the first few: a seed's last failure moves
+    earlier as c grows, and its verdict turns only from uncovered to
+    covered."""
+
+    @pytest.mark.parametrize("rules", [[LogOverN(1.0), LogOverN(0.5)],
+                                       # harmonic:3 is the longer below n = e^6
+                                       [Harmonic(3.0), LogOverN(0.5)]],
+                             ids=["decreasing", "crossing"])
+    def test_rules_out_of_order_are_refused(self, monkeypatch, rules):
+        def refuse(*args):
+            raise AssertionError("a prefix was built")
+
+        monkeypatch.setattr(simulate, "_prefixes", refuse)
+        cfg = TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=3000)
+        with pytest.raises(ValueError, match="^rules must come in order of length"):
+            simulate._verdicts(cfg, rules, 1)
+
+    def test_tied_rules_are_taken(self):
+        cfg = TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=3000)
+        rules = [LogOverN(0.5), LogOverN(0.5), LogOverN(1.5)]
+        got = simulate._verdicts(cfg, rules, 2)
+        assert got[0] == got[1] == _as_verdicts(_traces(cfg, rules[:1], 2))[0]
+
+    @pytest.mark.parametrize("target", _KERNEL_TARGETS, ids=_KERNEL_IDS)
+    def test_verdicts_are_monotone_in_c(self, target):
+        rules = [LogOverN(c) for c in np.arange(0.2, 3.01, 0.2)]
+        base = TrialConfig(seed=0, lengths=None, target=target, n_max=3000,
+                           n_first_checkpoint=4)
+        moved = set()
+        for seed in range(8):
+            got = simulate._verdicts(replace(base, seed=seed), rules, 3)
+            covered = [v[0] for v in got]
+            last = [-1 if v[1] is None else v[1] for v in got]
+            assert covered == sorted(covered)
+            assert last == sorted(last, reverse=True)
+            moved.add(tuple(covered))
+        # not one verdict for every c
+        assert any(any(v) and not all(v) for v in moved)
+
+    def test_scan_fractions_never_decrease(self):
+        base = TrialConfig(seed=0, lengths=None, target=make_cantor(1 / 3, 10), n_max=5000)
+        scan = phase_scan([0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.6, 2.0], base, 10)
+        fracs = [row.eventually_covered_fraction for row in scan.rows]
+        assert scan.monotone_fractions
+        assert fracs == sorted(fracs) and fracs[0] < fracs[-1]
 
 
 class TestDecisionCount:
@@ -1200,6 +1249,62 @@ class TestStevensOracle:
         p = float(_stevens(n, a))
         z = (hits - trials * p) / math.sqrt(trials * p * (1.0 - p))
         assert abs(z) <= 4.0
+
+
+def _log_stevens_term(n: int, k: int, a: float) -> float:
+    """ln of S_k = C(n, k) (1 - k a)^(n - 1), the k-th term of Stevens' sum,
+    for k a < 1."""
+    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+            + (n - 1) * math.log1p(-k * a))
+
+
+def _uncovered_bracket(n: int, a: float) -> tuple:
+    """Bonferroni bounds S1 - S2 <= p <= S1 - S2 + S3 on the probability p
+    that n i.i.d. uniform arcs of length a leave the circle uncovered."""
+    s1, s2, s3 = (math.exp(_log_stevens_term(n, k, a)) for k in (1, 2, 3))
+    return s1 - s2, s1 - s2 + s3
+
+
+def _z_outside(x: float, lo: float, hi: float, se: float) -> float:
+    """How many standard errors x lies outside [lo, hi]; 0 inside."""
+    return (x - min(max(x, lo), hi)) / se
+
+
+class TestStevensWindow:
+    """The whole tail window against Stevens' law, at a horizon no brute
+    force reaches.  By linearity the mean count of uncovered checkpoints in
+    the window is the sum of p over its checkpoints, however the
+    checkpoints depend on each other.  Bounds fixed in advance, as in
+    TestStevensOracle: |z| <= 4 over seeds 0-999."""
+
+    def test_window_and_horizon_follow_the_exact_law(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_threads_allowed", lambda: False)
+        trials = 1000
+        rules = [LogOverN(1.3), LogOverN(1.8)]
+        base = TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=10_000)
+        grid = base.checkpoints()
+        tail = int(np.argmin(np.abs(grid - math.sqrt(base.n_max))))
+        counts = np.zeros((len(rules), trials))
+        at_horizon = np.zeros((len(rules), trials))
+        for seed in range(trials):
+            cfg = replace(base, seed=seed)
+            # the backward walk gives each trace's last failure
+            verdicts = simulate._verdicts(cfg, rules, 1)
+            for j, rule in enumerate(rules):
+                trace = run_trial(replace(cfg, lengths=rule))
+                assert verdicts[j][1] == trace.last_failure_n
+                counts[j, seed] = np.count_nonzero(~trace.covered[tail:])
+                at_horizon[j, seed] = verdicts[j][1] == base.n_max
+        for j, rule in enumerate(rules):
+            ells = rule.ell(grid[tail:].astype(np.float64))
+            brackets = [_uncovered_bracket(int(n), float(a)) for n, a in zip(grid[tail:], ells)]
+            lo, hi = (sum(ends) for ends in zip(*brackets))
+            se = counts[j].std(ddof=1) / math.sqrt(trials)
+            assert abs(_z_outside(counts[j].mean(), lo, hi, se)) <= 4.0
+            # the last failure is at the horizon iff the horizon is uncovered
+            frac = at_horizon[j].mean()
+            p = min(max(frac, brackets[-1][0]), brackets[-1][1])
+            assert abs(_z_outside(frac, *brackets[-1], math.sqrt(p * (1 - p) / trials))) <= 4.0
 
 
 class TestTailUncovered:
