@@ -135,7 +135,9 @@ class LogOverN(LengthSequence):
 
     def _ell(self, ns):
         m = np.maximum(ns, 2.0)
-        return np.minimum(self.c * np.log(m) / m, CLAMP_MAX)
+        # a huge c overflows to inf, which the clamp takes to CLAMP_MAX
+        with np.errstate(over="ignore"):
+            return np.minimum(self.c * np.log(m) / m, CLAMP_MAX)
 
     def describe(self):
         return f"logn:{self.c:g}"

@@ -22,13 +22,13 @@ The kernel:
   and the first and last center.  sample_centers reads the seed's Philox
   stream: counter-based, so trials are reproducible, prefix-stable and
   embarrassingly parallel.  _draw, _split and _prefix_gaps keep the prefix
-  in one array and merge it once per checkpoint.  Where _threads_allowed
-  says so, the prefix is two halves split at _SPLIT, the low one growing
-  from the left end and the high one into the right end.  The larger low
-  half merges on a second thread while the calling thread merges the high
-  half and then draws the next checkpoint's centers into the free middle
-  between them.  _gap_candidates picks the gaps the exact predicate runs
-  on.
+  in one array and merge it once per checkpoint.  A pass whose horizon
+  reaches _THREAD_MIN, where _threads_allowed says so, keeps two halves
+  split at _SPLIT, one growing from each end of the array; from
+  _THREAD_MIN centers on, the low half merges on a second thread while the
+  calling thread merges the high one and draws the next checkpoint's
+  centers into the free middle.  Any other pass samples once and keeps one
+  run.  _gap_candidates picks the gaps the exact predicate runs on.
 - Three passes read it.  run_trial, the one entry point for a trial,
   decides every checkpoint and builds a residue where one is uncovered.
   _verdicts gives a phase scan's verdicts under a list of length rules,
@@ -101,7 +101,9 @@ def _grid(n_first: int, ratio: float, n_max: int):
     cur = n_first
     yield cur
     while cur < n_max:
-        cur = min(max(cur + 1, int(round(cur * ratio))), n_max)
+        # compared before rounding, so a huge ratio gives n_max, not inf
+        nxt = cur * ratio
+        cur = n_max if nxt >= n_max else max(cur + 1, int(round(nxt)))
         yield cur
 
 
@@ -129,14 +131,14 @@ SLACK = 1e-12
 # however long the prefix grows.
 _BLOCK = 1 << 16
 
-# Smallest prefix whose halves go to two threads.  Timed per checkpoint on
-# a 2-core VM with its second core free, at a split of 1/2 and before the
-# draws overlapped the merge, the threaded halves took 2-3x the time of the
-# serial ones at 2^12-2^14 centers, broke even between 2^16 and 2^17, and
-# saved 8-17% at 2^17 and 36-43% at 2^20.  Re-timed on the same VM at
-# _SPLIT with the draws overlapped, every value from 2^11 to 2^17 gave a
-# trial to n_max 2^20 the same time within its run-to-run spread
-# (105-115 ms), so it stays.
+# Smallest prefix whose halves go to two threads, and smallest horizon of a
+# pass that takes the two-ended layout.  Timed per checkpoint on a 2-core VM
+# with its second core free, at a split of 1/2 and before the draws
+# overlapped the merge, the threaded halves took 2-3x the time of the serial
+# ones at 2^12-2^14 centers, broke even between 2^16 and 2^17, and saved
+# 8-17% at 2^17 and 36-43% at 2^20.  Re-timed at _SPLIT with the draws
+# overlapped, every value from 2^11 to 2^17 gave a trial to n_max 2^20 the
+# same time within its run-to-run spread (105-115 ms).
 _THREAD_MIN = 1 << 17
 
 # Where a threaded pass splits its prefix: the low half, below it, merges
@@ -558,13 +560,13 @@ def _prefixes(cfg: TrialConfig, shortest, start: int = 0):
     last): its index, the ends (a, b) of the gaps of its sorted prefix with
     fl(b - a) > fl(shortest[i] - SLACK), ascending, and the first and last
     center, all copies.  The first checkpoint samples and sorts its whole
-    prefix in one step; no earlier one is sampled or merged."""
+    prefix in one step; no earlier one is sampled or merged.  Only a pass
+    whose horizon reaches _THREAD_MIN, where _threads_allowed() holds, is
+    two-ended and threaded; any other samples once and keeps one run."""
     grid = cfg.checkpoints()
-    threaded = _threads_allowed()
-    # split at _SPLIT where the halves may go to two threads; elsewhere every
-    # center is below 1, so the high run stays empty, the low run is the
-    # whole sorted prefix and the free middle takes the centers in stream
-    # order: they are sampled all at once
+    threaded = cfg.n_max >= _THREAD_MIN and _threads_allowed()
+    # a one-run pass splits at 1, above every center: the high run stays
+    # empty and the free middle takes the centers in stream order
     at = _SPLIT if threaded else 1.0
     # the two-ended prefix, and a prefilter scratch per half that can fill,
     # shared by every checkpoint

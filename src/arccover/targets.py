@@ -113,7 +113,8 @@ def make_finite(points) -> TargetSet:
         raise ConfigError("target", "finite target needs at least one point")
     if np.unique(pts).size != pts.size:
         raise ConfigError("target", "finite target points must be distinct")
-    if np.any(pts < 0.0) or np.any(pts >= 1.0):
+    # a positive test, which NaN fails
+    if not np.all((pts >= 0.0) & (pts < 1.0)):
         raise ConfigError("target", "points must lie in [0, 1)")
     return TargetSet(
         kind="finite",

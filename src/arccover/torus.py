@@ -137,7 +137,8 @@ def _split_pieces(pieces) -> tuple:
 
 
 def _canonicalize(los: np.ndarray, his: np.ndarray, points: np.ndarray) -> tuple:
-    if np.any(los < 0.0) or np.any(his > 1.0):
+    # positive range tests, which NaN fails
+    if not np.all((los >= 0.0) & (his <= 1.0)):
         raise ValueError("interval endpoints must lie in [0, 1]")
     if np.any(his < los):
         raise ValueError("interval needs lo <= hi")
@@ -156,7 +157,7 @@ def _canonicalize(los: np.ndarray, his: np.ndarray, points: np.ndarray) -> tuple
         ghi = np.maximum.reduceat(his, starts)
         los, his = glo, ghi
     if points.size:
-        if np.any(points < 0.0) or np.any(points >= 1.0):
+        if not np.all((points >= 0.0) & (points < 1.0)):
             raise ValueError("points must lie in [0, 1)")
         points = np.unique(points)
         points = points[~_in_closed(los, his, points)]

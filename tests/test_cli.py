@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import sys
 import threading
 from concurrent.futures import Future
 from unittest import mock
@@ -56,6 +57,14 @@ class TestTrial:
         assert capsys.readouterr().err == ("error: checkpoint_ratio: must be finite "
                                            "and > 1, got inf\n")
         assert not (tmp_path / "t.csv").exists()
+
+    def test_huge_checkpoint_ratio_runs(self, tmp_path):
+        # the grid jumps from the first checkpoint to the horizon
+        assert run(tmp_path, "trial", "--target", "circle", "--lengths", "logn:0.5",
+                   "--n-max", "1000", "--checkpoint-ratio", repr(sys.float_info.max),
+                   "--out", "t") == 0
+        rows = (tmp_path / "t.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[-2:]] == ["64", "1000"]
 
     def test_validation_exit_2(self, tmp_path):
         assert run(tmp_path, "trial", "--target", "nope") == 2
@@ -394,12 +403,21 @@ class TestRefusals:
          f"n_max: must be at most 2**53, got {2 ** 54}"),
         (["trial", "--config", "out_null.json"], "out: must be a string, got None"),
         (["trial", "--config", "out_list.json"], "out: must be a string, got ['a', 1]"),
+        (["trial", "--target", "points:nan", "--lengths", "logn:0.2", "--n-max", "2000"],
+         "target: points must lie in [0, 1)"),
+        (["trial", "--target", "points:0.5,nan", "--lengths", "logn:0.2", "--n-max", "2000"],
+         "target: points must lie in [0, 1)"),
+        (["trial", "--target", "custom:nan.json", "--n-max", "2000"],
+         "target: bad custom target in 'nan.json': interval endpoints must lie in [0, 1]"),
     ], ids=["series-d", "series-beta-nan", "series-n-9", "series-n-cap", "schedule-alpha-1.5",
             "schedule-alpha-0", "trial-short-table", "schedule-short-table", "trial-power-nan",
             "trial-n-max-past-2**53", "scan-n-max-past-2**53", "config-out-null",
-            "config-out-list"])
+            "config-out-list", "target-nan-point", "target-nan-second-point",
+            "target-nan-interval-end"])
     def test_refused(self, tmp_path, capsys, argv, err):
         (tmp_path / "three.csv").write_text("0.5\n0.25\n0.125\n")
+        (tmp_path / "nan.json").write_text(
+            json.dumps({"intervals": [[0.1, 0.2], [0.3, math.nan]], "beta": 1}))
         for name, out in (("out_null.json", None), ("out_list.json", ["a", 1])):
             (tmp_path / name).write_text(json.dumps({"version": 1, "out": out, "n_max": 1000}))
         before = sorted(tmp_path.iterdir())

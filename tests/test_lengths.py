@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +13,7 @@ from arccover import (ConfigError, Harmonic, LogOverN,
                       block_sequence, choose_schedule, covering_series,
                       estimate_covering_exponent, estimate_delta,
                       parse_lengths, rare_block_sum, shepp_series)
+from arccover.lengths import CLAMP_MAX
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -43,6 +46,14 @@ class TestEval:
     def test_clamp_keeps_below_one(self):
         assert Harmonic(1.5).ell(1) < 1.0
         assert LogOverN(12.0).ell(3) < 1.0
+
+    def test_huge_c_clamps_without_warning(self):
+        # c ln n overflows to inf, which the clamp takes to CLAMP_MAX silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert LogOverN(1e308).ell(10) == CLAMP_MAX
+            assert np.all(LogOverN(sys.float_info.max).ell(np.array([1.0, 10.0, 1e6]))
+                          == CLAMP_MAX)
 
     def test_non_increasing(self):
         # ln(n)/n rises from n=2 to n=3 before decaying, so the logn family

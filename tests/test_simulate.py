@@ -135,6 +135,14 @@ class TestCheckpointGrid:
         grid = checkpoint_grid(1, 1.0001, 20)
         assert np.array_equal(grid, np.arange(1, 21))
 
+    @pytest.mark.parametrize("ratio", [1e300, sys.float_info.max])
+    def test_huge_ratio_jumps_to_the_horizon(self, ratio):
+        # cur * ratio may be inf, and is compared with n_max before rounding
+        assert checkpoint_grid(64, ratio, 1000).tolist() == [64, 1000]
+        cfg = TrialConfig(seed=0, lengths=LogOverN(0.5), target=make_circle(), n_max=1000,
+                          checkpoint_ratio=ratio)
+        assert run_trial(cfg).checkpoints.tolist() == [64, 1000]
+
 
 class TestUncoveredAt:
     def test_two_centers(self):
@@ -1001,6 +1009,49 @@ class TestPrefixes:
         assert threading.active_count() == before
 
 
+class TestPassLayout:
+    """A pass picks its layout from its horizon: one that never reaches
+    _THREAD_MIN samples every center in one call and merges one run on the
+    calling thread, also where _threads_allowed holds."""
+
+    CFG = TrialConfig(seed=3, lengths=LogOverN(0.6), target=make_cantor(1 / 3, 8), n_max=3000)
+    RULES = [LogOverN(c) for c in (0.6, 1.0, 2.5)]
+
+    def test_short_pass_samples_once_on_one_thread(self, monkeypatch):
+        assert self.CFG.n_max < simulate._THREAD_MIN
+        sampled, steps = [], []
+        sample, prefixes = simulate.sample_centers, simulate._prefixes
+
+        def sample_spy(*args, **kwargs):
+            sampled.append(None)
+            return sample(*args, **kwargs)
+
+        def prefixes_spy(*args):
+            for step in prefixes(*args):
+                steps.append(tuple(np.asarray(x).tobytes() for x in step))
+                yield step
+
+        monkeypatch.setattr(simulate, "sample_centers", sample_spy)
+        monkeypatch.setattr(simulate, "_prefixes", prefixes_spy)
+        seen = _spy_threads(monkeypatch)
+        before = threading.active_count()
+        got = {}
+        for threads in (False, True):
+            monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
+            got[threads] = []
+            for run in (lambda: run_trial(self.CFG, 3),
+                        lambda: simulate._verdicts(self.CFG, self.RULES, 3)):
+                sampled.clear()
+                steps.clear()
+                seen.clear()
+                result = run()
+                assert len(sampled) == 1
+                assert seen == {threading.get_ident()}
+                assert threading.active_count() == before
+                got[threads].append((steps.copy(), pickle.dumps(result)))
+        assert got[True] == got[False]
+
+
 @pytest.fixture
 def thread_min_2048(monkeypatch):
     """Halves go to two threads from a prefix of 2048 centers on."""
@@ -1011,7 +1062,9 @@ def thread_min_2048(monkeypatch):
 class TestTailOnlySweep:
     """_tail_union starts at the tail window, so its first step
     samples, sorts and splits a whole prefix; its tail union must be bit
-    for bit the one run_trial builds over the whole grid."""
+    for bit the one run_trial builds over the whole grid.  A horizon below
+    _THREAD_MIN runs one run also where threads are allowed; one above it
+    is threaded, and merges its early checkpoints on the calling thread."""
 
     @pytest.mark.parametrize("threads", [False, True], ids=["one-run", "two-thread"])
     @pytest.mark.parametrize("n_max", [1500, 5000], ids=["below", "above"])
@@ -1111,7 +1164,6 @@ class TestBackwardVerdicts:
     def test_walk_searches_only_open_rules(self, monkeypatch):
         # past the window, a search runs only where the shortest open rule
         # fails, over the rules with no later failure
-        monkeypatch.setattr(simulate, "_threads_allowed", lambda: False)
         monkeypatch.setattr(simulate, "_HOLD", math.inf)
         cfg = TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=3000)
         traces = _traces(cfg, _NESTED_RULES, 1)
@@ -1192,7 +1244,6 @@ class TestDecisionCount:
     the rules at each failure it finds and in the window."""
 
     def test_verdicts_evaluate_fewer(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_threads_allowed", lambda: False)
         # no batch is decided early
         monkeypatch.setattr(simulate, "_HOLD", math.inf)
         calls = []
@@ -1277,8 +1328,7 @@ class TestStevensWindow:
     checkpoints depend on each other.  Bounds fixed in advance, as in
     TestStevensOracle: |z| <= 4 over seeds 0-999."""
 
-    def test_window_and_horizon_follow_the_exact_law(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_threads_allowed", lambda: False)
+    def test_window_and_horizon_follow_the_exact_law(self):
         trials = 1000
         rules = [LogOverN(1.3), LogOverN(1.8)]
         base = TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=10_000)

@@ -97,6 +97,10 @@ class TestFinite:
             make_finite([0.2, 0.2])
         with pytest.raises(ValueError):
             make_finite([1.5])
+        # a config error, not torus's ValueError, also for NaN
+        for points in ([math.nan], [0.5, math.nan]):
+            with pytest.raises(ConfigError, match=r"^target: points must lie in \[0, 1\)$"):
+                make_finite(points)
 
 
 class TestCustom:
@@ -148,6 +152,12 @@ class TestParse:
         t = parse_target(f"custom:{path}")
         assert t.dim_B_upper == 0.7
         assert measure(t.approx) == pytest.approx(0.3)
+
+    def test_custom_nan_interval_end_refused(self, tmp_path):
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps({"intervals": [[0.1, 0.2], [0.3, math.nan]], "beta": 1}))
+        with pytest.raises(ConfigError, match="interval endpoints must lie in"):
+            parse_target(f"custom:{path}")
 
     def test_errors_name_the_field(self):
         for bad in ("nope", "cantor:0.3", "points:a,b", "custom:/does/not/exist.json"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -357,5 +359,10 @@ class TestInvariants:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             IntervalUnion([(0.5, 1.2)])
+        for pieces in ([(0.3, math.nan)], [(math.nan, 0.2)], [(0.1, 0.2), (math.nan, math.nan)]):
+            with pytest.raises(ValueError, match="^interval endpoints must lie in"):
+                IntervalUnion(pieces)
+        with pytest.raises(ValueError, match="^points must lie in"):
+            IntervalUnion(points=[0.5, math.nan])
         with pytest.raises(ValueError):
             IntervalUnion([(0.5, 0.2)])
