@@ -15,13 +15,15 @@ Both experiments run independent seeds over one shared configuration
 (_map_seeds): inline, or in a process pool of at most one worker per
 seed and per usable CPU, whose workers receive the shared inputs, target
 and length rules included, once each through the pool initializer, so
-each message carries only a seed.  Each experiment checks its
-configuration once, in the parent, before any cell runs or any pool
-starts: the scale guard, which depends on c but not on the seed, its
-lowest and highest seed, and the memory of the trials that run at once,
+each message carries only a seed.  Each experiment first checks its own
+inputs, the scale guard included, which depends on c but not on the
+seed; then _map_seeds checks, once, in the parent, before any cell runs
+or any pool starts, what every cell shares: the tail window, the lowest
+and highest seed, `jobs`, and the memory of the trials that run at once,
 one per worker (simulate._check_memory).  The cells' results come back
-in seed order, inline and from the pool alike.  The pool is taken to fill the cores, so
-its workers run the kernel on one thread (simulate._threads_allowed).
+in seed order, inline and from the pool alike.  The pool is taken to
+fill the cores, so its workers run the kernel on one thread
+(simulate._threads_allowed).
 
 Box-counting dimension is used as a numerical proxy for Hausdorff
 dimension.  Box >= Hausdorff always, so an estimate clearly BELOW the
@@ -48,6 +50,7 @@ from .targets import TargetSet, make_circle
 from .torus import IntervalUnion, _in_closed, measure
 
 _SNAP = 1e-9  # cell-index snap, in units of one cell
+_FINEST = 2.0 ** -62  # the finest countable scale: cell indices of [0, 1] fit int64
 _Z = 1.96  # the normal quantile of the 95% Wilson interval
 
 
@@ -58,8 +61,8 @@ def occupied_cell_count(u: IntervalUnion, eps: float) -> int:
     on a cell boundary up to float rounding do not spill into a spurious
     neighbor cell.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"scale must be in (0, 1), got {eps}")
+    if not (_FINEST <= eps < 1.0):
+        raise ValueError(f"scale must be in [2**-62, 1), got {eps}")
     j0 = np.floor(u.los / eps + _SNAP).astype(np.int64)
     j1 = np.floor(u.his / eps - _SNAP).astype(np.int64)
     j1 = np.maximum(j1, j0)  # a piece always occupies at least one cell
@@ -208,19 +211,21 @@ def _init_worker(context):
     _context = context
 
 
-def _workers(jobs, cells: int) -> int:
-    """How many of `cells` seed cells run at once: at most `jobs`, one per
-    cell and one per usable CPU."""
+def _map_seeds(cell, seeds, base_cfg: TrialConfig, tail, jobs, shared) -> list:
+    """[cell(seed, (base_cfg, tail, shared)) for seed in seeds], seeds
+    ascending, after checking, in this order, the window, the lowest and
+    highest seed, `jobs` and the memory: inline for one worker, else in a
+    pool of min(jobs, len(seeds), usable CPUs) worker processes, which
+    receive the context once each."""
+    base_cfg.check_window(tail, 1)
+    for seed in (seeds[0], seeds[-1]):
+        replace(base_cfg, seed=seed)  # refuses a seed outside [0, 2**64)
     check_integer("jobs", jobs)
     if jobs < 1:
         raise ConfigError("jobs", f"must be >= 1, got {jobs}")
-    return min(jobs, cells, _usable_cpus())
-
-
-def _map_seeds(cell, seeds, context, workers: int) -> list:
-    """[cell(seed, context) for seed in seeds]: inline where `workers`
-    (from _workers) is 1, else in a pool of that many worker processes,
-    which receive `context` once each."""
+    workers = min(jobs, len(seeds), _usable_cpus())
+    _check_memory(base_cfg.n_max, workers)
+    context = (base_cfg, int(tail), shared)
     if workers <= 1:
         return [cell(seed, context) for seed in seeds]
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
@@ -231,7 +236,7 @@ def _map_seeds(cell, seeds, context, workers: int) -> list:
 def _scan_cell(seed, context=None):
     """One seed's trials for every rule of the scan: per rule, in grid
     order, (covered, last_failure_n, tail measure)."""
-    base_cfg, rules, tail = _context if context is None else context
+    base_cfg, tail, rules = _context if context is None else context
     return [(covered, last_failure, measure(tail_union))
             for covered, last_failure, tail_union
             in _verdicts(replace(base_cfg, seed=seed), rules, tail)]
@@ -244,12 +249,13 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
     Runs trials_per_c trials per c with seeds base_cfg.seed + 0, 1, ...;
     base_cfg supplies the target, horizon and checkpoint grid (its
     `lengths` is not read).  Every c uses the same seeds, so the unit
-    of work is one seed, swept over the whole c grid.  The scale guard,
-    the seed range and the memory are checked here, once, before any cell
-    runs: a c the guard refuses goes into `failed` and is not swept.
-    Seeds are independent, so they can run in any number of worker
-    processes, which receive the target once each; their results come
-    back in seed order, which makes the output independent of `jobs`.
+    of work is one seed, swept over the whole c grid.  The grid, `trials`
+    and the scale guard of each c are checked here, in that order: a c the
+    guard refuses goes into `failed` and is not swept.  Then _map_seeds
+    checks the window, the seed range, `jobs` and the memory, once, before
+    any cell runs.  Seeds are independent, so they can run in any number of
+    worker processes, which receive the target once each; their results
+    come back in seed order, which makes the output independent of `jobs`.
     """
     cs = [float(c) for c in c_grid]
     if (len(cs) == 0 or any(b <= a for a, b in zip(cs, cs[1:]))
@@ -259,13 +265,7 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
     check_integer("trials", trials_per_c)
     if trials_per_c < 1:
         raise ConfigError("trials", f"must be >= 1, got {trials_per_c}")
-    # checked here, before any cell runs or any pool starts
-    base_cfg.check_window(tail_checkpoints, 1)
-    workers = _workers(jobs, trials_per_c)
-    _check_memory(base_cfg.n_max, workers)
-    tail = int(tail_checkpoints)
     seed0 = int(base_cfg.seed)
-    replace(base_cfg, seed=seed0 + trials_per_c - 1)  # refuses a seed past 2**64 - 1
     target = base_cfg.target
     failed = {}
     rules = []
@@ -284,8 +284,8 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
                           f"{next(iter(failed.values()))}")
     ok_cs = [rule.c for rule in rules]
 
-    per_seed = _map_seeds(_scan_cell, range(seed0, seed0 + trials_per_c),
-                          (base_cfg, rules, tail), workers)
+    per_seed = _map_seeds(_scan_cell, range(seed0, seed0 + trials_per_c), base_cfg,
+                          tail_checkpoints, jobs, rules)
     rows = []
     for i, c in enumerate(ok_cs):
         cov, fails, tails = zip(*(cell[i] for cell in per_seed))
@@ -322,7 +322,7 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
         trials_per_c=trials_per_c,
         checkpoint_ratio=base_cfg.checkpoint_ratio,
         n_first_checkpoint=base_cfg.n_first_checkpoint,
-        tail_checkpoints=tail,
+        tail_checkpoints=int(tail_checkpoints),
         c_star=c_star,
         c_star_uncertainty=c_star_unc,
         monotone_fractions=bool(np.all(np.diff(fracs) >= 0.0)),
@@ -364,24 +364,26 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
     reported for comparison; when it is <= 0 the bound is vacuous and the
     experiment is exploratory only.  Seeds with nothing uncovered in the
     tail window produce degenerate slope-0 estimates, not errors.  The
-    window must hold between 1 and all of the checkpoints.  c, the window,
-    the scale guard, the seed range and the memory are checked here, once,
-    before any cell runs; the estimates come back in the order of the
-    sorted seeds.
+    window must hold between 1 and all of the checkpoints.  c, n_max,
+    ell(n_max) >= 2**-62, the scale guard, the seeds and the scale ladder
+    are checked here, in that order; then _map_seeds checks the window,
+    the seed range, `jobs` and the memory, once, before any cell runs.
+    The estimates come back in the order of the sorted seeds.
     """
     if not 0.0 < c < math.inf:
         raise ConfigError("c", f"must be finite and > 0, got {c}")
-    check_integer("n_max", n_max)
     if target is None:
         target = make_circle()
     rule = LogOverN(c)
-    base = TrialConfig(seed=0, lengths=rule, target=target, n_max=int(n_max),
+    base = TrialConfig(seed=0, lengths=rule, target=target, n_max=n_max,
                        checkpoint_ratio=checkpoint_ratio,
                        n_first_checkpoint=n_first_checkpoint)
-    # checked here, before any cell runs: an empty window leaves nothing to
-    # measure, and the cells' kernel does not check the window
-    base.check_window(tail_checkpoints, 1)
-    eps_fine = float(rule.ell(n_max))
+    # read past ell's own check, which refuses a length that underflows
+    # to 0 as `lengths`: here it is c that is too small
+    eps_fine = float(rule._ell(np.array([float(base.n_max)]))[0])
+    if not eps_fine >= _FINEST:
+        raise ConfigError("c", f"ell(n_max) = {eps_fine:.3g} is below the finest countable "
+                          f"scale 2**-62 = {_FINEST:.3g}; raise c or lower n_max")
     target.check_horizon(eps_fine)
     seeds = list(seeds)
     for seed in seeds:
@@ -389,21 +391,16 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
     seeds = sorted(int(s) for s in seeds)
     if not seeds:
         raise ConfigError("seeds", "must hold at least one seed, got none")
-    for seed in seeds[:1] + seeds[-1:]:
-        replace(base, seed=seed)  # refuses a seed outside [0, 2**64)
-    workers = _workers(jobs, len(seeds))
-    _check_memory(n_max, workers)
     try:
         scales = nested_scales(eps_fine, math.sqrt(eps_fine))
     except ValueError as exc:
         raise ConfigError("n_max", f"{exc} between ell(n_max) = {eps_fine:.3g} and "
                           "its square root; increase n_max") from exc
-    estimates = tuple(_map_seeds(_dims_cell, seeds, (base, tail_checkpoints, scales),
-                                 workers))
+    estimates = tuple(_map_seeds(_dims_cell, seeds, base, tail_checkpoints, jobs, scales))
     floor = None if target.dim_H is None else target.dim_H - c
     return DimensionScan(
         c=float(c),
-        n_max=int(n_max),
+        n_max=base.n_max,
         seeds=tuple(seeds),
         estimates=estimates,
         analytic_floor=floor,

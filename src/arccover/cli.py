@@ -372,6 +372,7 @@ def _cmd_series(resolved: dict) -> int:
     # refuse here, before the second thread starts a long Shepp sum
     check_covering_params(beta, d)
     check_series_terms(n)
+    lengths.ell(n)  # refuses a rule whose lengths reach 0 by n
     # both sums spend their time in numpy calls that release the GIL
     with ThreadPoolExecutor(1) as pool:
         job = pool.submit(shepp_series, lengths, n)

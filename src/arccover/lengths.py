@@ -58,8 +58,15 @@ class LengthSequence:
     """Base class: a rule n -> ell(n), vectorized over integer arrays."""
 
     def ell(self, n):
+        """ell at n, a float for a scalar n.  A length that is not > 0, as
+        one that underflows, is refused, naming the first such n."""
         ns, scalar = _as_index_array(n, "n")
         out = self._ell(ns)
+        short = ~(out > 0.0)
+        if short.any():
+            raise ConfigError("lengths", f"{self.describe()} gives ell(n) = "
+                              f"{out[short][0]:g} at n = {ns[short][0]:.17g}; "
+                              "every length must be > 0")
         return float(out[0]) if scalar else out
 
     def _ell(self, ns: np.ndarray) -> np.ndarray:
@@ -552,6 +559,8 @@ def covering_series(rule: LengthSequence, beta: float, d: float, N: int) -> Seri
     exactly when c d - beta > 1.
     """
     check_covering_params(beta, d)
+    check_series_terms(N)
+    rule.ell(N)  # the shortest length summed: refuses one that reaches 0
 
     def log_term(ns):
         ell = rule._ell(ns)
@@ -572,6 +581,8 @@ def shepp_series(rule: LengthSequence, N: int) -> SeriesResult:
     memory stays flat in N and the sums are bitwise those of one cumsum
     over 1..N.
     """
+    check_series_terms(N)
+    rule.ell(N)  # the shortest length summed: refuses one that reaches 0
     carry = 0.0  # ell_1 + ... + ell_{start-1} before each sub-block
 
     def log_terms(ns):

@@ -310,24 +310,11 @@ def contains_points(u: IntervalUnion, xs) -> np.ndarray:
 def covers(u: IntervalUnion, a: IntervalUnion) -> bool:
     """True iff a is a subset of u under the closed convention.
 
-    Every interval piece of `a` must sit inside a single closed run of
-    touching pieces of `u` (neither crosses the seam), and every isolated
-    point of `a` must pass closed membership, so point targets cannot
-    escape through a piece boundary.  Pieces of `u` touch when no gap of
-    positive length separates them, so complement(u) has no piece there;
-    canonical form merges them anyway, but the trusted constructor may not.
+    The interval pieces of `a` are covered when their `intersect` with
+    complement(u) is empty, and its isolated points when they pass closed
+    membership in u (contains_points), so a point of `a` that is also an
+    isolated point of `u` stays covered.
     """
-    if a.los.size:
-        if u.los.size == 0:
-            return False
-        starts = np.flatnonzero(np.concatenate(([True], u.los[1:] > u.his[:-1])))
-        los = u.los[starts]
-        his = u.his[np.append(starts[1:], u.los.size) - 1]
-        idx = np.searchsorted(los, a.los, side="right") - 1
-        if np.any(idx < 0):
-            return False
-        if np.any(a.his > his[idx]):
-            return False
-    if a.points.size and not np.all(contains_points(u, a.points)):
-        return False
-    return True
+    pieces = IntervalUnion._from_sorted(a.los, a.his)
+    return (intersect(pieces, complement(u)).is_empty()
+            and bool(np.all(contains_points(u, a.points))))

@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,15 @@ class TestOccupiedCells:
         # 0.22 shares cell 0 with the piece; 0.6 has cell 2 to itself
         u = IntervalUnion([(0.1, 0.2)], points=[0.22, 0.6])
         assert occupied_cell_count(u, 0.25) == 2
+
+
+    def test_scales_below_the_finest_countable_are_refused(self):
+        u = IntervalUnion([(0.1, 0.3)])
+        with pytest.raises(ValueError, match=r"^scale must be in \[2\*\*-62, 1\), got 1e-19$"):
+            occupied_cell_count(u, 1e-19)
+        # at 2**-62 the cell indices of [0, 1] still fit int64, exactly
+        want = int((Fraction(0.3) - Fraction(0.1)) * 2 ** 62) + 1
+        assert occupied_cell_count(u, 2.0 ** -62) == want
 
 
 class TestBoxDimension:
@@ -228,18 +238,26 @@ class TestPhaseScan:
             phase_scan(grid, base, 1)
 
     def test_cells_get_only_the_c_the_guard_passes(self, monkeypatch):
-        contexts = []
+        shared = []
         map_seeds = analyze._map_seeds
 
-        def spy(cell, seeds, context, jobs):
-            contexts.append(context)
-            return map_seeds(cell, seeds, context, jobs)
+        def spy(cell, seeds, base_cfg, tail, jobs, rules):
+            shared.append(rules)
+            return map_seeds(cell, seeds, base_cfg, tail, jobs, rules)
 
         monkeypatch.setattr(analyze, "_map_seeds", spy)
         t = make_cantor(1 / 3, 8)
         scan = phase_scan([0.3, 0.6, 2.0], small_base(target=t, n_max=3000), 2)
-        assert [[r.c for r in ctx[1]] for ctx in contexts] == [[0.6, 2.0]]
+        assert [[r.c for r in rules] for rules in shared] == [[0.6, 2.0]]
         assert list(scan.failed) == [0.3]
+
+    def test_zero_length_c_is_a_failed_cell(self):
+        # ell(n_max) of c = 5e-324 underflows to 0; the c = 1 row is unchanged
+        scan = phase_scan([5e-324, 1.0], small_base(n_max=2000), 2)
+        assert list(scan.failed) == [5e-324]
+        assert scan.failed[5e-324] == ("lengths: logn:4.94066e-324 gives ell(n) = 0 at "
+                                       "n = 2000; every length must be > 0")
+        assert scan.rows == phase_scan([1.0], small_base(n_max=2000), 2).rows
 
     def test_internal_fault_is_not_a_failed_cell(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -373,6 +391,63 @@ class TestWorkerCount:
         phase_scan([0.5, 2.5], small_base(), 1, jobs=2)
         uncovered_dimension_experiment(0.5, 20_000, [4], jobs=2)
         assert inline_pool == []
+
+
+def _scan_seeds(seeds, jobs, tail):
+    """phase_scan over the consecutive `seeds`."""
+    return phase_scan([0.5, 2.5], replace(small_base(), seed=seeds[0]), len(seeds),
+                      jobs=jobs, tail_checkpoints=tail)
+
+
+def _dims_seeds(seeds, jobs, tail):
+    return uncovered_dimension_experiment(0.5, 20_000, seeds, jobs=jobs,
+                                          tail_checkpoints=tail)
+
+
+class TestSharedChecks:
+    """_map_seeds checks what every cell of either experiment shares, the
+    window, the seed range, `jobs` and the memory, in that order, before any
+    cell runs or any pool starts."""
+
+    @pytest.fixture
+    def no_cell(self, monkeypatch, no_pool):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(analyze, "_scan_cell", refuse)
+        monkeypatch.setattr(analyze, "_dims_cell", refuse)
+
+    @pytest.fixture
+    def memory(self, monkeypatch):
+        return lambda size: monkeypatch.setattr(simulate, "_physical_memory", lambda: size)
+
+    @pytest.mark.parametrize("experiment", [_scan_seeds, _dims_seeds], ids=["scan", "dims"])
+    @pytest.mark.parametrize("field, seeds, jobs, tail, memory_bytes", [
+        ("tail_checkpoints", [0, 1], 2, 0, None),
+        ("seed", [2 ** 64 - 1, 2 ** 64], 2, 1, None),
+        ("jobs", [0, 1], 0, 1, None),
+        ("n_max", [0, 1], 2, 1, 1),
+    ], ids=["window", "seed", "jobs", "memory"])
+    def test_refused_before_any_cell(self, no_cell, memory, experiment, field, seeds, jobs,
+                                     tail, memory_bytes):
+        # the same inputs without the fault reach the cell, inline
+        with pytest.raises(AssertionError, match="^a cell ran$"):
+            experiment([0, 1], 1, 1)
+        memory(memory_bytes)
+        with pytest.raises(ConfigError, match=f"^{field}: ") as exc:
+            experiment(seeds, jobs, tail)
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("experiment", [_scan_seeds, _dims_seeds], ids=["scan", "dims"])
+    def test_order(self, no_cell, memory, experiment):
+        memory(1)
+        faults = {"tail": 0, "seeds": [2 ** 64 - 1, 2 ** 64], "jobs": 0}
+        for field, fault in (("tail_checkpoints", "tail"), ("seed", "seeds"),
+                             ("jobs", "jobs"), ("n_max", None)):
+            with pytest.raises(ConfigError, match=f"^{field}: "):
+                experiment(faults.get("seeds", [0, 1]), faults.get("jobs", 2),
+                           faults.get("tail", 1))
+            faults.pop(fault, None)
 
 
 class TestMemoryGuard:
@@ -521,6 +596,17 @@ class TestDimensionExperiment:
         with pytest.raises(ConfigError, match=r"^c: must be finite and > 0, got ") as exc:
             uncovered_dimension_experiment(c, 20_000, range(2), jobs=2)
         assert exc.value.field == "c"
+
+    @pytest.mark.parametrize("c, n_max", [(1e-16, 100_000), (1e-320, 20_000),
+                                          (5e-324, 100_000), (1e-15, 100_000)],
+                             ids=["cast-overflow", "subnormal", "zero", "1e-15"])
+    def test_scales_too_fine_to_count_are_refused_as_c(self, no_pool, c, n_max):
+        # ell(n_max) below 2**-62 overflows the int64 cell index; at
+        # c = 5e-324 it is 0, which ell itself would refuse as `lengths`
+        with pytest.raises(ConfigError, match=r"^c: ell\(n_max\) = .* is below the finest "
+                                              r"countable scale 2\*\*-62 = 2.17e-19; "
+                                              r"raise c or lower n_max$"):
+            uncovered_dimension_experiment(c, n_max, range(2), jobs=2)
 
     def test_empty_seed_list_is_a_config_error(self, no_pool):
         with pytest.raises(ConfigError, match="^seeds: ") as exc:

@@ -136,7 +136,9 @@ class TestScan:
         (["--c", "1.0"], ""),
         (["--target", "cantor:0.3333333333:8", "--c", "0.3,2.0"], "warning: c=0.3 skipped: "),
         (["--c", "1e17"], ""),
-    ], ids=["one-c", "guard-keeps-one-c", "c-past-2**53"])
+        (["--c", "5e-324,1"], "warning: c=4.94066e-324 skipped: lengths: logn:4.94066e-324 "
+                              "gives ell(n) = 0 at n = 3000"),
+    ], ids=["one-c", "guard-keeps-one-c", "c-past-2**53", "zero-length-c"])
     def test_scan_of_one_c(self, tmp_path, capsys, argv, warning):
         assert run(tmp_path, "scan", "--n-max", "3000", "--trials", "3", *argv, "--out", "s") == 0
         err = capsys.readouterr().err
@@ -387,10 +389,25 @@ class TestRefusals:
         (["series", "--d", "1.5"], "d: must be in (0, 1), got 1.5"),
         (["series", "--beta", "nan"], "beta: must be finite and >= 0, got nan"),
         (["series", "--n", "9"], "n: series scan needs N >= 10, got 9"),
+        (["series", "--lengths", "power:1:1000", "--n", "100"],
+         "lengths: power:1:1000 gives ell(n) = 0 at n = 100; every length must be > 0"),
         (["series", "--n", "100000001"],
          "n: series scan to N=100000001 is too large; at most 100000000 terms"),
         (["schedule", "--alpha", "1.5"], "alpha: must be in (0, 1), got 1.5"),
         (["schedule", "--alpha", "0"], "alpha: must be in (0, 1), got 0.0"),
+        (["schedule", "--lengths", "power:1:1000"],
+         "lengths: power:1:1000 gives ell(n) = 0 at n = 3; every length must be > 0"),
+        (["trial", "--lengths", "power:1:1000", "--n-max", "2000"],
+         "lengths: power:1:1000 gives ell(n) = 0 at n = 2000; every length must be > 0"),
+        (["dims", "--c", "1e-16", "--n-max", "100000", "--seeds", "2"],
+         "c: ell(n_max) = 1.15e-20 is below the finest countable scale 2**-62 = 2.17e-19; "
+         "raise c or lower n_max"),
+        (["dims", "--c", "1e-320", "--n-max", "20000", "--seeds", "2"],
+         "c: ell(n_max) = 4.94e-324 is below the finest countable scale 2**-62 = 2.17e-19; "
+         "raise c or lower n_max"),
+        (["dims", "--c", "5e-324", "--n-max", "100000", "--seeds", "2"],
+         "c: ell(n_max) = 0 is below the finest countable scale 2**-62 = 2.17e-19; "
+         "raise c or lower n_max"),
         (["trial", "--lengths", "table:three.csv", "--n-max", "100"],
          "lengths: table sequence defined only up to n=3"),
         (["schedule", "--lengths", "table:three.csv"],
@@ -409,8 +426,10 @@ class TestRefusals:
          "target: points must lie in [0, 1)"),
         (["trial", "--target", "custom:nan.json", "--n-max", "2000"],
          "target: bad custom target in 'nan.json': interval endpoints must lie in [0, 1]"),
-    ], ids=["series-d", "series-beta-nan", "series-n-9", "series-n-cap", "schedule-alpha-1.5",
-            "schedule-alpha-0", "trial-short-table", "schedule-short-table", "trial-power-nan",
+    ], ids=["series-d", "series-beta-nan", "series-n-9", "series-zero-length", "series-n-cap",
+            "schedule-alpha-1.5", "schedule-alpha-0", "schedule-zero-length",
+            "trial-zero-length", "dims-cast-overflow", "dims-subnormal", "dims-zero",
+            "trial-short-table", "schedule-short-table", "trial-power-nan",
             "trial-n-max-past-2**53", "scan-n-max-past-2**53", "config-out-null",
             "config-out-list", "target-nan-point", "target-nan-second-point",
             "target-nan-interval-end"])
@@ -554,6 +573,7 @@ class TestSeries:
         (["--d", "1.5", "--n", "100000000"], "d: must be in"),
         (["--beta", "-1", "--n", "100000000"], "beta: must be"),
         (["--n", "9"], "n: series scan needs N >= 10"),
+        (["--lengths", "power:1:1000", "--n", "100"], "lengths: power:1:1000 gives ell(n) = 0"),
         (["--beta", "nan", "--n", "100000000"], "beta: must be finite"),
         (["--beta", "inf", "--n", "100000000"], "beta: must be finite"),
     ])

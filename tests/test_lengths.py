@@ -110,6 +110,43 @@ class TestEval:
         assert rule.ell([]).shape == (0,)
 
 
+class TestZeroLengths:
+    """A rule whose lengths underflow to 0 is refused as `lengths`, naming
+    the first index evaluated where a length is not > 0."""
+
+    def test_ell_names_the_first_zero(self):
+        rule = PowerLaw(1.0, 1000.0)  # 2**-1000 is a float, 3**-1000 underflows
+        assert rule.ell(2) > 0.0
+        with refused("lengths", r"power:1:1000 gives ell\(n\) = 0 at n = 3; every length "
+                                "must be > 0$"):
+            rule.ell(3)
+        with refused("lengths", "at n = 3;"):
+            rule.ell(np.array([1.0, 2.0, 3.0, 4.0]))
+        with refused("lengths", "at n = 2;"):
+            Harmonic(5e-324).ell([1, 2])
+        with refused("lengths", "at n = 2000;"):
+            LogOverN(5e-324).ell(2000)
+
+    @pytest.mark.parametrize("series", [
+        lambda rule, N: covering_series(rule, beta=1.0, d=0.5, N=N),
+        shepp_series], ids=["covering", "shepp"])
+    def test_series_refuse_before_summing(self, monkeypatch, series):
+        # one evaluation at N covers the sum: ell(N) is its shortest length
+        def no_sum(*args):
+            raise AssertionError("a sum started")
+
+        monkeypatch.setattr(lengths, "_scan_series", no_sum)
+        with refused("lengths", "at n = 100;"):
+            series(PowerLaw(1.0, 1000.0), 100)
+        # N itself is checked first, with its own message
+        with refused("n", "series scan needs N >= 10"):
+            series(PowerLaw(1.0, 1000.0), 9)
+
+    def test_schedule_refuses(self):
+        with refused("lengths", "at n = 3;"):
+            choose_schedule(PowerLaw(1.0, 1000.0), 0.9, 6)
+
+
 class TestDelta:
     @pytest.mark.parametrize("c", [0.3, 0.5, 1.0, 2.5])
     def test_log_over_n_exact(self, c):

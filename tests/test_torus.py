@@ -284,6 +284,15 @@ class TestCovers:
         p = IntervalUnion(points=[0.0])
         assert covers(iu((0.9, 1.0)), p)
 
+    def test_isolated_point_of_u_covers_the_same_point(self):
+        u = IntervalUnion([(0.1, 0.2)], points=[0.5])
+        assert covers(u, IntervalUnion(points=[0.5]))
+        assert not covers(u, IntervalUnion(points=[0.6]))
+        assert not covers(u, IntervalUnion([(0.1, 0.2)], points=[0.5, 0.6]))
+        # complement(u) drops the points of u, so the law with intersect
+        # does not hold here
+        assert not intersect(IntervalUnion(points=[0.5]), complement(u)).is_empty()
+
     def test_equivalence_with_intersect_complement(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
