@@ -18,10 +18,10 @@ from .analyze import (DimensionEstimate, DimensionScan, ScanResult, ScanRow,
 from .errors import ConfigError
 from .lengths import (BlockSequence, Harmonic, LengthSequence, LogOverN,
                       PowerLaw, Schedule, ScheduleError, SeriesResult,
-                      TableSequence, block_sequence, choose_schedule,
-                      covering_series, estimate_covering_exponent,
-                      estimate_delta, parse_lengths, rare_block_sum,
-                      shepp_series)
+                      TableSequence, block_sequence, both_series,
+                      choose_schedule, covering_series,
+                      estimate_covering_exponent, estimate_delta,
+                      parse_lengths, rare_block_sum, shepp_series)
 from .simulate import (CoverageTrace, TrialConfig, checkpoint_grid, run_trial,
                        sample_centers, uncovered_at)
 from .targets import (TargetSet, make_cantor, make_circle, make_custom,

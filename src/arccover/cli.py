@@ -21,15 +21,13 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, fields
 
 import numpy as np
 
 from . import __version__
 from .analyze import ScanRow, phase_scan, uncovered_dimension_experiment
-from .lengths import (_rare_block_terms, check_covering_params, check_series_terms,
-                      choose_schedule, covering_series, parse_lengths, shepp_series)
+from .lengths import _rare_block_terms, both_series, choose_schedule, parse_lengths
 from .errors import ConfigError
 from .simulate import PRNG_NAME, PRNG_VERSION, TrialConfig, run_trial
 from .targets import parse_target
@@ -368,16 +366,7 @@ def _cmd_dims(resolved: dict) -> int:
 def _cmd_series(resolved: dict) -> int:
     """covering-series and Shepp-series diagnostics"""
     lengths = parse_lengths(resolved["lengths"])
-    n, beta, d = resolved["n"], resolved["beta"], resolved["d"]
-    # refuse here, before the second thread starts a long Shepp sum
-    check_covering_params(beta, d)
-    check_series_terms(n)
-    lengths.ell(n)  # refuses a rule whose lengths reach 0 by n
-    # both sums spend their time in numpy calls that release the GIL
-    with ThreadPoolExecutor(1) as pool:
-        job = pool.submit(shepp_series, lengths, n)
-        cov = covering_series(lengths, beta, d, n)
-        shepp = job.result()
+    cov, shepp = both_series(lengths, resolved["beta"], resolved["d"], resolved["n"])
     results = {"covering": cov, "shepp": shepp}
     out = _write(resolved, "series", {
         name: {

@@ -16,10 +16,16 @@ it was sampled on:
   inconclusive) so we never overclaim near a boundary.
 
 Term-by-term sums run over chunks of _CHUNK consecutive indices, so their
-memory does not grow with N.  The series walk each chunk in cache-sized
-sub-blocks of _SUB indices, calling their `log_terms` once per sub-block,
-in order; the Shepp length prefix is carried from one sub-block to the
-next.  Each sum refuses N > MAX_TERMS before it allocates anything.
+memory does not grow with N.  A series sums each chunk as its own
+logaddexp chain and folds the chunk totals into the sum in chunk order.
+The chunks are the columns of one walk by row offset: a block of rows,
+at most _SUB terms per series, advances every chain in one
+logaddexp.reduce, so the chains of different chunks run side by side
+rather than one after another.  both_series walks the two series in one
+pass that evaluates each length once, half the chunks on each of two
+threads.  The Shepp length prefix at each chunk start is summed first,
+term by term.  Each sum refuses N > MAX_TERMS before it allocates
+anything.
 
 Block sequences freeze the length on blocks (n_k, n_{k+1}] at the value
 taken at the block end; their partial sums are evaluated in closed form
@@ -34,7 +40,9 @@ refusal: it reports that no schedule exists below SCHEDULE_CAP.
 
 from __future__ import annotations
 
+import contextlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +52,8 @@ from .errors import ConfigError, check_integer, fields_equal
 CLAMP_MAX = 1.0 - 1e-9
 MAX_EXACT_N = 2 ** 53  # beyond this, integer indices are not float-exact
 MAX_TERMS = 100_000_000  # largest N summed term by term (prefix sums, series)
-_CHUNK = 1_000_000  # the series' logaddexp sums depend on it; keep it fixed
-_SUB = _CHUNK // 16  # a series sub-block: the same sums, in cache-sized pieces
+_CHUNK = 1_000_000  # a series' logaddexp chain restarts every _CHUNK terms; keep it fixed
+_SUB = _CHUNK // 16  # terms per series in a block of the series walk: the same sums
 SCHEDULE_CAP = 10 ** 15  # choose_schedule looks for block ends below this
 _DELTA_RANGE = (3, 10 ** 6)  # the range choose_schedule estimates delta over
 
@@ -483,51 +491,99 @@ def check_covering_params(beta: float, d: float) -> None:
         raise ConfigError("beta", f"must be finite and >= 0, got {beta}")
 
 
-def _scan_series(log_terms, N: int) -> SeriesResult:
-    """Accumulate every term 1..N in log space; judge the tail.
-
-    `log_terms(ns)` returns the log of the terms at ns, a float64 run of
-    consecutive indices, as a new array that it does not keep.  It is
-    called exactly once per sub-block of min(_SUB, _CHUNK) indices (the
-    last may be shorter), in increasing order and never again afterwards,
-    so it may carry state from one sub-block to the next.  The partial
-    sums at up to 80 log-spaced checkpoints of [1, N] and the 40 tail-fit
-    terms are read off that single pass.
-
-    The sums are those of one `logaddexp.accumulate` per _CHUNK run,
-    folded into the total at each chunk end.  A sub-block never straddles
-    a chunk break, and one that does not start a chunk has its first term
-    seeded with the chunk's running value: that is the very operation the
-    chunk-long accumulate performs there, so the sub-blocks change the
-    memory held, not the bytes.
-    """
-    check_series_terms(N)
+def _shepp_starts(rule: LengthSequence, n_chunks: int) -> np.ndarray:
+    """ell_1 + ... + ell_{j _CHUNK} for each chunk j < n_chunks: the adds of
+    one cumsum over 1..N, one term after another, in runs of _SUB."""
     step = min(_SUB, _CHUNK)
-    assert _CHUNK % step == 0, "a sub-block must not straddle a chunk break"
-    marks = _log_sample(1, N, 80)
-    n_tail_lo = max(2, N // 10)
-    fit_ns = _log_sample(n_tail_lo, N, 40)
-    fit_logs = np.empty(fit_ns.size, dtype=np.float64)
-    log_sums = np.empty(marks.size, dtype=np.float64)
-    running = -math.inf  # log of the sum over the finished chunks
-    acc = -math.inf  # log of the sum so far within the current chunk
-    filled = 0
-    for start, stop, ns in _index_chunks(N, step):
-        logs = log_terms(ns)
-        here = (fit_ns >= start) & (fit_ns <= stop)
-        fit_logs[here] = logs[fit_ns[here] - start]
-        if (start - 1) % _CHUNK:
-            logs[0] = np.logaddexp(acc, logs[0])
-        csum = np.logaddexp.accumulate(logs)
-        while filled < marks.size and marks[filled] <= stop:
-            log_sums[filled] = np.logaddexp(running, csum[int(marks[filled]) - start])
-            filled += 1
-        acc = float(csum[-1])
-        if stop % _CHUNK == 0 or stop == N:
-            running = float(np.logaddexp(running, acc))
+    starts = np.zeros(n_chunks)
+    carry = 0.0
+    for j in range(1, n_chunks):
+        for a in range((j - 1) * _CHUNK, j * _CHUNK, step):
+            ell = rule._ell(np.arange(a + 1, min(a + step, j * _CHUNK) + 1, dtype=np.float64))
+            ell[0] += carry
+            carry = float(np.cumsum(ell, out=ell)[-1])
+        starts[j] = carry
+    return starts
 
-    # tail diagnostics over the last decade [N/10, N]
-    i_lo = int(np.searchsorted(marks, n_tail_lo))
+
+def _walk(rule, N, beta, d, kinds, which, chunks, starts, marks, fit_ns, out) -> None:
+    """Advance the logaddexp chains of the series kinds[w], w in `which`,
+    over the chunks in the range `chunks`; write into `out` = (chain at
+    marks, fit terms, chunk totals), rows by series and columns by mark,
+    fit point and chunk.
+
+    Each chunk is a column, walked by row offset in blocks that hold at
+    most min(_SUB, _CHUNK) terms per series, or one row.  A
+    logaddexp.reduce down a block's rows, with the chains so far on the
+    row above them, advances every chain at once: the adds of one
+    accumulate per chunk, chain by chain.  The reduce stops at each row a
+    mark reads.  A block ends where the short last chunk does, which then
+    leaves the columns.  Shepp's length prefix is a cumsum down the rows,
+    from the chunk's entry in `starts`.
+    """
+    at_marks, fit_logs, totals = out
+    width = len(which) * len(chunks)
+    first = np.arange(chunks.start, chunks.stop, dtype=np.float64) * _CHUNK
+    size = np.minimum(N - first, _CHUNK).astype(np.int64)
+    mark_j, mark_row = np.divmod(marks - 1, _CHUNK)
+    fit_j, fit_row = np.divmod(fit_ns - 1, _CHUNK)
+    mark_j -= chunks.start
+    fit_j -= chunks.start
+    rows = max(1, min(_SUB, _CHUNK) // width)
+    chain = np.full((len(which), len(chunks)), -np.inf)
+    prefix = starts[chunks.start:chunks.stop].copy()
+    # one set of arrays for every block: fresh ones for each block cost a
+    # page fault per 4 KiB
+    ns_buf = np.empty(rows * len(chunks))
+    block_buf = np.empty((rows + 1) * width)
+    spare_buf = np.empty(rows * len(chunks))
+    cuts = np.unique(np.concatenate((np.arange(rows, size[0], rows), size))).tolist()
+    for a, b in zip([0] + cuts, cuts):
+        r, k = b - a, int(np.count_nonzero(size >= b))
+        ns = np.add.outer(np.arange(a + 1, b + 1, dtype=np.float64), first[:k],
+                          out=ns_buf[:r * k].reshape(r, k))
+        ell = rule._ell(ns.reshape(-1)).reshape(r, k)
+        # row 0 takes the chains; series s fills the columns s*k..s*k+k-1
+        block = block_buf[:(r + 1) * len(which) * k].reshape(r + 1, -1)
+        spare = spare_buf[:r * k].reshape(r, k)
+        for s, w in enumerate(which):
+            terms = block[1:, s * k:s * k + k]
+            if kinds[w] == "covering":
+                # -beta * log(ell) - ns * d * ell
+                np.multiply(ns, d, out=terms)
+                terms *= ell
+                np.log(ell, out=spare)
+                spare *= -beta
+                np.subtract(spare, terms, out=terms)
+            else:
+                # shepp comes last, so it may spend ell on its prefix
+                ell[0] += prefix[:k]
+                np.cumsum(ell, axis=0, out=terms)
+                prefix[:k] = terms[-1]
+                np.log(ns, out=spare)
+                spare *= 2.0
+                terms -= spare
+        here = (fit_j >= 0) & (fit_j < k) & (fit_row >= a) & (fit_row < b)
+        for s, w in enumerate(which):
+            fit_logs[w, here] = block[1 + fit_row[here] - a, s * k + fit_j[here]]
+        here = (mark_j >= 0) & (mark_j < k) & (mark_row >= a) & (mark_row < b)
+        top = 0
+        for end in sorted(set((mark_row[here] - a + 1).tolist()) | {r}):
+            # the row above the rows to reduce holds the chains so far
+            block[top] = chain[:, :k].reshape(-1)
+            chain[:, :k] = np.logaddexp.reduce(block[top:end + 1], axis=0).reshape(-1, k)
+            read = here & (mark_row == a + end - 1)
+            for s, w in enumerate(which):
+                at_marks[w, read] = chain[s, mark_j[read]]
+            top = end
+    for s, w in enumerate(which):
+        totals[w, chunks.start:chunks.stop] = chain[s]
+
+
+def _judge(marks, log_sums, fit_ns, fit_logs, N: int) -> SeriesResult:
+    """The series' result from its partial sums at the marks and its terms
+    at the fit points: the tail judged over the last decade [N/10, N]."""
+    i_lo = int(np.searchsorted(marks, fit_ns[0]))
     i_lo = min(i_lo, marks.size - 2)
     tail_fraction = float(-np.expm1(log_sums[i_lo] - log_sums[-1]))
     good = np.isfinite(fit_logs)
@@ -549,6 +605,48 @@ def _scan_series(log_terms, N: int) -> SeriesResult:
     )
 
 
+def _sum_series(rule: LengthSequence, N: int, beta: float, d: float, kinds: tuple,
+                threads: bool = False) -> list:
+    """The SeriesResult of each series in `kinds` ("covering", "shepp"), in
+    order: every term 1..N summed in log space, the partial sums read at 80
+    log-spaced marks of [1, N] and the terms at 40 fit points of the last
+    decade.
+
+    Each _CHUNK run of terms is one logaddexp chain; the chunk totals fold
+    into the sum in chunk order, and a mark reads the fold of the chunks
+    before its own and its chain.  With `threads`, a second thread walks
+    the later half of the chunks, or, with one chunk, the second series.
+    """
+    n_chunks = -(-N // _CHUNK)
+    marks = _log_sample(1, N, 80)
+    fit_ns = _log_sample(max(2, N // 10), N, 40)
+    out = (np.empty((len(kinds), marks.size)), np.empty((len(kinds), fit_ns.size)),
+           np.empty((len(kinds), n_chunks)))
+    starts = _shepp_starts(rule, n_chunks) if "shepp" in kinds else np.zeros(n_chunks)
+    every = tuple(range(len(kinds)))
+    jobs = [(every, range(n_chunks))]
+    if threads and n_chunks == 1:
+        jobs = [((w,), range(1)) for w in every]
+    elif threads:
+        jobs = [(every, range(n_chunks // 2)), (every, range(n_chunks // 2, n_chunks))]
+    args = (rule, N, beta, d, kinds)
+    tail = (starts, marks, fit_ns, out)
+    with ThreadPoolExecutor(1) if len(jobs) > 1 else contextlib.nullcontext() as pool:
+        later = [pool.submit(_walk, *args, *job, *tail) for job in jobs[1:]]
+        _walk(*args, *jobs[0], *tail)
+        for job in later:
+            job.result()
+    at_marks, fit_logs, totals = out
+    log_sums = np.empty_like(at_marks)
+    mark_j = (marks - 1) // _CHUNK
+    running = np.full(len(kinds), -np.inf)  # the log of the sum over the chunks before j
+    for j in range(n_chunks):
+        here = mark_j == j
+        log_sums[:, here] = np.logaddexp(running[:, None], at_marks[:, here])
+        running = np.logaddexp(running, totals[:, j])
+    return [_judge(marks, log_sums[w], fit_ns, fit_logs[w], N) for w in every]
+
+
 def covering_series(rule: LengthSequence, beta: float, d: float, N: int) -> SeriesResult:
     """Partial sums of sum_n (1/ell_n)**beta * exp(-n d ell_n).
 
@@ -561,12 +659,7 @@ def covering_series(rule: LengthSequence, beta: float, d: float, N: int) -> Seri
     check_covering_params(beta, d)
     check_series_terms(N)
     rule.ell(N)  # the shortest length summed: refuses one that reaches 0
-
-    def log_term(ns):
-        ell = rule._ell(ns)
-        return -beta * np.log(ell) - ns * d * ell
-
-    return _scan_series(log_term, N)
+    return _sum_series(rule, N, beta, d, ("covering",))[0]
 
 
 def shepp_series(rule: LengthSequence, N: int) -> SeriesResult:
@@ -576,22 +669,24 @@ def shepp_series(rule: LengthSequence, N: int) -> SeriesResult:
     the classical (fixed-radius-per-arc) model: harmonic c > 1 diverges
     (covering), c < 1 converges (non-covering), c = 1 diverges.
     Terms are handled in log space since exp(prefix) overflows quickly.
-    The prefix ell_1 + ... + ell_n is built one sub-block at a time, each
-    a cumulative sum started from the previous sub-block's last value, so
-    memory stays flat in N and the sums are bitwise those of one cumsum
-    over 1..N.
+    The prefix ell_1 + ... + ell_n adds one term after another, as one
+    cumsum over 1..N would, while memory stays flat in N.
     """
     check_series_terms(N)
     rule.ell(N)  # the shortest length summed: refuses one that reaches 0
-    carry = 0.0  # ell_1 + ... + ell_{start-1} before each sub-block
+    return _sum_series(rule, N, 0.0, 0.0, ("shepp",))[0]
 
-    def log_terms(ns):
-        nonlocal carry
-        prefix = np.cumsum(np.concatenate(([carry], rule._ell(ns))))[1:]
-        carry = float(prefix[-1])
-        return prefix - 2.0 * np.log(ns)
 
-    return _scan_series(log_terms, N)
+def both_series(rule: LengthSequence, beta: float, d: float, N: int) -> tuple:
+    """(covering_series(rule, beta, d, N), shepp_series(rule, N)), bit for
+    bit, from one pass on two threads whose lengths serve both series.
+
+    Every refusal of either call comes first, before a thread starts.
+    """
+    check_covering_params(beta, d)
+    check_series_terms(N)
+    rule.ell(N)  # the shortest length summed: refuses one that reaches 0
+    return tuple(_sum_series(rule, N, beta, d, ("covering", "shepp"), threads=True))
 
 
 def parse_lengths(spec: str) -> LengthSequence:

@@ -233,18 +233,22 @@ def _split(c, n0: int, n1: int, k: int, at: float) -> tuple:
     return n0 + m, n1 + k - m
 
 
-def _half_gaps(half, thr, buf, mask) -> tuple:
-    """Merge the two sorted runs of one half in place, then gather the ends
-    (a, b) of its candidate gaps: those with fl(b - a) > thr, ascending."""
-    # timsort merges the two sorted runs in linear time
-    half.sort(kind="stable")
+def _half_gaps(half, thr, buf, mask, merge=True) -> tuple:
+    """Merge the two sorted runs of one half in place (without `merge`, it
+    is one sorted run already), then gather the ends (a, b) of its
+    candidate gaps: those with fl(b - a) > thr, ascending."""
+    if merge:
+        # timsort merges the two sorted runs in linear time
+        half.sort(kind="stable")
     idx = _gap_candidates(half, thr, buf, mask)
     return half[idx], half[idx + 1]
 
 
-def _prefix_gaps(c, n0: int, n1: int, thr, scratch, pool, meanwhile=None) -> tuple:
+def _prefix_gaps(c, n0: int, n1: int, thr, scratch, pool, meanwhile=None,
+                 merge=True) -> tuple:
     """The candidate gaps of the sorted prefix that `c` holds as a low run
-    c[:n0] and a high run c[c.size-n1:], each of two sorted runs.
+    c[:n0] and a high run c[c.size-n1:], each of two sorted runs (of one,
+    without `merge`).
 
     Merges each half and returns (a, b, first, last): the ends of the gaps
     with fl(b - a) > thr, in ascending order (the low half's, the gap
@@ -259,11 +263,11 @@ def _prefix_gaps(c, n0: int, n1: int, thr, scratch, pool, meanwhile=None) -> tup
     low, high = c[:n0], c[c.size - n1:]
     job = None
     if pool is not None and n0 and n1:
-        job = pool.submit(_half_gaps, low, thr, *scratch[0])
+        job = pool.submit(_half_gaps, low, thr, *scratch[0], merge)
     elif n0:
-        a0, b0 = _half_gaps(low, thr, *scratch[0])
+        a0, b0 = _half_gaps(low, thr, *scratch[0], merge)
     if n1:
-        a1, b1 = _half_gaps(high, thr, *scratch[1])
+        a1, b1 = _half_gaps(high, thr, *scratch[1], merge)
     if meanwhile is not None:
         meanwhile()
     if job is not None:
@@ -588,16 +592,17 @@ def _prefixes(cfg: TrialConfig, shortest, start: int = 0):
         for i in range(start, grid.size):
             n = int(grid[i])
             # centers prev..n-1 of the stream, drawn and sorted in the free
-            # middle, join the halves; the grid is strictly increasing
+            # middle, join the halves; the grid is strictly increasing.  The
+            # first checkpoint's halves are those centers alone, sorted
             n0, n1 = _split(c, n0, n1, n - prev, at)
-            prev = n
+            merge, prev = prev > 0, n
             # the next checkpoint's centers, drawn while the halves merge
             draw = None
             if i + 1 < grid.size:
                 draw = functools.partial(_draw, c[n0:n0 + int(grid[i + 1]) - n], cfg.seed,
                                          n, threaded)
             yield (i, *_prefix_gaps(c, n0, n1, shortest[i] - SLACK, scratch,
-                                    pool if n >= _THREAD_MIN else None, draw))
+                                    pool if n >= _THREAD_MIN else None, draw, merge))
 
 
 def _residue(a, b, first, last, ell, target) -> IntervalUnion:

@@ -10,7 +10,7 @@ from unittest import mock
 
 import pytest
 
-from arccover import ConfigError, analyze, cli, simulate
+from arccover import ConfigError, analyze, cli, lengths, simulate
 from arccover.cli import _DEFAULTS, _build_parser, main
 
 
@@ -578,46 +578,56 @@ class TestSeries:
         (["--beta", "inf", "--n", "100000000"], "beta: must be finite"),
     ])
     def test_refuses_before_either_series_starts(self, tmp_path, capsys, argv, message):
-        # a refused run must not first sum 1e8 Shepp terms on the second thread
-        with mock.patch.object(cli, "shepp_series", side_effect=AssertionError) as shepp, \
-                mock.patch.object(cli, "covering_series", side_effect=AssertionError) as cov:
+        # a refused run must not first sum 1e8 terms on the second thread
+        with mock.patch.object(lengths, "_sum_series", side_effect=AssertionError) as sums, \
+                mock.patch.object(lengths, "ThreadPoolExecutor",
+                                  side_effect=AssertionError) as pool:
             code = run(tmp_path, "series", "--lengths", "logn:1", *argv, "--out", "s")
         assert code == 2
         assert message in capsys.readouterr().err
-        assert not shepp.called and not cov.called
+        assert not sums.called and not pool.called
 
-    @pytest.mark.parametrize("rule, n", [("logn:1", "1062500"), ("harmonic:0.5", "1000001")])
+    @pytest.mark.parametrize("rule, n", [("logn:1", "1062500"), ("harmonic:0.5", "1000001"),
+                                         ("logn:1", "100000")])
     def test_threads_do_not_show_in_the_bytes(self, tmp_path, capsys, rule, n):
+        # two chunks, split by chunk (the last one term long), and one chunk,
+        # split by series
         outputs = []
-        for pool in (cli.ThreadPoolExecutor, _InlinePool):
+        for pool in (lengths.ThreadPoolExecutor, _InlinePool):
             folder = tmp_path / pool.__name__
             folder.mkdir()
-            with mock.patch.object(cli, "ThreadPoolExecutor", pool):
+            with mock.patch.object(lengths, "ThreadPoolExecutor", pool):
                 assert run(folder, "series", "--lengths", rule, "--n", n, "--out", "s") == 0
             outputs.append(((folder / "s.csv").read_bytes(), (folder / "s.json").read_bytes(),
                             capsys.readouterr().out))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("n", ["1000", "2000000"], ids=["one-chunk", "two-chunks"])
     @pytest.mark.parametrize("exc, code", [(ValueError("boom"), 1),
                                            (ConfigError("lengths", "bad rule"), 2)])
-    def test_shepp_thread_errors_keep_their_exit_code(self, tmp_path, capsys, exc, code):
+    def test_second_thread_errors_keep_their_exit_code(self, tmp_path, capsys, exc, code, n):
         threads = []
+        walk = lengths._walk
+        main_thread = threading.get_ident()
 
-        def failing_shepp(*args):
-            threads.append(threading.get_ident())
-            raise exc
+        def failing_on_the_second_thread(*args):
+            if threading.get_ident() != main_thread:
+                threads.append(threading.get_ident())
+                raise exc
+            return walk(*args)
 
-        with mock.patch.object(cli, "shepp_series", failing_shepp):
-            assert run(tmp_path, "series", "--lengths", "logn:1", "--n", "1000",
+        with mock.patch.object(lengths, "_walk", failing_on_the_second_thread):
+            assert run(tmp_path, "series", "--lengths", "logn:1", "--n", n,
                        "--out", "s") == code
-        assert threads and threads[0] != threading.get_ident()
+        assert len(threads) == 1
         assert str(exc) in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
 
 class _InlinePool:
-    """Stands in for cli.ThreadPoolExecutor: runs each submitted call at
-    once, on the calling thread, so the two series run one after another."""
+    """Stands in for lengths.ThreadPoolExecutor: runs each submitted call at
+    once, on the calling thread, so the two halves of a series pass run one
+    after another, the second first."""
 
     def __init__(self, max_workers):
         pass
@@ -695,6 +705,9 @@ _GOLDEN_RUNS = {
              "--n-max", "5000"],
     "dims": ["--c", "0.3", "--n-max", "20000", "--seeds", "3", "--tail-checkpoints", "2"],
     "series": ["--lengths", "logn:1", "--n", "200000"],
+    # three chunks of the series walk, the last one short, with marks in each
+    "series-chunks": ["--lengths", "harmonic:1.5", "--beta", "0.5", "--d", "0.6",
+                      "--n", "2500001"],
     "schedule": ["--lengths", "logn:0.5", "--alpha", "0.9", "--k", "4"],
 }
 
@@ -708,18 +721,22 @@ _GOLDEN = {
              "g.json": "4c0db6b6ce872e7878425e2486ffa87dd3a01101879ff5f325fd417ae1789d64"},
     "series": {"g.csv": "859ce2895757e79e197cc65cbd978fae011aa5eb9b527265fc7c743465936aa6",
                "g.json": "bb1e500a7d2729c9e1445364c8f36f7238f1899fe443de2ec23e73236c96efbf"},
+    "series-chunks": {
+        "g.csv": "3cd8c2387724e8f6235bb36ffb620d3d255617a3fe688030f04f3a26ff6c2dd8",
+        "g.json": "ffad2beedd5bda03ea160a521b7ed6c576e8db102539e46e27f34e5374ea6e36"},
     "schedule": {"g.json": "40fba342e46ea98723ba93c37cb4e361a00d1646f24694119ce5d5c46869ba4e"},
 }
 
 
 class TestGoldenBytes:
-    @pytest.mark.parametrize("command, jobs", [
+    @pytest.mark.parametrize("case, jobs", [
         ("trial", None), ("scan", "1"), ("scan", "2"), ("dims", "1"), ("dims", "2"),
-        ("series", None), ("schedule", None)])
-    def test_outputs_match_pinned_digests(self, tmp_path, command, jobs):
-        argv = [command, *_GOLDEN_RUNS[command], "--out", "g"]
+        ("series", None), ("series-chunks", None), ("schedule", None)])
+    def test_outputs_match_pinned_digests(self, tmp_path, case, jobs):
+        # a case is named for its command, with a suffix where there are two
+        argv = [case.partition("-")[0], *_GOLDEN_RUNS[case], "--out", "g"]
         if jobs is not None:
             argv += ["--jobs", jobs]
         assert run(tmp_path, *argv) == 0
         got = {p.name: _digest(p) for p in sorted(tmp_path.glob("g.*"))}
-        assert got == _GOLDEN[command]
+        assert got == _GOLDEN[case]

@@ -10,7 +10,7 @@ import pytest
 from arccover import lengths
 from arccover import (ConfigError, Harmonic, LogOverN,
                       PowerLaw, Schedule, ScheduleError, TableSequence,
-                      block_sequence, choose_schedule, covering_series,
+                      block_sequence, both_series, choose_schedule, covering_series,
                       estimate_covering_exponent, estimate_delta,
                       parse_lengths, rare_block_sum, shepp_series)
 from arccover.lengths import CLAMP_MAX
@@ -129,13 +129,15 @@ class TestZeroLengths:
 
     @pytest.mark.parametrize("series", [
         lambda rule, N: covering_series(rule, beta=1.0, d=0.5, N=N),
-        shepp_series], ids=["covering", "shepp"])
+        shepp_series,
+        lambda rule, N: both_series(rule, beta=1.0, d=0.5, N=N)],
+        ids=["covering", "shepp", "both"])
     def test_series_refuse_before_summing(self, monkeypatch, series):
         # one evaluation at N covers the sum: ell(N) is its shortest length
-        def no_sum(*args):
+        def no_sum(*args, **kwargs):
             raise AssertionError("a sum started")
 
-        monkeypatch.setattr(lengths, "_scan_series", no_sum)
+        monkeypatch.setattr(lengths, "_sum_series", no_sum)
         with refused("lengths", "at n = 100;"):
             series(PowerLaw(1.0, 1000.0), 100)
         # N itself is checked first, with its own message
@@ -432,13 +434,9 @@ class TestSeriesStreaming:
         def one_shot(ns):
             return prefix[ns.astype(np.int64) - 1] - 2.0 * np.log(ns)
 
-        ref = lengths._scan_series(one_shot, N)
-        got = shepp_series(rule, N)
-        assert got.log_partial_sums.tobytes() == ref.log_partial_sums.tobytes()
-        assert np.float64(got.tail_fraction).tobytes() == \
-            np.float64(ref.tail_fraction).tobytes()
-        assert np.float64(got.term_slope).tobytes() == \
-            np.float64(ref.term_slope).tobytes()
+        ref = _per_chunk_scan(one_shot, N, 7)
+        _assert_same(shepp_series(rule, N), ref)
+        _assert_same(both_series(rule, 0.5, 0.6, N)[1], ref)
 
     def test_covering_slope_fits_terms_at_the_fit_points(self):
         # the 40 fit points span three chunks of the default size
@@ -450,16 +448,20 @@ class TestSeriesStreaming:
         slope = float(np.polyfit(np.log(fit_ns), direct, 1)[0])
         assert covering_series(rule, beta, d, N).term_slope == slope
 
-    def test_log_terms_called_once_per_chunk_in_order(self, monkeypatch):
+    @pytest.mark.parametrize("N", [10, 14, 20])
+    def test_each_length_evaluated_once_per_pass(self, monkeypatch, N):
+        # chunks of 7: the walk evaluates each of 1..N once, shared by both
+        # series; Shepp first sums the lengths up to the last chunk's start
         monkeypatch.setattr(lengths, "_CHUNK", 7)
-        seen = []
-
-        def log_terms(ns):
-            seen.append((ns[0], ns[-1]))
-            return -2.0 * np.log(ns)
-
-        lengths._scan_series(log_terms, 20)
-        assert seen == [(1, 7), (8, 14), (15, 20)]
+        rule = _RecordingRule(1.0)
+        walk = list(range(1, N + 1))
+        prefix = list(range(1, 7 * ((N - 1) // 7) + 1))
+        for run, want in [(lambda: covering_series(rule, 0.5, 0.6, N), walk),
+                          (lambda: shepp_series(rule, N), prefix + walk),
+                          (lambda: both_series(rule, 0.5, 0.6, N), prefix + walk)]:
+            rule.seen.clear()
+            run()
+            assert sorted(rule.seen) == sorted(want)
 
     def test_shepp_memory_is_flat_in_n(self, monkeypatch):
         monkeypatch.setattr(lengths, "_CHUNK", 10_000)
@@ -476,9 +478,37 @@ class TestSeriesStreaming:
         assert peaks[1] <= 1.1 * peaks[0]
 
 
+class _RecordingRule(LogOverN):
+    """logn:c that records every index its lengths are evaluated at
+    (beyond the check at N) and the size of each evaluation."""
+
+    def __init__(self, c):
+        super().__init__(c)
+        object.__setattr__(self, "seen", [])
+        object.__setattr__(self, "sizes", [])
+
+    def _ell(self, ns):
+        self.seen.extend(int(n) for n in ns)
+        self.sizes.append(ns.size)
+        return super()._ell(ns)
+
+    def ell(self, n):
+        return LogOverN(self.c).ell(n)
+
+
+def _assert_same(got, ref):
+    """`got`, a SeriesResult, holds bit for bit the sums, tail fraction and
+    slope of `ref`, a _per_chunk_scan result."""
+    log_sums, tail_fraction, slope = ref
+    assert got.log_partial_sums.tobytes() == log_sums.tobytes()
+    assert np.float64(got.tail_fraction).tobytes() == np.float64(tail_fraction).tobytes()
+    assert np.float64(got.term_slope).tobytes() == np.float64(slope).tobytes()
+
+
 def _per_chunk_scan(log_terms, N, chunk):
-    """One logaddexp.accumulate per chunk of `chunk` indices: the loop that
-    the sub-blocks of _scan_series must reproduce bit for bit."""
+    """One logaddexp.accumulate per chunk of `chunk` indices, folded into
+    the sum at each chunk end: the loop that the column walk of the series
+    must reproduce bit for bit."""
     marks = lengths._log_sample(1, N, 80)
     n_tail_lo = max(2, N // 10)
     fit_ns = lengths._log_sample(n_tail_lo, N, 40)
@@ -522,53 +552,71 @@ def _shepp_terms(rule):
 
 
 class TestSeriesSubBlocks:
-    """A series walks each chunk in sub-blocks, each seeded with the chunk's
-    running value; the bytes must be those of one accumulate per chunk."""
+    """A series walks its chunks as columns, side by side, in blocks of rows;
+    the bytes must be those of one accumulate per chunk."""
 
-    @staticmethod
-    def _assert_same(got, ref):
-        log_sums, tail_fraction, slope = ref
-        assert got.log_partial_sums.tobytes() == log_sums.tobytes()
-        assert np.float64(got.tail_fraction).tobytes() == np.float64(tail_fraction).tobytes()
-        assert np.float64(got.term_slope).tobytes() == np.float64(slope).tobytes()
-
-    @pytest.mark.parametrize("sub, chunk", [(3, 21), (7, 7)])
-    @pytest.mark.parametrize("N", [10, 20, 21, 22, 49, 63, 64])
+    @pytest.mark.parametrize("sub, chunk", [(3, 21), (4, 19), (25, 18)])
+    @pytest.mark.parametrize("chunks", range(1, 11))
+    @pytest.mark.parametrize("short", [False, True], ids=["full", "short"])
     @pytest.mark.parametrize("rule", [LogOverN(1.0), Harmonic(0.5)], ids=repr)
-    def test_sub_blocks_match_per_chunk_accumulate(self, monkeypatch, sub, chunk, N, rule):
+    def test_sub_blocks_match_per_chunk_accumulate(self, monkeypatch, sub, chunk, chunks,
+                                                   short, rule):
+        # 1 to 10 chunks, the last full or short; a sub-block need not
+        # divide the chunk, and may be longer than it
+        N = chunk * (chunks - 1) + (chunk // 2 + 1 if short else chunk)
         monkeypatch.setattr(lengths, "_SUB", sub)
         monkeypatch.setattr(lengths, "_CHUNK", chunk)
-        self._assert_same(covering_series(rule, 0.5, 0.6, N),
-                          _per_chunk_scan(_covering_terms(rule, 0.5, 0.6), N, chunk))
-        self._assert_same(shepp_series(rule, N),
-                          _per_chunk_scan(_shepp_terms(rule), N, chunk))
+        covering = _per_chunk_scan(_covering_terms(rule, 0.5, 0.6), N, chunk)
+        shepp = _per_chunk_scan(_shepp_terms(rule), N, chunk)
+        _assert_same(covering_series(rule, 0.5, 0.6, N), covering)
+        _assert_same(shepp_series(rule, N), shepp)
+        both = both_series(rule, 0.5, 0.6, N)
+        _assert_same(both[0], covering)
+        _assert_same(both[1], shepp)
 
     def test_default_sizes_match_per_chunk_accumulate(self):
         # two chunk breaks and a ragged last sub-block at the default sizes
         N, rule = 2_062_501, LogOverN(1.0)
-        assert lengths._CHUNK % lengths._SUB == 0 and lengths._SUB < lengths._CHUNK
-        self._assert_same(covering_series(rule, 0.0, 0.5, N),
-                          _per_chunk_scan(_covering_terms(rule, 0.0, 0.5), N, lengths._CHUNK))
-        self._assert_same(shepp_series(rule, N),
-                          _per_chunk_scan(_shepp_terms(rule), N, lengths._CHUNK))
+        assert lengths._SUB < lengths._CHUNK
+        covering = _per_chunk_scan(_covering_terms(rule, 0.0, 0.5), N, lengths._CHUNK)
+        shepp = _per_chunk_scan(_shepp_terms(rule), N, lengths._CHUNK)
+        _assert_same(covering_series(rule, 0.0, 0.5, N), covering)
+        _assert_same(shepp_series(rule, N), shepp)
+        assert both_series(rule, 0.0, 0.5, N) == (covering_series(rule, 0.0, 0.5, N),
+                                                  shepp_series(rule, N))
 
-    def test_log_terms_called_once_per_sub_block_in_order(self, monkeypatch):
+    def test_interleaved_threads_keep_the_bytes(self, monkeypatch):
+        # the two threads write apart into shared arrays; switch between
+        # them as often as possible, over 10 chunks of one-row blocks
         monkeypatch.setattr(lengths, "_SUB", 3)
-        monkeypatch.setattr(lengths, "_CHUNK", 6)
-        seen = []
+        monkeypatch.setattr(lengths, "_CHUNK", 11)
+        N, rule = 106, LogOverN(1.0)
+        covering = _per_chunk_scan(_covering_terms(rule, 0.5, 0.6), N, 11)
+        shepp = _per_chunk_scan(_shepp_terms(rule), N, 11)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                got = both_series(rule, 0.5, 0.6, N)
+                _assert_same(got[0], covering)
+                _assert_same(got[1], shepp)
+        finally:
+            sys.setswitchinterval(interval)
 
-        def log_terms(ns):
-            seen.append((ns[0], ns[-1]))
-            return -2.0 * np.log(ns)
-
-        lengths._scan_series(log_terms, 14)
-        assert seen == [(1, 3), (4, 6), (7, 9), (10, 12), (13, 14)]
-
-    def test_sub_block_must_divide_the_chunk(self, monkeypatch):
+    @pytest.mark.parametrize("N", [14, 20, 21, 62, 80])
+    def test_blocks_hold_at_most_a_sub_block_per_series(self, monkeypatch, N):
+        # chunks of 20 and sub-blocks of 4: from 4 columns on, a block is
+        # one row of at most 4 terms
         monkeypatch.setattr(lengths, "_SUB", 4)
-        monkeypatch.setattr(lengths, "_CHUNK", 10)
-        with pytest.raises(AssertionError, match="straddle"):
-            shepp_series(LogOverN(1.0), 20)
+        monkeypatch.setattr(lengths, "_CHUNK", 20)
+        rule = _RecordingRule(1.0)
+        covering_series(rule, 0.5, 0.6, N)
+        if N <= 20:
+            # one column, walked in order
+            assert rule.seen == list(range(1, N + 1))
+        shepp_series(rule, N)
+        both_series(rule, 0.5, 0.6, N)
+        assert max(rule.sizes) <= 4
 
     @pytest.mark.parametrize("series", ["covering", "shepp"])
     def test_peak_memory_is_a_few_sub_blocks(self, series):

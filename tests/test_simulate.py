@@ -991,6 +991,28 @@ class TestPrefixes:
                 assert (a, b) == (cs[idx].tobytes(), cs[idx + 1].tobytes())
                 assert (first, last) == (cs[:1].tobytes(), cs[-1:].tobytes())
 
+    @pytest.mark.parametrize("threads", [False, True], ids=["one-run", "threaded"])
+    def test_only_a_later_checkpoint_merges(self, monkeypatch, threads):
+        # a pass's first checkpoint draws each half as one sorted run, so
+        # it skips the merge; every later one merges two runs
+        monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
+        calls = []
+        half_gaps = simulate._half_gaps
+
+        def spy(half, thr, buf, mask, merge=True):
+            calls.append(merge)
+            return half_gaps(half, thr, buf, mask, merge)
+
+        monkeypatch.setattr(simulate, "_half_gaps", spy)
+        grid = self.CFG.checkpoints()
+        shortest = self.CFG.lengths.ell(grid.astype(np.float64))
+        for start in (0, grid.size // 2, grid.size - 1):
+            flags = []
+            for _ in simulate._prefixes(self.CFG, shortest, start):
+                flags.append(set(calls))
+                calls.clear()
+            assert flags == [{False}] + [{True}] * (grid.size - start - 1)
+
     def test_stopped_pass_ends_its_thread(self, monkeypatch):
         # a consumer that raises mid-pass closes the generator as it
         # unwinds, and with it the executor, whose thread ends at once
