@@ -247,6 +247,10 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     for key in ("n_max", "trials", "seeds", "n", "k"):  # the fields that must be >= 1
         if key in resolved and resolved[key] < 1:
             raise ConfigError(key, f"must be >= 1, got {resolved[key]}")
+    folder = os.path.dirname(resolved["out"]) or "."
+    if not os.path.isdir(folder):
+        # refused now, not after the command has done its work
+        raise ConfigError("out", f"{folder!r} is not an existing directory")
     if "jobs" in resolved and resolved["jobs"] is None:
         resolved["jobs"] = _read("ARCCOVER_JOBS", os.environ.get("ARCCOVER_JOBS") or "1", None)
     resolved["command"] = command

@@ -15,17 +15,17 @@ it was sampled on:
   with three-valued convergence verdicts (convergent / divergent /
   inconclusive) so we never overclaim near a boundary.
 
-Term-by-term sums run over chunks of _CHUNK consecutive indices, so their
-memory does not grow with N.  A series sums each chunk as its own
-logaddexp chain and folds the chunk totals into the sum in chunk order.
-The chunks are the columns of one walk by row offset: a block of rows,
-at most _SUB terms per series, advances every chain in one
-logaddexp.reduce, so the chains of different chunks run side by side
-rather than one after another.  both_series walks the two series in one
-pass that evaluates each length once, half the chunks on each of two
-threads.  The Shepp length prefix at each chunk start is summed first,
-term by term.  Each sum refuses N > MAX_TERMS before it allocates
-anything.
+Term-by-term sums add one length after another, as one cumsum over 1..N
+would, in runs of at most _SUB terms, so their memory does not grow with
+N.  A series sums each _CHUNK of consecutive indices as its own logaddexp
+chain and folds the chunk totals into the sum in chunk order.  The chunks
+are the columns of one walk by row offset: a block of rows, at most _SUB
+terms per series, advances every chain in one logaddexp.reduce, so the
+chains of different chunks run side by side rather than one after
+another.  both_series walks the two series in one pass that evaluates
+each length once, half the chunks on each of two threads.  The Shepp
+length prefix at each chunk start is the prefix sum, taken first.  Each
+sum refuses N > MAX_TERMS before it allocates anything.
 
 Block sequences freeze the length on blocks (n_k, n_{k+1}] at the value
 taken at the block end; their partial sums are evaluated in closed form
@@ -53,7 +53,7 @@ CLAMP_MAX = 1.0 - 1e-9
 MAX_EXACT_N = 2 ** 53  # beyond this, integer indices are not float-exact
 MAX_TERMS = 100_000_000  # largest N summed term by term (prefix sums, series)
 _CHUNK = 1_000_000  # a series' logaddexp chain restarts every _CHUNK terms; keep it fixed
-_SUB = _CHUNK // 16  # terms per series in a block of the series walk: the same sums
+_SUB = _CHUNK // 16  # terms per prefix-sum run, or per series in a walk block: same sums
 SCHEDULE_CAP = 10 ** 15  # choose_schedule looks for block ends below this
 _DELTA_RANGE = (3, 10 ** 6)  # the range choose_schedule estimates delta over
 
@@ -81,7 +81,8 @@ class LengthSequence:
         raise NotImplementedError
 
     def partial_sums(self, ns) -> np.ndarray:
-        """Exact prefix sums sum_{s<=n} ell(s) at the given sorted indices."""
+        """Exact prefix sums sum_{s<=n} ell(s) at the given sorted indices:
+        the adds of one cumsum over 1..n, bit for bit."""
         ns, scalar = _as_index_array(ns, "ns")
         if np.any(ns != np.floor(ns)):
             raise ConfigError("ns", "partial_sums wants integer indices")
@@ -95,15 +96,17 @@ class LengthSequence:
         if top > MAX_TERMS:
             raise ConfigError("ns", f"term-by-term prefix sum to N={top} is too large; "
                               "use a block sequence (closed form) or a smaller range")
+        step = min(_SUB, _CHUNK)
         sums = np.empty(ns.size, dtype=np.float64)
-        total = 0.0
+        carry = 0.0
         filled = 0
-        for start, stop, chunk_ns in _index_chunks(top, _CHUNK):
-            csum = np.cumsum(self._ell(chunk_ns))
-            while filled < ns.size and ns[filled] <= stop:
-                sums[filled] = total + csum[int(ns[filled]) - start]
-                filled += 1
-            total += float(csum[-1])
+        for a in range(0, top, step):
+            run = self._ell(np.arange(a + 1, min(a + step, top) + 1, dtype=np.float64))
+            run[0] += carry
+            carry = float(np.cumsum(run, out=run)[-1])
+            done = int(np.searchsorted(ns, a + run.size, side="right"))
+            sums[filled:done] = run[ns[filled:done].astype(np.int64) - (a + 1)]
+            filled = done
         return sums
 
     def describe(self) -> str:
@@ -111,13 +114,6 @@ class LengthSequence:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.describe()})"
-
-
-def _index_chunks(top: int, size: int):
-    """Yield (start, stop, ns) over 1..top in runs of at most `size` indices."""
-    for start in range(1, top + 1, size):
-        stop = min(start + size - 1, top)
-        yield start, stop, np.arange(start, stop + 1, dtype=np.float64)
 
 
 def _as_index_array(n, field_name: str):
@@ -491,21 +487,6 @@ def check_covering_params(beta: float, d: float) -> None:
         raise ConfigError("beta", f"must be finite and >= 0, got {beta}")
 
 
-def _shepp_starts(rule: LengthSequence, n_chunks: int) -> np.ndarray:
-    """ell_1 + ... + ell_{j _CHUNK} for each chunk j < n_chunks: the adds of
-    one cumsum over 1..N, one term after another, in runs of _SUB."""
-    step = min(_SUB, _CHUNK)
-    starts = np.zeros(n_chunks)
-    carry = 0.0
-    for j in range(1, n_chunks):
-        for a in range((j - 1) * _CHUNK, j * _CHUNK, step):
-            ell = rule._ell(np.arange(a + 1, min(a + step, j * _CHUNK) + 1, dtype=np.float64))
-            ell[0] += carry
-            carry = float(np.cumsum(ell, out=ell)[-1])
-        starts[j] = carry
-    return starts
-
-
 def _walk(rule, N, beta, d, kinds, which, chunks, starts, marks, fit_ns, out) -> None:
     """Advance the logaddexp chains of the series kinds[w], w in `which`,
     over the chunks in the range `chunks`; write into `out` = (chain at
@@ -605,8 +586,7 @@ def _judge(marks, log_sums, fit_ns, fit_logs, N: int) -> SeriesResult:
     )
 
 
-def _sum_series(rule: LengthSequence, N: int, beta: float, d: float, kinds: tuple,
-                threads: bool = False) -> list:
+def _sum_series(rule: LengthSequence, N: int, beta: float, d: float, kinds: tuple) -> list:
     """The SeriesResult of each series in `kinds` ("covering", "shepp"), in
     order: every term 1..N summed in log space, the partial sums read at 80
     log-spaced marks of [1, N] and the terms at 40 fit points of the last
@@ -614,7 +594,7 @@ def _sum_series(rule: LengthSequence, N: int, beta: float, d: float, kinds: tupl
 
     Each _CHUNK run of terms is one logaddexp chain; the chunk totals fold
     into the sum in chunk order, and a mark reads the fold of the chunks
-    before its own and its chain.  With `threads`, a second thread walks
+    before its own and its chain.  With two series, a second thread walks
     the later half of the chunks, or, with one chunk, the second series.
     """
     n_chunks = -(-N // _CHUNK)
@@ -622,12 +602,15 @@ def _sum_series(rule: LengthSequence, N: int, beta: float, d: float, kinds: tupl
     fit_ns = _log_sample(max(2, N // 10), N, 40)
     out = (np.empty((len(kinds), marks.size)), np.empty((len(kinds), fit_ns.size)),
            np.empty((len(kinds), n_chunks)))
-    starts = _shepp_starts(rule, n_chunks) if "shepp" in kinds else np.zeros(n_chunks)
+    starts = np.zeros(n_chunks)
+    if "shepp" in kinds:
+        # the base-class sum is term by term, as the walk's, for a block sequence too
+        starts[1:] = LengthSequence._partial_sums(rule, np.arange(1, n_chunks) * float(_CHUNK))
     every = tuple(range(len(kinds)))
     jobs = [(every, range(n_chunks))]
-    if threads and n_chunks == 1:
+    if len(kinds) > 1 and n_chunks == 1:
         jobs = [((w,), range(1)) for w in every]
-    elif threads:
+    elif len(kinds) > 1:
         jobs = [(every, range(n_chunks // 2)), (every, range(n_chunks // 2, n_chunks))]
     args = (rule, N, beta, d, kinds)
     tail = (starts, marks, fit_ns, out)
@@ -686,7 +669,7 @@ def both_series(rule: LengthSequence, beta: float, d: float, N: int) -> tuple:
     check_covering_params(beta, d)
     check_series_terms(N)
     rule.ell(N)  # the shortest length summed: refuses one that reaches 0
-    return tuple(_sum_series(rule, N, beta, d, ("covering", "shepp"), threads=True))
+    return tuple(_sum_series(rule, N, beta, d, ("covering", "shepp")))
 
 
 def parse_lengths(spec: str) -> LengthSequence:

@@ -426,14 +426,27 @@ class TestRefusals:
          "target: points must lie in [0, 1)"),
         (["trial", "--target", "custom:nan.json", "--n-max", "2000"],
          "target: bad custom target in 'nan.json': interval endpoints must lie in [0, 1]"),
+        (["trial", "--n-max", "1000", "--out", "missing/x"],
+         "out: 'missing' is not an existing directory"),
+        (["series", "--out", "three.csv/x"], "out: 'three.csv' is not an existing directory"),
+        (["scan", "--out", os.path.join("missing", "deeper", "x")],
+         f"out: {os.path.join('missing', 'deeper')!r} is not an existing directory"),
     ], ids=["series-d", "series-beta-nan", "series-n-9", "series-zero-length", "series-n-cap",
             "schedule-alpha-1.5", "schedule-alpha-0", "schedule-zero-length",
             "trial-zero-length", "dims-cast-overflow", "dims-subnormal", "dims-zero",
             "trial-short-table", "schedule-short-table", "trial-power-nan",
             "trial-n-max-past-2**53", "scan-n-max-past-2**53", "config-out-null",
             "config-out-list", "target-nan-point", "target-nan-second-point",
-            "target-nan-interval-end"])
-    def test_refused(self, tmp_path, capsys, argv, err):
+            "target-nan-interval-end", "out-missing-dir", "out-under-a-file",
+            "out-missing-parents"])
+    def test_refused(self, tmp_path, capsys, monkeypatch, argv, err):
+        # nothing runs before a refusal: every kernel raises if called
+        def ran(*args, **kwargs):
+            raise AssertionError("a command ran before its refusal")
+
+        monkeypatch.setattr(simulate, "_prefixes", ran)
+        monkeypatch.setattr(lengths, "_sum_series", ran)
+        monkeypatch.setattr(analyze, "ProcessPoolExecutor", ran)
         (tmp_path / "three.csv").write_text("0.5\n0.25\n0.125\n")
         (tmp_path / "nan.json").write_text(
             json.dumps({"intervals": [[0.1, 0.2], [0.3, math.nan]], "beta": 1}))

@@ -204,13 +204,22 @@ class TestCoveringExponent:
         assert got == pytest.approx(5.76, abs=0.05)
         assert estimate_covering_exponent(LogOverN(1.0), (10, 10 ** 4)) < got
 
-    def test_exact_prefix_sums(self):
-        for L in (Harmonic(0.7), LogOverN(0.9), PowerLaw(1.0, 0.4)):
-            ns = np.array([1.0, 2.0, 17.0, 1000.0])
-            direct = np.cumsum(L.ell(np.arange(1, 1001, dtype=float)))
-            got = L.partial_sums(ns)
-            want = direct[[0, 1, 16, 999]]
-            assert np.allclose(got, want, rtol=1e-12)
+    @pytest.mark.parametrize("sub, chunk, N", [(3, 7, 50), (25, 18, 100),
+                                               (None, None, 2_000_003)],
+                             ids=["3-7", "25-18", "default"])
+    @pytest.mark.parametrize("rule", [Harmonic(0.7), LogOverN(0.9), PowerLaw(1.0, 0.4)],
+                             ids=repr)
+    def test_exact_prefix_sums(self, monkeypatch, sub, chunk, N, rule):
+        # the floats of one cumsum over 1..n, on each side of every run and chunk break
+        if sub is not None:
+            monkeypatch.setattr(lengths, "_SUB", sub)
+            monkeypatch.setattr(lengths, "_CHUNK", chunk)
+        breaks = np.concatenate((np.arange(0, N, min(lengths._SUB, lengths._CHUNK)),
+                                 np.arange(0, N, lengths._CHUNK)))
+        ns = np.unique(np.concatenate(([1, 2, 17, N], breaks - 1, breaks, breaks + 1)))
+        ns = ns[(ns >= 1) & (ns <= N)].astype(np.float64)
+        direct = np.cumsum(rule.ell(np.arange(1, N + 1, dtype=float)))
+        assert rule.partial_sums(ns).tobytes() == direct[ns.astype(np.int64) - 1].tobytes()
 
 
 class TestBlocks:
@@ -603,6 +612,17 @@ class TestSeriesSubBlocks:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_block_sequence_prefix_is_summed_term_by_term(self, monkeypatch):
+        # a block sequence's Shepp prefix adds its lengths one by one, as the
+        # walk does, not in the closed form of its partial_sums; the schedule
+        # ends inside the fifth of nine chunks
+        monkeypatch.setattr(lengths, "_SUB", 4)
+        monkeypatch.setattr(lengths, "_CHUNK", 11)
+        N, rule = 95, block_sequence(LogOverN(1.0), Schedule((5, 30, 50)))
+        shepp = _per_chunk_scan(_shepp_terms(rule), N, 11)
+        _assert_same(shepp_series(rule, N), shepp)
+        _assert_same(both_series(rule, 0.5, 0.6, N)[1], shepp)
+
     @pytest.mark.parametrize("N", [14, 20, 21, 62, 80])
     def test_blocks_hold_at_most_a_sub_block_per_series(self, monkeypatch, N):
         # chunks of 20 and sub-blocks of 4: from 4 columns on, a block is
@@ -618,12 +638,13 @@ class TestSeriesSubBlocks:
         both_series(rule, 0.5, 0.6, N)
         assert max(rule.sizes) <= 4
 
-    @pytest.mark.parametrize("series", ["covering", "shepp"])
+    @pytest.mark.parametrize("series", ["covering", "shepp", "prefix"])
     def test_peak_memory_is_a_few_sub_blocks(self, series):
-        # one accumulate per 1e6-term chunk held about 48 MB of temporaries
+        # one accumulate or cumsum per 1e6-term chunk held about 48 MB of temporaries
         rule = LogOverN(1.0)
         run = {"covering": lambda N: covering_series(rule, 0.0, 0.5, N),
-               "shepp": lambda N: shepp_series(rule, N)}[series]
+               "shepp": lambda N: shepp_series(rule, N),
+               "prefix": lambda N: rule.partial_sums(N)}[series]
         run(1000)  # warm-up: first-call allocations
         tracemalloc.start()
         try:
