@@ -20,11 +20,11 @@ would, in runs of at most _SUB terms, so their memory does not grow with
 N.  A series sums each _CHUNK of consecutive indices as its own logaddexp
 chain and folds the chunk totals into the sum in chunk order.  The chunks
 are the columns of one walk by row offset: a block of rows, at most _SUB
-terms per series, advances every chain in one logaddexp.reduce, so the
-chains of different chunks run side by side rather than one after
-another.  both_series walks the two series in one pass that evaluates
-each length once, half the chunks on each of two threads.  The Shepp
-length prefix at each chunk start is the prefix sum, taken first.  Each
+terms, advances every chain in one logaddexp.reduce, so the chains of
+different chunks run side by side rather than one after another.  Each
+series has its own walk, which evaluates each length once; both_series
+runs the covering walk on a second thread while the calling thread sums
+the Shepp length prefix at each chunk start and then walks Shepp.  Each
 sum refuses N > MAX_TERMS before it allocates anything.
 
 Block sequences freeze the length on blocks (n_k, n_{k+1}] at the value
@@ -77,7 +77,10 @@ class LengthSequence:
                               "every length must be > 0")
         return float(out[0]) if scalar else out
 
-    def _ell(self, ns: np.ndarray) -> np.ndarray:
+    def _ell(self, ns: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """ell at the float indices ns, unchecked; into `out`, a float64
+        array of ns.size that does not share memory with ns, if given, and
+        then returned, else into a new array.  Either way the same bits."""
         raise NotImplementedError
 
     def partial_sums(self, ns) -> np.ndarray:
@@ -98,15 +101,17 @@ class LengthSequence:
                               "use a block sequence (closed form) or a smaller range")
         step = min(_SUB, _CHUNK)
         sums = np.empty(ns.size, dtype=np.float64)
-        carry = 0.0
-        filled = 0
+        index = np.arange(1, min(step, top) + 1, dtype=np.float64)  # a + 1.., reused
+        run_buf = np.empty(index.size)
+        carry, filled = 0.0, 0
         for a in range(0, top, step):
-            run = self._ell(np.arange(a + 1, min(a + step, top) + 1, dtype=np.float64))
+            run = self._ell(index[:top - a], out=run_buf[:top - a])
             run[0] += carry
             carry = float(np.cumsum(run, out=run)[-1])
             done = int(np.searchsorted(ns, a + run.size, side="right"))
             sums[filled:done] = run[ns[filled:done].astype(np.int64) - (a + 1)]
             filled = done
+            index += step
         return sums
 
     def describe(self) -> str:
@@ -144,11 +149,14 @@ class LogOverN(LengthSequence):
         if not 0 < self.c < math.inf:
             raise ConfigError("lengths", f"logn rule needs a finite c > 0, got {self.c}")
 
-    def _ell(self, ns):
+    def _ell(self, ns, out=None):
         m = np.maximum(ns, 2.0)
         # a huge c overflows to inf, which the clamp takes to CLAMP_MAX
         with np.errstate(over="ignore"):
-            return np.minimum(self.c * np.log(m) / m, CLAMP_MAX)
+            out = np.log(m, out=out)
+            out *= self.c
+            out /= m
+            return np.minimum(out, CLAMP_MAX, out=out)
 
     def describe(self):
         return f"logn:{self.c:g}"
@@ -164,8 +172,9 @@ class Harmonic(LengthSequence):
         if not 0 < self.c < math.inf:
             raise ConfigError("lengths", f"harmonic rule needs a finite c > 0, got {self.c}")
 
-    def _ell(self, ns):
-        return np.minimum(self.c / ns, CLAMP_MAX)
+    def _ell(self, ns, out=None):
+        out = np.divide(self.c, ns, out=out)
+        return np.minimum(out, CLAMP_MAX, out=out)
 
     def describe(self):
         return f"harmonic:{self.c:g}"
@@ -185,8 +194,10 @@ class PowerLaw(LengthSequence):
             raise ConfigError("lengths", "power rule needs a finite gamma > 0 to be "
                               f"non-increasing, got {self.gamma}")
 
-    def _ell(self, ns):
-        return np.minimum(self.c * ns ** (-self.gamma), CLAMP_MAX)
+    def _ell(self, ns, out=None):
+        # ns ** -gamma as written: numpy takes a reciprocal for gamma = 1
+        out = np.multiply(self.c, ns ** (-self.gamma), out=out)
+        return np.minimum(out, CLAMP_MAX, out=out)
 
     def describe(self):
         return f"power:{self.c:g}:{self.gamma:g}"
@@ -208,12 +219,11 @@ class TableSequence(LengthSequence):
             raise ConfigError("lengths", "table values must be non-increasing")
         object.__setattr__(self, "values", tuple(float(v) for v in vals))
 
-    def _ell(self, ns):
+    def _ell(self, ns, out=None):
         if np.any(ns > len(self.values)):
             raise ConfigError("lengths",
                               f"table sequence defined only up to n={len(self.values)}")
-        vals = np.asarray(self.values)
-        return vals[ns.astype(np.int64) - 1]
+        return np.asarray(self.values).take(ns.astype(np.int64) - 1, out=out)
 
     def describe(self):
         return f"table[{len(self.values)}]"
@@ -253,10 +263,10 @@ class BlockSequence(LengthSequence):
     base: LengthSequence
     schedule: Schedule
 
-    def _ell(self, ns):
+    def _ell(self, ns, out=None):
         idx = np.asarray(self.schedule.indices, dtype=np.float64)
         pos = np.searchsorted(idx, ns, side="left")
-        out = np.empty(ns.size, dtype=np.float64)
+        out = np.empty(ns.size, dtype=np.float64) if out is None else out
         inside = pos < idx.size
         out[inside] = self.base._ell(idx[pos[inside]])
         out[~inside] = self.base._ell(ns[~inside])
@@ -479,86 +489,82 @@ def check_series_terms(N: int) -> None:
         raise ConfigError("n", f"series scan to N={N} is too large; at most {MAX_TERMS} terms")
 
 
-def check_covering_params(beta: float, d: float) -> None:
-    """Refuse covering-series parameters unless 0 < d < 1 and 0 <= beta < inf."""
+def _check_covering(rule: LengthSequence, beta: float, d: float, N: int) -> None:
+    """Refuse a covering series unless 0 < d < 1, 0 <= beta < inf, N passes
+    check_series_terms, and ell(N), the shortest length summed, is > 0 and
+    keeps -beta * log(ell) finite, and so every term's."""
     if not (0.0 < d < 1.0):
         raise ConfigError("d", f"must be in (0, 1), got {d}")
     if not 0.0 <= beta < math.inf:
         raise ConfigError("beta", f"must be finite and >= 0, got {beta}")
+    check_series_terms(N)
+    with np.errstate(over="ignore"):
+        top = np.log(rule.ell(N)) * -beta
+    if not np.isfinite(top):
+        raise ConfigError("beta", f"{beta:g} overflows the log of the covering term, "
+                          f"-beta * log(ell(N)), at N = {N}")
 
 
-def _walk(rule, N, beta, d, kinds, which, chunks, starts, marks, fit_ns, out) -> None:
-    """Advance the logaddexp chains of the series kinds[w], w in `which`,
-    over the chunks in the range `chunks`; write into `out` = (chain at
-    marks, fit terms, chunk totals), rows by series and columns by mark,
-    fit point and chunk.
+def _walk(rule, N, beta, d, kind, starts, marks, fit_ns, out) -> None:
+    """Advance the logaddexp chains of the series `kind` over every chunk;
+    write into `out` = (chain at marks, fit terms, chunk totals).
 
     Each chunk is a column, walked by row offset in blocks that hold at
-    most min(_SUB, _CHUNK) terms per series, or one row.  A
-    logaddexp.reduce down a block's rows, with the chains so far on the
-    row above them, advances every chain at once: the adds of one
-    accumulate per chunk, chain by chain.  The reduce stops at each row a
-    mark reads.  A block ends where the short last chunk does, which then
-    leaves the columns.  Shepp's length prefix is a cumsum down the rows,
-    from the chunk's entry in `starts`.
+    most min(_SUB, _CHUNK) terms, or one row.  A logaddexp.reduce down a
+    block's rows, with the chains so far on the row above them, advances
+    every chain at once: the adds of one accumulate per chunk, chain by
+    chain.  The reduce stops at each row a mark reads.  A block ends where
+    the short last chunk does, which then leaves the columns.  Shepp's
+    length prefix is a cumsum down the rows, from the chunk's entry in
+    `starts`.
     """
     at_marks, fit_logs, totals = out
-    width = len(which) * len(chunks)
-    first = np.arange(chunks.start, chunks.stop, dtype=np.float64) * _CHUNK
+    first = np.arange(starts.size, dtype=np.float64) * _CHUNK
     size = np.minimum(N - first, _CHUNK).astype(np.int64)
     mark_j, mark_row = np.divmod(marks - 1, _CHUNK)
     fit_j, fit_row = np.divmod(fit_ns - 1, _CHUNK)
-    mark_j -= chunks.start
-    fit_j -= chunks.start
-    rows = max(1, min(_SUB, _CHUNK) // width)
-    chain = np.full((len(which), len(chunks)), -np.inf)
-    prefix = starts[chunks.start:chunks.stop].copy()
+    rows = max(1, min(_SUB, _CHUNK) // starts.size)
+    chain = np.full(starts.size, -np.inf)
+    prefix = starts.copy()
     # one set of arrays for every block: fresh ones for each block cost a
     # page fault per 4 KiB
-    ns_buf = np.empty(rows * len(chunks))
-    block_buf = np.empty((rows + 1) * width)
-    spare_buf = np.empty(rows * len(chunks))
+    ns_buf, ell_buf, spare_buf = np.empty((3, rows * starts.size))
+    block_buf = np.empty((rows + 1) * starts.size)
     cuts = np.unique(np.concatenate((np.arange(rows, size[0], rows), size))).tolist()
     for a, b in zip([0] + cuts, cuts):
         r, k = b - a, int(np.count_nonzero(size >= b))
         ns = np.add.outer(np.arange(a + 1, b + 1, dtype=np.float64), first[:k],
                           out=ns_buf[:r * k].reshape(r, k))
-        ell = rule._ell(ns.reshape(-1)).reshape(r, k)
-        # row 0 takes the chains; series s fills the columns s*k..s*k+k-1
-        block = block_buf[:(r + 1) * len(which) * k].reshape(r + 1, -1)
-        spare = spare_buf[:r * k].reshape(r, k)
-        for s, w in enumerate(which):
-            terms = block[1:, s * k:s * k + k]
-            if kinds[w] == "covering":
-                # -beta * log(ell) - ns * d * ell
-                np.multiply(ns, d, out=terms)
-                terms *= ell
-                np.log(ell, out=spare)
-                spare *= -beta
-                np.subtract(spare, terms, out=terms)
-            else:
-                # shepp comes last, so it may spend ell on its prefix
-                ell[0] += prefix[:k]
-                np.cumsum(ell, axis=0, out=terms)
-                prefix[:k] = terms[-1]
-                np.log(ns, out=spare)
-                spare *= 2.0
-                terms -= spare
-        here = (fit_j >= 0) & (fit_j < k) & (fit_row >= a) & (fit_row < b)
-        for s, w in enumerate(which):
-            fit_logs[w, here] = block[1 + fit_row[here] - a, s * k + fit_j[here]]
-        here = (mark_j >= 0) & (mark_j < k) & (mark_row >= a) & (mark_row < b)
+        ell = rule._ell(ns.reshape(-1), out=ell_buf[:r * k]).reshape(r, k)
+        # row 0 takes the chains
+        block = block_buf[:(r + 1) * k].reshape(r + 1, k)
+        terms, spare = block[1:], spare_buf[:r * k].reshape(r, k)
+        if kind == "covering":
+            # -beta * log(ell) - ns * d * ell
+            np.multiply(ns, d, out=terms)
+            terms *= ell
+            np.log(ell, out=spare)
+            spare *= -beta
+            np.subtract(spare, terms, out=terms)
+        else:
+            ell[0] += prefix[:k]
+            np.cumsum(ell, axis=0, out=terms)
+            prefix[:k] = terms[-1]
+            np.log(ns, out=spare)
+            spare *= 2.0
+            terms -= spare
+        here = (fit_j < k) & (fit_row >= a) & (fit_row < b)
+        fit_logs[here] = block[1 + fit_row[here] - a, fit_j[here]]
+        here = (mark_j < k) & (mark_row >= a) & (mark_row < b)
         top = 0
         for end in sorted(set((mark_row[here] - a + 1).tolist()) | {r}):
             # the row above the rows to reduce holds the chains so far
-            block[top] = chain[:, :k].reshape(-1)
-            chain[:, :k] = np.logaddexp.reduce(block[top:end + 1], axis=0).reshape(-1, k)
+            block[top] = chain[:k]
+            chain[:k] = np.logaddexp.reduce(block[top:end + 1], axis=0)
             read = here & (mark_row == a + end - 1)
-            for s, w in enumerate(which):
-                at_marks[w, read] = chain[s, mark_j[read]]
+            at_marks[read] = chain[mark_j[read]]
             top = end
-    for s, w in enumerate(which):
-        totals[w, chunks.start:chunks.stop] = chain[s]
+    totals[:] = chain
 
 
 def _judge(marks, log_sums, fit_ns, fit_logs, N: int) -> SeriesResult:
@@ -566,7 +572,8 @@ def _judge(marks, log_sums, fit_ns, fit_logs, N: int) -> SeriesResult:
     at the fit points: the tail judged over the last decade [N/10, N]."""
     i_lo = int(np.searchsorted(marks, fit_ns[0]))
     i_lo = min(i_lo, marks.size - 2)
-    tail_fraction = float(-np.expm1(log_sums[i_lo] - log_sums[-1]))
+    # 0.0 - x, not -x: a last decade that adds nothing reads +0, not -0
+    tail_fraction = float(0.0 - np.expm1(log_sums[i_lo] - log_sums[-1]))
     good = np.isfinite(fit_logs)
     if good.sum() >= 2:
         slope = float(np.polyfit(np.log(fit_ns[good]), fit_logs[good], 1)[0])
@@ -594,40 +601,36 @@ def _sum_series(rule: LengthSequence, N: int, beta: float, d: float, kinds: tupl
 
     Each _CHUNK run of terms is one logaddexp chain; the chunk totals fold
     into the sum in chunk order, and a mark reads the fold of the chunks
-    before its own and its chain.  With two series, a second thread walks
-    the later half of the chunks, or, with one chunk, the second series.
+    before its own and its chain.  Each series is one walk over every
+    chunk.  With two, the covering walk goes to a second thread first, and
+    the calling thread sums the Shepp prefix at the chunk starts while it
+    runs, then walks Shepp.
     """
     n_chunks = -(-N // _CHUNK)
     marks = _log_sample(1, N, 80)
     fit_ns = _log_sample(max(2, N // 10), N, 40)
-    out = (np.empty((len(kinds), marks.size)), np.empty((len(kinds), fit_ns.size)),
-           np.empty((len(kinds), n_chunks)))
-    starts = np.zeros(n_chunks)
-    if "shepp" in kinds:
-        # the base-class sum is term by term, as the walk's, for a block sequence too
-        starts[1:] = LengthSequence._partial_sums(rule, np.arange(1, n_chunks) * float(_CHUNK))
-    every = tuple(range(len(kinds)))
-    jobs = [(every, range(n_chunks))]
-    if len(kinds) > 1 and n_chunks == 1:
-        jobs = [((w,), range(1)) for w in every]
-    elif len(kinds) > 1:
-        jobs = [(every, range(n_chunks // 2)), (every, range(n_chunks // 2, n_chunks))]
-    args = (rule, N, beta, d, kinds)
-    tail = (starts, marks, fit_ns, out)
-    with ThreadPoolExecutor(1) if len(jobs) > 1 else contextlib.nullcontext() as pool:
-        later = [pool.submit(_walk, *args, *job, *tail) for job in jobs[1:]]
-        _walk(*args, *jobs[0], *tail)
-        for job in later:
-            job.result()
-    at_marks, fit_logs, totals = out
-    log_sums = np.empty_like(at_marks)
     mark_j = (marks - 1) // _CHUNK
-    running = np.full(len(kinds), -np.inf)  # the log of the sum over the chunks before j
-    for j in range(n_chunks):
-        here = mark_j == j
-        log_sums[:, here] = np.logaddexp(running[:, None], at_marks[:, here])
-        running = np.logaddexp(running, totals[:, j])
-    return [_judge(marks, log_sums[w], fit_ns, fit_logs[w], N) for w in every]
+
+    def walk(kind):
+        starts = np.zeros(n_chunks)
+        if kind == "shepp":
+            # the base-class sum is term by term, as the walk's, for a block sequence too
+            starts[1:] = LengthSequence._partial_sums(rule, np.arange(1, n_chunks) * float(_CHUNK))
+        out = np.empty(marks.size), np.empty(fit_ns.size), np.empty(n_chunks)
+        _walk(rule, N, beta, d, kind, starts, marks, fit_ns, out)
+        at_marks, fit_logs, totals = out
+        log_sums = np.empty(marks.size)
+        running = -np.inf  # the log of the sum over the chunks before j
+        for j in range(n_chunks):
+            here = mark_j == j
+            log_sums[here] = np.logaddexp(running, at_marks[here])
+            running = np.logaddexp(running, totals[j])
+        return _judge(marks, log_sums, fit_ns, fit_logs, N)
+
+    with ThreadPoolExecutor(1) if len(kinds) > 1 else contextlib.nullcontext() as pool:
+        later = [pool.submit(walk, kind) for kind in kinds[:-1]]
+        last = walk(kinds[-1])
+        return [job.result() for job in later] + [last]
 
 
 def covering_series(rule: LengthSequence, beta: float, d: float, N: int) -> SeriesResult:
@@ -639,9 +642,7 @@ def covering_series(rule: LengthSequence, beta: float, d: float, N: int) -> Seri
     are ~ n**(beta - c d) / (c ln n)**beta, so the series converges
     exactly when c d - beta > 1.
     """
-    check_covering_params(beta, d)
-    check_series_terms(N)
-    rule.ell(N)  # the shortest length summed: refuses one that reaches 0
+    _check_covering(rule, beta, d, N)
     return _sum_series(rule, N, beta, d, ("covering",))[0]
 
 
@@ -662,13 +663,12 @@ def shepp_series(rule: LengthSequence, N: int) -> SeriesResult:
 
 def both_series(rule: LengthSequence, beta: float, d: float, N: int) -> tuple:
     """(covering_series(rule, beta, d, N), shepp_series(rule, N)), bit for
-    bit, from one pass on two threads whose lengths serve both series.
+    bit, from two walks side by side: the covering walk on a second thread,
+    the Shepp prefix and walk on the calling one.
 
     Every refusal of either call comes first, before a thread starts.
     """
-    check_covering_params(beta, d)
-    check_series_terms(N)
-    rule.ell(N)  # the shortest length summed: refuses one that reaches 0
+    _check_covering(rule, beta, d, N)
     return tuple(_sum_series(rule, N, beta, d, ("covering", "shepp")))
 
 

@@ -393,6 +393,9 @@ class TestRefusals:
          "lengths: power:1:1000 gives ell(n) = 0 at n = 100; every length must be > 0"),
         (["series", "--n", "100000001"],
          "n: series scan to N=100000001 is too large; at most 100000000 terms"),
+        (["series", "--n", "1000", "--beta", "1e308"],
+         "beta: 1e+308 overflows the log of the covering term, -beta * log(ell(N)), "
+         "at N = 1000"),
         (["schedule", "--alpha", "1.5"], "alpha: must be in (0, 1), got 1.5"),
         (["schedule", "--alpha", "0"], "alpha: must be in (0, 1), got 0.0"),
         (["schedule", "--lengths", "power:1:1000"],
@@ -432,6 +435,7 @@ class TestRefusals:
         (["scan", "--out", os.path.join("missing", "deeper", "x")],
          f"out: {os.path.join('missing', 'deeper')!r} is not an existing directory"),
     ], ids=["series-d", "series-beta-nan", "series-n-9", "series-zero-length", "series-n-cap",
+            "series-beta-overflow",
             "schedule-alpha-1.5", "schedule-alpha-0", "schedule-zero-length",
             "trial-zero-length", "dims-cast-overflow", "dims-subnormal", "dims-zero",
             "trial-short-table", "schedule-short-table", "trial-power-nan",
@@ -575,6 +579,14 @@ class TestSeries:
         body = (tmp_path / "se.csv").read_text()
         assert "covering," in body and "shepp," in body
 
+    def test_a_last_decade_that_adds_nothing_reads_plus_zero(self, tmp_path, capsys):
+        # every length clamps to CLAMP_MAX, so the covering terms past n = 100
+        # vanish beside the first ones: the tail fraction is 0, never -0
+        assert run(tmp_path, "series", "--lengths", "logn:1e308", "--n", "1000",
+                   "--out", "s") == 0
+        assert "covering series: convergent (tail fraction 0, " in capsys.readouterr().out
+        assert '"tail_fraction": 0.0,' in (tmp_path / "s.json").read_text()
+
     def test_term_cap_exit_2(self, tmp_path, capsys):
         code = run(tmp_path, "series", "--lengths", "logn:1", "--n", "100000001",
                    "--out", "s")
@@ -589,6 +601,7 @@ class TestSeries:
         (["--lengths", "power:1:1000", "--n", "100"], "lengths: power:1:1000 gives ell(n) = 0"),
         (["--beta", "nan", "--n", "100000000"], "beta: must be finite"),
         (["--beta", "inf", "--n", "100000000"], "beta: must be finite"),
+        (["--beta", "1e308", "--n", "100000000"], "beta: 1e+308 overflows"),
     ])
     def test_refuses_before_either_series_starts(self, tmp_path, capsys, argv, message):
         # a refused run must not first sum 1e8 terms on the second thread
@@ -603,8 +616,8 @@ class TestSeries:
     @pytest.mark.parametrize("rule, n", [("logn:1", "1062500"), ("harmonic:0.5", "1000001"),
                                          ("logn:1", "100000")])
     def test_threads_do_not_show_in_the_bytes(self, tmp_path, capsys, rule, n):
-        # two chunks, split by chunk (the last one term long), and one chunk,
-        # split by series
+        # two chunks (the last one term long) and one: the split is always by
+        # series, the covering walk on the second thread
         outputs = []
         for pool in (lengths.ThreadPoolExecutor, _InlinePool):
             folder = tmp_path / pool.__name__
@@ -639,8 +652,8 @@ class TestSeries:
 
 class _InlinePool:
     """Stands in for lengths.ThreadPoolExecutor: runs each submitted call at
-    once, on the calling thread, so the two halves of a series pass run one
-    after another, the second first."""
+    once, on the calling thread, so the covering walk runs whole before the
+    Shepp prefix and walk."""
 
     def __init__(self, max_workers):
         pass
@@ -721,6 +734,8 @@ _GOLDEN_RUNS = {
     # three chunks of the series walk, the last one short, with marks in each
     "series-chunks": ["--lengths", "harmonic:1.5", "--beta", "0.5", "--d", "0.6",
                       "--n", "2500001"],
+    # a large beta below the one whose covering terms overflow
+    "series-beta-400": ["--lengths", "logn:1", "--n", "1000", "--beta", "400"],
     "schedule": ["--lengths", "logn:0.5", "--alpha", "0.9", "--k", "4"],
 }
 
@@ -737,6 +752,9 @@ _GOLDEN = {
     "series-chunks": {
         "g.csv": "3cd8c2387724e8f6235bb36ffb620d3d255617a3fe688030f04f3a26ff6c2dd8",
         "g.json": "ffad2beedd5bda03ea160a521b7ed6c576e8db102539e46e27f34e5374ea6e36"},
+    "series-beta-400": {
+        "g.csv": "d48700b1024da6045b4f4303a5e1f78d5cf6b495630059a81d395989639bd484",
+        "g.json": "d13ca27ac6c03151763575dcc6b34a7c31bba4d96160b6c4b525c15c59271e22"},
     "schedule": {"g.json": "40fba342e46ea98723ba93c37cb4e361a00d1646f24694119ce5d5c46869ba4e"},
 }
 
@@ -744,7 +762,8 @@ _GOLDEN = {
 class TestGoldenBytes:
     @pytest.mark.parametrize("case, jobs", [
         ("trial", None), ("scan", "1"), ("scan", "2"), ("dims", "1"), ("dims", "2"),
-        ("series", None), ("series-chunks", None), ("schedule", None)])
+        ("series", None), ("series-chunks", None), ("series-beta-400", None),
+        ("schedule", None)])
     def test_outputs_match_pinned_digests(self, tmp_path, case, jobs):
         # a case is named for its command, with a suffix where there are two
         argv = [case.partition("-")[0], *_GOLDEN_RUNS[case], "--out", "g"]

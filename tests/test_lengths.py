@@ -1,8 +1,10 @@
 import math
 import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -108,6 +110,32 @@ class TestEval:
             got = rule.partial_sums(ns)
             assert isinstance(got, np.ndarray) and got.shape == (0,)
         assert rule.ell([]).shape == (0,)
+
+
+class TestBufferedEll:
+    """_ell(ns, out=buf) writes the bits of _ell(ns) into buf and returns it."""
+
+    @pytest.mark.parametrize("rule", [
+        LogOverN(1e-300), LogOverN(1.0), LogOverN(1e308), Harmonic(1.0), Harmonic(3.0),
+        PowerLaw(1.0, 1.0), PowerLaw(0.9, 0.5), PowerLaw(1.0, 2.0), PowerLaw(2.0, 0.37),
+        block_sequence(LogOverN(1.0), Schedule((5, 30, 50)))], ids=repr)
+    def test_out_holds_the_same_bits(self, rule):
+        # n = 1, 2, 3 and up to 2**53; a harmonic c >= 1 and logn:1e308 clamp
+        self._check(rule, np.array([1.0, 2.0, 3.0, 4.0, 7.0, 30.0, 31.0, 1e6, 2.0 ** 53 - 1,
+                                    2.0 ** 53]))
+
+    def test_table_out_holds_the_same_bits(self):
+        self._check(TableSequence((0.5, 0.5, 0.25, 0.1)), np.array([1.0, 2.0, 3.0, 4.0, 4.0]))
+
+    @staticmethod
+    def _check(rule, ns):
+        buf = np.full(ns.size, np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = rule._ell(ns)
+            got = rule._ell(ns, out=buf)
+        assert got is buf
+        assert got.tobytes() == want.tobytes()
 
 
 class TestZeroLengths:
@@ -373,6 +401,16 @@ class TestCoveringSeries:
         for cp, ps in zip(res.checkpoints, res.partial_sums):
             assert ps == pytest.approx(direct[cp - 1], rel=1e-10)
 
+    @pytest.mark.parametrize("series", [
+        lambda: covering_series(LogOverN(1e308), 1.0, 0.5, 1000),
+        lambda: both_series(LogOverN(1e308), 1.0, 0.5, 1000)[0]], ids=["covering", "both"])
+    def test_a_tail_that_adds_nothing_reads_plus_zero(self, series):
+        # every length is CLAMP_MAX, so the terms past n = 100 vanish beside
+        # the first ones and expm1 gives -0.0
+        res = series()
+        assert res.tail_fraction == 0.0
+        assert math.copysign(1.0, res.tail_fraction) == 1.0
+
     def test_parameter_validation(self):
         with refused("d"):
             covering_series(Harmonic(1.0), beta=1.0, d=1.5, N=100)
@@ -459,15 +497,15 @@ class TestSeriesStreaming:
 
     @pytest.mark.parametrize("N", [10, 14, 20])
     def test_each_length_evaluated_once_per_pass(self, monkeypatch, N):
-        # chunks of 7: the walk evaluates each of 1..N once, shared by both
-        # series; Shepp first sums the lengths up to the last chunk's start
+        # chunks of 7: each series' walk evaluates each of 1..N once; Shepp
+        # first sums the lengths up to the last chunk's start
         monkeypatch.setattr(lengths, "_CHUNK", 7)
         rule = _RecordingRule(1.0)
         walk = list(range(1, N + 1))
         prefix = list(range(1, 7 * ((N - 1) // 7) + 1))
         for run, want in [(lambda: covering_series(rule, 0.5, 0.6, N), walk),
                           (lambda: shepp_series(rule, N), prefix + walk),
-                          (lambda: both_series(rule, 0.5, 0.6, N), prefix + walk)]:
+                          (lambda: both_series(rule, 0.5, 0.6, N), prefix + walk + walk)]:
             rule.seen.clear()
             run()
             assert sorted(rule.seen) == sorted(want)
@@ -496,10 +534,10 @@ class _RecordingRule(LogOverN):
         object.__setattr__(self, "seen", [])
         object.__setattr__(self, "sizes", [])
 
-    def _ell(self, ns):
+    def _ell(self, ns, out=None):
         self.seen.extend(int(n) for n in ns)
         self.sizes.append(ns.size)
-        return super()._ell(ns)
+        return super()._ell(ns, out)
 
     def ell(self, n):
         return LogOverN(self.c).ell(n)
@@ -536,7 +574,7 @@ def _per_chunk_scan(log_terms, N, chunk):
         fit_logs[here] = logs[fit_ns[here] - start]
         running = float(np.logaddexp(running, csum[-1]))
     i_lo = min(int(np.searchsorted(marks, n_tail_lo)), marks.size - 2)
-    tail_fraction = float(-np.expm1(log_sums[i_lo] - log_sums[-1]))
+    tail_fraction = float(0.0 - np.expm1(log_sums[i_lo] - log_sums[-1]))
     good = np.isfinite(fit_logs)
     slope = float(np.polyfit(np.log(fit_ns[good]), fit_logs[good], 1)[0])
     return log_sums, tail_fraction, slope
@@ -638,12 +676,14 @@ class TestSeriesSubBlocks:
         both_series(rule, 0.5, 0.6, N)
         assert max(rule.sizes) <= 4
 
-    @pytest.mark.parametrize("series", ["covering", "shepp", "prefix"])
+    @pytest.mark.parametrize("series", ["covering", "shepp", "both", "prefix"])
     def test_peak_memory_is_a_few_sub_blocks(self, series):
-        # one accumulate or cumsum per 1e6-term chunk held about 48 MB of temporaries
+        # one accumulate or cumsum per 1e6-term chunk held about 48 MB of
+        # temporaries; both_series holds the buffers of two walks at once
         rule = LogOverN(1.0)
         run = {"covering": lambda N: covering_series(rule, 0.0, 0.5, N),
                "shepp": lambda N: shepp_series(rule, N),
+               "both": lambda N: both_series(rule, 0.0, 0.5, N),
                "prefix": lambda N: rule.partial_sums(N)}[series]
         run(1000)  # warm-up: first-call allocations
         tracemalloc.start()
@@ -655,12 +695,78 @@ class TestSeriesSubBlocks:
         assert peak < 6 * 2 ** 20
 
 
+class TestSeriesOverlap:
+    """both_series hands the covering walk to the second thread before the
+    calling thread sums the Shepp prefix, then walks Shepp itself."""
+
+    @pytest.mark.parametrize("chunks", [1, 2, 5])
+    def test_covering_walk_is_submitted_before_the_prefix_sum(self, monkeypatch, chunks):
+        monkeypatch.setattr(lengths, "_SUB", 4)
+        monkeypatch.setattr(lengths, "_CHUNK", 11)
+        N, rule = 11 * chunks - 1, LogOverN(1.0)  # the last chunk one term short
+        want = (covering_series(rule, 0.5, 0.6, N), shepp_series(rule, N))
+        events = []
+        walk, prefix = lengths._walk, lengths.LengthSequence._partial_sums
+
+        def recording_walk(*args):
+            events.append(("walk " + args[4], threading.get_ident()))
+            return walk(*args)
+
+        def recording_prefix(*args):
+            events.append(("prefix", threading.get_ident()))
+            return prefix(*args)
+
+        class DeferredPool:
+            """Records each submit; runs the call when its result is asked for."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                events.append(("submit", threading.get_ident()))
+                return SimpleNamespace(result=lambda: fn(*args))
+
+        monkeypatch.setattr(lengths, "_walk", recording_walk)
+        monkeypatch.setattr(lengths.LengthSequence, "_partial_sums", recording_prefix)
+        monkeypatch.setattr(lengths, "ThreadPoolExecutor", DeferredPool)
+        assert both_series(rule, 0.5, 0.6, N) == want
+        # the submitted walk is the covering one: it runs when its result is read
+        me = threading.get_ident()
+        assert events == [("submit", me), ("prefix", me), ("walk shepp", me),
+                          ("walk covering", me)]
+
+
+class TestCoveringBeta:
+    """A beta whose covering terms overflow is refused as `beta` before any
+    sum: -beta * log(ell) is finite at every n when it is at n = N."""
+
+    @pytest.mark.parametrize("series", [
+        lambda rule, beta, N: covering_series(rule, beta, 0.5, N),
+        lambda rule, beta, N: both_series(rule, beta, 0.5, N)], ids=["covering", "both"])
+    def test_overflowing_beta_is_refused(self, monkeypatch, series):
+        def no_sum(*args, **kwargs):
+            raise AssertionError("a sum started")
+
+        monkeypatch.setattr(lengths, "_sum_series", no_sum)
+        with refused("beta", r"1e\+308 overflows the log of the covering term, "
+                             r"-beta \* log\(ell\(N\)\), at N = 1000$"):
+            series(LogOverN(1.0), 1e308, 1000)
+        with refused("beta", "at N = 100$"):
+            series(Harmonic(0.5), sys.float_info.max, 100)
+
+
 class _CountingRule(LogOverN):
     calls = 0
 
-    def _ell(self, ns):
+    def _ell(self, ns, out=None):
         type(self).calls += 1
-        return super()._ell(ns)
+        return super()._ell(ns, out)
 
 
 class TestTermCap:
