@@ -210,7 +210,7 @@ class TableSequence(LengthSequence):
     values: tuple
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.array(self.values, dtype=np.float64)
         if vals.size == 0:
             raise ConfigError("lengths", "table sequence needs at least one value")
         if not np.all((vals > 0.0) & (vals < 1.0)):
@@ -218,12 +218,24 @@ class TableSequence(LengthSequence):
         if np.any(np.diff(vals) > 0.0):
             raise ConfigError("lengths", "table values must be non-increasing")
         object.__setattr__(self, "values", tuple(float(v) for v in vals))
+        # the values as one read-only array, which _ell takes from; not a
+        # field, so equality, hash and repr read the tuple alone
+        vals.flags.writeable = False
+        object.__setattr__(self, "_array", vals)
+
+    # pickled as the values alone, as a plain dataclass; the array is rebuilt
+    def __getstate__(self):
+        return {"values": self.values}
+
+    def __setstate__(self, state):
+        object.__setattr__(self, "values", state["values"])
+        self.__post_init__()
 
     def _ell(self, ns, out=None):
         if np.any(ns > len(self.values)):
             raise ConfigError("lengths",
                               f"table sequence defined only up to n={len(self.values)}")
-        return np.asarray(self.values).take(ns.astype(np.int64) - 1, out=out)
+        return self._array.take(ns.astype(np.int64) - 1, out=out)
 
     def describe(self):
         return f"table[{len(self.values)}]"
@@ -576,7 +588,13 @@ def _judge(marks, log_sums, fit_ns, fit_logs, N: int) -> SeriesResult:
     tail_fraction = float(0.0 - np.expm1(log_sums[i_lo] - log_sums[-1]))
     good = np.isfinite(fit_logs)
     if good.sum() >= 2:
-        slope = float(np.polyfit(np.log(fit_ns[good]), fit_logs[good], 1)[0])
+        x, y = np.log(fit_ns[good]), fit_logs[good]
+        slope = float(np.polyfit(x, y, 1)[0])
+        if not math.isfinite(slope):
+            # the least squares overflow on logs near 1e308: fit the logs
+            # scaled by a power of two, which is exact, and scale back
+            e = int(np.frexp(np.max(np.abs(y)))[1])
+            slope = float(np.ldexp(np.polyfit(x, np.ldexp(y, -e), 1)[0], e))
     else:
         slope = -math.inf  # tail terms underflow: decisively summable
     verdict = _series_verdict(tail_fraction, slope)

@@ -587,6 +587,15 @@ class TestSeries:
         assert "covering series: convergent (tail fraction 0, " in capsys.readouterr().out
         assert '"tail_fraction": 0.0,' in (tmp_path / "s.json").read_text()
 
+    def test_a_huge_beta_reads_a_finite_term_slope(self, tmp_path, capsys):
+        # log terms near 1e308, whose plain least-squares fit overflows to inf
+        assert run(tmp_path, "series", "--lengths", "logn:1", "--n", "1000", "--beta", "1e307",
+                   "--out", "s") == 0
+        out = capsys.readouterr().out
+        assert "covering series: divergent" in out and "inf" not in out
+        slope = json.loads((tmp_path / "s.json").read_text())["series"]["covering"]["term_slope"]
+        assert slope == pytest.approx(8.248e306, rel=1e-3)
+
     def test_term_cap_exit_2(self, tmp_path, capsys):
         code = run(tmp_path, "series", "--lengths", "logn:1", "--n", "100000001",
                    "--out", "s")

@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -136,6 +137,38 @@ class TestBufferedEll:
             got = rule._ell(ns, out=buf)
         assert got is buf
         assert got.tobytes() == want.tobytes()
+
+
+class TestTableArray:
+    """A table keeps its values as one read-only array beside the tuple
+    field, which alone it compares, hashes and pickles by."""
+
+    VALUES = (0.5, 0.5, 0.25, 0.1, 0.1, 2.0 ** -1074)
+
+    def test_ell_takes_the_values_bit_for_bit(self):
+        table = TableSequence(self.VALUES)
+        ns = np.array([1.0, 2.0, 6.0, 3.0, 6.0, 4.0])
+        want = np.array(self.VALUES).take(ns.astype(np.int64) - 1)
+        assert table._ell(ns).tobytes() == want.tobytes()
+        assert table.ell(ns).tobytes() == want.tobytes()
+        assert not table._array.flags.writeable
+
+    def test_caller_array_is_neither_kept_nor_frozen(self):
+        vals = np.array(self.VALUES)
+        table = TableSequence(vals)
+        assert vals.flags.writeable and table._array is not vals
+        assert table == TableSequence(self.VALUES)
+
+    def test_pickle_round_trip(self):
+        table = TableSequence(self.VALUES)
+        blob = pickle.dumps(table)
+        # the state is the values tuple alone, as for any other rule
+        assert b"numpy" not in blob
+        back = pickle.loads(blob)
+        assert back == table and hash(back) == hash(table) and repr(back) == repr(table)
+        ns = np.arange(1.0, 7.0)
+        assert back._ell(ns).tobytes() == table._ell(ns).tobytes()
+        assert not back._array.flags.writeable
 
 
 class TestZeroLengths:
@@ -759,6 +792,21 @@ class TestCoveringBeta:
             series(LogOverN(1.0), 1e308, 1000)
         with refused("beta", "at N = 100$"):
             series(Harmonic(0.5), sys.float_info.max, 100)
+
+
+    @pytest.mark.parametrize("series", [
+        lambda rule, beta, N: covering_series(rule, beta, 0.5, N),
+        lambda rule, beta, N: both_series(rule, beta, 0.5, N)[0]], ids=["covering", "both"])
+    def test_a_huge_beta_fits_a_finite_slope(self, series):
+        # log terms near 1e308 overflow the least squares of the slope fit;
+        # the fit on the logs scaled by a power of two does not
+        res = series(LogOverN(1.0), 1e307, 1000)
+        assert math.isfinite(res.term_slope)
+        assert res.term_slope == pytest.approx(8.248e306, rel=1e-3)
+        assert res.verdict == "divergent"
+        # the terms' logs scale with beta, and so does the slope
+        plain = series(LogOverN(1.0), 1e300, 1000).term_slope
+        assert res.term_slope / 1e307 == pytest.approx(plain / 1e300, rel=1e-12)
 
 
 class _CountingRule(LogOverN):

@@ -45,9 +45,16 @@ class TestSampleCenters:
         ks = max(np.max(ecdf_hi - xs), np.max(xs - ecdf_lo))
         assert ks < 1.63 / np.sqrt(n)  # 99% critical value
 
-    def test_range(self):
-        xs = sample_centers(5, 10_000)
-        assert np.all((0.0 <= xs) & (xs < 1.0))
+    @pytest.mark.parametrize("seed", [0, 9, 2 ** 64 - 1])
+    @pytest.mark.parametrize("start", [0, 1, 3, 4, 1001])
+    def test_range(self, seed, start):
+        # the kernel merges on the bit patterns, which order like the values
+        # only for doubles in [0, 1) with the sign bit clear: never -0.0
+        buf = np.full(10_000, np.nan)
+        for xs in (sample_centers(seed, 10_000, start=start),
+                   sample_centers(seed, 10_000, start=start, out=buf)):
+            assert np.all((0.0 <= xs) & (xs < 1.0))
+            assert not np.signbit(xs).any()
 
     def test_seed_validation(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -828,6 +835,46 @@ class TestSplitPrefix:
                                       np.sort(sample_centers(seed, 400, start=3400)))
         finally:
             sys.setswitchinterval(interval)
+
+
+_TINY = 2.0 ** -1022
+_TOP = 1.0 - 2.0 ** -53
+
+# two sorted runs of one half: +0.0, the least subnormal and normal doubles,
+# both sides of the split point and the largest center, several values in
+# both runs; and two long drawn runs with some centers in both, where
+# timsort gallops
+_HALF_RUNS = {
+    "edges": ([0.0, _TINY, 0.25, 0.25, simulate._SPLIT, _TOP],
+              [5e-324, 0.25, math.nextafter(simulate._SPLIT, 0.0), simulate._SPLIT, _TOP, _TOP]),
+    "edges-swapped": ([5e-324, 0.25, math.nextafter(simulate._SPLIT, 0.0), simulate._SPLIT],
+                      [0.0, 0.0, _TINY, 0.25, simulate._SPLIT, _TOP]),
+    "drawn": (np.sort(sample_centers(4, 5000)).tolist(),
+              np.sort(np.concatenate([sample_centers(4, 500, start=5000),
+                                      np.sort(sample_centers(4, 5000))[::97]])).tolist()),
+}
+
+
+class TestHalfGaps:
+    """_half_gaps merges on the centers' 64-bit patterns: the same bytes as
+    a float64 stable sort, for every kind of double a center can be."""
+
+    @pytest.mark.parametrize("merge", [True, False], ids=["merge", "one-run"])
+    @pytest.mark.parametrize("case", list(_HALF_RUNS))
+    def test_merge_is_a_float_sort_bit_for_bit(self, case, merge):
+        first, second = _HALF_RUNS[case]
+        half = np.array(first + second)
+        want = half.copy()
+        want.sort(kind="stable")
+        if not merge:
+            # one sorted run already, which _half_gaps leaves as it is
+            half = want.copy()
+        k = min(simulate._BLOCK, half.size)
+        # every gap is a candidate, the zero ones included
+        a, b = simulate._half_gaps(half, -math.inf, np.empty(k), np.empty(k, dtype=bool), merge)
+        assert half.tobytes() == want.tobytes()
+        assert a.tobytes() == want[:-1].tobytes()
+        assert b.tobytes() == want[1:].tobytes()
 
 
 def _spy_threads(monkeypatch):
