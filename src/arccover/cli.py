@@ -367,6 +367,13 @@ def _cmd_dims(resolved: dict) -> int:
     return 0
 
 
+def _slope(slope: float) -> str:
+    """A term slope for stdout: 3 decimals below 1e6 in magnitude, else 6
+    significant digits, so a huge slope stays one short number (the JSON
+    holds it exactly)."""
+    return f"{slope:.3f}" if abs(slope) < 1e6 else f"{slope:.6g}"
+
+
 def _cmd_series(resolved: dict) -> int:
     """covering-series and Shepp-series diagnostics"""
     lengths = parse_lengths(resolved["lengths"])
@@ -384,9 +391,9 @@ def _cmd_series(resolved: dict) -> int:
         rows=[(name, *row) for name, res in results.items()
               for row in zip(res.checkpoints, res.partial_sums, res.log_partial_sums)])
     print(f"covering series: {cov.verdict} (tail fraction {cov.tail_fraction:.3g}, "
-          f"term slope {cov.term_slope:.3f})")
+          f"term slope {_slope(cov.term_slope)})")
     print(f"shepp series:    {shepp.verdict} (tail fraction {shepp.tail_fraction:.3g}, "
-          f"term slope {shepp.term_slope:.3f})")
+          f"term slope {_slope(shepp.term_slope)})")
     print(f"-> {out}.csv, {out}.json")
     return 0
 

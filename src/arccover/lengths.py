@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -709,7 +710,12 @@ def parse_lengths(spec: str) -> LengthSequence:
             c_str, _, g_str = rest.partition(":")
             return PowerLaw(float(c_str), float(g_str))
         if head == "table":
-            values = np.loadtxt(rest, delimiter=",", ndmin=1)
+            # an empty file is refused below, as a table without values,
+            # not with numpy's warning about it
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                values = np.loadtxt(rest, delimiter=",", ndmin=1)
             return TableSequence(tuple(np.atleast_1d(values).ravel()))
     except ConfigError:
         raise

@@ -30,7 +30,11 @@ The kernel:
   _THREAD_MIN centers on, the low half merges on a second thread while the
   calling thread merges the high one and draws the next checkpoint's
   centers into the free middle.  Any other pass samples once and keeps one
-  run.  _gap_candidates picks the gaps the exact predicate runs on.
+  run.  Such a long pass keeps the prefix only until few of its gaps can
+  still be candidates (_X0): from there it keeps those open gaps alone,
+  and each later checkpoint splits them by its batch of new centers
+  (_land), drawn on the second thread while the batch before it lands.
+  _gap_candidates picks the gaps the exact predicate runs on.
 - Three passes read it.  run_trial, the one entry point for a trial,
   decides every checkpoint and builds a residue where one is uncovered.
   _verdicts gives a phase scan's verdicts under a list of length rules,
@@ -158,6 +162,16 @@ _THREAD_MIN = 1 << 17
 # 0.434 s and 0.744 s against 0.733 s (21 pairs), both inside the spread.
 _SPLIT = 0.65
 
+# Where a pass whose horizon reaches _THREAD_MIN stops keeping its sorted
+# prefix: at its first checkpoint n with n * floor >= _X0, floor the least
+# prefilter threshold from there on (see _prefixes).  Under uniform centers
+# about exp(-_X0) of the gaps are then longer than floor and stay open.  A
+# lower _X0 keeps a shorter prefix but more open gaps, a higher one the
+# reverse.  Timed in whole trials to n_max 1e7 on a 2-core VM, 6
+# alternating pairs each against 3 (0.337-0.340 s of wall, 83.4 MB of peak
+# RSS): 2 read 0.492 s and 96.0 MB, and 4 read 0.333 s and 96.6 MB.
+_X0 = 3.0
+
 # Candidate gaps _verdicts holds for its backward walk, per center
 # of the horizon: 2 floats each, so at most 4 B per center beside the 8 B
 # of the prefix.  A batch that reaches it is decided on the spot.
@@ -165,8 +179,9 @@ _HOLD = 0.25
 
 # Most bytes a trial holds per center of its horizon: 8 for the prefix, up
 # to 4 for timsort's merge buffer and up to 4 for the gaps _verdicts holds
-# (_HOLD).  A trial to n_max 1e7 peaked at 124 MB of RSS on a 2-core VM,
-# under the 160 MB this gives.
+# (_HOLD).  A pass that stops keeping its prefix (_X0) holds less: a trial
+# to n_max 1e7 peaked at 124 MB of RSS on a 2-core VM with the whole
+# prefix kept and at about 83 MB without, both under the 160 MB this gives.
 _BYTES_PER_CENTER = 16
 
 
@@ -214,14 +229,15 @@ def _gap_candidates(cs, thr, buf, mask) -> np.ndarray:
     return hits[1] if len(hits) == 2 else np.concatenate(hits)
 
 
-def _draw(fresh, seed: int, start: int, sample: bool) -> None:
-    """Put the next fresh centers in `fresh`, sorted: the centers start,
-    start+1, ... of the seed's stream, sampled into it when `sample` (else
-    they are there already), then sorted in place.  Between the two steps
-    they are in stream order."""
+def _draw(fresh, seed: int, start: int, sample: bool) -> np.ndarray:
+    """Put the next fresh centers in `fresh`, sorted, and return it: the
+    centers start, start+1, ... of the seed's stream, sampled into it when
+    `sample` (else they are there already), then sorted in place.  Between
+    the two steps they are in stream order."""
     if sample:
         sample_centers(seed, fresh.size, start=start, out=fresh)
     fresh.sort()
+    return fresh
 
 
 def _split(c, n0: int, n1: int, k: int, at: float) -> tuple:
@@ -578,47 +594,159 @@ class CoverageTrace:
 def _prefixes(cfg: TrialConfig, shortest, start: int = 0):
     """Per checkpoint of cfg's grid from index `start` on, (i, a, b, first,
     last): its index, the ends (a, b) of the gaps of its sorted prefix with
-    fl(b - a) > fl(shortest[i] - SLACK), ascending, and the first and last
-    center, all copies.  The first checkpoint samples and sorts its whole
-    prefix in one step; no earlier one is sampled or merged.  Only a pass
-    whose horizon reaches _THREAD_MIN, where _threads_allowed() holds, is
-    two-ended and threaded; any other samples once and keeps one run."""
+    fl(b - a) > thr[i] = fl(shortest[i] - SLACK), ascending, and the first
+    and last center, all copies.
+
+    Up to a switch checkpoint s the pass keeps the sorted prefix
+    (_sorted_steps); from there it keeps only the gaps that may still be
+    yielded (_open_steps).  Let floor[i] = min(thr[i:]).  A gap of the
+    prefix at s with fl(b - a) <= floor[s] never yields again: every later
+    gap (x, y) inside it has y - x <= b - a, and rounding is monotone, so
+    fl(y - x) <= fl(b - a) <= floor[s] <= thr[j] for every j >= s.  So at
+    s the pass scans at floor[s], keeps those open gaps, filters them at
+    thr[s] for its yield and frees the prefix.  Each later checkpoint lands
+    its batch of new centers in the open gaps and the wrap gap (_land) and
+    drops the sub-gaps with fl(b - a) <= floor[i]; every gap of the prefix
+    with fl(b - a) > floor[i] lies in an open gap or the wrap gap, so the
+    yields are those of the whole prefix, bit for bit.
+
+    Only a pass whose horizon reaches _THREAD_MIN switches, at its first
+    checkpoint s >= start with grid[s] * floor[s] >= _X0 (so floor[s] > 0,
+    as _land needs), and its prefix array holds grid[s] centers rather
+    than n_max.  Such a pass, where
+    _threads_allowed() holds, is two-ended and threaded, and draws each
+    batch of its late checkpoints on its second thread while the one
+    before it lands; any other pass samples its prefix once and keeps one
+    run."""
     grid = cfg.checkpoints()
+    if start >= grid.size:
+        return
+    thr = shortest - SLACK
+    floor = np.minimum.accumulate(thr[::-1])[::-1]
+    s = grid.size
+    if cfg.n_max >= _THREAD_MIN:
+        late = np.flatnonzero(grid[start:] * floor[start:] >= _X0)
+        if late.size:
+            s = start + int(late[0])
     threaded = cfg.n_max >= _THREAD_MIN and _threads_allowed()
+    # an executor per pass, whose thread (started by the first submit) ends
+    # with it, also where the consumer stops early: a process pool forked
+    # later gets no thread, and no dead copy of an executor
+    with ThreadPoolExecutor(1) if threaded else contextlib.nullcontext() as pool:
+        if s == grid.size:
+            yield from _sorted_steps(cfg, grid, thr, start, grid.size, threaded, pool)
+            return
+        lims = thr.copy()
+        lims[s] = floor[s]
+        # the centers of the checkpoint after s, drawn while s merges
+        fresh = np.empty(int(grid[s + 1] - grid[s])) if s + 1 < grid.size else None
+        for i, a, b, first, last in _sorted_steps(cfg, grid, lims, start, s + 1, threaded,
+                                                  pool, fresh):
+            if i < s:
+                yield i, a, b, first, last
+        # the prefix is gone with the finished _sorted_steps
+        wide = b - a > thr[s]
+        yield s, a[wide], b[wide], first, last
+        yield from _open_steps(cfg, grid, thr, floor, s, (a, b, first, last), fresh, pool)
+
+
+def _sorted_steps(cfg: TrialConfig, grid, lims, start: int, stop: int, threaded: bool,
+                  pool, after=None):
+    """(i, a, b, first, last) as _prefixes has them, at the thresholds
+    lims[i], for the checkpoints start..stop-1, from a prefix array of
+    grid[stop-1] centers.  The first of them samples and sorts its whole
+    prefix in one step; no earlier one is sampled or merged.  `after`, if
+    given, takes the sorted centers of the checkpoint after stop-1, drawn
+    while that one merges."""
     # a one-run pass splits at 1, above every center: the high run stays
     # empty and the free middle takes the centers in stream order
     at = _SPLIT if threaded else 1.0
     # the two-ended prefix, and a prefilter scratch per half that can fill,
     # shared by every checkpoint
-    c = np.empty(cfg.n_max)
-    block = min(_BLOCK, cfg.n_max)
+    size = int(grid[stop - 1])
+    c = np.empty(size)
+    block = min(_BLOCK, size)
     scratch = [(np.empty(block), np.empty(block, dtype=bool))
                for _ in range(2 if threaded else 1)]
     if not threaded:
-        sample_centers(cfg.seed, cfg.n_max, out=c)
+        sample_centers(cfg.seed, size, out=c)
     n0 = n1 = prev = 0
     # the centers of the first checkpoint; each later checkpoint's are drawn
     # into the free middle while the one before it merges
-    if start < grid.size:
-        _draw(c[:int(grid[start])], cfg.seed, 0, threaded)
-    # an executor per pass, whose thread (started by the first submit) ends
-    # with it, also where the consumer stops early: a process pool forked
-    # later gets no thread, and no dead copy of an executor
-    with ThreadPoolExecutor(1) if threaded else contextlib.nullcontext() as pool:
-        for i in range(start, grid.size):
-            n = int(grid[i])
-            # centers prev..n-1 of the stream, drawn and sorted in the free
-            # middle, join the halves; the grid is strictly increasing.  The
-            # first checkpoint's halves are those centers alone, sorted
-            n0, n1 = _split(c, n0, n1, n - prev, at)
-            merge, prev = prev > 0, n
-            # the next checkpoint's centers, drawn while the halves merge
-            draw = None
-            if i + 1 < grid.size:
-                draw = functools.partial(_draw, c[n0:n0 + int(grid[i + 1]) - n], cfg.seed,
-                                         n, threaded)
-            yield (i, *_prefix_gaps(c, n0, n1, shortest[i] - SLACK, scratch,
-                                    pool if n >= _THREAD_MIN else None, draw, merge))
+    _draw(c[:int(grid[start])], cfg.seed, 0, threaded)
+    for i in range(start, stop):
+        n = int(grid[i])
+        # centers prev..n-1 of the stream, drawn and sorted in the free
+        # middle, join the halves; the grid is strictly increasing.  The
+        # first checkpoint's halves are those centers alone, sorted
+        n0, n1 = _split(c, n0, n1, n - prev, at)
+        merge, prev = prev > 0, n
+        # the next checkpoint's centers, drawn while the halves merge
+        draw = None
+        if i + 1 < stop:
+            draw = functools.partial(_draw, c[n0:n0 + int(grid[i + 1]) - n], cfg.seed,
+                                     n, threaded)
+        elif after is not None:
+            draw = functools.partial(_draw, after, cfg.seed, n, True)
+        yield (i, *_prefix_gaps(c, n0, n1, lims[i], scratch,
+                                pool if n >= _THREAD_MIN else None, draw, merge))
+
+
+def _open_steps(cfg: TrialConfig, grid, thr, floor, s: int, gaps, fresh, pool):
+    """(i, a, b, first, last) as _prefixes has them, for the checkpoints
+    after the switch s, from `gaps`, the open gaps and end centers of the
+    prefix at s (see _prefixes), and `fresh`, the sorted centers of the
+    checkpoint after s.  With a `pool`, each next batch is drawn on its
+    thread while the calling thread lands the current one."""
+    a, b, first, last = gaps
+    for i in range(s + 1, grid.size):
+        n = int(grid[i])
+        draw = None
+        if i + 1 < grid.size:
+            draw = functools.partial(_draw, np.empty(int(grid[i + 1]) - n), cfg.seed, n, True)
+            if pool is not None:
+                draw = pool.submit(draw).result
+        a, b, first, last = _land(a, b, first, last, fresh, floor[i])
+        wide = b - a > thr[i]
+        yield i, a[wide], b[wide], first, last
+        if draw is not None:
+            fresh = draw()
+
+
+def _land(a, b, first, last, fresh, lim) -> tuple:
+    """The open gaps and end centers once the sorted batch `fresh` joins
+    the prefix, given its open gaps (a, b), ascending, and its first and
+    last center.
+
+    A batch center strictly inside an open gap splits it.  Those below
+    `first` and above `last` split the wrap gap: the ones below make inner
+    gaps among themselves and up to `first`, the ones above from `last`
+    on.  Of the sub-gaps, those with
+    fl(b - a) > lim stay open, ascending.  A center equal to an end of a
+    gap, or to another center, makes only gaps of length 0, which lim > 0
+    drops: the gaps left are those of the merged prefix, bit for bit.
+    Returns (a, b, first, last)."""
+    # the centers strictly inside each open gap, fresh[lo[j]:hi[j]]
+    lo = fresh.searchsorted(a, side="right")
+    hi = fresh.searchsorted(b, side="left")
+    k = hi - lo
+    # gap j becomes k[j] + 1 sub-gaps, from index head[j] to tail[j]
+    tail = np.cumsum(k) + np.arange(a.size)
+    head = tail - k
+    arrivals = int(k.sum())
+    sub_a, sub_b = np.empty(a.size + arrivals), np.empty(a.size + arrivals)
+    sub_a[head], sub_b[tail] = a, b
+    # the inside centers in order: each ends one sub-gap and starts the next
+    pos = np.arange(arrivals) + np.repeat(np.arange(a.size), k)
+    inside = fresh[np.repeat(lo - head, k) + pos]
+    sub_b[pos] = inside
+    sub_a[pos + 1] = inside
+    below = np.append(fresh[:fresh.searchsorted(first, side="left")], first)
+    above = np.insert(fresh[fresh.searchsorted(last, side="right"):], 0, last)
+    a = np.concatenate([below[:-1], sub_a, above[:-1]])
+    b = np.concatenate([below[1:], sub_b, above[1:]])
+    wide = b - a > lim
+    return a[wide], b[wide], min(first, float(fresh[0])), max(last, float(fresh[-1]))
 
 
 def _residue(a, b, first, last, ell, target) -> IntervalUnion:

@@ -415,6 +415,8 @@ class TestRefusals:
          "lengths: table sequence defined only up to n=3"),
         (["schedule", "--lengths", "table:three.csv"],
          "lengths: a schedule needs a table of at least 4 rows, got 3"),
+        (["trial", "--lengths", "table:empty.csv"],
+         "lengths: table sequence needs at least one value"),
         (["trial", "--lengths", "power:1:nan"],
          "lengths: power rule needs a finite gamma > 0 to be non-increasing, got nan"),
         (["trial", "--n-max", str(2 ** 53 + 1)],
@@ -438,7 +440,7 @@ class TestRefusals:
             "series-beta-overflow",
             "schedule-alpha-1.5", "schedule-alpha-0", "schedule-zero-length",
             "trial-zero-length", "dims-cast-overflow", "dims-subnormal", "dims-zero",
-            "trial-short-table", "schedule-short-table", "trial-power-nan",
+            "trial-short-table", "schedule-short-table", "trial-empty-table", "trial-power-nan",
             "trial-n-max-past-2**53", "scan-n-max-past-2**53", "config-out-null",
             "config-out-list", "target-nan-point", "target-nan-second-point",
             "target-nan-interval-end", "out-missing-dir", "out-under-a-file",
@@ -452,6 +454,7 @@ class TestRefusals:
         monkeypatch.setattr(lengths, "_sum_series", ran)
         monkeypatch.setattr(analyze, "ProcessPoolExecutor", ran)
         (tmp_path / "three.csv").write_text("0.5\n0.25\n0.125\n")
+        (tmp_path / "empty.csv").write_text("")
         (tmp_path / "nan.json").write_text(
             json.dumps({"intervals": [[0.1, 0.2], [0.3, math.nan]], "beta": 1}))
         for name, out in (("out_null.json", None), ("out_list.json", ["a", 1])):
@@ -595,6 +598,17 @@ class TestSeries:
         assert "covering series: divergent" in out and "inf" not in out
         slope = json.loads((tmp_path / "s.json").read_text())["series"]["covering"]["term_slope"]
         assert slope == pytest.approx(8.248e306, rel=1e-3)
+
+    def test_a_huge_term_slope_prints_short(self, tmp_path, capsys):
+        # 6 significant digits from 1e6 in magnitude on, 3 decimals below,
+        # where the default output stays as it was; the JSON keeps every digit
+        assert run(tmp_path, "series", "--lengths", "logn:1", "--n", "1000", "--beta", "1e307",
+                   "--out", "s") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "covering series: divergent (tail fraction 1, term slope 8.248e+306)"
+        assert out[1].endswith(", term slope 3.748)")
+        assert cli._slope(999999.5) == "999999.500" and cli._slope(-1e6) == "-1e+06"
+        assert (cli._slope(math.inf), cli._slope(-math.inf)) == ("inf", "-inf")
 
     def test_term_cap_exit_2(self, tmp_path, capsys):
         code = run(tmp_path, "series", "--lengths", "logn:1", "--n", "100000001",

@@ -4,6 +4,7 @@ import math
 import pickle
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arccover import (EMPTY, Arc, ConfigError, Harmonic, IntervalUnion, LogOverN,
-                      TableSequence, TrialConfig, arcs_to_union, checkpoint_grid,
+                      PowerLaw, TableSequence, TrialConfig, arcs_to_union, checkpoint_grid,
                       complement, intersect, make_cantor, make_circle, make_custom,
                       make_finite, measure, phase_scan, run_trial, sample_centers, simulate,
                       uncovered_at)
@@ -1003,10 +1004,60 @@ def _pass(cfg, shortest, start):
             for step in simulate._prefixes(cfg, shortest, start)]
 
 
+def _fresh_pass(cfg, shortest, start):
+    """What _prefixes should yield for cfg, as bytes: per checkpoint, the
+    gaps of a fresh sort of its prefix, filtered by a diff."""
+    steps = []
+    for i, n in enumerate(cfg.checkpoints()[start:], start):
+        cs = np.sort(sample_centers(cfg.seed, int(n)))
+        idx = np.flatnonzero(np.diff(cs) > shortest[i] - SLACK)
+        steps.append((np.intp(i).tobytes(), cs[idx].tobytes(), cs[idx + 1].tobytes(),
+                      cs[:1].tobytes(), cs[-1:].tobytes()))
+    return steps
+
+
+def _switch(cfg, shortest, start):
+    """The checkpoint where a pass of cfg from `start` stops keeping its
+    sorted prefix, the grid size for none: the first from `start` on where
+    n times the least threshold from there on reaches _X0."""
+    grid = cfg.checkpoints()
+    if cfg.n_max < simulate._THREAD_MIN:
+        return grid.size
+    thr = shortest - SLACK
+    return next((i for i in range(start, grid.size)
+                 if grid[i] * thr[i:].min() >= simulate._X0), grid.size)
+
+
+def _spy_lands(monkeypatch):
+    """The list of batch sizes that _land splits the open gaps by, filled
+    as the kernel runs."""
+    sizes = []
+    land = simulate._land
+
+    def spy(a, b, first, last, fresh, lim):
+        sizes.append(fresh.size)
+        return land(a, b, first, last, fresh, lim)
+
+    monkeypatch.setattr(simulate, "_land", spy)
+    return sizes
+
+
+def _shortest(cfg):
+    grid = cfg.checkpoints()
+    return cfg.lengths.ell(grid.astype(np.float64))
+
+
+# a table with long runs of equal lengths, so the floor of a late checkpoint
+# often equals its own threshold
+_STEP_TABLE = TableSequence(tuple(float(x) for x in
+                                  np.floor(900 * np.arange(1, 3001) ** -0.5) / 1000))
+
+
 @pytest.mark.usefixtures("small_thread_min")
 class TestPrefixes:
     """The one pass that keeps the sorted prefix, read at the generator:
-    threaded, one-run and a fresh sort of each prefix agree bit for bit."""
+    threaded, one-run and a fresh sort of each prefix agree bit for bit,
+    also past the checkpoint where the pass switches to its open gaps."""
 
     CFG = TrialConfig(seed=5, lengths=LogOverN(1.0), target=make_circle(), n_max=3000,
                       n_first_checkpoint=2)
@@ -1017,7 +1068,7 @@ class TestPrefixes:
         monkeypatch.setattr(simulate, "_SPLIT", at)
         monkeypatch.setattr(simulate, "_BLOCK", block)
         grid = self.CFG.checkpoints()
-        shortest = self.CFG.lengths.ell(grid.astype(np.float64))
+        shortest = _shortest(self.CFG)
         seen = _spy_threads(monkeypatch)
         for start in (0, grid.size // 2, grid.size - 1):
             got = {}
@@ -1028,20 +1079,50 @@ class TestPrefixes:
                 # below a split of 1 the halves of a prefix of 14 or more
                 # centers merge on the second thread
                 assert (seen != {threading.get_ident()}) == (threads and at < 1.0)
-            assert got[True] == got[False]
-            assert [step[0] for step in got[True]] == [
-                np.intp(i).tobytes() for i in range(start, grid.size)]
-            for (_, a, b, first, last), n, thr in zip(got[True], grid[start:],
-                                                      shortest[start:] - SLACK):
-                cs = np.sort(sample_centers(self.CFG.seed, int(n)))
-                idx = np.flatnonzero(np.diff(cs) > thr)
-                assert (a, b) == (cs[idx].tobytes(), cs[idx + 1].tobytes())
-                assert (first, last) == (cs[:1].tobytes(), cs[-1:].tobytes())
+            assert got[True] == got[False] == _fresh_pass(self.CFG, shortest, start)
+
+    # where the pass switches: at its first checkpoint (start = s), after
+    # some sorted ones, at its last, and never (n * ell(n) falls); a rule
+    # that rises at its start, from n = 2 to 3, switching at n = 2; and a
+    # table of equal runs
+    @pytest.mark.parametrize("threads", [False, True], ids=["one-run", "threaded"])
+    @pytest.mark.parametrize("lengths, where", [
+        (LogOverN(1.0), "first"), (LogOverN(1.0), "middle"), (LogOverN(1.0), "last"),
+        (PowerLaw(1.0, 2.0), "never"), (LogOverN(1.0), "rising"), (_STEP_TABLE, "middle"),
+        (LogOverN(2.5), "middle")],
+        ids=["first", "middle", "last", "never", "rising", "table", "logn-2.5"])
+    def test_switching_pass_equals_fresh_sort(self, monkeypatch, lengths, where, threads):
+        monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
+        lands = _spy_lands(monkeypatch)
+        for seed in (0, 5):
+            cfg = replace(self.CFG, seed=seed, lengths=lengths)
+            grid = cfg.checkpoints()
+            shortest = _shortest(cfg)
+            floor = np.minimum.accumulate((shortest - SLACK)[::-1])[::-1]
+            start = 0
+            if where == "last":
+                monkeypatch.setattr(simulate, "_X0", float(grid[-1] * floor[-1]))
+            elif where == "rising":
+                monkeypatch.setattr(simulate, "_X0", float(grid[0] * floor[0]))
+                assert shortest[1] > shortest[0]
+            elif where == "first":
+                start = _switch(cfg, shortest, 0)
+            s = _switch(cfg, shortest, start)
+            if where == "middle":
+                assert 0 < s < grid.size - 1
+            else:
+                assert s == {"first": start, "last": grid.size - 1, "never": grid.size,
+                             "rising": 0}[where]
+            lands.clear()
+            assert _pass(cfg, shortest, start) == _fresh_pass(cfg, shortest, start)
+            # each checkpoint past s lands its batch, and only those
+            assert lands == np.diff(grid[s:]).tolist()
 
     @pytest.mark.parametrize("threads", [False, True], ids=["one-run", "threaded"])
     def test_only_a_later_checkpoint_merges(self, monkeypatch, threads):
         # a pass's first checkpoint draws each half as one sorted run, so
-        # it skips the merge; every later one merges two runs
+        # it skips the merge; every later one up to the switch merges two
+        # runs, and none past it merges at all
         monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
         calls = []
         half_gaps = simulate._half_gaps
@@ -1052,30 +1133,127 @@ class TestPrefixes:
 
         monkeypatch.setattr(simulate, "_half_gaps", spy)
         grid = self.CFG.checkpoints()
-        shortest = self.CFG.lengths.ell(grid.astype(np.float64))
+        shortest = _shortest(self.CFG)
         for start in (0, grid.size // 2, grid.size - 1):
+            s = min(_switch(self.CFG, shortest, start), grid.size - 1)
             flags = []
             for _ in simulate._prefixes(self.CFG, shortest, start):
                 flags.append(set(calls))
                 calls.clear()
-            assert flags == [{False}] + [{True}] * (grid.size - start - 1)
+            assert flags == [{False}] + [{True}] * (s - start) + [set()] * (grid.size - 1 - s)
+        # the switch falls inside the pass from 0
+        assert 0 < _switch(self.CFG, shortest, 0) < grid.size - 1
 
-    def test_stopped_pass_ends_its_thread(self, monkeypatch):
+    @pytest.mark.parametrize("threads", [False, True], ids=["one-run", "threaded"])
+    def test_late_batches_are_drawn_beside_the_landing(self, monkeypatch, threads):
+        # past the switch each batch is sampled once, in stream order, on
+        # the pass's second thread where threads are allowed
+        monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
+        sampled = []
+        sample = simulate.sample_centers
+
+        def sample_spy(seed, n, start=0, out=None):
+            sampled.append((start, n, threading.get_ident()))
+            return sample(seed, n, start, out)
+
+        monkeypatch.setattr(simulate, "sample_centers", sample_spy)
+        grid = self.CFG.checkpoints()
+        shortest = _shortest(self.CFG)
+        s = _switch(self.CFG, shortest, 0)
+        list(simulate._prefixes(self.CFG, shortest))
+        late = [(int(lo), int(hi - lo)) for lo, hi in zip(grid[s:-1], grid[s + 1:])]
+        assert [(start, n) for start, n, _ in sampled[-len(late):]] == late
+        # the batch after s is drawn on the calling thread, while s merges
+        drawn_on = {ident for *_, ident in sampled[-len(late) + 1:]}
+        assert (drawn_on != {threading.get_ident()}) == threads
+        assert sum(n for _, n, _ in sampled) == self.CFG.n_max
+
+    @pytest.mark.parametrize("stop", ["sorted", "open"])
+    def test_stopped_pass_ends_its_thread(self, monkeypatch, stop):
         # a consumer that raises mid-pass closes the generator as it
-        # unwinds, and with it the executor, whose thread ends at once
+        # unwinds, and with it the executor, whose thread ends at once,
+        # before or after the switch
         monkeypatch.setattr(simulate, "_threads_allowed", lambda: True)
         grid = self.CFG.checkpoints()
+        shortest = np.full(grid.size, 0.01)
+        s = _switch(self.CFG, shortest, 0)
+        at = s - 1 if stop == "sorted" else (s + grid.size) // 2
+        assert 0 < at < grid.size - 1 and (at < s) == (stop == "sorted")
         before = threading.active_count()
 
         def consume():
-            for i, *_ in simulate._prefixes(self.CFG, np.full(grid.size, 0.01)):
-                if i == grid.size // 2:
+            for i, *_ in simulate._prefixes(self.CFG, shortest):
+                if i == at:
                     assert threading.active_count() == before + 1
                     raise RuntimeError("consumer fault")
 
         with pytest.raises(RuntimeError, match="consumer fault"):
             consume()
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threads", [False, True], ids=["one-run", "threaded"])
+    def test_switching_pass_holds_part_of_the_prefix(self, monkeypatch, threads):
+        # past the switch the pass holds its open gaps and two batches, not
+        # n_max centers: at 2**21 it peaks near 5 B per center, where a
+        # prefix of 8 B per center and its merge buffer read over 8.6
+        monkeypatch.setattr(simulate, "_THREAD_MIN", 1 << 17)
+        monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
+        cfg = replace(self.CFG, lengths=LogOverN(0.5), n_max=1 << 21, n_first_checkpoint=64)
+        shortest = _shortest(cfg)
+        assert _switch(cfg, shortest, 0) < cfg.checkpoints().size - 10
+        tracemalloc.start()
+        try:
+            for _ in simulate._prefixes(cfg, shortest):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * cfg.n_max
+
+
+def _gaps_over(cs, lim):
+    """The gaps (a, b) of the sorted array cs with fl(b - a) > lim."""
+    idx = np.flatnonzero(np.diff(cs) > lim)
+    return cs[idx], cs[idx + 1]
+
+
+_PRE = [0.1, 0.2, 0.25, 0.5, 0.9]
+
+# a prefix, the limit its open gaps passed, the batch and the new limit;
+# the prefix's gaps of 0.1, 0.05, 0.25 and 0.4 are open above 0.07 except
+# the 0.05 one
+_LAND_CASES = {
+    "on-gap-ends": (_PRE, 0.07, [0.1, 0.2, 0.25, 0.5, 0.5, 0.9], 0.07),
+    "on-first-and-last": (_PRE, 0.07, [0.1, 0.1, 0.9], 0.07),
+    "outside": (_PRE, 0.03, [0.0, 0.01, 0.05, 0.95, 0.99, _TOP], 0.03),
+    "repeats": (_PRE, 0.07, [0.02, 0.02, 0.3, 0.3, 0.3, 0.7, 0.7, 0.97, 0.97], 0.07),
+    "ulps": (_PRE, 0.07, [math.nextafter(0.1, 1.0), math.nextafter(0.2, 0.0),
+                          math.nextafter(0.25, 1.0), math.nextafter(0.5, 0.0),
+                          math.nextafter(0.9, 0.0)], 0.07),
+    "closed-only": (_PRE, 0.07, [0.21, 0.22, 0.22, 0.24], 0.07),
+    "raised-limit": (_PRE, 0.07, [0.15, 0.3, 0.6, 0.75], 0.12),
+    "none-open": ([0.4, 0.45], 0.1, [0.0, 0.2, 0.42, 0.9], 0.1),
+    "one-center": ([0.5], 0.1, [0.5, 0.05, 0.7], 0.1),
+    "drawn": (np.sort(sample_centers(1, 400)).tolist(), 3 / 400,
+              np.sort(sample_centers(1, 40, start=400)).tolist(), 3.2 / 440),
+}
+
+
+class TestLand:
+    """_land splits the open gaps by a batch: the gaps it keeps, and the
+    end centers, are those of a fresh sort of prefix and batch, bit for
+    bit, ties included."""
+
+    @pytest.mark.parametrize("case", list(_LAND_CASES))
+    def test_equals_fresh_sort(self, case):
+        prefix, before, batch, lim = _LAND_CASES[case]
+        cs = np.array(prefix)
+        a, b = _gaps_over(cs, before)
+        got = simulate._land(a, b, float(cs[0]), float(cs[-1]), np.sort(batch), lim)
+        merged = np.sort(np.concatenate([cs, batch]))
+        want = (*_gaps_over(merged, lim), merged[0], merged[-1])
+        assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
+        assert type(got[2]) is float and type(got[3]) is float
 
 
 class TestPassLayout:
