@@ -44,8 +44,8 @@ import numpy as np
 
 from .lengths import LogOverN
 from .errors import ConfigError, check_integer, fields_equal
-from .simulate import (TrialConfig, _check_memory, _tail_union, _usable_cpus, _verdicts,
-                       checkpoint_grid)
+from .simulate import (TrialConfig, _check_memory, _pass_bytes, _tail_union, _usable_cpus,
+                       _verdicts, checkpoint_grid)
 from .targets import TargetSet, make_circle
 from .torus import IntervalUnion, _in_closed, measure
 
@@ -211,12 +211,13 @@ def _init_worker(context):
     _context = context
 
 
-def _map_seeds(cell, seeds, base_cfg: TrialConfig, tail, jobs, shared) -> list:
+def _map_seeds(cell, seeds, base_cfg: TrialConfig, tail, jobs, shared, need) -> list:
     """[cell(seed, (base_cfg, tail, shared)) for seed in seeds], seeds
     ascending, after checking, in this order, the window, the lowest and
-    highest seed, `jobs` and the memory: inline for one worker, else in a
-    pool of min(jobs, len(seeds), usable CPUs) worker processes, which
-    receive the context once each."""
+    highest seed, `jobs` and the memory, at need() bytes per cell
+    (simulate._pass_bytes): inline for one worker, else in a pool of
+    min(jobs, len(seeds), usable CPUs) worker processes, which receive the
+    context once each."""
     base_cfg.check_window(tail, 1)
     for seed in (seeds[0], seeds[-1]):
         replace(base_cfg, seed=seed)  # refuses a seed outside [0, 2**64)
@@ -224,7 +225,7 @@ def _map_seeds(cell, seeds, base_cfg: TrialConfig, tail, jobs, shared) -> list:
     if jobs < 1:
         raise ConfigError("jobs", f"must be >= 1, got {jobs}")
     workers = min(jobs, len(seeds), _usable_cpus())
-    _check_memory(base_cfg.n_max, workers)
+    _check_memory(base_cfg.n_max, need(), workers)
     context = (base_cfg, int(tail), shared)
     if workers <= 1:
         return [cell(seed, context) for seed in seeds]
@@ -284,8 +285,10 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
                           f"{next(iter(failed.values()))}")
     ok_cs = [rule.c for rule in rules]
 
+    # _verdicts runs one pass at the shortest lengths, rules[0]'s, and holds gaps
     per_seed = _map_seeds(_scan_cell, range(seed0, seed0 + trials_per_c), base_cfg,
-                          tail_checkpoints, jobs, rules)
+                          tail_checkpoints, jobs, rules,
+                          lambda: _pass_bytes(base_cfg, rules[0], hold=True))
     rows = []
     for i, c in enumerate(ok_cs):
         cov, fails, tails = zip(*(cell[i] for cell in per_seed))
@@ -396,7 +399,10 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
     except ValueError as exc:
         raise ConfigError("n_max", f"{exc} between ell(n_max) = {eps_fine:.3g} and "
                           "its square root; increase n_max") from exc
-    estimates = tuple(_map_seeds(_dims_cell, seeds, base, tail_checkpoints, jobs, scales))
+    # _tail_union's pass starts at the tail window
+    estimates = tuple(_map_seeds(
+        _dims_cell, seeds, base, tail_checkpoints, jobs, scales,
+        lambda: _pass_bytes(base, rule, base.checkpoints().size - tail_checkpoints)))
     floor = None if target.dim_H is None else target.dim_H - c
     return DimensionScan(
         c=float(c),

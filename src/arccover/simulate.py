@@ -31,10 +31,14 @@ The kernel:
   calling thread merges the high one and draws the next checkpoint's
   centers into the free middle.  Any other pass samples once and keeps one
   run.  Such a long pass keeps the prefix only until few of its gaps can
-  still be candidates (_X0): from there it keeps those open gaps alone,
-  and each later checkpoint splits them by its batch of new centers
+  still be candidates (_switch, _X0): from there it keeps those open gaps
+  alone, and each later checkpoint splits them by its batch of new centers
   (_land), drawn on the second thread while the batch before it lands.
-  _gap_candidates picks the gaps the exact predicate runs on.
+  The first batch is drawn, and the open gaps of the halves joined, only
+  once the prefix array is released, so the pass never holds both phases
+  at once; _check_memory refuses a horizon by the larger of the two
+  (_pass_bytes).  _gap_candidates picks the gaps the exact predicate runs
+  on.
 - Three passes read it.  run_trial, the one entry point for a trial,
   decides every checkpoint and builds a residue where one is uncovered.
   _verdicts gives a phase scan's verdicts under a list of length rules,
@@ -68,8 +72,8 @@ import numpy as np
 from .errors import ConfigError, check_integer, fields_equal
 from .lengths import MAX_EXACT_N, LengthSequence
 from .targets import TargetSet
-from .torus import (EMPTY, MERGE_EPS, IntervalUnion, _strictly_inside, intersect, measure,
-                    union)
+from .torus import (EMPTY, MERGE_EPS, IntervalUnion, _seam_dust, _strictly_inside, intersect,
+                    measure, union)
 
 PRNG_NAME = "numpy.random.Philox"
 PRNG_VERSION = np.__version__
@@ -173,16 +177,70 @@ _SPLIT = 0.65
 _X0 = 3.0
 
 # Candidate gaps _verdicts holds for its backward walk, per center
-# of the horizon: 2 floats each, so at most 4 B per center beside the 8 B
-# of the prefix.  A batch that reaches it is decided on the spot.
+# of the horizon: 2 floats each, so at most 4 B per center.  A batch that
+# reaches it is decided on the spot.
 _HOLD = 0.25
 
-# Most bytes a trial holds per center of its horizon: 8 for the prefix, up
-# to 4 for timsort's merge buffer and up to 4 for the gaps _verdicts holds
-# (_HOLD).  A pass that stops keeping its prefix (_X0) holds less: a trial
-# to n_max 1e7 peaked at 124 MB of RSS on a 2-core VM with the whole
-# prefix kept and at about 83 MB without, both under the 160 MB this gives.
-_BYTES_PER_CENTER = 16
+# Most bytes a pass holds per center of its prefix array while it keeps the
+# sorted prefix: 8 for the prefix and up to 4 for timsort's merge buffer.
+# The merge buffer is gone before the candidate gaps are gathered, at 16 B
+# each for their ends and 8 B for their indices; at the switch they are
+# about exp(-_X0) of the gaps, fewer than 2 B per center.
+_BYTES_PER_CENTER = 12
+
+# Bytes a late phase holds per open gap of its switch checkpoint: 16 for
+# its two ends, times a margin of 10 for _land, which holds about ten index
+# and end arrays of 8 B per gap (the ends in and out, lo, hi, k, tail, head,
+# the sub-gap ends and the yielded copies).  Past the switch, beside 8 B per
+# center of the two largest consecutive batches, passes peaked in
+# tracemalloc at 84 (one-run) and 117 B (threaded) per grid[s] * exp(-_X0)
+# at n_max 2**21 (logn:0.5, seed 5), and at 50 and 80 B at 1e7 (seed 0).
+_BYTES_PER_OPEN_GAP = 160
+
+
+def _switch(grid, shortest, start: int = 0) -> tuple:
+    """(thr, floor, s) for a pass over `grid` from index `start` on at the
+    lengths `shortest`: its thresholds thr[i] = fl(shortest[i] - SLACK),
+    their suffix minima floor[i] = min(thr[i:]), and its switch checkpoint
+    s, where it stops keeping its sorted prefix (see _prefixes).  Only a
+    pass whose horizon reaches _THREAD_MIN switches, at its first
+    checkpoint s >= start with grid[s] * floor[s] >= _X0; s is grid.size
+    for one that never does."""
+    thr = shortest - SLACK
+    floor = np.minimum.accumulate(thr[::-1])[::-1]
+    s = grid.size
+    if grid[-1] >= _THREAD_MIN:
+        late = np.flatnonzero(grid[start:] * floor[start:] >= _X0)
+        if late.size:
+            s = start + int(late[0])
+    return thr, floor, s
+
+
+def _pass_bytes(cfg: TrialConfig, rule: LengthSequence, start: int = 0,
+                hold: bool = False) -> int:
+    """About the most bytes a pass of _prefixes over cfg's grid from index
+    `start` on, at the lengths of `rule`, holds at once; with `hold`, also
+    the gaps _verdicts holds.
+
+    A pass holds the larger of two phases, which never hold memory at the
+    same time: its prefix array is released before its first late batch is
+    drawn.  The sorted phase holds _BYTES_PER_CENTER per center of that
+    array: grid[s] where it switches at s, n_max where it never does.  The
+    late phase holds the open gaps at s, about grid[s] * exp(-_X0) of them
+    (_BYTES_PER_OPEN_GAP each), and two consecutive batches, the one that
+    lands and the next one, drawn meanwhile, 8 B per center.  The gaps
+    _verdicts holds (_HOLD) may span both phases."""
+    grid = cfg.checkpoints()
+    _, _, s = _switch(grid, rule.ell(grid.astype(np.float64)), start)
+    size = int(grid[min(s, grid.size - 1)])
+    need = _BYTES_PER_CENTER * size
+    if s + 1 < grid.size:
+        batches = np.diff(grid[s:])
+        pair = int((batches[:-1] + batches[1:]).max(initial=batches[0]))
+        need = max(need, int(_BYTES_PER_OPEN_GAP * size * math.exp(-_X0)) + 8 * pair)
+    if hold:
+        need += int(16 * _HOLD * cfg.n_max)
+    return need
 
 
 def _physical_memory() -> int | None:
@@ -195,10 +253,11 @@ def _physical_memory() -> int | None:
     return pages * size if pages > 0 and size > 0 else None
 
 
-def _check_memory(n_max: int, trials: int) -> None:
+def _check_memory(n_max: int, need: int, trials: int) -> None:
     """Refuse an n_max whose `trials` trials, run at once, would need more
-    than the machine's physical memory, before anything is allocated."""
-    need = _BYTES_PER_CENTER * int(n_max) * trials
+    than the machine's physical memory, at `need` bytes each (_pass_bytes),
+    before anything is allocated."""
+    need *= trials
     have = _physical_memory()
     if have is not None and need > have:
         raise ConfigError("n_max", f"{n_max} centers need about {need / 2 ** 30:.3g} GiB "
@@ -273,7 +332,9 @@ def _half_gaps(half, thr, buf, mask, merge=True) -> tuple:
         # timsort merges the two sorted runs in linear time
         half.view(np.uint64).sort(kind="stable")
     idx = _gap_candidates(half, thr, buf, mask)
-    return half[idx], half[idx + 1]
+    a = half[idx]
+    idx += 1
+    return a, half[idx]
 
 
 def _prefix_gaps(c, n0: int, n1: int, thr, scratch, pool, meanwhile=None,
@@ -283,12 +344,13 @@ def _prefix_gaps(c, n0: int, n1: int, thr, scratch, pool, meanwhile=None,
     without `merge`).
 
     Merges each half and returns (a, b, first, last): the ends of the gaps
-    with fl(b - a) > thr, in ascending order (the low half's, the gap
-    between the halves, the high half's), and the first and last center.
-    These are the gaps and values of the whole sorted prefix.  `scratch`
-    holds a (buf, mask) pair per half; with a `pool`, the low half runs on
-    its thread while the calling thread does the high half.  `meanwhile`,
-    if given, runs on the calling thread once its own merging is done and
+    with fl(b - a) > thr, as lists of ascending arrays to concatenate (the
+    low half's, the gap between the halves, the high half's), and the
+    first and last center.  These are the gaps and values of the whole
+    sorted prefix, and no part of them is a view of `c`.  `scratch` holds a
+    (buf, mask) pair per half; with a `pool`, the low half runs on its
+    thread while the calling thread does the high half.  `meanwhile`, if
+    given, runs on the calling thread once its own merging is done and
     before it waits for the pool's: it may write the free middle
     c[n0:c.size-n1], which no merge and no returned value reads.
     """
@@ -306,15 +368,19 @@ def _prefix_gaps(c, n0: int, n1: int, thr, scratch, pool, meanwhile=None,
         a0, b0 = job.result()
     # with one half empty, the other is the whole prefix
     if not n1:
-        return a0, b0, float(low[0]), float(low[-1])
+        return [a0], [b0], float(low[0]), float(low[-1])
     if not n0:
-        return a1, b1, float(high[0]), float(high[-1])
+        return [a1], [b1], float(high[0]), float(high[-1])
     a, b = [a0], [b0]
     if high[0] - low[-1] > thr:
-        a.append(low[-1:])
-        b.append(high[:1])
-    return (np.concatenate(a + [a1]), np.concatenate(b + [b1]),
-            float(low[0]), float(high[-1]))
+        a.append(low[-1:].copy())
+        b.append(high[:1].copy())
+    return a + [a1], b + [b1], float(low[0]), float(high[-1])
+
+
+def _join(parts) -> np.ndarray:
+    """The arrays `parts` end to end; one part is returned as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _usable_cpus() -> int:
@@ -405,16 +471,22 @@ def _seam_pieces(first, last, ell) -> tuple:
     """The uncovered pieces (lo, hi) of the wrap gap from center `last` to
     center `first` under arcs of length `ell`, split at the seam: the
     piece at 0 and the piece at 1 of [0, 1], each () when there is none.
-    The wrap gap is open iff it exceeds ell by more than MERGE_EPS."""
-    if not (first + 1.0 - last) - ell > MERGE_EPS:
-        return (), ()
+
+    They are those of complement(arcs_to_union(...)), in its arithmetic.
+    Where the first arc starts below 0 (l = fl(first - r) < 0) or the last
+    one ends above 1 (h = fl(last + r) > 1), one piece is left, kept by the
+    test of a gap between two pieces, hi > fl(lo + MERGE_EPS).  Where
+    neither does, the parts (0, l) and (h, 1) are seam dust, dropped, when
+    they total at most MERGE_EPS (torus._seam_dust)."""
     r = 0.5 * ell
     l = first - r
     h = last + r
     if l < 0.0:
-        return (), (h, l + 1.0)
+        return (), (h, l + 1.0) if l + 1.0 > h + MERGE_EPS else ()
     if h > 1.0:
-        return (h - 1.0, l), ()
+        return (h - 1.0, l) if l > (h - 1.0) + MERGE_EPS else (), ()
+    if _seam_dust(l, h):
+        return (), ()
     return (0.0, l) if l > 0.0 else (), (h, 1.0) if h < 1.0 else ()
 
 
@@ -459,12 +531,15 @@ def _uncovered(a, b, first, last, ells, target) -> int:
       non-decreasing in lo and the second in hi, so a piece that contains
       one meeting a target interval meets it too, and a point strictly
       inside a piece is strictly inside any piece that contains it.
-    - The seam.  The wrap gap is open at r' where it is at r, and then
-      exceeds ell, so l = fl(first - r) < 0 and h = fl(last + r) > 1
-      exclude each other.  As r shrinks, l grows and h shrinks: a piece
-      (h, fl(l + 1)) stays one or turns into (h, 1) and maybe (0, l), a
-      piece (fl(h - 1), l) into (0, l) and maybe (h, 1), and (0, l) and
-      (h, 1) stay.  Each piece at r lies in a piece at r'.
+    - The seam.  As r shrinks, l = fl(first - r) grows and h = fl(last +
+      r) shrinks (see _seam_pieces).  A piece (h, fl(l + 1)) at l < 0
+      passes its keep test fl(l + 1) > fl(h + MERGE_EPS) at r' too while
+      l' < 0.  Once l' >= 0, that test gave fl(h + MERGE_EPS) < 1, so 1 - h
+      > MERGE_EPS, and the two parts at r' total more than MERGE_EPS: the
+      piece lies in (h', 1).  A piece (fl(h - 1), l) at h > 1 is the mirror
+      image, where l > fl(fl(h - 1) + MERGE_EPS) >= MERGE_EPS.  Where
+      neither end crosses the seam, the parts l and 1 - h only grow, and
+      (0, l) and (h, 1) stay.  Each piece at r lies in a piece at r'.
     - The point at 0.  It needs both (0, l) and (h, 1), which stay.
     The width filter fl(b - a) > fl(ell - SLACK) drops only gaps that fail
     the keep test (see uncovered_at), so it changes no evaluation; nor do
@@ -610,54 +685,45 @@ def _prefixes(cfg: TrialConfig, shortest, start: int = 0):
     with fl(b - a) > floor[i] lies in an open gap or the wrap gap, so the
     yields are those of the whole prefix, bit for bit.
 
-    Only a pass whose horizon reaches _THREAD_MIN switches, at its first
-    checkpoint s >= start with grid[s] * floor[s] >= _X0 (so floor[s] > 0,
-    as _land needs), and its prefix array holds grid[s] centers rather
-    than n_max.  Such a pass, where
-    _threads_allowed() holds, is two-ended and threaded, and draws each
-    batch of its late checkpoints on its second thread while the one
-    before it lands; any other pass samples its prefix once and keeps one
-    run."""
+    The switch checkpoint s is _switch's, and the prefix array holds
+    grid[s] centers rather than n_max.  At s the pass holds nothing beside
+    that array, its merge buffers and the gap ends being gathered: the
+    halves' open gaps are joined, and the first late batch is drawn, only
+    once the array is released.  A pass that switches, where
+    _threads_allowed() holds, is two-ended and threaded, and draws its
+    late batches on its second thread (_open_steps); any other pass
+    samples its prefix once, keeps one run and draws each late batch when
+    it lands."""
     grid = cfg.checkpoints()
     if start >= grid.size:
         return
-    thr = shortest - SLACK
-    floor = np.minimum.accumulate(thr[::-1])[::-1]
-    s = grid.size
-    if cfg.n_max >= _THREAD_MIN:
-        late = np.flatnonzero(grid[start:] * floor[start:] >= _X0)
-        if late.size:
-            s = start + int(late[0])
+    thr, floor, s = _switch(grid, shortest, start)
     threaded = cfg.n_max >= _THREAD_MIN and _threads_allowed()
+    lims = thr.copy()
+    if s < grid.size:
+        lims[s] = floor[s]
     # an executor per pass, whose thread (started by the first submit) ends
     # with it, also where the consumer stops early: a process pool forked
     # later gets no thread, and no dead copy of an executor
     with ThreadPoolExecutor(1) if threaded else contextlib.nullcontext() as pool:
-        if s == grid.size:
-            yield from _sorted_steps(cfg, grid, thr, start, grid.size, threaded, pool)
-            return
-        lims = thr.copy()
-        lims[s] = floor[s]
-        # the centers of the checkpoint after s, drawn while s merges
-        fresh = np.empty(int(grid[s + 1] - grid[s])) if s + 1 < grid.size else None
-        for i, a, b, first, last in _sorted_steps(cfg, grid, lims, start, s + 1, threaded,
-                                                  pool, fresh):
+        for i, a, b, first, last in _sorted_steps(cfg, grid, lims, start,
+                                                  min(s + 1, grid.size), threaded, pool):
             if i < s:
-                yield i, a, b, first, last
+                yield i, _join(a), _join(b), first, last
+        if s == grid.size:
+            return
         # the prefix is gone with the finished _sorted_steps
-        wide = b - a > thr[s]
-        yield s, a[wide], b[wide], first, last
-        yield from _open_steps(cfg, grid, thr, floor, s, (a, b, first, last), fresh, pool)
+        yield from _open_steps(cfg, grid, thr, floor, s, (_join(a), _join(b), first, last),
+                               pool)
 
 
 def _sorted_steps(cfg: TrialConfig, grid, lims, start: int, stop: int, threaded: bool,
-                  pool, after=None):
-    """(i, a, b, first, last) as _prefixes has them, at the thresholds
+                  pool):
+    """(i, a, b, first, last) as _prefix_gaps has them, at the thresholds
     lims[i], for the checkpoints start..stop-1, from a prefix array of
-    grid[stop-1] centers.  The first of them samples and sorts its whole
-    prefix in one step; no earlier one is sampled or merged.  `after`, if
-    given, takes the sorted centers of the checkpoint after stop-1, drawn
-    while that one merges."""
+    grid[stop-1] centers, which is released when the last one has been
+    read.  The first of them samples and sorts its whole prefix in one
+    step; no earlier one is sampled or merged."""
     # a one-run pass splits at 1, above every center: the high run stays
     # empty and the free middle takes the centers in stream order
     at = _SPLIT if threaded else 1.0
@@ -686,31 +752,38 @@ def _sorted_steps(cfg: TrialConfig, grid, lims, start: int, stop: int, threaded:
         if i + 1 < stop:
             draw = functools.partial(_draw, c[n0:n0 + int(grid[i + 1]) - n], cfg.seed,
                                      n, threaded)
-        elif after is not None:
-            draw = functools.partial(_draw, after, cfg.seed, n, True)
         yield (i, *_prefix_gaps(c, n0, n1, lims[i], scratch,
                                 pool if n >= _THREAD_MIN else None, draw, merge))
 
 
-def _open_steps(cfg: TrialConfig, grid, thr, floor, s: int, gaps, fresh, pool):
-    """(i, a, b, first, last) as _prefixes has them, for the checkpoints
-    after the switch s, from `gaps`, the open gaps and end centers of the
-    prefix at s (see _prefixes), and `fresh`, the sorted centers of the
-    checkpoint after s.  With a `pool`, each next batch is drawn on its
-    thread while the calling thread lands the current one."""
+def _next_batch(cfg: TrialConfig, grid, i: int, pool):
+    """A callable that returns the sorted batch of new centers of
+    checkpoint i + 1, grid[i]..grid[i+1]-1 of the stream: drawn from now
+    on, on the thread of a `pool`, or drawn when it is called, without
+    one.  The batch's array is allocated on the calling thread either way,
+    so it comes from the same heap as every other array of the pass."""
+    size = int(grid[i + 1] - grid[i])
+    if pool is None:
+        return lambda: _draw(np.empty(size), cfg.seed, int(grid[i]), True)
+    return pool.submit(_draw, np.empty(size), cfg.seed, int(grid[i]), True).result
+
+
+def _open_steps(cfg: TrialConfig, grid, thr, floor, s: int, gaps, pool):
+    """(i, a, b, first, last) as _prefixes has them, for the switch s and
+    the checkpoints after it, from `gaps`, the open gaps and end centers of
+    the prefix at s (see _prefixes).  Each batch is asked for (_next_batch)
+    before the checkpoint before it is yielded, so with a `pool` it is
+    drawn while the consumer reads that checkpoint and, past s, while that
+    checkpoint's own batch lands."""
     a, b, first, last = gaps
-    for i in range(s + 1, grid.size):
-        n = int(grid[i])
-        draw = None
-        if i + 1 < grid.size:
-            draw = functools.partial(_draw, np.empty(int(grid[i + 1]) - n), cfg.seed, n, True)
-            if pool is not None:
-                draw = pool.submit(draw).result
-        a, b, first, last = _land(a, b, first, last, fresh, floor[i])
+    draw = None
+    for i in range(s, grid.size):
+        fresh = draw() if draw else None
+        draw = _next_batch(cfg, grid, i, pool) if i + 1 < grid.size else None
+        if fresh is not None:
+            a, b, first, last = _land(a, b, first, last, fresh, floor[i])
         wide = b - a > thr[i]
         yield i, a[wide], b[wide], first, last
-        if draw is not None:
-            fresh = draw()
 
 
 def _land(a, b, first, last, fresh, lim) -> tuple:
@@ -776,10 +849,12 @@ def run_trial(cfg: TrialConfig, tail_checkpoints: int = 0) -> CoverageTrace:
     decided, and an uncovered one builds its residue.  An n_max past the
     physical memory is refused before anything is allocated."""
     cfg.check_window(tail_checkpoints, 0)
-    _check_memory(cfg.n_max, 1)
     if cfg.lengths is None:
         raise ConfigError("lengths", "no length sequence configured")
-    cfg.target.check_horizon(cfg.lengths.ell(cfg.n_max))
+    # ell(n_max) > 0 for a non-increasing rule gives ell > 0 on the grid
+    ell_max = cfg.lengths.ell(cfg.n_max)
+    _check_memory(cfg.n_max, _pass_bytes(cfg, cfg.lengths), 1)
+    cfg.target.check_horizon(ell_max)
     grid, (ells,), t_approx, tail_idx = _setup(cfg, [cfg.lengths])
     covered = np.zeros(grid.size, dtype=bool)
     unc_measure = np.zeros(grid.size, dtype=np.float64)

@@ -9,7 +9,10 @@ Conventions used throughout the package:
 * Canonical form never stores a piece crossing the 0/1 seam; a wrapped
   arc is split into a piece ending at 1 and a piece starting at 0.
 * Pieces separated by a gap of at most MERGE_EPS are merged, which
-  absorbs floating-point dust from repeated set operations.
+  absorbs floating-point dust from repeated set operations.  Across the
+  seam, the parts [0, lo) and (hi, 1] that an arc union or a complement
+  leaves out are dropped as seam dust when they total at most MERGE_EPS,
+  as the gap route of simulate.uncovered_at drops such a wrap gap.
 * An IntervalUnion may additionally carry isolated points (used for
   finite target sets).  Points have measure zero, vanish under
   complement, and survive an intersection only when they fall strictly
@@ -168,8 +171,15 @@ FULL_CIRCLE = IntervalUnion([(0.0, 1.0)])
 EMPTY = IntervalUnion()
 
 
+def _seam_dust(lo: float, hi: float) -> bool:
+    """Whether the parts [0, lo) and (hi, 1] of the seam that pieces from
+    lo to hi leave out total at most MERGE_EPS, lo >= 0 and hi <= 1."""
+    return not lo + (1.0 - hi) > MERGE_EPS
+
+
 def arcs_to_union(arcs: Sequence[Arc]) -> IntervalUnion:
-    """Canonical union of a list of arcs; wrapped arcs split at the seam."""
+    """Canonical union of a list of arcs; wrapped arcs split at the seam,
+    and seam dust (_seam_dust) covered."""
     if not arcs:
         return EMPTY
     centers = np.array([a.center for a in arcs], dtype=np.float64)
@@ -188,6 +198,8 @@ def arcs_to_union(arcs: Sequence[Arc]) -> IntervalUnion:
     his = np.concatenate((hi[plain], np.ones(wrap_lo.sum()), hi[wrap_lo],
                           np.ones(wrap_hi.sum()), hi[wrap_hi] - 1.0))
     canon_los, canon_his, _ = _canonicalize(los, his, _EMPTY)
+    if _seam_dust(canon_los[0], canon_his[-1]):
+        canon_los[0], canon_his[-1] = 0.0, 1.0
     return IntervalUnion._from_sorted(canon_los, canon_his)
 
 
@@ -201,11 +213,15 @@ def complement(u: IntervalUnion) -> IntervalUnion:
 
     Isolated points of `u` are dropped: the result differs from the true
     complement by a finite set, consistent with the closed convention.
+    The gaps before the first piece and after the last are dropped as seam
+    dust where they total at most MERGE_EPS (_seam_dust).
     """
     # the gaps before, between and after the pieces, kept where nonempty
     clo = np.concatenate(([0.0], u.his))
     chi = np.concatenate((u.los, [1.0]))
     keep = chi > clo
+    if u.los.size and _seam_dust(u.los[0], u.his[-1]):
+        keep[0] = keep[-1] = False
     return IntervalUnion._from_sorted(clo[keep], chi[keep])
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from arccover import (ConfigError, DimensionEstimate, EMPTY, FULL_CIRCLE,
-                      IntervalUnion, LogOverN, ScanRow, TrialConfig, analyze,
+                      IntervalUnion, LogOverN, PowerLaw, ScanRow, TrialConfig, analyze,
                       box_dimension, make_cantor, make_circle, make_custom, make_finite,
                       TargetSet, measure, nested_scales, occupied_cell_count, phase_scan,
                       run_trial, sample_centers, simulate, uncovered_at,
@@ -241,9 +241,9 @@ class TestPhaseScan:
         shared = []
         map_seeds = analyze._map_seeds
 
-        def spy(cell, seeds, base_cfg, tail, jobs, rules):
+        def spy(cell, seeds, base_cfg, tail, jobs, rules, need):
             shared.append(rules)
-            return map_seeds(cell, seeds, base_cfg, tail, jobs, rules)
+            return map_seeds(cell, seeds, base_cfg, tail, jobs, rules, need)
 
         monkeypatch.setattr(analyze, "_map_seeds", spy)
         t = make_cantor(1 / 3, 8)
@@ -450,10 +450,17 @@ class TestSharedChecks:
             faults.pop(fault, None)
 
 
+class _Admitted(Exception):
+    """Raised in place of a pass: the memory guard let the trial through."""
+
+
 class TestMemoryGuard:
     """An n_max whose trials, one per worker, need more than the physical
-    memory is refused as `n_max`, before a prefix array or a pool exists:
-    16 B per center of the horizon and per trial run at once."""
+    memory is refused as `n_max`, before a prefix array or a pool exists.
+    Per trial the guard counts the larger of a pass's two phases
+    (simulate._pass_bytes): a pass that never switches, as every one below
+    _THREAD_MIN, holds 12 B per center of its prefix array, and a scan 4 B
+    more per center of the horizon for the gaps it holds."""
 
     @pytest.fixture
     def memory(self, monkeypatch):
@@ -468,20 +475,30 @@ class TestMemoryGuard:
 
         monkeypatch.setattr(simulate, "_prefixes", refuse)
 
+    @pytest.fixture
+    def admitted(self, monkeypatch):
+        """A pass that raises _Admitted instead of running."""
+        def admit(*args, **kwargs):
+            raise _Admitted
+
+        monkeypatch.setattr(simulate, "_prefixes", admit)
+
     def test_refused_before_any_allocation(self, memory, no_prefix, no_pool):
-        memory(16 * 3000 - 1)
         need = r"^n_max: 3000 centers need about .* GiB for {} trial\(s\) at once"
+        memory(12 * 3000 - 1)
         with pytest.raises(ConfigError, match=need.format(1)):
             run_trial(replace(small_base(), lengths=LogOverN(1.0)))
+        memory(16 * 3000 - 1)
         with pytest.raises(ConfigError, match=need.format(1)):
             phase_scan([0.5, 2.5], small_base(), 2)
-        memory(16 * 20_000 * 2 - 1)
+        memory(12 * 20_000 * 2 - 1)
         with pytest.raises(ConfigError, match=r"^n_max: 20000 centers .* 2 trial\(s\)"):
             uncovered_dimension_experiment(0.5, 20_000, range(2), jobs=2)
 
     def test_one_trial_per_worker(self, memory, inline_pool):
-        memory(16 * 3000)
+        memory(12 * 3000)
         run_trial(replace(small_base(), lengths=LogOverN(1.0)))
+        memory(16 * 3000)
         want = phase_scan([0.5, 2.5], small_base(), 2)
         # one cell runs inline, whatever jobs says
         phase_scan([0.5, 2.5], small_base(), 1, jobs=2)
@@ -491,6 +508,38 @@ class TestMemoryGuard:
         memory(16 * 3000 * 2)
         assert phase_scan([0.5, 2.5], small_base(), 2, jobs=2).to_dict() == want.to_dict()
         assert inline_pool == [2]
+
+    @pytest.mark.parametrize("c", [0.5, 1.5])
+    def test_switching_trial_at_1e9(self, memory, admitted, c):
+        # a circle trial to 1e9 switches, so it holds far less than 12 B per
+        # center of its horizon: admitted at 8 GiB, refused at 0.5 GiB
+        cfg = replace(small_base(n_max=10 ** 9), lengths=LogOverN(c))
+        memory(8 * 2 ** 30)
+        with pytest.raises(_Admitted):
+            run_trial(cfg)
+        memory(2 ** 29)
+        with pytest.raises(ConfigError, match=r"^n_max: 1000000000 centers need about "):
+            run_trial(cfg)
+
+    def test_late_phase_counts_where_it_is_larger(self, memory, no_prefix):
+        # under logn:1.5 at 1e9 the last two batches, 8 B per center, outweigh
+        # the 12 B per center of the prefix kept up to the switch s; with the
+        # open gaps beside them they do not fit where those batches just fit
+        cfg = replace(small_base(n_max=10 ** 9), lengths=LogOverN(1.5))
+        grid = cfg.checkpoints()
+        _, _, s = simulate._switch(grid, cfg.lengths.ell(grid.astype(np.float64)))
+        batches = int(grid[-1] - grid[-3])
+        assert 8 * batches > 12 * grid[s]
+        memory(8 * batches)
+        with pytest.raises(ConfigError, match=r"^n_max: 1000000000 centers need about "):
+            run_trial(cfg)
+
+    def test_pass_that_never_switches_at_1e9(self, memory, no_prefix):
+        # n * ell(n) falls under power:1:2, so the pass keeps its whole
+        # prefix: 12 B per center of 1e9 is more than 8 GiB
+        memory(8 * 2 ** 30)
+        with pytest.raises(ConfigError, match=r"^n_max: 1000000000 centers need about 11\.2 "):
+            run_trial(replace(small_base(n_max=10 ** 9), lengths=PowerLaw(1.0, 2.0)))
 
     def test_unknown_memory_refuses_nothing(self, memory):
         memory(None)

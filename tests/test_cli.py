@@ -466,15 +466,18 @@ class TestRefusals:
 
     @pytest.mark.parametrize("command", ["trial", "scan", "dims"])
     def test_n_max_past_the_memory(self, tmp_path, capsys, monkeypatch, command):
-        # 2**53 centers pass the float-exact cap but need 128 PiB; the
-        # refusal comes before the pass that would allocate them
+        # 2**53 centers pass the float-exact cap, but at that horizon every
+        # length is below SLACK, so no pass switches: 12 B per center need
+        # 96 PiB, and a scan's held gaps 32 PiB more.  The refusal comes
+        # before the pass that would allocate them
+        need = {"trial": r"1\.01e\+08", "scan": r"1\.34e\+08", "dims": r"1\.01e\+08"}[command]
         def refuse(*args, **kwargs):
             raise AssertionError("a prefix array was allocated")
 
         monkeypatch.setattr(simulate, "_prefixes", refuse)
         monkeypatch.setattr(analyze, "ProcessPoolExecutor", refuse)
         assert run(tmp_path, command, "--n-max", str(2 ** 53)) == 2
-        assert re.fullmatch(rf"error: n_max: {2 ** 53} centers need about 1\.34e\+08 GiB for "
+        assert re.fullmatch(rf"error: n_max: {2 ** 53} centers need about {need} GiB for "
                             r"\d+ trial\(s\) at once, more than the .* GiB of physical memory\n",
                             capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
