@@ -285,10 +285,9 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
                           f"{next(iter(failed.values()))}")
     ok_cs = [rule.c for rule in rules]
 
-    # _verdicts runs one pass at the shortest lengths, rules[0]'s, and holds gaps
+    # _verdicts runs one pass at the shortest lengths, rules[0]'s
     per_seed = _map_seeds(_scan_cell, range(seed0, seed0 + trials_per_c), base_cfg,
-                          tail_checkpoints, jobs, rules,
-                          lambda: _pass_bytes(base_cfg, rules[0], hold=True))
+                          tail_checkpoints, jobs, rules, lambda: _pass_bytes(base_cfg, rules[0]))
     rows = []
     for i, c in enumerate(ok_cs):
         cov, fails, tails = zip(*(cell[i] for cell in per_seed))

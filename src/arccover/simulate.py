@@ -42,22 +42,17 @@ The kernel:
 - Three passes read it.  run_trial, the one entry point for a trial,
   decides every checkpoint and builds a residue where one is uncovered.
   _verdicts gives a phase scan's verdicts under a list of length rules,
-  which share the seed, target and grid.  _tail_union gives the tail
+  which share the seed, target and grid: coverage is monotone in the
+  length (_uncovered), so one number per checkpoint, the depth of the
+  target in its gaps (_depth), decides every rule as the pass yields it,
+  and a scan's fractions never decrease in c.  _tail_union gives the tail
   union alone and starts at the tail window.  Both trust their caller to
   have run each rule's scale guard (TargetSet.check_horizon).
-- _uncovered counts, by one threshold search, the rules that leave the
-  target uncovered at a checkpoint: coverage is monotone in the length
-  and _verdicts takes its rules in order of length, so they are the first
-  few, and a scan's fractions never decrease in c.  A verdict reads only
-  each rule's last uncovered checkpoint, so _verdicts decides the
-  checkpoints before the tail window last, from the newest back
-  (_last_failures), keeping the rules without a later failure as one
-  index: a single evaluation of the first of them settles them all unless
-  it is uncovered.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import itertools
@@ -176,11 +171,6 @@ _SPLIT = 0.65
 # RSS): 2 read 0.492 s and 96.0 MB, and 4 read 0.333 s and 96.6 MB.
 _X0 = 3.0
 
-# Candidate gaps _verdicts holds for its backward walk, per center
-# of the horizon: 2 floats each, so at most 4 B per center.  A batch that
-# reaches it is decided on the spot.
-_HOLD = 0.25
-
 # Most bytes a pass holds per center of its prefix array while it keeps the
 # sorted prefix: 8 for the prefix and up to 4 for timsort's merge buffer.
 # The merge buffer is gone before the candidate gaps are gathered, at 16 B
@@ -196,6 +186,12 @@ _BYTES_PER_CENTER = 12
 # tracemalloc at 84 (one-run) and 117 B (threaded) per grid[s] * exp(-_X0)
 # at n_max 2**21 (logn:0.5, seed 5), and at 50 and 80 B at 1e7 (seed 0).
 _BYTES_PER_OPEN_GAP = 160
+
+# Bytes per candidate gap for its ends, pieces, residue and tail unions:
+# tracemalloc peaks at n_max 1e6, less 8 B per center, per expected gap
+# (_pass_bytes): 130 B for a power:1:2 trial, 165 B with a tail window of
+# 5, and 183 B for a scan of 7 rules from logn:0.05.
+_BYTES_PER_GAP = 192
 
 
 def _switch(grid, shortest, start: int = 0) -> tuple:
@@ -216,11 +212,9 @@ def _switch(grid, shortest, start: int = 0) -> tuple:
     return thr, floor, s
 
 
-def _pass_bytes(cfg: TrialConfig, rule: LengthSequence, start: int = 0,
-                hold: bool = False) -> int:
+def _pass_bytes(cfg: TrialConfig, rule: LengthSequence, start: int = 0) -> int:
     """About the most bytes a pass of _prefixes over cfg's grid from index
-    `start` on, at the lengths of `rule`, holds at once; with `hold`, also
-    the gaps _verdicts holds.
+    `start` on, at the lengths of `rule`, and its consumer hold at once.
 
     A pass holds the larger of two phases, which never hold memory at the
     same time: its prefix array is released before its first late batch is
@@ -228,19 +222,21 @@ def _pass_bytes(cfg: TrialConfig, rule: LengthSequence, start: int = 0,
     array: grid[s] where it switches at s, n_max where it never does.  The
     late phase holds the open gaps at s, about grid[s] * exp(-_X0) of them
     (_BYTES_PER_OPEN_GAP each), and two consecutive batches, the one that
-    lands and the next one, drawn meanwhile, 8 B per center.  The gaps
-    _verdicts holds (_HOLD) may span both phases."""
+    lands and the next one, drawn meanwhile, 8 B per center.  Beside
+    either, a residue takes _BYTES_PER_GAP per gap longer than ell, for the
+    grid's most of n * (1 - ell)^(n - 1), their mean number at n centers."""
     grid = cfg.checkpoints()
-    _, _, s = _switch(grid, rule.ell(grid.astype(np.float64)), start)
+    ells = rule.ell(grid.astype(np.float64))
+    _, _, s = _switch(grid, ells, start)
     size = int(grid[min(s, grid.size - 1)])
     need = _BYTES_PER_CENTER * size
     if s + 1 < grid.size:
         batches = np.diff(grid[s:])
         pair = int((batches[:-1] + batches[1:]).max(initial=batches[0]))
         need = max(need, int(_BYTES_PER_OPEN_GAP * size * math.exp(-_X0)) + 8 * pair)
-    if hold:
-        need += int(16 * _HOLD * cfg.n_max)
-    return need
+    ns = grid[start:].astype(np.float64)
+    gaps = ns * np.exp((ns - 1.0) * np.log1p(-ells[start:]))
+    return need + int(_BYTES_PER_GAP * gaps.max())
 
 
 def _physical_memory() -> int | None:
@@ -513,16 +509,58 @@ def _leaves_uncovered(a, b, first, last, ell, target) -> bool:
                 and _strictly_inside(lo, hi, target.points).any())
 
 
-def _uncovered(a, b, first, last, ells, target) -> int:
+def _lookup(target) -> tuple:
+    """_depth's view of the canonical `target`, not the circle: its pieces
+    and its points p as pieces [p, p], in order, as (los, his) between
+    sentinel pieces at -inf and +inf."""
+    ends = np.concatenate([[target.los, target.his], [target.points] * 2], axis=1)
+    # the points lie in no piece, so the pieces stay disjoint
+    ends = ends[:, ends[0].argsort(kind="stable")]
+    return tuple(np.pad(ends, ((0, 0), (1, 1)), constant_values=(-math.inf, math.inf)))
+
+
+def _depth(a, b, first, last, lookup, floor: float = 0.0) -> float:
+    """D >= 0, the longest arc length whose uncovered middle of a candidate
+    gap (a, b) or of the wrap gap still meets the target (lookup =
+    _lookup(target)).  That middle meets a piece [s, t] iff ell < min(b -
+    a, 2 min(t - a, b - s)), so a gap's depth is set by the last piece [s-,
+    t-] from at or below its midpoint and the next, from s+: min(b - a, 2
+    max(t- - a, b - s+)).  The wrap gap is taken as (last, first + 1) and
+    (last - 1, first), to meet the pieces on both sides of the seam.  For
+    the circle (lookup None) D is the widest gap.  Gaps no wider than
+    `floor` are skipped, which leaves D where the result reaches floor."""
+    if lookup is None:
+        return max(first + 1.0 - last, float((b - a).max(initial=0.0)))
+    los, his = lookup
+    d = 0.0
+    # scalars: the wrap gap through arrays costs more than the rest
+    for x, y in ((last, first + 1.0), (last - 1.0, first)):
+        if y - x > floor:
+            j = int(los.searchsorted(0.5 * (x + y), side="right"))
+            d = max(d, min(y - x, 2.0 * max(float(his[j - 1]) - x, y - float(los[j]))))
+    wide = b - a > floor
+    a, b = a[wide], b[wide]
+    j = los.searchsorted(0.5 * (a + b), side="right")
+    return float(np.minimum(b - a, 2.0 * np.maximum(his[j - 1] - a, b - los[j])).max(initial=d))
+
+
+def _band(d: float) -> float:
+    """Half-width of the ties about a depth d, far above its rounding."""
+    return 1e-9 * abs(d) + 4 * MERGE_EPS
+
+
+def _uncovered(a, b, first, last, ells, target, lookup, hint: int = 0) -> int:
     """How many of the non-decreasing lengths `ells` leave part of `target`
     uncovered (_leaves_uncovered), the leading ones, given the candidate
-    gaps (a, b) of a length up to ells[0] and the first and last center.
+    gaps (a, b) of a length up to ells[0], the first and last center and
+    _lookup(target) (None for the circle); `hint`, a guess at the count,
+    as the last checkpoint's, saves time where it holds.
 
     That predicate is non-increasing in ell, rounding included, so the
-    lengths that leave the target uncovered are the shortest few, and a
-    binary search over the lengths counts them exactly in ceil(log2(J + 1))
-    evaluations for J lengths.  Take half-lengths r' < r (r = ell / 2 is
-    exact); if r leaves part of the target uncovered, so does r':
+    lengths below the depth D (_depth) leave the target uncovered and those
+    above it cover it; the ties, within _band(D), go to the predicate
+    itself.  Take half-lengths r' < r (r = ell / 2 is exact); if r leaves
+    part of the target uncovered, so does r':
     - Inner gaps.  fl(a + r) and fl(b - r) are monotone in r, so the middle
       (lo', hi') of a gap at r' contains its middle (lo, hi) at r, and the
       keep test fl(b - r) > fl(fl(a + r) + MERGE_EPS) holds at r' where it
@@ -546,49 +584,22 @@ def _uncovered(a, b, first, last, ells, target) -> int:
     candidates of a shorter length, which are a superset (rounding is
     monotone) whose extra gaps fail the keep test too.
     """
-    # the lengths before `lo` leave the target uncovered, those from `hi` cover it
-    lo, hi = 0, len(ells)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        ell = float(ells[mid])
-        wide = b - a > ell - SLACK
-        if _leaves_uncovered(a[wide], b[wide], first, last, ell, target):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _last_failures(held, ells, target, last_fail) -> None:
-    """Record in `last_fail` each rule's last uncovered checkpoint among the
-    `held` ones, for the rules with no failure after them.
-
-    `held` lists (i, a, b, first, last) of consecutive checkpoints, oldest
-    first: the index i into the columns of `ells` (rules by checkpoints, in
-    order of length) and the candidate gaps and end centers of its prefix
-    for ells[0, i].  `last_fail` holds per rule the index of its last
-    failure found so far, -1 for none.  Those past the held checkpoints
-    belong to the first k rules, which are done; the rest are open.
-
-    The walk goes from the newest held checkpoint back.  At each one it
-    evaluates the shortest open rule, k, alone; covered there, every open
-    rule is (see _uncovered).  Otherwise _uncovered counts the open rules
-    that fail here, and k moves past them.  A (rule, checkpoint) pair it
-    never decides lies before the rule's last failure.
-    """
-    k = int(np.count_nonzero(last_fail >= held[0][0]))
-    for i, a, b, first, last in reversed(held):
-        if k == len(last_fail):
-            return
-        ell = float(ells[k, i])
-        # the candidates of a shorter length; see _uncovered
-        wide = b - a > ell - SLACK
-        a, b = a[wide], b[wide]
-        if not _leaves_uncovered(a, b, first, last, ell, target):
-            continue
-        failed = _uncovered(a, b, first, last, ells[k:, i], target)
-        last_fail[k:k + failed] = i
-        k += failed
+    floor = ells[hint - 1] if hint else 0.0
+    d = _depth(a, b, first, last, lookup, floor)
+    if d < floor:
+        # D >= d, so the gaps wider than the longest length up to d give D
+        k = bisect.bisect_right(ells, d)
+        d = _depth(a, b, first, last, lookup, ells[k - 1] if k else 0.0)
+    band = _band(d)
+    m = bisect.bisect_left(ells, d - band)
+    for ell in ells[m:]:
+        if ell > d + band:
+            break
+        wide = b - a > ell - SLACK  # of the superset's candidates; see above
+        if not _leaves_uncovered(a[wide], b[wide], first, last, ell, target):
+            break
+        m += 1
+    return m
 
 
 @dataclass(frozen=True)
@@ -895,35 +906,24 @@ def _verdicts(cfg: TrialConfig, rules, tail_checkpoints: int) -> list:
 
     One pass serves every rule, and cfg's `lengths` is not read.  The rules
     come in order of length at every checkpoint, as logn:c for increasing
-    c, else ValueError.  The verdicts depend only on each rule's last
-    uncovered checkpoint, so the tail window is decided in full, while a
-    checkpoint before it is held, as its candidate gaps, and decided after
-    the pass by _last_failures.  Held gaps past _HOLD per center of the
-    horizon are decided at once.
+    c, else ValueError.  At each checkpoint, as the pass yields it, the
+    first few rules fail (_uncovered), and in the tail window they add
+    their residues.
     """
     grid, ells, t_approx, tail_idx = _setup(cfg, rules)
     if np.any(ells[1:] < ells[:-1]):
         raise ValueError("rules must come in order of length at every checkpoint")
-    tail_start = grid.size - tail_checkpoints
+    lookup = None if t_approx is None else _lookup(t_approx)
     # per rule, the index of its last uncovered checkpoint, -1 for none
     last_fail = np.full(len(rules), -1)
     tail_unions = [EMPTY] * len(rules)
-    held, held_gaps = [], 0
+    cols, m = ells.T.tolist(), 0
     for i, a, b, first, last in _prefixes(cfg, ells[0]):
-        if i < tail_start:
-            held.append((i, a, b, first, last))
-            held_gaps += a.size
-            if held_gaps >= _HOLD * cfg.n_max:
-                _last_failures(held, ells, t_approx, last_fail)
-                held, held_gaps = [], 0
-            continue
-        m = _uncovered(a, b, first, last, ells[:, i], t_approx)
+        m = _uncovered(a, b, first, last, cols[i], t_approx, lookup, m)
         last_fail[:m] = i
-        for j in range(m):
-            resid = _residue(a, b, first, last, float(ells[j, i]), t_approx)
+        for j in range(m if i >= grid.size - tail_checkpoints else 0):
+            resid = _residue(a, b, first, last, cols[i][j], t_approx)
             tail_unions[j] = union(tail_unions[j], resid)
-    if held:
-        _last_failures(held, ells, t_approx, last_fail)
     return [(bool(k < tail_idx), int(grid[k]) if k >= 0 else None, tail_union)
             for k, tail_union in zip(last_fail, tail_unions)]
 

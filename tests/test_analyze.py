@@ -459,8 +459,10 @@ class TestMemoryGuard:
     memory is refused as `n_max`, before a prefix array or a pool exists.
     Per trial the guard counts the larger of a pass's two phases
     (simulate._pass_bytes): a pass that never switches, as every one below
-    _THREAD_MIN, holds 12 B per center of its prefix array, and a scan 4 B
-    more per center of the horizon for the gaps it holds."""
+    _THREAD_MIN, holds 12 B per center of its prefix array.  Beside it, the
+    candidate gaps and the residue of a checkpoint hold 192 B per gap, at
+    the largest count n * (1 - ell)^(n - 1) that n centers leave longer
+    than ell on average.  A scan counts its shortest rule."""
 
     @pytest.fixture
     def memory(self, monkeypatch):
@@ -483,12 +485,26 @@ class TestMemoryGuard:
 
         monkeypatch.setattr(simulate, "_prefixes", admit)
 
+    @staticmethod
+    def _need(c, base=None):
+        """The bytes the guard counts for one trial of `base` (small_base())
+        under logn:c: 12 per center of the horizon and 192 per expected
+        gap longer than ell, at its largest over the grid."""
+        base = base or small_base()
+        grid = base.checkpoints().astype(np.float64)
+        ells = LogOverN(c).ell(grid)
+        gaps = (grid * (1.0 - ells) ** (grid - 1.0)).max()
+        need = simulate._pass_bytes(base, LogOverN(c))
+        assert need == pytest.approx(12 * base.n_max + 192 * gaps, rel=1e-9, abs=2)
+        return need
+
     def test_refused_before_any_allocation(self, memory, no_prefix, no_pool):
         need = r"^n_max: 3000 centers need about .* GiB for {} trial\(s\) at once"
-        memory(12 * 3000 - 1)
+        memory(self._need(1.0) - 1)
         with pytest.raises(ConfigError, match=need.format(1)):
             run_trial(replace(small_base(), lengths=LogOverN(1.0)))
-        memory(16 * 3000 - 1)
+        # a scan counts its shortest rule
+        memory(self._need(0.5) - 1)
         with pytest.raises(ConfigError, match=need.format(1)):
             phase_scan([0.5, 2.5], small_base(), 2)
         memory(12 * 20_000 * 2 - 1)
@@ -496,16 +512,16 @@ class TestMemoryGuard:
             uncovered_dimension_experiment(0.5, 20_000, range(2), jobs=2)
 
     def test_one_trial_per_worker(self, memory, inline_pool):
-        memory(12 * 3000)
+        memory(self._need(1.0))
         run_trial(replace(small_base(), lengths=LogOverN(1.0)))
-        memory(16 * 3000)
+        memory(self._need(0.5))
         want = phase_scan([0.5, 2.5], small_base(), 2)
         # one cell runs inline, whatever jobs says
         phase_scan([0.5, 2.5], small_base(), 1, jobs=2)
         with pytest.raises(ConfigError, match=r"^n_max: .* 2 trial\(s\) at once"):
             phase_scan([0.5, 2.5], small_base(), 2, jobs=2)
         assert inline_pool == []
-        memory(16 * 3000 * 2)
+        memory(self._need(0.5) * 2)
         assert phase_scan([0.5, 2.5], small_base(), 2, jobs=2).to_dict() == want.to_dict()
         assert inline_pool == [2]
 
@@ -536,9 +552,10 @@ class TestMemoryGuard:
 
     def test_pass_that_never_switches_at_1e9(self, memory, no_prefix):
         # n * ell(n) falls under power:1:2, so the pass keeps its whole
-        # prefix: 12 B per center of 1e9 is more than 8 GiB
+        # prefix and almost every gap is uncovered: 12 B per center of 1e9
+        # and 192 B per gap of about as many is more than 8 GiB
         memory(8 * 2 ** 30)
-        with pytest.raises(ConfigError, match=r"^n_max: 1000000000 centers need about 11\.2 "):
+        with pytest.raises(ConfigError, match=r"^n_max: 1000000000 centers need about 190 "):
             run_trial(replace(small_base(n_max=10 ** 9), lengths=PowerLaw(1.0, 2.0)))
 
     def test_unknown_memory_refuses_nothing(self, memory):

@@ -468,9 +468,9 @@ class TestRefusals:
     def test_n_max_past_the_memory(self, tmp_path, capsys, monkeypatch, command):
         # 2**53 centers pass the float-exact cap, but at that horizon every
         # length is below SLACK, so no pass switches: 12 B per center need
-        # 96 PiB, and a scan's held gaps 32 PiB more.  The refusal comes
-        # before the pass that would allocate them
-        need = {"trial": r"1\.01e\+08", "scan": r"1\.34e\+08", "dims": r"1\.01e\+08"}[command]
+        # 96 PiB, beside which the residues of a scan's logn:0.25 add
+        # 0.2%.  The refusal comes before the pass that would allocate them
+        need = r"1\.01e\+08"
         def refuse(*args, **kwargs):
             raise AssertionError("a prefix array was allocated")
 
@@ -482,6 +482,28 @@ class TestRefusals:
                             capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
+
+    @pytest.mark.parametrize("argv, err", [
+        # n * ell(n) falls under power:1:2, so almost every gap is uncovered
+        # at every checkpoint: at 1e8 its residues, not its 12 B per center,
+        # pass 8 GiB
+        (["--lengths", "power:1:2", "--n-max", "100000000"],
+         "error: n_max: 100000000 centers need about 19 GiB for 1 trial(s) at once, "
+         "more than the 8 GiB of physical memory\n"),
+        # a circle trial under logn:0.5 leaves about sqrt(n) long gaps, so at
+        # 1e9 it is admitted and reaches its pass
+        (["--lengths", "logn:0.5", "--n-max", "1000000000"],
+         "runtime failure: AssertionError: the pass started\n"),
+    ], ids=["power-refused", "logn-admitted"])
+    def test_residue_counts_toward_the_memory(self, tmp_path, capsys, monkeypatch, argv, err):
+        def started(*args, **kwargs):
+            raise AssertionError("the pass started")
+
+        monkeypatch.setattr(simulate, "_prefixes", started)
+        monkeypatch.setattr(simulate, "_physical_memory", lambda: 8 * 2 ** 30)
+        assert run(tmp_path, "trial", *argv) == (2 if err.startswith("error") else 1)
+        assert capsys.readouterr().err == err
+        assert list(tmp_path.iterdir()) == []
 
 # A small run of each command with every numeric field in the config file,
 # each given in its field's type.
@@ -755,6 +777,9 @@ _GOLDEN_RUNS = {
     "trial": ["--target", "circle", "--lengths", "logn:0.5", "--n-max", "200000"],
     "scan": ["--target", "cantor:0.3333333333:10", "--c", "0.05:2.05:0.25", "--trials", "4",
              "--n-max", "5000"],
+    # the default target and c grid
+    "scan-circle": ["--n-max", "20000"],
+    "scan-points": ["--target", "points:0,0.1,0.5,0.77", "--n-max", "20000"],
     "dims": ["--c", "0.3", "--n-max", "20000", "--seeds", "3", "--tail-checkpoints", "2"],
     "series": ["--lengths", "logn:1", "--n", "200000"],
     # three chunks of the series walk, the last one short, with marks in each
@@ -771,6 +796,14 @@ _GOLDEN = {
     "scan": {"g.csv": "babc90794a438c9b26645736232c679006d8a2947b2af5eb5dc631761d5f257b",
              "g.json": "f0c75796cf01fe0a33d96e66cdabfb3220630db527babde2e110127e9998c50a",
              "g.svg": "5dad2fb3af17565107df0057175269ee02389c56a96729b102bfcead14df31cc"},
+    "scan-circle": {
+        "g.csv": "dad5c9aee5d10f030e434f5be35947f3e96c95a602afeb0adfa75716bbd2d1db",
+        "g.json": "41358a359e1a3a5160ea95172981fbdbc80740c8e94a2da532f98f5c88919c51",
+        "g.svg": "aa291e0c3766d8f54a5cb2a6a670e537fbf403467ac1d5d9dfcebe502c56d7c8"},
+    "scan-points": {
+        "g.csv": "3240df8882c448821a1422fd0c4e33720de7fafb9a2c4bef5489997a6a2bcd2a",
+        "g.json": "fe19ececf916d1b16cf6415e2237eb4d867469e4130d448f48316cb30a8c5dc5",
+        "g.svg": "fe330213f417ab1bb8f10c502ec1594496cda1a6b2672d4d9fb761eeae014f33"},
     "dims": {"g.csv": "631ae29f9bbda2c9da9d25f4f495d83f6df6c71f5ac797e101a27758f63f14eb",
              "g.json": "4c0db6b6ce872e7878425e2486ffa87dd3a01101879ff5f325fd417ae1789d64"},
     "series": {"g.csv": "859ce2895757e79e197cc65cbd978fae011aa5eb9b527265fc7c743465936aa6",
@@ -787,7 +820,8 @@ _GOLDEN = {
 
 class TestGoldenBytes:
     @pytest.mark.parametrize("case, jobs", [
-        ("trial", None), ("scan", "1"), ("scan", "2"), ("dims", "1"), ("dims", "2"),
+        ("trial", None), ("scan", "1"), ("scan", "2"), ("scan-circle", "1"),
+        ("scan-points", "1"), ("dims", "1"), ("dims", "2"),
         ("series", None), ("series-chunks", None), ("series-beta-400", None),
         ("schedule", None)])
     def test_outputs_match_pinned_digests(self, tmp_path, case, jobs):

@@ -652,8 +652,12 @@ def _check_decision(cs, ells, target):
     cand = simulate._gap_candidates(cs, ells[0] - SLACK, np.empty(k),
                                     np.empty(k, dtype=bool))
     circle = target.kind == "circle"
-    got = simulate._uncovered(cs[cand], cs[cand + 1], cs[0], cs[-1], ells,
-                              None if circle else target.approx)
+    t = None if circle else target.approx
+    lookup = None if circle else simulate._lookup(t)
+    # a hint, right or wrong, changes no count
+    got, *hinted = (simulate._uncovered(cs[cand], cs[cand + 1], cs[0], cs[-1], ells, t,
+                                        lookup, hint) for hint in range(ells.size + 1))
+    assert hinted == [got] * ells.size
     # the count of the leading lengths that leave the target uncovered
     for j, ell in enumerate(ells):
         gaps = uncovered_at(cs, float(ell), cand)
@@ -662,8 +666,8 @@ def _check_decision(cs, ells, target):
 
 
 class TestBatchedDecision:
-    """_verdicts decides coverage for every length by a threshold search
-    over the lengths, in order, without building residues; the count it
+    """_verdicts decides coverage for every length from the depth of the
+    target in the gaps, in order, without building residues; the count it
     gives must be that of the residues that are not empty."""
 
     @settings(max_examples=300)
@@ -682,6 +686,27 @@ class TestBatchedDecision:
             empty.append((gaps if target.kind == "circle"
                           else intersect(gaps, target.approx)).is_empty())
         assert empty == sorted(empty)
+
+    @settings(max_examples=300)
+    @given(_decision_case(), st.lists(st.floats(-4.0, 4.0), max_size=4))
+    def test_depth_decides_away_from_ties(self, case, offsets):
+        # a length below D - band leaves the target uncovered and one above
+        # D + band covers it, D the depth of the target in every gap; the
+        # lengths tried are the case's, some bands from D and the floats
+        # just outside the band
+        cs, ells, target = case
+        t = None if target.kind == "circle" else target.approx
+        a, b, first, last = cs[:-1], cs[1:], cs[0], cs[-1]
+        d = simulate._depth(a, b, first, last, None if t is None else simulate._lookup(t))
+        band = simulate._band(d)
+        edges = [math.nextafter(d - band, -math.inf), math.nextafter(d + band, math.inf)]
+        for ell in [*ells.tolist(), *edges, *(d + k * band for k in offsets)]:
+            if not 0.0 < ell < 1.0:
+                continue
+            if ell < d - band:
+                assert simulate._leaves_uncovered(a, b, first, last, ell, t)
+            elif ell > d + band:
+                assert not simulate._leaves_uncovered(a, b, first, last, ell, t)
 
     @pytest.mark.parametrize("cs, ells", [
         # wrap gap 0.15: a piece across the seam, (0.96, 0.99), then one
@@ -1416,54 +1441,60 @@ class TestTailOnlySweep:
 
 
 # a scan's rules, in order of length; logn:0.2 leaves the target uncovered
-# often enough before the window that the walk finds some last failures
+# often enough before the window that some last failures lie there
 _NESTED_RULES = [LogOverN(c) for c in (0.2, 0.5, 1.0, 1.6, 2.5)]
 
 
 @pytest.mark.usefixtures("small_thread_min")
-class TestBackwardVerdicts:
-    """_verdicts decides the tail window at every checkpoint and
-    the checkpoints before it backwards, from the newest, one rule at a
-    time until each rule has a failure; its verdicts must be those of a
-    trace that decides every (rule, checkpoint) pair."""
+class TestForwardVerdicts:
+    """_verdicts decides every checkpoint as its pass yields it, from the
+    depth of the target in its gaps, and keeps only each rule's last
+    failure; its verdicts must be those of a trace that decides every
+    (rule, checkpoint) pair."""
 
-    @pytest.mark.parametrize("hold", [0.0, math.inf], ids=["flush-each", "hold-all"])
     @pytest.mark.parametrize("tail", [1, 5])
     @pytest.mark.parametrize("threads", [False, True], ids=["serial", "threaded"])
     @pytest.mark.parametrize("target", _KERNEL_TARGETS, ids=_KERNEL_IDS)
-    def test_equals_run_trial(self, monkeypatch, target, threads, tail, hold):
+    def test_equals_run_trial(self, monkeypatch, target, threads, tail):
         monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
-        # a cap of 0 decides every held checkpoint on the spot, one of inf
-        # holds them all to the end
-        monkeypatch.setattr(simulate, "_HOLD", hold)
-        walks = []
-        walk = simulate._last_failures
-
-        def spy(held, *args):
-            walks.append(len(held))
-            return walk(held, *args)
-
-        monkeypatch.setattr(simulate, "_last_failures", spy)
         seen = _spy_threads(monkeypatch)
         base = TrialConfig(seed=0, lengths=None, target=target, n_max=3000,
                            n_first_checkpoint=4)
         grid = base.checkpoints()
         before = grid.size - tail
-        walked = False
+        early = False
         for seed in range(3):
             cfg = replace(base, seed=seed)
-            walks.clear()
             got = simulate._verdicts(cfg, _NESTED_RULES, tail)
-            # each checkpoint before the window is held once and walked once
-            assert walks == ([1] * before if hold == 0.0 else [before])
             for rule, verdict in zip(_NESTED_RULES, got):
                 want = run_trial(replace(cfg, lengths=rule), tail)
                 assert verdict == (want.eventually_covered, want.last_failure_n,
                                    want.tail_uncovered)
-                walked |= verdict[1] is not None and verdict[1] < grid[before]
+                early |= verdict[1] is not None and verdict[1] < grid[before]
         assert (seen != {threading.get_ident()}) == threads
-        # some rule's last failure was found by the backward walk
-        assert walked
+        # some rule's last failure lies before the window
+        assert early
+
+    def test_each_checkpoint_is_decided_as_it_is_yielded(self, monkeypatch):
+        # the pass and the decisions alternate, one decision per checkpoint
+        events = []
+        prefixes, decide = simulate._prefixes, simulate._uncovered
+
+        def pass_spy(*args):
+            for step in prefixes(*args):
+                events.append(("yield", step[0]))
+                yield step
+
+        def decide_spy(*args):
+            events.append(("decide", events[-1][1]))
+            return decide(*args)
+
+        monkeypatch.setattr(simulate, "_prefixes", pass_spy)
+        monkeypatch.setattr(simulate, "_uncovered", decide_spy)
+        cfg = TrialConfig(seed=0, lengths=None, target=make_cantor(1 / 3, 8), n_max=3000)
+        simulate._verdicts(cfg, _NESTED_RULES[2:], 3)
+        n_cp = cfg.checkpoints().size
+        assert events == [(kind, i) for i in range(n_cp) for kind in ("yield", "decide")]
 
     @pytest.mark.parametrize("path", ["trace", "verdicts"])
     def test_last_failure_at_the_tail_start(self, path):
@@ -1481,31 +1512,133 @@ class TestBackwardVerdicts:
                 got = (got.eventually_covered, got.last_failure_n)
             assert got[:2] == (False, tail_start)
 
-    def test_walk_searches_only_open_rules(self, monkeypatch):
-        # past the window, a search runs only where the shortest open rule
-        # fails, over the rules with no later failure
-        monkeypatch.setattr(simulate, "_HOLD", math.inf)
-        cfg = TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=3000)
-        traces = _traces(cfg, _NESTED_RULES, 1)
-        decided = []
-        decide = simulate._uncovered
 
-        def spy(a, b, first, last, ells, t):
-            decided.append(ells.size)
-            return decide(a, b, first, last, ells, t)
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
 
-        monkeypatch.setattr(simulate, "_uncovered", spy)
-        assert simulate._verdicts(cfg, _NESTED_RULES, 1) == _as_verdicts(traces)
-        # the window's one checkpoint searches all rules, then the walk
-        # searches once per checkpoint that is some rule's last failure
-        n_max = int(cfg.n_max)
-        found = [t.last_failure_n for t in traces
-                 if t.last_failure_n is not None and t.last_failure_n < n_max]
-        assert decided[0] == len(_NESTED_RULES)
-        assert len(decided) == 1 + len(set(found)) > 2
-        open_rules = sum(1 for t in traces if t.last_failure_n != n_max)
-        assert decided[1] == open_rules
-        assert all(x > y for x, y in zip(decided[1:], decided[2:]))
+
+def _critical_c(cfg, tail: int, lo: float, hi: float) -> tuple:
+    """(c0, c1), adjacent floats: the largest c at which run_trial under
+    logn:c leaves cfg's seed not eventually covered and the next one, found
+    by bisection on the bit patterns of the positive floats in [lo, hi],
+    which are ordered as the floats are."""
+    def covered(bits):
+        c = float(np.int64(bits).view(np.float64))
+        return run_trial(replace(cfg, lengths=LogOverN(c)), tail).eventually_covered
+
+    lo_bits, hi_bits = _bits(lo), _bits(hi)
+    assert not covered(lo_bits) and covered(hi_bits)
+    while hi_bits - lo_bits > 1:
+        mid = (lo_bits + hi_bits) // 2
+        if covered(mid):
+            hi_bits = mid
+        else:
+            lo_bits = mid
+    return tuple(float(np.int64(b).view(np.float64)) for b in (lo_bits, hi_bits))
+
+
+def _wrap_is_widest(seed: int, n: int) -> bool:
+    cs = np.sort(sample_centers(seed, n))
+    return cs[0] + 1.0 - cs[-1] > np.diff(cs).max()
+
+
+def _wrap_critical_seed(base) -> int:
+    """The first seed of `base` whose critical c for the circle comes,
+    about, from a wrap gap: of the checkpoints from the one nearest
+    sqrt(n_max) on, the one of the largest n * (widest gap) / ln n has its
+    widest gap across the seam."""
+    grid = base.checkpoints()
+    window = grid[np.argmin(np.abs(grid - math.sqrt(base.n_max))):]
+    for seed in range(100):
+        def crit(n):
+            cs = np.sort(sample_centers(seed, int(n)))
+            return n * max(cs[0] + 1.0 - cs[-1], np.diff(cs).max()) / math.log(n)
+
+        n = max(window, key=crit)
+        if _wrap_is_widest(seed, int(n)):
+            return seed
+    raise AssertionError("no seed found")
+
+
+class TestCriticalTies:
+    """A seed's verdict flips at one c, its critical c, where some
+    checkpoint's length meets the depth of the target in its gaps.  A c
+    grid of the float on each side of it puts lengths within a rounding of
+    that depth, the ties _uncovered leaves to the exact predicate; the
+    verdicts must still be run_trial's, and flip between the two."""
+
+    _BASE = TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=2000,
+                        n_first_checkpoint=4)
+    _TAIL = 3
+
+    def _check(self, monkeypatch, cfg, lo, hi):
+        c0, c1 = _critical_c(cfg, self._TAIL, lo, hi)
+        cs = [math.nextafter(c0, 0.0), c0, c1, math.nextafter(c1, math.inf)]
+        rules = [LogOverN(c) for c in cs]
+        calls = []
+        leaves = simulate._leaves_uncovered
+
+        def count(*args):
+            calls.append(args[4])
+            return leaves(*args)
+
+        monkeypatch.setattr(simulate, "_leaves_uncovered", count)
+        got = simulate._verdicts(cfg, rules, self._TAIL)
+        # the lengths at the flip were ties, decided by the exact predicate
+        assert calls
+        monkeypatch.setattr(simulate, "_leaves_uncovered", leaves)
+        assert got == _as_verdicts(_traces(cfg, rules, self._TAIL))
+        assert [v[0] for v in got] == [False, False, True, True]
+        return c0
+
+    def test_circle(self, monkeypatch):
+        self._check(monkeypatch, self._BASE, 0.05, 50.0)
+
+    def test_cantor(self, monkeypatch):
+        # ell(2000) clears the depth-8 guard for c above about 0.4
+        cfg = replace(self._BASE, seed=1, target=make_cantor(1 / 3, 8))
+        self._check(monkeypatch, cfg, 0.5, 50.0)
+
+    def test_point_at_zero(self, monkeypatch):
+        # the point at 0 lies in the wrap gap alone, across the seam
+        cfg = replace(self._BASE, seed=2, target=make_finite([0.0]))
+        self._check(monkeypatch, cfg, 0.01, 50.0)
+
+    def test_wrap_gap_across_the_seam(self, monkeypatch):
+        cfg = replace(self._BASE, seed=_wrap_critical_seed(self._BASE))
+        c0 = self._check(monkeypatch, cfg, 0.05, 50.0)
+        # at the critical c the widest gap of the last failure is the wrap
+        # gap, and the arcs of its ends reach across the seam
+        n = run_trial(replace(cfg, lengths=LogOverN(c0)), self._TAIL).last_failure_n
+        assert _wrap_is_widest(cfg.seed, n)
+        cs = np.sort(sample_centers(cfg.seed, n))
+        r = 0.5 * float(LogOverN(c0).ell(n))
+        assert cs[0] - r < 0.0 or cs[-1] + r > 1.0
+
+    def test_exact_predicate_runs_only_on_ties(self, monkeypatch):
+        # each evaluation is of a length within the band of the depth just
+        # found; a grid away from every depth makes none
+        c0, c1 = _critical_c(self._BASE, self._TAIL, 0.05, 50.0)
+        depths, ties = [], []
+        depth, leaves = simulate._depth, simulate._leaves_uncovered
+
+        def depth_spy(*args):
+            depths.append(depth(*args))
+            return depths[-1]
+
+        def leaves_spy(*args):
+            ties.append((args[4], depths[-1]))
+            return leaves(*args)
+
+        monkeypatch.setattr(simulate, "_depth", depth_spy)
+        monkeypatch.setattr(simulate, "_leaves_uncovered", leaves_spy)
+        for target in _KERNEL_TARGETS:
+            simulate._verdicts(replace(self._BASE, target=target), _NESTED_RULES, self._TAIL)
+        assert depths and not ties
+        simulate._verdicts(self._BASE, [LogOverN(c0), LogOverN(c1)], self._TAIL)
+        assert ties
+        for ell, d in ties:
+            assert abs(ell - d) <= simulate._band(d)
 
 
 class TestNestedRules:
@@ -1560,12 +1693,10 @@ class TestNestedRules:
 class TestDecisionCount:
     """How many times a scan evaluates _leaves_uncovered, counted and not
     timed: a trace evaluates its rule at every checkpoint, while _verdicts
-    makes one evaluation per checkpoint before the window and a search over
-    the rules at each failure it finds and in the window."""
+    evaluates only the lengths within a rounding band of a checkpoint's
+    depth (_uncovered), which a grid of round c's never meets."""
 
     def test_verdicts_evaluate_fewer(self, monkeypatch):
-        # no batch is decided early
-        monkeypatch.setattr(simulate, "_HOLD", math.inf)
         calls = []
         leaves = simulate._leaves_uncovered
 
@@ -1575,21 +1706,17 @@ class TestDecisionCount:
 
         monkeypatch.setattr(simulate, "_leaves_uncovered", count)
         rules = [LogOverN(c) for c in (0.3, 0.6, 0.9, 1.2, 1.5, 1.8, 2.1)]
-        n_rules, tail = len(rules), 5
-        per_search = math.ceil(math.log2(n_rules + 1))
+        tail = 5
         base = TrialConfig(seed=0, lengths=None, target=make_cantor(1 / 3, 12), n_max=20000)
         n_cp = base.checkpoints().size
         for seed in range(4):
             cfg = replace(base, seed=seed)
             calls.clear()
             _traces(cfg, rules, tail)
-            assert len(calls) == n_rules * n_cp
+            assert len(calls) == len(rules) * n_cp
             calls.clear()
             simulate._verdicts(cfg, rules, tail)
-            assert len(calls) <= n_cp + (n_rules + tail) * per_search
-            # fewer than a search of the 7 sorted rules, 3 evaluations
-            # whatever the outcome, at every checkpoint
-            assert len(calls) < n_cp * per_search
+            assert calls == []
 
 
 def _stevens(n: int, a: Fraction) -> Fraction:
