@@ -1452,12 +1452,23 @@ class TestForwardVerdicts:
     failure; its verdicts must be those of a trace that decides every
     (rule, checkpoint) pair."""
 
+    @pytest.mark.parametrize("hinted", [True, False], ids=["hinted", "unhinted"])
     @pytest.mark.parametrize("tail", [1, 5])
     @pytest.mark.parametrize("threads", [False, True], ids=["serial", "threaded"])
     @pytest.mark.parametrize("target", _KERNEL_TARGETS, ids=_KERNEL_IDS)
-    def test_equals_run_trial(self, monkeypatch, target, threads, tail):
+    def test_equals_run_trial(self, monkeypatch, target, threads, tail, hinted):
         monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
         seen = _spy_threads(monkeypatch)
+        # unhinted, each checkpoint searches every gap from a floor of 0;
+        # hinted, the last checkpoint's count sets the floor, as in a scan
+        hints = []
+        decide = simulate._uncovered
+
+        def spy(*args):
+            hints.append(args[7])
+            return decide(*args[:7], args[7] if hinted else 0)
+
+        monkeypatch.setattr(simulate, "_uncovered", spy)
         base = TrialConfig(seed=0, lengths=None, target=target, n_max=3000,
                            n_first_checkpoint=4)
         grid = base.checkpoints()
@@ -1472,6 +1483,8 @@ class TestForwardVerdicts:
                                    want.tail_uncovered)
                 early |= verdict[1] is not None and verdict[1] < grid[before]
         assert (seen != {threading.get_ident()}) == threads
+        # some checkpoint carried a count, so the hinted floor was used
+        assert any(hints)
         # some rule's last failure lies before the window
         assert early
 
