@@ -264,7 +264,8 @@ MAX_C_VALUES = 10_000
 def _parse_c_grid(spec) -> list:
     def number(p):
         try:
-            x = float(p)
+            # float(True) is 1.0, but a config's c list holds numbers
+            x = math.nan if isinstance(p, bool) else float(p)
         except (TypeError, ValueError):
             x = math.nan
         if not math.isfinite(x):

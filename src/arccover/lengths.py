@@ -518,9 +518,11 @@ def _check_covering(rule: LengthSequence, beta: float, d: float, N: int) -> None
                           f"-beta * log(ell(N)), at N = {N}")
 
 
-def _walk(rule, N, beta, d, kind, starts, marks, fit_ns, out) -> None:
-    """Advance the logaddexp chains of the series `kind` over every chunk;
-    write into `out` = (chain at marks, fit terms, chunk totals).
+def _walk(rule, N, beta, d, kind, starts, marks, fit_ns) -> tuple:
+    """Advance the logaddexp chains of the series `kind` over every chunk,
+    one chunk per entry of `starts`, and return (at_marks, fit_logs,
+    totals): each mark's chain where it reads it, the term at each fit
+    point and each chunk's final chain.
 
     Each chunk is a column, walked by row offset in blocks that hold at
     most min(_SUB, _CHUNK) terms, or one row.  A logaddexp.reduce down a
@@ -531,7 +533,7 @@ def _walk(rule, N, beta, d, kind, starts, marks, fit_ns, out) -> None:
     length prefix is a cumsum down the rows, from the chunk's entry in
     `starts`.
     """
-    at_marks, fit_logs, totals = out
+    at_marks, fit_logs = np.empty(marks.size), np.empty(fit_ns.size)
     first = np.arange(starts.size, dtype=np.float64) * _CHUNK
     size = np.minimum(N - first, _CHUNK).astype(np.int64)
     mark_j, mark_row = np.divmod(marks - 1, _CHUNK)
@@ -577,7 +579,7 @@ def _walk(rule, N, beta, d, kind, starts, marks, fit_ns, out) -> None:
             read = here & (mark_row == a + end - 1)
             at_marks[read] = chain[mark_j[read]]
             top = end
-    totals[:] = chain
+    return at_marks, fit_logs, chain
 
 
 def _judge(marks, log_sums, fit_ns, fit_logs, N: int) -> SeriesResult:
@@ -635,9 +637,7 @@ def _sum_series(rule: LengthSequence, N: int, beta: float, d: float, kinds: tupl
         if kind == "shepp":
             # the base-class sum is term by term, as the walk's, for a block sequence too
             starts[1:] = LengthSequence._partial_sums(rule, np.arange(1, n_chunks) * float(_CHUNK))
-        out = np.empty(marks.size), np.empty(fit_ns.size), np.empty(n_chunks)
-        _walk(rule, N, beta, d, kind, starts, marks, fit_ns, out)
-        at_marks, fit_logs, totals = out
+        at_marks, fit_logs, totals = _walk(rule, N, beta, d, kind, starts, marks, fit_ns)
         log_sums = np.empty(marks.size)
         running = -np.inf  # the log of the sum over the chunks before j
         for j in range(n_chunks):

@@ -261,16 +261,17 @@ def _check_memory(n_max: int, need: int, trials: int) -> None:
                           f"{have / 2 ** 30:.3g} GiB of physical memory")
 
 
-def _gap_candidates(cs, thr, buf, mask) -> np.ndarray:
+def _gap_candidates(cs, thr) -> np.ndarray:
     """Indices i with fl(cs[i+1] - cs[i]) > thr, ascending.
 
     The same indices, from the same float64 subtraction and comparison, as
-    a one-shot flatnonzero over all spacings, but found in blocks of
-    buf.size gaps through the scratch arrays `buf` (float64) and `mask`
-    (bool, at least as long), so no temporary grows with cs.
+    a one-shot flatnonzero over all spacings, but found in blocks of at
+    most _BLOCK gaps through a spacing buffer and a mask allocated once per
+    call, so no temporary grows with cs.
     """
     n_gaps = cs.size - 1
-    step = buf.size
+    step = max(1, min(_BLOCK, n_gaps))
+    buf, mask = np.empty(step), np.empty(step, dtype=bool)
     hits = [np.empty(0, dtype=np.intp)]
     for s in range(0, n_gaps, step):
         e = min(s + step, n_gaps)
@@ -314,10 +315,11 @@ def _split(c, n0: int, n1: int, k: int, at: float) -> tuple:
     return n0 + m, n1 + k - m
 
 
-def _half_gaps(half, thr, buf, mask, merge=True) -> tuple:
+def _half_gaps(half, thr, merge=True) -> tuple:
     """Merge the two sorted runs of one half in place (without `merge`, it
     is one sorted run already), then gather the ends (a, b) of its
-    candidate gaps: those with fl(b - a) > thr, ascending.
+    candidate gaps: those with fl(b - a) > thr, ascending.  The prefilter's
+    buffers are this call's own, so halves on two threads share none.
 
     The merge compares the centers' bit patterns as unsigned 64-bit
     integers.  A half holds only sample_centers outputs, doubles in [0, 1)
@@ -327,14 +329,13 @@ def _half_gaps(half, thr, buf, mask, merge=True) -> tuple:
     if merge:
         # timsort merges the two sorted runs in linear time
         half.view(np.uint64).sort(kind="stable")
-    idx = _gap_candidates(half, thr, buf, mask)
+    idx = _gap_candidates(half, thr)
     a = half[idx]
     idx += 1
     return a, half[idx]
 
 
-def _prefix_gaps(c, n0: int, n1: int, thr, scratch, pool, meanwhile=None,
-                 merge=True) -> tuple:
+def _prefix_gaps(c, n0: int, n1: int, thr, pool, meanwhile=None, merge=True) -> tuple:
     """The candidate gaps of the sorted prefix that `c` holds as a low run
     c[:n0] and a high run c[c.size-n1:], each of two sorted runs (of one,
     without `merge`).
@@ -343,21 +344,21 @@ def _prefix_gaps(c, n0: int, n1: int, thr, scratch, pool, meanwhile=None,
     with fl(b - a) > thr, as lists of ascending arrays to concatenate (the
     low half's, the gap between the halves, the high half's), and the
     first and last center.  These are the gaps and values of the whole
-    sorted prefix, and no part of them is a view of `c`.  `scratch` holds a
-    (buf, mask) pair per half; with a `pool`, the low half runs on its
-    thread while the calling thread does the high half.  `meanwhile`, if
-    given, runs on the calling thread once its own merging is done and
-    before it waits for the pool's: it may write the free middle
-    c[n0:c.size-n1], which no merge and no returned value reads.
+    sorted prefix, and no part of them is a view of `c`.  With a `pool`,
+    the low half runs on its thread while the calling thread does the high
+    half (_half_gaps).  `meanwhile`, if given, runs on the calling thread
+    once its own merging is done and before it waits for the pool's: it
+    may write the free middle c[n0:c.size-n1], which no merge and no
+    returned value reads.
     """
     low, high = c[:n0], c[c.size - n1:]
     job = None
     if pool is not None and n0 and n1:
-        job = pool.submit(_half_gaps, low, thr, *scratch[0], merge)
+        job = pool.submit(_half_gaps, low, thr, merge)
     elif n0:
-        a0, b0 = _half_gaps(low, thr, *scratch[0], merge)
+        a0, b0 = _half_gaps(low, thr, merge)
     if n1:
-        a1, b1 = _half_gaps(high, thr, *scratch[1], merge)
+        a1, b1 = _half_gaps(high, thr, merge)
     if meanwhile is not None:
         meanwhile()
     if job is not None:
@@ -405,9 +406,8 @@ def uncovered_at(centers_sorted, ell: float, candidates=None) -> IntervalUnion:
     The inner gap (a, b) = (cs[i], cs[i+1]) is uncovered iff the exact
     predicate fl(b - r) > fl(fl(a + r) + MERGE_EPS) holds.  Few gaps pass
     it, so it runs only on the candidates of the cheap test
-    fl(b - a) > fl(ell - SLACK) instead of on all n - 1 gaps.  The cheap
-    test runs in blocks of _BLOCK gaps through buffers allocated per call
-    here, and once per trial in the kernel.
+    fl(b - a) > fl(ell - SLACK) instead of on all n - 1 gaps
+    (_gap_candidates).
 
     `candidates`, if given, replaces the cheap test: the indices i of all
     gaps that pass it for some length up to `ell`.  Rounding is monotone,
@@ -430,9 +430,7 @@ def uncovered_at(centers_sorted, ell: float, candidates=None) -> IntervalUnion:
     # skipped gap fails the exact predicate, and a kept one gets the same
     # arithmetic as when the predicate ran on every gap.
     if candidates is None:
-        k = min(_BLOCK, cs.size)
-        candidates = _gap_candidates(cs, ell - SLACK, np.empty(k),
-                                     np.empty(k, dtype=bool))
+        candidates = _gap_candidates(cs, ell - SLACK)
     lo, hi = _pieces(cs[candidates], cs[candidates + 1], cs[0], cs[-1], ell)
     return IntervalUnion._from_sorted(lo, hi)
 
@@ -718,7 +716,7 @@ def _prefixes(cfg: TrialConfig, shortest, start: int = 0):
     # later gets no thread, and no dead copy of an executor
     with ThreadPoolExecutor(1) if threaded else contextlib.nullcontext() as pool:
         for i, a, b, first, last in _sorted_steps(cfg, grid, lims, start,
-                                                  min(s + 1, grid.size), threaded, pool):
+                                                  min(s + 1, grid.size), pool):
             if i < s:
                 yield i, _join(a), _join(b), first, last
         if s == grid.size:
@@ -728,23 +726,20 @@ def _prefixes(cfg: TrialConfig, shortest, start: int = 0):
                                pool)
 
 
-def _sorted_steps(cfg: TrialConfig, grid, lims, start: int, stop: int, threaded: bool,
-                  pool):
+def _sorted_steps(cfg: TrialConfig, grid, lims, start: int, stop: int, pool):
     """(i, a, b, first, last) as _prefix_gaps has them, at the thresholds
     lims[i], for the checkpoints start..stop-1, from a prefix array of
     grid[stop-1] centers, which is released when the last one has been
     read.  The first of them samples and sorts its whole prefix in one
-    step; no earlier one is sampled or merged."""
+    step; no earlier one is sampled or merged.  A pass given a `pool` is
+    threaded: two-ended, its halves split at _SPLIT."""
+    threaded = pool is not None
     # a one-run pass splits at 1, above every center: the high run stays
     # empty and the free middle takes the centers in stream order
     at = _SPLIT if threaded else 1.0
-    # the two-ended prefix, and a prefilter scratch per half that can fill,
-    # shared by every checkpoint
+    # the two-ended prefix, shared by every checkpoint
     size = int(grid[stop - 1])
     c = np.empty(size)
-    block = min(_BLOCK, size)
-    scratch = [(np.empty(block), np.empty(block, dtype=bool))
-               for _ in range(2 if threaded else 1)]
     if not threaded:
         sample_centers(cfg.seed, size, out=c)
     n0 = n1 = prev = 0
@@ -763,8 +758,8 @@ def _sorted_steps(cfg: TrialConfig, grid, lims, start: int, stop: int, threaded:
         if i + 1 < stop:
             draw = functools.partial(_draw, c[n0:n0 + int(grid[i + 1]) - n], cfg.seed,
                                      n, threaded)
-        yield (i, *_prefix_gaps(c, n0, n1, lims[i], scratch,
-                                pool if n >= _THREAD_MIN else None, draw, merge))
+        yield (i, *_prefix_gaps(c, n0, n1, lims[i], pool if n >= _THREAD_MIN else None,
+                                draw, merge))
 
 
 def _next_batch(cfg: TrialConfig, grid, i: int, pool):

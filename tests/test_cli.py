@@ -567,6 +567,13 @@ class TestConfigFileNumbers:
             assert capsys.readouterr().err == f"error: {field}: must be {noun}, got {value!r}\n"
             assert not list(tmp_path.glob("x.*"))
 
+    @pytest.mark.parametrize("c, bad", [([True, 2], True), ([0.5, False], False)])
+    def test_bool_in_the_c_list_is_refused(self, tmp_path, capsys, c, bad):
+        # float(True) is 1.0, so the list once ran a scan at c = 1
+        assert _run_config(tmp_path, "scan", c=c, n_max=2000) == 2
+        assert capsys.readouterr().err == f"error: c: not a finite number: {bad!r}\n"
+        assert not list(tmp_path.glob("x.*"))
+
     def test_non_integral_n_max_is_refused(self, tmp_path, capsys):
         (tmp_path / "c.json").write_text('{"version": 1, "n_max": 2000.9, "seed": 1.5}')
         assert run(tmp_path, "trial", "--config", "c.json", "--out", "t") == 2

@@ -560,19 +560,32 @@ class TestBlockedPrefilter:
     B = _SMALL_BLOCK
 
     @pytest.mark.parametrize("size", [1, 2, B - 1, B, B + 1, 2 * B, 2 * B + 1])
-    def test_matches_one_shot_diff(self, size):
+    def test_matches_one_shot_diff(self, monkeypatch, size):
+        monkeypatch.setattr(simulate, "_BLOCK", self.B)
         cs = np.sort(sample_centers(size, size))
         spacings = np.diff(cs)
-        # buffers sized as the kernel sizes them at block B for a horizon of `size`
-        k = min(self.B, size)
-        buf, mask = np.empty(k), np.empty(k, dtype=bool)
         # thresholds on every spacing and one ulp either side of it
         thresholds = [-math.inf, math.inf] + [_nudge(float(g), u) for g in spacings
                                               for u in (-1, 0, 1)]
         for thr in thresholds:
-            got = simulate._gap_candidates(cs, thr, buf, mask)
+            got = simulate._gap_candidates(cs, thr)
             assert got.dtype == np.intp
             assert np.array_equal(got, np.flatnonzero(spacings > thr))
+
+    def test_holds_nothing_that_grows_with_the_prefix(self):
+        # a threshold above every spacing selects no gap, so the peak is the
+        # call's own buffers: 9 B per gap of a block, at 8x the centers too
+        peaks = []
+        for size in (1 << 18, 1 << 21):
+            cs = np.sort(sample_centers(size, size))
+            tracemalloc.start()
+            try:
+                assert simulate._gap_candidates(cs, 1.0).size == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 10 * simulate._BLOCK
+        assert max(peaks) <= 1.1 * min(peaks)
 
     @pytest.mark.parametrize("target", [make_circle(), make_cantor(1 / 3, 8),
                                         make_finite([0.05, 0.37, 0.9])],
@@ -647,10 +660,8 @@ def _decision_case(draw):
 
 
 def _check_decision(cs, ells, target):
-    k = min(simulate._BLOCK, cs.size)
     # the kernel's candidates: those of the shortest length, shared by all
-    cand = simulate._gap_candidates(cs, ells[0] - SLACK, np.empty(k),
-                                    np.empty(k, dtype=bool))
+    cand = simulate._gap_candidates(cs, ells[0] - SLACK)
     circle = target.kind == "circle"
     t = None if circle else target.approx
     lookup = None if circle else simulate._lookup(t)
@@ -778,12 +789,6 @@ _SPLIT_PARAMS = [
     if at < 1.0 or max(low + fresh + high) < 0.5]
 
 
-def _scratch(size: int) -> list:
-    """A prefilter scratch per half, sized as the kernel sizes them."""
-    k = min(simulate._BLOCK, size)
-    return [(np.empty(k), np.empty(k, dtype=bool)) for _ in range(2)]
-
-
 def _joined(gaps):
     """_prefix_gaps's (a, b, first, last) with the parts of a and b joined."""
     a, b, first, last = gaps
@@ -811,11 +816,10 @@ class TestSplitPrefix:
         assert c[:n0].tolist() == low + fresh_low
         assert c[c.size - n1:].tolist() == fresh_high + high
         spacings = np.diff(want)
-        scratch = _scratch(c.size)
         # thresholds on every spacing, the one across `at` included, and one
         # ulp either side of it
         for thr in [-math.inf] + [_nudge(float(g), u) for g in spacings for u in (-1, 0, 1)]:
-            a, b, first, last = _joined(simulate._prefix_gaps(c, n0, n1, thr, scratch, None))
+            a, b, first, last = _joined(simulate._prefix_gaps(c, n0, n1, thr, None))
             idx = np.flatnonzero(spacings > thr)
             assert np.array_equal(a, want[idx]) and np.array_equal(b, want[idx + 1])
             assert (first, last) == (want[0], want[-1])
@@ -853,11 +857,10 @@ class TestSplitPrefix:
             for thr in (-math.inf, 1e-3):
                 # the merge and its result without a draw
                 ref = c.copy()
-                want = _joined(simulate._prefix_gaps(ref, n0, n1, thr, _scratch(c.size), None))
+                want = _joined(simulate._prefix_gaps(ref, n0, n1, thr, None))
                 draw = functools.partial(simulate._draw, c[n0:n0 + 400], seed, 3400, True)
                 with ThreadPoolExecutor(1) if threads else contextlib.nullcontext() as pool:
-                    got = _joined(simulate._prefix_gaps(c, n0, n1, thr, _scratch(c.size),
-                                                        pool, draw))
+                    got = _joined(simulate._prefix_gaps(c, n0, n1, thr, pool, draw))
                 # the halves, merged, are bit for bit those of the merge alone
                 assert c[:n0].tobytes() == ref[:n0].tobytes()
                 assert c[c.size - n1:].tobytes() == ref[c.size - n1:].tobytes()
@@ -902,9 +905,8 @@ class TestHalfGaps:
         if not merge:
             # one sorted run already, which _half_gaps leaves as it is
             half = want.copy()
-        k = min(simulate._BLOCK, half.size)
         # every gap is a candidate, the zero ones included
-        a, b = simulate._half_gaps(half, -math.inf, np.empty(k), np.empty(k, dtype=bool), merge)
+        a, b = simulate._half_gaps(half, -math.inf, merge)
         assert half.tobytes() == want.tobytes()
         assert a.tobytes() == want[:-1].tobytes()
         assert b.tobytes() == want[1:].tobytes()
@@ -1159,9 +1161,9 @@ class TestPrefixes:
         calls = []
         half_gaps = simulate._half_gaps
 
-        def spy(half, thr, buf, mask, merge=True):
+        def spy(half, thr, merge=True):
             calls.append(merge)
-            return half_gaps(half, thr, buf, mask, merge)
+            return half_gaps(half, thr, merge)
 
         monkeypatch.setattr(simulate, "_half_gaps", spy)
         grid = self.CFG.checkpoints()
@@ -1245,7 +1247,7 @@ class TestPrefixes:
     @pytest.mark.parametrize("threads", [False, True], ids=["one-run", "threaded"])
     def test_switch_holds_little_beside_the_prefix(self, monkeypatch, threads):
         # at the switch s the pass holds its prefix array of grid[s] centers,
-        # 8 B each, its prefilter scratch and the open gaps being gathered;
+        # 8 B each, its prefilter buffers and the open gaps being gathered;
         # it joins the halves' gaps and draws the first late batch only once
         # the array is released.  With both done beside the array, the peak
         # read 11.0 B (one-run) and 11.7 B (threaded) per center of grid[s];
