@@ -285,6 +285,9 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
                           f"{next(iter(failed.values()))}")
     ok_cs = [rule.c for rule in rules]
 
+    # every seed's _verdicts reads the target's lookup: built once here,
+    # it is inherited by the pool's workers, forked below
+    target._lookup
     # _verdicts runs one pass at the shortest lengths, rules[0]'s
     per_seed = _map_seeds(_scan_cell, range(seed0, seed0 + trials_per_c), base_cfg,
                           tail_checkpoints, jobs, rules, lambda: _pass_bytes(base_cfg, rules[0]))

@@ -34,11 +34,11 @@ The kernel:
   still be candidates (_switch, _X0): from there it keeps those open gaps
   alone, and each later checkpoint splits them by its batch of new centers
   (_land), drawn on the second thread while the batch before it lands.
-  The first batch is drawn, and the open gaps of the halves joined, only
-  once the prefix array is released, so the pass never holds both phases
-  at once; _check_memory refuses a horizon by the larger of the two
-  (_pass_bytes).  _gap_candidates picks the gaps the exact predicate runs
-  on.
+  Each half gathers its open gaps block by block, as parts; the first
+  batch is drawn, and the parts joined, only once the prefix array is
+  released, so the pass never holds both phases at once; _check_memory
+  refuses a horizon by the larger of the two (_pass_bytes).
+  _gap_candidates picks the gaps the exact predicate runs on.
 - Three passes read it.  run_trial, the one entry point for a trial,
   decides every checkpoint and builds a residue where one is uncovered.
   _verdicts gives a phase scan's verdicts under a list of length rules,
@@ -166,26 +166,32 @@ _SPLIT = 0.65
 # prefilter threshold from there on (see _prefixes).  Under uniform centers
 # about exp(-_X0) of the gaps are then longer than floor and stay open.  A
 # lower _X0 keeps a shorter prefix but more open gaps, a higher one the
-# reverse.  Timed in whole trials to n_max 1e7 on a 2-core VM, 6
-# alternating pairs each against 3 (0.337-0.340 s of wall, 83.4 MB of peak
-# RSS): 2 read 0.492 s and 96.0 MB, and 4 read 0.333 s and 96.6 MB.
-_X0 = 3.0
+# reverse.  Chosen in whole trials to n_max 1e7 (logn:0.5, seed 0) on a
+# 2-core VM as the lowest peak RSS that kept the wall and cpu time of the
+# kernel before it, which switched at 3 (76.1 MB).  In alternating runs,
+# against that kernel: 2.75 read 72.2-72.5 MB and +0.003 to +0.014 s of
+# wall per round (7 and 10 rounds); 2.5 read 70.2 MB but +0.024 to
+# +0.038 s, and +10% over 12 more pairs; 2.25 read 68.5 MB and +0.045 s;
+# 3 read 76.2 MB and -0.007 to -0.025 s.
+_X0 = 2.75
 
 # Most bytes a pass holds per center of its prefix array while it keeps the
 # sorted prefix: 8 for the prefix and up to 4 for timsort's merge buffer.
-# The merge buffer is gone before the candidate gaps are gathered, at 16 B
-# each for their ends and 8 B for their indices; at the switch they are
-# about exp(-_X0) of the gaps, fewer than 2 B per center.
+# The merge buffer is gone before the candidate gaps are gathered, block by
+# block, at 16 B each for their two ends; at the switch they are about
+# exp(-_X0) of the gaps, under 1.5 B per center.
 _BYTES_PER_CENTER = 12
 
 # Bytes a late phase holds per open gap of its switch checkpoint: 16 for
-# its two ends, times a margin of 10 for _land, which holds about ten index
-# and end arrays of 8 B per gap (the ends in and out, lo, hi, k, tail, head,
-# the sub-gap ends and the yielded copies).  Past the switch, beside 8 B per
-# center of the two largest consecutive batches, passes peaked in
-# tracemalloc at 84 (one-run) and 117 B (threaded) per grid[s] * exp(-_X0)
-# at n_max 2**21 (logn:0.5, seed 5), and at 50 and 80 B at 1e7 (seed 0).
-_BYTES_PER_OPEN_GAP = 160
+# its two ends, up to 16 for the copies the consumer holds of the last
+# checkpoint's, and what _land holds while a batch lands, at most about 47:
+# its two outputs and three index arrays.  From the switch on, beside 8 B
+# per center of the two largest consecutive batches, passes peaked in
+# tracemalloc at 18 (one-run) and 32 B (threaded) per grid[s] * exp(-_X0)
+# at n_max 2**21 (logn:0.5, seed 5), at 8 and 22 B at 1e7 (seed 0), and at
+# 67 B under harmonic:3 at 1e7, whose one late batch lands in all its open
+# gaps at once.
+_BYTES_PER_OPEN_GAP = 72
 
 # Bytes per candidate gap for its ends, pieces, residue and tail unions:
 # tracemalloc peaks at n_max 1e6, less 8 B per center, per expected gap
@@ -261,28 +267,33 @@ def _check_memory(n_max: int, need: int, trials: int) -> None:
                           f"{have / 2 ** 30:.3g} GiB of physical memory")
 
 
-def _gap_candidates(cs, thr) -> np.ndarray:
-    """Indices i with fl(cs[i+1] - cs[i]) > thr, ascending.
+def _gap_candidates(cs, thr) -> tuple:
+    """The ends (a, b) = (cs[i], cs[i+1]) of the gaps with fl(cs[i+1] -
+    cs[i]) > thr, ascending, as two lists of parts to join (_join).
 
-    The same indices, from the same float64 subtraction and comparison, as
-    a one-shot flatnonzero over all spacings, but found in blocks of at
-    most _BLOCK gaps through a spacing buffer and a mask allocated once per
-    call, so no temporary grows with cs.
+    The same gaps, from the same float64 subtraction and comparison, as a
+    one-shot flatnonzero over all spacings, but found in blocks of at most
+    _BLOCK gaps through a spacing buffer and a mask allocated once per
+    call, each block's ends gathered as it is scanned: no temporary grows
+    with cs, and no index array is held beside the ends.  Every part is a
+    copy, and there is at least one.
     """
     n_gaps = cs.size - 1
     step = max(1, min(_BLOCK, n_gaps))
     buf, mask = np.empty(step), np.empty(step, dtype=bool)
-    hits = [np.empty(0, dtype=np.intp)]
-    for s in range(0, n_gaps, step):
+    a, b = [], []
+    # one empty block where there is no gap
+    for s in range(0, max(n_gaps, 1), step):
         e = min(s + step, n_gaps)
         k = e - s
         np.subtract(cs[s + 1:e + 1], cs[s:e], out=buf[:k])
         np.greater(buf[:k], thr, out=mask[:k])
         idx = mask[:k].nonzero()[0]
-        idx += s
-        hits.append(idx)
-    # past the empty start, one block (the common case) needs no copy
-    return hits[1] if len(hits) == 2 else np.concatenate(hits)
+        block = cs[s:e + 1]
+        a.append(block[idx])
+        idx += 1
+        b.append(block[idx])
+    return a, b
 
 
 def _draw(fresh, seed: int, start: int, sample: bool) -> np.ndarray:
@@ -318,8 +329,9 @@ def _split(c, n0: int, n1: int, k: int, at: float) -> tuple:
 def _half_gaps(half, thr, merge=True) -> tuple:
     """Merge the two sorted runs of one half in place (without `merge`, it
     is one sorted run already), then gather the ends (a, b) of its
-    candidate gaps: those with fl(b - a) > thr, ascending.  The prefilter's
-    buffers are this call's own, so halves on two threads share none.
+    candidate gaps: those with fl(b - a) > thr, ascending, as lists of
+    parts (_gap_candidates).  The prefilter's buffers are this call's own,
+    so halves on two threads share none.
 
     The merge compares the centers' bit patterns as unsigned 64-bit
     integers.  A half holds only sample_centers outputs, doubles in [0, 1)
@@ -329,10 +341,7 @@ def _half_gaps(half, thr, merge=True) -> tuple:
     if merge:
         # timsort merges the two sorted runs in linear time
         half.view(np.uint64).sort(kind="stable")
-    idx = _gap_candidates(half, thr)
-    a = half[idx]
-    idx += 1
-    return a, half[idx]
+    return _gap_candidates(half, thr)
 
 
 def _prefix_gaps(c, n0: int, n1: int, thr, pool, meanwhile=None, merge=True) -> tuple:
@@ -341,8 +350,8 @@ def _prefix_gaps(c, n0: int, n1: int, thr, pool, meanwhile=None, merge=True) -> 
     without `merge`).
 
     Merges each half and returns (a, b, first, last): the ends of the gaps
-    with fl(b - a) > thr, as lists of ascending arrays to concatenate (the
-    low half's, the gap between the halves, the high half's), and the
+    with fl(b - a) > thr, as lists of ascending parts to join (the low
+    half's, the gap between the halves, the high half's), and the
     first and last center.  These are the gaps and values of the whole
     sorted prefix, and no part of them is a view of `c`.  With a `pool`,
     the low half runs on its thread while the calling thread does the high
@@ -365,14 +374,13 @@ def _prefix_gaps(c, n0: int, n1: int, thr, pool, meanwhile=None, merge=True) -> 
         a0, b0 = job.result()
     # with one half empty, the other is the whole prefix
     if not n1:
-        return [a0], [b0], float(low[0]), float(low[-1])
+        return a0, b0, float(low[0]), float(low[-1])
     if not n0:
-        return [a1], [b1], float(high[0]), float(high[-1])
-    a, b = [a0], [b0]
+        return a1, b1, float(high[0]), float(high[-1])
     if high[0] - low[-1] > thr:
-        a.append(low[-1:].copy())
-        b.append(high[:1].copy())
-    return a + [a1], b + [b1], float(low[0]), float(high[-1])
+        a0.append(low[-1:].copy())
+        b0.append(high[:1].copy())
+    return a0 + a1, b0 + b1, float(low[0]), float(high[-1])
 
 
 def _join(parts) -> np.ndarray:
@@ -430,8 +438,10 @@ def uncovered_at(centers_sorted, ell: float, candidates=None) -> IntervalUnion:
     # skipped gap fails the exact predicate, and a kept one gets the same
     # arithmetic as when the predicate ran on every gap.
     if candidates is None:
-        candidates = _gap_candidates(cs, ell - SLACK)
-    lo, hi = _pieces(cs[candidates], cs[candidates + 1], cs[0], cs[-1], ell)
+        a, b = map(_join, _gap_candidates(cs, ell - SLACK))
+    else:
+        a, b = cs[candidates], cs[candidates + 1]
+    lo, hi = _pieces(a, b, cs[0], cs[-1], ell)
     return IntervalUnion._from_sorted(lo, hi)
 
 
@@ -507,20 +517,10 @@ def _leaves_uncovered(a, b, first, last, ell, target) -> bool:
                 and _strictly_inside(lo, hi, target.points).any())
 
 
-def _lookup(target) -> tuple:
-    """_depth's view of the canonical `target`, not the circle: its pieces
-    and its points p as pieces [p, p], in order, as (los, his) between
-    sentinel pieces at -inf and +inf."""
-    ends = np.concatenate([[target.los, target.his], [target.points] * 2], axis=1)
-    # the points lie in no piece, so the pieces stay disjoint
-    ends = ends[:, ends[0].argsort(kind="stable")]
-    return tuple(np.pad(ends, ((0, 0), (1, 1)), constant_values=(-math.inf, math.inf)))
-
-
 def _depth(a, b, first, last, lookup, floor: float = 0.0) -> float:
     """D >= 0, the longest arc length whose uncovered middle of a candidate
-    gap (a, b) or of the wrap gap still meets the target (lookup =
-    _lookup(target)).  That middle meets a piece [s, t] iff ell < min(b -
+    gap (a, b) or of the wrap gap still meets the target (lookup, its
+    TargetSet._lookup).  That middle meets a piece [s, t] iff ell < min(b -
     a, 2 min(t - a, b - s)), so a gap's depth is set by the last piece [s-,
     t-] from at or below its midpoint and the next, from s+: min(b - a, 2
     max(t- - a, b - s+)).  The wrap gap is taken as (last, first + 1) and
@@ -551,8 +551,8 @@ def _uncovered(a, b, first, last, ells, target, lookup, hint: int = 0) -> int:
     """How many of the non-decreasing lengths `ells` leave part of `target`
     uncovered (_leaves_uncovered), the leading ones, given the candidate
     gaps (a, b) of a length up to ells[0], the first and last center and
-    _lookup(target) (None for the circle); `hint`, a guess at the count,
-    as the last checkpoint's, saves time where it holds.
+    the target's TargetSet._lookup (None for the circle); `hint`, a guess
+    at the count, as the last checkpoint's, saves time where it holds.
 
     That predicate is non-increasing in ell, rounding included, so the
     lengths below the depth D (_depth) leave the target uncovered and those
@@ -697,8 +697,9 @@ def _prefixes(cfg: TrialConfig, shortest, start: int = 0):
     The switch checkpoint s is _switch's, and the prefix array holds
     grid[s] centers rather than n_max.  At s the pass holds nothing beside
     that array, its merge buffers and the gap ends being gathered: the
-    halves' open gaps are joined, and the first late batch is drawn, only
-    once the array is released.  A pass that switches, where
+    parts of the open gaps are joined, and the first late batch is drawn,
+    only once the array is released, and from there only the late steps
+    hold the open gaps.  A pass that switches, where
     _threads_allowed() holds, is two-ended and threaded, and draws its
     late batches on its second thread (_open_steps); any other pass
     samples its prefix once, keeps one run and draws each late batch when
@@ -718,12 +719,15 @@ def _prefixes(cfg: TrialConfig, shortest, start: int = 0):
         for i, a, b, first, last in _sorted_steps(cfg, grid, lims, start,
                                                   min(s + 1, grid.size), pool):
             if i < s:
-                yield i, _join(a), _join(b), first, last
+                a, b = _join(a), _join(b)
+                yield i, a, b, first, last
         if s == grid.size:
             return
-        # the prefix is gone with the finished _sorted_steps
-        yield from _open_steps(cfg, grid, thr, floor, s, (_join(a), _join(b), first, last),
-                               pool)
+        # the prefix is gone with the finished _sorted_steps; from here only
+        # the late steps hold the open gaps
+        late = _open_steps(cfg, grid, thr, floor, s, (_join(a), _join(b), first, last), pool)
+        del a, b
+        yield from late
 
 
 def _sorted_steps(cfg: TrialConfig, grid, lims, start: int, stop: int, pool):
@@ -777,11 +781,13 @@ def _next_batch(cfg: TrialConfig, grid, i: int, pool):
 def _open_steps(cfg: TrialConfig, grid, thr, floor, s: int, gaps, pool):
     """(i, a, b, first, last) as _prefixes has them, for the switch s and
     the checkpoints after it, from `gaps`, the open gaps and end centers of
-    the prefix at s (see _prefixes).  Each batch is asked for (_next_batch)
-    before the checkpoint before it is yielded, so with a `pool` it is
-    drawn while the consumer reads that checkpoint and, past s, while that
-    checkpoint's own batch lands."""
+    the prefix at s (see _prefixes), which no other frame holds.  Each
+    batch is asked for (_next_batch) before the checkpoint before it is
+    yielded, so with a `pool` it is drawn while the consumer reads that
+    checkpoint and, past s, while that checkpoint's own batch lands."""
     a, b, first, last = gaps
+    # so each landing frees the gaps it replaces
+    del gaps
     draw = None
     for i in range(s, grid.size):
         fresh = draw() if draw else None
@@ -800,32 +806,63 @@ def _land(a, b, first, last, fresh, lim) -> tuple:
     A batch center strictly inside an open gap splits it.  Those below
     `first` and above `last` split the wrap gap: the ones below make inner
     gaps among themselves and up to `first`, the ones above from `last`
-    on.  Of the sub-gaps, those with
-    fl(b - a) > lim stay open, ascending.  A center equal to an end of a
-    gap, or to another center, makes only gaps of length 0, which lim > 0
-    drops: the gaps left are those of the merged prefix, bit for bit.
-    Returns (a, b, first, last)."""
-    # the centers strictly inside each open gap, fresh[lo[j]:hi[j]]
-    lo = fresh.searchsorted(a, side="right")
-    hi = fresh.searchsorted(b, side="left")
-    k = hi - lo
-    # gap j becomes k[j] + 1 sub-gaps, from index head[j] to tail[j]
-    tail = np.cumsum(k) + np.arange(a.size)
-    head = tail - k
+    on.  Every sub-gap is written once, in order, into two output arrays
+    allocated up front, and each index array is dropped once used; of the
+    sub-gaps, those with fl(b - a) > lim stay open.  A center equal to an
+    end of a gap, or to another center, makes only gaps of length 0, which
+    lim > 0 drops: the gaps left are those of the merged prefix, bit for
+    bit.  The batch is searched on its bit patterns as unsigned integers,
+    which order doubles in [0, 1), as every center is, as numbers (see
+    _half_gaps).  Returns (a, b, first, last)."""
+    nb = int(fresh.searchsorted(first, side="left"))
+    na = fresh.size - int(fresh.searchsorted(last, side="right"))
+    # the centers strictly inside open gap j, fresh[lo[j]:lo[j] + k[j]]
+    keys = fresh.view(np.uint64)
+    lo = keys.searchsorted(a.view(np.uint64), side="right")
+    k = keys.searchsorted(b.view(np.uint64), side="left")
+    k -= lo
     arrivals = int(k.sum())
-    sub_a, sub_b = np.empty(a.size + arrivals), np.empty(a.size + arrivals)
-    sub_a[head], sub_b[tail] = a, b
-    # the inside centers in order: each ends one sub-gap and starts the next
-    pos = np.arange(arrivals) + np.repeat(np.arange(a.size), k)
-    inside = fresh[np.repeat(lo - head, k) + pos]
-    sub_b[pos] = inside
-    sub_a[pos + 1] = inside
-    below = np.append(fresh[:fresh.searchsorted(first, side="left")], first)
-    above = np.insert(fresh[fresh.searchsorted(last, side="right"):], 0, last)
-    a = np.concatenate([below[:-1], sub_a, above[:-1]])
-    b = np.concatenate([below[1:], sub_b, above[1:]])
-    wide = b - a > lim
-    return a[wide], b[wide], min(first, float(fresh[0])), max(last, float(fresh[-1]))
+    # the sub-gaps in order: below `first`, in the open gaps, from `last` on
+    out_a = np.empty(nb + a.size + arrivals + na)
+    out_b = np.empty(out_a.size)
+    if nb:
+        out_a[:nb] = fresh[:nb]
+        out_b[:nb - 1] = fresh[1:nb]
+        out_b[nb - 1] = first
+    if na:
+        top = out_a.size - na
+        out_a[top] = last
+        out_a[top + 1:] = fresh[-na:-1]
+        out_b[top:] = fresh[-na:]
+    # gap j becomes the k[j] + 1 sub-gaps pos[j]..pos[j] + k[j], after the
+    # nb below `first` and those of the gaps before it: the first starts
+    # at a[j] and the last ends at b[j]
+    k += 1
+    pos = np.cumsum(k)
+    k -= 1
+    pos += nb - 1
+    out_b[pos] = b
+    pos -= k
+    out_a[pos] = a
+    # the inside centers in order: the i-th of gap j, fresh[lo[j] + i], ends
+    # the sub-gap pos[j] + i and starts the next
+    lo -= pos
+    del pos
+    src = np.repeat(lo, k)
+    del lo
+    # pos[j] + i = nb + j + t, t the rank of the center among all arrivals
+    dst = np.repeat(np.arange(nb, nb + a.size), k)
+    del k
+    dst += np.arange(arrivals)
+    src += dst
+    inside = fresh[src]
+    del src
+    out_b[dst] = inside
+    dst += 1
+    out_a[dst] = inside
+    del dst, inside
+    wide = out_b - out_a > lim
+    return out_a[wide], out_b[wide], min(first, float(fresh[0])), max(last, float(fresh[-1]))
 
 
 def _residue(a, b, first, last, ell, target) -> IntervalUnion:
@@ -908,7 +945,7 @@ def _verdicts(cfg: TrialConfig, rules, tail_checkpoints: int) -> list:
     grid, ells, t_approx, tail_idx = _setup(cfg, rules)
     if np.any(ells[1:] < ells[:-1]):
         raise ValueError("rules must come in order of length at every checkpoint")
-    lookup = None if t_approx is None else _lookup(t_approx)
+    lookup = None if t_approx is None else cfg.target._lookup
     # per rule, the index of its last uncovered checkpoint, -1 for none
     last_fail = np.full(len(rules), -1)
     tail_unions = [EMPTY] * len(rules)

@@ -17,6 +17,7 @@ finest scale.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -44,6 +45,25 @@ class TargetSet:
     def __post_init__(self):
         if self.dim_H is not None and self.dim_H > self.dim_B_upper + 1e-12:
             raise ValueError("dim_H must not exceed dim_B_upper")
+
+    @functools.cached_property
+    def _lookup(self) -> tuple:
+        """simulate._depth's view of the approximation: its pieces and its
+        points p as pieces [p, p], in order, as read-only arrays (los, his)
+        between sentinel pieces at -inf and +inf.  Built on first use and
+        kept, like TableSequence's array; a pickled target leaves it out."""
+        u = self.approx
+        los = np.concatenate([[-math.inf], u.los, u.points, [math.inf]])
+        his = np.concatenate([[-math.inf], u.his, u.points, [math.inf]])
+        if u.points.size:
+            # the points lie in no piece, so the pieces stay disjoint
+            order = los.argsort(kind="stable")
+            los, his = los[order], his[order]
+        los.flags.writeable = his.flags.writeable = False
+        return los, his
+
+    def __getstate__(self):
+        return {name: value for name, value in vars(self).items() if name != "_lookup"}
 
     def check_horizon(self, ell_end: float) -> None:
         """Pre-fractal guard: refuse a horizon arc length `ell_end` at or

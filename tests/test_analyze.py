@@ -189,6 +189,21 @@ class TestPhaseScan:
         assert scan.dim_H == pytest.approx(np.log(2) / np.log(3))
         assert scan.cover_threshold == pytest.approx(1 + np.log(2) / np.log(3))
 
+    def test_target_lookup_is_built_once_for_every_seed(self, monkeypatch):
+        # built before any cell runs, so each seed, and each forked worker,
+        # reads the same one
+        seen = []
+        verdicts = analyze._verdicts
+
+        def spy(cfg, rules, tail):
+            seen.append(vars(cfg.target).get("_lookup"))
+            return verdicts(cfg, rules, tail)
+
+        monkeypatch.setattr(analyze, "_verdicts", spy)
+        phase_scan([0.3, 1.0], small_base(target=make_cantor(1 / 3, 8), n_max=800), 3)
+        assert len(seen) == 3 and seen[0] is not None
+        assert all(lookup is seen[0] for lookup in seen)
+
     def test_deterministic_and_jobs_independent(self):
         a = phase_scan([0.5, 2.5], small_base(), 4, jobs=1)
         b = phase_scan([0.5, 2.5], small_base(), 4, jobs=2)

@@ -568,9 +568,13 @@ class TestBlockedPrefilter:
         thresholds = [-math.inf, math.inf] + [_nudge(float(g), u) for g in spacings
                                               for u in (-1, 0, 1)]
         for thr in thresholds:
-            got = simulate._gap_candidates(cs, thr)
-            assert got.dtype == np.intp
-            assert np.array_equal(got, np.flatnonzero(spacings > thr))
+            a, b = simulate._gap_candidates(cs, thr)
+            # one part per block, at least one, none a view of cs
+            assert len(a) == len(b) == max(1, -(-(size - 1) // self.B))
+            assert not any(np.shares_memory(part, cs) for part in a + b)
+            idx = np.flatnonzero(spacings > thr)
+            assert simulate._join(a).tobytes() == cs[idx].tobytes()
+            assert simulate._join(b).tobytes() == cs[idx + 1].tobytes()
 
     def test_holds_nothing_that_grows_with_the_prefix(self):
         # a threshold above every spacing selects no gap, so the peak is the
@@ -580,7 +584,8 @@ class TestBlockedPrefilter:
             cs = np.sort(sample_centers(size, size))
             tracemalloc.start()
             try:
-                assert simulate._gap_candidates(cs, 1.0).size == 0
+                a, b = simulate._gap_candidates(cs, 1.0)
+                assert simulate._join(a).size == simulate._join(b).size == 0
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -661,13 +666,16 @@ def _decision_case(draw):
 
 def _check_decision(cs, ells, target):
     # the kernel's candidates: those of the shortest length, shared by all
-    cand = simulate._gap_candidates(cs, ells[0] - SLACK)
+    a, b = map(simulate._join, simulate._gap_candidates(cs, ells[0] - SLACK))
+    # their indices: a candidate gap ends at a center above a, so it starts
+    # at the last center equal to a
+    cand = cs.searchsorted(a, side="right") - 1
     circle = target.kind == "circle"
     t = None if circle else target.approx
-    lookup = None if circle else simulate._lookup(t)
+    lookup = None if circle else target._lookup
     # a hint, right or wrong, changes no count
-    got, *hinted = (simulate._uncovered(cs[cand], cs[cand + 1], cs[0], cs[-1], ells, t,
-                                        lookup, hint) for hint in range(ells.size + 1))
+    got, *hinted = (simulate._uncovered(a, b, cs[0], cs[-1], ells, t, lookup, hint)
+                    for hint in range(ells.size + 1))
     assert hinted == [got] * ells.size
     # the count of the leading lengths that leave the target uncovered
     for j, ell in enumerate(ells):
@@ -708,7 +716,7 @@ class TestBatchedDecision:
         cs, ells, target = case
         t = None if target.kind == "circle" else target.approx
         a, b, first, last = cs[:-1], cs[1:], cs[0], cs[-1]
-        d = simulate._depth(a, b, first, last, None if t is None else simulate._lookup(t))
+        d = simulate._depth(a, b, first, last, None if t is None else target._lookup)
         band = simulate._band(d)
         edges = [math.nextafter(d - band, -math.inf), math.nextafter(d + band, math.inf)]
         for ell in [*ells.tolist(), *edges, *(d + k * band for k in offsets)]:
@@ -906,7 +914,7 @@ class TestHalfGaps:
             # one sorted run already, which _half_gaps leaves as it is
             half = want.copy()
         # every gap is a candidate, the zero ones included
-        a, b = simulate._half_gaps(half, -math.inf, merge)
+        a, b = map(simulate._join, simulate._half_gaps(half, -math.inf, merge))
         assert half.tobytes() == want.tobytes()
         assert a.tobytes() == want[:-1].tobytes()
         assert b.tobytes() == want[1:].tobytes()
@@ -1270,6 +1278,35 @@ class TestPrefixes:
                 tracemalloc.stop()
         assert peak < {False: 10.5, True: 11.0}[threads] * cfg.checkpoints()[s]
 
+    @pytest.mark.parametrize("threads", [False, True], ids=["one-run", "threaded"])
+    def test_late_phase_fits_the_guard(self, monkeypatch, threads):
+        # from the switch s on, the pass holds its open gaps, what _land
+        # allocates and two batches: under what _pass_bytes counts for them,
+        # _BYTES_PER_OPEN_GAP per open gap it expects at s, grid[s] *
+        # exp(-_X0), and 8 B per center of the two largest consecutive batches
+        monkeypatch.setattr(simulate, "_THREAD_MIN", 1 << 17)
+        monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
+        cfg = replace(self.CFG, lengths=LogOverN(0.5), n_max=1 << 21, n_first_checkpoint=64)
+        grid = cfg.checkpoints()
+        shortest = _shortest(cfg)
+        s = _switch(cfg, shortest, 0)
+        batches = np.diff(grid[s:])
+        assert batches.size > 10
+        pair = int((batches[:-1] + batches[1:]).max())
+        # the first pass also imports what a pass needs
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                # the loop holds each yield until the next, as run_trial does
+                for i, *_ in simulate._prefixes(cfg, shortest):
+                    if i == s:
+                        tracemalloc.reset_peak()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - 8 * pair < (simulate._BYTES_PER_OPEN_GAP * grid[s]
+                                  * math.exp(-simulate._X0))
+
 
 # rules whose n * ell(n) grows (logn, power below 1), stays (harmonic) or
 # falls (power above 1), and a table of equal runs
@@ -1321,7 +1358,9 @@ _PRE = [0.1, 0.2, 0.25, 0.5, 0.9]
 
 # a prefix, the limit its open gaps passed, the batch and the new limit;
 # the prefix's gaps of 0.1, 0.05, 0.25 and 0.4 are open above 0.07 except
-# the 0.05 one
+# the 0.05 one.  Batches wholly below the first center, wholly above the
+# last, of one center inside an open gap, touching no open gap, and with
+# every arrival in one gap
 _LAND_CASES = {
     "on-gap-ends": (_PRE, 0.07, [0.1, 0.2, 0.25, 0.5, 0.5, 0.9], 0.07),
     "on-first-and-last": (_PRE, 0.07, [0.1, 0.1, 0.9], 0.07),
@@ -1334,6 +1373,11 @@ _LAND_CASES = {
     "raised-limit": (_PRE, 0.07, [0.15, 0.3, 0.6, 0.75], 0.12),
     "none-open": ([0.4, 0.45], 0.1, [0.0, 0.2, 0.42, 0.9], 0.1),
     "one-center": ([0.5], 0.1, [0.5, 0.05, 0.7], 0.1),
+    "below-first": (_PRE, 0.07, [0.0, 0.03, 0.03, 0.05], 0.07),
+    "above-last": (_PRE, 0.07, [0.92, 0.95, 0.99, _TOP], 0.07),
+    "one-inside": (_PRE, 0.07, [0.7], 0.07),
+    "wrap-only": (_PRE, 0.07, [0.02, 0.97], 0.07),
+    "one-gap": (_PRE, 0.07, [0.55, 0.6, 0.6, 0.8, math.nextafter(0.9, 0.0)], 0.07),
     "drawn": (np.sort(sample_centers(1, 400)).tolist(), 3 / 400,
               np.sort(sample_centers(1, 40, start=400)).tolist(), 3.2 / 440),
 }

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +10,27 @@ from arccover import (ConfigError, IntervalUnion, box_dimension, covers, make_ca
                       parse_target)
 
 LN2_LN3 = math.log(2) / math.log(3)
+
+
+class TestLookup:
+    """The target's lookup for simulate._depth: built once, read-only, and
+    left out of a pickled target, whose unpickled copy builds its own."""
+
+    def test_pieces_and_points_in_order_between_sentinels(self):
+        t = make_custom(IntervalUnion([(0.6, 0.7), (0.1, 0.2)], points=[0.5, 0.05]), 1.0)
+        los, his = t._lookup
+        assert los.tolist() == [-math.inf, 0.05, 0.1, 0.5, 0.6, math.inf]
+        assert his.tolist() == [-math.inf, 0.05, 0.2, 0.5, 0.7, math.inf]
+
+    def test_built_once_read_only_and_not_pickled(self):
+        t = make_cantor(1 / 3, 3)
+        los, his = t._lookup
+        assert t._lookup[0] is los and t._lookup[1] is his
+        assert not los.flags.writeable and not his.flags.writeable
+        assert pickle.dumps(t) == pickle.dumps(make_cantor(1 / 3, 3))
+        clone = pickle.loads(pickle.dumps(t))
+        assert clone == t and "_lookup" not in vars(clone)
+        assert [x.tobytes() for x in clone._lookup] == [los.tobytes(), his.tobytes()]
 
 
 class TestCircle:
