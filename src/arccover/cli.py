@@ -222,7 +222,8 @@ def _load_config(path: str | None, command: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError("config", "top level must be a JSON object")
     version = data.pop("version", 1)
-    if version != 1:
+    # true == 1 in Python, so a bool is refused by its type
+    if isinstance(version, bool) or version != 1:
         raise ConfigError("version", f"unsupported config version {version!r}")
     cfg_cmd = data.pop("command", None)
     if cfg_cmd is not None and cfg_cmd != command:

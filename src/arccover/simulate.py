@@ -39,15 +39,18 @@ The kernel:
   released, so the pass never holds both phases at once; _check_memory
   refuses a horizon by the larger of the two (_pass_bytes).
   _gap_candidates picks the gaps the exact predicate runs on.
-- Three passes read it.  run_trial, the one entry point for a trial,
-  decides every checkpoint and builds a residue where one is uncovered.
-  _verdicts gives a phase scan's verdicts under a list of length rules,
-  which share the seed, target and grid: coverage is monotone in the
-  length (_uncovered), so one number per checkpoint, the depth of the
-  target in its gaps (_depth), decides every rule as the pass yields it,
-  and a scan's fractions never decrease in c.  _tail_union gives the tail
-  union alone and starts at the tail window.  Both trust their caller to
-  have run each rule's scale guard (TargetSet.check_horizon).
+- Three passes read it, and each drops a checkpoint's gaps before the
+  pass lands the next batch.  Coverage is monotone in the length, so one
+  number per checkpoint, the depth of the target in its gaps (_depth),
+  decides every length but those within a rounding of it, which their
+  residues decide (_uncovered).  run_trial, the one entry point for a
+  trial, decides every checkpoint so and builds a residue where one is
+  uncovered.  _verdicts gives a phase scan's verdicts under a list of
+  length rules, which share the seed, target and grid: one depth decides
+  every rule as the pass yields it, and a scan's fractions never
+  decrease in c.  _tail_union gives the tail union alone and starts at
+  the tail window.  Both trust their caller to have run each rule's
+  scale guard (TargetSet.check_horizon).
 """
 
 from __future__ import annotations
@@ -67,8 +70,7 @@ import numpy as np
 from .errors import ConfigError, check_integer, fields_equal
 from .lengths import MAX_EXACT_N, LengthSequence
 from .targets import TargetSet
-from .torus import (EMPTY, MERGE_EPS, IntervalUnion, _seam_dust, _strictly_inside, intersect,
-                    measure, union)
+from .torus import EMPTY, MERGE_EPS, IntervalUnion, _seam_dust, intersect, measure, union
 
 PRNG_NAME = "numpy.random.Philox"
 PRNG_VERSION = np.__version__
@@ -183,14 +185,15 @@ _X0 = 2.75
 _BYTES_PER_CENTER = 12
 
 # Bytes a late phase holds per open gap of its switch checkpoint: 16 for
-# its two ends, up to 16 for the copies the consumer holds of the last
-# checkpoint's, and what _land holds while a batch lands, at most about 47:
-# its two outputs and three index arrays.  From the switch on, beside 8 B
-# per center of the two largest consecutive batches, passes peaked in
-# tracemalloc at 18 (one-run) and 32 B (threaded) per grid[s] * exp(-_X0)
-# at n_max 2**21 (logn:0.5, seed 5), at 8 and 22 B at 1e7 (seed 0), and at
-# 67 B under harmonic:3 at 1e7, whose one late batch lands in all its open
-# gaps at once.
+# its two ends and what _land holds while a batch lands, at most about 47:
+# its two outputs and three index arrays.  The kernel's consumers drop the
+# last checkpoint's gaps before it lands; one that keeps them adds up to 16.
+# From the switch on, beside 8 B per center of the two largest consecutive
+# batches, passes that keep them peaked in tracemalloc at 18 (one-run) and
+# 32 B (threaded) per grid[s] * exp(-_X0) at n_max 2**21 (logn:0.5, seed
+# 5), at 8 and 22 B at 1e7 (seed 0), and at 67 B under harmonic:3 at 1e7,
+# whose one late batch lands in all its open gaps at once; run_trial's
+# landing there peaks at 54 B.
 _BYTES_PER_OPEN_GAP = 72
 
 # Bytes per candidate gap for its ends, pieces, residue and tail unions:
@@ -422,7 +425,9 @@ def uncovered_at(centers_sorted, ell: float, candidates=None) -> IntervalUnion:
     so they include every gap that passes it at `ell`, and the exact
     predicate picks the same gaps from them.  With `candidates`, the array
     need only hold, in order, the first and the last center and both ends
-    of every candidate gap (see _skeleton): no other gap is read.
+    of every candidate gap (see _skeleton): no other gap is read.  So the
+    kernel builds every residue (_residue), and decides every tie of
+    _uncovered, from the candidates of the shortest length it passes.
     """
     cs = np.asarray(centers_sorted, dtype=np.float64)
     if cs.size < 1:
@@ -494,29 +499,6 @@ def _seam_pieces(first, last, ell) -> tuple:
     return (0.0, l) if l > 0.0 else (), (h, 1.0) if h < 1.0 else ()
 
 
-def _meets(target, lo, hi) -> np.ndarray:
-    """Which pieces (lo, hi) meet an interval of the canonical target, as
-    intersect sees it: one ends after the piece starts and starts before
-    it ends."""
-    return (np.searchsorted(target.his, lo, side="right")
-            < np.searchsorted(target.los, hi, side="left"))
-
-
-def _leaves_uncovered(a, b, first, last, ell, target) -> bool:
-    """Whether the residue of arcs of length `ell` is not empty, bit for
-    bit, given the candidate gaps (a, b), the first and last center and
-    the target (None for the circle): a piece of _pieces meets a target
-    interval, or a target point lies inside a piece as intersect has it
-    (_strictly_inside, 0 included where the pieces start at 0 and end at
-    1, the halves of one arc across the seam)."""
-    lo, hi = _pieces(a, b, first, last, ell)
-    if target is None or not lo.size:
-        return bool(lo.size)
-    # a target without points, as every Cantor one, skips their test
-    return bool(_meets(target, lo, hi).any() or target.points.size
-                and _strictly_inside(lo, hi, target.points).any())
-
-
 def _depth(a, b, first, last, lookup, floor: float = 0.0) -> float:
     """D >= 0, the longest arc length whose uncovered middle of a candidate
     gap (a, b) or of the wrap gap still meets the target (lookup, its
@@ -526,7 +508,8 @@ def _depth(a, b, first, last, lookup, floor: float = 0.0) -> float:
     max(t- - a, b - s+)).  The wrap gap is taken as (last, first + 1) and
     (last - 1, first), to meet the pieces on both sides of the seam.  For
     the circle (lookup None) D is the widest gap.  Gaps no wider than
-    `floor` are skipped, which leaves D where the result reaches floor."""
+    `floor` are skipped, which leaves D where the result reaches floor.
+    It decides every checkpoint of a trial and of a scan (_uncovered)."""
     if lookup is None:
         return max(first + 1.0 - last, float((b - a).max(initial=0.0)))
     los, his = lookup
@@ -536,8 +519,12 @@ def _depth(a, b, first, last, lookup, floor: float = 0.0) -> float:
         if y - x > floor:
             j = int(los.searchsorted(0.5 * (x + y), side="right"))
             d = max(d, min(y - x, 2.0 * max(float(his[j - 1]) - x, y - float(los[j]))))
-    wide = b - a > floor
-    a, b = a[wide], b[wide]
+    if floor > 0.0:
+        wide = b - a > floor
+        a, b = a[wide], b[wide]
+    # most checkpoints of a covered trial have no candidate gap
+    if not a.size:
+        return d
     j = los.searchsorted(0.5 * (a + b), side="right")
     return float(np.minimum(b - a, 2.0 * np.maximum(his[j - 1] - a, b - los[j])).max(initial=d))
 
@@ -549,24 +536,28 @@ def _band(d: float) -> float:
 
 def _uncovered(a, b, first, last, ells, target, lookup, hint: int = 0) -> int:
     """How many of the non-decreasing lengths `ells` leave part of `target`
-    uncovered (_leaves_uncovered), the leading ones, given the candidate
-    gaps (a, b) of a length up to ells[0], the first and last center and
-    the target's TargetSet._lookup (None for the circle); `hint`, a guess
-    at the count, as the last checkpoint's, saves time where it holds.
+    uncovered, the leading ones, given the candidate gaps (a, b) of a
+    length up to ells[0], the first and last center, the target (None for
+    the circle) and its TargetSet._lookup; `hint`, a guess at the count, as
+    the last checkpoint's, saves time where it holds.  A trial asks it of
+    one length per checkpoint, a scan of all its rules at once.
 
-    That predicate is non-increasing in ell, rounding included, so the
+    A length leaves the target uncovered iff its residue (_residue) is not
+    empty, and that is non-increasing in ell, rounding included, so the
     lengths below the depth D (_depth) leave the target uncovered and those
-    above it cover it; the ties, within _band(D), go to the predicate
-    itself.  Take half-lengths r' < r (r = ell / 2 is exact); if r leaves
+    above it cover it; the ties, within _band(D), are decided by their
+    residues.  Take half-lengths r' < r (r = ell / 2 is exact); if r leaves
     part of the target uncovered, so does r':
     - Inner gaps.  fl(a + r) and fl(b - r) are monotone in r, so the middle
       (lo', hi') of a gap at r' contains its middle (lo, hi) at r, and the
       keep test fl(b - r) > fl(fl(a + r) + MERGE_EPS) holds at r' where it
       holds at r.
-    - The target.  _meets compares two searchsorted counts, the first
-      non-decreasing in lo and the second in hi, so a piece that contains
-      one meeting a target interval meets it too, and a point strictly
-      inside a piece is strictly inside any piece that contains it.
+    - The target.  intersect keeps the overlap of a piece and a target
+      interval where one searchsorted count, non-decreasing in hi, exceeds
+      another, non-decreasing in lo, so a piece that contains one meeting
+      a target interval meets it too; and it keeps a target point strictly
+      inside a piece, which is strictly inside any piece that contains
+      that one.
     - The seam.  As r shrinks, l = fl(first - r) grows and h = fl(last +
       r) shrinks (see _seam_pieces).  A piece (h, fl(l + 1)) at l < 0
       passes its keep test fl(l + 1) > fl(h + MERGE_EPS) at r' too while
@@ -577,10 +568,9 @@ def _uncovered(a, b, first, last, ells, target, lookup, hint: int = 0) -> int:
       neither end crosses the seam, the parts l and 1 - h only grow, and
       (0, l) and (h, 1) stay.  Each piece at r lies in a piece at r'.
     - The point at 0.  It needs both (0, l) and (h, 1), which stay.
-    The width filter fl(b - a) > fl(ell - SLACK) drops only gaps that fail
-    the keep test (see uncovered_at), so it changes no evaluation; nor do
-    candidates of a shorter length, which are a superset (rounding is
-    monotone) whose extra gaps fail the keep test too.
+    A tie's residue is built from the candidates of ells[0], a superset of
+    those of its own length (rounding is monotone), whose extra gaps fail
+    the keep test (see uncovered_at): the same residue, bit for bit.
     """
     floor = ells[hint - 1] if hint else 0.0
     d = _depth(a, b, first, last, lookup, floor)
@@ -591,10 +581,7 @@ def _uncovered(a, b, first, last, ells, target, lookup, hint: int = 0) -> int:
     band = _band(d)
     m = bisect.bisect_left(ells, d - band)
     for ell in ells[m:]:
-        if ell > d + band:
-            break
-        wide = b - a > ell - SLACK  # of the superset's candidates; see above
-        if not _leaves_uncovered(a[wide], b[wide], first, last, ell, target):
+        if ell > d + band or _residue(a, b, first, last, ell, target).is_empty():
             break
         m += 1
     return m
@@ -796,6 +783,8 @@ def _open_steps(cfg: TrialConfig, grid, thr, floor, s: int, gaps, pool):
             a, b, first, last = _land(a, b, first, last, fresh, floor[i])
         wide = b - a > thr[i]
         yield i, a[wide], b[wide], first, last
+        # dropped before the next batch lands
+        del wide
 
 
 def _land(a, b, first, last, fresh, lim) -> tuple:
@@ -877,20 +866,22 @@ def _residue(a, b, first, last, ell, target) -> IntervalUnion:
 
 def _setup(cfg: TrialConfig, rules) -> tuple:
     """cfg's grid, the rules' lengths on it (rules by checkpoints), the
-    target's intervals (None for the circle) and the index of the
-    checkpoint nearest sqrt(n_max)."""
+    target's intervals and its TargetSet._lookup (both None for the circle)
+    and the index of the checkpoint nearest sqrt(n_max)."""
     grid = cfg.checkpoints()
     ells = np.array([rule.ell(grid.astype(np.float64)) for rule in rules])
-    t_approx = None if cfg.target.kind == "circle" else cfg.target.approx
+    circle = cfg.target.kind == "circle"
+    t_approx, lookup = (None, None) if circle else (cfg.target.approx, cfg.target._lookup)
     tail_idx = int(np.argmin(np.abs(grid.astype(np.float64) - math.sqrt(cfg.n_max))))
-    return grid, ells, t_approx, tail_idx
+    return grid, ells, t_approx, lookup, tail_idx
 
 
 def run_trial(cfg: TrialConfig, tail_checkpoints: int = 0) -> CoverageTrace:
     """Run one trial; the trace's tail_uncovered unites the residues of the
     last `tail_checkpoints` checkpoints (0 for none).  Every checkpoint is
-    decided, and an uncovered one builds its residue.  An n_max past the
-    physical memory is refused before anything is allocated."""
+    decided as a scan decides it (_uncovered), and an uncovered one builds
+    its residue.  An n_max past the physical memory is refused before
+    anything is allocated."""
     cfg.check_window(tail_checkpoints, 0)
     if cfg.lengths is None:
         raise ConfigError("lengths", "no length sequence configured")
@@ -898,7 +889,7 @@ def run_trial(cfg: TrialConfig, tail_checkpoints: int = 0) -> CoverageTrace:
     ell_max = cfg.lengths.ell(cfg.n_max)
     _check_memory(cfg.n_max, _pass_bytes(cfg, cfg.lengths), 1)
     cfg.target.check_horizon(ell_max)
-    grid, (ells,), t_approx, tail_idx = _setup(cfg, [cfg.lengths])
+    grid, (ells,), t_approx, lookup, tail_idx = _setup(cfg, [cfg.lengths])
     covered = np.zeros(grid.size, dtype=bool)
     unc_measure = np.zeros(grid.size, dtype=np.float64)
     pieces = np.zeros(grid.size, dtype=np.int64)
@@ -907,14 +898,16 @@ def run_trial(cfg: TrialConfig, tail_checkpoints: int = 0) -> CoverageTrace:
         ell = float(ells[i])
         # a covered checkpoint's residue is empty, bit for bit: its measure
         # and piece count stay 0 and the tail union is the same without it
-        covered[i] = not _leaves_uncovered(a, b, first, last, ell, t_approx)
-        if covered[i]:
-            continue
-        resid = _residue(a, b, first, last, ell, t_approx)
-        unc_measure[i] = measure(resid)
-        pieces[i] = resid.component_count()
-        if i >= grid.size - tail_checkpoints:
-            tail_union = union(tail_union, resid)
+        covered[i] = not _uncovered(a, b, first, last, [ell], t_approx, lookup)
+        if not covered[i]:
+            resid = _residue(a, b, first, last, ell, t_approx)
+            unc_measure[i] = measure(resid)
+            pieces[i] = resid.component_count()
+            if i >= grid.size - tail_checkpoints:
+                tail_union = union(tail_union, resid)
+            del resid
+        # dropped before the pass lands the next batch
+        del a, b
     k = np.flatnonzero(~covered).max(initial=-1)
     return CoverageTrace(
         seed=int(cfg.seed),
@@ -942,10 +935,9 @@ def _verdicts(cfg: TrialConfig, rules, tail_checkpoints: int) -> list:
     first few rules fail (_uncovered), and in the tail window they add
     their residues.
     """
-    grid, ells, t_approx, tail_idx = _setup(cfg, rules)
+    grid, ells, t_approx, lookup, tail_idx = _setup(cfg, rules)
     if np.any(ells[1:] < ells[:-1]):
         raise ValueError("rules must come in order of length at every checkpoint")
-    lookup = None if t_approx is None else cfg.target._lookup
     # per rule, the index of its last uncovered checkpoint, -1 for none
     last_fail = np.full(len(rules), -1)
     tail_unions = [EMPTY] * len(rules)
@@ -954,8 +946,10 @@ def _verdicts(cfg: TrialConfig, rules, tail_checkpoints: int) -> list:
         m = _uncovered(a, b, first, last, cols[i], t_approx, lookup, m)
         last_fail[:m] = i
         for j in range(m if i >= grid.size - tail_checkpoints else 0):
-            resid = _residue(a, b, first, last, cols[i][j], t_approx)
-            tail_unions[j] = union(tail_unions[j], resid)
+            tail_unions[j] = union(tail_unions[j],
+                                   _residue(a, b, first, last, cols[i][j], t_approx))
+        # dropped before the pass lands the next batch
+        del a, b
     return [(bool(k < tail_idx), int(grid[k]) if k >= 0 else None, tail_union)
             for k, tail_union in zip(last_fail, tail_unions)]
 
@@ -965,8 +959,10 @@ def _tail_union(cfg: TrialConfig, tail_checkpoints: int) -> IntervalUnion:
     residues of the window depend only on the prefixes of its checkpoints,
     so the pass starts at its first one, and no checkpoint decides
     coverage: a covered one adds an empty residue."""
-    grid, (ells,), t_approx, _ = _setup(cfg, [cfg.lengths])
+    grid, (ells,), t_approx, *_ = _setup(cfg, [cfg.lengths])
     tail_union = EMPTY
     for i, a, b, first, last in _prefixes(cfg, ells, grid.size - tail_checkpoints):
         tail_union = union(tail_union, _residue(a, b, first, last, float(ells[i]), t_approx))
+        # dropped before the pass lands the next batch
+        del a, b
     return tail_union

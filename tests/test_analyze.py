@@ -703,7 +703,7 @@ class TestDimensionExperiment:
     def test_cell_starts_at_the_tail_window(self, monkeypatch, window):
         # the dims cell merges and prefilters only the window's checkpoints,
         # and decides coverage at none of them
-        calls = {"_prefix_gaps": 0, "_uncovered": 0, "_leaves_uncovered": 0}
+        calls = {"_prefix_gaps": 0, "_uncovered": 0}
         for name in calls:
             def counted(*args, _real=getattr(simulate, name), _name=name):
                 calls[_name] += 1
@@ -712,7 +712,7 @@ class TestDimensionExperiment:
         cfg = TrialConfig(seed=3, lengths=LogOverN(0.5), target=make_circle(), n_max=20_000)
         scales = nested_scales(float(LogOverN(0.5).ell(20_000)), 0.05)
         est = analyze._dims_cell(3, (replace(cfg, seed=0), window, scales))
-        assert calls == {"_prefix_gaps": window, "_uncovered": 0, "_leaves_uncovered": 0}
+        assert calls == {"_prefix_gaps": window, "_uncovered": 0}
         want = box_dimension(run_trial(cfg, window).tail_uncovered, scales)
         assert np.array_equal(est.counts, want.counts)
 

@@ -368,6 +368,18 @@ class TestConfigFile:
         wrong_cmd.write_text(json.dumps({"version": 1, "command": "scan"}))
         assert run(tmp_path, "trial", "--config", "wrong.json") == 2
 
+    @pytest.mark.parametrize("version, code", [(True, 2), (False, 2), ("1", 2), (1.0, 0)],
+                             ids=["true", "false", "string", "float"])
+    def test_version_must_be_the_number_one(self, tmp_path, capsys, version, code):
+        # a bool is refused like every other numeric field; 1.0 equals 1
+        (tmp_path / "cfg.json").write_text(json.dumps({"version": version}))
+        argv = ["trial", "--config", "cfg.json", "--n-max", "1000", "--out", "t"]
+        assert run(tmp_path, *argv) == code
+        if code:
+            want = f"error: version: unsupported config version {version!r}\n"
+            assert capsys.readouterr().err == want
+            assert not (tmp_path / "t.json").exists()
+
     def test_unknown_field_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"version": 1, "bogus": 3}))

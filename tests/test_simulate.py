@@ -497,6 +497,28 @@ def _as_verdicts(traces):
     return [(t.eventually_covered, t.last_failure_n, t.tail_uncovered) for t in traces]
 
 
+def _fresh_residue(cs, ell, target):
+    """The part of `target` that arcs of length `ell` at the sorted centers
+    `cs` leave uncovered, by the public route over every gap."""
+    gaps = uncovered_at(cs, ell)
+    return gaps if target.kind == "circle" else intersect(gaps, target.approx)
+
+
+def _fresh_verdicts(cfg, rules):
+    """Per rule, (eventually_covered, last_failure_n) of cfg under it, from
+    the residue of a fresh sort of each checkpoint's prefix."""
+    grid = cfg.checkpoints()
+    tail_idx = int(np.argmin(np.abs(grid - math.sqrt(cfg.n_max))))
+    ells = [rule.ell(grid.astype(np.float64)) for rule in rules]
+    last = [-1] * len(rules)
+    for i, n in enumerate(grid):
+        cs = np.sort(sample_centers(cfg.seed, int(n)))
+        for j in range(len(rules)):
+            if not _fresh_residue(cs, float(ells[j][i]), cfg.target).is_empty():
+                last[j] = i
+    return [(k < tail_idx, int(grid[k]) if k >= 0 else None) for k in last]
+
+
 class TestSweep:
     @pytest.mark.parametrize("target", [make_circle(), make_cantor(1 / 3, 8),
                                         make_finite([0.05, 0.37, 0.9])],
@@ -518,19 +540,20 @@ class TestSweep:
         # a trial builds no residue where the decision says covered: built
         # from the same gaps, each would be EMPTY
         seen = []
-        decide = simulate._leaves_uncovered
+        decide = simulate._uncovered
 
-        def spy(a, b, first, last, ell, t):
-            out = decide(a, b, first, last, ell, t)
-            seen.append((a, b, first, last, ell, t, out))
+        def spy(a, b, first, last, ells, t, lookup):
+            out = decide(a, b, first, last, ells, t, lookup)
+            seen.append((a, b, first, last, ells, t, out))
             return out
 
-        monkeypatch.setattr(simulate, "_leaves_uncovered", spy)
+        monkeypatch.setattr(simulate, "_uncovered", spy)
         base = TrialConfig(seed=5, lengths=None, target=target, n_max=3000,
                            n_first_checkpoint=4)
         traces = _traces(base, [LogOverN(c) for c in (0.6, 1.0, 1.5, 2.5)], 3)
         skipped = 0
-        for a, b, first, last, ell, t, out in seen:
+        # a trial decides one length per checkpoint
+        for a, b, first, last, (ell,), t, out in seen:
             if out:
                 continue
             ends, cand = simulate._skeleton(a, b, first, last)
@@ -723,9 +746,9 @@ class TestBatchedDecision:
             if not 0.0 < ell < 1.0:
                 continue
             if ell < d - band:
-                assert simulate._leaves_uncovered(a, b, first, last, ell, t)
+                assert not simulate._residue(a, b, first, last, ell, t).is_empty()
             elif ell > d + band:
-                assert not simulate._leaves_uncovered(a, b, first, last, ell, t)
+                assert simulate._residue(a, b, first, last, ell, t).is_empty()
 
     @pytest.mark.parametrize("cs, ells", [
         # wrap gap 0.15: a piece across the seam, (0.96, 0.99), then one
@@ -1021,9 +1044,11 @@ class TestThreadedHalves:
 
     @pytest.mark.parametrize("threads", [False, True], ids=["serial", "threaded"])
     @pytest.mark.parametrize("n_first", [1, 2, 3])
-    def test_each_checkpoint_matches_fresh_sort(self, monkeypatch, n_first, threads):
+    @pytest.mark.parametrize("target", _KERNEL_TARGETS, ids=_KERNEL_IDS)
+    def test_each_checkpoint_matches_fresh_sort(self, monkeypatch, target, n_first, threads):
+        # the covered flags against a residue of a fresh sort, which shares
+        # no code with the depth search that decides them
         monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
-        target = make_finite([0.0, 0.37, 0.5, 0.9])
         one_sided = False
         for seed in range(8):
             cfg = TrialConfig(seed=seed, lengths=LogOverN(1.2), target=target, n_max=300,
@@ -1032,7 +1057,7 @@ class TestThreadedHalves:
             for i, n in enumerate(trace.checkpoints):
                 cs = np.sort(sample_centers(seed, int(n)))
                 one_sided |= n > 1 and (cs[-1] < simulate._SPLIT or cs[0] >= simulate._SPLIT)
-                resid = intersect(uncovered_at(cs, float(trace.ells[i])), target.approx)
+                resid = _fresh_residue(cs, float(trace.ells[i]), target)
                 assert trace.covered[i] == resid.is_empty()
                 assert trace.uncovered_measure[i] == measure(resid)
                 assert trace.piece_count[i] == resid.component_count()
@@ -1297,7 +1322,8 @@ class TestPrefixes:
         for _ in range(2):
             tracemalloc.start()
             try:
-                # the loop holds each yield until the next, as run_trial does
+                # the loop holds each yield until the next, the most a
+                # consumer may hold
                 for i, *_ in simulate._prefixes(cfg, shortest):
                     if i == s:
                         tracemalloc.reset_peak()
@@ -1306,6 +1332,49 @@ class TestPrefixes:
                 tracemalloc.stop()
         assert peak - 8 * pair < (simulate._BYTES_PER_OPEN_GAP * grid[s]
                                   * math.exp(-simulate._X0))
+
+    @pytest.mark.parametrize("consumer", ["trial", "trial-tail", "verdicts", "verdicts-tail",
+                                          "tail"])
+    def test_consumers_drop_each_yield_before_the_next_landing(self, monkeypatch, consumer):
+        # under harmonic:3 the one late batch lands in all the open gaps at
+        # once.  While it lands, neither the pass nor its consumer holds
+        # anything of the checkpoint before it but the consumer's tail
+        # union: beside the open gaps and the batch, under 1 B per open gap
+        # is traced, where the yielded gaps held until the next step, or a
+        # residue, read 16 B each, and the pass's filter mask 1 B
+        monkeypatch.setattr(simulate, "_threads_allowed", lambda: False)
+        cfg = replace(self.CFG, lengths=Harmonic(3.0), n_max=5 * 10 ** 5, n_first_checkpoint=64)
+        grid = cfg.checkpoints()
+        assert _switch(cfg, _shortest(cfg), 0) == grid.size - 2
+        run = {"trial": lambda: run_trial(cfg), "trial-tail": lambda: run_trial(cfg, 2),
+               "verdicts": lambda: simulate._verdicts(cfg, [cfg.lengths], 1),
+               "verdicts-tail": lambda: simulate._verdicts(cfg, [cfg.lengths], 2),
+               "tail": lambda: simulate._tail_union(cfg, 2)}[consumer]
+        land, union = simulate._land, simulate.union
+        held, unions = [], [0]
+
+        def land_spy(a, b, first, last, fresh, lim):
+            own = a.nbytes + b.nbytes + fresh.nbytes + unions[-1]
+            held.append((tracemalloc.get_traced_memory()[0] - own) / a.size)
+            return land(a, b, first, last, fresh, lim)
+
+        def union_spy(u, v):
+            out = union(u, v)
+            unions.append(out.los.nbytes + out.his.nbytes + out.points.nbytes)
+            return out
+
+        monkeypatch.setattr(simulate, "_land", land_spy)
+        monkeypatch.setattr(simulate, "union", union_spy)
+        # the first run also imports what a pass needs
+        for _ in range(2):
+            held.clear()
+            unions[:] = [0]
+            tracemalloc.start()
+            try:
+                run()
+            finally:
+                tracemalloc.stop()
+        assert len(held) == 1 and held[0] < 1
 
 
 # rules whose n * ell(n) grows (logn, power below 1), stays (harmonic) or
@@ -1514,7 +1583,6 @@ class TestForwardVerdicts:
             hints.append(args[7])
             return decide(*args[:7], args[7] if hinted else 0)
 
-        monkeypatch.setattr(simulate, "_uncovered", spy)
         base = TrialConfig(seed=0, lengths=None, target=target, n_max=3000,
                            n_first_checkpoint=4)
         grid = base.checkpoints()
@@ -1522,7 +1590,9 @@ class TestForwardVerdicts:
         early = False
         for seed in range(3):
             cfg = replace(base, seed=seed)
-            got = simulate._verdicts(cfg, _NESTED_RULES, tail)
+            # the traces decide through _uncovered too, unspied
+            with mock.patch.object(simulate, "_uncovered", spy):
+                got = simulate._verdicts(cfg, _NESTED_RULES, tail)
             for rule, verdict in zip(_NESTED_RULES, got):
                 want = run_trial(replace(cfg, lengths=rule), tail)
                 assert verdict == (want.eventually_covered, want.last_failure_n,
@@ -1623,49 +1693,50 @@ class TestCriticalTies:
     """A seed's verdict flips at one c, its critical c, where some
     checkpoint's length meets the depth of the target in its gaps.  A c
     grid of the float on each side of it puts lengths within a rounding of
-    that depth, the ties _uncovered leaves to the exact predicate; the
-    verdicts must still be run_trial's, and flip between the two."""
+    that depth, the ties _uncovered decides by their residues; the
+    verdicts must still be those of a fresh sort's residues, and flip
+    between the two."""
 
     _BASE = TrialConfig(seed=0, lengths=None, target=make_circle(), n_max=2000,
                         n_first_checkpoint=4)
     _TAIL = 3
 
-    def _check(self, monkeypatch, cfg, lo, hi):
+    def _check(self, cfg, lo, hi):
         c0, c1 = _critical_c(cfg, self._TAIL, lo, hi)
         cs = [math.nextafter(c0, 0.0), c0, c1, math.nextafter(c1, math.inf)]
         rules = [LogOverN(c) for c in cs]
         calls = []
-        leaves = simulate._leaves_uncovered
+        residue = simulate._residue
 
         def count(*args):
             calls.append(args[4])
-            return leaves(*args)
+            return residue(*args)
 
-        monkeypatch.setattr(simulate, "_leaves_uncovered", count)
-        got = simulate._verdicts(cfg, rules, self._TAIL)
-        # the lengths at the flip were ties, decided by the exact predicate
+        # a window of 0 builds no tail residue, so each residue is a tie's
+        with mock.patch.object(simulate, "_residue", count):
+            got = simulate._verdicts(cfg, rules, 0)
+        # the lengths at the flip were ties, decided by their residues
         assert calls
-        monkeypatch.setattr(simulate, "_leaves_uncovered", leaves)
-        assert got == _as_verdicts(_traces(cfg, rules, self._TAIL))
+        assert got == [(*v, EMPTY) for v in _fresh_verdicts(cfg, rules)]
         assert [v[0] for v in got] == [False, False, True, True]
         return c0
 
-    def test_circle(self, monkeypatch):
-        self._check(monkeypatch, self._BASE, 0.05, 50.0)
+    def test_circle(self):
+        self._check(self._BASE, 0.05, 50.0)
 
-    def test_cantor(self, monkeypatch):
+    def test_cantor(self):
         # ell(2000) clears the depth-8 guard for c above about 0.4
         cfg = replace(self._BASE, seed=1, target=make_cantor(1 / 3, 8))
-        self._check(monkeypatch, cfg, 0.5, 50.0)
+        self._check(cfg, 0.5, 50.0)
 
-    def test_point_at_zero(self, monkeypatch):
+    def test_point_at_zero(self):
         # the point at 0 lies in the wrap gap alone, across the seam
         cfg = replace(self._BASE, seed=2, target=make_finite([0.0]))
-        self._check(monkeypatch, cfg, 0.01, 50.0)
+        self._check(cfg, 0.01, 50.0)
 
-    def test_wrap_gap_across_the_seam(self, monkeypatch):
+    def test_wrap_gap_across_the_seam(self):
         cfg = replace(self._BASE, seed=_wrap_critical_seed(self._BASE))
-        c0 = self._check(monkeypatch, cfg, 0.05, 50.0)
+        c0 = self._check(cfg, 0.05, 50.0)
         # at the critical c the widest gap of the last failure is the wrap
         # gap, and the arcs of its ends reach across the seam
         n = run_trial(replace(cfg, lengths=LogOverN(c0)), self._TAIL).last_failure_n
@@ -1679,22 +1750,23 @@ class TestCriticalTies:
         # found; a grid away from every depth makes none
         c0, c1 = _critical_c(self._BASE, self._TAIL, 0.05, 50.0)
         depths, ties = [], []
-        depth, leaves = simulate._depth, simulate._leaves_uncovered
+        depth, residue = simulate._depth, simulate._residue
 
         def depth_spy(*args):
             depths.append(depth(*args))
             return depths[-1]
 
-        def leaves_spy(*args):
+        def residue_spy(*args):
             ties.append((args[4], depths[-1]))
-            return leaves(*args)
+            return residue(*args)
 
         monkeypatch.setattr(simulate, "_depth", depth_spy)
-        monkeypatch.setattr(simulate, "_leaves_uncovered", leaves_spy)
+        monkeypatch.setattr(simulate, "_residue", residue_spy)
+        # a window of 0 builds no tail residue, so each residue is a tie's
         for target in _KERNEL_TARGETS:
-            simulate._verdicts(replace(self._BASE, target=target), _NESTED_RULES, self._TAIL)
+            simulate._verdicts(replace(self._BASE, target=target), _NESTED_RULES, 0)
         assert depths and not ties
-        simulate._verdicts(self._BASE, [LogOverN(c0), LogOverN(c1)], self._TAIL)
+        simulate._verdicts(self._BASE, [LogOverN(c0), LogOverN(c1)], 0)
         assert ties
         for ell, d in ties:
             assert abs(ell - d) <= simulate._band(d)
@@ -1747,35 +1819,6 @@ class TestNestedRules:
         fracs = [row.eventually_covered_fraction for row in scan.rows]
         assert scan.monotone_fractions
         assert fracs == sorted(fracs) and fracs[0] < fracs[-1]
-
-
-class TestDecisionCount:
-    """How many times a scan evaluates _leaves_uncovered, counted and not
-    timed: a trace evaluates its rule at every checkpoint, while _verdicts
-    evaluates only the lengths within a rounding band of a checkpoint's
-    depth (_uncovered), which a grid of round c's never meets."""
-
-    def test_verdicts_evaluate_fewer(self, monkeypatch):
-        calls = []
-        leaves = simulate._leaves_uncovered
-
-        def count(*args):
-            calls.append(None)
-            return leaves(*args)
-
-        monkeypatch.setattr(simulate, "_leaves_uncovered", count)
-        rules = [LogOverN(c) for c in (0.3, 0.6, 0.9, 1.2, 1.5, 1.8, 2.1)]
-        tail = 5
-        base = TrialConfig(seed=0, lengths=None, target=make_cantor(1 / 3, 12), n_max=20000)
-        n_cp = base.checkpoints().size
-        for seed in range(4):
-            cfg = replace(base, seed=seed)
-            calls.clear()
-            _traces(cfg, rules, tail)
-            assert len(calls) == len(rules) * n_cp
-            calls.clear()
-            simulate._verdicts(cfg, rules, tail)
-            assert calls == []
 
 
 def _stevens(n: int, a: Fraction) -> Fraction:
