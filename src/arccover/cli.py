@@ -248,6 +248,12 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     for key in ("n_max", "trials", "seeds", "n", "k"):  # the fields that must be >= 1
         if key in resolved and resolved[key] < 1:
             raise ConfigError(key, f"must be >= 1, got {resolved[key]}")
+    if "seed0" in resolved:
+        # every seed seed0 .. seed0 + count - 1 is a 64-bit unsigned integer
+        count = resolved.get("trials", resolved.get("seeds"))
+        if not 0 <= resolved["seed0"] <= 2 ** 64 - count:
+            raise ConfigError("seed0", f"must be in [0, 2**64 - {count}] for {count} seeds, "
+                                       f"got {resolved['seed0']}")
     folder = os.path.dirname(resolved["out"]) or "."
     if not os.path.isdir(folder):
         # refused now, not after the command has done its work

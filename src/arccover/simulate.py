@@ -14,7 +14,8 @@ Coverage at a checkpoint is decided exactly: with the n centers sorted, a
 circular gap g between consecutive centers leaves the middle piece of
 length g - ell uncovered iff g > ell.  This equals
 complement(arcs_to_union(...)) piece for piece, in the same float
-arithmetic, at O(n) per checkpoint (uncovered_at).
+arithmetic, at O(n) per checkpoint (uncovered_at), or from the candidate
+gaps and the two end centers alone.
 
 The kernel:
 - _prefixes keeps the sorted prefix of centers over one pass of the grid
@@ -45,12 +46,13 @@ The kernel:
   decides every length but those within a rounding of it, which their
   residues decide (_uncovered).  run_trial, the one entry point for a
   trial, decides every checkpoint so and builds a residue where one is
-  uncovered.  _verdicts gives a phase scan's verdicts under a list of
-  length rules, which share the seed, target and grid: one depth decides
-  every rule as the pass yields it, and a scan's fractions never
-  decrease in c.  _tail_union gives the tail union alone and starts at
-  the tail window.  Both trust their caller to have run each rule's
-  scale guard (TargetSet.check_horizon).
+  uncovered, from the gaps and end centers the pass yields (_residue).
+  _verdicts gives a phase scan's verdicts under a list of length rules,
+  which share the seed, target and grid: one depth decides every rule as
+  the pass yields it, and a scan's fractions never decrease in c.
+  _tail_union gives the tail union alone and starts at the tail window.
+  Both trust their caller to have run each rule's scale guard
+  (TargetSet.check_horizon).
 """
 
 from __future__ import annotations
@@ -407,7 +409,7 @@ def _threads_allowed() -> bool:
     return _usable_cpus() >= 2 and multiprocessing.parent_process() is None
 
 
-def uncovered_at(centers_sorted, ell: float, candidates=None) -> IntervalUnion:
+def uncovered_at(centers_sorted, ell: float, gaps=None) -> IntervalUnion:
     """Complement of the union of arcs of length `ell` at the given centers.
 
     Centers must be sorted ascending.  Exactly mirrors the arithmetic of
@@ -420,14 +422,13 @@ def uncovered_at(centers_sorted, ell: float, candidates=None) -> IntervalUnion:
     fl(b - a) > fl(ell - SLACK) instead of on all n - 1 gaps
     (_gap_candidates).
 
-    `candidates`, if given, replaces the cheap test: the indices i of all
-    gaps that pass it for some length up to `ell`.  Rounding is monotone,
-    so they include every gap that passes it at `ell`, and the exact
-    predicate picks the same gaps from them.  With `candidates`, the array
-    need only hold, in order, the first and the last center and both ends
-    of every candidate gap (see _skeleton): no other gap is read.  So the
-    kernel builds every residue (_residue), and decides every tie of
-    _uncovered, from the candidates of the shortest length it passes.
+    `gaps`, if given, replaces the cheap test: the ends (a, b), ascending,
+    of every gap that passes it for some length up to `ell`.  Rounding is
+    monotone, so they include every gap that passes it at `ell`, and the
+    exact predicate picks the same gaps from them.  a and b are float64
+    arrays, and the centers need only hold the first and the last one.
+    So the kernel builds every residue (_residue), and decides every tie of
+    _uncovered, from the candidate gaps of the shortest length it passes.
     """
     cs = np.asarray(centers_sorted, dtype=np.float64)
     if cs.size < 1:
@@ -442,24 +443,9 @@ def uncovered_at(centers_sorted, ell: float, candidates=None) -> IntervalUnion:
     # >= fl(ell - SLACK), because SLACK + MERGE_EPS far exceeds 5u.  So a
     # skipped gap fails the exact predicate, and a kept one gets the same
     # arithmetic as when the predicate ran on every gap.
-    if candidates is None:
-        a, b = map(_join, _gap_candidates(cs, ell - SLACK))
-    else:
-        a, b = cs[candidates], cs[candidates + 1]
+    a, b = map(_join, _gap_candidates(cs, ell - SLACK)) if gaps is None else gaps
     lo, hi = _pieces(a, b, cs[0], cs[-1], ell)
     return IntervalUnion._from_sorted(lo, hi)
-
-
-def _skeleton(a, b, first, last) -> tuple:
-    """The centers uncovered_at needs, given the ends (a, b) of the
-    candidate gaps, ascending, and the first and last center: the sorted
-    array [first, a[0], b[0], a[1], ..., last] and the indices of the a's
-    in it, to pass as its candidates."""
-    ends = np.empty(2 * a.size + 2)
-    ends[0], ends[-1] = first, last
-    ends[1:-1:2] = a
-    ends[2:-1:2] = b
-    return ends, np.arange(1, 2 * a.size, 2)
 
 
 def _pieces(a, b, first, last, ell) -> tuple:
@@ -857,9 +843,8 @@ def _land(a, b, first, last, fresh, lim) -> tuple:
 def _residue(a, b, first, last, ell, target) -> IntervalUnion:
     """The part of `target` (None for the circle) that arcs of length `ell`
     leave uncovered, given the candidate gaps (a, b) of a length up to ell
-    and the first and last center, built by the public uncovered_at."""
-    ends, cand = _skeleton(a, b, first, last)
-    gaps = uncovered_at(ends, ell, cand)
+    and the first and last center alone, built by the public uncovered_at."""
+    gaps = uncovered_at((first, last), ell, (a, b))
     # the gaps go first: intersect costs O(|gaps| log |target|)
     return gaps if target is None else intersect(gaps, target)
 

@@ -317,6 +317,19 @@ class TestConfigErrors:
         assert capsys.readouterr().err == "error: jobs: must be >= 1, got 0\n"
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command, count", [("scan", "--trials"), ("dims", "--seeds")])
+    @pytest.mark.parametrize("seed0", [-1, 2 ** 64 - 1])
+    def test_seed_range_outside_64_bits(self, tmp_path, capsys, command, count, seed0):
+        # named seed0, the field typed, and reported before the target and c
+        argv = [command, count, "2", "--target", "nope", "--c", "nan", "--out", "x"]
+        assert run(tmp_path, *argv, "--seed0", str(seed0)) == 2
+        assert capsys.readouterr().err == ("error: seed0: must be in [0, 2**64 - 2] for 2 "
+                                           f"seeds, got {seed0}\n")
+        assert not list(tmp_path.glob("x.*"))
+        # the highest seed0 whose seeds all fit goes on to the target
+        assert run(tmp_path, *argv, "--seed0", str(2 ** 64 - 2)) == 2
+        assert capsys.readouterr().err.startswith("error: target: ")
+
     @pytest.mark.parametrize("field, value", [("seed", "abc"), ("checkpoint_ratio", "x"),
                                               ("first_checkpoint", [1])])
     def test_bad_config_file_value(self, tmp_path, capsys, field, value):

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses.  A removal that
-leaves an import behind fails here, as a linter would flag it."""
+"""No module of the package imports a name it never uses, and no module
+defines a private name that no module reads.  A removal that leaves an
+import or a helper behind fails here, as a linter would flag it."""
 
 import ast
 import pathlib
@@ -27,6 +28,33 @@ def _unused_imports(tree) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
+def _unused_privates(trees) -> list:
+    """The top-level functions, classes and assigned names of `trees` (a
+    dict of module name to tree) with one leading underscore that no
+    expression of any tree reads, as a name or an attribute."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unused += [(module, node.lineno, name) for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+    return sorted(unused)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
@@ -36,6 +64,21 @@ def test_an_unused_import_is_caught():
     tree = ast.parse("from __future__ import annotations\nimport os\n"
                      "import numpy as np\nfrom math import inf, pi\nnp.zeros(pi)\n")
     assert _unused_imports(tree) == [(2, "os"), (4, "inf")]
+
+
+def test_every_private_name_is_read():
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in SRC.glob("*.py")}
+    assert _unused_privates(trees) == []
+
+
+def test_an_unread_private_name_is_caught():
+    tree = ast.parse("import os\n_READ = 1\n_UNREAD = 2\n_a, _b = 3, 4\n__x__ = 5\n"
+                     "def _f():\n    return _READ + _b\n"
+                     "class _C:\n    pass\n"
+                     "def _g():\n    _f()\n")
+    other = ast.parse("import m\nm._g()\n_C = None\n")
+    assert _unused_privates({"m": tree, "n": other}) == [
+        ("m", 3, "_UNREAD"), ("m", 4, "_a"), ("m", 8, "_C"), ("n", 3, "_C")]
 
 
 def test_every_module_is_checked():

@@ -18,7 +18,7 @@ from arccover import (EMPTY, Arc, ConfigError, Harmonic, IntervalUnion, LogOverN
                       PowerLaw, TableSequence, TrialConfig, arcs_to_union, checkpoint_grid,
                       complement, intersect, make_cantor, make_circle, make_custom,
                       make_finite, measure, phase_scan, run_trial, sample_centers, simulate,
-                      uncovered_at)
+                      uncovered_at, union)
 from arccover.lengths import CLAMP_MAX
 from arccover.simulate import SLACK
 from arccover.torus import MERGE_EPS
@@ -220,11 +220,13 @@ def _check_against_oracles(centers, ell):
     # predicate runs on all of them, as it did before the prefilter
     with mock.patch.object(simulate, "SLACK", math.inf):
         _assert_bitwise(got, uncovered_at(cs, ell))
-    # candidates found at a length up to ell, as the kernel passes them,
-    # select the same gaps
+    # the ends of the gaps found at a length up to ell, as the kernel passes
+    # them, select the same gaps, and need only the first and last center
     for shorter in (ell, _nudge(ell, -1), 0.5 * ell):
         cand = np.flatnonzero(np.diff(cs) > shorter - SLACK)
-        _assert_bitwise(got, uncovered_at(cs, ell, cand))
+        gaps = (cs[cand], cs[cand + 1])
+        _assert_bitwise(got, uncovered_at(cs, ell, gaps))
+        _assert_bitwise(got, uncovered_at(cs[[0, -1]], ell, gaps))
     # the arc route, seam ties included
     arcs = complement(arcs_to_union([Arc(float(c), 0.5 * ell) for c in cs]))
     _assert_bitwise(got, arcs)
@@ -556,8 +558,7 @@ class TestSweep:
         for a, b, first, last, (ell,), t, out in seen:
             if out:
                 continue
-            ends, cand = simulate._skeleton(a, b, first, last)
-            gaps = uncovered_at(ends, ell, cand)
+            gaps = uncovered_at((first, last), ell, (a, b))
             resid = gaps if t is None else intersect(gaps, t)
             assert resid == EMPTY
             assert measure(resid) == 0.0 and resid.component_count() == 0
@@ -690,9 +691,6 @@ def _decision_case(draw):
 def _check_decision(cs, ells, target):
     # the kernel's candidates: those of the shortest length, shared by all
     a, b = map(simulate._join, simulate._gap_candidates(cs, ells[0] - SLACK))
-    # their indices: a candidate gap ends at a center above a, so it starts
-    # at the last center equal to a
-    cand = cs.searchsorted(a, side="right") - 1
     circle = target.kind == "circle"
     t = None if circle else target.approx
     lookup = None if circle else target._lookup
@@ -702,7 +700,7 @@ def _check_decision(cs, ells, target):
     assert hinted == [got] * ells.size
     # the count of the leading lengths that leave the target uncovered
     for j, ell in enumerate(ells):
-        gaps = uncovered_at(cs, float(ell), cand)
+        gaps = uncovered_at(cs, float(ell), (a, b))
         resid = gaps if circle else intersect(gaps, target.approx)
         assert (j < got) == (not resid.is_empty())
 
@@ -1047,13 +1045,16 @@ class TestThreadedHalves:
     @pytest.mark.parametrize("target", _KERNEL_TARGETS, ids=_KERNEL_IDS)
     def test_each_checkpoint_matches_fresh_sort(self, monkeypatch, target, n_first, threads):
         # the covered flags against a residue of a fresh sort, which shares
-        # no code with the depth search that decides them
+        # no code with the depth search that decides them, and the residues
+        # themselves, late phase included, through a tail window of every
+        # checkpoint
         monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
         one_sided = False
         for seed in range(8):
             cfg = TrialConfig(seed=seed, lengths=LogOverN(1.2), target=target, n_max=300,
                               n_first_checkpoint=n_first)
-            trace = run_trial(cfg)
+            trace = run_trial(cfg, cfg.checkpoints().size)
+            want = EMPTY
             for i, n in enumerate(trace.checkpoints):
                 cs = np.sort(sample_centers(seed, int(n)))
                 one_sided |= n > 1 and (cs[-1] < simulate._SPLIT or cs[0] >= simulate._SPLIT)
@@ -1061,6 +1062,8 @@ class TestThreadedHalves:
                 assert trace.covered[i] == resid.is_empty()
                 assert trace.uncovered_measure[i] == measure(resid)
                 assert trace.piece_count[i] == resid.component_count()
+                want = union(want, resid)
+            assert trace.tail_uncovered == want
         # some checkpoint past the first had every center on one side of the split
         assert one_sided
 
@@ -1904,6 +1907,110 @@ class TestStevensWindow:
             frac = at_horizon[j].mean()
             p = min(max(frac, brackets[-1][0]), brackets[-1][1])
             assert abs(_z_outside(frac, *brackets[-1], math.sqrt(p * (1 - p) / trials))) <= 4.0
+
+
+def _neighbourhood_measure(target):
+    """S_A, the measure of the target's eps-neighbourhood A + [0, eps]:
+    S_A(eps) = min(1, |A| + sum_j min(g_j, eps)), g_j the circular gaps
+    between A's pieces and points, and S_A(eps) = 0 for eps <= 0.  Takes
+    an array of eps."""
+    u = target.approx
+    starts = np.concatenate([u.los, u.points])
+    order = np.argsort(starts, kind="stable")
+    starts, ends = starts[order], np.concatenate([u.his, u.points])[order]
+    gaps = np.sort(np.append(starts[1:] - ends[:-1], starts[0] + 1.0 - ends[-1]))
+    # head[k], the sum of the k shortest gaps
+    head = np.concatenate(([0.0], np.cumsum(gaps)))
+    size = measure(u)
+
+    def s_a(eps):
+        eps = np.asarray(eps, dtype=np.float64)
+        k = np.searchsorted(gaps, eps, side="right")
+        return np.where(eps > 0.0, np.minimum(1.0, size + head[k] + (gaps.size - k) * eps), 0.0)
+
+    return s_a
+
+
+def _brute_neighbourhood(target, eps: float) -> float:
+    """|A + [0, eps]| for 0 < eps < 1, by union on the circle: each piece
+    [s, t] or point s of A becomes [s, t + eps], split at the seam."""
+    u = target.approx
+    pieces = []
+    for s, t in [*zip(u.los, u.his), *((p, p) for p in u.points)]:
+        hi = t + eps
+        pieces.append((s, min(hi, 1.0)))
+        if hi > 1.0:
+            pieces.append((0.0, min(hi - 1.0, 1.0)))
+    return measure(IntervalUnion(pieces))
+
+
+def _gaps_meeting(cs, ell, target) -> int:
+    """N_A: how many circular gaps of the sorted centers `cs` leave an
+    uncovered middle under arcs of length `ell` that meets the target, as
+    intersect has it; a wrap gap split at the seam counts once."""
+    gaps = uncovered_at(cs, ell)
+    resid = gaps if target.kind == "circle" else intersect(gaps, target.approx)
+    # each part of the residue lies in one piece, the last to start at or
+    # below it; a point at 0 lies in the seam pair, whose first piece is 0
+    hit = np.unique(gaps.los.searchsorted(np.concatenate([resid.los, resid.points]),
+                                          side="right") - 1)
+    seam = gaps.los.size >= 2 and gaps.los[0] == 0.0 and gaps.his[-1] == 1.0
+    return hit.size - int(seam and hit.size >= 2 and hit[0] == 0
+                          and hit[-1] == gaps.los.size - 1)
+
+
+def _first_moment(n: int, ell: float, s_a) -> float:
+    """E[N_A(n, ell)] = n (n - 1) int_ell^1 (1 - x)^(n - 2) S_A(x - ell) dx,
+    by the midpoint rule over x - ell up to 60 / n, past which the weight
+    is below exp(-59)."""
+    h = min(1.0 - ell, 60.0 / n) / 100_000
+    eps = (np.arange(100_000) + 0.5) * h
+    return float(np.sum(np.exp((n - 2.0) * np.log1p(-ell - eps)) * s_a(eps)) * h
+                 * n * (n - 1.0))
+
+
+_LAW_TARGETS = {
+    "circle": make_circle(),
+    "cantor": make_cantor(1 / 3, 8),
+    "points": make_finite([0.0, 0.13, 0.5, 0.77]),
+}
+
+
+class TestFirstMomentLaw:
+    """The number of gaps whose uncovered middle meets the target A, against
+    its exact mean: the gap after a given center has density (n - 1)(1 -
+    x)^(n - 2) whatever that center's position, and its middle meets A for
+    a set of positions of measure S_A(x - ell).  For the circle S_A = 1 and
+    the mean is Stevens' first term n (1 - ell)^(n - 1).  This checks the
+    residue's target side (intersect, the seam pieces, a point at 0) at an
+    n no brute force reaches.  Bounds fixed in advance: |z| <= 4 over seeds
+    0-1999."""
+
+    @pytest.mark.parametrize("target", [
+        *_LAW_TARGETS.values(), make_cantor(1 / 3, 12), _KERNEL_TARGETS[3],
+        *(make_custom(IntervalUnion(np.sort(np.random.default_rng(k).random(2 * m))
+                                    .reshape(-1, 2).tolist()), 1.0)
+          for k, m in ((0, 3), (1, 20)))],
+        ids=[*_LAW_TARGETS, "cantor-12", "custom", "random-3", "random-20"])
+    def test_neighbourhood_measure_equals_brute_force(self, target):
+        s_a = _neighbourhood_measure(target)
+        for eps in (1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.2, 0.5, 0.9):
+            assert float(s_a(eps)) == pytest.approx(_brute_neighbourhood(target, eps), abs=1e-12)
+        assert not np.any(s_a([-0.1, 0.0]))
+
+    @pytest.mark.parametrize("name, c", [("circle", 0.8), ("cantor", 0.8), ("points", 0.5)])
+    def test_mean_count_follows_the_law(self, name, c):
+        target, n, seeds = _LAW_TARGETS[name], 4000, range(2000)
+        ell = float(LogOverN(c).ell(n))
+        s_a = _neighbourhood_measure(target)
+        want = _first_moment(n, ell, s_a)
+        if name == "circle":
+            assert want == pytest.approx(n * (1.0 - ell) ** (n - 1), rel=1e-6)
+        counts = np.array([_gaps_meeting(np.sort(sample_centers(s, n)), ell, target)
+                           for s in seeds])
+        assert counts.mean() >= 0.05
+        z = (counts.mean() - want) / (counts.std(ddof=1) / math.sqrt(len(seeds)))
+        assert abs(z) <= 4.0
 
 
 class TestTailUncovered:
