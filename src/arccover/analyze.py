@@ -9,7 +9,7 @@ there but asserts nothing.  Every c uses the same seeds, so the unit of
 work is one seed swept over the whole c grid: the scan reads only each
 trial's verdicts and tail union, which simulate._verdicts gives for all
 c from one pass over the seed's centers.  A dimension estimate reads
-only the tail union, from simulate._tail_union.
+only the tail union, from simulate._verdicts over its window's config.
 
 Both experiments run independent seeds over one shared configuration
 (_map_seeds): inline, or in a process pool of at most one worker per
@@ -44,8 +44,8 @@ import numpy as np
 
 from .lengths import LogOverN
 from .errors import ConfigError, check_integer, fields_equal
-from .simulate import (TrialConfig, _check_memory, _pass_bytes, _tail_union, _usable_cpus,
-                       _verdicts, checkpoint_grid)
+from .simulate import (TrialConfig, _check_memory, _pass_bytes, _usable_cpus, _verdicts,
+                       checkpoint_grid)
 from .targets import TargetSet, make_circle
 from .torus import IntervalUnion, _in_closed, measure
 
@@ -349,10 +349,11 @@ class DimensionScan:
 
 
 def _dims_cell(seed, context=None):
-    """One seed's box counts of its tail union, whose pass starts at the
-    tail window and decides coverage nowhere."""
-    base_cfg, tail, scales = _context if context is None else context
-    return box_dimension(_tail_union(replace(base_cfg, seed=seed), tail), scales)
+    """One seed's box counts of its tail union, from a pass over the tail
+    window's config: it starts at the window and decides only there."""
+    window_cfg, tail, scales = _context if context is None else context
+    (_, _, tail_union), = _verdicts(replace(window_cfg, seed=seed), [window_cfg.lengths], tail)
+    return box_dimension(tail_union, scales)
 
 
 def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
@@ -370,9 +371,10 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
     experiment is exploratory only.  Seeds with nothing uncovered in the
     tail window produce degenerate slope-0 estimates, not errors.  The
     window must hold between 1 and all of the checkpoints.  c, n_max,
-    ell(n_max) >= 2**-62, the scale guard, the seeds and the scale ladder
-    are checked here, in that order; then _map_seeds checks the window,
-    the seed range, `jobs` and the memory, once, before any cell runs.
+    ell(n_max) >= 2**-62, the scale guard, the seeds, the scale ladder and
+    the window are checked here, in that order; then _map_seeds checks the
+    seed range, `jobs` and the memory, once, before any cell runs.  Each
+    cell's pass starts at the window's first checkpoint (its config's).
     The estimates come back in the order of the sorted seeds.
     """
     if not 0.0 < c < math.inf:
@@ -401,10 +403,10 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
     except ValueError as exc:
         raise ConfigError("n_max", f"{exc} between ell(n_max) = {eps_fine:.3g} and "
                           "its square root; increase n_max") from exc
-    # _tail_union's pass starts at the tail window
-    estimates = tuple(_map_seeds(
-        _dims_cell, seeds, base, tail_checkpoints, jobs, scales,
-        lambda: _pass_bytes(base, rule, base.checkpoints().size - tail_checkpoints)))
+    base.check_window(tail_checkpoints, 1)
+    window_cfg = replace(base, n_first_checkpoint=int(base.checkpoints()[-tail_checkpoints]))
+    estimates = tuple(_map_seeds(_dims_cell, seeds, window_cfg, tail_checkpoints, jobs, scales,
+                                 lambda: _pass_bytes(window_cfg, rule)))
     floor = None if target.dim_H is None else target.dim_H - c
     return DimensionScan(
         c=float(c),

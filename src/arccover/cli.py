@@ -245,7 +245,7 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             resolved[key] = _read(key, file_cfg[key], default)
         else:
             resolved[key] = default
-    for key in ("n_max", "trials", "seeds", "n", "k"):  # the fields that must be >= 1
+    for key in ("n_max", "trials", "seeds", "first_checkpoint", "n", "k"):  # must be >= 1
         if key in resolved and resolved[key] < 1:
             raise ConfigError(key, f"must be >= 1, got {resolved[key]}")
     if "seed0" in resolved:
@@ -290,8 +290,10 @@ def _parse_c_grid(spec) -> list:
     lo, hi, step = (number(p) for p in parts)
     if step <= 0 or hi < lo:
         raise ConfigError("c", f"bad grid {spec!r}")
+    # lo + i * step up to hi, none past it; the tolerance keeps a hi
+    # reached up to rounding, as 0.6:1.4:0.2's 3.9999999999999996 steps
     steps = (hi - lo) / step
-    count = int(round(steps)) + 1 if math.isfinite(steps) else math.inf
+    count = math.floor(steps + 1e-9) + 1 if math.isfinite(steps) else math.inf
     if count > MAX_C_VALUES:
         raise ConfigError("c", f"grid {spec!r} gives more than {MAX_C_VALUES} values")
     return [lo + i * step for i in range(count)]

@@ -40,8 +40,8 @@ The kernel:
   released, so the pass never holds both phases at once; _check_memory
   refuses a horizon by the larger of the two (_pass_bytes).
   _gap_candidates picks the gaps the exact predicate runs on.
-- Three passes read it, and each drops a checkpoint's gaps before the
-  pass lands the next batch.  Coverage is monotone in the length, so one
+- Two passes read it, and each drops a checkpoint's gaps before the pass
+  lands the next batch.  Coverage is monotone in the length, so one
   number per checkpoint, the depth of the target in its gaps (_depth),
   decides every length but those within a rounding of it, which their
   residues decide (_uncovered).  run_trial, the one entry point for a
@@ -49,10 +49,14 @@ The kernel:
   uncovered, from the gaps and end centers the pass yields (_residue).
   _verdicts gives a phase scan's verdicts under a list of length rules,
   which share the seed, target and grid: one depth decides every rule as
-  the pass yields it, and a scan's fractions never decrease in c.
-  _tail_union gives the tail union alone and starts at the tail window.
-  Both trust their caller to have run each rule's scale guard
+  the pass yields it, and a scan's fractions never decrease in c.  It
+  trusts its caller to have run each rule's scale guard
   (TargetSet.check_horizon).
+- Every pass starts at its config's first checkpoint.  Each checkpoint
+  of the grid follows from the one before it alone (_grid), so the grid
+  of a config whose first checkpoint is grid[k] is the suffix grid[k:],
+  and its pass yields the same gaps there: a tail window is a config of
+  its own, whose pass samples and sorts its first prefix in one step.
 """
 
 from __future__ import annotations
@@ -205,27 +209,26 @@ _BYTES_PER_OPEN_GAP = 72
 _BYTES_PER_GAP = 192
 
 
-def _switch(grid, shortest, start: int = 0) -> tuple:
-    """(thr, floor, s) for a pass over `grid` from index `start` on at the
-    lengths `shortest`: its thresholds thr[i] = fl(shortest[i] - SLACK),
-    their suffix minima floor[i] = min(thr[i:]), and its switch checkpoint
-    s, where it stops keeping its sorted prefix (see _prefixes).  Only a
-    pass whose horizon reaches _THREAD_MIN switches, at its first
-    checkpoint s >= start with grid[s] * floor[s] >= _X0; s is grid.size
-    for one that never does."""
+def _switch(grid, shortest) -> tuple:
+    """(thr, floor, s) for a pass over `grid` at the lengths `shortest`:
+    its thresholds thr[i] = fl(shortest[i] - SLACK), their suffix minima
+    floor[i] = min(thr[i:]), and its switch checkpoint s, where it stops
+    keeping its sorted prefix (see _prefixes).  Only a pass whose horizon
+    reaches _THREAD_MIN switches, at its first checkpoint s with grid[s] *
+    floor[s] >= _X0; s is grid.size for one that never does."""
     thr = shortest - SLACK
     floor = np.minimum.accumulate(thr[::-1])[::-1]
     s = grid.size
     if grid[-1] >= _THREAD_MIN:
-        late = np.flatnonzero(grid[start:] * floor[start:] >= _X0)
+        late = np.flatnonzero(grid * floor >= _X0)
         if late.size:
-            s = start + int(late[0])
+            s = int(late[0])
     return thr, floor, s
 
 
-def _pass_bytes(cfg: TrialConfig, rule: LengthSequence, start: int = 0) -> int:
-    """About the most bytes a pass of _prefixes over cfg's grid from index
-    `start` on, at the lengths of `rule`, and its consumer hold at once.
+def _pass_bytes(cfg: TrialConfig, rule: LengthSequence) -> int:
+    """About the most bytes a pass of _prefixes over cfg's grid, at the
+    lengths of `rule`, and its consumer hold at once.
 
     A pass holds the larger of two phases, which never hold memory at the
     same time: its prefix array is released before its first late batch is
@@ -238,15 +241,15 @@ def _pass_bytes(cfg: TrialConfig, rule: LengthSequence, start: int = 0) -> int:
     grid's most of n * (1 - ell)^(n - 1), their mean number at n centers."""
     grid = cfg.checkpoints()
     ells = rule.ell(grid.astype(np.float64))
-    _, _, s = _switch(grid, ells, start)
+    _, _, s = _switch(grid, ells)
     size = int(grid[min(s, grid.size - 1)])
     need = _BYTES_PER_CENTER * size
     if s + 1 < grid.size:
         batches = np.diff(grid[s:])
         pair = int((batches[:-1] + batches[1:]).max(initial=batches[0]))
         need = max(need, int(_BYTES_PER_OPEN_GAP * size * math.exp(-_X0)) + 8 * pair)
-    ns = grid[start:].astype(np.float64)
-    gaps = ns * np.exp((ns - 1.0) * np.log1p(-ells[start:]))
+    ns = grid.astype(np.float64)
+    gaps = ns * np.exp((ns - 1.0) * np.log1p(-ells))
     return need + int(_BYTES_PER_GAP * gaps.max())
 
 
@@ -648,11 +651,11 @@ class CoverageTrace:
     __eq__ = fields_equal
 
 
-def _prefixes(cfg: TrialConfig, shortest, start: int = 0):
-    """Per checkpoint of cfg's grid from index `start` on, (i, a, b, first,
-    last): its index, the ends (a, b) of the gaps of its sorted prefix with
-    fl(b - a) > thr[i] = fl(shortest[i] - SLACK), ascending, and the first
-    and last center, all copies.
+def _prefixes(cfg: TrialConfig, shortest):
+    """Per checkpoint of cfg's grid, (i, a, b, first, last): its index, the
+    ends (a, b) of the gaps of its sorted prefix with fl(b - a) > thr[i] =
+    fl(shortest[i] - SLACK), ascending, and the first and last center, all
+    copies.
 
     Up to a switch checkpoint s the pass keeps the sorted prefix
     (_sorted_steps); from there it keeps only the gaps that may still be
@@ -678,9 +681,7 @@ def _prefixes(cfg: TrialConfig, shortest, start: int = 0):
     samples its prefix once, keeps one run and draws each late batch when
     it lands."""
     grid = cfg.checkpoints()
-    if start >= grid.size:
-        return
-    thr, floor, s = _switch(grid, shortest, start)
+    thr, floor, s = _switch(grid, shortest)
     threaded = cfg.n_max >= _THREAD_MIN and _threads_allowed()
     lims = thr.copy()
     if s < grid.size:
@@ -689,8 +690,7 @@ def _prefixes(cfg: TrialConfig, shortest, start: int = 0):
     # with it, also where the consumer stops early: a process pool forked
     # later gets no thread, and no dead copy of an executor
     with ThreadPoolExecutor(1) if threaded else contextlib.nullcontext() as pool:
-        for i, a, b, first, last in _sorted_steps(cfg, grid, lims, start,
-                                                  min(s + 1, grid.size), pool):
+        for i, a, b, first, last in _sorted_steps(cfg, grid, lims, min(s + 1, grid.size), pool):
             if i < s:
                 a, b = _join(a), _join(b)
                 yield i, a, b, first, last
@@ -703,13 +703,13 @@ def _prefixes(cfg: TrialConfig, shortest, start: int = 0):
         yield from late
 
 
-def _sorted_steps(cfg: TrialConfig, grid, lims, start: int, stop: int, pool):
+def _sorted_steps(cfg: TrialConfig, grid, lims, stop: int, pool):
     """(i, a, b, first, last) as _prefix_gaps has them, at the thresholds
-    lims[i], for the checkpoints start..stop-1, from a prefix array of
+    lims[i], for the checkpoints 0..stop-1, from a prefix array of
     grid[stop-1] centers, which is released when the last one has been
     read.  The first of them samples and sorts its whole prefix in one
-    step; no earlier one is sampled or merged.  A pass given a `pool` is
-    threaded: two-ended, its halves split at _SPLIT."""
+    step, with no merge.  A pass given a `pool` is threaded: two-ended, its
+    halves split at _SPLIT."""
     threaded = pool is not None
     # a one-run pass splits at 1, above every center: the high run stays
     # empty and the free middle takes the centers in stream order
@@ -722,8 +722,8 @@ def _sorted_steps(cfg: TrialConfig, grid, lims, start: int, stop: int, pool):
     n0 = n1 = prev = 0
     # the centers of the first checkpoint; each later checkpoint's are drawn
     # into the free middle while the one before it merges
-    _draw(c[:int(grid[start])], cfg.seed, 0, threaded)
-    for i in range(start, stop):
+    _draw(c[:int(grid[0])], cfg.seed, 0, threaded)
+    for i in range(stop):
         n = int(grid[i])
         # centers prev..n-1 of the stream, drawn and sorted in the free
         # middle, join the halves; the grid is strictly increasing.  The
@@ -918,7 +918,9 @@ def _verdicts(cfg: TrialConfig, rules, tail_checkpoints: int) -> list:
     come in order of length at every checkpoint, as logn:c for increasing
     c, else ValueError.  At each checkpoint, as the pass yields it, the
     first few rules fail (_uncovered), and in the tail window they add
-    their residues.
+    their residues.  A config whose first checkpoint is grid[-w] of
+    another's has that window for its grid, so with tail_checkpoints w its
+    tail unions are the other's, bit for bit: a dims cell reads them so.
     """
     grid, ells, t_approx, lookup, tail_idx = _setup(cfg, rules)
     if np.any(ells[1:] < ells[:-1]):
@@ -938,16 +940,3 @@ def _verdicts(cfg: TrialConfig, rules, tail_checkpoints: int) -> list:
     return [(bool(k < tail_idx), int(grid[k]) if k >= 0 else None, tail_union)
             for k, tail_union in zip(last_fail, tail_unions)]
 
-
-def _tail_union(cfg: TrialConfig, tail_checkpoints: int) -> IntervalUnion:
-    """run_trial(cfg, tail_checkpoints).tail_uncovered, bit for bit.  The
-    residues of the window depend only on the prefixes of its checkpoints,
-    so the pass starts at its first one, and no checkpoint decides
-    coverage: a covered one adds an empty residue."""
-    grid, (ells,), t_approx, *_ = _setup(cfg, [cfg.lengths])
-    tail_union = EMPTY
-    for i, a, b, first, last in _prefixes(cfg, ells, grid.size - tail_checkpoints):
-        tail_union = union(tail_union, _residue(a, b, first, last, float(ells[i]), t_approx))
-        # dropped before the pass lands the next batch
-        del a, b
-    return tail_union

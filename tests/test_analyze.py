@@ -701,8 +701,8 @@ class TestDimensionExperiment:
 
     @pytest.mark.parametrize("window", [1, 3])
     def test_cell_starts_at_the_tail_window(self, monkeypatch, window):
-        # the dims cell merges and prefilters only the window's checkpoints,
-        # and decides coverage at none of them
+        # the experiment hands its cells the window's config, so a cell
+        # merges, prefilters and decides only the window's checkpoints
         calls = {"_prefix_gaps": 0, "_uncovered": 0}
         for name in calls:
             def counted(*args, _real=getattr(simulate, name), _name=name):
@@ -710,11 +710,13 @@ class TestDimensionExperiment:
                 return _real(*args)
             monkeypatch.setattr(simulate, name, counted)
         cfg = TrialConfig(seed=3, lengths=LogOverN(0.5), target=make_circle(), n_max=20_000)
-        scales = nested_scales(float(LogOverN(0.5).ell(20_000)), 0.05)
-        est = analyze._dims_cell(3, (replace(cfg, seed=0), window, scales))
-        assert calls == {"_prefix_gaps": window, "_uncovered": 0}
-        want = box_dimension(run_trial(cfg, window).tail_uncovered, scales)
-        assert np.array_equal(est.counts, want.counts)
+        est, = uncovered_dimension_experiment(0.5, 20_000, [3],
+                                              tail_checkpoints=window).estimates
+        assert calls == {"_prefix_gaps": window, "_uncovered": window}
+        tail = run_trial(cfg, window).tail_uncovered
+        assert not tail.is_empty()
+        want = box_dimension(tail, est.scales)
+        assert est.counts.tobytes() == want.counts.tobytes()
 
     def test_estimates_do_not_depend_on_jobs(self):
         scans = [uncovered_dimension_experiment(0.5, 50_000, range(4), tail_checkpoints=3,

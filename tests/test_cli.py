@@ -344,6 +344,18 @@ class TestCGrid:
         assert len(grid) == cli.MAX_C_VALUES
         assert grid[-1] == cli.MAX_C_VALUES - 1
 
+    @pytest.mark.parametrize("spec, want", [
+        ("1:2:0.6", [1.0, 1.6]), ("0.1:1:0.35", [0.1, 0.1 + 0.35, 0.1 + 2 * 0.35]),
+        ("1:1:0.5", [1.0]), ("1:1.4:0.5", [1.0]), ("0.5:1.5:0.5", [0.5, 1.0, 1.5]),
+        # (hi - lo) / step reads 6.000000000000001 and 3.9999999999999996:
+        # hi is still reached
+        ("0.3:2.1:0.3", [0.3 + i * 0.3 for i in range(7)]),
+        ("0.6:1.4:0.2", [0.6 + i * 0.2 for i in range(5)]),
+        ("0.25:3.0:0.25", [0.25 + i * 0.25 for i in range(12)]),
+        ("0.1:0.7:0.1", [0.1 + i * 0.1 for i in range(7)])])
+    def test_grid_runs_no_value_past_hi(self, spec, want):
+        assert cli._parse_c_grid(spec) == want
+
     @pytest.mark.parametrize("spec", [f"0:{cli.MAX_C_VALUES}:1", "-1e308:1e308:1"])
     def test_grid_past_the_cap_is_refused(self, spec):
         # the second one's value count overflows to inf
@@ -607,7 +619,9 @@ class TestConfigFileNumbers:
 
     @pytest.mark.parametrize("command, field", [
         ("trial", "n_max"), ("scan", "n_max"), ("scan", "trials"), ("dims", "n_max"),
-        ("dims", "seeds"), ("series", "n"), ("schedule", "k")])
+        ("dims", "seeds"), ("series", "n"), ("schedule", "k"),
+        ("trial", "first_checkpoint"), ("scan", "first_checkpoint"),
+        ("dims", "first_checkpoint")])
     @pytest.mark.parametrize("how", ["flag", "config"])
     def test_field_below_one_is_refused_first(self, tmp_path, capsys, command, field, how):
         # reported before the bad target or length rule

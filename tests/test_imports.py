@@ -1,6 +1,7 @@
-"""No module of the package imports a name it never uses, and no module
-defines a private name that no module reads.  A removal that leaves an
-import or a helper behind fails here, as a linter would flag it."""
+"""No module of the package imports a name it never uses, defines a
+private name that no module reads, or gives a function a parameter that its
+body never reads.  A removal that leaves an import, a helper or a parameter
+behind fails here, as a linter would flag it."""
 
 import ast
 import pathlib
@@ -55,6 +56,29 @@ def _unused_privates(trees) -> list:
     return sorted(unused)
 
 
+def _unread_parameters(tree) -> list:
+    """(line, function, parameter) for each parameter of a function of
+    `tree` that no expression of its body reads, nested functions
+    included.  A body that is a lone `raise` after its docstring, as of an
+    abstract method, reads none and is skipped."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = node.body
+        if ast.get_docstring(node) is not None:
+            body = body[1:]
+        if len(body) == 1 and isinstance(body[0], ast.Raise):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *(a for a in (args.vararg, args.kwarg) if a is not None)]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(node.lineno, node.name, p.arg) for p in params if p.arg not in read]
+    return sorted(unread)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
@@ -79,6 +103,23 @@ def test_an_unread_private_name_is_caught():
     other = ast.parse("import m\nm._g()\n_C = None\n")
     assert _unused_privates({"m": tree, "n": other}) == [
         ("m", 3, "_UNREAD"), ("m", 4, "_a"), ("m", 8, "_C"), ("n", 3, "_C")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_every_parameter_is_read(path):
+    assert _unread_parameters(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_an_unread_parameter_is_caught():
+    tree = ast.parse("def f(a, b, /, c, *args, d, e=1, **kw):\n    return a + c + e + len(kw)\n"
+                     "def g(x):\n    \"\"\"Abstract.\"\"\"\n    raise NotImplementedError\n"
+                     "def h(x):\n    raise ValueError(x)\n"
+                     "def k(x, y):\n    def inner(z):\n        return x\n    del y\n"
+                     "    return inner\n"
+                     "class C:\n    def m(self, u):\n        return self\n")
+    assert _unread_parameters(tree) == [
+        (1, "f", "args"), (1, "f", "b"), (1, "f", "d"), (8, "k", "y"), (9, "inner", "z"),
+        (14, "m", "u")]
 
 
 def test_every_module_is_checked():

@@ -984,10 +984,10 @@ class TestThreadedHalves:
                 monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
                 seen.clear()
                 # traces build a residue at every uncovered checkpoint,
-                # verdicts in the window only, and the tail alone starts there
+                # verdicts in the window only, and a window's config starts
+                # there
                 got[threads] = (_traces(base, rules, 3), simulate._verdicts(base, rules, 3),
-                                [simulate._tail_union(replace(base, lengths=rule), 3)
-                                 for rule in rules])
+                                [_tail(replace(base, lengths=rule), 3) for rule in rules])
                 assert (seen != {threading.get_ident()}) == threads
         finally:
             sys.setswitchinterval(interval)
@@ -1036,9 +1036,13 @@ class TestThreadedHalves:
         assert residues == uncovered(range(n_cp - 2, n_cp))
         sampled.clear()
         residues.clear()
+        # a window's config samples every center once too, and builds a
+        # residue for each uncovered checkpoint of its window alone
         for rule in rules:
-            simulate._tail_union(replace(base, lengths=rule), 2)
-        assert sum(sampled) == 3 * base.n_max and len(residues) == 3 * 2
+            _tail(replace(base, lengths=rule), 2)
+        assert sum(sampled) == 3 * base.n_max
+        assert residues == [float(t.ells[i]) for t in traces
+                            for i in range(n_cp - 2, n_cp) if not t.covered[i]]
 
     @pytest.mark.parametrize("threads", [False, True], ids=["serial", "threaded"])
     @pytest.mark.parametrize("n_first", [1, 2, 3])
@@ -1068,28 +1072,45 @@ class TestThreadedHalves:
         assert one_sided
 
 
+def _window(cfg, start):
+    """cfg from its checkpoint `start` on (negative counts from the end):
+    the config whose grid is cfg's grid[start:]."""
+    return replace(cfg, n_first_checkpoint=int(cfg.checkpoints()[start]))
+
+
+def _tail(cfg, w):
+    """The union of the residues of cfg's last w checkpoints as a dims cell
+    reads it: from _verdicts over the config of that window."""
+    (_, _, tail_union), = simulate._verdicts(_window(cfg, -w), [cfg.lengths], w)
+    return tail_union
+
+
 def _pass(cfg, shortest, start):
-    """Everything _prefixes yields for cfg, as bytes."""
+    """Everything _prefixes yields for cfg's window from its checkpoint
+    `start` on, as bytes."""
     return [tuple(np.asarray(x).tobytes() for x in step)
-            for step in simulate._prefixes(cfg, shortest, start)]
+            for step in simulate._prefixes(_window(cfg, start), shortest[start:])]
 
 
 def _fresh_pass(cfg, shortest, start):
-    """What _prefixes should yield for cfg, as bytes: per checkpoint, the
-    gaps of a fresh sort of its prefix, filtered by a diff."""
+    """What _prefixes should yield for cfg's window from its checkpoint
+    `start` on, as bytes: per checkpoint of cfg's grid from there, its
+    index in the window and the gaps of a fresh sort of its prefix,
+    filtered by a diff."""
     steps = []
     for i, n in enumerate(cfg.checkpoints()[start:], start):
         cs = np.sort(sample_centers(cfg.seed, int(n)))
         idx = np.flatnonzero(np.diff(cs) > shortest[i] - SLACK)
-        steps.append((np.intp(i).tobytes(), cs[idx].tobytes(), cs[idx + 1].tobytes(),
+        steps.append((np.intp(i - start).tobytes(), cs[idx].tobytes(), cs[idx + 1].tobytes(),
                       cs[:1].tobytes(), cs[-1:].tobytes()))
     return steps
 
 
 def _switch(cfg, shortest, start):
-    """The checkpoint where a pass of cfg from `start` stops keeping its
-    sorted prefix, the grid size for none: the first from `start` on where
-    n times the least threshold from there on reaches _X0."""
+    """The checkpoint, an index of cfg's grid, where a pass of cfg's window
+    from its checkpoint `start` on stops keeping its sorted prefix, the
+    grid size for none: the first from `start` on where n times the least
+    threshold from there on reaches _X0."""
     grid = cfg.checkpoints()
     if cfg.n_max < simulate._THREAD_MIN:
         return grid.size
@@ -1207,7 +1228,7 @@ class TestPrefixes:
         for start in (0, grid.size // 2, grid.size - 1):
             s = min(_switch(self.CFG, shortest, start), grid.size - 1)
             flags = []
-            for _ in simulate._prefixes(self.CFG, shortest, start):
+            for _ in simulate._prefixes(_window(self.CFG, start), shortest[start:]):
                 flags.append(set(calls))
                 calls.clear()
             assert flags == [{False}] + [{True}] * (s - start) + [set()] * (grid.size - 1 - s)
@@ -1352,7 +1373,7 @@ class TestPrefixes:
         run = {"trial": lambda: run_trial(cfg), "trial-tail": lambda: run_trial(cfg, 2),
                "verdicts": lambda: simulate._verdicts(cfg, [cfg.lengths], 1),
                "verdicts-tail": lambda: simulate._verdicts(cfg, [cfg.lengths], 2),
-               "tail": lambda: simulate._tail_union(cfg, 2)}[consumer]
+               "tail": lambda: _tail(cfg, 2)}[consumer]
         land, union = simulate._land, simulate.union
         held, unions = [], [0]
 
@@ -1412,6 +1433,8 @@ class TestPassProperty:
     def test_every_yield_equals_fresh_sort(self, case):
         cfg, start, x0, thread_min = case
         shortest = _shortest(cfg)
+        # the window's grid is the suffix of cfg's
+        assert _window(cfg, start).checkpoints().tobytes() == cfg.checkpoints()[start:].tobytes()
         want = _fresh_pass(cfg, shortest, start)
         with mock.patch.object(simulate, "_X0", x0), \
                 mock.patch.object(simulate, "_THREAD_MIN", thread_min):
@@ -1523,39 +1546,36 @@ def thread_min_2048(monkeypatch):
 
 @pytest.mark.usefixtures("thread_min_2048")
 class TestTailOnlySweep:
-    """_tail_union starts at the tail window, so its first step
-    samples, sorts and splits a whole prefix; its tail union must be bit
-    for bit the one run_trial builds over the whole grid.  A horizon below
-    _THREAD_MIN runs one run also where threads are allowed; one above it
-    is threaded, and merges its early checkpoints on the calling thread."""
+    """A dims cell reads its tail union from _verdicts over the config of
+    its window, whose pass starts there: its first step samples, sorts and
+    splits a whole prefix, and its tail union must be bit for bit the one
+    run_trial builds over the whole grid.  A horizon below _THREAD_MIN runs
+    one run also where threads are allowed; one above it is threaded where
+    they are, switches, and merges its early checkpoints on the calling
+    thread."""
 
     @pytest.mark.parametrize("threads", [False, True], ids=["one-run", "two-thread"])
     @pytest.mark.parametrize("n_max", [1500, 5000], ids=["below", "above"])
     @pytest.mark.parametrize("target, c", [
         (make_circle(), 0.5), (make_cantor(1 / 3, 8), 1.2),
-        (make_finite([0.05, 0.37, 0.9]), 0.5)], ids=["circle", "cantor", "points"])
+        (make_finite([0.05, 0.37, 0.9]), 0.5), *zip(_KERNEL_TARGETS[1:], (1.2, 0.5, 0.8))],
+        ids=["circle", "cantor", "points", "cantor-12", "points-0", "custom"])
     def test_equals_run_trial(self, monkeypatch, target, c, n_max, threads):
         monkeypatch.setattr(simulate, "_threads_allowed", lambda: threads)
         base = TrialConfig(seed=0, lengths=LogOverN(c), target=target, n_max=n_max)
         n_cp = base.checkpoints().size
+        # the pass of the whole grid, and so of each window, switches above
+        # _THREAD_MIN alone
+        assert (_switch(base, _shortest(base), 0) < n_cp) == (n_max > simulate._THREAD_MIN)
         found = False
         for seed in range(5):
             cfg = replace(base, seed=seed)
             for w in (1, 3, n_cp):
-                got = simulate._tail_union(cfg, w)
+                got = _tail(cfg, w)
                 want = run_trial(cfg, w).tail_uncovered
                 _assert_bitwise(got, want)
                 found |= not want.is_empty()
         assert found
-
-    def test_result_has_no_verdicts(self):
-        # the checkpoints before the window are never decided, so the result
-        # is the union alone
-        cfg = TrialConfig(seed=1, lengths=LogOverN(0.5), target=make_circle(), n_max=3000)
-        got = simulate._tail_union(cfg, 2)
-        assert type(got) is IntervalUnion
-        assert not hasattr(got, "last_failure_n")
-        assert not hasattr(got, "eventually_covered")
 
 
 # a scan's rules, in order of length; logn:0.2 leaves the target uncovered
@@ -1998,9 +2018,12 @@ class TestFirstMomentLaw:
             assert float(s_a(eps)) == pytest.approx(_brute_neighbourhood(target, eps), abs=1e-12)
         assert not np.any(s_a([-0.1, 0.0]))
 
-    @pytest.mark.parametrize("name, c", [("circle", 0.8), ("cantor", 0.8), ("points", 0.5)])
+    # the custom target has a piece that touches 0 and one that ends at 1
+    @pytest.mark.parametrize("name, c", [("circle", 0.8), ("cantor", 0.8), ("points", 0.5),
+                                         ("custom", 0.8)])
     def test_mean_count_follows_the_law(self, name, c):
-        target, n, seeds = _LAW_TARGETS[name], 4000, range(2000)
+        target = {**_LAW_TARGETS, "custom": _KERNEL_TARGETS[3]}[name]
+        n, seeds = 4000, range(2000)
         ell = float(LogOverN(c).ell(n))
         s_a = _neighbourhood_measure(target)
         want = _first_moment(n, ell, s_a)
