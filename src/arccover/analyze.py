@@ -8,8 +8,9 @@ between is reported as "theorem-silent": the scan still shows fractions
 there but asserts nothing.  Every c uses the same seeds, so the unit of
 work is one seed swept over the whole c grid: the scan reads only each
 trial's verdicts and tail union, which simulate._verdicts gives for all
-c from one pass over the seed's centers.  A dimension estimate reads
-only the tail union, from simulate._verdicts over its window's config.
+c from one pass over the seed's centers.  A dimension estimate is the
+same cell (_scan_cell) over its window's config and its one rule, which
+reads the tail union's box counts where the scan reads its measure.
 
 Both experiments run independent seeds over one shared configuration
 (_map_seeds): inline, or in a process pool of at most one worker per
@@ -20,9 +21,10 @@ inputs, the scale guard included, which depends on c but not on the
 seed; then _map_seeds checks, once, in the parent, before any cell runs
 or any pool starts, what every cell shares: the tail window, the lowest
 and highest seed, `jobs`, and the memory of the trials that run at once,
-one per worker (simulate._check_memory).  The cells' results come back
-in seed order, inline and from the pool alike.  The pool is taken to
-fill the cores, so its workers run the kernel on one thread
+one per worker (simulate._check_memory); it builds the target's lookup
+there too, which the workers inherit.  The cells' results come back in
+seed order, inline and from the pool alike.  The pool is taken to fill
+the cores, so its workers run the kernel on one thread
 (simulate._threads_allowed).
 
 Box-counting dimension is used as a numerical proxy for Hausdorff
@@ -36,6 +38,7 @@ union of tiny pieces saturates and says nothing about the scaling law.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -211,36 +214,40 @@ def _init_worker(context):
     _context = context
 
 
-def _map_seeds(cell, seeds, base_cfg: TrialConfig, tail, jobs, shared, need) -> list:
-    """[cell(seed, (base_cfg, tail, shared)) for seed in seeds], seeds
+def _map_seeds(seeds, cfg: TrialConfig, rules, tail, jobs, read) -> list:
+    """[_scan_cell(seed, (cfg, rules, tail, read)) for seed in seeds], seeds
     ascending, after checking, in this order, the window, the lowest and
-    highest seed, `jobs` and the memory, at need() bytes per cell
-    (simulate._pass_bytes): inline for one worker, else in a pool of
-    min(jobs, len(seeds), usable CPUs) worker processes, which receive the
-    context once each."""
-    base_cfg.check_window(tail, 1)
+    highest seed, `jobs` and the memory of a pass at rules[0]'s lengths,
+    the shortest, which _verdicts runs at (simulate._pass_bytes): inline
+    for one worker, else in a pool of min(jobs, len(seeds), usable CPUs)
+    worker processes, which receive the context once each."""
+    cfg.check_window(tail, 1)
     for seed in (seeds[0], seeds[-1]):
-        replace(base_cfg, seed=seed)  # refuses a seed outside [0, 2**64)
+        replace(cfg, seed=seed)  # refuses a seed outside [0, 2**64)
     check_integer("jobs", jobs)
     if jobs < 1:
         raise ConfigError("jobs", f"must be >= 1, got {jobs}")
     workers = min(jobs, len(seeds), _usable_cpus())
-    _check_memory(base_cfg.n_max, need(), workers)
-    context = (base_cfg, int(tail), shared)
+    _check_memory(cfg.n_max, _pass_bytes(cfg, rules[0]), workers)
+    # every seed's _verdicts reads the target's lookup: built once here,
+    # it is inherited by the pool's workers, forked below
+    cfg.target._lookup
+    context = (cfg, rules, int(tail), read)
     if workers <= 1:
-        return [cell(seed, context) for seed in seeds]
+        return [_scan_cell(seed, context) for seed in seeds]
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(context,)) as pool:
-        return list(pool.map(cell, seeds))
+        return list(pool.map(_scan_cell, seeds))
 
 
 def _scan_cell(seed, context=None):
-    """One seed's trials for every rule of the scan: per rule, in grid
-    order, (covered, last_failure_n, tail measure)."""
-    base_cfg, tail, rules = _context if context is None else context
-    return [(covered, last_failure, measure(tail_union))
+    """One seed's trials, the unit of work of both experiments: per rule,
+    in order, (covered, last_failure_n, read(tail union)), where a scan
+    reads the tail's measure and a dimension estimate its box counts."""
+    cfg, rules, tail, read = _context if context is None else context
+    return [(covered, last_failure, read(tail_union))
             for covered, last_failure, tail_union
-            in _verdicts(replace(base_cfg, seed=seed), rules, tail)]
+            in _verdicts(replace(cfg, seed=seed), rules, tail)]
 
 
 def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
@@ -285,12 +292,8 @@ def phase_scan(c_grid, base_cfg: TrialConfig, trials_per_c: int, *,
                           f"{next(iter(failed.values()))}")
     ok_cs = [rule.c for rule in rules]
 
-    # every seed's _verdicts reads the target's lookup: built once here,
-    # it is inherited by the pool's workers, forked below
-    target._lookup
-    # _verdicts runs one pass at the shortest lengths, rules[0]'s
-    per_seed = _map_seeds(_scan_cell, range(seed0, seed0 + trials_per_c), base_cfg,
-                          tail_checkpoints, jobs, rules, lambda: _pass_bytes(base_cfg, rules[0]))
+    per_seed = _map_seeds(range(seed0, seed0 + trials_per_c), base_cfg, rules,
+                          tail_checkpoints, jobs, measure)
     rows = []
     for i, c in enumerate(ok_cs):
         cov, fails, tails = zip(*(cell[i] for cell in per_seed))
@@ -348,14 +351,6 @@ class DimensionScan:
     n_degenerate: int
 
 
-def _dims_cell(seed, context=None):
-    """One seed's box counts of its tail union, from a pass over the tail
-    window's config: it starts at the window and decides only there."""
-    window_cfg, tail, scales = _context if context is None else context
-    (_, _, tail_union), = _verdicts(replace(window_cfg, seed=seed), [window_cfg.lengths], tail)
-    return box_dimension(tail_union, scales)
-
-
 def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
                                    target: TargetSet | None = None,
                                    tail_checkpoints: int = 1,
@@ -373,8 +368,9 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
     window must hold between 1 and all of the checkpoints.  c, n_max,
     ell(n_max) >= 2**-62, the scale guard, the seeds, the scale ladder and
     the window are checked here, in that order; then _map_seeds checks the
-    seed range, `jobs` and the memory, once, before any cell runs.  Each
-    cell's pass starts at the window's first checkpoint (its config's).
+    seed range, `jobs` and the memory of a pass over the window, once, in
+    the parent, before any cell runs.  Each cell is a scan's cell over the
+    window's config, so its pass starts at the window's first checkpoint.
     The estimates come back in the order of the sorted seeds.
     """
     if not 0.0 < c < math.inf:
@@ -405,8 +401,9 @@ def uncovered_dimension_experiment(c: float, n_max: int, seeds, *,
                           "its square root; increase n_max") from exc
     base.check_window(tail_checkpoints, 1)
     window_cfg = replace(base, n_first_checkpoint=int(base.checkpoints()[-tail_checkpoints]))
-    estimates = tuple(_map_seeds(_dims_cell, seeds, window_cfg, tail_checkpoints, jobs, scales,
-                                 lambda: _pass_bytes(window_cfg, rule)))
+    cells = _map_seeds(seeds, window_cfg, [rule], tail_checkpoints, jobs,
+                       functools.partial(box_dimension, scales=scales))
+    estimates = tuple(cell[0][2] for cell in cells)
     floor = None if target.dim_H is None else target.dim_H - c
     return DimensionScan(
         c=float(c),

@@ -158,9 +158,10 @@ _COMMON_DEFAULTS = {
 }
 
 # One table per command: each key is a config field and, with dashes, a
-# flag of that command whose type is the type of its default (`None`, for
-# jobs, stands for an int that falls back to ARCCOVER_JOBS), and of its
-# config-file value.  `out` comes first, so help lists it after --config.
+# flag of that command; _read reads its flag text and its config-file value
+# alike, as the type of its default (`None`, for jobs, stands for an int
+# that falls back to ARCCOVER_JOBS).  `out` comes first, so help lists it
+# after --config.
 _DEFAULTS = {
     "trial": {"out": "arccover_trial", "target": "circle", "lengths": "logn:1",
               "n_max": 10 ** 5, "seed": 0, **_COMMON_DEFAULTS},
@@ -190,10 +191,11 @@ def _kind(default) -> type:
 
 
 def _read(key: str, value, default):
-    """A config-file or environment value read as its flag would read it: a
-    text field takes a string, a numeric string parses like flag text, and
-    a number must keep its value in the field's type, so 2000.0 fills an
-    int field and 2000.9, true or NaN do not."""
+    """A flag's text, a config-file value or an environment value, read
+    into the field's type: a text field takes a string, a numeric string
+    parses as the type's own constructor reads it, and a number must keep
+    its value in the field's type, so 2000.0 fills an int field and
+    2000.9, true or NaN do not."""
     kind = _kind(default)
     if kind is str:
         # scan's c grid may also be a list or a number; _parse_c_grid reads it
@@ -240,7 +242,7 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     for key, default in _DEFAULTS[command].items():
         flag_val = getattr(args, key, None)
         if flag_val is not None:
-            resolved[key] = flag_val
+            resolved[key] = _read(key, flag_val, default)
         elif key in file_cfg:
             resolved[key] = _read(key, file_cfg[key], default)
         else:
@@ -446,7 +448,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (flags override it)")
         for key, default in _DEFAULTS[command].items():
             p.add_argument("--" + key.replace("_", "-"),
-                           type=_kind(default),
                            help=_FLAG_HELP.get((command, key), _FLAG_HELP.get(key)))
     return top
 

@@ -600,7 +600,7 @@ class TrialConfig:
         if self.n_first_checkpoint < 1:
             raise ConfigError("n_first_checkpoint", f"must be >= 1, got {self.n_first_checkpoint}")
         if self.n_max < self.n_first_checkpoint:
-            raise ConfigError("n_max", f"must be >= n_first_checkpoint, got "
+            raise ConfigError("n_max", f"must be >= the first checkpoint, got "
                               f"{self.n_max} < {self.n_first_checkpoint}")
         if self.n_max > MAX_EXACT_N:
             raise ConfigError("n_max", f"must be at most 2**53, got {self.n_max}")
@@ -920,7 +920,7 @@ def _verdicts(cfg: TrialConfig, rules, tail_checkpoints: int) -> list:
     first few rules fail (_uncovered), and in the tail window they add
     their residues.  A config whose first checkpoint is grid[-w] of
     another's has that window for its grid, so with tail_checkpoints w its
-    tail unions are the other's, bit for bit: a dims cell reads them so.
+    tail unions are the other's, bit for bit: dims reads its cells so.
     """
     grid, ells, t_approx, lookup, tail_idx = _setup(cfg, rules)
     if np.any(ells[1:] < ells[:-1]):

@@ -256,9 +256,9 @@ class TestPhaseScan:
         shared = []
         map_seeds = analyze._map_seeds
 
-        def spy(cell, seeds, base_cfg, tail, jobs, rules, need):
+        def spy(seeds, cfg, rules, tail, jobs, read):
             shared.append(rules)
-            return map_seeds(cell, seeds, base_cfg, tail, jobs, rules, need)
+            return map_seeds(seeds, cfg, rules, tail, jobs, read)
 
         monkeypatch.setattr(analyze, "_map_seeds", spy)
         t = make_cantor(1 / 3, 8)
@@ -430,7 +430,6 @@ class TestSharedChecks:
             raise AssertionError("a cell ran")
 
         monkeypatch.setattr(analyze, "_scan_cell", refuse)
-        monkeypatch.setattr(analyze, "_dims_cell", refuse)
 
     @pytest.fixture
     def memory(self, monkeypatch):
@@ -726,6 +725,26 @@ class TestDimensionExperiment:
         assert one == two
         assert scans[0].seeds == scans[1].seeds == (0, 1, 2, 3)
         assert scans[0].mean_slope == scans[1].mean_slope
+
+    @pytest.mark.parametrize("make, c", [
+        (lambda: make_cantor(1 / 3, 12), 0.5),
+        (lambda: make_finite([0.0, 0.1, 0.5, 0.77]), 0.1),
+    ], ids=["cantor", "points"])
+    def test_targets_beyond_the_circle_through_a_pool(self, monkeypatch, make, c):
+        monkeypatch.setattr(analyze, "_usable_cpus", lambda: 2)
+        scans = {}
+        for jobs in (2, 1):
+            target = make()
+            scans[jobs] = uncovered_dimension_experiment(c, 20_000, range(4), target=target,
+                                                         tail_checkpoints=2, jobs=jobs)
+            # built in the parent, even when only the pool's workers read it
+            assert "_lookup" in vars(target)
+        one, two = ([e.counts.tobytes() for e in scans[jobs].estimates] for jobs in (1, 2))
+        assert one == two
+        for seed, est in zip(range(4), scans[2].estimates):
+            cfg = TrialConfig(seed=seed, lengths=LogOverN(c), target=target, n_max=20_000)
+            want = box_dimension(run_trial(cfg, 2).tail_uncovered, est.scales)
+            assert est.counts.tobytes() == want.counts.tobytes()
 
     def test_seeds_are_sorted(self):
         shuffled = uncovered_dimension_experiment(0.5, 20_000, [2, 0, 1])

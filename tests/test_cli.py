@@ -301,6 +301,31 @@ class TestConfigErrors:
         assert run(tmp_path, *argv, "--out", "x") == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
+    @pytest.mark.parametrize("argv, err", [
+        (["trial", "--n-max", "1e5"], "n_max: must be an integer, got '1e5'"),
+        (["dims", "--c", "abc"], "c: must be a number, got 'abc'"),
+        (["scan", "--jobs", "x"], "jobs: must be an integer, got 'x'"),
+        (["trial", "--checkpoint-ratio", "x"], "checkpoint_ratio: must be a number, got 'x'"),
+    ], ids=["n_max", "dims-c", "jobs", "checkpoint_ratio"])
+    def test_flag_text_is_read_as_config_text(self, tmp_path, capsys, argv, err):
+        # the field's own message, not argparse's usage block
+        assert run(tmp_path, *argv, "--out", "x") == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not list(tmp_path.glob("x.*"))
+
+    def test_bad_config_file_is_reported_before_bad_flag_text(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"version": 1, "bogus": 3}))
+        assert run(tmp_path, "trial", "--config", "cfg.json", "--n-max", "1e5") == 2
+        assert capsys.readouterr().err == "error: config: unknown fields for trial: ['bogus']\n"
+
+    @pytest.mark.parametrize("command", ["trial", "scan", "dims"])
+    def test_n_max_below_the_first_checkpoint(self, tmp_path, capsys, command):
+        # named by what it is, as the CLI has no n_first_checkpoint field
+        assert run(tmp_path, command, "--n-max", "63", "--out", "x") == 2
+        assert capsys.readouterr().err == ("error: n_max: must be >= the first checkpoint, "
+                                           "got 63 < 64\n")
+        assert not list(tmp_path.glob("x.*"))
+
     @pytest.mark.parametrize("command", ["scan", "dims"])
     @pytest.mark.parametrize("how", ["flag", "env"])
     def test_jobs_below_one(self, tmp_path, capsys, monkeypatch, command, how):

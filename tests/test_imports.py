@@ -1,5 +1,6 @@
 """No module of the package imports a name it never uses, defines a
-private name that no module reads, or gives a function a parameter that its
+private name that no module reads or a public function or class that
+neither a module nor a demo uses, or gives a function a parameter that its
 body never reads.  A removal that leaves an import, a helper or a parameter
 behind fails here, as a linter would flag it."""
 
@@ -8,7 +9,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "arccover"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "arccover"
 # __init__.py imports names to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -29,17 +31,24 @@ def _unused_imports(tree) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
-def _unused_privates(trees) -> list:
-    """The top-level functions, classes and assigned names of `trees` (a
-    dict of module name to tree) with one leading underscore that no
-    expression of any tree reads, as a name or an attribute."""
+def _names_read(trees) -> set:
+    """Every name that an expression of `trees` reads, as a name or an
+    attribute."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+    return read
+
+
+def _unused_privates(trees) -> list:
+    """The top-level functions, classes and assigned names of `trees` (a
+    dict of module name to tree) with one leading underscore that no
+    expression of any tree reads, as a name or an attribute."""
+    read = _names_read(trees.values())
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -54,6 +63,18 @@ def _unused_privates(trees) -> list:
                        if name.startswith("_") and not name.startswith("__")
                        and name not in read]
     return sorted(unused)
+
+
+def _unused_publics(trees, users) -> list:
+    """(module, line, name) for each top-level function or class of
+    `trees` (a dict of module name to tree) without a leading underscore
+    that no expression of `trees` or of `users` reads, as a name or an
+    attribute."""
+    read = _names_read([*trees.values(), *users])
+    return sorted((module, node.lineno, node.name) for module, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in read)
 
 
 def _unread_parameters(tree) -> list:
@@ -103,6 +124,25 @@ def test_an_unread_private_name_is_caught():
     other = ast.parse("import m\nm._g()\n_C = None\n")
     assert _unused_privates({"m": tree, "n": other}) == [
         ("m", 3, "_UNREAD"), ("m", 4, "_a"), ("m", 8, "_C"), ("n", 3, "_C")]
+
+
+def test_every_public_name_is_used():
+    # a public function or class that no experiment, CLI path or demo uses
+    # is deleted, not kept for a caller that does not exist
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in MODULES}
+    demos = [ast.parse(p.read_text(), str(p)) for p in sorted((ROOT / "demos").glob("*.py"))]
+    assert demos
+    assert _unused_publics(trees, demos) == []
+
+
+def test_an_unused_public_name_is_caught():
+    tree = ast.parse("def used():\n    pass\n"
+                     "def forgotten():\n    return used()\n"
+                     "class Kept:\n    pass\n"
+                     "class Dropped:\n    def method(self):\n        pass\n"
+                     "def _private():\n    pass\n")
+    demo = ast.parse("import m\nm.Kept()\nmethod = 1\n")
+    assert _unused_publics({"m": tree}, [demo]) == [("m", 3, "forgotten"), ("m", 7, "Dropped")]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
